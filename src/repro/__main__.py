@@ -186,8 +186,6 @@ def cmd_demo(args) -> None:
 
 
 def cmd_perfbench(args) -> None:
-    import json
-
     from .bench.perf import (
         DEFAULT_BASELINE_PATH,
         DEFAULT_QUICK_BASELINE_PATH,
@@ -215,14 +213,6 @@ def cmd_perfbench(args) -> None:
         profiler.disable()
         print(profile_stats(profiler, top=20))
     _emit(args, "perf.txt", render_perf(payload), payload=payload)
-    # The repo-root copy is the committed before/after record tracked
-    # PR-over-PR (alongside bench_results/BENCH_perf.json); quick runs
-    # measure reduced workloads and must not overwrite it.
-    if not args.quick:
-        with open("BENCH_perf.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print("[saved to BENCH_perf.json]")
     if args.max_regression is not None:
         if profiler is not None:
             # cProfile's tracing overhead lands inside every timed
@@ -246,8 +236,6 @@ def cmd_perfbench(args) -> None:
 
 
 def cmd_scalebench(args) -> None:
-    import json
-
     from .bench.scale import (
         DEFAULT_SCALE_BASELINE_PATH,
         DEFAULT_SCALE_QUICK_BASELINE_PATH,
@@ -266,14 +254,6 @@ def cmd_scalebench(args) -> None:
     points = tuple(args.points) if args.points else None
     payload = run_scalebench(quick=args.quick, baseline=baseline, points=points)
     _emit(args, "scaling.txt", render_scale(payload), payload=payload)
-    # The repo-root copy is the committed 64 -> 1024 scaling record
-    # tracked PR-over-PR; quick runs cover one point and must not
-    # overwrite it.
-    if not args.quick and not args.points:
-        with open("BENCH_scaling.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print("[saved to BENCH_scaling.json]")
     if args.max_regression is not None:
         if "speedup_vs_baseline" not in payload:
             print("[no size-matched baseline: skipping regression gate]")

@@ -53,15 +53,6 @@ class GENxConfig:
     #: Full active-buffering hierarchy ([13]): buffer on the clients
     #: too, shipping to servers from a background sender thread.
     client_buffering: bool = False
-    #: Two-phase shipping: aggregate each snapshot's blocks into one
-    #: pre-encoded batch per server (off = per-block executable spec;
-    #: fault-free virtual time is bit-identical either way).
-    batched_shipping: bool = True
-    #: Two-phase collective restart: servers bulk-read their file
-    #: shares in sieved regions (with read-ahead) and scatter
-    #: aggregated block batches (off = per-block executable spec; both
-    #: modes restore bit-identical window data).
-    batched_restart: bool = True
     prefix: str = "genx"
     #: Restart: read state written at this step of ``restart_prefix``.
     restart_step: Optional[int] = None
@@ -193,8 +184,6 @@ def genx_main(config: GENxConfig):
                 pack_overhead=pack[0],
                 pack_bw=pack[1],
                 client_buffering=config.client_buffering,
-                batched=config.batched_shipping,
-                batched_restart=config.batched_restart,
             )
         elif config.io_mode == "trochdf":
             io_module = TRochdfModule(ctx, config.driver_factory())

@@ -55,17 +55,21 @@ class RochdfModule(ServiceModule):
     ):
         self.ctx = ctx
         self.driver = driver if driver is not None else hdf4_driver()
-        #: Backoff schedule for transient write faults (EIO, disk-full).
+        #: Backoff schedule for transient disk faults (EIO, disk-full).
         self.retry = retry if retry is not None else RetryPolicy()
         self.stats = IOStats()
         self.com = None
-        self._faults = getattr(ctx.machine, "faults", None)
 
-    def _note_retry(self, attempt: int, exc: BaseException) -> None:
+    def _note_retry(
+        self, attempt: int, exc: BaseException, op: str = "write"
+    ) -> None:
         self.stats.retries += 1
         if self.ctx.recorder is not None:
-            self.ctx.recorder.record_counter(self.name, "write_retries")
-        self.ctx.trace(self.name, f"write fault ({exc}); retry {attempt + 1}")
+            self.ctx.recorder.record_counter(self.name, f"{op}_retries")
+        self.ctx.trace(self.name, f"{op} fault ({exc}); retry {attempt + 1}")
+
+    def _note_read_retry(self, attempt: int, exc: BaseException) -> None:
+        self._note_retry(attempt, exc, op="read")
 
     # -- module lifecycle ------------------------------------------------
     def load(self, com) -> None:
@@ -110,64 +114,44 @@ class RochdfModule(ServiceModule):
     def _write_file(self, writer: SHDFWriter, blocks, file_attrs) -> int:
         """Generator: open/write/close one snapshot file, retrying faults.
 
-        The VFS raises *before* mutating anything on a write fault, so
-        resuming at the dataset that faulted never duplicates data; a
-        retried ``open`` simply truncates and starts the file over.
-        Returns the payload bytes written (stats are updated in place,
-        exactly once per dataset, across however many attempts).
+        Every dataset of the snapshot lands through one merged
+        filesystem transfer (the same write-coalescing scheduler the
+        Rocpanda servers use), so a whole file costs one ``fs.write``
+        instead of one per dataset.  T-Rochdf inherits this via its I/O
+        thread.
 
-        Without an installed fault injector the VFS can never raise, so
-        the plain loop below skips the per-write retry scaffolding — a
-        measurable cost at table1 scale (hundreds of thousands of
-        dataset writes per run).
+        The attempt is stage-resumable: the VFS raises *before*
+        mutating anything on a write fault, so a retry redoes only the
+        stage that faulted — a faulted ``open`` truncates and starts
+        the file over, a faulted ``write_records`` appended nothing, a
+        faulted ``close`` leaves the records in place.  Returns the
+        payload bytes written (stats are bumped once, after the file is
+        committed).
         """
-        stats = self.stats
-        if self._faults is None:
-            # Coalesced fast path: every dataset of the snapshot lands
-            # through one merged filesystem transfer (the same
-            # write-coalescing scheduler the Rocpanda servers use), so
-            # a whole file costs one fs.write instead of one per
-            # dataset.  T-Rochdf inherits this via its I/O thread.
-            nbytes = 0
-            records = []
-            yield from writer.open(file_attrs=file_attrs)
-            for block in blocks:
-                for dataset in block_to_datasets(block):
-                    records.append(
-                        (dataset.name, encode_dataset(dataset), dataset.nbytes)
-                    )
-                    nbytes += dataset.nbytes
-                stats.blocks_written += 1
-            yield from writer.write_records(records)
-            yield from writer.close()
-            stats.bytes_written += nbytes
-            return nbytes
-
-        flat = []
-        for block in blocks:
-            datasets = block_to_datasets(block)
-            for j, dataset in enumerate(datasets):
-                flat.append((dataset, j == len(datasets) - 1))
-        progress = {"i": 0}
-        counted = [0]
+        nbytes = 0
 
         def attempt():
-            if not writer.is_open and writer.ndatasets == 0:
+            nonlocal nbytes
+            if not writer.is_open:
                 yield from writer.open(file_attrs=file_attrs)
-            while progress["i"] < len(flat):
-                dataset, ends_block = flat[progress["i"]]
-                yield from writer.write_dataset(dataset)
-                progress["i"] += 1
-                self.stats.bytes_written += dataset.nbytes
-                counted[0] += dataset.nbytes
-                if ends_block:
-                    self.stats.blocks_written += 1
+            if writer.ndatasets == 0:
+                # Encode after the open: ranks queue on the filesystem
+                # there, so only those past it hold an encoded snapshot.
+                records = [
+                    (dataset.name, encode_dataset(dataset), dataset.nbytes)
+                    for block in blocks
+                    for dataset in block_to_datasets(block)
+                ]
+                yield from writer.write_records(records)
+                nbytes = sum(r[2] for r in records)
             yield from writer.close()
 
         yield from retrying(
             self.ctx.env, self.retry, attempt, on_retry=self._note_retry
         )
-        return counted[0]
+        self.stats.blocks_written += len(blocks)
+        self.stats.bytes_written += nbytes
+        return nbytes
 
     def read_attribute(
         self,
@@ -181,12 +165,13 @@ class RochdfModule(ServiceModule):
         wrapping around, stopping as soon as every wanted block is
         found.  Returns the list of restored block IDs.
 
-        On the no-fault path each file is opened by structural scan and
-        its wanted records are pulled through the
+        Each file is opened by structural scan and its wanted records
+        are pulled through the
         :class:`~repro.fs.coalesce.ReadCoalescer` — one directory pass
         plus a few large sieved reads instead of a per-dataset
-        lookup/read loop.  Fault-injected runs keep the per-dataset
-        path, whose progress bookkeeping can resume mid-file.
+        lookup/read loop.  A transient read fault replays that file's
+        sieved read (the coalescer stays re-runnable); once retries are
+        exhausted the fault propagates to the caller.
         """
         ctx = self.ctx
         t0 = ctx.now
@@ -211,12 +196,8 @@ class RochdfModule(ServiceModule):
                 ctx.env, ctx.fs, file_path, self.driver, node=ctx.node,
                 recorder=ctx.recorder, rank=ctx.rank,
             )
-            sieved = self._faults is None
             try:
-                if sieved:
-                    yield from reader.open_scan()
-                else:
-                    yield from reader.open()
+                yield from reader.open_scan()
             except TornFileError:
                 # A crash left this file without its commit footer; keep
                 # scanning.  If the wanted blocks exist nowhere else the
@@ -254,20 +235,16 @@ class RochdfModule(ServiceModule):
                     if b not in matched_blocks:
                         matched.append(n)
                 names = matched
-            if sieved:
-                # One directory pass + sieved bulk reads for the whole
-                # file's wanted records.
-                datasets = yield from reader.read_batch(names)
-                for ds in datasets:
-                    self.stats.bytes_read += ds.nbytes
-                    nbytes += ds.nbytes
-            else:
-                datasets = []
-                for name in names:
-                    ds = yield from reader.read_dataset(name)
-                    datasets.append(ds)
-                    self.stats.bytes_read += ds.nbytes
-                    nbytes += ds.nbytes
+            # One directory pass + sieved bulk reads for the whole
+            # file's wanted records.
+            datasets = yield from retrying(
+                ctx.env, self.retry,
+                lambda: reader.read_batch(names),
+                on_retry=self._note_read_retry,
+            )
+            file_nbytes = sum(ds.nbytes for ds in datasets)
+            self.stats.bytes_read += file_nbytes
+            nbytes += file_nbytes
             yield from reader.close()
             for block in datasets_to_blocks(datasets):
                 if attr_names is not None:

@@ -27,9 +27,9 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
   file share in large sieved regions through the
   :class:`~repro.fs.coalesce.ReadCoalescer`, batch-decodes each region,
   and scatters one aggregated :class:`RestartBatch` per (region,
-  owner).  On the fault-free path the *next* region's disk read runs
-  ahead while the current region's batches are on the wire, overlapping
-  modeled disk and network time.  A client whose server dies mid-read
+  owner).  The *next* region's disk read runs ahead while the current
+  region's batches are on the wire, overlapping modeled disk and
+  network time.  A client whose server dies mid-read
   sends a ``resume_of`` request to the dead server's heir, which
   rescans that share and replies to the requester alone.
 """
@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ...des import Interrupt
 from ...faults.retry import RetryPolicy, retrying
+from ...fs.vfs import WriteFaultError
 from ...shdf.codec import TornFileError, encode_dataset
 from ...shdf.drivers import HDFDriver, hdf4_driver
 from ...shdf.file import SHDFReader, SHDFWriter
@@ -94,7 +95,8 @@ class ServerConfig:
     #: ``server_busy_fraction`` while actively writing vs while idle.
     busy_fraction_writing: float = 0.95
     busy_fraction_idle: float = 0.05
-    #: Backoff schedule for transient write faults (EIO, disk-full).
+    #: Backoff schedule for transient disk faults (write EIO, disk-full,
+    #: restart read EIO).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Target bytes per bulk-read region in two-phase restart.  Regions
     #: are cut at data-block boundaries once they exceed this, so one
@@ -490,70 +492,39 @@ class PandaServer:
     def _write_block(self, path: str, block):
         """Generator: write one buffered block (DataBlock or EncodedBlock).
 
-        The fault-free fast path coalesces the block's datasets into a
-        single filesystem transfer (``write_records``) in **both**
-        payload forms — a legacy :class:`DataBlock` is encoded to the
-        same record bytes a batched client would have shipped — so ship
-        modes stay bit-identical.  Fault-injected runs keep per-record
-        writes: their progress bookkeeping resumes at the record that
-        faulted, which a merged transfer could not express.
+        The block's datasets are coalesced into a single filesystem
+        transfer (``write_records``) in **both** payload forms — a
+        legacy :class:`DataBlock` is encoded to the same record bytes a
+        batched client would have shipped — so ship modes stay
+        bit-identical.  A write fault mutates nothing (the VFS raises
+        before appending), so a retry reopens only if the open itself
+        faulted and then replays the one merged transfer.
         """
         cpu = self.ctx.cpu
         cpu.server_busy_fraction = self.config.busy_fraction_writing
         t0 = self.ctx.now
         state = self._paths[path]
-        encoded = isinstance(block, EncodedBlock)
-        if self._faults is None:
-            # No injector installed: the VFS cannot raise, so skip the
-            # retry scaffolding (hot path — one call per buffered block).
-            opened = False
-            if not state.writer.is_open and state.writer.ndatasets == 0:
-                yield from state.writer.open(file_attrs=state.writer_attrs)
-                opened = True
-            if encoded:
-                records = block.records
-            else:
-                records = [
-                    (d.name, encode_dataset(d), d.nbytes)
-                    for d in block_to_datasets(block)
-                ]
-            yield from state.writer.write_records(records)
-            self.stats.bytes_written += sum(r[2] for r in records)
+        writer = state.writer
+        if isinstance(block, EncodedBlock):
+            records = block.records
         else:
-            # Progress survives a faulted attempt: the VFS raises before
-            # mutating anything, so already-appended datasets stay valid
-            # and a retry resumes at the dataset that faulted.
-            if encoded:
-                records = block.records
-            else:
-                records = None
-                datasets = block_to_datasets(block)
-            progress = {"i": 0, "opened": False}
+            records = [
+                (d.name, encode_dataset(d), d.nbytes)
+                for d in block_to_datasets(block)
+            ]
+        #: This block is the file's first: the attempt opens the file.
+        opened = not writer.is_open and writer.ndatasets == 0
 
-            def attempt():
-                if not state.writer.is_open and state.writer.ndatasets == 0:
-                    yield from state.writer.open(file_attrs=state.writer_attrs)
-                    progress["opened"] = True
-                if records is not None:
-                    while progress["i"] < len(records):
-                        name, record, data_nbytes = records[progress["i"]]
-                        yield from state.writer.write_encoded(
-                            name, record, data_nbytes
-                        )
-                        progress["i"] += 1
-                        self.stats.bytes_written += data_nbytes
-                else:
-                    while progress["i"] < len(datasets):
-                        dataset = datasets[progress["i"]]
-                        yield from state.writer.write_dataset(dataset)
-                        progress["i"] += 1
-                        self.stats.bytes_written += dataset.nbytes
+        def attempt():
+            if opened and not writer.is_open:
+                yield from writer.open(file_attrs=state.writer_attrs)
+            yield from writer.write_records(records)
 
-            yield from retrying(
-                self.ctx.env, self.config.retry, attempt,
-                on_retry=self._note_write_retry,
-            )
-            opened = progress["opened"]
+        yield from retrying(
+            self.ctx.env, self.config.retry, attempt,
+            on_retry=self._note_write_retry,
+        )
+        self.stats.bytes_written += sum(r[2] for r in records)
         if opened:
             self.stats.files_created += 1
         state.written += 1
@@ -592,15 +563,12 @@ class PandaServer:
                 retire.append((path, state))
         for path, state in retire:
             if state.writer is not None and state.writer.is_open:
-                if self._faults is None:
-                    yield from state.writer.close()
-                else:
-                    yield from retrying(
-                        self.ctx.env,
-                        self.config.retry,
-                        state.writer.close,
-                        on_retry=self._note_write_retry,
-                    )
+                yield from retrying(
+                    self.ctx.env,
+                    self.config.retry,
+                    state.writer.close,
+                    on_retry=self._note_write_retry,
+                )
             del self._paths[path]
             if self._faults is not None:
                 self._file_gens[path] = self._file_gens.get(path, 0) + 1
@@ -789,58 +757,56 @@ class PandaServer:
     def _read_regions(self, flat):
         """Generator: yield each region's decoded datasets, reading ahead.
 
-        Fault-free, the next region's sieved disk read is launched as
-        its own DES process *before* the current region's datasets are
-        handed to the caller — so while the caller scatters batch
-        replies over the network, the disk is already serving the next
-        region.  Under fault injection the reads run sequentially
-        behind :func:`~repro.faults.retry.retrying` (a read-ahead
-        process that faulted with nobody waiting would crash the
-        simulation, and retry bookkeeping needs the failure delivered
-        here).
+        The next region's sieved disk read is launched as its own DES
+        process *before* the current region's datasets are handed to
+        the caller — so while the caller scatters batch replies over
+        the network, the disk is already serving the next region.
+        Transient read faults are retried *inside* that process; a
+        read-ahead whose retries are exhausted returns the fault as its
+        value (a failed event nobody waits on yet would crash the
+        simulation) and the fault is raised here, when the caller
+        reaches that region.
 
         Implemented as a generator-of-generators: the caller drives
         ``for step in self._read_regions(flat): datasets = yield from step``.
         """
         ctx = self.ctx
         gap = self.config.restart_sieve_gap
-        if self._faults is None:
-            pending = None
 
-            def advance(i):
-                nonlocal pending
-                if pending is None:
-                    pending = ctx.env.process(
-                        flat[i][0].read_extents(flat[i][1], sieve_gap=gap),
-                        name="panda-restart-read",
-                    )
-                current = pending
-                if i + 1 < len(flat):
-                    nxt_reader, nxt_region = flat[i + 1]
-                    pending = ctx.env.process(
-                        nxt_reader.read_extents(nxt_region, sieve_gap=gap),
-                        name="panda-restart-readahead",
-                    )
-                else:
-                    pending = None
-                datasets = yield current
-                return datasets
-
-            for i in range(len(flat)):
-                self.stats.restart_regions_read += 1
-                yield advance(i)
-        else:
-            def attempt_read(reader, region):
+        def read(reader, region):
+            try:
                 datasets = yield from retrying(
                     ctx.env, self.config.retry,
                     lambda: reader.read_extents(region, sieve_gap=gap),
                     on_retry=self._note_read_retry,
                 )
-                return datasets
+            except WriteFaultError as exc:
+                return exc
+            return datasets
 
-            for reader, region in flat:
-                self.stats.restart_regions_read += 1
-                yield attempt_read(reader, region)
+        pending = None
+
+        def advance(i):
+            nonlocal pending
+            if pending is None:
+                pending = ctx.env.process(
+                    read(*flat[i]), name="panda-restart-read"
+                )
+            current = pending
+            if i + 1 < len(flat):
+                pending = ctx.env.process(
+                    read(*flat[i + 1]), name="panda-restart-readahead"
+                )
+            else:
+                pending = None
+            result = yield current
+            if isinstance(result, WriteFaultError):
+                raise result
+            return result
+
+        for i in range(len(flat)):
+            self.stats.restart_regions_read += 1
+            yield advance(i)
 
     def _region_blocks(self, datasets, window: str, attr_filter):
         """Group one region's datasets into per-block payloads."""

@@ -136,21 +136,10 @@ class SHDFWriter:
 
     def write_dataset(self, dataset: Dataset):
         """Generator: append one dataset (driver + filesystem costs)."""
-        yield from self.write_encoded(
-            dataset.name, encode_dataset(dataset), dataset.nbytes
-        )
-
-    def write_encoded(self, name: str, record, data_nbytes: int):
-        """Generator: append one *pre-encoded* dataset record.
-
-        Charges exactly like :meth:`write_dataset` — the record arrives
-        already serialised (e.g. sliced out of a shipped batch), so
-        only the timed filesystem/driver work remains.  ``record`` may
-        be any bytes-like object (a zero-copy memoryview works).
-        """
         if not self._open:
             raise RuntimeError(f"{self.path}: not open")
         t0 = self.env.now
+        record = encode_dataset(dataset)
         # Format-internal bookkeeping (directory maintenance).
         yield self.env.sleep(self.driver.create_cost(self._ndatasets))
         for _ in range(self.driver.fs_meta_ops_per_dataset):
@@ -159,10 +148,10 @@ class SHDFWriter:
             len(record) + self.driver.meta_bytes_per_dataset, self.node
         )
         offset = self._vfile.append(record)
-        self._entries.append((name, offset, len(record)))
+        self._entries.append((dataset.name, offset, len(record)))
         self._ndatasets += 1
         self.busy_time += self.env.now - t0
-        self._record("write_dataset", data_nbytes, t0)
+        self._record("write_dataset", dataset.nbytes, t0)
 
     def write_records(self, records):
         """Generator: append many records through one coalesced transfer.

@@ -15,9 +15,12 @@ from repro.bench import run_faultbench
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
 from repro.faults import FaultPlan, RetryPolicy, ServerCrash, TransientEIO
+from repro.genx import GENxConfig, lab_scale_motor, run_genx
+from repro.fs.vfs import TransientIOError
 from repro.io import (
     BackgroundWriteError,
     PandaServer,
+    RochdfModule,
     RocpandaModule,
     ServerConfig,
     TRochdfModule,
@@ -194,6 +197,83 @@ class TestBackgroundWriteFaultReporting:
         assert all("bad" in message for _, message in result.returns)
         counters = summary_payload(result.recorder)["counters"]
         assert counters["trochdf"]["background_write_failures"] >= 2
+
+
+class TestCoalescedWriteResumesAtFaultedStage:
+    """One snapshot file is open / one merged write / close; a fault in
+    any stage retries that stage alone and never duplicates records."""
+
+    @staticmethod
+    def _write(fail_append=None):
+        def main(ctx):
+            com = Roccom(ctx)
+            mod = com.load_module(RochdfModule(ctx))
+            w = _declare(com)
+            rng = np.random.default_rng(5)
+            for pid in range(2):
+                w.register_pane(pid, 16, 8)
+                w.set_array("coords", pid, rng.random((16, 3)))
+                w.set_array("pressure", pid, rng.random(8))
+            yield from com.call_function("OUT.write_attribute", "Fluid", None, "st")
+            return mod.stats
+
+        machine = Machine(make_testbox(nnodes=1, cpus_per_node=1), seed=0)
+        appends = [0]
+
+        def hook(path, nbytes):
+            appends[0] += 1
+            if appends[0] - 1 == fail_append:
+                raise TransientIOError(f"injected EIO ({path})")
+
+        machine.disk.fault_hook = hook
+        (stats,) = run_spmd(machine, 1, main).returns
+        (path,) = machine.disk.listdir("st")
+        return machine.disk.open(path).read(), stats, appends[0]
+
+    @pytest.mark.parametrize("stage", [0, 1, 2], ids=["open", "records", "close"])
+    def test_fault_in_each_stage(self, stage):
+        reference, ref_stats, ref_appends = self._write()
+        assert (ref_appends, ref_stats.retries) == (3, 0)
+        image, stats, appends = self._write(fail_append=stage)
+        assert image == reference
+        assert (appends, stats.retries) == (4, 1)
+        assert stats.blocks_written == ref_stats.blocks_written == 2
+        assert stats.bytes_written == ref_stats.bytes_written
+
+
+class TestIdleInjectorIsTransparent:
+    """An installed injector that never fires must not change the run.
+
+    Rochdf and T-Rochdf have one data path whether or not an injector
+    is installed, so the fault matrix measures the path production runs.
+    """
+
+    @staticmethod
+    def _run(io_mode, plan):
+        machine = Machine(make_testbox(nnodes=4, cpus_per_node=4), seed=7)
+        if plan is not None:
+            machine.install_faults(plan)
+        config = GENxConfig(
+            workload=lab_scale_motor(scale=0.02, steps=4, snapshot_interval=2),
+            io_mode=io_mode,
+        )
+        result = run_genx(machine, 4, config)
+        image = {
+            path: machine.disk.open(path).read()
+            for path in machine.disk.listdir("")
+        }
+        return result.wall_time, result.visible_io_time, image
+
+    @pytest.mark.parametrize("io_mode", ["rochdf", "trochdf"])
+    @pytest.mark.parametrize(
+        "plan",
+        [FaultPlan(()), FaultPlan((TransientEIO(start=1e9),))],
+        ids=["empty_plan", "never_fires"],
+    )
+    def test_same_times_and_disk_image_as_no_injector(self, io_mode, plan):
+        reference = self._run(io_mode, None)
+        assert reference[2], "job wrote no files"
+        assert self._run(io_mode, plan) == reference
 
 
 class TestChaosMatrix:

@@ -1,20 +1,32 @@
-"""Integration tests: faults injected *during* the two-phase restart.
+"""Integration tests: faults injected *during* restart reads.
 
-The write lands fault-free; the faults target the collective read-back
-itself — a server crash mid-bulk-read (clients resume the dead rank's
-file share from its deterministic heir) and transient read ``EIO``
-during the sieved region reads (absorbed by the server-side read
-retry).  Both must recover to a restore digest-identical to a fully
-fault-free run and replay deterministically under the same seed.
+The write lands fault-free; the faults target the read-back itself — a
+server crash mid-bulk-read (clients resume the dead rank's file share
+from its deterministic heir) and transient read ``EIO`` during the
+sieved reads (absorbed by the read retry of the Rocpanda server, and of
+Rochdf / T-Rochdf on their individual files).  Each must recover to a
+restore digest-identical to a fully fault-free run and replay
+deterministically under the same seed; exhausted retries must raise.
 """
 
 import pytest
 
 from repro.bench.faults import (
+    _HDF_NBLOCKS,
+    _HDF_NPROCS,
     _PATIENT_RETRY,
+    _counters,
+    _digest_blocks,
+    _hdf_write_main,
     _run_rocpanda_restart_fault_scenario,
 )
-from repro.faults import FaultPlan, ServerCrash, TransientEIO
+from repro.cluster import Machine
+from repro.cluster import testbox as make_testbox
+from repro.faults import FaultPlan, RetryPolicy, ServerCrash, TransientEIO
+from repro.fs.vfs import TransientIOError
+from repro.io import RochdfModule, TRochdfModule
+from repro.roccom import Roccom
+from repro.vmpi import run_spmd
 
 
 def _run_twice(plan):
@@ -60,3 +72,80 @@ class TestTransientReadEIOMidRestart:
         # The injected EIOs were hit and retried server-side.
         assert info1["counters"]["rocpanda"].get("read_retries") == 2
         assert (digest1, info1) == (digest2, info2)
+
+    def test_exhausted_read_retries_raise(self):
+        # The retry runs inside the read-ahead process; once exhausted
+        # the fault reaches the server when it waits on that region.
+        plan = FaultPlan(
+            (TransientEIO(op="read", path_prefix="ck", count=500),)
+        )
+        with pytest.raises(TransientIOError):
+            _run_rocpanda_restart_fault_scenario(plan, 0, _PATIENT_RETRY)
+
+
+_HDF_MODULES = {"rochdf": RochdfModule, "trochdf": TRochdfModule}
+
+
+def _hdf_restart(module_name, plan, retry=None):
+    """Write 4 rochdf files fault-free, restore them under ``plan``.
+
+    Returns ``(digest, retries, counters)`` of the restart job.
+    """
+    machine = Machine(make_testbox(nnodes=4, cpus_per_node=4), seed=0)
+    run_spmd(machine, _HDF_NPROCS, _hdf_write_main("rochdf", RetryPolicy()))
+
+    def main(ctx):
+        com = Roccom(ctx)
+        mod = com.load_module(_HDF_MODULES[module_name](ctx, retry=retry))
+        w = com.new_window("Fluid")
+        for i in range(_HDF_NBLOCKS):
+            w.register_pane(ctx.rank * _HDF_NBLOCKS + i, 0, 0)
+        ids = yield from com.call_function("OUT.read_attribute", "Fluid", None, "ck")
+        restored = {
+            pid: {
+                "coords": w.get_array("coords", pid).copy(),
+                "pressure": w.get_array("pressure", pid).copy(),
+            }
+            for pid in ids
+        }
+        if module_name == "trochdf":
+            yield from com.unload_module(module_name)
+        return restored, mod.stats.retries
+
+    restart_machine = Machine(
+        make_testbox(nnodes=4, cpus_per_node=4), seed=1, disk=machine.disk
+    )
+    if plan is not None:
+        restart_machine.install_faults(plan)
+    job = run_spmd(restart_machine, _HDF_NPROCS, main)
+    blockmap = {}
+    for restored, _retries in job.returns:
+        blockmap.update(restored)
+    assert len(blockmap) == _HDF_NPROCS * _HDF_NBLOCKS
+    return (
+        _digest_blocks(blockmap),
+        sum(retries for _restored, retries in job.returns),
+        _counters(job.recorder),
+    )
+
+
+@pytest.mark.parametrize("module_name", sorted(_HDF_MODULES))
+class TestIndividualRestartReadEIO:
+    """Rochdf / T-Rochdf restart reads go through the checked, retried path."""
+
+    def test_read_retry_restores_bit_identical_arrays(self, module_name):
+        reference, _, _ = _hdf_restart(module_name, None)
+        plan = FaultPlan((TransientEIO(op="read", path_prefix="ck", count=2),))
+        first = _hdf_restart(module_name, plan)
+        digest, retries, counters = first
+        assert digest == reference
+        # Both injected EIOs were hit and retried, not silently skipped.
+        assert retries == 2
+        assert counters[module_name]["read_retries"] == 2
+        assert counters["faults"]["eio_injected"] == 2
+        assert first == _hdf_restart(module_name, plan)
+
+    def test_exhausted_read_retries_raise(self, module_name):
+        plan = FaultPlan((TransientEIO(op="read", path_prefix="ck", count=50),))
+        with pytest.raises(TransientIOError):
+            _hdf_restart(module_name, plan, retry=RetryPolicy(max_attempts=3))
