@@ -417,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scale.add_argument(
         "--max-regression", type=float, default=None, metavar="FRAC",
-        help="fail (exit 1) if any curve point's host wall is more than "
-             "FRAC slower than the committed baseline (e.g. 0.25)",
+        help="fail (exit 1) if any curve point's host wall, events/s or "
+             "host MB/s is more than FRAC worse than the committed "
+             "baseline (e.g. 0.25)",
     )
     scale.set_defaults(func=cmd_scalebench)
     faults = sub.add_parser(

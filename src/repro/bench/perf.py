@@ -499,7 +499,7 @@ def bench_vfs_coalesce(
     """
     from ..des import Environment
     from ..fs import NFSModel
-    from ..shdf.codec import encode_dataset
+    from ..shdf.codec import encode_records
     from ..shdf.drivers import hdf4_driver
     from ..shdf.file import SHDFWriter
     from ..shdf.model import Dataset
@@ -519,9 +519,7 @@ def bench_vfs_coalesce(
                 writer = SHDFWriter(env, fs, f"co_{r}.shdf", hdf4_driver())
                 yield from writer.open()
                 if coalesce:
-                    yield from writer.write_records(
-                        [(d.name, encode_dataset(d), d.nbytes) for d in datasets]
-                    )
+                    yield from writer.write_records(encode_records(datasets))
                 else:
                     for d in datasets:
                         yield from writer.write_dataset(d)
@@ -548,7 +546,7 @@ def bench_vfs_read_coalesce(
     """
     from ..des import Environment
     from ..fs import NFSModel
-    from ..shdf.codec import encode_dataset
+    from ..shdf.codec import encode_records
     from ..shdf.drivers import hdf4_driver
     from ..shdf.file import SHDFReader, SHDFWriter
     from ..shdf.model import Dataset
@@ -566,9 +564,7 @@ def bench_vfs_read_coalesce(
         def reads():
             writer = SHDFWriter(env, fs, "rd.shdf", hdf4_driver())
             yield from writer.open()
-            yield from writer.write_records(
-                [(d.name, encode_dataset(d), d.nbytes) for d in datasets]
-            )
+            yield from writer.write_records(encode_records(datasets))
             yield from writer.close()
             for _ in range(repeats):
                 reader = SHDFReader(env, fs, "rd.shdf", hdf4_driver())
@@ -601,7 +597,7 @@ def bench_tier_absorb(
     """
     from ..des import Environment
     from ..fs import BurstBufferTier, NFSModel
-    from ..shdf.codec import encode_dataset
+    from ..shdf.codec import encode_records
     from ..shdf.drivers import hdf4_driver
     from ..shdf.file import SHDFWriter
     from ..shdf.model import Dataset
@@ -622,9 +618,7 @@ def bench_tier_absorb(
             for r in range(repeats):
                 writer = SHDFWriter(env, fs, f"tier_{r}.shdf", hdf4_driver())
                 yield from writer.open()
-                yield from writer.write_records(
-                    [(d.name, encode_dataset(d), d.nbytes) for d in datasets]
-                )
+                yield from writer.write_records(encode_records(datasets))
                 yield from writer.close()
             barrier = getattr(fs, "drain_barrier", None)
             if barrier is not None:
@@ -651,7 +645,7 @@ def bench_tier_drain_overlap(
     """
     from ..des import Environment
     from ..fs import BurstBufferTier, NFSModel, TierConfig
-    from ..shdf.codec import encode_dataset
+    from ..shdf.codec import encode_records
     from ..shdf.drivers import hdf4_driver
     from ..shdf.file import SHDFWriter
     from ..shdf.model import Dataset
@@ -675,9 +669,7 @@ def bench_tier_drain_overlap(
             for r in range(repeats):
                 writer = SHDFWriter(env, fs, f"ovl_{r}.shdf", hdf4_driver())
                 yield from writer.open()
-                yield from writer.write_records(
-                    [(d.name, encode_dataset(d), d.nbytes) for d in datasets]
-                )
+                yield from writer.write_records(encode_records(datasets))
                 yield from writer.close()
                 # A compute phase between snapshots: the drain overlaps.
                 yield env.sleep(0.05)

@@ -16,8 +16,10 @@ as ``BENCH_scaling.json``:
 
 Each point reports both clocks:
 
-* ``host_wall_s`` / ``events_per_sec`` / ``max_queue_depth`` — how fast
-  and how big the *simulator* ran (the scalability of the tool);
+* ``host_wall_s`` / ``events_per_sec`` / ``host_mb_per_s`` /
+  ``max_queue_depth`` — how fast and how big the *simulator* ran (the
+  scalability of the tool; MB/s is the unit for the byte-moving weak
+  curve, events/s for the dispatch-bound strong one);
 * ``virtual_wall_s`` / ``computation_s`` / ``visible_io_s`` — what the
   simulated machine spent (the scalability of the modeled system;
   ``computation_s`` includes time blocked in collectives, which is
@@ -124,6 +126,8 @@ def bench_scale_point(
     )
     host_wall = time.perf_counter() - t0
     env = machine.env
+    # Array bytes the servers landed on disk (exact for a workload).
+    payload_bytes = sum(s.stats.bytes_written for s in result.servers)
     return {
         "nclients": nclients,
         "nservers": nservers,
@@ -137,6 +141,10 @@ def bench_scale_point(
         if host_wall > 0
         else float("inf"),
         "max_queue_depth": int(env.max_queue_depth),
+        "payload_bytes": int(payload_bytes),
+        "host_mb_per_s": round(payload_bytes / 2**20 / host_wall, 1)
+        if host_wall > 0
+        else float("inf"),
     }
 
 
@@ -179,13 +187,14 @@ def run_scalebench(
 def attach_scale_speedups(
     payload: Dict[str, Any], baseline: Optional[Dict]
 ) -> Dict[str, Any]:
-    """Attach per-point host-wall and event-rate speedups vs ``baseline``.
+    """Attach per-point host-wall and host-rate speedups vs ``baseline``.
 
     A baseline measured on a different point set (quick vs full) is
     ignored rather than compared — rates from different sweeps would
     report phantom regressions.  ``<curve>_<n>`` entries compare host
-    wall (bigger = faster); ``<curve>_<n>_events_per_sec`` entries
-    compare the host event rate, the PR-8 headline metric.
+    wall (bigger = faster); ``<curve>_<n>_events_per_sec`` and
+    ``<curve>_<n>_host_mb_per_s`` entries compare the host dispatch and
+    byte-moving rates (skipped where the baseline predates the field).
     """
     if baseline is None or baseline.get("points") != payload["points"]:
         return payload
@@ -201,10 +210,11 @@ def attach_scale_speedups(
             speedups[f"{curve}_{point['nclients']}"] = round(
                 base["host_wall_s"] / point["host_wall_s"], 3
             )
-            if base.get("events_per_sec") and point.get("events_per_sec"):
-                speedups[f"{curve}_{point['nclients']}_events_per_sec"] = round(
-                    point["events_per_sec"] / base["events_per_sec"], 3
-                )
+            for rate in ("events_per_sec", "host_mb_per_s"):
+                if base.get(rate) and point.get(rate):
+                    speedups[f"{curve}_{point['nclients']}_{rate}"] = round(
+                        point[rate] / base[rate], 3
+                    )
     payload["baseline"] = baseline
     payload["speedup_vs_baseline"] = speedups
     return payload
@@ -216,8 +226,8 @@ def check_scale_regressions(
     """Points slower than ``1 - threshold`` x the committed baseline.
 
     Returns ``(name, speedup)`` pairs for every curve point whose
-    host-wall speedup falls below the floor; empty when no baseline of
-    matching size was attached or nothing regressed.
+    host-wall or host-rate speedup falls below the floor; empty when no
+    baseline of matching size was attached or nothing regressed.
     """
     speedups = payload.get("speedup_vs_baseline", {})
     floor = 1.0 - threshold
@@ -245,13 +255,15 @@ def render_scale(payload: Dict[str, Any]) -> str:
                 p["computation_s"],
                 p["visible_io_s"],
                 p["events_per_sec"],
+                p.get("host_mb_per_s"),
                 p["max_queue_depth"],
                 speedups.get(f"{curve}_{p['nclients']}"),
             ])
     return render_table(
         [
             "curve", "clients", "ranks", "host wall (s)", "virt wall (s)",
-            "compute (s)", "visible I/O (s)", "events/s", "max queue",
+            "compute (s)", "visible I/O (s)", "events/s", "host MB/s",
+            "max queue",
             "speedup vs baseline",
         ],
         rows,

@@ -118,9 +118,10 @@ class VirtualFile:
         self._data[offset:end] = data
 
     def read(self, offset: int = 0, nbytes: Optional[int] = None) -> bytes:
-        if nbytes is None:
-            return bytes(self._data[offset:])
-        return bytes(self._data[offset : offset + nbytes])
+        end = None if nbytes is None else offset + nbytes
+        # Slice a view, not the bytearray: the range is copied once.
+        with memoryview(self._data) as view:
+            return bytes(view[offset:end])
 
     def read_checked(self, offset: int = 0, nbytes: Optional[int] = None) -> bytes:
         """Ranged read that consults the disk's read fault hook first.

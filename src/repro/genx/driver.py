@@ -140,12 +140,8 @@ class GENxRunResult:
         return client_files + server_files
 
 
-def _build_physics(config: GENxConfig, ctx, com, comm, rng):
+def _build_physics(config: GENxConfig, com, assignment, crank: int, rng):
     workload = config.workload
-    nclients = comm.size
-    crank = comm.rank
-    spec_map = workload.blocks_for(nclients)
-
     fluid = _FLUID[workload.fluid_kind]()
     solid = _SOLID[workload.solid_kind]()
     burn = phys.Rocburn(model=workload.burn_model)
@@ -153,14 +149,18 @@ def _build_physics(config: GENxConfig, ctx, com, comm, rng):
         module.cost_per_cell *= workload.compute_scale
 
     for module, key in ((fluid, "fluid"), (solid, "solid"), (burn, "burn")):
-        mine = partition_blocks(spec_map[key], nclients)[crank]
-        module.setup(com, mine, rng)
+        module.setup(com, assignment[key][crank], rng)
     rocface = Rocface(fluid, solid, burn)
     return [fluid, solid, burn], rocface
 
 
 def genx_main(config: GENxConfig):
     """Build the SPMD main function for one GENx run."""
+    #: nclients -> {kind: [bucket per client rank]}, built by the first
+    #: client rank to need it and shared by the rest (GENx partitions
+    #: once per job, not once per rank).  Read-only after that:
+    #: ``BlockSpec`` is frozen, ``PhysicsModule.setup`` only iterates.
+    assignments: Dict[int, Dict[str, list]] = {}
 
     def main(ctx):
         workload = config.workload
@@ -192,7 +192,13 @@ def genx_main(config: GENxConfig):
         com.load_module(io_module)
 
         rng = np.random.default_rng(1000 + comm.rank)
-        physics, rocface = _build_physics(config, ctx, com, comm, rng)
+        assignment = assignments.get(comm.size)
+        if assignment is None:
+            assignment = assignments[comm.size] = {
+                kind: partition_blocks(specs, comm.size)
+                for kind, specs in workload.blocks_for(comm.size).items()
+            }
+        physics, rocface = _build_physics(config, com, assignment, comm.rank, rng)
 
         hooks = []
         if config.adapt_mesh:

@@ -15,30 +15,11 @@ without affecting how I/O is done" (§4.1).
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from typing import Dict, List, Sequence, Tuple
 
 from .meshblock import BlockSpec
 
 __all__ = ["partition_blocks", "assignment_stats", "migrate"]
-
-#: Memo of recent partition results, keyed by the workload fingerprint.
-#: Every rank of an SPMD job partitions the identical spec list each
-#: step, so a 64-rank run recomputes the same LPT answer 64x per
-#: (re)partition point; the memo stores *index* lists (not spec
-#: objects), so each caller still gets fresh lists over its own specs.
-_MEMO_CAP = 64
-_memo: "OrderedDict[Tuple, List[List[int]]]" = OrderedDict()
-
-#: Identity fast path over the fingerprint memo.  Strong-scaling
-#: workloads hand every rank the *same* spec-list object, so even the
-#: O(nblocks) fingerprint build above repeats nprocs times per
-#: (re)partition point.  Keyed by ``id(specs)`` with the list itself
-#: pinned in the value (so the id cannot be recycled while the entry
-#: lives) this drops the per-rank cost to one dict hit.
-_id_memo: "OrderedDict[Tuple[int, int], Tuple[Sequence, List[List[int]]]]" = (
-    OrderedDict()
-)
 
 
 def partition_blocks(
@@ -55,40 +36,18 @@ def partition_blocks(
         raise ValueError(
             f"cannot give {nprocs} processors at least one of {len(specs)} blocks"
         )
-    id_key = (id(specs), nprocs)
-    hit = _id_memo.get(id_key)
-    if hit is not None and hit[0] is specs:
-        buckets = hit[1]
-        return [[specs[i] for i in bucket] for bucket in buckets]
-    key = (nprocs, tuple((s.block_id, s.ncells) for s in specs))
-    buckets = _memo.get(key)
-    if buckets is None:
-        indices = sorted(
-            range(len(specs)),
-            key=lambda i: (-specs[i].ncells, specs[i].block_id),
-        )
-        # (load, proc) heap: pops reproduce min(range(nprocs),
-        # key=lambda p: (loads[p], p)) exactly — lexicographic order on
-        # the tuples is the same tie-break.
-        heap = [(0, p) for p in range(nprocs)]
-        buckets = [[] for _ in range(nprocs)]
-        for i in indices:
-            load, target = heapq.heappop(heap)
-            buckets[target].append(i)
-            heapq.heappush(heap, (load + specs[i].ncells, target))
-        for bucket in buckets:
-            # Stable index sort == stable object sort by block_id when
-            # ids repeat: indices preserve the LPT assignment order.
-            bucket.sort(key=lambda i: specs[i].block_id)
-        _memo[key] = buckets
-        if len(_memo) > _MEMO_CAP:
-            _memo.popitem(last=False)
-    else:
-        _memo.move_to_end(key)
-    _id_memo[id_key] = (specs, buckets)
-    if len(_id_memo) > _MEMO_CAP:
-        _id_memo.popitem(last=False)
-    return [[specs[i] for i in bucket] for bucket in buckets]
+    # (load, proc) heap: pops the least-loaded processor, lowest index
+    # on ties.
+    heap = [(0, p) for p in range(nprocs)]
+    buckets: List[List[BlockSpec]] = [[] for _ in range(nprocs)]
+    for spec in sorted(specs, key=lambda s: (-s.ncells, s.block_id)):
+        load, target = heapq.heappop(heap)
+        buckets[target].append(spec)
+        heapq.heappush(heap, (load + spec.ncells, target))
+    for bucket in buckets:
+        # Stable sort: equal ids keep their LPT assignment order.
+        bucket.sort(key=lambda s: s.block_id)
+    return buckets
 
 
 def assignment_stats(assignment: List[List[BlockSpec]]) -> Dict[str, float]:

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional
 
 from ..faults.retry import RetryPolicy, retrying
 from ..roccom.module import ServiceModule
-from ..shdf.codec import TornFileError, encode_dataset
+from ..shdf.codec import TornFileError, encode_records
 from ..shdf.drivers import HDFDriver, hdf4_driver
 from ..shdf.file import SHDFReader, SHDFWriter
 from .base import (
@@ -137,11 +137,11 @@ class RochdfModule(ServiceModule):
             if writer.ndatasets == 0:
                 # Encode after the open: ranks queue on the filesystem
                 # there, so only those past it hold an encoded snapshot.
-                records = [
-                    (dataset.name, encode_dataset(dataset), dataset.nbytes)
+                records = encode_records(
+                    dataset
                     for block in blocks
                     for dataset in block_to_datasets(block)
-                ]
+                )
                 yield from writer.write_records(records)
                 nbytes = sum(r[2] for r in records)
             yield from writer.close()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ...shdf.codec import encode_batch
+from ...shdf.codec import encode_records
 from ..base import DataBlock, block_to_datasets
 
 __all__ = [
@@ -129,10 +129,9 @@ def encode_block_batch(path: str, blocks) -> BlockBatch:
     """Serialise ``blocks`` into one :class:`BlockBatch`.
 
     All datasets of all blocks are encoded into **one** shared buffer
-    (:func:`repro.shdf.codec.encode_batch`); each block's records are
-    zero-copy memoryview slices of it.  The memoryview is taken only
-    after every record has been encoded — slicing a bytearray that
-    still grows would force copies (or raise on resize).
+    (:func:`repro.shdf.codec.encode_records`); each block's records are
+    read-only zero-copy views of it, which is what lets the same views
+    sit in the client's re-ship buffer while a server writes them.
     """
     datasets = []
     spans = []  # (block, ndatasets)
@@ -140,16 +139,14 @@ def encode_block_batch(path: str, blocks) -> BlockBatch:
         ds = block_to_datasets(block)
         datasets.extend(ds)
         spans.append((block, len(ds)))
-    buf, entries = encode_batch(datasets)
-    view = memoryview(buf)
+    records = encode_records(datasets)
     encoded = []
     i = 0
     for block, count in spans:
-        records = []
-        for name, offset, length, data_nbytes in entries[i : i + count]:
-            records.append((name, view[offset : offset + length], data_nbytes))
+        encoded.append(
+            EncodedBlock(block.block_id, block.nbytes, records[i : i + count])
+        )
         i += count
-        encoded.append(EncodedBlock(block.block_id, block.nbytes, records))
     return BlockBatch(path, encoded)
 
 

@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ...des import Interrupt
 from ...faults.retry import RetryPolicy, retrying
 from ...fs.vfs import WriteFaultError
-from ...shdf.codec import TornFileError, encode_dataset
+from ...shdf.codec import TornFileError, encode_records
 from ...shdf.drivers import HDFDriver, hdf4_driver
 from ...shdf.file import SHDFReader, SHDFWriter
 from ...vmpi.datatypes import ANY_SOURCE, ANY_TAG
@@ -508,10 +508,7 @@ class PandaServer:
         if isinstance(block, EncodedBlock):
             records = block.records
         else:
-            records = [
-                (d.name, encode_dataset(d), d.nbytes)
-                for d in block_to_datasets(block)
-            ]
+            records = encode_records(block_to_datasets(block))
         #: This block is the file's first: the attempt opens the file.
         opened = not writer.is_open and writer.ndatasets == 0
 

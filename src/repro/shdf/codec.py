@@ -17,9 +17,10 @@ which is what the HDF4 timing driver charges for).
 Hot-path notes: the codec sits on the simulator's wall-clock critical
 path (every snapshot of every rank round-trips through it), so
 
-* encoding accumulates into a single :class:`bytearray` per record
-  instead of joining many small ``bytes`` (array payloads are appended
-  straight from the array's buffer, skipping the ``tobytes`` copy);
+* encoding gathers each record as ``(memoised prefix, view of the
+  array's own buffer)`` and lands a record, a batch or a whole file
+  with one ``bytes.join`` — sized exactly, every payload byte copied
+  once (no ``tobytes``, no growing buffer, no trailing ``bytes()``);
 * decoding reads through one :class:`memoryview` with precompiled
   :class:`struct.Struct` instances, and by default returns **read-only
   zero-copy views** of the input buffer (``np.frombuffer``).  Callers
@@ -54,6 +55,7 @@ __all__ = [
     "encode_header",
     "encode_dataset",
     "encode_batch",
+    "encode_records",
     "encode_file",
     "encode_commit_footer",
     "decode_file",
@@ -118,14 +120,13 @@ def _append_str16(out: bytearray, s: str) -> None:
     out += raw
 
 
-def _append_array_data(out: bytearray, arr: np.ndarray) -> None:
-    """Append an array's raw bytes without an intermediate copy."""
+def _array_payload(arr: np.ndarray):
+    """An array's raw bytes as a flat buffer, zero-copy when C-contiguous."""
     if not arr.flags.c_contiguous:
         arr = np.ascontiguousarray(arr)
     if arr.ndim:
-        out += arr.reshape(-1).view(np.uint8).data
-    else:
-        out += arr.tobytes()  # 0-d: scalar buffer, itemsize bytes
+        return arr.reshape(-1).view(np.uint8).data
+    return arr.tobytes()  # 0-d: scalar buffer, itemsize bytes
 
 
 class _Reader:
@@ -228,7 +229,7 @@ def _encode_value(value: Any, out: bytearray) -> None:
             out += dims.pack(*arr.shape) if dims else struct.pack(
                 f"<{arr.ndim}Q", *arr.shape
             )
-        _append_array_data(out, arr)
+        out += _array_payload(arr)
     elif isinstance(value, (list, tuple)):
         out += _TAG_STR_S.pack(_TAG_LIST, len(value))
         for item in value:
@@ -324,7 +325,8 @@ def _encode_record_prefix(dataset: Dataset, arr: np.ndarray) -> bytes:
     return bytes(out)
 
 
-def _encode_dataset_into(out: bytearray, dataset: Dataset) -> None:
+def _record_parts(dataset: Dataset) -> tuple:
+    """One record as ``(prefix bytes, payload buffer)``, nothing copied yet."""
     arr = dataset.data
     try:
         # Flat interleaved (name, type, value, ...) tuple: same
@@ -340,56 +342,62 @@ def _encode_dataset_into(out: bytearray, dataset: Dataset) -> None:
         key = (dataset.name, arr.dtype.str, arr.shape, tuple(ak))
         prefix = _prefix_memo.get(key)
     except TypeError:  # unhashable attr value (ndarray/list attrs)
-        out += _encode_record_prefix(dataset, arr)
-        _append_array_data(out, arr)
-        return
+        return _encode_record_prefix(dataset, arr), _array_payload(arr)
     if prefix is None:
         prefix = _encode_record_prefix(dataset, arr)
         _prefix_memo[key] = prefix
         if len(_prefix_memo) > _PREFIX_MEMO_CAP:
             _prefix_memo.popitem(last=False)
-    out += prefix
-    _append_array_data(out, arr)
+    return prefix, _array_payload(arr)
 
 
 def encode_dataset(dataset: Dataset) -> bytes:
     """One appendable dataset record."""
-    out = bytearray()
-    _encode_dataset_into(out, dataset)
-    return bytes(out)
+    return b"".join(_record_parts(dataset))
 
 
-def encode_batch(datasets) -> Tuple[bytes, list]:
-    """Encode many datasets into **one** shared buffer.
+def encode_batch(datasets) -> Tuple[memoryview, list]:
+    """Encode many datasets into **one** shared, exactly-sized buffer.
 
-    Returns ``(buf, entries)`` where ``entries`` is a list of
-    ``(name, offset, length, data_nbytes)`` tuples; ``buf[offset :
-    offset + length]`` is byte-identical to ``encode_dataset`` of the
-    same dataset.  Batched shipping encodes a whole snapshot's worth of
-    records through this in one pass instead of allocating a fresh
-    buffer per record; receivers slice records back out zero-copy.
+    Returns ``(buf, entries)`` where ``buf`` is a read-only
+    :class:`memoryview` and ``entries`` is a list of ``(name, offset,
+    length, data_nbytes)`` tuples tiling it; ``buf[offset : offset +
+    length]`` is a zero-copy view byte-identical to ``encode_dataset``
+    of the same dataset.  Every payload byte is copied exactly once,
+    from its array into the buffer; being read-only, the views can
+    travel ship -> scatter -> coalesce -> disk (and sit in a client's
+    re-ship buffer) without any holder being able to corrupt another's.
     """
-    out = bytearray()
+    parts = []
     entries = []
+    offset = 0
     for dataset in datasets:
-        offset = len(out)
-        _encode_dataset_into(out, dataset)
-        entries.append((dataset.name, offset, len(out) - offset, dataset.nbytes))
-    return bytes(out), entries
+        prefix, payload = _record_parts(dataset)
+        length = len(prefix) + len(payload)
+        parts += (prefix, payload)
+        entries.append((dataset.name, offset, length, dataset.nbytes))
+        offset += length
+    return memoryview(b"".join(parts)), entries
+
+
+def encode_records(datasets) -> list:
+    """:func:`encode_batch` as ``SHDFWriter.write_records`` consumes it.
+
+    ``(name, record view, data_nbytes)`` triples over one shared buffer.
+    """
+    buf, entries = encode_batch(datasets)
+    return [
+        (name, buf[offset : offset + length], data_nbytes)
+        for name, offset, length, data_nbytes in entries
+    ]
 
 
 def encode_file(image: FileImage) -> bytes:
-    """Full file bytes for an in-memory image.
-
-    All records accumulate into one shared buffer — the dataset payload
-    is copied exactly once on the way out.
-    """
-    out = bytearray(FILE_MAGIC)
-    out += _U16.pack(VERSION)
-    _encode_attrs_into(out, image.attrs)
+    """Full file bytes for an in-memory image (payloads copied once)."""
+    parts = [encode_header(image.attrs)]
     for dataset in image:
-        _encode_dataset_into(out, dataset)
-    return bytes(out)
+        parts += _record_parts(dataset)
+    return b"".join(parts)
 
 
 def encode_commit_footer(ndatasets: int) -> bytes:

@@ -134,3 +134,36 @@ def test_v2_index_is_complete_and_random_accessible(image):
     assert set(index) == set(image.names())
     for name, (offset, _len) in index.items():
         assert read_dataset_at(buf, offset) == image.get(name)
+
+
+@given(st.lists(datasets(), max_size=6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_batch_is_exactly_the_concatenated_single_encodes(batch, data):
+    """One exactly-sized buffer == the per-record encodes laid end to end,
+    also when arrays arrive as non-contiguous views (the I/O path's
+    ``Dataset.trusted`` skips the constructor's C-order copy)."""
+    from repro.shdf.codec import decode_batch, encode_batch, encode_dataset
+
+    sent = []
+    for ds in batch:
+        arr = ds.data
+        if arr.ndim >= 1 and data.draw(st.booleans()):
+            # Same values behind a strided (and, for ndim >= 2,
+            # transposed-back) view of a wider allocation.
+            wide = np.repeat(arr, 2, axis=-1)
+            arr = wide[..., ::2]
+            if arr.ndim >= 2:
+                arr = np.ascontiguousarray(arr.T).T
+        sent.append(Dataset.trusted(ds.name, arr, ds.attrs))
+    buf, entries = encode_batch(sent)
+    assert buf.readonly
+    assert bytes(buf) == b"".join(encode_dataset(ds) for ds in batch)
+    assert [(n, nb) for n, _o, _l, nb in entries] == [
+        (ds.name, ds.nbytes) for ds in batch
+    ]
+    pos = 0
+    for _name, offset, length, _nbytes in entries:
+        assert offset == pos
+        pos += length
+    assert pos == len(buf)
+    assert decode_batch(buf[o:o + n] for _name, o, n, _nb in entries) == batch

@@ -30,6 +30,8 @@ def make_point(curve_n, host_wall):
         "events_processed": 1000,
         "events_per_sec": 1000 / host_wall,
         "max_queue_depth": 40,
+        "payload_bytes": 2**20,
+        "host_mb_per_s": 1 / host_wall,
     }
 
 
@@ -55,6 +57,11 @@ class TestBenchScalePoint:
         assert point["events_processed"] > 0
         assert point["events_per_sec"] > 0
         assert point["max_queue_depth"] >= 0
+        # Byte-path unit: array bytes the servers landed / host wall.
+        assert point["payload_bytes"] > 0
+        assert point["host_mb_per_s"] > 0
+        again = bench_scale_point(tiny_workload(), 8, prefix="ts")
+        assert again["payload_bytes"] == point["payload_bytes"]
 
     def test_sweep_points(self):
         assert STRONG_POINTS == (64, 128, 256, 512, 1024)
@@ -71,6 +78,27 @@ class TestSpeedupAttachment:
         assert speedups["strong_128"] == 0.5
         assert speedups["weak_64"] == 2.0
         assert payload["baseline"] is baseline
+
+    def test_host_rates_attach_and_gate(self):
+        baseline = make_payload([64], [10.0])
+        payload = make_payload([64], [40.0])
+        attach_scale_speedups(payload, baseline)
+        speedups = payload["speedup_vs_baseline"]
+        assert speedups["weak_64_events_per_sec"] == 0.25
+        assert speedups["weak_64_host_mb_per_s"] == 0.25
+        assert ("weak_64_host_mb_per_s", 0.25) in check_scale_regressions(
+            payload, threshold=0.5
+        )
+
+    def test_baseline_without_mb_per_s_is_not_compared(self):
+        baseline = make_payload([64], [10.0])
+        for point in baseline["strong"] + baseline["weak"]:
+            del point["host_mb_per_s"]
+        payload = make_payload([64], [5.0])
+        attach_scale_speedups(payload, baseline)
+        speedups = payload["speedup_vs_baseline"]
+        assert "weak_64_host_mb_per_s" not in speedups
+        assert speedups["weak_64_events_per_sec"] == 2.0
 
     def test_mismatched_points_drop_comparison(self):
         baseline = make_payload([64, 128], [10.0, 20.0])
@@ -118,3 +146,4 @@ class TestRender:
         assert "strong" in text and "weak" in text
         assert "64" in text and "128" in text
         assert "1.2" in text
+        assert "host MB/s" in text

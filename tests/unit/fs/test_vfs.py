@@ -107,3 +107,25 @@ def test_persist_and_load_roundtrip(tmp_path):
     loaded = VirtualDisk.load(str(tmp_path))
     assert loaded.open("snap/file1.hdf").read() == b"\x01\x02binary\x00data"
     assert loaded.open("file2").read() == b"top-level"
+
+
+def test_ranged_reads_copy_once_and_stay_immutable():
+    """``read`` slices through a view (one copy) but still hands back
+    plain ``bytes``: equal to the same slice of the flat content for
+    whole-file, mid-file and past-EOF ranges, and untouched by a later
+    append (the view is released, so the file can still grow)."""
+    f = VirtualDisk().create("f")
+    content = bytes(range(200))
+    f.append(content[:50])
+    f.append_many([content[50:51], b"", content[51:]])
+    reads = []
+    for offset in (0, 7, 49, 50, 51, 199, 200, 250):
+        for nbytes in (None, 0, 1, 25, 150, 200, 500):
+            end = None if nbytes is None else offset + nbytes
+            for got in (f.read(offset, nbytes), f.read_checked(offset, nbytes)):
+                assert type(got) is bytes
+                assert got == content[offset:end], (offset, nbytes)
+                reads.append((got, content[offset:end]))
+    f.append(b"\xff" * 4096)
+    assert all(got == expected for got, expected in reads)
+    assert f.read(198) == content[198:] + b"\xff" * 4096

@@ -15,7 +15,12 @@ from repro.io.rocpanda.protocol import (
     encode_block_batch,
 )
 from repro.roccom import AttributeSpec, Roccom
-from repro.shdf.codec import encode_batch, encode_dataset
+from repro.shdf.codec import (
+    decode_batch,
+    encode_batch,
+    encode_dataset,
+    encode_records,
+)
 from repro.shdf.model import Dataset
 from repro.vmpi import run_spmd
 
@@ -61,6 +66,58 @@ class TestEncodeBatch:
     def test_empty(self):
         buf, entries = encode_batch([])
         assert buf == b"" and entries == []
+
+    @staticmethod
+    def _edge_cases():
+        """(trusted dataset as the I/O path builds it, contiguous twin)."""
+        rng = np.random.default_rng(11)
+        grid = rng.random((6, 8))
+        arrays = {
+            "strided": grid[::2, 1::3],
+            "transposed": grid.T,
+            "reversed": rng.integers(0, 9, 12)[::-1],
+            "zero_d": np.array(2.5),
+            "zero_len": np.empty((0, 3), dtype=np.float32),
+            "zero_len_strided": grid[:0, ::2],
+        }
+        attr_sets = [
+            {"ncomp": 3, "unit": "m"},
+            # Unhashable values: the prefix memo's fallback branch.
+            {"origin": np.arange(3.0), "tags": ["a", 1]},
+        ]
+        for name, arr in arrays.items():
+            for attrs in attr_sets:
+                trusted = Dataset.trusted(f"W/b0/{name}", arr, dict(attrs))
+                twin = Dataset(f"W/b0/{name}", arr.copy(), dict(attrs))
+                yield trusted, twin
+
+    def test_edge_cases_match_contiguous_single_encodes(self):
+        cases = list(self._edge_cases())
+        assert any(not t.data.flags.c_contiguous for t, _ in cases)
+        buf, entries = encode_batch([t for t, _ in cases])
+        assert buf.readonly
+        # Exact size: the records tile the buffer with no slack.
+        assert sum(length for _n, _o, length, _nb in entries) == len(buf)
+        pos = 0
+        for (trusted, twin), (name, offset, length, nbytes) in zip(cases, entries):
+            assert (name, offset, nbytes) == (twin.name, pos, twin.nbytes)
+            assert buf[offset:offset + length] == encode_dataset(twin)
+            assert encode_dataset(trusted) == encode_dataset(twin)
+            pos += length
+        decoded = decode_batch(buf[o:o + n] for _name, o, n, _nb in entries)
+        assert decoded == [twin for _, twin in cases]
+
+    def test_record_views_are_read_only(self):
+        """A server must not be able to corrupt the batch a client keeps
+        for re-shipping: every record is a read-only view."""
+        batch = encode_block_batch("snap", _blocks())
+        for eb in batch.blocks:
+            for _name, view, _nbytes in eb.records:
+                assert isinstance(view, memoryview) and view.readonly
+                with pytest.raises(TypeError):
+                    view[0] = 0
+        records = encode_records(block_to_datasets(_blocks(n=1)[0]))
+        assert all(view.readonly for _name, view, _nbytes in records)
 
 
 class TestEncodeBlockBatch:
