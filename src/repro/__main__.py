@@ -338,6 +338,7 @@ def cmd_trace(args) -> None:
             int(counters.get("overflow_flushes", 0)),
             int(counters.get("retries", 0) + counters.get("write_retries", 0)),
             int(counters.get("failovers", 0)),
+            int(counters.get("write_flushes", 0)),
             int(tier_counters.get("drain_backlog_bytes", 0)),
             int(tier_counters.get("tier_evictions", 0)),
             int(tier_counters.get("drain_flushes", 0)),
@@ -345,7 +346,7 @@ def cmd_trace(args) -> None:
     sections.append(render_table(
         ["service", "visible write (s)", "background (s)", "overlap",
          "messages", "bytes on wire", "flushes", "retries", "failovers",
-         "drain backlog (B)", "tier evict", "drain flushes"],
+         "write flushes", "drain backlog (B)", "tier evict", "drain flushes"],
         rows,
         title="Instrumentation summary (overlap = background / (background + visible write))",
     ))

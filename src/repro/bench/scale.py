@@ -20,10 +20,12 @@ Each point reports both clocks:
   ``max_queue_depth`` — how fast and how big the *simulator* ran (the
   scalability of the tool; MB/s is the unit for the byte-moving weak
   curve, events/s for the dispatch-bound strong one);
-* ``virtual_wall_s`` / ``computation_s`` / ``visible_io_s`` — what the
-  simulated machine spent (the scalability of the modeled system;
-  ``computation_s`` includes time blocked in collectives, which is
-  where O(P) -> O(log P) shows up).
+* ``virtual_wall_s`` / ``computation_s`` / ``visible_io_s`` /
+  ``fs_write_ops`` — what the simulated machine spent (the scalability
+  of the modeled system; ``computation_s`` includes time blocked in
+  collectives, which is where O(P) -> O(log P) shows up, and
+  ``fs_write_ops`` counts the filesystem transfers the servers'
+  write-behind stage merged the blocks into).
 
 ``run_scalebench`` attaches per-point speedups against a committed
 baseline payload when one of matching size is supplied, and
@@ -141,6 +143,8 @@ def bench_scale_point(
         if host_wall > 0
         else float("inf"),
         "max_queue_depth": int(env.max_queue_depth),
+        # Filesystem transfers the job made (exact for a seed).
+        "fs_write_ops": int(machine.fs.metrics.write_ops),
         "payload_bytes": int(payload_bytes),
         "host_mb_per_s": round(payload_bytes / 2**20 / host_wall, 1)
         if host_wall > 0
@@ -257,13 +261,14 @@ def render_scale(payload: Dict[str, Any]) -> str:
                 p["events_per_sec"],
                 p.get("host_mb_per_s"),
                 p["max_queue_depth"],
+                p.get("fs_write_ops"),
                 speedups.get(f"{curve}_{p['nclients']}"),
             ])
     return render_table(
         [
             "curve", "clients", "ranks", "host wall (s)", "virt wall (s)",
             "compute (s)", "visible I/O (s)", "events/s", "host MB/s",
-            "max queue",
+            "max queue", "fs writes",
             "speedup vs baseline",
         ],
         rows,

@@ -77,6 +77,13 @@ class WriteCoalescer:
     ``flush`` returns the on-disk offset of every chunk, in order, so
     callers can maintain their dataset indexes exactly as if the
     records had been appended one by one.
+
+    A coalescer may live as long as its file is open: an
+    :class:`~repro.shdf.file.SHDFWriter` keeps one as its write-behind
+    stage, adds to it across many ``write_records`` calls, and reads
+    :attr:`pending_bytes` to decide when a transfer is large enough to
+    land.  A faulted ``flush`` raises before anything is appended and
+    keeps every chunk pending, so the retry is another ``flush``.
     """
 
     __slots__ = ("fs", "vfile", "node", "_chunks", "_charged")

@@ -54,12 +54,14 @@ class DataBlock:
     specs: Dict[str, AttributeSpec]
 
     @property
+    def data_nbytes(self) -> int:
+        """Array bytes: the payload every service's ``IOStats`` counts."""
+        return sum(a.nbytes for a in self.arrays.values())
+
+    @property
     def nbytes(self) -> int:
         """Wire/storage size estimate (used by the network model)."""
-        return (
-            sum(a.nbytes for a in self.arrays.values())
-            + _BLOCK_WIRE_OVERHEAD * max(1, len(self.arrays))
-        )
+        return self.data_nbytes + _BLOCK_WIRE_OVERHEAD * max(1, len(self.arrays))
 
     def __repr__(self) -> str:
         return (

@@ -123,10 +123,12 @@ class RochdfModule(ServiceModule):
         The attempt is stage-resumable: the VFS raises *before*
         mutating anything on a write fault, so a retry redoes only the
         stage that faulted — a faulted ``open`` truncates and starts
-        the file over, a faulted ``write_records`` appended nothing, a
-        faulted ``close`` leaves the records in place.  Returns the
-        payload bytes written (stats are bumped once, after the file is
-        committed).
+        the file over, a faulted ``write_records`` appended nothing but
+        keeps its records staged in the writer (``ndatasets`` counts
+        them, so they are never staged twice) and the retry's ``close``
+        lands them, a faulted ``close`` leaves landed records in place.
+        Returns the payload bytes written (stats are bumped once, after
+        the file is committed).
         """
         nbytes = 0
 
@@ -142,8 +144,10 @@ class RochdfModule(ServiceModule):
                     for block in blocks
                     for dataset in block_to_datasets(block)
                 )
-                yield from writer.write_records(records)
+                # Counted before the write: a fault surfaces here but
+                # the retry resumes at close, past this branch.
                 nbytes = sum(r[2] for r in records)
+                yield from writer.write_records(records)
             yield from writer.close()
 
         yield from retrying(

@@ -256,7 +256,7 @@ class RocpandaModule(ServiceModule):
                 BlockEnvelope(path, block), dest=server, tag=TAG_BLOCK
             )
             self.stats.blocks_written += 1
-            self.stats.bytes_written += block.nbytes
+            self.stats.bytes_written += block.data_nbytes
 
     def _ship_batched(self, path, window_name, batch, file_attrs):
         """Generator: two-phase ship of a pre-encoded snapshot batch.
@@ -295,7 +295,7 @@ class RocpandaModule(ServiceModule):
             yield sleep(pack_overhead + eb.nbytes / pack_bw)
             yield from stream.send(BlockEnvelope(path, eb), nbytes=eb.nbytes + 64)
             stats.blocks_written += 1
-            stats.bytes_written += eb.nbytes
+            stats.bytes_written += eb.data_nbytes
 
     # -- resilience layer (active only under fault injection) ---------------
     def _record_counter(self, name: str) -> None:
@@ -372,7 +372,7 @@ class RocpandaModule(ServiceModule):
             if verdict != "ok":
                 return verdict
             self.stats.blocks_written += 1
-            self.stats.bytes_written += block.nbytes
+            self.stats.bytes_written += block.data_nbytes
         return "ok"
 
     def _ship_guarded_batch(self, entry: _PendingOutput):
@@ -408,7 +408,7 @@ class RocpandaModule(ServiceModule):
         # Per delivery attempt, like the per-block path: a re-ship after
         # failover re-counts the blocks it re-sends.
         self.stats.blocks_written += len(batch.blocks)
-        self.stats.bytes_written += total
+        self.stats.bytes_written += sum(b.data_nbytes for b in batch.blocks)
         return "ok"
 
     def _deliver_pending(self):
@@ -561,7 +561,7 @@ class RocpandaModule(ServiceModule):
                 restored.append(msg.block.block_id)
                 wanted.discard(msg.block.block_id)
                 self.stats.blocks_read += 1
-                self.stats.bytes_read += msg.block.nbytes
+                self.stats.bytes_read += msg.block.data_nbytes
                 nbytes += msg.block.nbytes
             elif isinstance(msg, RestartDone):
                 done = True
@@ -597,7 +597,7 @@ class RocpandaModule(ServiceModule):
             restored.append(block.block_id)
             wanted.discard(block.block_id)
             self.stats.blocks_read += 1
-            self.stats.bytes_read += block.nbytes
+            self.stats.bytes_read += block.data_nbytes
             nbytes += block.nbytes
         return nbytes
 

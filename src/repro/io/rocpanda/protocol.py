@@ -99,6 +99,11 @@ class EncodedBlock:
         self.nbytes = nbytes
         self.records = records
 
+    @property
+    def data_nbytes(self) -> int:
+        """Array bytes of the block (what ``IOStats.bytes_written`` counts)."""
+        return sum(r[2] for r in self.records)
+
     def __repr__(self) -> str:
         return (
             f"<EncodedBlock b{self.block_id} "

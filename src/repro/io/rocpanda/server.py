@@ -8,7 +8,11 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
 * it **writes behind**: while clients compute, the server drains its
   buffer into SHDF files, *checking for new client requests between
   writing two data blocks* (non-blocking probe), so writing always
-  yields to new requests;
+  yields to new requests.  Small blocks bound for one file are staged
+  in that file's writer and land together in transfers of about
+  ``ServerConfig.write_behind_bytes``; whenever the queue runs dry
+  every stage is landed, so nothing is staged while the server blocks
+  in probe or answers a sync;
 * when nothing is buffered it **blocks in probe**, leaving its CPU idle
   for the operating system — the SMP side-benefit of §4.1 (the noise
   model reads ``cpu.server_busy_fraction``, which the server keeps
@@ -36,6 +40,7 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -103,6 +108,14 @@ class ServerConfig:
     #: region's decoded blocks can be scattered while the next region's
     #: disk read runs ahead.
     restart_region_bytes: float = 4 * 1024 * 1024
+    #: Write-side twin: bytes a file's write-behind stage may hold
+    #: before it lands as one filesystem transfer.  A block that would
+    #: push the stage past the limit lands the stage first, so no
+    #: transfer exceeds max(limit, one block) — the granularity at which
+    #: the server already ignores probes.  About one large block: larger
+    #: transfers hold the shared filesystem longer while clients wait
+    #: for the next probe (DESIGN §8 has the sweep); 0 lands every block.
+    write_behind_bytes: int = 64 * 1024
     #: Maximum hole (bytes) the restart read sieves through when
     #: merging record extents into one contiguous ``fs.read``.
     restart_sieve_gap: int = 65536
@@ -118,6 +131,9 @@ class ServerStats:
     bytes_written: int = 0
     files_created: int = 0
     overflow_flushes: int = 0
+    #: Staged transfers landed; ``blocks_written / write_flushes`` is the
+    #: blocks-per-transfer ratio write-behind achieved.
+    write_flushes: int = 0
     background_write_time: float = 0.0
     restart_blocks_sent: int = 0
     peak_buffered_bytes: int = 0
@@ -145,6 +161,7 @@ class _PathState:
         "expected",
         "received",
         "written",
+        "staged_nbytes",
         "opened",
         "seen",
     )
@@ -156,6 +173,8 @@ class _PathState:
         self.expected: Dict[int, int] = {}
         self.received = 0
         self.written = 0
+        #: Buffer bytes of blocks staged in the writer but not landed.
+        self.staged_nbytes = 0
         self.opened = False
         #: (client, block_id) pairs already ingested — duplicate
         #: suppression for retried sends and duplicated messages.
@@ -174,7 +193,7 @@ class PandaServer:
         self._paths: Dict[str, _PathState] = {}
         #: FIFO of (path, DataBlock | EncodedBlock) awaiting background
         #: write; batched entries keep their zero-copy record views.
-        self._queue: List[Tuple[str, Any]] = []
+        self._queue: deque = deque()
         self._buffered_bytes = 0
         self._shutdown_ranks: set = set()
         self._sync_waiters: List[Tuple[int, int]] = []
@@ -385,7 +404,9 @@ class PandaServer:
                 "rocpanda", "ingest", path=msg.path, nbytes=nbytes,
                 t_start=t0, visible=False,
             )
-            # Ablation: write through while the client waits.
+            # Ablation: write through while the client waits (nothing
+            # is ever queued, so every block lands on its own).
+            self._buffered_bytes += nbytes
             yield from self._write_block(msg.path, block)
             yield from self._close_finished_paths()
             return
@@ -450,6 +471,7 @@ class PandaServer:
                 t_start=t0, visible=False,
             )
             for eb in fresh:
+                self._buffered_bytes += eb.nbytes
                 yield from self._write_block(msg.path, eb)
             yield from self._close_finished_paths()
             return
@@ -478,8 +500,7 @@ class PandaServer:
 
     # -- background writing --------------------------------------------------
     def _write_one_block(self):
-        path, block = self._queue.pop(0)
-        self._buffered_bytes -= block.nbytes
+        path, block = self._queue.popleft()
         yield from self._write_block(path, block)
         yield from self._close_finished_paths()
 
@@ -489,16 +510,28 @@ class PandaServer:
             self.ctx.recorder.record_counter("rocpanda", "write_retries")
         self.ctx.trace("panda-server", f"write fault ({exc}); retry {attempt + 1}")
 
+    def _retrying_write(self, op):
+        return retrying(
+            self.ctx.env, self.config.retry, op, on_retry=self._note_write_retry
+        )
+
     def _write_block(self, path: str, block):
         """Generator: write one buffered block (DataBlock or EncodedBlock).
 
-        The block's datasets are coalesced into a single filesystem
-        transfer (``write_records``) in **both** payload forms — a
-        legacy :class:`DataBlock` is encoded to the same record bytes a
-        batched client would have shipped — so ship modes stay
-        bit-identical.  A write fault mutates nothing (the VFS raises
-        before appending), so a retry reopens only if the open itself
-        faulted and then replays the one merged transfer.
+        The block's records are *staged* in the file's writer — format
+        bookkeeping is paid per block, and a legacy :class:`DataBlock`
+        is encoded to the same record bytes a batched client would have
+        shipped, so ship modes stay bit-identical — and the stage lands
+        as one filesystem transfer once it holds
+        ``write_behind_bytes``.  A block that would push the stage past
+        the limit lands it first.  When the queue has run dry every
+        file's stage lands, so the server never sleeps in probe, nor
+        answers a sync, on staged data (write-through never queues, so
+        there every block lands on its own).  Record order is queue
+        order whatever the limit: the files are byte-identical.
+
+        Only the open and the landing can fault, and each retries on
+        its own: a record is staged exactly once.
         """
         cpu = self.ctx.cpu
         cpu.server_busy_fraction = self.config.busy_fraction_writing
@@ -509,18 +542,26 @@ class PandaServer:
             records = block.records
         else:
             records = encode_records(block_to_datasets(block))
-        #: This block is the file's first: the attempt opens the file.
+        #: This block is the file's first: open the file.
         opened = not writer.is_open and writer.ndatasets == 0
-
-        def attempt():
-            if opened and not writer.is_open:
-                yield from writer.open(file_attrs=state.writer_attrs)
-            yield from writer.write_records(records)
-
-        yield from retrying(
-            self.ctx.env, self.config.retry, attempt,
-            on_retry=self._note_write_retry,
+        if opened:
+            yield from self._retrying_write(
+                lambda: writer.open(file_attrs=state.writer_attrs)
+            )
+        limit = self.config.write_behind_bytes
+        charged = (
+            sum(len(r[1]) for r in records)
+            + self.config.driver.meta_bytes_per_dataset * len(records)
         )
+        if writer.staged_bytes and writer.staged_bytes + charged > limit:
+            yield from self._land(state)
+        yield from writer.write_records(records, flush=False)
+        state.staged_nbytes += block.nbytes
+        if not self._queue:
+            for other in self._paths.values():
+                yield from self._land(other)
+        elif writer.staged_bytes >= limit:
+            yield from self._land(state)
         self.stats.bytes_written += sum(r[2] for r in records)
         if opened:
             self.stats.files_created += 1
@@ -532,6 +573,19 @@ class PandaServer:
             t_start=t0, visible=not self.config.active_buffering,
         )
         cpu.server_busy_fraction = self.config.busy_fraction_idle
+
+    def _land(self, state: _PathState):
+        """Generator: land one file's stage as a single transfer."""
+        writer = state.writer
+        if not writer.staged_bytes:
+            return
+        yield from self._retrying_write(writer.flush)
+        # The staged blocks occupied buffer memory until this instant.
+        self._buffered_bytes -= state.staged_nbytes
+        state.staged_nbytes = 0
+        self.stats.write_flushes += 1
+        if self.ctx.recorder is not None:
+            self.ctx.recorder.record_counter("rocpanda", "write_flushes")
 
     def _close_finished_paths(self, force: bool = False):
         """Generator: close and retire every fully-written output file."""
@@ -560,12 +614,8 @@ class PandaServer:
                 retire.append((path, state))
         for path, state in retire:
             if state.writer is not None and state.writer.is_open:
-                yield from retrying(
-                    self.ctx.env,
-                    self.config.retry,
-                    state.writer.close,
-                    on_retry=self._note_write_retry,
-                )
+                yield from self._land(state)
+                yield from self._retrying_write(state.writer.close)
             del self._paths[path]
             if self._faults is not None:
                 self._file_gens[path] = self._file_gens.get(path, 0) + 1

@@ -44,6 +44,24 @@ class SHDFWriter:
         yield from writer.open(file_attrs={"time_step": 50})
         yield from writer.write_dataset(Dataset("b1/pressure", arr, {...}))
         yield from writer.close()
+
+    **Write-behind stage.**  The writer owns one
+    :class:`~repro.fs.coalesce.WriteCoalescer` for the life of the open
+    file.  ``write_records(records, flush=False)`` pays the format's
+    per-dataset bookkeeping and *stages* the records; :meth:`flush`
+    lands everything staged as one filesystem transfer, in staging
+    order, and :meth:`close` flushes first — so callers that stage
+    several small batches (the Rocpanda server) pay the filesystem's
+    per-operation latency once per stage instead of once per batch,
+    and the file's bytes do not depend on where the flushes fell.
+
+    ``ndatasets`` counts **staged** records, not only landed ones: it
+    is the directory size the next ``create_cost`` is charged at, and a
+    record is staged exactly once — a caller retrying after a faulted
+    flush re-runs :meth:`flush` (or :meth:`close`), never
+    ``write_records``.  A fault leaves the stage intact (the VFS raises
+    before mutating anything); a crash loses at most the staged bytes,
+    in a file that has no commit footer yet and is torn either way.
     """
 
     def __init__(
@@ -85,13 +103,21 @@ class SHDFWriter:
         self._vfile = None
         self._ndatasets = 0
         self._entries = []  # (name, offset, length) for the v2 index
+        self._stage: Optional[WriteCoalescer] = None
+        self._staged = []  # (name, length) of staged records, in order
         self._open = False
         #: Total virtual seconds spent in this writer (diagnostics).
         self.busy_time = 0.0
 
     @property
     def ndatasets(self) -> int:
+        """Datasets written so far, staged ones included."""
         return self._ndatasets
+
+    @property
+    def staged_bytes(self) -> int:
+        """Bytes the next :meth:`flush` will charge the filesystem for."""
+        return self._stage.pending_bytes if self._stage is not None else 0
 
     @property
     def is_open(self) -> bool:
@@ -119,7 +145,9 @@ class SHDFWriter:
         self._vfile = self.fs.disk.create(self.path, exist_ok=True)
         self._vfile.truncate()
         self._entries = []
+        self._staged = []
         self._ndatasets = 0
+        self._stage = WriteCoalescer(self.fs, self._vfile, node=self.node)
         yield from self.fs.meta_op(self.node)
         attrs = dict(file_attrs or {})
         if self.journal:
@@ -140,6 +168,7 @@ class SHDFWriter:
             raise RuntimeError(f"{self.path}: not open")
         t0 = self.env.now
         record = encode_dataset(dataset)
+        yield from self._land()  # staged records precede this one
         # Format-internal bookkeeping (directory maintenance).
         yield self.env.sleep(self.driver.create_cost(self._ndatasets))
         for _ in range(self.driver.fs_meta_ops_per_dataset):
@@ -153,7 +182,7 @@ class SHDFWriter:
         self.busy_time += self.env.now - t0
         self._record("write_dataset", dataset.nbytes, t0)
 
-    def write_records(self, records):
+    def write_records(self, records, flush: bool = True):
         """Generator: append many records through one coalesced transfer.
 
         ``records`` is a sequence of ``(name, record_bytes, data_nbytes)``
@@ -161,46 +190,74 @@ class SHDFWriter:
         per-dataset path (each record still pays ``create_cost`` at its
         own directory size, and the same number of meta ops), but the
         data lands via a **single** filesystem write covering every
-        record — the data-sieving merge that makes gathered server-side
-        writes large and sequential.  The disk mutation happens through
+        staged record — the data-sieving merge that makes gathered
+        server-side writes large and sequential.  With ``flush=False``
+        the records are only staged (bookkeeping paid, nothing on disk
+        yet) and land with a later call, :meth:`flush` or :meth:`close`.
+        The disk mutation happens through
         :meth:`~repro.fs.vfs.VirtualFile.append_many`, which checks
         fault hooks *before* appending anything, so the
-        raise-before-mutate guarantee holds at batch granularity.
+        raise-before-mutate guarantee holds at batch granularity: a
+        faulted flush leaves the records staged, and the retry is
+        :meth:`flush` or :meth:`close`, not this call again.
         """
         if not self._open:
             raise RuntimeError(f"{self.path}: not open")
         records = list(records)
-        if not records:
+        if not records and not (flush and self._staged):
             return
         t0 = self.env.now
-        n0 = self._ndatasets
-        yield self.env.sleep(
-            sum(self.driver.create_cost(n0 + k) for k in range(len(records)))
-        )
-        yield from self.fs.meta_ops_bulk(
-            self.driver.fs_meta_ops_per_dataset * len(records), self.node
-        )
-        coalescer = WriteCoalescer(self.fs, self._vfile, node=self.node)
-        for _name, record, _data_nbytes in records:
-            coalescer.add(record, meta_bytes=self.driver.meta_bytes_per_dataset)
-        offsets = yield from coalescer.flush()
-        for (name, record, _data_nbytes), offset in zip(records, offsets):
-            self._entries.append((name, offset, len(record)))
-        self._ndatasets += len(records)
+        if records:
+            n0 = self._ndatasets
+            yield self.env.sleep(
+                sum(self.driver.create_cost(n0 + k) for k in range(len(records)))
+            )
+            yield from self.fs.meta_ops_bulk(
+                self.driver.fs_meta_ops_per_dataset * len(records), self.node
+            )
+            meta_bytes = self.driver.meta_bytes_per_dataset
+            for name, record, _data_nbytes in records:
+                self._stage.add(record, meta_bytes=meta_bytes)
+                self._staged.append((name, len(record)))
+            self._ndatasets += len(records)
+        try:
+            if flush:
+                yield from self._land()
+        finally:
+            # Also on a faulted landing: the records are staged, and the
+            # retry (flush or close) will not pass through here again.
+            self.busy_time += self.env.now - t0
+            self._record("write_records", sum(r[2] for r in records), t0)
+
+    def _land(self):
+        """Generator: one filesystem transfer for everything staged."""
+        offsets = yield from self._stage.flush()
+        for (name, length), offset in zip(self._staged, offsets):
+            self._entries.append((name, offset, length))
+        self._staged = []
+
+    def flush(self):
+        """Generator: land the stage; a no-op when nothing is staged."""
+        if not self._open:
+            raise RuntimeError(f"{self.path}: not open")
+        if not self._staged:
+            return
+        t0 = self.env.now
+        yield from self._land()
         self.busy_time += self.env.now - t0
-        self._record(
-            "write_records", sum(r[2] for r in records), t0
-        )
+        self._record("flush", 0, t0)
 
     def close(self):
         """Generator: close the file.
 
-        Version-2 files get their dataset index and footer written out
-        here (like HDF5 flushing its B-tree at close).
+        Anything still staged lands first.  Version-2 files get their
+        dataset index and footer written out here (like HDF5 flushing
+        its B-tree at close).
         """
         if not self._open:
             raise RuntimeError(f"{self.path}: not open")
         t0 = self.env.now
+        yield from self._land()
         if self.format_version == 2:
             index_offset = self._vfile.size
             tail = (

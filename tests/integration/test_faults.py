@@ -28,6 +28,7 @@ from repro.io import (
 )
 from repro.obs import summary_payload
 from repro.roccom import AttributeSpec, LOC_ELEMENT, LOC_NODE, Roccom
+from repro.shdf import TornFileError, decode_file, iter_records
 from repro.vmpi import run_spmd
 
 NBLOCKS = 3  # per client
@@ -40,13 +41,20 @@ def _declare(com):
     return w
 
 
-def _write_main(nservers, server_config=None):
-    """Checkpoint writer: data depends only on the client rank."""
+def _write_main(nservers, server_config=None, servers=None, after_sync=None):
+    """Checkpoint writer: data depends only on the client rank.
+
+    ``servers`` (a list) collects the live :class:`PandaServer` objects;
+    ``after_sync(ctx, window)`` runs at the instant ``OUT.sync`` returns.
+    """
 
     def main(ctx):
         topo = yield from rocpanda_init(ctx, nservers)
         if topo.is_server:
-            stats = yield from PandaServer(ctx, topo, server_config).run()
+            server = PandaServer(ctx, topo, server_config)
+            if servers is not None:
+                servers.append(server)
+            stats = yield from server.run()
             return ("server", stats)
         com = Roccom(ctx)
         panda = com.load_module(RocpandaModule(ctx, topo))
@@ -61,6 +69,8 @@ def _write_main(nservers, server_config=None):
         yield from ctx.sleep(0.05)  # past init: faults land mid-write
         yield from com.call_function("OUT.write_attribute", "Fluid", None, "ck")
         yield from com.call_function("OUT.sync")
+        if after_sync is not None:
+            after_sync(ctx, w)
         yield from panda.finalize()
         return ("client", panda.stats)
 
@@ -102,9 +112,9 @@ def _launch(nprocs, main, plan=None, seed=0, disk=None):
     return run_spmd(machine, nprocs, main), machine
 
 
-def _checkpoint_then_restart(plan):
+def _checkpoint_then_restart(plan, **write_kwargs):
     """Write 8 procs / 2 servers (under ``plan``), restart 6 / 3."""
-    result, machine = _launch(8, _write_main(2), plan=plan)
+    result, machine = _launch(8, _write_main(2, **write_kwargs), plan=plan)
     restart, _ = _launch(
         6, _restart_main(3, per_client=NBLOCKS * 2), seed=1, disk=machine.disk
     )
@@ -145,6 +155,109 @@ class TestServerCrashFailover:
         assert counters["faults"]["server_crash"] == 1
         assert counters["rocpanda"]["server_crashes"] == 1
         assert counters["rocpanda"]["failovers"] >= 1
+
+
+class TestWriteBehindStage:
+    """The server's staged transfers under faults, crashes and sync."""
+
+    #: Holds every block of a file: flushes happen only when the queue
+    #: runs dry or the file closes, so each lands several blocks.
+    WHOLE_FILE = ServerConfig(write_behind_bytes=2**30)
+
+    @staticmethod
+    def _one_server_write(fail_append=None):
+        """4 clients / 1 server; optionally fail the server file's
+        ``fail_append``-th append (0 is the header) once."""
+        machine = Machine(make_testbox(nnodes=8, cpus_per_node=4), seed=0)
+        appends = []
+
+        def hook(path, nbytes):
+            appends.append(nbytes)
+            if len(appends) - 1 == fail_append:
+                raise TransientIOError(f"injected EIO ({path})")
+
+        machine.disk.fault_hook = hook
+        main = _write_main(1, server_config=TestWriteBehindStage.WHOLE_FILE)
+        result = run_spmd(machine, 5, main)
+        stats = next(s for kind, s in result.returns if kind == "server")
+        (path,) = machine.disk.listdir("ck_s")
+        return machine.disk.open(path).read(), stats, appends
+
+    def test_eio_on_a_staged_flush_retries_the_flush_alone(self):
+        reference, ref_stats, ref_appends = self._one_server_write()
+        # Header, staged transfers, footer — and the first transfer
+        # carries more than one 34 KB block.
+        assert ref_stats.write_flushes == len(ref_appends) - 2
+        assert ref_stats.write_flushes < ref_stats.blocks_written == 4 * NBLOCKS
+        assert ref_appends[1] > 2 * 34_000
+        image, stats, appends = self._one_server_write(fail_append=1)
+        # Same file: no record staged twice, none lost.
+        assert image == reference
+        names = decode_file(image).names()
+        assert len(names) == len(set(names)) == 2 * 4 * NBLOCKS
+        assert stats.write_retries == 1
+        assert appends == ref_appends[:2] + ref_appends[1:]
+        assert stats.write_flushes == ref_stats.write_flushes
+        assert stats.blocks_written == ref_stats.blocks_written
+        assert stats.bytes_written == ref_stats.bytes_written
+
+    def test_crash_with_a_staged_tail_is_a_torn_file_the_heir_covers(self):
+        _, _, reference = _checkpoint_then_restart(plan=None)
+        servers = []
+        plan = FaultPlan((ServerCrash(rank=4, at_time=0.058),))
+        result, machine, restored = _checkpoint_then_restart(
+            plan, server_config=self.WHOLE_FILE, servers=servers
+        )
+        (crashed,) = [s for s in servers if s.stats.crashed]
+        # It died holding staged records: blocks it counted as written
+        # that never reached the disk ...
+        staged = [
+            st.writer for st in crashed._paths.values() if st.writer.staged_bytes
+        ]
+        assert staged and crashed.stats.blocks_written > 0
+        # ... in a file that has no commit footer, so the restart scan
+        # refuses it and the heir's re-shipped copy supplies the blocks.
+        for writer in staged:
+            with pytest.raises(TornFileError):
+                decode_file(machine.disk.open(writer.path).read())
+        client_stats = [s for kind, s in result.returns if kind == "client"]
+        assert sum(s.failovers for s in client_stats) >= 1
+        assert set(restored) == set(reference) == set(range(18))
+        for pid in reference:
+            for name in ("coords", "pressure"):
+                np.testing.assert_array_equal(
+                    restored[pid][name], reference[pid][name]
+                )
+
+    @pytest.mark.parametrize(
+        "limit", [0, 64 * 1024, 2**30], ids=["per_block", "default", "whole_file"]
+    )
+    def test_sync_returns_only_once_every_shipped_block_is_on_disk(self, limit):
+        servers = []
+        checked = []
+
+        def after_sync(ctx, window):
+            # Nothing this client was told is durable may still be staged.
+            assert all(
+                st.writer.staged_bytes == 0
+                for server in servers
+                for st in server._paths.values()
+            )
+            on_disk = {
+                d.name: d.data
+                for path in ctx.machine.disk.listdir("ck_s")
+                for d in iter_records(ctx.machine.disk.open(path).read())
+            }
+            for pid in window.pane_ids():
+                for attr in ("coords", "pressure"):
+                    np.testing.assert_array_equal(
+                        on_disk[f"Fluid/b{pid}/{attr}"], window.get_array(attr, pid)
+                    )
+                checked.append(pid)
+
+        config = ServerConfig(write_behind_bytes=limit)
+        _launch(8, _write_main(2, config, servers, after_sync))
+        assert sorted(checked) == list(range(6 * NBLOCKS))
 
 
 class TestOverflowCounterExport:

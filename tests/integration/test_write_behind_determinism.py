@@ -1,0 +1,97 @@
+"""Virtual-time pins for the Rocpanda server's write-behind stage.
+
+``ServerConfig(write_behind_bytes=0)`` lands every block on its own —
+through the same staged code path, not a kept fork — and must reproduce,
+bit for bit, the virtual times of the commit before the stage existed.
+The reference values below were captured on that commit
+(b1f166d) with ``Machine(turing(), seed=100)`` on shrunken versions of
+the four Rocpanda benchmark workloads; the third number of each triple
+is the filesystem's write-op count.  The default limit must then do no
+more transfers and finish no later, and leave the same files behind.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.cluster import Machine, turing
+from repro.genx import GENxConfig, lab_scale_motor, run_genx, scalability_cylinder
+from repro.io import ServerConfig
+
+#: (wall_time, visible_io_time, fs write ops) before the stage existed.
+PARENT = {
+    "write": (1.299067242243781, 0.08074908292375615, 156),
+    "restart": (1.1756284997576385, 0.031241341943015588, 46),
+    "weak": (1.7145142281393586, 0.050272750283471584, 92),
+    "strong": (1.223397445205478, 0.02130883281101628, 108),
+}
+
+
+def _jobs():
+    """name -> (nranks, config, prefix of the job whose disk it starts from)."""
+    motor = lab_scale_motor(
+        scale=0.02, steps=4, snapshot_interval=2, nblocks_fluid=16, nblocks_solid=8
+    )
+    cylinder = scalability_cylinder(
+        blocks_per_client_fluid=2, blocks_per_client_solid=1,
+        per_client_bytes=0.05 * 2**20, steps=2, snapshot_interval=2,
+    )
+    strong = lab_scale_motor(
+        scale=0.01, steps=4, snapshot_interval=4, nblocks_fluid=32, nblocks_solid=32
+    )
+    panda = dict(io_mode="rocpanda")
+    return {
+        "write": (10, GENxConfig(workload=motor, nservers=2, prefix="w", **panda), None),
+        # Restart the step-4 snapshot with fewer servers than wrote it;
+        # steps=0 writes the restored windows back out.
+        "restart": (
+            9,
+            GENxConfig(
+                workload=motor, nservers=1, prefix="r", steps=0,
+                restart_step=4, restart_prefix="w", **panda,
+            ),
+            "write",
+        ),
+        "weak": (9, GENxConfig(workload=cylinder, nservers=1, prefix="k", **panda), None),
+        "strong": (
+            18,
+            GENxConfig(
+                workload=strong, nservers=2, prefix="s",
+                initial_snapshot=False, **panda,
+            ),
+            None,
+        ),
+    }
+
+
+def _run_all(server_config):
+    """Every job under ``server_config``: {name: (triple, disk image)}."""
+    out, disks = {}, {}
+    for name, (nranks, config, start_from) in _jobs().items():
+        config = dataclasses.replace(config, server_config=server_config)
+        machine = Machine(turing(), seed=100, disk=disks.get(start_from))
+        result = run_genx(machine, nranks, config)
+        disks[name] = machine.disk
+        image = {p: machine.disk.open(p).read() for p in machine.disk.listdir("")}
+        out[name] = (
+            (result.wall_time, result.visible_io_time, machine.fs.metrics.write_ops),
+            image,
+        )
+    return out
+
+
+@pytest.fixture(scope="module")
+def per_block():
+    return _run_all(ServerConfig(write_behind_bytes=0))
+
+
+def test_limit_zero_is_the_parent_bit_for_bit(per_block):
+    assert {name: triple for name, (triple, _image) in per_block.items()} == PARENT
+
+
+def test_default_limit_same_files_fewer_transfers_no_later(per_block):
+    for name, (triple, image) in _run_all(None).items():
+        (wall, _visible, ops), (ref_wall, _ref_visible, ref_ops) = triple, PARENT[name]
+        assert image == per_block[name][1], name
+        assert ops < ref_ops, name
+        assert wall < ref_wall, name

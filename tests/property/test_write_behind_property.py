@@ -1,0 +1,159 @@
+"""Property test: the server's write-behind limit never shows in the files.
+
+``ServerConfig.write_behind_bytes`` decides how many queued blocks share
+one filesystem transfer — from every block on its own (0) to a whole
+file at once (2**30).  Record order is the FIFO queue order either way,
+so for any topology, pane layout and ship mode every server file must
+be byte-identical across limits, and a restart must restore exactly the
+arrays the clients registered.  Virtual time is *not* compared: fewer
+transfers is the point.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import Machine
+from repro.cluster import testbox as make_testbox
+from repro.io import PandaServer, RocpandaModule, ServerConfig, rocpanda_init
+from repro.roccom import AttributeSpec, Roccom
+from repro.vmpi import run_spmd
+
+LIMITS = (0, 1, 4 * 1024, 64 * 1024, 2**30)
+
+
+def _window(com):
+    w = com.new_window("W")
+    w.declare_attribute(AttributeSpec("coords", "node", ncomp=3))
+    w.declare_attribute(AttributeSpec("field", "element"))
+    return w
+
+
+def _pane_arrays(seed, rank, layout):
+    """{pane_id: (coords, field)} a client registers (pure in its inputs)."""
+    rng = np.random.default_rng(seed + rank)
+    return {
+        rank * 16 + i: (rng.random((nnodes, 3)), rng.random(nelems))
+        for i, (nnodes, nelems) in enumerate(layout[rank])
+    }
+
+
+def _write(limit, batched, nservers, nclients, layout, nsnapshots, seed):
+    """One Rocpanda write job; returns (machine, servers' stats)."""
+
+    def main(ctx):
+        topo = yield from rocpanda_init(ctx, nservers)
+        if topo.is_server:
+            config = ServerConfig(write_behind_bytes=limit)
+            return (yield from PandaServer(ctx, topo, config).run())
+        com = Roccom(ctx)
+        panda = com.load_module(RocpandaModule(ctx, topo, batched=batched))
+        w = _window(com)
+        for pid, (coords, field) in _pane_arrays(
+            seed, topo.comm.rank, layout
+        ).items():
+            w.register_pane(pid, len(coords), len(field))
+            w.set_array("coords", pid, coords)
+            w.set_array("field", pid, field)
+        for snap in range(nsnapshots):
+            yield from com.call_function(
+                "OUT.write_attribute", "W", None, f"wb_{snap:02d}"
+            )
+        yield from com.call_function("OUT.sync")
+        yield from panda.finalize()
+
+    machine = Machine(make_testbox(nnodes=4, cpus_per_node=4), seed=seed)
+    job = run_spmd(machine, nservers + nclients, main)
+    return machine, [r for r in job.returns if r is not None]
+
+
+def _restart(disk, prefix, pane_ids, nservers, nclients, seed):
+    """Restart from ``disk``; returns {pane_id: (coords, field)} restored."""
+
+    def main(ctx):
+        topo = yield from rocpanda_init(ctx, nservers)
+        if topo.is_server:
+            yield from PandaServer(ctx, topo).run()
+            return None
+        com = Roccom(ctx)
+        panda = com.load_module(RocpandaModule(ctx, topo))
+        w = _window(com)
+        for pid in pane_ids[topo.comm.rank :: nclients]:
+            w.register_pane(pid, 0, 0)
+        got = yield from com.call_function("OUT.read_attribute", "W", None, prefix)
+        restored = {
+            pid: (w.get_array("coords", pid).copy(), w.get_array("field", pid).copy())
+            for pid in got
+        }
+        yield from panda.finalize()
+        return restored
+
+    machine = Machine(
+        make_testbox(nnodes=4, cpus_per_node=4), seed=seed + 1, disk=disk
+    )
+    job = run_spmd(machine, nservers + nclients, main)
+    merged = {}
+    for restored in job.returns:
+        merged.update(restored or {})
+    return merged
+
+
+@st.composite
+def shapes(draw):
+    nservers = draw(st.integers(min_value=1, max_value=3))
+    # rocpanda_init's topology contract: nclients >= nservers.
+    nclients = draw(st.integers(min_value=nservers, max_value=4))
+    layout = [
+        [
+            (
+                draw(st.integers(min_value=1, max_value=600)),
+                draw(st.integers(min_value=1, max_value=4000)),
+            )
+            for _ in range(draw(st.integers(min_value=1, max_value=4)))
+        ]
+        for _ in range(nclients)
+    ]
+    return nservers, nclients, layout
+
+
+@given(
+    shapes(),
+    st.booleans(),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=8, deadline=None)
+def test_files_and_restart_do_not_depend_on_the_limit(shape, batched, nsnapshots, seed):
+    nservers, nclients, layout = shape
+    args = (batched, nservers, nclients, layout, nsnapshots, seed)
+    reference, ref_stats = _write(0, *args)
+    ref_files = {p: reference.disk.open(p).read() for p in reference.disk.listdir("wb_")}
+    assert ref_files
+    # Limit 0 is the same code landing every block on its own.
+    assert sum(s.write_flushes for s in ref_stats) == sum(
+        s.blocks_written for s in ref_stats
+    )
+    for limit in LIMITS[1:]:
+        machine, stats = _write(limit, *args)
+        files = {p: machine.disk.open(p).read() for p in machine.disk.listdir("wb_")}
+        assert files.keys() == ref_files.keys()
+        for path in files:
+            assert files[path] == ref_files[path], (limit, path)
+        assert sum(s.blocks_written for s in stats) == sum(
+            s.blocks_written for s in ref_stats
+        )
+        assert 0 < sum(s.write_flushes for s in stats) <= sum(
+            s.write_flushes for s in ref_stats
+        )
+    # ``machine`` holds the 2**30 run: whole files landed in one transfer.
+    expected = {}
+    for rank in range(nclients):
+        expected.update(_pane_arrays(seed, rank, layout))
+    restored = _restart(
+        machine.disk, f"wb_{nsnapshots - 1:02d}", sorted(expected),
+        nservers, nclients, seed,
+    )
+    assert sorted(restored) == sorted(expected)
+    for pid, (coords, field) in expected.items():
+        np.testing.assert_array_equal(restored[pid][0], coords)
+        np.testing.assert_array_equal(restored[pid][1], field)

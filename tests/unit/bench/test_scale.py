@@ -62,6 +62,8 @@ class TestBenchScalePoint:
         assert point["host_mb_per_s"] > 0
         again = bench_scale_point(tiny_workload(), 8, prefix="ts")
         assert again["payload_bytes"] == point["payload_bytes"]
+        # Virtual count, exact per seed: the filesystem transfers made.
+        assert again["fs_write_ops"] == point["fs_write_ops"] > 0
 
     def test_sweep_points(self):
         assert STRONG_POINTS == (64, 128, 256, 512, 1024)
