@@ -123,10 +123,11 @@ class RochdfModule(ServiceModule):
         The attempt is stage-resumable: the VFS raises *before*
         mutating anything on a write fault, so a retry redoes only the
         stage that faulted — a faulted ``open`` truncates and starts
-        the file over, a faulted ``write_records`` appended nothing but
-        keeps its records staged in the writer (``ndatasets`` counts
-        them, so they are never staged twice) and the retry's ``close``
-        lands them, a faulted ``close`` leaves landed records in place.
+        the file over; ``write_records`` only stages (``ndatasets``
+        counts the staged records, so they are never staged twice) and
+        ``close`` lands them, so a ``close`` that faulted in the landing
+        appended nothing and one that faulted in the footer leaves the
+        landed records in place: either way the retry is ``close``.
         Returns the payload bytes written (stats are bumped once, after
         the file is committed).
         """
@@ -144,10 +145,8 @@ class RochdfModule(ServiceModule):
                     for block in blocks
                     for dataset in block_to_datasets(block)
                 )
-                # Counted before the write: a fault surfaces here but
-                # the retry resumes at close, past this branch.
-                nbytes = sum(r[2] for r in records)
                 yield from writer.write_records(records)
+                nbytes = sum(r[2] for r in records)
             yield from writer.close()
 
         yield from retrying(

@@ -10,9 +10,9 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
   writing two data blocks* (non-blocking probe), so writing always
   yields to new requests.  Small blocks bound for one file are staged
   in that file's writer and land together in transfers of about
-  ``ServerConfig.write_behind_bytes``; whenever the queue runs dry
-  every stage is landed, so nothing is staged while the server blocks
-  in probe or answers a sync;
+  :data:`WRITE_BEHIND_BYTES`; whenever the queue runs dry every stage
+  is landed, so nothing is staged while the server blocks in probe or
+  answers a sync;
 * when nothing is buffered it **blocks in probe**, leaving its CPU idle
   for the operating system — the SMP side-benefit of §4.1 (the noise
   model reads ``cpu.server_busy_fraction``, which the server keeps
@@ -79,6 +79,17 @@ def server_file_path(prefix: str, server_index: int) -> str:
     return f"{prefix}_s{server_index:04d}.shdf"
 
 
+#: Bytes a file's write-behind stage holds before it lands as one
+#: filesystem transfer.  A block that would push the stage past the
+#: limit lands the stage first, so no transfer exceeds max(limit, one
+#: block) — the granularity at which the server already ignores probes.
+#: About one large block: larger transfers hold the shared filesystem
+#: longer while clients wait for the next probe (DESIGN §8 has the
+#: sweep).  Only blocks small enough to have been sent eagerly are
+#: staged at all (see :meth:`PandaServer._write_block`).
+WRITE_BEHIND_BYTES = 64 * 1024
+
+
 @dataclass
 class ServerConfig:
     """Tunables of one I/O server."""
@@ -108,14 +119,6 @@ class ServerConfig:
     #: region's decoded blocks can be scattered while the next region's
     #: disk read runs ahead.
     restart_region_bytes: float = 4 * 1024 * 1024
-    #: Write-side twin: bytes a file's write-behind stage may hold
-    #: before it lands as one filesystem transfer.  A block that would
-    #: push the stage past the limit lands the stage first, so no
-    #: transfer exceeds max(limit, one block) — the granularity at which
-    #: the server already ignores probes.  About one large block: larger
-    #: transfers hold the shared filesystem longer while clients wait
-    #: for the next probe (DESIGN §8 has the sweep); 0 lands every block.
-    write_behind_bytes: int = 64 * 1024
     #: Maximum hole (bytes) the restart read sieves through when
     #: merging record extents into one contiguous ``fs.read``.
     restart_sieve_gap: int = 65536
@@ -127,6 +130,8 @@ class ServerStats:
 
     blocks_received: int = 0
     bytes_received: int = 0
+    #: Blocks (and their array bytes) that have *landed* on disk; a
+    #: block staged in a writer is not written yet.
     blocks_written: int = 0
     bytes_written: int = 0
     files_created: int = 0
@@ -161,7 +166,7 @@ class _PathState:
         "expected",
         "received",
         "written",
-        "staged_nbytes",
+        "staged",
         "opened",
         "seen",
     )
@@ -172,9 +177,10 @@ class _PathState:
         self.begun: set = set()
         self.expected: Dict[int, int] = {}
         self.received = 0
+        #: Blocks landed on disk.
         self.written = 0
-        #: Buffer bytes of blocks staged in the writer but not landed.
-        self.staged_nbytes = 0
+        #: Blocks staged in the writer, not landed: still buffer memory.
+        self.staged: List = []
         self.opened = False
         #: (client, block_id) pairs already ingested — duplicate
         #: suppression for retried sends and duplicated messages.
@@ -195,6 +201,7 @@ class PandaServer:
         #: write; batched entries keep their zero-copy record views.
         self._queue: deque = deque()
         self._buffered_bytes = 0
+        self._sent_eagerly = ctx.job.network.is_eager
         self._shutdown_ranks: set = set()
         self._sync_waiters: List[Tuple[int, int]] = []
         #: path -> [(client, BlockEnvelope | BlockBatch), ...] that
@@ -523,15 +530,23 @@ class PandaServer:
         is encoded to the same record bytes a batched client would have
         shipped, so ship modes stay bit-identical — and the stage lands
         as one filesystem transfer once it holds
-        ``write_behind_bytes``.  A block that would push the stage past
-        the limit lands it first.  When the queue has run dry every
-        file's stage lands, so the server never sleeps in probe, nor
-        answers a sync, on staged data (write-through never queues, so
-        there every block lands on its own).  Record order is queue
-        order whatever the limit: the files are byte-identical.
+        :data:`WRITE_BEHIND_BYTES`.  A block that would push the stage
+        past the limit lands it first, and a rendezvous-sized block
+        lands what is staged and then itself: its sender waited for
+        this server's probe and the next such sender will, so those
+        blocks keep the no-probe episodes they always had and only
+        fire-and-forget (eager) blocks are merged into longer ones.
+        When the queue has run dry every file's stage lands, so the
+        server never sleeps in probe, nor answers a sync, on staged
+        data (write-through never queues, so there every block lands
+        on its own).  Record order is queue order whatever lands when:
+        the files are byte-identical.
 
         Only the open and the landing can fault, and each retries on
-        its own: a record is staged exactly once.
+        its own: a record is staged exactly once.  The ``bg_write``
+        record is the time the server spent on this block, including a
+        landing it triggered; the written counters move in
+        :meth:`_land`.
         """
         cpu = self.ctx.cpu
         cpu.server_busy_fraction = self.config.busy_fraction_writing
@@ -542,31 +557,25 @@ class PandaServer:
             records = block.records
         else:
             records = encode_records(block_to_datasets(block))
-        #: This block is the file's first: open the file.
-        opened = not writer.is_open and writer.ndatasets == 0
-        if opened:
+        if not writer.is_open and writer.ndatasets == 0:
+            # This block is the file's first: open the file.
             yield from self._retrying_write(
                 lambda: writer.open(file_attrs=state.writer_attrs)
             )
-        limit = self.config.write_behind_bytes
-        charged = (
-            sum(len(r[1]) for r in records)
-            + self.config.driver.meta_bytes_per_dataset * len(records)
-        )
-        if writer.staged_bytes and writer.staged_bytes + charged > limit:
+            self.stats.files_created += 1
+        limit = WRITE_BEHIND_BYTES if self._sent_eagerly(block.nbytes) else 0
+        if (
+            writer.staged_bytes
+            and writer.staged_bytes + writer.charge_for(records) > limit
+        ):
             yield from self._land(state)
-        yield from writer.write_records(records, flush=False)
-        state.staged_nbytes += block.nbytes
+        yield from writer.write_records(records)
+        state.staged.append(block)
         if not self._queue:
             for other in self._paths.values():
                 yield from self._land(other)
         elif writer.staged_bytes >= limit:
             yield from self._land(state)
-        self.stats.bytes_written += sum(r[2] for r in records)
-        if opened:
-            self.stats.files_created += 1
-        state.written += 1
-        self.stats.blocks_written += 1
         self.stats.background_write_time += self.ctx.now - t0
         self.ctx.io_record(
             "rocpanda", "bg_write", path=path, nbytes=block.nbytes,
@@ -576,13 +585,17 @@ class PandaServer:
 
     def _land(self, state: _PathState):
         """Generator: land one file's stage as a single transfer."""
-        writer = state.writer
-        if not writer.staged_bytes:
+        if not state.staged:
             return
-        yield from self._retrying_write(writer.flush)
-        # The staged blocks occupied buffer memory until this instant.
-        self._buffered_bytes -= state.staged_nbytes
-        state.staged_nbytes = 0
+        yield from self._retrying_write(state.writer.flush)
+        # The staged blocks occupied buffer memory until this instant,
+        # and only now are they written.
+        for block in state.staged:
+            self._buffered_bytes -= block.nbytes
+            self.stats.bytes_written += block.data_nbytes
+        state.written += len(state.staged)
+        self.stats.blocks_written += len(state.staged)
+        state.staged = []
         self.stats.write_flushes += 1
         if self.ctx.recorder is not None:
             self.ctx.recorder.record_counter("rocpanda", "write_flushes")
@@ -598,9 +611,11 @@ class PandaServer:
             # Monotone-counter precondition: completion needs every
             # expected client announced and received == written, so the
             # subset/sum work below only runs when it could pass.
+            # Staged blocks count as drained here: a file whose last
+            # block is staged lands and closes now.
+            drained = state.written + len(state.staged)
             if not force and (
-                len(state.begun) < nexpected
-                or state.received != state.written
+                len(state.begun) < nexpected or state.received != drained
             ):
                 continue
             announced = expected_clients <= state.begun
@@ -608,7 +623,7 @@ class PandaServer:
             complete = (
                 announced
                 and state.received == all_expected
-                and state.written == all_expected
+                and drained == all_expected
             )
             if complete or (force and state.opened):
                 retire.append((path, state))

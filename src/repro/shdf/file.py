@@ -47,21 +47,22 @@ class SHDFWriter:
 
     **Write-behind stage.**  The writer owns one
     :class:`~repro.fs.coalesce.WriteCoalescer` for the life of the open
-    file.  ``write_records(records, flush=False)`` pays the format's
-    per-dataset bookkeeping and *stages* the records; :meth:`flush`
-    lands everything staged as one filesystem transfer, in staging
-    order, and :meth:`close` flushes first — so callers that stage
-    several small batches (the Rocpanda server) pay the filesystem's
-    per-operation latency once per stage instead of once per batch,
-    and the file's bytes do not depend on where the flushes fell.
+    file.  :meth:`write_records` pays the format's per-dataset
+    bookkeeping and *stages* the records; :meth:`flush` lands
+    everything staged as one filesystem transfer, in staging order, and
+    :meth:`close` flushes first — so a caller that stages several small
+    batches (the Rocpanda server) pays the filesystem's per-operation
+    latency once per stage instead of once per batch, and the file's
+    bytes do not depend on where the flushes fell.
 
     ``ndatasets`` counts **staged** records, not only landed ones: it
     is the directory size the next ``create_cost`` is charged at, and a
-    record is staged exactly once — a caller retrying after a faulted
-    flush re-runs :meth:`flush` (or :meth:`close`), never
-    ``write_records``.  A fault leaves the stage intact (the VFS raises
-    before mutating anything); a crash loses at most the staged bytes,
-    in a file that has no commit footer yet and is torn either way.
+    record is staged exactly once — staging cannot fault, and a caller
+    retrying a faulted landing re-runs :meth:`flush` (or
+    :meth:`close`), never ``write_records``.  A fault leaves the stage
+    intact (the VFS raises before mutating anything); a crash loses at
+    most the staged bytes, in a file that has no commit footer yet and
+    is torn either way.
     """
 
     def __init__(
@@ -182,52 +183,50 @@ class SHDFWriter:
         self.busy_time += self.env.now - t0
         self._record("write_dataset", dataset.nbytes, t0)
 
-    def write_records(self, records, flush: bool = True):
-        """Generator: append many records through one coalesced transfer.
+    def charge_for(self, records) -> int:
+        """Bytes staging ``records`` would add to :attr:`staged_bytes`."""
+        meta_bytes = self.driver.meta_bytes_per_dataset
+        return sum(len(record) + meta_bytes for _name, record, _n in records)
+
+    def write_records(self, records):
+        """Generator: stage many records for one coalesced transfer.
 
         ``records`` is a sequence of ``(name, record_bytes, data_nbytes)``
         tuples.  Driver bookkeeping charges the same total as the
         per-dataset path (each record still pays ``create_cost`` at its
-        own directory size, and the same number of meta ops), but the
-        data lands via a **single** filesystem write covering every
-        staged record — the data-sieving merge that makes gathered
-        server-side writes large and sequential.  With ``flush=False``
-        the records are only staged (bookkeeping paid, nothing on disk
-        yet) and land with a later call, :meth:`flush` or :meth:`close`.
-        The disk mutation happens through
+        own directory size, and the same number of meta ops), but
+        nothing reaches the disk yet: the records join the stage and
+        land — together with whatever else is staged — through a
+        **single** filesystem write at the next :meth:`flush` or
+        :meth:`close`, the data-sieving merge that makes gathered
+        server-side writes large and sequential.  The disk mutation
+        happens through
         :meth:`~repro.fs.vfs.VirtualFile.append_many`, which checks
         fault hooks *before* appending anything, so the
-        raise-before-mutate guarantee holds at batch granularity: a
-        faulted flush leaves the records staged, and the retry is
+        raise-before-mutate guarantee holds at stage granularity: a
+        faulted landing leaves the records staged, and the retry is
         :meth:`flush` or :meth:`close`, not this call again.
         """
         if not self._open:
             raise RuntimeError(f"{self.path}: not open")
         records = list(records)
-        if not records and not (flush and self._staged):
+        if not records:
             return
         t0 = self.env.now
-        if records:
-            n0 = self._ndatasets
-            yield self.env.sleep(
-                sum(self.driver.create_cost(n0 + k) for k in range(len(records)))
-            )
-            yield from self.fs.meta_ops_bulk(
-                self.driver.fs_meta_ops_per_dataset * len(records), self.node
-            )
-            meta_bytes = self.driver.meta_bytes_per_dataset
-            for name, record, _data_nbytes in records:
-                self._stage.add(record, meta_bytes=meta_bytes)
-                self._staged.append((name, len(record)))
-            self._ndatasets += len(records)
-        try:
-            if flush:
-                yield from self._land()
-        finally:
-            # Also on a faulted landing: the records are staged, and the
-            # retry (flush or close) will not pass through here again.
-            self.busy_time += self.env.now - t0
-            self._record("write_records", sum(r[2] for r in records), t0)
+        n0 = self._ndatasets
+        yield self.env.sleep(
+            sum(self.driver.create_cost(n0 + k) for k in range(len(records)))
+        )
+        yield from self.fs.meta_ops_bulk(
+            self.driver.fs_meta_ops_per_dataset * len(records), self.node
+        )
+        meta_bytes = self.driver.meta_bytes_per_dataset
+        for name, record, _data_nbytes in records:
+            self._stage.add(record, meta_bytes=meta_bytes)
+            self._staged.append((name, len(record)))
+        self._ndatasets += len(records)
+        self.busy_time += self.env.now - t0
+        self._record("write_records", sum(r[2] for r in records), t0)
 
     def _land(self):
         """Generator: one filesystem transfer for everything staged."""

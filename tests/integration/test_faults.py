@@ -26,12 +26,14 @@ from repro.io import (
     TRochdfModule,
     rocpanda_init,
 )
+from repro.io.rocpanda import server as panda_server
 from repro.obs import summary_payload
 from repro.roccom import AttributeSpec, LOC_ELEMENT, LOC_NODE, Roccom
 from repro.shdf import TornFileError, decode_file, iter_records
 from repro.vmpi import run_spmd
 
 NBLOCKS = 3  # per client
+EAGER_NODES = 300
 
 
 def _declare(com):
@@ -41,11 +43,15 @@ def _declare(com):
     return w
 
 
-def _write_main(nservers, server_config=None, servers=None, after_sync=None):
+def _write_main(
+    nservers, server_config=None, servers=None, after_sync=None, nodes=1200
+):
     """Checkpoint writer: data depends only on the client rank.
 
     ``servers`` (a list) collects the live :class:`PandaServer` objects;
     ``after_sync(ctx, window)`` runs at the instant ``OUT.sync`` returns.
+    The default ``nodes`` makes 34 KB rendezvous-sized blocks;
+    ``EAGER_NODES`` makes 9 KB ones the servers' write-behind stage merges.
     """
 
     def main(ctx):
@@ -62,7 +68,7 @@ def _write_main(nservers, server_config=None, servers=None, after_sync=None):
         rng = np.random.default_rng(300 + topo.comm.rank)
         for i in range(NBLOCKS):
             pid = topo.comm.rank * NBLOCKS + i
-            nn, ne = 1200 + i, 600 + i  # rendezvous-sized blocks
+            nn, ne = nodes + i, nodes // 2 + i
             w.register_pane(pid, nn, ne)
             w.set_array("coords", pid, rng.random((nn, 3)))
             w.set_array("pressure", pid, rng.random(ne))
@@ -160,9 +166,12 @@ class TestServerCrashFailover:
 class TestWriteBehindStage:
     """The server's staged transfers under faults, crashes and sync."""
 
-    #: Holds every block of a file: flushes happen only when the queue
-    #: runs dry or the file closes, so each lands several blocks.
-    WHOLE_FILE = ServerConfig(write_behind_bytes=2**30)
+    @pytest.fixture
+    def whole_file_stage(self, monkeypatch):
+        """A stage that holds every (eager-sized) block of a file:
+        flushes happen only when the queue runs dry or the file closes,
+        so each lands several blocks."""
+        monkeypatch.setattr(panda_server, "WRITE_BEHIND_BYTES", 2**30)
 
     @staticmethod
     def _one_server_write(fail_append=None):
@@ -177,19 +186,19 @@ class TestWriteBehindStage:
                 raise TransientIOError(f"injected EIO ({path})")
 
         machine.disk.fault_hook = hook
-        main = _write_main(1, server_config=TestWriteBehindStage.WHOLE_FILE)
+        main = _write_main(1, nodes=EAGER_NODES)
         result = run_spmd(machine, 5, main)
         stats = next(s for kind, s in result.returns if kind == "server")
         (path,) = machine.disk.listdir("ck_s")
         return machine.disk.open(path).read(), stats, appends
 
-    def test_eio_on_a_staged_flush_retries_the_flush_alone(self):
+    def test_eio_on_a_staged_flush_retries_the_flush_alone(self, whole_file_stage):
         reference, ref_stats, ref_appends = self._one_server_write()
         # Header, staged transfers, footer — and the first transfer
-        # carries more than one 34 KB block.
+        # carries more than one 9 KB block.
         assert ref_stats.write_flushes == len(ref_appends) - 2
         assert ref_stats.write_flushes < ref_stats.blocks_written == 4 * NBLOCKS
-        assert ref_appends[1] > 2 * 34_000
+        assert ref_appends[1] > 2 * 8_400
         image, stats, appends = self._one_server_write(fail_append=1)
         # Same file: no record staged twice, none lost.
         assert image == reference
@@ -201,25 +210,27 @@ class TestWriteBehindStage:
         assert stats.blocks_written == ref_stats.blocks_written
         assert stats.bytes_written == ref_stats.bytes_written
 
-    def test_crash_with_a_staged_tail_is_a_torn_file_the_heir_covers(self):
-        _, _, reference = _checkpoint_then_restart(plan=None)
+    def test_crash_with_a_staged_tail_is_a_torn_file_the_heir_covers(
+        self, whole_file_stage
+    ):
+        _, _, reference = _checkpoint_then_restart(plan=None, nodes=EAGER_NODES)
         servers = []
-        plan = FaultPlan((ServerCrash(rank=4, at_time=0.058),))
+        plan = FaultPlan((ServerCrash(rank=4, at_time=0.065),))
         result, machine, restored = _checkpoint_then_restart(
-            plan, server_config=self.WHOLE_FILE, servers=servers
+            plan, servers=servers, nodes=EAGER_NODES
         )
         (crashed,) = [s for s in servers if s.stats.crashed]
-        # It died holding staged records: blocks it counted as written
-        # that never reached the disk ...
-        staged = [
-            st.writer for st in crashed._paths.values() if st.writer.staged_bytes
-        ]
-        assert staged and crashed.stats.blocks_written > 0
+        # It died holding staged blocks, which it does not report as
+        # written: nothing of them reached the disk ...
+        staged = [st for st in crashed._paths.values() if st.staged]
+        assert staged and all(st.writer.staged_bytes for st in staged)
+        assert crashed.stats.blocks_received > 0
+        assert crashed.stats.blocks_written == crashed.stats.bytes_written == 0
         # ... in a file that has no commit footer, so the restart scan
         # refuses it and the heir's re-shipped copy supplies the blocks.
-        for writer in staged:
+        for st in staged:
             with pytest.raises(TornFileError):
-                decode_file(machine.disk.open(writer.path).read())
+                decode_file(machine.disk.open(st.writer.path).read())
         client_stats = [s for kind, s in result.returns if kind == "client"]
         assert sum(s.failovers for s in client_stats) >= 1
         assert set(restored) == set(reference) == set(range(18))
@@ -232,14 +243,18 @@ class TestWriteBehindStage:
     @pytest.mark.parametrize(
         "limit", [0, 64 * 1024, 2**30], ids=["per_block", "default", "whole_file"]
     )
-    def test_sync_returns_only_once_every_shipped_block_is_on_disk(self, limit):
+    @pytest.mark.parametrize("nodes", [EAGER_NODES, 1200], ids=["eager", "rendezvous"])
+    def test_sync_returns_only_once_every_shipped_block_is_on_disk(
+        self, limit, nodes, monkeypatch
+    ):
+        monkeypatch.setattr(panda_server, "WRITE_BEHIND_BYTES", limit)
         servers = []
         checked = []
 
         def after_sync(ctx, window):
             # Nothing this client was told is durable may still be staged.
             assert all(
-                st.writer.staged_bytes == 0
+                st.writer.staged_bytes == 0 and not st.staged
                 for server in servers
                 for st in server._paths.values()
             )
@@ -255,9 +270,13 @@ class TestWriteBehindStage:
                     )
                 checked.append(pid)
 
-        config = ServerConfig(write_behind_bytes=limit)
-        _launch(8, _write_main(2, config, servers, after_sync))
+        _launch(8, _write_main(2, None, servers, after_sync, nodes=nodes))
         assert sorted(checked) == list(range(6 * NBLOCKS))
+        written = sum(s.stats.blocks_written for s in servers)
+        flushes = sum(s.stats.write_flushes for s in servers)
+        assert written == 6 * NBLOCKS
+        # Only eager-sized blocks share transfers, and only under a limit.
+        assert (flushes < written) == (nodes == EAGER_NODES and limit > 0)
 
 
 class TestOverflowCounterExport:

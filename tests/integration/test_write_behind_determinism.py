@@ -1,7 +1,8 @@
 """Virtual-time pins for the Rocpanda server's write-behind stage.
 
-``ServerConfig(write_behind_bytes=0)`` lands every block on its own —
-through the same staged code path, not a kept fork — and must reproduce,
+The stage limit is a module constant (``server.WRITE_BEHIND_BYTES``), not
+an option; patched to 0 here, every block lands on its own — through the
+same staged code path, not a kept fork — and must reproduce,
 bit for bit, the virtual times of the commit before the stage existed.
 The reference values below were captured on that commit
 (b1f166d) with ``Machine(turing(), seed=100)`` on shrunken versions of
@@ -10,13 +11,11 @@ is the filesystem's write-op count.  The default limit must then do no
 more transfers and finish no later, and leave the same files behind.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.cluster import Machine, turing
 from repro.genx import GENxConfig, lab_scale_motor, run_genx, scalability_cylinder
-from repro.io import ServerConfig
+from repro.io.rocpanda import server
 
 #: (wall_time, visible_io_time, fs write ops) before the stage existed.
 PARENT = {
@@ -64,11 +63,10 @@ def _jobs():
     }
 
 
-def _run_all(server_config):
-    """Every job under ``server_config``: {name: (triple, disk image)}."""
+def _run_all():
+    """Every job: {name: (triple, disk image)}."""
     out, disks = {}, {}
     for name, (nranks, config, start_from) in _jobs().items():
-        config = dataclasses.replace(config, server_config=server_config)
         machine = Machine(turing(), seed=100, disk=disks.get(start_from))
         result = run_genx(machine, nranks, config)
         disks[name] = machine.disk
@@ -82,7 +80,9 @@ def _run_all(server_config):
 
 @pytest.fixture(scope="module")
 def per_block():
-    return _run_all(ServerConfig(write_behind_bytes=0))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server, "WRITE_BEHIND_BYTES", 0)
+        return _run_all()
 
 
 def test_limit_zero_is_the_parent_bit_for_bit(per_block):
@@ -90,7 +90,7 @@ def test_limit_zero_is_the_parent_bit_for_bit(per_block):
 
 
 def test_default_limit_same_files_fewer_transfers_no_later(per_block):
-    for name, (triple, image) in _run_all(None).items():
+    for name, (triple, image) in _run_all().items():
         (wall, _visible, ops), (ref_wall, _ref_visible, ref_ops) = triple, PARENT[name]
         assert image == per_block[name][1], name
         assert ops < ref_ops, name

@@ -1,21 +1,25 @@
 """Property test: the server's write-behind limit never shows in the files.
 
-``ServerConfig.write_behind_bytes`` decides how many queued blocks share
-one filesystem transfer — from every block on its own (0) to a whole
-file at once (2**30).  Record order is the FIFO queue order either way,
-so for any topology, pane layout and ship mode every server file must
-be byte-identical across limits, and a restart must restore exactly the
-arrays the clients registered.  Virtual time is *not* compared: fewer
-transfers is the point.
+``server.WRITE_BEHIND_BYTES`` (a module constant, patched here) decides
+how many queued eager-sized blocks share one filesystem transfer — from
+every block on its own (0) to as many as the queue holds (2**30);
+rendezvous-sized blocks land on their own whatever it says, and the
+layouts below mix both kinds.  Record order is the FIFO queue order
+either way, so for any topology, pane layout and ship mode every server
+file must be byte-identical across limits, and a restart must restore
+exactly the arrays the clients registered.  Virtual time is *not*
+compared: fewer transfers is the point.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
-from repro.io import PandaServer, RocpandaModule, ServerConfig, rocpanda_init
+from repro.io import PandaServer, RocpandaModule, rocpanda_init
+from repro.io.rocpanda import server
 from repro.roccom import AttributeSpec, Roccom
 from repro.vmpi import run_spmd
 
@@ -44,8 +48,7 @@ def _write(limit, batched, nservers, nclients, layout, nsnapshots, seed):
     def main(ctx):
         topo = yield from rocpanda_init(ctx, nservers)
         if topo.is_server:
-            config = ServerConfig(write_behind_bytes=limit)
-            return (yield from PandaServer(ctx, topo, config).run())
+            return (yield from PandaServer(ctx, topo).run())
         com = Roccom(ctx)
         panda = com.load_module(RocpandaModule(ctx, topo, batched=batched))
         w = _window(com)
@@ -63,7 +66,9 @@ def _write(limit, batched, nservers, nclients, layout, nsnapshots, seed):
         yield from panda.finalize()
 
     machine = Machine(make_testbox(nnodes=4, cpus_per_node=4), seed=seed)
-    job = run_spmd(machine, nservers + nclients, main)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server, "WRITE_BEHIND_BYTES", limit)
+        job = run_spmd(machine, nservers + nclients, main)
     return machine, [r for r in job.returns if r is not None]
 
 
@@ -145,7 +150,7 @@ def test_files_and_restart_do_not_depend_on_the_limit(shape, batched, nsnapshots
         assert 0 < sum(s.write_flushes for s in stats) <= sum(
             s.write_flushes for s in ref_stats
         )
-    # ``machine`` holds the 2**30 run: whole files landed in one transfer.
+    # ``machine`` holds the 2**30 run: the fewest, largest transfers.
     expected = {}
     for rank in range(nclients):
         expected.update(_pane_arrays(seed, rank, layout))

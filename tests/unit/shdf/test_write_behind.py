@@ -49,7 +49,9 @@ def write_file(format_version, flush_every_call, end_with_flush=False):
     def program():
         yield from writer.open(file_attrs={"k": 1})
         for records in batches():
-            yield from writer.write_records(records, flush=flush_every_call)
+            yield from writer.write_records(records)
+            if flush_every_call:
+                yield from writer.flush()
         if end_with_flush:
             yield from writer.flush()
             assert writer.staged_bytes == 0
@@ -91,7 +93,7 @@ class TestStagedWriteRecords:
         def program():
             yield from writer.open()
             size, ops, t0 = writer._vfile.size, fs.metrics.write_ops, env.now
-            yield from writer.write_records(first, flush=False)
+            yield from writer.write_records(first)
             assert env.now > t0  # create_cost + meta ops are per batch
             assert writer._vfile.size == size
             assert fs.metrics.write_ops == ops
@@ -100,8 +102,13 @@ class TestStagedWriteRecords:
             assert writer.ndatasets == len(first)
             meta = hdf4_driver().meta_bytes_per_dataset
             assert writer.staged_bytes == sum(len(r[1]) + meta for r in first)
-            # flush=True lands what earlier calls staged, in order.
+            assert writer.charge_for(second) == sum(
+                len(r[1]) + meta for r in second
+            )
+            # One flush lands everything staged, in order.
             yield from writer.write_records(second)
+            assert writer.staged_bytes == writer.charge_for(first + second)
+            yield from writer.flush()
             assert writer.staged_bytes == 0
             assert fs.metrics.write_ops == ops + 1
             assert writer._vfile.size == size + sum(
@@ -120,7 +127,7 @@ class TestStagedWriteRecords:
             yield from writer.open()
             t0, ops = env.now, fs.metrics.write_ops
             yield from writer.flush()
-            yield from writer.write_records([], flush=True)
+            yield from writer.write_records([])
             assert (env.now, fs.metrics.write_ops) == (t0, ops)
             yield from writer.close()
 
@@ -135,7 +142,7 @@ class TestStagedWriteRecords:
 
         def program():
             yield from writer.open()
-            yield from writer.write_records(records, flush=False)
+            yield from writer.write_records(records)
             yield from writer.write_dataset(extra)
             yield from writer.close()
 
@@ -151,13 +158,13 @@ class TestStagedWriteRecords:
 
         def program():
             yield from writer.open()
-            yield from writer.write_records(records, flush=False)
+            yield from writer.write_records(records)
             yield from writer.close()
 
         drive(env, program())
         assert writer.staged_bytes == 0
         with pytest.raises(RuntimeError):
-            drive(env, writer.write_records(records, flush=False))
+            drive(env, writer.write_records(records))
         with pytest.raises(RuntimeError):
             drive(env, writer.flush())
 
@@ -176,8 +183,8 @@ class TestFaultedFlush:
         fs.disk.fault_hook = hook
         return fs, left
 
-    @pytest.mark.parametrize("retry_with", ["flush", "close"])
-    def test_fault_keeps_the_stage_and_retry_lands_it_once(self, retry_with):
+    @pytest.mark.parametrize("fault_in", ["flush", "close"])
+    def test_fault_keeps_the_stage_and_retry_lands_it_once(self, fault_in):
         env = Environment()
         fs, fault = self._faulting_fs(env)
         writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver())
@@ -185,16 +192,18 @@ class TestFaultedFlush:
 
         def program():
             yield from writer.open()
+            yield from writer.write_records(records)  # staging cannot fault
             fault["armed"] = True
             size = writer._vfile.size
             with pytest.raises(TransientIOError):
-                yield from writer.write_records(records)
+                yield from getattr(writer, fault_in)()
             # Raise-before-mutate: nothing landed, everything still staged,
             # and counted — a retry must not stage the records again.
             assert writer._vfile.size == size
             assert writer.staged_bytes > 0
             assert writer.ndatasets == len(records)
-            if retry_with == "flush":
+            assert writer.is_open
+            if fault_in == "flush":
                 yield from writer.flush()
             yield from writer.close()
 
