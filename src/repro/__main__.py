@@ -119,12 +119,16 @@ def cmd_ablations(args) -> None:
     ))
     a2t = run_driver_tier_matrix(ndatasets=100 if args.quick else 800)
     rows = [
-        [driver, tier, v["visible_write_s"], v["durable_s"]]
+        [
+            driver, tier, v["visible_write_s"], v["durable_s"],
+            (v["durable_s"] - v["visible_write_s"]) * 1e3,
+        ]
         for driver, tiers in a2t.items()
         for tier, v in tiers.items()
     ]
     _emit(args, "a2_tiers.txt", render_table(
-        ["driver", "tier", "visible write (s)", "durable (s)"], rows,
+        ["driver", "tier", "visible write (s)", "durable (s)", "drain tail (ms)"],
+        rows,
         title="A2b — driver x storage tier",
     ))
     a3 = run_ratio_sweep()

@@ -116,11 +116,15 @@ def run_driver_tier_matrix(
 
     The same pure SHDF + NFS micro as :func:`run_hdf_driver_scaling`,
     crossed with the storage tier: ``direct`` pays the backing cost in
-    the visible write; ``burst`` absorbs at memory bandwidth and drains
-    behind, so the visible number collapses while ``durable_s`` (when
-    the drain barrier releases) stays at backing cost.  The tier sits
-    *below* the format drivers, so the visible-write ratio between the
-    tiers should be of the same order for HDF4 and HDF5 — that
+    the visible write; ``burst`` absorbs at memory bandwidth, so what
+    is left of the visible write is the format's per-dataset
+    ``create_cost`` bookkeeping.  The drain runs *during* those sleeps,
+    so when the writer closes only the last flush is still in flight:
+    ``durable_s`` (when the drain barrier releases) trails
+    ``visible_write_s`` by that one flush — strictly later, but
+    milliseconds, not the backing cost.  The tier sits *below* the
+    format drivers, so both the visible-write ratio between the tiers
+    and the drain tail should be the same for HDF4 and HDF5 — that
     driver-independence is what this matrix checks.
     """
     from ..fs.tiers import BurstBufferTier

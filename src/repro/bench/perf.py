@@ -11,22 +11,21 @@ Benchmarks:
 
 * ``des_events`` — DES kernel event throughput (timeout alloc +
   schedule + heap pop + generator resume per event);
-* ``mailbox_backlog`` / ``mailbox_waiters`` — vmpi matching throughput
-  against a deep backlog / a deep selective-waiter list, for both the
-  production matcher and the reference linear-scan matcher;
-* ``vmpi_msgrate`` — end-to-end message rate through the full
+* ``des_dispatch_bucketed`` / ``bulk_delivery_bucketed`` — raw
+  schedule+pop rate and fused same-timestamp callback fan-out;
+* ``mailbox_backlog_indexed`` / ``mailbox_waiters_indexed`` — vmpi
+  matching throughput against a deep backlog / a deep
+  selective-waiter list;
+* ``vmpi_msgrate_indexed`` — end-to-end message rate through the full
   ``Comm.send``/``recv`` stack (fan-in with source-selective receives,
-  the Rocpanda server pattern), again for both matchers;
+  the Rocpanda server pattern);
 * ``codec_encode`` / ``codec_decode`` / ``codec_decode_zero_copy`` —
   SHDF codec bandwidth in MB/s;
-* ``ship_batched`` / ``ship_perblock`` — Rocpanda client→server block
-  shipping through the full stack (Roccom call, pack, vmpi flights,
-  server ingest + write), for both the two-phase batched path and the
-  per-block executable spec;
-* ``restart_twophase`` / ``restart_perblock`` — Rocpanda collective
-  restart through the full stack (server scan, bulk or per-block
-  reads, reply flights, client apply), for both the two-phase sieved
-  path and the per-block executable spec;
+* ``ship_batched`` — Rocpanda client→server block shipping through
+  the full stack (Roccom call, encode, pack, vmpi flights, server
+  ingest + write);
+* ``restart_twophase`` — Rocpanda collective restart through the full
+  stack (server scan, sieved bulk reads, reply flights, client apply);
 * ``vfs_coalesce`` / ``vfs_percall`` — SHDF dataset writes through the
   write-coalescing scheduler vs one ``fs.write`` per dataset;
 * ``vfs_read_coalesce`` — SHDF dataset reads through the structural
@@ -140,18 +139,17 @@ def bench_des_events(nevents: int = 200_000) -> Dict[str, float]:
     return _timed(run)
 
 
-def bench_des_dispatch(nevents: int = 200_000, queue: str = "bucketed") -> Dict[str, float]:
-    """Raw schedule+pop dispatch rate through one queue implementation.
+def bench_des_dispatch(nevents: int = 200_000) -> Dict[str, float]:
+    """Raw schedule+pop dispatch rate through the event queue.
 
     The fill mixes same-``(time, priority)`` bursts (the tree-collective
     / coalesced-flush shape that the bucketed queue turns into deque
-    appends) with distinct-key singletons (pure heap churn), so the
-    bucketed/heapq pair quantifies the queue-structure win in isolation
-    from process-resume cost.
+    appends) with distinct-key singletons (pure heap churn), in
+    isolation from process-resume cost.
     """
     from ..des import NORMAL, Environment, Event
 
-    env = Environment(queue=queue)
+    env = Environment()
 
     def run() -> int:
         schedule = env.schedule
@@ -179,18 +177,17 @@ def bench_des_dispatch(nevents: int = 200_000, queue: str = "bucketed") -> Dict[
 
 
 def bench_bulk_delivery(
-    ndeliveries: int = 200_000, fanout: int = 64, queue: str = "bucketed"
+    ndeliveries: int = 200_000, fanout: int = 64
 ) -> Dict[str, float]:
     """Same-timestamp callback fan-out via :meth:`Environment.schedule_callback`.
 
-    The bucketed queue fuses each ``fanout``-sized burst into one bulk
-    entry dispatched in a single pop; the heapq spec pays one entry per
-    callback.  ``events_processed`` counts the fan-out identically on
-    both, so the ops/sec ratio is the pure fusion win.
+    The queue fuses each ``fanout``-sized burst into one bulk entry
+    dispatched in a single pop; ``events_processed`` still counts the
+    whole fan-out.
     """
     from ..des import Environment
 
-    env = Environment(queue=queue)
+    env = Environment()
 
     def _sink(_arg) -> None:
         return None
@@ -222,27 +219,18 @@ def _make_envelope(src: int, tag: int, seq: int):
     )
 
 
-def _resolve_mailbox(mailbox: str):
-    from ..vmpi import mailbox as mb
-
-    if mailbox == "reference":
-        return getattr(mb, "LinearScanMailbox", mb.Mailbox)
-    return mb.Mailbox
-
-
-def bench_mailbox_backlog(
-    nsources: int = 64, rounds: int = 60, mailbox: str = "indexed"
-) -> Dict[str, float]:
+def bench_mailbox_backlog(nsources: int = 64, rounds: int = 60) -> Dict[str, float]:
     """Deliver a full backlog, then take source-selectively in reverse.
 
-    A linear matcher scans (and ``del``-shifts) deep into the arrival
-    list for every take; an indexed matcher pops per-key deques.
+    A linear matcher would scan (and ``del``-shift) deep into the
+    arrival list for every take; the indexed matcher pops per-key
+    deques.
     """
     from ..des import Environment
+    from ..vmpi.mailbox import Mailbox
 
-    cls = _resolve_mailbox(mailbox)
     env = Environment()
-    box = cls(env)
+    box = Mailbox(env)
 
     def run() -> int:
         seq = 0
@@ -257,19 +245,16 @@ def bench_mailbox_backlog(
     return _timed(run)
 
 
-def bench_mailbox_waiters(
-    nsources: int = 64, rounds: int = 60, mailbox: str = "indexed"
-) -> Dict[str, float]:
+def bench_mailbox_waiters(nsources: int = 64, rounds: int = 60) -> Dict[str, float]:
     """Post selective waiters, then deliver in worst-case order.
 
-    Exercises the waiter-rescan loop: every delivery re-examines the
-    pending waiter list (O(waiters x items) in the reference matcher).
+    Every delivery walks the pending waiter list once.
     """
     from ..des import Environment
+    from ..vmpi.mailbox import Mailbox
 
-    cls = _resolve_mailbox(mailbox)
     env = Environment()
-    box = cls(env)
+    box = Mailbox(env)
 
     def run() -> int:
         for r in range(rounds):
@@ -283,9 +268,7 @@ def bench_mailbox_waiters(
     return _timed(run)
 
 
-def bench_vmpi_msgrate(
-    nranks: int = 32, nmsgs: int = 40, mailbox: str = "indexed"
-) -> Dict[str, float]:
+def bench_vmpi_msgrate(nranks: int = 32, nmsgs: int = 40) -> Dict[str, float]:
     """Fan-in message rate through the full Comm stack.
 
     ``nranks - 1`` senders stream eager messages at rank 0, which
@@ -296,7 +279,6 @@ def bench_vmpi_msgrate(
     from ..cluster import Machine, testbox
     from ..vmpi.launcher import Job
 
-    cls = _resolve_mailbox(mailbox)
     machine = Machine(testbox(nnodes=8, cpus_per_node=8), seed=0)
     total = (nranks - 1) * nmsgs
 
@@ -310,7 +292,7 @@ def bench_vmpi_msgrate(
             for m in range(nmsgs):
                 yield from ctx.world.send(payload, dest=0, tag=m)
 
-    job = Job(machine, nranks, mailbox_factory=cls)
+    job = Job(machine, nranks)
 
     def run() -> int:
         job.run(main)
@@ -371,15 +353,12 @@ def bench_ship(
     nblocks: int = 24,
     nsnapshots: int = 4,
     cells: int = 2048,
-    batched: bool = True,
 ) -> Dict[str, float]:
     """Block shipping rate (blocks/sec) through the full Rocpanda stack.
 
     One client streams ``nsnapshots`` snapshots of ``nblocks`` blocks at
-    one server: Roccom interface call, marshalling, vmpi flights, server
-    ingest and SHDF write all included.  ``batched`` selects two-phase
-    shipping vs the per-block executable spec — the pair quantifies the
-    aggregation win at identical virtual behaviour.
+    one server: Roccom interface call, encode, marshalling, vmpi
+    flights, server ingest and SHDF write all included.
     """
     from ..cluster import Machine, testbox
     from ..io import PandaServer, RocpandaModule, rocpanda_init
@@ -395,7 +374,7 @@ def bench_ship(
             yield from PandaServer(ctx, topo).run()
             return
         com = Roccom(ctx)
-        panda = com.load_module(RocpandaModule(ctx, topo, batched=batched))
+        panda = com.load_module(RocpandaModule(ctx, topo))
         w = com.new_window("W")
         w.declare_attribute(AttributeSpec("f", LOC_ELEMENT))
         for i in range(nblocks):
@@ -419,16 +398,13 @@ def bench_restart(
     nblocks: int = 24,
     cells: int = 2048,
     repeats: int = 3,
-    batched_restart: bool = True,
 ) -> Dict[str, float]:
     """Collective restart rate (blocks/sec) through the full Rocpanda stack.
 
     One server writes a snapshot once (setup, untimed); the timed part
     runs ``repeats`` fresh restart jobs against that disk — request
-    collection, server-side file scan (sieved bulk regions or the
-    per-dataset loop), reply flights, and client-side block apply all
-    included.  ``batched_restart`` selects the two-phase collective
-    read vs the per-block executable spec.
+    collection, server-side file scan (sieved bulk regions), reply
+    flights, and client-side block apply all included.
     """
     from ..cluster import Machine, testbox
     from ..io import PandaServer, RocpandaModule, rocpanda_init
@@ -460,9 +436,7 @@ def bench_restart(
             yield from PandaServer(ctx, topo).run()
             return 0
         com = Roccom(ctx)
-        panda = com.load_module(
-            RocpandaModule(ctx, topo, batched_restart=batched_restart)
-        )
+        panda = com.load_module(RocpandaModule(ctx, topo))
         w = com.new_window("W")
         w.declare_attribute(AttributeSpec("f", LOC_ELEMENT))
         for i in range(nblocks):
@@ -768,21 +742,16 @@ def run_perfbench(
 
     micro: Dict[str, Any] = {}
     micro["des_events"] = best(lambda: bench_des_events(sizes["nevents"]))
-    for impl in ("bucketed", "heapq"):
-        micro[f"des_dispatch_{impl}"] = best(
-            lambda i=impl: bench_des_dispatch(sizes["nevents"], queue=i))
-        micro[f"bulk_delivery_{impl}"] = best(
-            lambda i=impl: bench_bulk_delivery(sizes["nevents"], queue=i))
-    for impl in ("indexed", "reference"):
-        micro[f"mailbox_backlog_{impl}"] = best(
-            lambda i=impl: bench_mailbox_backlog(
-                sizes["nsources"], sizes["rounds"], mailbox=i))
-        micro[f"mailbox_waiters_{impl}"] = best(
-            lambda i=impl: bench_mailbox_waiters(
-                sizes["nsources"], sizes["rounds"], mailbox=i))
-        micro[f"vmpi_msgrate_{impl}"] = best(
-            lambda i=impl: bench_vmpi_msgrate(
-                sizes["nranks"], sizes["nmsgs"], mailbox=i))
+    micro["des_dispatch_bucketed"] = best(
+        lambda: bench_des_dispatch(sizes["nevents"]))
+    micro["bulk_delivery_bucketed"] = best(
+        lambda: bench_bulk_delivery(sizes["nevents"]))
+    micro["mailbox_backlog_indexed"] = best(
+        lambda: bench_mailbox_backlog(sizes["nsources"], sizes["rounds"]))
+    micro["mailbox_waiters_indexed"] = best(
+        lambda: bench_mailbox_waiters(sizes["nsources"], sizes["rounds"]))
+    micro["vmpi_msgrate_indexed"] = best(
+        lambda: bench_vmpi_msgrate(sizes["nranks"], sizes["nmsgs"]))
     codec_runs = [
         bench_codec(ndatasets=sizes["ndatasets"], repeats=sizes["repeats"])
         for _ in range(passes)
@@ -791,15 +760,10 @@ def run_perfbench(
         micro[f"codec_{name}"] = min(
             (run[name] for run in codec_runs),
             key=lambda numbers: numbers["seconds"])
-    for name, batched in (("ship_batched", True), ("ship_perblock", False)):
-        micro[name] = best(lambda b=batched: bench_ship(
-            sizes["ship_blocks"], sizes["ship_snaps"], batched=b))
-    for name, batched_restart in (
-        ("restart_twophase", True), ("restart_perblock", False)
-    ):
-        micro[name] = best(lambda b=batched_restart: bench_restart(
-            sizes["restart_blocks"], repeats=sizes["restart_repeats"],
-            batched_restart=b))
+    micro["ship_batched"] = best(lambda: bench_ship(
+        sizes["ship_blocks"], sizes["ship_snaps"]))
+    micro["restart_twophase"] = best(lambda: bench_restart(
+        sizes["restart_blocks"], repeats=sizes["restart_repeats"]))
     for name, coalesce in (("vfs_coalesce", True), ("vfs_percall", False)):
         micro[name] = best(lambda c=coalesce: bench_vfs_coalesce(
             sizes["vfs_datasets"], repeats=sizes["vfs_repeats"], coalesce=c))

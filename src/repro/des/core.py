@@ -10,42 +10,32 @@ The kernel is deterministic: events scheduled for the same time fire in
 (priority, insertion-order) order, so repeated runs of the same program
 produce identical traces.
 
-Two queue implementations share that contract
-(``Environment(queue=...)``):
+The scheduler merges three structures into one total order:
 
-* ``"bucketed"`` (default) — the production scheduler.  Three
-  structures merge into one total order:
-
-  - a binary heap of singleton ``(time, priority, eid, event)``
-    entries;
-  - the "now ladder" deque of zero-delay NORMAL events (PR 7);
-  - *buckets*: per-``(time, priority)`` deques for the same-timestamp
-    bursts that tree collectives and coalesced flushes emit.  A burst
-    is detected when a key repeats back-to-back (or an existing bucket
-    is hit); from then on every event of that key lands in the bucket
-    with a plain ``deque.append`` instead of an O(log n) heap push.
-    One 3-tuple ``(time, priority, first_eid)`` per live bucket sits
-    in a small key heap; because all later entries of a key are
-    *forced* into its bucket, the first eid under-approximates every
-    bucketed eid while no foreign entry of that key can sort between
-    them — so the head-to-head tuple comparison against the singleton
-    heap and the now ladder reproduces the single-heap pop order
-    exactly (property-tested against the spec).
-
-  The bucketed queue also supports *lazy cancellation*
-  (:meth:`Event.cancel`), pooled auto-free timeouts
-  (:meth:`Environment.sleep`) and *fused bulk delivery*
-  (:meth:`Environment.schedule_callback`): many same-timestamp
-  callbacks ride one queue entry and run in a single dispatch, with
-  the fan-out still counted in ``events_processed``.
-
-* ``"heapq"`` — the original single-heap scheduler, kept verbatim as
-  the executable specification.  Every schedule is one ``heappush``
-  and every pop one ``heappop``; cancellation, pooling and bulk
-  callbacks behave identically (bulk entries are simply never fused).
-  The hypothesis property suite drives both implementations with the
+- a binary heap of singleton ``(time, priority, eid, event)`` entries;
+- the "now ladder" deque of zero-delay NORMAL events;
+- *buckets*: per-``(time, priority)`` deques for the same-timestamp
+  bursts that tree collectives and coalesced flushes emit.  A burst is
+  detected when a key repeats back-to-back (or an existing bucket is
+  hit); from then on every event of that key lands in the bucket with
+  a plain ``deque.append`` instead of an O(log n) heap push.  One
+  3-tuple ``(time, priority, first_eid)`` per live bucket sits in a
+  small key heap; because all later entries of a key are *forced* into
+  its bucket, the first eid under-approximates every bucketed eid while
+  no foreign entry of that key can sort between them — so the
+  head-to-head tuple comparison against the singleton heap and the now
+  ladder reproduces the pop order of one ``(time, priority, eid)`` heap
+  exactly.  The hypothesis property suite drives this queue and a
+  single-heap oracle (``tests/spec/heap_env.py``, which overrides the
+  three ``schedule*`` methods with one ``heappush`` each) through the
   same schedule/cancel/bulk interleavings and asserts identical
   callback firing order.
+
+The queue also supports *lazy cancellation* (:meth:`Event.cancel`),
+pooled auto-free timeouts (:meth:`Environment.sleep`) and *fused bulk
+delivery* (:meth:`Environment.schedule_callback`): many same-timestamp
+callbacks ride one queue entry and run in a single dispatch, with the
+fan-out still counted in ``events_processed``.
 """
 
 from __future__ import annotations
@@ -383,19 +373,14 @@ class Environment:
     """Execution environment of a simulation.
 
     Holds the clock and the event queue, and provides factory helpers
-    for the common event types.  ``queue`` selects the scheduler:
-    ``"bucketed"`` (production) or ``"heapq"`` (the single-heap
-    executable spec; see the module docstring).
+    for the common event types.
     """
 
     #: Sampling stride for the queue-depth high-water mark kept by
     #: :meth:`run` (power of two; sampled every N events).
     _DEPTH_SAMPLE_MASK = 4095
 
-    def __init__(self, initial_time: float = 0.0, queue: str = "bucketed"):
-        if queue not in ("bucketed", "heapq"):
-            raise ValueError(f"unknown queue implementation {queue!r}")
-        self._spec = queue == "heapq"
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list = []
         #: The "now ladder": zero-delay NORMAL-priority events in
@@ -455,11 +440,6 @@ class Environment:
         """The process currently executing (None between events)."""
         return self._active_proc
 
-    @property
-    def queue_impl(self) -> str:
-        """Name of the active scheduler implementation."""
-        return "heapq" if self._spec else "bucketed"
-
     # -- factories -----------------------------------------------------
     def event(self) -> Event:
         return Event(self)
@@ -510,11 +490,6 @@ class Environment:
     # -- scheduling ----------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Schedule ``event`` to fire after ``delay`` time units."""
-        if self._spec:
-            heappush(
-                self._queue, (self._now + delay, priority, next(self._eid), event)
-            )
-            return
         if delay == 0.0 and priority == NORMAL:
             self._nowq.append((self._now, NORMAL, next(self._eid), event))
             return
@@ -553,13 +528,6 @@ class Environment:
         delayed batches go straight into a burst bucket — one key-heap
         push for the whole batch instead of one heap push per event.
         """
-        if self._spec:
-            queue = self._queue
-            eid = self._eid
-            at = self._now + delay
-            for ev in events:
-                heappush(queue, (at, priority, next(eid), ev))
-            return
         if delay == 0.0 and priority == NORMAL:
             now = self._now
             eid = self._eid
@@ -603,13 +571,6 @@ class Environment:
         never changes *when* a callback runs, only how many queue
         entries carry the batch.
         """
-        if self._spec:
-            bulk = _Bulk()
-            bulk.callbacks.append((fn, arg))
-            heappush(
-                self._queue, (self._now + delay, priority, next(self._eid), bulk)
-            )
-            return
         if delay == 0.0 and priority == NORMAL:
             nowq = self._nowq
             lbn = self._lbn

@@ -20,7 +20,6 @@ from ..io.trochdf import TRochdfModule
 from ..roccom.module import IO_WINDOW
 from ..roccom.registry import Roccom
 from ..shdf.drivers import STORAGE_TIERS, HDFDriver, apply_storage_tier, hdf4_driver
-from ..util.trace import Tracer
 from ..vmpi.launcher import run_spmd
 from . import physics as phys
 from .partition import partition_blocks
@@ -274,7 +273,6 @@ def run_genx(
     nprocs: int,
     config: GENxConfig,
     placement: Optional[Callable] = None,
-    tracer: Optional[Tracer] = None,
 ) -> GENxRunResult:
     """Launch a full GENx job and aggregate the results."""
     if config.io_mode == "rocpanda" and nprocs - config.nservers < config.nservers:
@@ -286,7 +284,7 @@ def run_genx(
             f"{nprocs - config.nservers} clients"
         )
     apply_storage_tier(machine, config.storage_tier, config.tier_config)
-    job = run_spmd(machine, nprocs, genx_main(config), placement=placement, tracer=tracer)
+    job = run_spmd(machine, nprocs, genx_main(config), placement=placement)
     clients = [r for r in job.returns if isinstance(r, ClientReport)]
     servers = [r for r in job.returns if isinstance(r, ServerReport)]
     if not clients:

@@ -201,5 +201,4 @@ class LoadBalancer:
         self.history.extend(
             m for m in plan.moves if rank in (m.src, m.dst)
         )
-        ctx.trace("loadbalance", f"epoch {self._epoch}: {moved} blocks moved")
         return moved

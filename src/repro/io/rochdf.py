@@ -64,9 +64,10 @@ class RochdfModule(ServiceModule):
         self, attempt: int, exc: BaseException, op: str = "write"
     ) -> None:
         self.stats.retries += 1
-        if self.ctx.recorder is not None:
-            self.ctx.recorder.record_counter(self.name, f"{op}_retries")
-        self.ctx.trace(self.name, f"{op} fault ({exc}); retry {attempt + 1}")
+        ctx = self.ctx
+        if ctx.recorder is not None:
+            ctx.recorder.record_counter(self.name, f"{op}_retries")
+            ctx.log_fault(f"{self.name} {op} fault ({exc}); retry {attempt + 1}")
 
     def _note_read_retry(self, attempt: int, exc: BaseException) -> None:
         self._note_retry(attempt, exc, op="read")
@@ -109,7 +110,6 @@ class RochdfModule(ServiceModule):
         ctx.io_record(
             self.name, "write_attribute", path=file_path, nbytes=nbytes, t_start=t0
         )
-        ctx.trace("rochdf", f"wrote {len(blocks)} blocks to {file_path}")
 
     def _write_file(self, writer: SHDFWriter, blocks, file_attrs) -> int:
         """Generator: open/write/close one snapshot file, retrying faults.
@@ -208,7 +208,9 @@ class RochdfModule(ServiceModule):
                 # previous good snapshot.
                 if ctx.recorder is not None:
                     ctx.recorder.record_counter(self.name, "torn_files_skipped")
-                ctx.trace(self.name, f"skipping torn snapshot file {file_path}")
+                    ctx.log_fault(
+                        f"{self.name} skipping torn snapshot file {file_path}"
+                    )
                 continue
             names = [
                 n
@@ -270,7 +272,6 @@ class RochdfModule(ServiceModule):
         ctx.io_record(
             self.name, "read_attribute", path=path, nbytes=nbytes, t_start=t0
         )
-        ctx.trace("rochdf", f"restored {len(restored)} blocks from {path}")
         return sorted(restored)
 
     def _tier_barrier(self):

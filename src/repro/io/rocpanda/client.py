@@ -22,10 +22,10 @@ from .protocol import (
     TAG_BLOCK,
     TAG_CTRL,
     TAG_REPLY,
+    BlockBatch,
     BlockEnvelope,
     ProtocolError,
     RestartBatch,
-    RestartBlock,
     RestartDone,
     RestartRequest,
     Shutdown,
@@ -47,18 +47,16 @@ class _PendingOutput:
     failover target (whose block dedup drops anything it already has).
     """
 
-    __slots__ = ("path", "window", "blocks", "file_attrs", "delivered_to", "batch")
+    __slots__ = ("window", "batch", "file_attrs", "delivered_to")
 
-    def __init__(self, path, window, blocks, file_attrs):
-        self.path = path
+    def __init__(self, window, batch: BlockBatch, file_attrs):
         self.window = window
-        self.blocks = blocks
+        #: The snapshot as encoded at write_attribute time; re-ships
+        #: resend these private record bytes, never the live arrays.
+        self.batch = batch
         self.file_attrs = file_attrs
         #: Server rank this entry was last fully delivered to.
         self.delivered_to = None
-        #: Pre-encoded BlockBatch when batched shipping is on; re-ships
-        #: resend these private record bytes, never the live arrays.
-        self.batch = None
 
 
 class RocpandaModule(ServiceModule):
@@ -79,8 +77,6 @@ class RocpandaModule(ServiceModule):
         pack_bw: float = None,
         client_buffering: bool = False,
         retry: Optional[RetryPolicy] = None,
-        batched: bool = True,
-        batched_restart: bool = True,
     ):
         """``client_buffering`` enables the *full* active-buffering
         hierarchy of [13]: output is first copied into client-side
@@ -89,22 +85,6 @@ class RocpandaModule(ServiceModule):
         GENx's production configuration keeps this off — "only
         server-side buffering is used because the servers have enough
         idle memory" (§6.1) — but the hierarchy is part of the scheme.
-
-        ``batched`` selects two-phase shipping: the whole snapshot is
-        encoded client-side into one shared buffer and travels as
-        pre-serialised records the server appends verbatim.  The
-        per-block path remains the executable spec (``batched=False``),
-        selectable exactly like the mailbox implementations; both modes
-        produce bit-identical virtual time and on-disk bytes in
-        fault-free runs.
-
-        ``batched_restart`` selects the two-phase collective *read*
-        path for ``read_attribute``: requests go to every alive server,
-        servers bulk-read their file shares in sieved regions (with
-        read-ahead) and scatter aggregated :class:`RestartBatch`
-        replies.  ``batched_restart=False`` keeps the per-block
-        request/reply loop as the executable spec; both modes restore
-        bit-identical window data.
         """
         if topo.is_server:
             raise ValueError("RocpandaModule is the client side; servers run PandaServer")
@@ -113,8 +93,6 @@ class RocpandaModule(ServiceModule):
         self.pack_overhead = pack_overhead if pack_overhead is not None else self.PACK_OVERHEAD
         self.pack_bw = pack_bw if pack_bw is not None else self.PACK_BW
         self.client_buffering = client_buffering
-        self.batched = batched
-        self.batched_restart = batched_restart
         self.retry = retry if retry is not None else RetryPolicy()
         self.stats = IOStats()
         self.com = None
@@ -175,105 +153,52 @@ class RocpandaModule(ServiceModule):
         t0 = ctx.now
         blocks = collect_blocks(self.com, window_name, attr_names)
         total = sum(b.nbytes for b in blocks)
-        if self.batched and not self.client_buffering:
-            # Two-phase shipping: serialising the datasets into the
-            # shared batch buffer IS the snapshot copy — the caller may
-            # mutate its arrays the moment this returns, the record
-            # bytes are already private.
-            batch = encode_block_batch(path, blocks)
-            if self._faults is None:
-                yield from self._ship_batched(
-                    path, window_name, batch, dict(file_attrs or {})
-                )
-            else:
-                entry = _PendingOutput(
-                    path, window_name, blocks, dict(file_attrs or {})
-                )
-                entry.batch = batch
-                self._unsynced.append(entry)
-                yield from self._deliver_pending()
-            self.stats.snapshots += 1
-            self.stats.visible_write_time += ctx.now - t0
-            ctx.io_record(
-                self.name, "write_attribute", path=path, nbytes=total, t_start=t0
-            )
-            ctx.trace(
-                "rocpanda", f"shipped {len(blocks)} blocks ({total} B) for {path}"
-            )
-            return
-        # Snapshot the arrays: blocking-I/O semantics let the caller
-        # mutate its buffers the moment this call returns (§6), while
-        # the server writes the data later.  The copy's time cost is
-        # already part of the modeled transfer + server ingest.
-        for block in blocks:
-            block.arrays = {k: v.copy() for k, v in block.arrays.items()}
+        # Serialising the datasets into the shared batch buffer IS the
+        # snapshot copy: blocking-I/O semantics let the caller mutate
+        # its arrays the moment this call returns (§6), and the record
+        # bytes are already private.  The copy's time cost is part of
+        # the modeled transfer + server ingest.
+        batch = encode_block_batch(path, blocks)
+        attrs = dict(file_attrs or {})
         if self.client_buffering:
             # Full active-buffering hierarchy ([13]): visible cost is
-            # the local copy; the background sender ships the blocks.
+            # the local copy; the background sender ships the batch.
             yield from ctx.memcpy(total)
             done = Event(ctx.env)
             self._pending_sends.append(done)
-            self._send_queue.put(
-                (path, window_name, blocks, dict(file_attrs or {}), done)
-            )
-        elif self._faults is None:
-            yield from self._ship(path, window_name, blocks, dict(file_attrs or {}))
+            self._send_queue.put((window_name, batch, attrs, done))
         else:
-            self._unsynced.append(
-                _PendingOutput(path, window_name, blocks, dict(file_attrs or {}))
-            )
-            yield from self._deliver_pending()
+            yield from self._deliver(window_name, batch, attrs)
         self.stats.snapshots += 1
         self.stats.visible_write_time += ctx.now - t0
         ctx.io_record(
             self.name, "write_attribute", path=path, nbytes=total, t_start=t0
         )
-        ctx.trace("rocpanda", f"shipped {len(blocks)} blocks ({total} B) for {path}")
 
-    def _ship(self, path, window_name, blocks, file_attrs):
-        """Generator: the actual WriteBegin + block-send sequence."""
-        ctx = self.ctx
-        world = self.topo.world
-        server = self._server
-        yield from world.send(
-            WriteBegin(
-                path=path,
-                window=window_name,
-                nblocks=len(blocks),
-                total_bytes=sum(b.nbytes for b in blocks),
-                file_attrs=file_attrs,
-            ),
-            dest=server,
-            tag=TAG_CTRL,
-        )
-        for block in blocks:
-            # Marshal the block into a message (client-side CPU work).
-            # With a single client the server idles during this gap;
-            # with many clients other blocks fill it — the pipelining
-            # behind Fig 3(a)'s throughput rise from 1 to 15 clients.
-            yield ctx.env.sleep(self.pack_overhead + block.nbytes / self.pack_bw)
-            yield from world.send(
-                BlockEnvelope(path, block), dest=server, tag=TAG_BLOCK
-            )
-            self.stats.blocks_written += 1
-            self.stats.bytes_written += block.data_nbytes
+    def _deliver(self, window_name, batch, file_attrs):
+        """Generator: ship one snapshot (from the caller or the sender)."""
+        if self._faults is None:
+            yield from self._ship(window_name, batch, file_attrs)
+        else:
+            self._unsynced.append(_PendingOutput(window_name, batch, file_attrs))
+            yield from self._deliver_pending()
 
-    def _ship_batched(self, path, window_name, batch, file_attrs):
+    def _ship(self, window_name, batch, file_attrs):
         """Generator: two-phase ship of a pre-encoded snapshot batch.
 
-        Replays :meth:`_ship`'s wire schedule event for event — same
-        WriteBegin, same per-block pack timeouts, same per-block
-        rendezvous flights (each ``EncodedBlock`` pins its accounting
-        size to the source block's, so every envelope has the identical
-        byte count) — which is what makes fault-free virtual time
-        bit-identical across ship modes.  The wall-clock win comes from
-        what *doesn't* happen here: no per-block array snapshot copies,
-        no per-message rank/cache lookups (one prebound
-        :class:`~repro.vmpi.comm.SendStream` serves every flight), and
-        no server-side re-encode.
+        One WriteBegin, then per block a pack timeout and a rendezvous
+        flight — each ``EncodedBlock`` pins its accounting size to the
+        source block's, so every envelope has the byte count the block
+        itself would.  With a single client the server idles during the
+        pack gaps; with many clients other blocks fill them — the
+        pipelining behind Fig 3(a)'s throughput rise from 1 to 15
+        clients.  One prebound :class:`~repro.vmpi.comm.SendStream`
+        serves every flight, and the server appends the record bytes
+        verbatim.
         """
         ctx = self.ctx
         world = self.topo.world
+        path = batch.path
         blocks = batch.blocks
         yield from world.send(
             WriteBegin(
@@ -309,9 +234,7 @@ class RocpandaModule(ServiceModule):
         self._server = failover_server(dead, self.topo.servers, self._faults.is_dead)
         self.stats.failovers += 1
         self._record_counter("failovers")
-        self.ctx.trace(
-            "rocpanda", f"server {dead} dead; failing over to {self._server}"
-        )
+        self.ctx.log_fault(f"server {dead} dead; failing over to {self._server}")
 
     def _send_guarded(self, msg, tag):
         """Generator: send with timeout + backoff; returns 'ok' or 'dead'.
@@ -347,50 +270,20 @@ class RocpandaModule(ServiceModule):
         )
 
     def _ship_guarded(self, entry: _PendingOutput):
-        """Generator: ship one pending output; returns 'ok' or 'dead'."""
-        if entry.batch is not None:
-            verdict = yield from self._ship_guarded_batch(entry)
-            return verdict
-        ctx = self.ctx
-        verdict = yield from self._send_guarded(
-            WriteBegin(
-                path=entry.path,
-                window=entry.window,
-                nblocks=len(entry.blocks),
-                total_bytes=sum(b.nbytes for b in entry.blocks),
-                file_attrs=entry.file_attrs,
-            ),
-            TAG_CTRL,
-        )
-        if verdict != "ok":
-            return verdict
-        for block in entry.blocks:
-            yield ctx.env.sleep(self.pack_overhead + block.nbytes / self.pack_bw)
-            verdict = yield from self._send_guarded(
-                BlockEnvelope(entry.path, block), TAG_BLOCK
-            )
-            if verdict != "ok":
-                return verdict
-            self.stats.blocks_written += 1
-            self.stats.bytes_written += block.data_nbytes
-        return "ok"
+        """Generator: ship one pending output; returns 'ok' or 'dead'.
 
-    def _ship_guarded_batch(self, entry: _PendingOutput):
-        """Generator: resilient batched ship — one guarded aggregated send.
-
-        This is where the "one aggregated envelope, one DES flight"
-        shape pays off under faults: the whole snapshot rides a single
-        guarded :class:`BlockBatch` (its wire size is the sum of the
-        per-block envelopes), so a failover re-ships one message
-        instead of N, and the server's per-block dedup drops whatever
-        the dead server already persisted.
+        The whole snapshot rides a single guarded :class:`BlockBatch`
+        (its wire size is the sum of the per-block envelopes), so a
+        failover re-ships one message instead of N, and the server's
+        per-block dedup drops whatever the dead server already
+        persisted.
         """
         ctx = self.ctx
         batch = entry.batch
         total = sum(b.nbytes for b in batch.blocks)
         verdict = yield from self._send_guarded(
             WriteBegin(
-                path=entry.path,
+                path=batch.path,
                 window=entry.window,
                 nblocks=len(batch.blocks),
                 total_bytes=total,
@@ -405,8 +298,8 @@ class RocpandaModule(ServiceModule):
         verdict = yield from self._send_guarded(batch, TAG_BLOCK)
         if verdict != "ok":
             return verdict
-        # Per delivery attempt, like the per-block path: a re-ship after
-        # failover re-counts the blocks it re-sends.
+        # Per delivery attempt: a re-ship after failover re-counts the
+        # blocks it re-sends.
         self.stats.blocks_written += len(batch.blocks)
         self.stats.bytes_written += sum(b.data_nbytes for b in batch.blocks)
         return "ok"
@@ -440,28 +333,14 @@ class RocpandaModule(ServiceModule):
             job = yield self._send_queue.get()
             if job is None:
                 return
-            path, window_name, blocks, file_attrs, done = job
+            window_name, batch, file_attrs, done = job
             t0 = self.ctx.now
-            if self._faults is None:
-                if self.batched:
-                    # Blocks were already copied at enqueue time; the
-                    # batch encode just serialises those private arrays.
-                    yield from self._ship_batched(
-                        path, window_name,
-                        encode_block_batch(path, blocks), file_attrs,
-                    )
-                else:
-                    yield from self._ship(path, window_name, blocks, file_attrs)
-            else:
-                entry = _PendingOutput(path, window_name, blocks, file_attrs)
-                if self.batched:
-                    entry.batch = encode_block_batch(path, blocks)
-                self._unsynced.append(entry)
-                yield from self._deliver_pending()
+            yield from self._deliver(window_name, batch, file_attrs)
             done.succeed()
             self.ctx.io_record(
-                self.name, "bg_ship", path=path,
-                nbytes=sum(b.nbytes for b in blocks), t_start=t0, visible=False,
+                self.name, "bg_ship", path=batch.path,
+                nbytes=sum(b.nbytes for b in batch.blocks), t_start=t0,
+                visible=False,
             )
 
     def _drain_sends(self):
@@ -478,12 +357,10 @@ class RocpandaModule(ServiceModule):
     ):
         """Generator: collective restart from server-written files.
 
-        All clients must call this collectively.  With
-        ``batched_restart`` (the default) every client announces its
-        wanted block IDs to every alive server; servers bulk-read their
-        file shares and scatter aggregated batches back.  The per-block
-        spec path asks only this rank's own server.  Returns the
-        restored block IDs.
+        All clients must call this collectively: every client
+        announces its wanted block IDs to every alive server; servers
+        bulk-read their file shares and scatter aggregated batches
+        back.  Returns the restored block IDs.
         """
         ctx = self.ctx
         t0 = ctx.now
@@ -492,93 +369,14 @@ class RocpandaModule(ServiceModule):
             self._failover()
         window = self.com.window(window_name)
         wanted = set(window.pane_ids())
-        if self.batched_restart:
-            restored, nbytes = yield from self._read_batched(
-                window_name, wanted, attr_names, path
-            )
-        else:
-            restored, nbytes = yield from self._read_perblock(
-                window_name, wanted, attr_names, path
-            )
+        restored, nbytes = yield from self._read_batched(
+            window_name, wanted, attr_names, path
+        )
         self.stats.visible_read_time += ctx.now - t0
         ctx.io_record(
             self.name, "read_attribute", path=path, nbytes=nbytes, t_start=t0
         )
-        ctx.trace("rocpanda", f"restored {len(restored)} blocks from {path}")
         return sorted(restored)
-
-    def _read_perblock(self, window_name, wanted, attr_names, path):
-        """Generator: the per-block restart loop (executable spec path).
-
-        Requires every server to have at least one assigned client
-        (``nclients >= nservers``, a topology contract shared with the
-        two-phase path): a server that receives no restart request
-        never joins the servers' wanted-map allgather.
-
-        Small (eager) restart blocks travel fire-and-forget with a
-        size-proportional flight time, so a server's tiny
-        :class:`RestartDone` can land *before* its last blocks.  After
-        ``Done`` the loop keeps draining with a timeout until the
-        wanted set empties or the wire goes quiet — only then is a
-        block genuinely missing.
-        """
-        world = self.topo.world
-        yield from world.send(
-            RestartRequest(
-                prefix=path,
-                window=window_name,
-                block_ids=tuple(sorted(wanted)),
-                attr_names=tuple(attr_names) if attr_names is not None else None,
-            ),
-            dest=self._server,
-            tag=TAG_CTRL,
-        )
-        restored: List[int] = []
-        nbytes = 0
-        done = False
-        while not done or wanted:
-            if done:
-                # Done overtook in-flight eager blocks: drain until the
-                # stragglers land or the wire quiesces.
-                reply = yield from world.recv_with_timeout(
-                    source=ANY_SOURCE, tag=TAG_REPLY,
-                    timeout=self.retry.op_timeout,
-                )
-                if reply is None:
-                    break
-                msg, status = reply
-            else:
-                msg, status = yield from world.recv(
-                    source=ANY_SOURCE, tag=TAG_REPLY
-                )
-            if isinstance(msg, RestartBlock):
-                if msg.block.block_id not in wanted:
-                    # Duplicate: the block also survived in another file
-                    # (e.g. a committed snapshot plus a failed-over
-                    # re-ship generation); apply only the first copy.
-                    continue
-                apply_block(self.com, msg.block)
-                restored.append(msg.block.block_id)
-                wanted.discard(msg.block.block_id)
-                self.stats.blocks_read += 1
-                self.stats.bytes_read += msg.block.data_nbytes
-                nbytes += msg.block.nbytes
-            elif isinstance(msg, RestartDone):
-                done = True
-            elif isinstance(msg, SyncReply):
-                # Stale ack from a re-sent sync request; drop it.
-                continue
-            else:
-                raise ProtocolError(
-                    f"rank {self.ctx.rank}: unexpected restart reply "
-                    f"{type(msg).__name__} from rank {status.source}"
-                )
-        if wanted:
-            raise KeyError(
-                f"restart of {window_name!r} from {path!r} is missing blocks "
-                f"{sorted(wanted)}"
-            )
-        return restored, nbytes
 
     def _apply_batch(self, msg: RestartBatch, source: int, wanted, restored):
         """Apply one scatter batch; returns the payload bytes applied."""
@@ -631,7 +429,6 @@ class RocpandaModule(ServiceModule):
             window=window_name,
             block_ids=tuple(sorted(wanted)),
             attr_names=attrs,
-            batched=True,
         )
         for server in alive:
             yield from world.send(request, dest=server, tag=TAG_CTRL)
@@ -646,7 +443,6 @@ class RocpandaModule(ServiceModule):
                     window=window_name,
                     block_ids=tuple(sorted(wanted)),
                     attr_names=attrs,
-                    batched=True,
                     resume_of=dead,
                 ),
                 dest=heir,
@@ -685,7 +481,6 @@ class RocpandaModule(ServiceModule):
                                 window=window_name,
                                 block_ids=tuple(sorted(wanted)),
                                 attr_names=attrs,
-                                batched=True,
                                 resume_of=share,
                             ),
                             dest=heir,

@@ -29,7 +29,6 @@ __all__ = [
     "SyncRequest",
     "SyncReply",
     "RestartRequest",
-    "RestartBlock",
     "RestartBatch",
     "RestartDone",
     "Shutdown",
@@ -69,7 +68,7 @@ class BlockEnvelope:
     """One data block on the wire."""
 
     path: str
-    block: DataBlock
+    block: "EncodedBlock"
 
     @property
     def nbytes(self) -> int:
@@ -80,16 +79,13 @@ class BlockEnvelope:
 class EncodedBlock:
     """One data block already serialised to SHDF record bytes.
 
-    Batched shipping encodes on the *client* (one pass over the whole
-    snapshot into a shared buffer) and ships the record bytes; the
-    server appends them verbatim instead of re-encoding per dataset.
-    ``records`` holds ``(dataset_name, record_bytes, data_nbytes)``
-    tuples whose record bytes are zero-copy slices of the shared batch
-    buffer.  ``nbytes`` is pinned to the source :class:`DataBlock`'s
-    accounting size so an :class:`EncodedBlock` riding a
-    :class:`BlockEnvelope` costs exactly the same wire bytes as the
-    unencoded block would — the wire schedules of the two ship modes
-    stay identical.
+    The *client* encodes (one pass over the whole snapshot into a
+    shared buffer) and ships the record bytes; the server appends them
+    verbatim.  ``records`` holds ``(dataset_name, record_bytes,
+    data_nbytes)`` tuples whose record bytes are zero-copy slices of
+    the shared batch buffer.  ``nbytes`` is pinned to the source
+    :class:`DataBlock`'s accounting size (arrays plus a per-array wire
+    estimate), which is what the wire and the server's buffer charge.
     """
 
     __slots__ = ("block_id", "nbytes", "records")
@@ -177,11 +173,10 @@ class SyncReply:
 class RestartRequest:
     """A client's restart demand: which blocks it wants from a snapshot.
 
-    ``batched=True`` selects the two-phase collective read: the client
-    sends its request to *every* alive server (so each server builds
-    the full block->owner map from its own bucket, without a server
-    collective), and replies arrive as :class:`RestartBatch` scatter
-    messages instead of per-block :class:`RestartBlock` streams.
+    The client sends its request to *every* alive server (so each
+    server builds the full block->owner map from its own bucket,
+    without a server collective), and replies arrive as
+    :class:`RestartBatch` scatter messages.
 
     ``resume_of`` marks a failover resume: "server ``resume_of`` died
     owing me its share of the restart files — you are its heir, rescan
@@ -193,20 +188,7 @@ class RestartRequest:
     window: str
     block_ids: Tuple[int, ...]
     attr_names: Optional[Tuple[str, ...]] = None
-    batched: bool = False
     resume_of: Optional[int] = None
-
-
-@dataclass
-class RestartBlock:
-    """A restored block travelling from a scanning server to its owner."""
-
-    prefix: str
-    block: DataBlock
-
-    @property
-    def nbytes(self) -> int:
-        return self.block.nbytes + 64
 
 
 @dataclass
@@ -218,8 +200,8 @@ class RestartBatch:
     client, and ships each group as a single aggregated envelope.
     ``nblocks`` restates the payload length so the receiver can check
     block-count consistency per reply batch (a torn or mis-sliced
-    batch fails loudly as a :class:`ProtocolError`).  Wire size mirrors
-    the per-block envelopes it replaces.
+    batch fails loudly as a :class:`ProtocolError`).  Wire size is a
+    64-byte envelope per block on top of the block payloads.
     """
 
     prefix: str

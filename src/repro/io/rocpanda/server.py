@@ -19,23 +19,20 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
   up to date);
 * on **buffer overflow** it gracefully writes old blocks out to make
   room for incoming data;
-* on **restart** it collects wanted block IDs from its clients, swaps
-  the global block->owner map with the other servers, scans its
-  round-robin share of the restart files, and ships each found block
-  to whichever client wants it — which is why a run may restart with a
-  different number of servers than wrote the files;
-* the **two-phase** restart path (``RestartRequest.batched``) replaces
-  the per-block scan/send loop: every client requests from every alive
-  server (so each server derives the full owner map from its own
-  request bucket — no server collective), the server bulk-reads its
-  file share in large sieved regions through the
+* on **restart** (two-phase collective read) every client requests
+  its wanted block IDs from every alive server, so each server derives
+  the full block->owner map from its own request bucket — no server
+  collective.  The server bulk-reads its round-robin share of the
+  restart files in large sieved regions through the
   :class:`~repro.fs.coalesce.ReadCoalescer`, batch-decodes each region,
   and scatters one aggregated :class:`RestartBatch` per (region,
-  owner).  The *next* region's disk read runs ahead while the current
-  region's batches are on the wire, overlapping modeled disk and
-  network time.  A client whose server dies mid-read
-  sends a ``resume_of`` request to the dead server's heir, which
-  rescans that share and replies to the requester alone.
+  owner) to whichever client wants the blocks — which is why a run may
+  restart with a different number of servers than wrote the files.  The
+  *next* region's disk read runs ahead while the current region's
+  batches are on the wire, overlapping modeled disk and network time.
+  A client whose server dies mid-read sends a ``resume_of`` request to
+  the dead server's heir, which rescans that share and replies to the
+  requester alone.
 """
 
 from __future__ import annotations
@@ -47,21 +44,19 @@ from typing import Any, Dict, List, Optional, Tuple
 from ...des import Interrupt
 from ...faults.retry import RetryPolicy, retrying
 from ...fs.vfs import WriteFaultError
-from ...shdf.codec import TornFileError, encode_records
+from ...shdf.codec import TornFileError
 from ...shdf.drivers import HDFDriver, hdf4_driver
 from ...shdf.file import SHDFReader, SHDFWriter
 from ...vmpi.datatypes import ANY_SOURCE, ANY_TAG
-from ..base import DataBlock, block_to_datasets, datasets_to_blocks
+from ..base import DataBlock, datasets_to_blocks
 from .protocol import (
     TAG_BLOCK,
     TAG_CTRL,
     TAG_REPLY,
     BlockBatch,
     BlockEnvelope,
-    EncodedBlock,
     ProtocolError,
     RestartBatch,
-    RestartBlock,
     RestartDone,
     RestartRequest,
     Shutdown,
@@ -197,8 +192,8 @@ class PandaServer:
         self.stats = ServerStats()
         self.server_index = topo.servers.index(ctx.rank)
         self._paths: Dict[str, _PathState] = {}
-        #: FIFO of (path, DataBlock | EncodedBlock) awaiting background
-        #: write; batched entries keep their zero-copy record views.
+        #: FIFO of (path, EncodedBlock) awaiting background write;
+        #: entries keep their zero-copy record views.
         self._queue: deque = deque()
         self._buffered_bytes = 0
         self._sent_eagerly = ctx.job.network.is_eager
@@ -240,20 +235,15 @@ class PandaServer:
             return result
         except Interrupt as exc:
             self.stats.crashed = True
-            self.ctx.trace("panda-server", f"crashed: {exc.cause}")
             rec = self.ctx.recorder
             if rec is not None:
                 rec.record_counter("rocpanda", "server_crashes")
-                rec.log_event(
-                    self.ctx.now, "fault", self.ctx.rank,
-                    f"server rank {self.ctx.rank} crashed: {exc.cause}",
-                )
+                self.ctx.log_fault(f"server rank {self.ctx.rank} crashed: {exc.cause}")
             return self.stats
 
     def _serve(self):
         ctx = self.ctx
         world = self.topo.world
-        ctx.trace("panda-server", f"serving clients {self.topo.my_clients}")
         while True:
             if self._queue:
                 # Data to write: poll for new requests (non-blocking),
@@ -288,7 +278,6 @@ class PandaServer:
         if barrier is not None:
             yield from barrier()
         self._answer_sync_waiters()
-        ctx.trace("panda-server", "shutdown complete")
         return self.stats
 
     def _expected_clients(self) -> set:
@@ -443,9 +432,9 @@ class PandaServer:
         The blocks arrive pre-serialised; each is requeued **without
         re-copying its payload** — the queue entries keep the zero-copy
         record views of the shared batch buffer.  Dedup runs per
-        sub-block against the same ``(client, block_id)`` set the
-        per-block path uses, so a re-shipped batch after failover drops
-        exactly the blocks the first delivery already landed.
+        sub-block against the same ``(client, block_id)`` set
+        :meth:`_on_block` uses, so a re-shipped batch after failover
+        drops exactly the blocks the first delivery already landed.
         """
         state = self._paths.get(msg.path)
         if state is None or state.writer is None:
@@ -515,7 +504,7 @@ class PandaServer:
         self.stats.write_retries += 1
         if self.ctx.recorder is not None:
             self.ctx.recorder.record_counter("rocpanda", "write_retries")
-        self.ctx.trace("panda-server", f"write fault ({exc}); retry {attempt + 1}")
+            self.ctx.log_fault(f"server write fault ({exc}); retry {attempt + 1}")
 
     def _retrying_write(self, op):
         return retrying(
@@ -523,16 +512,14 @@ class PandaServer:
         )
 
     def _write_block(self, path: str, block):
-        """Generator: write one buffered block (DataBlock or EncodedBlock).
+        """Generator: write one buffered :class:`EncodedBlock`.
 
         The block's records are *staged* in the file's writer — format
-        bookkeeping is paid per block, and a legacy :class:`DataBlock`
-        is encoded to the same record bytes a batched client would have
-        shipped, so ship modes stay bit-identical — and the stage lands
-        as one filesystem transfer once it holds
-        :data:`WRITE_BEHIND_BYTES`.  A block that would push the stage
-        past the limit lands it first, and a rendezvous-sized block
-        lands what is staged and then itself: its sender waited for
+        bookkeeping is paid per block — and the stage lands as one
+        filesystem transfer once it holds :data:`WRITE_BEHIND_BYTES`.
+        A block that would push the stage past the limit lands it
+        first, and a rendezvous-sized block lands what is staged and
+        then itself: its sender waited for
         this server's probe and the next such sender will, so those
         blocks keep the no-probe episodes they always had and only
         fire-and-forget (eager) blocks are merged into longer ones.
@@ -553,10 +540,7 @@ class PandaServer:
         t0 = self.ctx.now
         state = self._paths[path]
         writer = state.writer
-        if isinstance(block, EncodedBlock):
-            records = block.records
-        else:
-            records = encode_records(block_to_datasets(block))
+        records = block.records
         if not writer.is_open and writer.ndatasets == 0:
             # This block is the file's first: open the file.
             yield from self._retrying_write(
@@ -659,116 +643,25 @@ class PandaServer:
             return
         bucket = self._restart_requests.setdefault(msg.prefix, {})
         bucket[client] = msg
-        if msg.batched:
-            # Two-phase: every live client requests from every alive
-            # server, so this server's own bucket is the full owner map.
-            expected = self._expected_restart_clients()
-        else:
-            expected = self._expected_clients()
-        if len(bucket) >= len(expected):
-            if msg.batched:
-                yield from self._do_restart_batched(msg.prefix)
-            else:
-                yield from self._do_restart(msg.prefix)
+        # Every live client requests from every alive server, so this
+        # server's own bucket is the full owner map.
+        if len(bucket) >= len(self._expected_restart_clients()):
+            yield from self._do_restart_batched(msg.prefix)
             del self._restart_requests[msg.prefix]
 
     def _expected_restart_clients(self) -> set:
-        """Live compute ranks that join a *batched* collective restart."""
+        """Live compute ranks that join a collective restart."""
         ranks = set(range(self.topo.nprocs)) - set(self.topo.servers)
         if self._faults is None:
             return ranks
         return {r for r in ranks if not self._faults.is_dead(r)}
-
-    def _do_restart(self, prefix: str):
-        ctx = self.ctx
-        world = self.topo.world
-        server_comm = self.topo.comm
-        requests = self._restart_requests[prefix]
-        # Build my clients' wanted map and swap it with the other servers.
-        mine = {
-            bid: client
-            for client, req in requests.items()
-            for bid in req.block_ids
-        }
-        window = next(iter(requests.values())).window
-        attr_filter = next(iter(requests.values())).attr_names
-        all_maps = yield from server_comm.allgather(mine)
-        owner_of: Dict[int, int] = {}
-        for m in all_maps:
-            owner_of.update(m)
-        # Round-robin file assignment across the *current* server count:
-        # restart may use a different number of servers than the run
-        # that wrote the files (§4.1).
-        files = sorted(
-            f for f in ctx.fs.disk.listdir(prefix + "_s") if f.endswith(".shdf")
-        )
-        if not files:
-            raise FileNotFoundError(f"no Rocpanda restart files with prefix {prefix!r}")
-        my_files = files[self.server_index :: self.topo.nservers]
-        sent = 0
-        t0 = ctx.now
-        scanned_bytes = 0
-        for file_path in my_files:
-            reader = SHDFReader(
-                ctx.env, ctx.fs, file_path, self.config.driver, node=ctx.node,
-                recorder=ctx.recorder, rank=ctx.rank,
-            )
-            try:
-                yield from reader.open()
-            except TornFileError as exc:
-                # The writing server crashed mid-snapshot: the file has
-                # no commit footer.  Skip it; its blocks come from the
-                # survivor that adopted the dead server's clients.
-                self.stats.torn_files_skipped += 1
-                if ctx.recorder is not None:
-                    ctx.recorder.record_counter("rocpanda", "torn_files_skipped")
-                    ctx.recorder.log_event(
-                        ctx.now, "fault", ctx.rank,
-                        f"skipping torn restart file {file_path}: {exc}",
-                    )
-                ctx.trace("panda-server", f"skipping torn file {file_path}")
-                continue
-            # Scan through the file, find requested data blocks, send
-            # them to the appropriate clients (§4.1).
-            datasets = yield from reader.read_all()
-            scanned_bytes += sum(d.nbytes for d in datasets)
-            yield from reader.close()
-            for block in datasets_to_blocks(
-                [d for d in datasets if d.name.startswith(window + "/")]
-            ):
-                owner = owner_of.get(block.block_id)
-                if owner is None:
-                    continue
-                if attr_filter is not None:
-                    block.arrays = {
-                        k: v for k, v in block.arrays.items() if k in attr_filter
-                    }
-                    block.specs = {
-                        k: v for k, v in block.specs.items() if k in attr_filter
-                    }
-                yield from world.send(
-                    RestartBlock(prefix, block), dest=owner, tag=TAG_REPLY
-                )
-                sent += 1
-        self.stats.restart_blocks_sent += sent
-        ctx.io_record(
-            "rocpanda", "restart_scan", path=prefix, nbytes=scanned_bytes,
-            t_start=t0,
-        )
-        # All servers finish scanning/sending before anyone reports done,
-        # so a client never sees RestartDone before its last block.
-        yield from server_comm.barrier()
-        for client in self.topo.my_clients:
-            yield from world.send(
-                RestartDone(prefix, sent), dest=client, tag=TAG_REPLY
-            )
 
     # -- two-phase restart (sieved bulk reads + read-ahead) ---------------------
     def _note_read_retry(self, attempt: int, exc: BaseException) -> None:
         self.stats.read_retries += 1
         if self.ctx.recorder is not None:
             self.ctx.recorder.record_counter("rocpanda", "read_retries")
-        self.ctx.trace("panda-server", f"read fault ({exc}); retry {attempt + 1}")
+            self.ctx.log_fault(f"server read fault ({exc}); retry {attempt + 1}")
 
     def _restart_files(self, prefix: str) -> List[str]:
         files = sorted(
@@ -786,7 +679,8 @@ class PandaServer:
         Returns ``(readers, flat)`` where ``flat`` is the ordered list
         of ``(reader, region_entries)`` bulk-read units.  Torn files
         (no commit footer — their writer crashed mid-snapshot) are
-        skipped exactly like the per-block path skips them.
+        skipped; their blocks come from the survivor that adopted the
+        dead server's clients.
         """
         ctx = self.ctx
         files = self._restart_files(prefix)
@@ -803,11 +697,7 @@ class PandaServer:
                 self.stats.torn_files_skipped += 1
                 if ctx.recorder is not None:
                     ctx.recorder.record_counter("rocpanda", "torn_files_skipped")
-                    ctx.recorder.log_event(
-                        ctx.now, "fault", ctx.rank,
-                        f"skipping torn restart file {file_path}: {exc}",
-                    )
-                ctx.trace("panda-server", f"skipping torn file {file_path}")
+                    ctx.log_fault(f"skipping torn restart file {file_path}: {exc}")
                 continue
             readers.append(reader)
             for region in _restart_regions(
@@ -955,10 +845,7 @@ class PandaServer:
         self.stats.restart_resumes_served += 1
         if ctx.recorder is not None:
             ctx.recorder.record_counter("rocpanda", "restart_resumes_served")
-        ctx.trace(
-            "panda-server",
-            f"resuming share of dead server {share} for client {client}",
-        )
+            ctx.log_fault(f"resuming share of dead server {share} for client {client}")
         sent = 0
         if msg.block_ids:
             datasets = yield from self._restart_share_datasets(msg.prefix, share)

@@ -165,7 +165,6 @@ class TRochdfModule(RochdfModule):
         ctx.io_record(
             self.name, "write_attribute", path=path, nbytes=total, t_start=t0
         )
-        ctx.trace("trochdf", f"buffered {len(blocks)} blocks ({total} B) for {path}")
 
     def sync(self):
         """Generator: wait until all buffered snapshots are on disk (§5)."""
@@ -233,7 +232,9 @@ class TRochdfModule(RochdfModule):
                 self._io_errors.append((file_path, exc))
                 if ctx.recorder is not None:
                     ctx.recorder.record_counter(self.name, "background_write_failures")
-                ctx.trace("trochdf", f"background write of {file_path} FAILED: {exc}")
+                    ctx.log_fault(
+                        f"trochdf background write of {file_path} FAILED: {exc}"
+                    )
                 job.done.succeed()
                 continue
             self.stats.files_created += 1
@@ -242,4 +243,3 @@ class TRochdfModule(RochdfModule):
                 self.name, "bg_write", path=file_path, nbytes=nbytes,
                 t_start=t0, visible=False,
             )
-            ctx.trace("trochdf", f"background write of {file_path} complete")

@@ -7,8 +7,9 @@ per-operation record layer that makes those claims inspectable:
 
 * :class:`IORecord` — one timed I/O operation (module, op, path, bytes,
   ``t_start``/``t_end`` on the DES clock, rank, visibility);
-* :class:`TraceRecord` — a free-form event message (the legacy
-  :class:`repro.util.trace.Tracer` stream, kept for compatibility);
+* :class:`TraceRecord` — a free-form event message: what happened at
+  a fault or recovery site (which server died, which heir took over,
+  which file was torn), where a timed record cannot say it;
 * :class:`CommCounters` — message counters and bytes-on-wire totals fed
   by the :class:`repro.vmpi.comm.Comm` hooks;
 * :class:`Recorder` — the per-job sink all of the above land in;
@@ -39,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
-    """A free-form traced event (legacy ``Tracer`` message stream)."""
+    """A free-form event: one fault or recovery step on one rank."""
 
     time: float
     category: str
@@ -174,7 +175,7 @@ class IOSpan:
 
 
 class Recorder:
-    """Per-job sink for I/O records, trace events, and comm counters.
+    """Per-job sink for I/O records, fault events, and comm counters.
 
     Cheap when disabled; when enabled (the default) every record is a
     small frozen dataclass appended to a list, so jobs can always be
@@ -184,7 +185,7 @@ class Recorder:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.io_records: List[IORecord] = []
-        #: Legacy free-form event stream (what ``Tracer`` shims onto).
+        #: Free-form fault and recovery events, in emission order.
         self.events: List[TraceRecord] = []
         self.comm = CommCounters()
         #: Named counters per module: ``{"rocpanda": {"retries": 3}}``.
@@ -235,9 +236,9 @@ class Recorder:
         """A DES-clock :class:`IOSpan` that records itself on exit."""
         return IOSpan(self, env, module, op, rank, path=path, nbytes=nbytes, visible=visible)
 
-    # -- legacy trace events --------------------------------------------
+    # -- fault / recovery events -------------------------------------------
     def log_event(self, time: float, category: str, rank: int, message: str) -> None:
-        """Append one legacy :class:`TraceRecord` (no-op when disabled)."""
+        """Append one :class:`TraceRecord` (no-op when disabled)."""
         if not self.enabled:
             return
         self.events.append(TraceRecord(time, category, rank, message))

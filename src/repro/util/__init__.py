@@ -1,7 +1,6 @@
-"""Shared utilities: units, statistics, and tracing."""
+"""Shared utilities: units and statistics."""
 
 from .stats import Summary, best_of, mean_ci, t_critical_95
-from .trace import TraceRecord, Tracer
 from .units import (
     GB,
     KB,
@@ -30,6 +29,4 @@ __all__ = [
     "best_of",
     "mean_ci",
     "t_critical_95",
-    "Tracer",
-    "TraceRecord",
 ]

@@ -16,19 +16,12 @@ cannot complete a large send while its I/O server is busy elsewhere —
 which is exactly why the servers' probe-between-writes policy (§6.1)
 keeps client-visible time low.
 
-Collectives come in two selectable algorithm families
-(``Comm.collective_algo``):
-
-* ``"tree"`` (default) — binomial trees rooted at the caller's root:
-  O(log P) communication rounds per collective, with aggregated
-  payloads carried as explicit ``(comm_rank, obj)`` pairs so placement
-  stays rank-ordered for arbitrary roots and non-contiguous
-  sub-communicators.  ``alltoall`` runs flat pairwise rounds (send to
-  ``rank+r``, receive from ``rank-r``) instead of spawning one DES
-  process per destination.
-* ``"linear"`` — the original O(P)-at-the-root loops, kept verbatim as
-  the executable specification; property tests prove both families
-  payload-identical.
+Collectives are binomial trees rooted at the caller's root: O(log P)
+communication rounds per collective, with aggregated payloads carried
+as explicit ``(comm_rank, obj)`` pairs so placement stays rank-ordered
+for arbitrary roots and non-contiguous sub-communicators.  ``alltoall``
+runs flat pairwise rounds (send to ``rank+r``, receive from ``rank-r``)
+instead of spawning one DES process per destination.
 
 Tag space: user tags live in ``[0, _COLL_TAG_BASE)``; collectives use
 an internal rotating window above the base.  Public point-to-point
@@ -112,12 +105,6 @@ class Comm:
     communicator id (mirroring how MPI communicators behave inside an
     SPMD program).
     """
-
-    #: Collective algorithm family: ``"tree"`` (binomial, O(log P)
-    #: rounds — the default) or ``"linear"`` (the original O(P) loops,
-    #: kept as executable spec).  Override per instance to compare;
-    #: sub-communicators created by :meth:`split` inherit the setting.
-    collective_algo = "tree"
 
     def __init__(self, job, comm_id: int, group: Tuple[int, ...], rank: int):
         self.job = job
@@ -499,9 +486,7 @@ class Comm:
     def bcast(self, obj: Any, root: int = 0, _tag: Optional[int] = None):
         """Generator: broadcast ``obj`` from ``root``; returns the object.
 
-        Binomial-tree propagation: latency scales as O(log P).  (The
-        tree IS the executable spec here — both algorithm families
-        share it.)
+        Binomial-tree propagation: latency scales as O(log P).
         """
         self._check_rank(root, "root")
         tag = self._coll_tag() if _tag is None else _tag
@@ -529,40 +514,16 @@ class Comm:
         """Generator: gather one object per rank to ``root``.
 
         Returns the list (indexed by comm rank) at the root, else None.
+        Binomial tree, O(log P) rounds: every node accumulates
+        ``(comm_rank, obj)`` pairs from its subtree before forwarding
+        them to its parent, so the root places items by explicit rank —
+        rank-ordered for any root and any (non-contiguous) group.
         """
         self._check_rank(root, "root")
         tag = self._coll_tag() if _tag is None else _tag
-        if self.size == 1:
-            return [obj]
-        if self.collective_algo == "tree":
-            result = yield from self._gather_tree(obj, root, tag)
-        else:
-            result = yield from self._gather_linear(obj, root, tag)
-        return result
-
-    def _gather_linear(self, obj: Any, root: int, tag: int):
-        """Executable spec: O(P) receives at the root, arrival order."""
-        if self.rank != root:
-            yield from self._send(obj, dest=root, tag=tag)
-            return None
-        result: List[Any] = [None] * self.size
-        result[root] = obj
-        # Receive in arrival order (cheaper matching than per-source
-        # receives); placement by status keeps rank order in the result.
-        for _ in range(self.size - 1):
-            payload, status = yield from self._recv(source=ANY_SOURCE, tag=tag)
-            result[status.source] = payload
-        return result
-
-    def _gather_tree(self, obj: Any, root: int, tag: int):
-        """Binomial-tree gather: O(log P) rounds, aggregated payloads.
-
-        Every node accumulates ``(comm_rank, obj)`` pairs from its
-        subtree before forwarding them to its parent, so the root can
-        place items by explicit rank — identical placement to the
-        linear spec for any root and any (non-contiguous) group.
-        """
         size = self.size
+        if size == 1:
+            return [obj]
         rank = self.rank
         vrank = (rank - root) % size
         items: List[Tuple[int, Any]] = [(rank, obj)]
@@ -584,42 +545,24 @@ class Comm:
         return result
 
     def scatter(self, objs: Optional[List[Any]], root: int = 0, _tag: Optional[int] = None):
-        """Generator: root sends ``objs[i]`` to rank ``i``; returns own item."""
-        self._check_rank(root, "root")
-        tag = self._coll_tag() if _tag is None else _tag
-        if self.rank == root and (objs is None or len(objs) != self.size):
-            raise MPIError(
-                f"scatter root needs a list of exactly {self.size} items"
-            )
-        if self.size == 1:
-            return objs[0]
-        if self.collective_algo == "tree":
-            result = yield from self._scatter_tree(objs, root, tag)
-        else:
-            result = yield from self._scatter_linear(objs, root, tag)
-        return result
+        """Generator: root sends ``objs[i]`` to rank ``i``; returns own item.
 
-    def _scatter_linear(self, objs: Optional[List[Any]], root: int, tag: int):
-        """Executable spec: O(P) sends from the root."""
-        if self.rank == root:
-            for dst in range(self.size):
-                if dst == root:
-                    continue
-                yield from self._send(objs[dst], dest=dst, tag=tag)
-            return objs[root]
-        payload, _ = yield from self._recv(source=root, tag=tag)
-        return payload
-
-    def _scatter_tree(self, objs: Optional[List[Any]], root: int, tag: int):
-        """Binomial-tree scatter: each node forwards subtree bundles.
-
-        Items travel as ``(virtual_rank, obj)`` pairs; a node at
-        virtual rank v (span = lowest set bit of v, or the next power
-        of two above ``size`` at the root) peels off the half-spans
+        Binomial tree: each node forwards subtree bundles.  Items
+        travel as ``(virtual_rank, obj)`` pairs; a node at virtual rank
+        v (span = lowest set bit of v, or the next power of two above
+        ``size`` at the root) peels off the half-spans
         ``[v + span/2, v + span)`` for its children, largest first.
         """
+        self._check_rank(root, "root")
+        tag = self._coll_tag() if _tag is None else _tag
         size = self.size
         rank = self.rank
+        if rank == root and (objs is None or len(objs) != size):
+            raise MPIError(
+                f"scatter root needs a list of exactly {size} items"
+            )
+        if size == 1:
+            return objs[0]
         vrank = (rank - root) % size
         if vrank == 0:
             held = [(v, objs[(v + root) % size]) for v in range(size)]
@@ -673,40 +616,7 @@ class Comm:
         return result
 
     def alltoall(self, objs: List[Any]):
-        """Generator: pairwise exchange; returns list indexed by source."""
-        if len(objs) != self.size:
-            raise MPIError(f"alltoall needs exactly {self.size} items")
-        tag = self._coll_tag()
-        if self.size == 1:
-            return [objs[0]]
-        if self.collective_algo == "tree":
-            result = yield from self._alltoall_flat(objs, tag)
-        else:
-            result = yield from self._alltoall_linear(objs, tag)
-        return result
-
-    def _alltoall_linear(self, objs: List[Any], tag: int):
-        """Executable spec: one concurrent isend per destination.
-
-        Spawns ``size - 1`` DES processes per member (O(P^2) live
-        processes across the job) — correct, but the process churn is
-        what the flat pairwise schedule exists to avoid.
-        """
-        result: List[Any] = [None] * self.size
-        result[self.rank] = objs[self.rank]
-        requests = []
-        for dst in range(self.size):
-            if dst != self.rank:
-                requests.append(self._isend(objs[dst], dest=dst, tag=tag))
-        for _ in range(self.size - 1):
-            payload, status = yield from self._recv(source=ANY_SOURCE, tag=tag)
-            result[status.source] = payload
-        for request in requests:
-            yield from request.wait()
-        return result
-
-    def _alltoall_flat(self, objs: List[Any], tag: int):
-        """Pairwise-rounds exchange: flat sends, no process fan-out.
+        """Generator: pairwise exchange; returns list indexed by source.
 
         Round ``r`` sends to ``rank + r`` and receives from
         ``rank - r`` (mod P): in any round every rank's destination is
@@ -717,6 +627,11 @@ class Comm:
         can overlap this rank's receive.
         """
         size = self.size
+        if len(objs) != size:
+            raise MPIError(f"alltoall needs exactly {size} items")
+        tag = self._coll_tag()
+        if size == 1:
+            return [objs[0]]
         rank = self.rank
         network = self.job.network
         result: List[Any] = [None] * size
@@ -766,10 +681,7 @@ class Comm:
         if my_plan is None:
             return None
         new_id, group, new_rank = my_plan
-        sub = Comm(self.job, new_id, group, new_rank)
-        # Sub-communicators keep the parent's collective algorithm.
-        sub.collective_algo = self.collective_algo
-        return sub
+        return Comm(self.job, new_id, group, new_rank)
 
     def dup(self):
         """Generator: duplicate this communicator (fresh message space)."""

@@ -18,7 +18,6 @@ from ..cluster.machine import Machine
 from ..cluster.node import ROLE_COMPUTE, ROLE_SERVER
 from ..des import Environment, SimulationError
 from ..obs.records import IOSpan, Recorder
-from ..util.trace import Tracer
 from .comm import Comm
 from .mailbox import Mailbox
 from . import placement as placement_policies
@@ -61,10 +60,6 @@ class RankContext:
         return self.job.machine.disk
 
     @property
-    def tracer(self) -> Tracer:
-        return self.job.tracer
-
-    @property
     def recorder(self) -> Recorder:
         return self.job.recorder
 
@@ -103,8 +98,9 @@ class RankContext:
         """
         self.cpu.role = role
 
-    def trace(self, category: str, message: str) -> None:
-        self.job.tracer.log(self.env.now, category, self.rank, message)
+    def log_fault(self, message: str) -> None:
+        """Say what happened at a fault or recovery site (``recorder.events``)."""
+        self.job.recorder.log_event(self.env.now, "fault", self.rank, message)
 
     def io_record(
         self,
@@ -157,7 +153,6 @@ class JobResult:
     #: Per-rank compute seconds.
     compute_times: List[float]
     machine: Machine = None
-    tracer: Tracer = None
     #: The job's instrumentation stream (see :mod:`repro.obs`).
     recorder: Recorder = None
 
@@ -177,19 +172,16 @@ class Job:
         machine: Machine,
         nprocs: int,
         placement: Optional[Callable] = None,
-        tracer: Optional[Tracer] = None,
         memcpy_bw: Optional[float] = None,
-        mailbox_factory: Optional[Callable] = None,
     ):
         if nprocs <= 0:
             raise ValueError("nprocs must be > 0")
         self.machine = machine
         self.env = machine.env
         self.nprocs = nprocs
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        #: Instrumentation stream shared with the tracer shim: one
-        #: recorder per job collects I/O records and comm counters.
-        self.recorder = self.tracer.recorder
+        #: Instrumentation stream: one recorder per job collects I/O
+        #: records, fault events and comm counters.
+        self.recorder = Recorder()
         self.memcpy_bw = (
             memcpy_bw
             if memcpy_bw
@@ -208,9 +200,6 @@ class Job:
             cpu.assign(rank, ROLE_COMPUTE)
             self.contexts.append(RankContext(self, rank, node, cpu))
 
-        #: Mailbox implementation used for every rank/communicator pair
-        #: (swappable so benchmarks can compare matcher implementations).
-        self._mailbox_factory = mailbox_factory or Mailbox
         #: comm_id -> per-global-rank mailbox array.  Global ranks are
         #: dense, so each communicator holds a flat list instead of a
         #: (comm_id, rank)-keyed dict — one list index per message in
@@ -234,7 +223,7 @@ class Job:
             boxes = self._mailboxes[comm_id] = [None] * self.nprocs
         box = boxes[global_rank]
         if box is None:
-            box = boxes[global_rank] = self._mailbox_factory(self.env)
+            box = boxes[global_rank] = Mailbox(self.env)
         return box
 
     def alloc_comm_id(self) -> int:
@@ -278,7 +267,6 @@ class Job:
             wall_time=self.env.now,
             compute_times=[ctx.compute_time for ctx in self.contexts],
             machine=self.machine,
-            tracer=self.tracer,
             recorder=self.recorder,
         )
 
@@ -288,7 +276,6 @@ def run_spmd(
     nprocs: int,
     main: Callable,
     placement: Optional[Callable] = None,
-    tracer: Optional[Tracer] = None,
 ) -> JobResult:
     """Convenience wrapper: build a :class:`Job` and run it."""
-    return Job(machine, nprocs, placement=placement, tracer=tracer).run(main)
+    return Job(machine, nprocs, placement=placement).run(main)

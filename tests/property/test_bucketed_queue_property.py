@@ -1,7 +1,7 @@
-"""Property tests: the bucketed queue against the heapq executable spec.
+"""Property tests: the bucketed queue against a single-heap oracle.
 
-``Environment(queue="heapq")`` keeps the original single-heap scheduler
-verbatim; these tests drive both implementations with the same
+``tests/spec/heap_env.py`` schedules every entry with one ``heappush``;
+these tests drive the production queue and the oracle with the same
 schedule / schedule_many / schedule_callback / cancel interleavings and
 assert the callback firing order (and the scaling diagnostics) are
 identical.  Delays are drawn from a small pool so same-``(time,
@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import NORMAL, URGENT, Environment, Event
+
+from tests.spec.heap_env import HeapEnvironment
 
 #: Small delay pool => frequent key collisions (bucket/fusion paths).
 _DELAYS = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0])
@@ -38,9 +40,9 @@ _PROGRAM = st.lists(
 )
 
 
-def _drive(queue: str, program):
+def _drive(env_cls, program):
     """Execute ``program`` on a fresh environment; return the trace."""
-    env = Environment(queue=queue)
+    env = env_cls()
     order = []
     cancellable = []
     labels = iter(range(10**9))
@@ -106,8 +108,8 @@ def _drive(queue: str, program):
 @settings(max_examples=200, deadline=None)
 def test_bucketed_pop_order_equals_heapq_spec(program):
     """Identical firing order and diagnostics across both queues."""
-    bucketed_order, bucketed_env = _drive("bucketed", program)
-    spec_order, spec_env = _drive("heapq", program)
+    bucketed_order, bucketed_env = _drive(Environment, program)
+    spec_order, spec_env = _drive(HeapEnvironment, program)
     assert bucketed_order == spec_order
     assert bucketed_env.now == spec_env.now
     assert bucketed_env.events_processed == spec_env.events_processed
@@ -118,7 +120,7 @@ def test_bucketed_pop_order_equals_heapq_spec(program):
 @settings(max_examples=50, deadline=None)
 def test_bucketed_queue_drains_completely(program):
     """After run() both queue structures are fully consumed."""
-    _, env = _drive("bucketed", program)
+    _, env = _drive(Environment, program)
     assert env.queue_depth() == 0
     assert not env._buckets
     assert not env._nowq

@@ -1,7 +1,7 @@
 """Property-based equivalence of the two mailbox matchers.
 
 :class:`repro.vmpi.mailbox.Mailbox` (indexed) and
-:class:`~repro.vmpi.mailbox.LinearScanMailbox` (the original list-scan
+:class:`tests.spec.mailbox.LinearScanMailbox` (the original list-scan
 reference) must implement *identical* matching semantics — same
 envelope returned, in the same order, for every interleaving of
 deliveries, consuming receives, non-consuming probes, and pending
@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from repro.des import Environment
 from repro.vmpi.datatypes import ANY_SOURCE, ANY_TAG, Envelope
-from repro.vmpi.mailbox import LinearScanMailbox, Mailbox
+from repro.vmpi.mailbox import Mailbox
+
+from tests.spec.mailbox import LinearScanMailbox
 
 _SOURCES = st.integers(min_value=0, max_value=3)
 _TAGS = st.integers(min_value=0, max_value=3)

@@ -1,20 +1,17 @@
-"""Property tests: sieved restart reads are exact equivalents.
+"""Property tests: sieved restart reads return exactly what was written.
 
-Two layers of the two-phase restart path are checked against their
-executable specs across random inputs:
+Two layers of the two-phase restart path are checked across random
+inputs:
 
 * :class:`repro.fs.ReadCoalescer` — merged-read schedules return
   byte-identical data to issuing every ranged read individually, for
   arbitrary overlapping / adjacent / gapped extent layouts and sieve
   thresholds, and a schedule interrupted by an injected read fault
   raises before handing out any byte (and replays cleanly).
-* The batched Rocpanda restart — two-phase collective reads restore
-  bit-identical block data to the per-block restart loop, across random
-  write/restart topologies and pane layouts.  Virtual time is *not*
-  compared: the batched path is deliberately faster.
+* The Rocpanda restart — two-phase collective reads restore, bit for
+  bit, the arrays the writing job registered, across random
+  write-at-N / restart-at-M topologies and pane layouts.
 """
-
-import hashlib
 
 import numpy as np
 import pytest
@@ -119,18 +116,13 @@ def test_read_coalescer_fault_raises_before_handing_out_bytes(layout, nfail):
     assert co.pending == 0
 
 
-def _digest(blockmap):
-    h = hashlib.sha256()
-    for bid in sorted(blockmap):
-        h.update(str(bid).encode())
-        for name in sorted(blockmap[bid]):
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(blockmap[bid][name]).tobytes())
-    return h.hexdigest()
-
-
 def _write_checkpoint(nservers, nclients, layout, seed):
-    """Run one fault-free write job; returns (machine, all pane ids)."""
+    """Run one fault-free write job.
+
+    Returns ``(machine, written)`` where ``written`` maps every pane id
+    to the ``{attr: array}`` the clients registered.
+    """
+    written = {}
 
     def main(ctx):
         topo = yield from rocpanda_init(ctx, nservers)
@@ -146,23 +138,22 @@ def _write_checkpoint(nservers, nclients, layout, seed):
         for i, (nnodes, nelems) in enumerate(layout[topo.comm.rank]):
             pane_id = topo.comm.rank * 16 + i
             w.register_pane(pane_id, nnodes, nelems)
-            w.set_array("coords", pane_id, rng.random((nnodes, 3)))
-            w.set_array("field", pane_id, rng.random(nelems))
+            written[pane_id] = {
+                "coords": rng.random((nnodes, 3)),
+                "field": rng.random(nelems),
+            }
+            for attr, array in written[pane_id].items():
+                w.set_array(attr, pane_id, array.copy())
         yield from com.call_function("OUT.write_attribute", "W", None, "ck")
         yield from com.call_function("OUT.sync")
         yield from panda.finalize()
 
     machine = Machine(make_testbox(nnodes=4, cpus_per_node=4), seed=seed)
     run_spmd(machine, nservers + nclients, main)
-    ids = [
-        rank * 16 + i
-        for rank in range(nclients)
-        for i in range(len(layout[rank]))
-    ]
-    return machine, ids
+    return machine, written
 
 
-def _restart(disk, ids, nservers, nclients, batched, seed):
+def _restart(disk, ids, nservers, nclients, seed):
     """One restart job over an existing checkpoint disk; returns the
     merged {block_id: {attr: array}} map restored across clients."""
 
@@ -172,9 +163,7 @@ def _restart(disk, ids, nservers, nclients, batched, seed):
             yield from PandaServer(ctx, topo).run()
             return ("server", None)
         com = Roccom(ctx)
-        panda = com.load_module(
-            RocpandaModule(ctx, topo, batched_restart=batched)
-        )
+        panda = com.load_module(RocpandaModule(ctx, topo))
         w = com.new_window("W")
         w.declare_attribute(AttributeSpec("coords", "node", ncomp=3))
         w.declare_attribute(AttributeSpec("field", "element"))
@@ -219,7 +208,7 @@ def restart_shapes(draw):
     # Every restart server must own at least one client: a server with
     # no assigned clients exits its serve loop immediately (its
     # expected-shutdown set is empty), so nclients >= nservers is a
-    # topology contract for both restart paths.
+    # topology contract.
     nservers_r = draw(st.integers(min_value=1, max_value=3))
     nclients_r = draw(st.integers(min_value=nservers_r, max_value=4))
     return nservers_w, nclients_w, layout, nservers_r, nclients_r
@@ -229,17 +218,12 @@ def restart_shapes(draw):
 @settings(max_examples=10, deadline=None)
 def test_batched_restart_restores_bit_identical_data(shape, seed):
     nservers_w, nclients_w, layout, nservers_r, nclients_r = shape
-    machine, ids = _write_checkpoint(nservers_w, nclients_w, layout, seed)
-    per_block = _restart(
-        machine.disk, ids, nservers_r, nclients_r, False, seed
+    machine, written = _write_checkpoint(nservers_w, nclients_w, layout, seed)
+    restored = _restart(
+        machine.disk, sorted(written), nservers_r, nclients_r, seed
     )
-    two_phase = _restart(
-        machine.disk, ids, nservers_r, nclients_r, True, seed
-    )
-    assert sorted(per_block) == sorted(two_phase) == sorted(ids)
-    assert _digest(per_block) == _digest(two_phase)
-    for pid in ids:
-        for attr in ("coords", "field"):
-            np.testing.assert_array_equal(
-                per_block[pid][attr], two_phase[pid][attr]
-            )
+    assert sorted(restored) == sorted(written)
+    for pid, arrays in written.items():
+        for attr, array in arrays.items():
+            assert restored[pid][attr].dtype == array.dtype
+            np.testing.assert_array_equal(restored[pid][attr], array)

@@ -1,10 +1,10 @@
-"""Property tests: tree collectives are payload-identical to the
-linear executable spec (PR 7, S4).
+"""Property tests: tree collectives place payloads by comm rank.
 
-For arbitrary communicator sizes, roots, and payloads, running the
-same job under ``collective_algo = "tree"`` and ``"linear"`` must
-return exactly the same values on every rank — the tree rewrite may
-only change *virtual timing*, never data placement.
+For arbitrary communicator sizes, roots, and payloads every rank must
+receive exactly what the collective is defined to return —
+``[payloads[r] for r in range(size)]`` at a gather root, ``payloads[r]``
+at scatter rank ``r``, the comm-rank-order fold of a non-commutative
+reduce — whatever shape the binomial tree takes.
 """
 
 from hypothesis import given, settings
@@ -15,24 +15,16 @@ from repro.cluster import testbox as make_testbox
 from repro.vmpi import run_spmd
 
 
-def launch(nprocs, main, seed=0):
-    machine = Machine(make_testbox(nnodes=8, cpus_per_node=8), seed=seed)
-    return run_spmd(machine, nprocs, main)
+def run(size, body):
+    """Run ``body(ctx, out)`` on ``size`` ranks; return the filled ``out``."""
+    out = {}
 
+    def main(ctx):
+        yield from body(ctx, out)
 
-def run_both(size, body):
-    """Run ``body(ctx, out)`` under each algorithm; return both outs."""
-    results = []
-    for algo in ("tree", "linear"):
-        out = {}
-
-        def main(ctx):
-            ctx.world.collective_algo = algo
-            yield from body(ctx, out)
-
-        launch(size, main)
-        results.append(out)
-    return results
+    machine = Machine(make_testbox(nnodes=8, cpus_per_node=8), seed=0)
+    run_spmd(machine, size, main)
+    return out
 
 
 SIZES = st.sampled_from([1, 2, 3, 5, 8])
@@ -45,7 +37,7 @@ PAYLOADS = st.lists(
 
 @given(SIZES, st.integers(0, 63), PAYLOADS)
 @settings(max_examples=30, deadline=None)
-def test_gather_tree_equals_linear(size, root_raw, payloads):
+def test_gather_is_rank_ordered_at_root(size, root_raw, payloads):
     root = root_raw % size
 
     def body(ctx, out):
@@ -53,28 +45,27 @@ def test_gather_tree_equals_linear(size, root_raw, payloads):
             payloads[ctx.rank], root=root
         )
 
-    tree, linear = run_both(size, body)
-    assert tree == linear
-    assert tree[root] == [payloads[r] for r in range(size)]
+    out = run(size, body)
+    assert out == {
+        r: payloads[:size] if r == root else None for r in range(size)
+    }
 
 
 @given(SIZES, st.integers(0, 63), PAYLOADS)
 @settings(max_examples=30, deadline=None)
-def test_scatter_tree_equals_linear(size, root_raw, payloads):
+def test_scatter_delivers_item_r_to_rank_r(size, root_raw, payloads):
     root = root_raw % size
 
     def body(ctx, out):
         items = payloads[:size] if ctx.rank == root else None
         out[ctx.rank] = yield from ctx.world.scatter(items, root=root)
 
-    tree, linear = run_both(size, body)
-    assert tree == linear
-    assert tree == {r: payloads[r] for r in range(size)}
+    assert run(size, body) == {r: payloads[r] for r in range(size)}
 
 
 @given(SIZES, PAYLOADS)
 @settings(max_examples=25, deadline=None)
-def test_allgather_and_alltoall_tree_equals_linear(size, payloads):
+def test_allgather_and_alltoall_placement(size, payloads):
     def body(ctx, out):
         ag = yield from ctx.world.allgather(payloads[ctx.rank])
         a2a = yield from ctx.world.alltoall(
@@ -82,18 +73,17 @@ def test_allgather_and_alltoall_tree_equals_linear(size, payloads):
         )
         out[ctx.rank] = (ag, a2a)
 
-    tree, linear = run_both(size, body)
-    assert tree == linear
+    out = run(size, body)
     for r in range(size):
-        assert tree[r][0] == [payloads[i] for i in range(size)]
-        assert tree[r][1] == [(payloads[s], r) for s in range(size)]
+        assert out[r][0] == payloads[:size]
+        assert out[r][1] == [(payloads[s], r) for s in range(size)]
 
 
 @given(SIZES, st.integers(0, 63), st.lists(st.text(max_size=4), min_size=8, max_size=8))
 @settings(max_examples=25, deadline=None)
-def test_reduce_noncommutative_tree_equals_linear(size, root_raw, parts):
-    """Reduce with a non-commutative/non-associative op: both
-    algorithms must produce the comm-rank-order left fold."""
+def test_reduce_noncommutative_is_rank_order_fold(size, root_raw, parts):
+    """List concatenation is order-sensitive: the result must be the
+    comm-rank-order left fold for any root."""
     root = root_raw % size
 
     def body(ctx, out):
@@ -101,12 +91,11 @@ def test_reduce_noncommutative_tree_equals_linear(size, root_raw, parts):
             [parts[ctx.rank]], op=lambda a, b: a + b, root=root
         )
 
-    tree, linear = run_both(size, body)
-    assert tree == linear
-    assert tree[root] == [parts[r] for r in range(size)]
+    out = run(size, body)
+    assert out == {r: parts[:size] if r == root else None for r in range(size)}
 
 
-def test_suite_equivalence_at_64_ranks():
+def test_suite_placement_at_64_ranks():
     """One deterministic large case: the full collective suite at
     P = 64 (several tree levels deep, past every pow-2 boundary)."""
     size = 64
@@ -122,7 +111,11 @@ def test_suite_equivalence_at_64_ranks():
         )
         out[ctx.rank] = (g, s, ag, red)
 
-    tree, linear = run_both(size, body)
-    assert tree == linear
-    assert tree[11][1] == 33
-    assert tree[5][3] == "".join(f"{r:02d}" for r in range(size))
+    out = run(size, body)
+    fold = "".join(f"{r:02d}" for r in range(size))
+    for r in range(size):
+        g, s, ag, red = out[r]
+        assert g == ([q * 7 for q in range(size)] if r == 37 else None)
+        assert s == r * 3
+        assert ag == [(q, "x") for q in range(size)]
+        assert red == (fold if r == 5 else None)

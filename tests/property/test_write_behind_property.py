@@ -5,7 +5,7 @@ how many queued eager-sized blocks share one filesystem transfer — from
 every block on its own (0) to as many as the queue holds (2**30);
 rendezvous-sized blocks land on their own whatever it says, and the
 layouts below mix both kinds.  Record order is the FIFO queue order
-either way, so for any topology, pane layout and ship mode every server
+either way, so for any topology and pane layout every server
 file must be byte-identical across limits, and a restart must restore
 exactly the arrays the clients registered.  Virtual time is *not*
 compared: fewer transfers is the point.
@@ -42,7 +42,7 @@ def _pane_arrays(seed, rank, layout):
     }
 
 
-def _write(limit, batched, nservers, nclients, layout, nsnapshots, seed):
+def _write(limit, nservers, nclients, layout, nsnapshots, seed):
     """One Rocpanda write job; returns (machine, servers' stats)."""
 
     def main(ctx):
@@ -50,7 +50,7 @@ def _write(limit, batched, nservers, nclients, layout, nsnapshots, seed):
         if topo.is_server:
             return (yield from PandaServer(ctx, topo).run())
         com = Roccom(ctx)
-        panda = com.load_module(RocpandaModule(ctx, topo, batched=batched))
+        panda = com.load_module(RocpandaModule(ctx, topo))
         w = _window(com)
         for pid, (coords, field) in _pane_arrays(
             seed, topo.comm.rank, layout
@@ -123,14 +123,13 @@ def shapes(draw):
 
 @given(
     shapes(),
-    st.booleans(),
     st.integers(min_value=1, max_value=2),
     st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=8, deadline=None)
-def test_files_and_restart_do_not_depend_on_the_limit(shape, batched, nsnapshots, seed):
+def test_files_and_restart_do_not_depend_on_the_limit(shape, nsnapshots, seed):
     nservers, nclients, layout = shape
-    args = (batched, nservers, nclients, layout, nsnapshots, seed)
+    args = (nservers, nclients, layout, nsnapshots, seed)
     reference, ref_stats = _write(0, *args)
     ref_files = {p: reference.disk.open(p).read() for p in reference.disk.listdir("wb_")}
     assert ref_files

@@ -21,10 +21,11 @@ class TestDriverTierMatrix:
             burst = tiers["burst"]
             # Direct mode is durable the moment the write returns.
             assert direct["durable_s"] == direct["visible_write_s"]
-            # The burst tier collapses visible write time; durability
-            # arrives later but never slower than direct's write path.
+            # The burst tier collapses visible write time; the drain
+            # overlaps the write, so durability trails it by the last
+            # flush only — strictly later, and well before direct's.
             assert burst["visible_write_s"] < direct["visible_write_s"]
-            assert burst["durable_s"] >= burst["visible_write_s"]
+            assert burst["visible_write_s"] < burst["durable_s"] < direct["durable_s"]
 
     def test_single_driver_single_tier(self):
         from repro.shdf.drivers import hdf4_driver

@@ -11,6 +11,8 @@ import pytest
 
 from repro.des import NORMAL, Environment
 
+from tests.spec.heap_env import HeapEnvironment
+
 
 class TestCancellationDiagnostics:
     def test_cancelled_events_do_not_inflate_queue_depth(self):
@@ -46,15 +48,15 @@ class TestCancellationDiagnostics:
         assert env._ncancelled == 0
 
     def test_spec_queue_reports_identical_diagnostics(self):
-        def drive(queue):
-            env = Environment(queue=queue)
+        def drive(env_cls):
+            env = env_cls()
             ts = [env.timeout(1.0) for _ in range(6)]
             for t in ts[2:]:
                 t.cancel()
             env.run()
             return env.events_processed, env.events_cancelled, env.queue_depth()
 
-        assert drive("bucketed") == drive("heapq")
+        assert drive(Environment) == drive(HeapEnvironment)
 
 
 class TestBulkDeliveryDiagnostics:
@@ -71,8 +73,8 @@ class TestBulkDeliveryDiagnostics:
         assert env.bulk_merged >= 1
 
     def test_bulk_fan_out_matches_spec_queue_total(self):
-        def drive(queue):
-            env = Environment(queue=queue)
+        def drive(env_cls):
+            env = env_cls()
             out = []
             for i in range(12):
                 env.schedule_callback(out.append, i, delay=1.0)
@@ -81,7 +83,7 @@ class TestBulkDeliveryDiagnostics:
             env.run()
             return out, env.events_processed
 
-        bucketed, spec = drive("bucketed"), drive("heapq")
+        bucketed, spec = drive(Environment), drive(HeapEnvironment)
         assert bucketed == spec
 
     def test_now_ladder_bulk_counts_fan_out(self):

@@ -129,8 +129,8 @@ class TestEncodeBlockBatch:
         assert [eb.block_id for eb in batch.blocks] == [0, 1, 2]
         for block, eb in zip(blocks, batch.blocks):
             assert isinstance(eb, EncodedBlock)
-            # The accounting size is the source block's, so batched
-            # envelopes fly with the per-block path's exact byte counts.
+            # The accounting size is the source block's: what the
+            # wire and the server's buffer charge.
             assert eb.nbytes == block.nbytes
             expected = [
                 (d.name, bytes(encode_dataset(d)), d.nbytes)
@@ -141,7 +141,7 @@ class TestEncodeBlockBatch:
 
     def test_encoding_is_the_snapshot_copy(self):
         """Mutating source arrays after encoding must not change the
-        record bytes (the batch replaces the per-block array copies)."""
+        record bytes (no separate array copy is taken)."""
         blocks = _blocks(n=1)
         batch = encode_block_batch("snap", blocks)
         before = bytes(batch.blocks[0].records[0][1])

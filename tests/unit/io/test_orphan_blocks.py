@@ -22,6 +22,7 @@ from repro.io.rocpanda.protocol import (
     ProtocolError,
     Shutdown,
     WriteBegin,
+    encode_block_batch,
 )
 from repro.roccom import AttributeSpec, LOC_ELEMENT
 from repro.shdf import decode_file
@@ -29,8 +30,9 @@ from repro.vmpi import run_spmd
 
 
 def make_block(block_id=0, cells=64):
+    """One block as it travels: encoded, the way the client ships it."""
     data = np.arange(float(cells)) + block_id
-    return DataBlock(
+    block = DataBlock(
         window="W",
         block_id=block_id,
         nnodes=0,
@@ -38,6 +40,8 @@ def make_block(block_id=0, cells=64):
         arrays={"f": data},
         specs={"f": AttributeSpec("f", LOC_ELEMENT)},
     )
+    [encoded] = encode_block_batch("", [block]).blocks
+    return encoded
 
 
 def raw_panda_job(client_body, seed=0):

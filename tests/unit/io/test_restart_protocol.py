@@ -45,12 +45,11 @@ class _FakeWorld:
 
 def _fake_client(replies):
     return SimpleNamespace(
-        topo=SimpleNamespace(world=_FakeWorld(replies)),
+        topo=SimpleNamespace(world=_FakeWorld(replies), servers=[1]),
         ctx=SimpleNamespace(rank=3),
         stats=SimpleNamespace(blocks_read=0, bytes_read=0),
         com=None,
-        _server=0,
-        retry=SimpleNamespace(op_timeout=0.25),
+        _faults=None,
     )
 
 
@@ -68,15 +67,18 @@ class TestPerBlockReplies:
         bogus = RestartRequest(prefix="ck", window="W", block_ids=())
         fake = _fake_client([(bogus, SimpleNamespace(source=1))])
         with pytest.raises(ProtocolError, match="RestartRequest from rank 1"):
-            _drain(RocpandaModule._read_perblock(fake, "W", set(), None, "ck"))
+            _drain(RocpandaModule._read_batched(fake, "W", set(), None, "ck"))
         assert isinstance(ProtocolError("x"), RuntimeError)
+        # The request went to the one server before the reply was read.
+        [(sent, dest, _tag)] = fake.topo.world.sent
+        assert isinstance(sent, RestartRequest) and dest == 1
 
     def test_done_with_missing_blocks_raises_keyerror(self):
         fake = _fake_client(
             [(RestartDone(prefix="ck", blocks_sent=0), SimpleNamespace(source=1))]
         )
         with pytest.raises(KeyError, match="missing blocks"):
-            _drain(RocpandaModule._read_perblock(fake, "W", {5}, None, "ck"))
+            _drain(RocpandaModule._read_batched(fake, "W", {5}, None, "ck"))
 
 
 class TestBatchConsistency:

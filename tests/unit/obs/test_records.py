@@ -23,7 +23,6 @@ from repro.obs import (
     to_json,
 )
 from repro.roccom import AttributeSpec, LOC_ELEMENT, Roccom
-from repro.util import Tracer
 from repro.vmpi import run_spmd
 
 
@@ -156,6 +155,15 @@ class TestExport:
         parsed = json.loads(to_json(r, include_records=True))
         assert len(parsed["records"]) == 2
 
+    def test_log_event_appends_unless_disabled(self):
+        r = Recorder()
+        r.log_event(0.25, "fault", 7, "server 3 dead")
+        assert [(e.time, e.category, e.rank) for e in r.events] == [(0.25, "fault", 7)]
+        assert "r7" in str(r.events[0]) and "server 3 dead" in str(r.events[0])
+        off = Recorder(enabled=False)
+        off.log_event(1.0, "fault", 0, "dropped")
+        assert off.events == []
+
     def test_render_timeline(self):
         records = [rec(rank=0, path="a"), rec(rank=2, path="b"),
                    rec(rank=2, t_start=1.0, t_end=2.0)]
@@ -165,20 +173,6 @@ class TestExport:
         assert "1 more record(s)" in text
         only = render_timeline(records, ranks=[0])
         assert "rank 2:" not in only
-
-
-class TestTracerShim:
-    def test_tracer_shares_recorder(self):
-        tracer = Tracer(enabled=True)
-        tracer.log(1.0, "cat", 0, "hello")
-        assert len(tracer.records) == 1
-        assert tracer.recorder.events is tracer.records
-
-    def test_external_recorder(self):
-        r = Recorder()
-        tracer = Tracer(enabled=True, recorder=r)
-        tracer.log(0.0, "c", 1, "m")
-        assert len(r.events) == 1
 
 
 class TestEndToEndRecordStream:

@@ -61,3 +61,17 @@ def test_version_string():
     import repro
 
     assert repro.__version__.count(".") == 2
+
+
+def test_no_argument_selects_a_second_path():
+    """Each layer has one path: no constructor takes a knob that only a
+    test would pass to select another."""
+    from repro.des import Environment
+    from repro.genx import run_genx
+    from repro.io import RocpandaModule
+    from repro.vmpi import Comm, Job, run_spmd
+
+    knobs = {"queue", "mailbox_factory", "tracer", "batched", "batched_restart"}
+    for fn in (Environment, Job, run_spmd, run_genx, RocpandaModule):
+        assert not knobs & set(inspect.signature(fn).parameters), fn
+    assert not hasattr(Comm, "collective_algo")

@@ -1,4 +1,4 @@
-"""Unit tests for units, stats, and tracing utilities."""
+"""Unit tests for units and stats utilities."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from repro.util import (
     KB,
     MB,
     Summary,
-    TraceRecord,
-    Tracer,
     best_of,
     fmt_bandwidth,
     fmt_bytes,
@@ -76,28 +74,3 @@ class TestStats:
     def test_summary_str(self):
         assert str(Summary(3.0, 0.5, 3)) == "3.00 ± 0.50"
         assert str(Summary(3.0, 0.0, 1)) == "3.00"
-
-
-class TestTracer:
-    def test_disabled_tracer_drops_records(self):
-        t = Tracer(enabled=False)
-        t.log(1.0, "io", 0, "write")
-        assert len(t) == 0
-
-    def test_enabled_tracer_collects(self):
-        t = Tracer(enabled=True)
-        t.log(1.0, "io", 0, "write")
-        t.log(2.0, "net", 1, "send")
-        assert len(t) == 2
-        assert t.by_category("io")[0].message == "write"
-        assert t.by_rank(1)[0].category == "net"
-
-    def test_dump_format(self):
-        t = Tracer(enabled=True)
-        t.log(1.5, "io", 3, "hello")
-        assert "r3" in t.dump()
-        assert "hello" in t.dump()
-
-    def test_record_str(self):
-        r = TraceRecord(0.25, "cat", 7, "msg")
-        assert "r7" in str(r)

@@ -1,10 +1,9 @@
-"""Tree vs linear collective algorithms (PR 7 tentpole).
+"""Placement of the binomial-tree / pairwise collectives.
 
-The binomial/pairwise tree algorithms are the production path; the
-linear implementations stay behind ``Comm.collective_algo = "linear"``
-as the executable spec.  Both must produce *payload-identical* results
-for every size, root, and (non-contiguous) subgroup — only the virtual
-timing differs.
+Every result is checked against what the collective is *defined* to
+return — ``[payloads[r] for r in range(size)]`` at the root, item ``r``
+at rank ``r``, the comm-rank-order fold — for every size, root, and
+(non-contiguous) subgroup.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
 from repro.vmpi import run_spmd
-from repro.vmpi.comm import Comm
 
 
 def launch(nprocs, main, seed=0):
@@ -21,22 +19,18 @@ def launch(nprocs, main, seed=0):
     return run_spmd(machine, nprocs, main)
 
 
-@pytest.fixture(params=["tree", "linear"])
-def algo(request, monkeypatch):
-    monkeypatch.setattr(Comm, "collective_algo", request.param)
-    return request.param
-
-
-def test_default_algo_is_tree():
-    assert Comm.collective_algo == "tree"
+def _tree(n):
+    """Test id: the tree at this many ranks (or rooted here)."""
+    return f"tree-{n}"
 
 
 class TestBothAlgosMatchSpec:
-    """Each algorithm independently produces the specified result."""
+    """Tree (gather/scatter/reduce) and pairwise (alltoall) schedules
+    both produce the specified result."""
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13])
-    @pytest.mark.parametrize("root_raw", [0, 1, 4])
-    def test_gather_rank_ordered_any_root(self, algo, size, root_raw):
+    @pytest.mark.parametrize("root_raw", [0, 1, 4], ids=_tree)
+    def test_gather_rank_ordered_any_root(self, size, root_raw):
         root = root_raw % size
         out = {}
 
@@ -52,8 +46,8 @@ class TestBothAlgosMatchSpec:
                 assert out[r] is None
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13])
-    @pytest.mark.parametrize("root_raw", [0, 2, 7])
-    def test_scatter_by_rank_any_root(self, algo, size, root_raw):
+    @pytest.mark.parametrize("root_raw", [0, 2, 7], ids=_tree)
+    def test_scatter_by_rank_any_root(self, size, root_raw):
         root = root_raw % size
         out = {}
 
@@ -66,8 +60,8 @@ class TestBothAlgosMatchSpec:
         launch(size, main)
         assert out == {r: f"item{r}" for r in range(size)}
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
-    def test_alltoall_transpose(self, algo, size):
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13], ids=_tree)
+    def test_alltoall_transpose(self, size):
         out = {}
 
         def main(ctx):
@@ -78,8 +72,8 @@ class TestBothAlgosMatchSpec:
         for r in range(size):
             assert out[r] == [(s, r) for s in range(size)]
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
-    def test_allgather(self, algo, size):
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13], ids=_tree)
+    def test_allgather(self, size):
         out = {}
 
         def main(ctx):
@@ -90,25 +84,27 @@ class TestBothAlgosMatchSpec:
         assert all(v == expected for v in out.values())
 
     @pytest.mark.parametrize("size", [2, 3, 5, 8])
-    def test_reduce_noncommutative_is_rank_order_fold(self, algo, size):
-        """Both algorithms fold gathered values in comm-rank order, so
-        even a non-commutative, non-associative op gives the spec's
-        left-fold result."""
+    @pytest.mark.parametrize("root", [0, 1])
+    def test_reduce_noncommutative_is_rank_order_fold(self, size, root):
+        """Gathered values fold in comm-rank order whatever the root, so
+        even a non-commutative op gives the left-fold result."""
         op = lambda a, b: a + b  # string concat: order-sensitive
         out = {}
 
         def main(ctx):
             out[ctx.rank] = yield from ctx.world.reduce(
-                f"<{ctx.rank}>", op=op, root=0
+                f"<{ctx.rank}>", op=op, root=root
             )
 
         launch(size, main)
-        assert out[0] == "".join(f"<{r}>" for r in range(size))
+        assert out[root] == "".join(f"<{r}>" for r in range(size))
+        assert all(out[r] is None for r in range(size) if r != root)
 
-    def test_large_numpy_payload_rendezvous(self, algo):
+    @pytest.mark.parametrize("size", [3, 5], ids=_tree)
+    def test_large_numpy_payload_rendezvous(self, size):
         """Payloads past the eager threshold ride rendezvous through
         the tree hops without corruption."""
-        arrs = {r: np.full(8192, float(r)) for r in range(5)}
+        arrs = {r: np.full(8192, float(r)) for r in range(size)}
         out = {}
 
         def main(ctx):
@@ -116,90 +112,61 @@ class TestBothAlgosMatchSpec:
             if gathered is not None:
                 out["gathered"] = gathered
 
-        launch(5, main)
-        for r in range(5):
+        launch(size, main)
+        for r in range(size):
             np.testing.assert_array_equal(out["gathered"][r], arrs[r])
-
-
-class TestTreeMatchesLinearExactly:
-    """Run both algorithms on identical jobs; payloads must match."""
-
-    @pytest.mark.parametrize("size", [2, 3, 5, 8, 13])
-    def test_collective_suite_equivalence(self, size):
-        def build(algo_name):
-            out = {}
-
-            def main(ctx):
-                ctx.world.collective_algo = algo_name
-                g = yield from ctx.world.gather((ctx.rank, "g"), root=size - 1)
-                s = yield from ctx.world.scatter(
-                    [(i, "s") for i in range(size)] if ctx.rank == 1 % size else None,
-                    root=1 % size,
-                )
-                ag = yield from ctx.world.allgather(ctx.rank**2)
-                a2a = yield from ctx.world.alltoall(
-                    [ctx.rank * 100 + d for d in range(size)]
-                )
-                red = yield from ctx.world.reduce(
-                    [ctx.rank], op=lambda a, b: a + b, root=0
-                )
-                out[ctx.rank] = (g, s, ag, a2a, red)
-
-            launch(size, main)
-            return out
-
-        assert build("tree") == build("linear")
 
 
 class TestNonContiguousSplitGroups:
     """Tree collectives on subcommunicators whose world ranks are a
     scattered, non-contiguous subset (S3)."""
 
-    def test_gather_on_scattered_group(self, algo):
+    @pytest.mark.parametrize("root", [0, 2], ids=_tree)
+    def test_gather_on_scattered_group(self, root):
         # colors: group A = world ranks {0, 3, 5, 6}, B = {1, 2, 4, 7}.
         colors = {0: 0, 3: 0, 5: 0, 6: 0, 1: 1, 2: 1, 4: 1, 7: 1}
+        groups = ([0, 3, 5, 6], [1, 2, 4, 7])
         out = {}
 
         def main(ctx):
             sub = yield from ctx.world.split(colors[ctx.rank])
-            sub.collective_algo = ctx.world.collective_algo
-            gathered = yield from sub.gather(ctx.rank, root=0)
+            gathered = yield from sub.gather(ctx.rank, root=root)
             out[ctx.rank] = (sub.rank, gathered)
 
         launch(8, main)
-        assert out[0] == (0, [0, 3, 5, 6])
-        assert out[1] == (0, [1, 2, 4, 7])
-        assert out[6] == (3, None)
+        for group in groups:
+            for sub_rank, world_rank in enumerate(group):
+                assert out[world_rank] == (
+                    sub_rank, group if sub_rank == root else None
+                )
 
-    def test_full_suite_on_scattered_group_matches_linear(self):
+    def test_full_suite_on_scattered_group(self):
         colors = {0: 0, 3: 0, 5: 0, 6: 0, 1: 1, 2: 1, 4: 1, 7: 1}
+        groups = {0: [0, 3, 5, 6], 1: [1, 2, 4, 7]}
+        out = {}
 
-        def build(algo_name):
-            out = {}
+        def main(ctx):
+            sub = yield from ctx.world.split(colors[ctx.rank])
+            g = yield from sub.gather(ctx.rank * 3, root=1)
+            b = yield from sub.bcast(
+                ("root2", ctx.rank) if sub.rank == 2 else None, root=2
+            )
+            ag = yield from sub.allgather(ctx.rank)
+            a2a = yield from sub.alltoall(
+                [f"{sub.rank}->{d}" for d in range(sub.size)]
+            )
+            out[ctx.rank] = (g, b, ag, a2a)
 
-            def main(ctx):
-                sub = yield from ctx.world.split(colors[ctx.rank])
-                sub.collective_algo = algo_name
-                g = yield from sub.gather(ctx.rank * 3, root=1)
-                b = yield from sub.bcast(
-                    ("root2", ctx.rank) if sub.rank == 2 else None, root=2
-                )
-                ag = yield from sub.allgather(ctx.rank)
-                a2a = yield from sub.alltoall(
-                    [f"{sub.rank}->{d}" for d in range(sub.size)]
-                )
-                out[ctx.rank] = (g, b, ag, a2a)
+        launch(8, main)
+        for world_rank, (g, b, ag, a2a) in out.items():
+            group = groups[colors[world_rank]]
+            me = group.index(world_rank)
+            assert g == ([r * 3 for r in group] if me == 1 else None)
+            assert b == ("root2", group[2])
+            assert ag == group
+            assert a2a == [f"{s}->{me}" for s in range(4)]
 
-            launch(8, main)
-            return out
-
-        tree = build("tree")
-        linear = build("linear")
-        assert tree == linear
-        # allgather on group A collects the scattered world ranks.
-        assert tree[0][2] == [0, 3, 5, 6]
-
-    def test_nonzero_root_on_scattered_group(self, algo):
+    def test_nonzero_root_on_scattered_group(self):
         colors = {0: None, 1: 0, 2: None, 3: 0, 4: 0, 5: None, 6: 0}
         out = {}
 
@@ -207,7 +174,6 @@ class TestNonContiguousSplitGroups:
             sub = yield from ctx.world.split(colors[ctx.rank])
             if sub is None:
                 return
-            sub.collective_algo = ctx.world.collective_algo
             items = (
                 [r * 2 for r in range(sub.size)] if sub.rank == 3 else None
             )
