@@ -244,6 +244,7 @@ def cmd_scalebench(args) -> None:
         DEFAULT_SCALE_BASELINE_PATH,
         DEFAULT_SCALE_QUICK_BASELINE_PATH,
         check_scale_regressions,
+        check_scale_virtual,
         load_scale_baseline,
         render_scale,
         run_scalebench,
@@ -262,14 +263,18 @@ def cmd_scalebench(args) -> None:
         if "speedup_vs_baseline" not in payload:
             print("[no size-matched baseline: skipping regression gate]")
             return
+        # The quick points' virtual clocks are exact at the bench's seed.
+        moved = check_scale_virtual(payload) if args.quick else []
+        for name, old, new in moved:
+            print(f"VIRTUAL MISMATCH: {name} {old} -> {new}", file=sys.stderr)
         regressed = check_scale_regressions(payload, args.max_regression)
-        if regressed:
-            floor = 1.0 - args.max_regression
-            for name, speedup in regressed:
-                print(
-                    f"REGRESSION: {name} at {speedup}x baseline "
-                    f"(floor {floor:.2f}x)", file=sys.stderr,
-                )
+        floor = 1.0 - args.max_regression
+        for name, speedup in regressed:
+            print(
+                f"REGRESSION: {name} at {speedup}x baseline "
+                f"(floor {floor:.2f}x)", file=sys.stderr,
+            )
+        if moved or regressed:
             sys.exit(1)
         print(f"[no point below {1.0 - args.max_regression:.2f}x baseline]")
 
@@ -343,6 +348,7 @@ def cmd_trace(args) -> None:
             int(counters.get("retries", 0) + counters.get("write_retries", 0)),
             int(counters.get("failovers", 0)),
             int(counters.get("write_flushes", 0)),
+            mod.get("ops", {}).get("slot_wait", {}).get("time", 0.0),
             int(tier_counters.get("drain_backlog_bytes", 0)),
             int(tier_counters.get("tier_evictions", 0)),
             int(tier_counters.get("drain_flushes", 0)),
@@ -350,7 +356,7 @@ def cmd_trace(args) -> None:
     sections.append(render_table(
         ["service", "visible write (s)", "background (s)", "overlap",
          "messages", "bytes on wire", "flushes", "retries", "failovers",
-         "write flushes", "drain backlog (B)", "tier evict", "drain flushes"],
+         "write flushes", "slot wait (s)", "drain backlog (B)", "tier evict", "drain flushes"],
         rows,
         title="Instrumentation summary (overlap = background / (background + visible write))",
     ))

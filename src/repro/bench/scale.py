@@ -25,7 +25,11 @@ Each point reports both clocks:
   of the modeled system; ``computation_s`` includes time blocked in
   collectives, which is where O(P) -> O(log P) shows up, and
   ``fs_write_ops`` counts the filesystem transfers the servers'
-  write-behind stage merged the blocks into).
+  write-behind stage merged the blocks into; ``final_sync_s`` is the
+  drain the run failed to hide, ``slot_wait_s`` the longest any one
+  server sat queued for the filesystem's write-slot lease,
+  ``peak_write_demand`` the most writes the filesystem had in flight,
+  ``write_mb_per_virt_s`` payload over virtual wall, Ertl's curve).
 
 ``run_scalebench`` attaches per-point speedups against a committed
 baseline payload when one of matching size is supplied, and
@@ -49,6 +53,7 @@ __all__ = [
     "run_scalebench",
     "attach_scale_speedups",
     "check_scale_regressions",
+    "check_scale_virtual",
     "load_scale_baseline",
     "render_scale",
     "DEFAULT_SCALE_BASELINE_PATH",
@@ -145,7 +150,11 @@ def bench_scale_point(
         "max_queue_depth": int(env.max_queue_depth),
         # Filesystem transfers the job made (exact for a seed).
         "fs_write_ops": int(machine.fs.metrics.write_ops),
+        "final_sync_s": round(max(c.final_sync_time for c in result.clients), 6),
+        "slot_wait_s": round(max(s.stats.slot_wait_time for s in result.servers), 6),
+        "peak_write_demand": int(machine.fs.metrics.peak_write_demand),
         "payload_bytes": int(payload_bytes),
+        "write_mb_per_virt_s": round(payload_bytes / 2**20 / result.wall_time, 2),
         "host_mb_per_s": round(payload_bytes / 2**20 / host_wall, 1)
         if host_wall > 0
         else float("inf"),
@@ -242,6 +251,19 @@ def check_scale_regressions(
     ]
 
 
+def check_scale_virtual(payload: Dict[str, Any]) -> list:
+    """``(name, old, new)`` per virtual field (exact at the bench's
+    seed) that differs from the attached baseline's: a schedule change."""
+    baseline = payload.get("baseline") or {}
+    return [
+        (f"{curve}_{point['nclients']}.{name}", base.get(name), point[name])
+        for curve in ("strong", "weak")
+        for point, base in zip(payload[curve], baseline.get(curve, []))
+        for name in ("virtual_wall_s", "computation_s", "visible_io_s", "fs_write_ops")
+        if base.get(name) != point[name]
+    ]
+
+
 def render_scale(payload: Dict[str, Any]) -> str:
     """Plain-text table of both curves (and speedups if present)."""
     from .report import render_table
@@ -258,6 +280,10 @@ def render_scale(payload: Dict[str, Any]) -> str:
                 p["virtual_wall_s"],
                 p["computation_s"],
                 p["visible_io_s"],
+                p.get("final_sync_s"),
+                p.get("slot_wait_s"),
+                p.get("peak_write_demand"),
+                p.get("write_mb_per_virt_s"),
                 p["events_per_sec"],
                 p.get("host_mb_per_s"),
                 p["max_queue_depth"],
@@ -267,7 +293,8 @@ def render_scale(payload: Dict[str, Any]) -> str:
     return render_table(
         [
             "curve", "clients", "ranks", "host wall (s)", "virt wall (s)",
-            "compute (s)", "visible I/O (s)", "events/s", "host MB/s",
+            "compute (s)", "visible I/O (s)", "final sync (s)",
+            "slot wait (s)", "peak writers", "virt MB/s", "events/s", "host MB/s",
             "max queue", "fs writes",
             "speedup vs baseline",
         ],

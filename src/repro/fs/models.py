@@ -48,6 +48,8 @@ class FSMetrics:
     #: Total time spent inside write service (summed across streams).
     write_busy_time: float = 0.0
     read_busy_time: float = 0.0
+    #: Most write requests ever in flight at once (active + queued).
+    peak_write_demand: int = 0
 
 
 class FileSystemModel:
@@ -62,12 +64,26 @@ class FileSystemModel:
 
     ``node`` identifies the calling node (used by per-node local disks;
     shared filesystems ignore it).
+
+    ``fs.write_lease(node)`` is the model's **write-slot lease**: a FIFO
+    :class:`~repro.des.Resource` with one slot per independent write
+    server.  Writers that take it around :meth:`write` never queue (or
+    contend) inside the model; they queue outside, where they can do
+    other work meanwhile.  Taking it is voluntary.
     """
 
-    def __init__(self, env: Environment, disk: Optional[VirtualDisk] = None):
+    def __init__(
+        self, env: Environment, disk: Optional[VirtualDisk] = None, write_slots=1
+    ):
         self.env = env
         self.disk = disk if disk is not None else VirtualDisk()
         self.metrics = FSMetrics()
+        self._lease = Resource(env, capacity=write_slots)
+        #: Current number of in-flight write requests (active + queued).
+        self._write_demand = 0
+
+    def write_lease(self, node=None) -> Resource:
+        return self._lease
 
     # -- public operations ----------------------------------------------
     def meta_op(self, node=None):
@@ -94,11 +110,18 @@ class FileSystemModel:
         """Charge the time for writing ``nbytes`` through this filesystem."""
         if nbytes < 0:
             raise ValueError("negative write size")
-        self.metrics.write_ops += 1
-        self.metrics.bytes_written += nbytes
+        metrics = self.metrics
+        metrics.write_ops += 1
+        metrics.bytes_written += nbytes
+        self._write_demand += 1
+        if self._write_demand > metrics.peak_write_demand:
+            metrics.peak_write_demand = self._write_demand
         t0 = self.env.now
-        yield from self._service_write(nbytes, node)
-        self.metrics.write_busy_time += self.env.now - t0
+        try:
+            yield from self._service_write(nbytes, node)
+        finally:
+            self._write_demand -= 1
+        metrics.write_busy_time += self.env.now - t0
 
     def read(self, nbytes: int, node=None):
         """Charge the time for reading ``nbytes`` through this filesystem."""
@@ -112,21 +135,12 @@ class FileSystemModel:
 
     # -- hooks -----------------------------------------------------------
     def _service_meta(self, node):
-        raise NotImplementedError
+        # Every model charges a flat ``meta_latency`` (set by the subclass)
+        # per op, so the batched total below is exact.
+        yield self.env.timeout(self.meta_latency)
 
     def _service_meta_bulk(self, count: int, node):
-        """Batched metadata service: one timeout for ``count`` ops.
-
-        All bundled models charge a flat ``meta_latency`` per op, so the
-        batched total is exact; a subclass with contended metadata can
-        override this (the fallback loops ``_service_meta``).
-        """
-        latency = getattr(self, "meta_latency", None)
-        if latency is not None:
-            yield self.env.timeout(count * latency)
-        else:
-            for _ in range(count):
-                yield from self._service_meta(node)
+        yield self.env.timeout(count * self.meta_latency)
 
     def _service_write(self, nbytes: int, node):
         raise NotImplementedError
@@ -165,14 +179,8 @@ class NFSModel(FileSystemModel):
         self.max_penalty_factor = max_penalty_factor
         self._write_server = Resource(env, capacity=1)
         self._read_server = Resource(env, capacity=read_slots)
-        #: Current number of in-flight write requests (active + queued).
-        self._write_demand = 0
-
-    def _service_meta(self, node):
-        yield self.env.timeout(self.meta_latency)
 
     def _service_write(self, nbytes: int, node):
-        self._write_demand += 1
         req = self._write_server.request()
         yield req
         try:
@@ -180,7 +188,6 @@ class NFSModel(FileSystemModel):
             factor = min(factor, self.max_penalty_factor)
             yield self.env.timeout(self.meta_latency + nbytes / (self.write_bw / factor))
         finally:
-            self._write_demand -= 1
             self._write_server.release(req)
 
     def _service_read(self, nbytes: int, node):
@@ -212,9 +219,9 @@ class GPFSModel(FileSystemModel):
         slots_per_server: int = 1,
         meta_latency: float = 0.8 * MSEC,
     ):
-        super().__init__(env, disk)
         if nservers <= 0:
             raise ValueError("nservers must be > 0")
+        super().__init__(env, disk, write_slots=nservers * slots_per_server)
         self.nservers = nservers
         self.server_bw = server_bw
         self.meta_latency = meta_latency
@@ -228,9 +235,6 @@ class GPFSModel(FileSystemModel):
         self._next += 1
         return server
 
-    def _service_meta(self, node):
-        yield self.env.timeout(self.meta_latency)
-
     def _service_write(self, nbytes: int, node):
         server = self._pick_server()
         req = server.request()
@@ -241,13 +245,7 @@ class GPFSModel(FileSystemModel):
             server.release(req)
 
     def _service_read(self, nbytes: int, node):
-        server = self._pick_server()
-        req = server.request()
-        yield req
-        try:
-            yield self.env.timeout(self.meta_latency + nbytes / self.server_bw)
-        finally:
-            server.release(req)
+        yield from self._service_write(nbytes, node)
 
 
 class LocalFSModel(FileSystemModel):
@@ -271,8 +269,9 @@ class LocalFSModel(FileSystemModel):
             self._per_node[key] = Resource(self.env, capacity=1)
         return self._per_node[key]
 
-    def _service_meta(self, node):
-        yield self.env.timeout(self.meta_latency)
+    def write_lease(self, node=None) -> Resource:
+        # One per node, like the disks (and kept beside them).
+        return self._node_disk(("lease", node))
 
     def _service_write(self, nbytes: int, node):
         disk = self._node_disk(node)

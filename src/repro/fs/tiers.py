@@ -311,7 +311,8 @@ class BurstBufferTier(FileSystemModel):
     ):
         self.backing = backing
         self.config = config if config is not None else TierConfig()
-        super().__init__(env, TierDisk(self, backing.disk))
+        # The front absorbs at memory speed: its write lease never queues.
+        super().__init__(env, TierDisk(self, backing.disk), write_slots=float("inf"))
         self.meta_latency = self.config.meta_latency
         self.journal = DrainJournal()
         self.stats = TierStats()
@@ -352,9 +353,6 @@ class BurstBufferTier(FileSystemModel):
         return self._resident
 
     # -- timing hooks ----------------------------------------------------
-    def _service_meta(self, node):
-        yield self.env.timeout(self.meta_latency)
-
     def _service_write(self, nbytes: int, node):
         cfg = self.config
         limit = cfg.capacity_bytes

@@ -8,11 +8,14 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
 * it **writes behind**: while clients compute, the server drains its
   buffer into SHDF files, *checking for new client requests between
   writing two data blocks* (non-blocking probe), so writing always
-  yields to new requests.  Small blocks bound for one file are staged
-  in that file's writer and land together in transfers of about
+  yields to new requests.  Blocks bound for one file are staged in
+  that file's writer and land together in transfers of about
   :data:`WRITE_BEHIND_BYTES`; whenever the queue runs dry every stage
   is landed, so nothing is staged while the server blocks in probe or
-  answers a sync;
+  answers a sync.  Each landing holds the filesystem's **write-slot
+  lease** (``fs.write_lease``), and a server queued for it keeps
+  probing (:meth:`PandaServer._leased`): the servers take turns at the
+  shared filesystem instead of contending inside it;
 * when nothing is buffered it **blocks in probe**, leaving its CPU idle
   for the operating system — the SMP side-benefit of §4.1 (the noise
   model reads ``cpu.server_busy_fraction``, which the server keeps
@@ -77,12 +80,14 @@ def server_file_path(prefix: str, server_index: int) -> str:
 #: Bytes a file's write-behind stage holds before it lands as one
 #: filesystem transfer.  A block that would push the stage past the
 #: limit lands the stage first, so no transfer exceeds max(limit, one
-#: block) — the granularity at which the server already ignores probes.
-#: About one large block: larger transfers hold the shared filesystem
-#: longer while clients wait for the next probe (DESIGN §8 has the
-#: sweep).  Only blocks small enough to have been sent eagerly are
-#: staged at all (see :meth:`PandaServer._write_block`).
-WRITE_BEHIND_BYTES = 64 * 1024
+#: block) — the longest a server holds the filesystem's write-slot
+#: lease, and the longest it ignores probes.  Every block is staged,
+#: eager or rendezvous: a landing never queues behind another server's
+#: any more (see :meth:`PandaServer._leased`), so a merged transfer
+#: costs its own bytes and nothing else.  256 KiB is where the lock RPC
+#: per landing is paid back on every workload without the transfers
+#: growing long enough to delay a sender (DESIGN §8 has the sweep).
+WRITE_BEHIND_BYTES = 256 * 1024
 
 
 @dataclass
@@ -134,7 +139,12 @@ class ServerStats:
     #: Staged transfers landed; ``blocks_written / write_flushes`` is the
     #: blocks-per-transfer ratio write-behind achieved.
     write_flushes: int = 0
+    #: Staging + transfer time; queueing for the write slot is not in it.
     background_write_time: float = 0.0
+    #: Idle waits in probe while queued for the write-slot lease (a
+    #: message handled in between splits one), and their total time.
+    slot_waits: int = 0
+    slot_wait_time: float = 0.0
     restart_blocks_sent: int = 0
     peak_buffered_bytes: int = 0
     #: Blocks that arrived before their path's WriteBegin (message
@@ -196,7 +206,11 @@ class PandaServer:
         #: entries keep their zero-copy record views.
         self._queue: deque = deque()
         self._buffered_bytes = 0
-        self._sent_eagerly = ctx.job.network.is_eager
+        #: Seconds spent queued for the write-slot lease, summed;
+        #: ``_probing`` while a message is handled in between (no block
+        #: may be written re-entrantly).
+        self._lease_delay = 0.0
+        self._probing = False
         self._shutdown_ranks: set = set()
         self._sync_waiters: List[Tuple[int, int]] = []
         #: path -> [(client, BlockEnvelope | BlockBatch), ...] that
@@ -412,14 +426,7 @@ class PandaServer:
             "rocpanda", "ingest", path=msg.path, nbytes=nbytes,
             t_start=t0, visible=False,
         )
-        if self._buffered_bytes + nbytes > cfg.buffer_bytes:
-            # Graceful overflow: write previously buffered data out to
-            # make room for incoming data (§6.1).
-            self.stats.overflow_flushes += 1
-            if self.ctx.recorder is not None:
-                self.ctx.recorder.record_counter("rocpanda", "overflow_flushes")
-            while self._queue and self._buffered_bytes + nbytes > cfg.buffer_bytes:
-                yield from self._write_one_block()
+        yield from self._make_room(nbytes)
         self._queue.append((msg.path, block))
         self._buffered_bytes += nbytes
         self.stats.peak_buffered_bytes = max(
@@ -478,15 +485,7 @@ class PandaServer:
             "rocpanda", "ingest", path=msg.path, nbytes=total,
             t_start=t0, visible=False,
         )
-        if self._buffered_bytes + total_fresh > cfg.buffer_bytes:
-            self.stats.overflow_flushes += 1
-            if self.ctx.recorder is not None:
-                self.ctx.recorder.record_counter("rocpanda", "overflow_flushes")
-            while (
-                self._queue
-                and self._buffered_bytes + total_fresh > cfg.buffer_bytes
-            ):
-                yield from self._write_one_block()
+        yield from self._make_room(total_fresh)
         for eb in fresh:
             self._queue.append((msg.path, eb))
         self._buffered_bytes += total_fresh
@@ -495,6 +494,18 @@ class PandaServer:
         )
 
     # -- background writing --------------------------------------------------
+    def _make_room(self, nbytes: int):
+        """Generator: graceful overflow — write previously buffered data
+        out to make room for ``nbytes`` of incoming data (§6.1)."""
+        limit = self.config.buffer_bytes
+        if self._buffered_bytes + nbytes <= limit or self._probing:
+            return
+        self.stats.overflow_flushes += 1
+        if self.ctx.recorder is not None:
+            self.ctx.recorder.record_counter("rocpanda", "overflow_flushes")
+        while self._queue and self._buffered_bytes + nbytes > limit:
+            yield from self._write_one_block()
+
     def _write_one_block(self):
         path, block = self._queue.popleft()
         yield from self._write_block(path, block)
@@ -507,37 +518,85 @@ class PandaServer:
             self.ctx.log_fault(f"server write fault ({exc}); retry {attempt + 1}")
 
     def _retrying_write(self, op):
+        """Generator: ``op()`` under the write-slot lease, retried on faults
+        (released before each back-off, asked for again after it)."""
         return retrying(
-            self.ctx.env, self.config.retry, op, on_retry=self._note_write_retry
+            self.ctx.env, self.config.retry, lambda: self._leased(op),
+            on_retry=self._note_write_retry,
         )
+
+    def _leased(self, op):
+        """Generator: run ``op()`` holding the filesystem's write-slot lease.
+
+        Asking costs one lock RPC (``fs.meta_op``), paid before the
+        request joins the queue.  While it is queued the server is back
+        in its probe loop: a message ends the wait, the request is
+        withdrawn (the lease is never held by a server doing something
+        else), the message is handled, and the server asks again.  It
+        stops probing only when it could not buffer the pending message
+        — a full or write-through server makes its senders wait for the
+        disk, as it always has.
+        """
+        ctx, cfg = self.ctx, self.config
+        lease = ctx.fs.write_lease(ctx.node)
+        yield from ctx.fs.meta_op(ctx.node)
+        t0 = ctx.now
+        req = lease.request()
+        try:
+            while not req.triggered:
+                ctx.cpu.server_busy_fraction = cfg.busy_fraction_idle
+                t_idle = ctx.now
+                status = yield from self.topo.world.probe(ANY_SOURCE, ANY_TAG, until=req)
+                if status is not None and (
+                    not cfg.active_buffering
+                    or self._buffered_bytes + status.nbytes > cfg.buffer_bytes
+                ):
+                    yield req
+                if ctx.now > t_idle:
+                    self.stats.slot_waits += 1
+                    self.stats.slot_wait_time += ctx.now - t_idle
+                    ctx.io_record("rocpanda", "slot_wait", t_start=t_idle, visible=False)
+                    ctx.recorder.record_counter("rocpanda", "slot_waits")
+                if req.triggered:
+                    break
+                req.cancel()
+                self._probing = True
+                yield from self._handle_one(status)
+                self._probing = False
+                req = lease.request()
+            self._lease_delay += ctx.now - t0
+            ctx.cpu.server_busy_fraction = cfg.busy_fraction_writing
+            return (yield from op())
+        finally:
+            self._probing = False
+            if req.triggered:
+                lease.release(req)
+            else:
+                req.cancel()
 
     def _write_block(self, path: str, block):
         """Generator: write one buffered :class:`EncodedBlock`.
 
         The block's records are *staged* in the file's writer — format
-        bookkeeping is paid per block — and the stage lands as one
-        filesystem transfer once it holds :data:`WRITE_BEHIND_BYTES`.
-        A block that would push the stage past the limit lands it
-        first, and a rendezvous-sized block lands what is staged and
-        then itself: its sender waited for
-        this server's probe and the next such sender will, so those
-        blocks keep the no-probe episodes they always had and only
-        fire-and-forget (eager) blocks are merged into longer ones.
-        When the queue has run dry every file's stage lands, so the
-        server never sleeps in probe, nor answers a sync, on staged
-        data (write-through never queues, so there every block lands
-        on its own).  Record order is queue order whatever lands when:
-        the files are byte-identical.
+        bookkeeping is paid per block, outside the lease — and the
+        stage lands as one filesystem transfer once it holds
+        :data:`WRITE_BEHIND_BYTES`.  A block that would push the stage
+        past the limit lands it first.  When the queue has run dry
+        every file's stage lands, so the server never sleeps in probe,
+        nor answers a sync, on staged data (write-through never queues,
+        so there every block lands on its own).  Record order is queue
+        order whatever lands when: the files are byte-identical.
 
         Only the open and the landing can fault, and each retries on
         its own: a record is staged exactly once.  The ``bg_write``
         record is the time the server spent on this block, including a
-        landing it triggered; the written counters move in
-        :meth:`_land`.
+        landing it triggered but not the wait for the lease (that is
+        ``slot_wait``); the written counters move in :meth:`_land`.
         """
         cpu = self.ctx.cpu
         cpu.server_busy_fraction = self.config.busy_fraction_writing
         t0 = self.ctx.now
+        delay0 = self._lease_delay
         state = self._paths[path]
         writer = state.writer
         records = block.records
@@ -547,19 +606,20 @@ class PandaServer:
                 lambda: writer.open(file_attrs=state.writer_attrs)
             )
             self.stats.files_created += 1
-        limit = WRITE_BEHIND_BYTES if self._sent_eagerly(block.nbytes) else 0
         if (
             writer.staged_bytes
-            and writer.staged_bytes + writer.charge_for(records) > limit
+            and writer.staged_bytes + writer.charge_for(records) > WRITE_BEHIND_BYTES
         ):
             yield from self._land(state)
         yield from writer.write_records(records)
         state.staged.append(block)
         if not self._queue:
-            for other in self._paths.values():
+            # list(): a WriteBegin handled while queued may add a path.
+            for other in list(self._paths.values()):
                 yield from self._land(other)
-        elif writer.staged_bytes >= limit:
+        elif writer.staged_bytes >= WRITE_BEHIND_BYTES:
             yield from self._land(state)
+        t0 += self._lease_delay - delay0
         self.stats.background_write_time += self.ctx.now - t0
         self.ctx.io_record(
             "rocpanda", "bg_write", path=path, nbytes=block.nbytes,
@@ -612,12 +672,15 @@ class PandaServer:
             if complete or (force and state.opened):
                 retire.append((path, state))
         for path, state in retire:
-            if state.writer is not None and state.writer.is_open:
-                yield from self._land(state)
-                yield from self._retrying_write(state.writer.close)
+            # Retired before the close queues for the lease: a client
+            # re-announcing the path meanwhile starts a new generation.
             del self._paths[path]
             if self._faults is not None:
                 self._file_gens[path] = self._file_gens.get(path, 0) + 1
+        for path, state in retire:
+            if state.writer is not None and state.writer.is_open:
+                yield from self._land(state)
+                yield from self._retrying_write(state.writer.close)
 
     def _answer_sync_waiters(self) -> None:
         if not self._sync_waiters:

@@ -412,6 +412,8 @@ def decode_header(buf: bytes) -> Tuple[dict, int, int]:
     for the version number) and hands the parsed version back so
     callers dispatch without re-reading raw bytes.
     """
+    if not len(buf):
+        raise TornFileError("empty SHDF file (writer crashed inside open)")
     reader = _Reader(buf)
     if reader.take(4) != FILE_MAGIC:
         raise CodecError("not an SHDF file (bad magic)")

@@ -14,6 +14,7 @@ import pytest
 from repro.bench import run_faultbench
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
+from repro.cluster import turing
 from repro.faults import FaultPlan, RetryPolicy, ServerCrash, TransientEIO
 from repro.genx import GENxConfig, lab_scale_motor, run_genx
 from repro.fs.vfs import TransientIOError
@@ -109,18 +110,21 @@ def _restart_main(nservers, per_client):
     return main
 
 
-def _launch(nprocs, main, plan=None, seed=0, disk=None):
+def _launch(nprocs, main, plan=None, seed=0, disk=None, spec=None):
+    """Run ``main`` on the test box (per-node disks), or on ``spec``."""
     machine = Machine(
-        make_testbox(nnodes=8, cpus_per_node=4), seed=seed, disk=disk
+        spec or make_testbox(nnodes=8, cpus_per_node=4), seed=seed, disk=disk
     )
     if plan is not None:
         machine.install_faults(plan)
     return run_spmd(machine, nprocs, main), machine
 
 
-def _checkpoint_then_restart(plan, **write_kwargs):
+def _checkpoint_then_restart(plan, spec=None, **write_kwargs):
     """Write 8 procs / 2 servers (under ``plan``), restart 6 / 3."""
-    result, machine = _launch(8, _write_main(2, **write_kwargs), plan=plan)
+    result, machine = _launch(
+        8, _write_main(2, **write_kwargs), plan=plan, spec=spec
+    )
     restart, _ = _launch(
         6, _restart_main(3, per_client=NBLOCKS * 2), seed=1, disk=machine.disk
     )
@@ -254,7 +258,9 @@ class TestWriteBehindStage:
                 )
 
     @pytest.mark.parametrize(
-        "limit", [0, 64 * 1024, 2**30], ids=["per_block", "default", "whole_file"]
+        "limit",
+        [0, panda_server.WRITE_BEHIND_BYTES, 2**30],
+        ids=["per_block", "default", "whole_file"],
     )
     @pytest.mark.parametrize("nodes", [EAGER_NODES, 1200], ids=["eager", "rendezvous"])
     def test_sync_returns_only_once_every_shipped_block_is_on_disk(
@@ -288,8 +294,155 @@ class TestWriteBehindStage:
         written = sum(s.stats.blocks_written for s in servers)
         flushes = sum(s.stats.write_flushes for s in servers)
         assert written == 6 * NBLOCKS
-        # Only eager-sized blocks share transfers, and only under a limit.
-        assert (flushes < written) == (nodes == EAGER_NODES and limit > 0)
+        # Blocks share transfers iff there is a limit to share under,
+        # eager-sized or rendezvous (the write-slot lease removed the
+        # reason to land rendezvous blocks one by one).
+        assert (flushes < written) == (limit > 0)
+
+
+class TestWriteSlotLease:
+    """Two servers taking turns at Turing's one NFS write slot."""
+
+    @staticmethod
+    def _records(result, rank, module, op):
+        return [
+            r for r in result.recorder.io_records
+            if (r.rank, r.module, r.op) == (rank, module, op)
+        ]
+
+    @pytest.fixture(scope="class")
+    def contended_instant(self):
+        """A fault-free run, and an instant at which server 4 holds the
+        lease (inside a landing) while server 0 is queued for it."""
+        result, machine = _launch(8, _write_main(2), spec=turing())
+        assert machine.fs.metrics.peak_write_demand == 1
+        for wait in self._records(result, 0, "rocpanda", "slot_wait"):
+            t = (wait.t_start + wait.t_end) / 2
+            if any(
+                f.t_start < t < f.t_end for f in self._records(result, 4, "shdf", "flush")
+            ):
+                return t
+        raise AssertionError("server 0 never queued behind a landing of server 4")
+
+    @pytest.mark.parametrize("victim", [4, 0], ids=["holding", "queued"])
+    def test_crash_at_the_lease_never_parks_the_survivor(
+        self, contended_instant, victim
+    ):
+        _, _, reference = _checkpoint_then_restart(plan=None, spec=turing())
+        servers = []
+        plan = FaultPlan((ServerCrash(rank=victim, at_time=contended_instant),))
+        result, machine, restored = _checkpoint_then_restart(
+            plan, spec=turing(), servers=servers
+        )
+        # The run terminated (we are here), with the lease free: the
+        # holder's Interrupt unwound through the release, the queued
+        # server's cancelled its request.
+        lease = machine.fs.write_lease()
+        assert lease.count == 0 and not lease.queue
+        (crashed,) = [s for s in servers if s.stats.crashed]
+        (survivor,) = [s for s in servers if not s.stats.crashed]
+        assert crashed.ctx.rank == victim
+        # The survivor drained its own blocks and the heir's re-shipped ones.
+        assert survivor.stats.blocks_written == 6 * NBLOCKS
+        assert not survivor._queue and not survivor._paths
+        client_stats = [s for kind, s in result.returns if kind == "client"]
+        assert sum(s.failovers for s in client_stats) == 3
+        assert set(restored) == set(reference) == set(range(18))
+        for pid in reference:
+            for name in ("coords", "pressure"):
+                np.testing.assert_array_equal(
+                    restored[pid][name], reference[pid][name]
+                )
+
+    def test_faulted_landing_gives_the_lease_up_for_the_back_off(self):
+        def run(fail_flush):
+            machine = Machine(turing(), seed=0)
+            lease = machine.fs.write_lease()
+            holders, state = [], {"armed": fail_flush}
+
+            def hook(path, nbytes):
+                # Landings are the appends bigger than a header or footer.
+                if path.endswith("s0001.shdf") and nbytes > 4096:
+                    holders.append(lease.users[0])
+                    if state["armed"]:
+                        state["armed"] = False
+                        raise TransientIOError(f"injected EIO ({path})")
+
+            machine.disk.fault_hook = hook
+            result = run_spmd(machine, 8, _write_main(2))
+            stats = [s for kind, s in result.returns if kind == "server"]
+            image = {p: machine.disk.open(p).read() for p in machine.disk.listdir("ck_s")}
+            return image, stats, holders, lease
+
+        reference, ref_stats, ref_holders, _ = run(fail_flush=False)
+        image, stats, holders, lease = run(fail_flush=True)
+        assert image == reference
+        assert sum(s.write_retries for s in stats) == 1
+        assert sum(s.write_retries for s in ref_stats) == 0
+        assert [s.write_flushes for s in stats] == [s.write_flushes for s in ref_stats]
+        # One more landing attempt than landings, and the retry held a
+        # *new* grant: the first was released before the back-off.
+        assert len(holders) == len(ref_holders) + 1
+        assert holders[0] is not holders[1]
+        assert lease.count == 0 and not lease.queue
+
+    def test_a_queued_server_still_answers_a_rendezvous_sender(self):
+        """Server 4's clients ship 1 MB blocks, so its landings hold the
+        slot for ~20 ms each.  Client 1 ships a late snapshot ``b`` that
+        gives server 0 something to land — it queues behind server 4 —
+        and client 2 ships ``c`` (rendezvous-sized blocks) meanwhile."""
+        late = {}
+
+        def main(ctx):
+            topo = yield from rocpanda_init(ctx, 2)
+            if topo.is_server:
+                stats = yield from PandaServer(ctx, topo).run()
+                return ("server", stats)
+            com = Roccom(ctx)
+            panda = com.load_module(RocpandaModule(ctx, topo))
+            w = _declare(com)
+            nn = 40_000 if ctx.rank > 4 else 1200
+            rng = np.random.default_rng(ctx.rank)
+            for i in range(NBLOCKS):
+                pid = topo.comm.rank * NBLOCKS + i
+                w.register_pane(pid, nn, nn // 2)
+                w.set_array("coords", pid, rng.random((nn, 3)))
+                w.set_array("pressure", pid, rng.random(nn // 2))
+            yield from com.call_function("OUT.write_attribute", "Fluid", None, "a")
+            if ctx.rank in (1, 2):
+                yield from ctx.sleep(0.12 if ctx.rank == 1 else 0.13)
+                t0 = ctx.now
+                yield from com.call_function(
+                    "OUT.write_attribute", "Fluid", None, "bc"[ctx.rank - 1]
+                )
+                late[ctx.rank] = (t0, ctx.now)
+            yield from com.call_function("OUT.sync")
+            yield from panda.finalize()
+            return ("client", panda.stats)
+
+        result, machine = _launch(8, main, spec=turing())
+        asked, sent = late[2]
+        ingests = [
+            r for r in self._records(result, 0, "rocpanda", "ingest") if r.path == "c"
+        ]
+        assert len(ingests) == NBLOCKS and asked < ingests[0].t_start
+        # Server 0 took the late blocks between two waits for the slot ...
+        waits = self._records(result, 0, "rocpanda", "slot_wait")
+        assert any(w.t_end <= ingests[0].t_start and w.t_start < asked for w in waits)
+        assert any(w.t_start >= ingests[-1].t_end for w in waits)
+        # ... while server 4 held it, inside one transfer ...
+        assert any(
+            f.t_start < ingests[0].t_start and ingests[-1].t_end < f.t_end
+            for f in self._records(result, 4, "shdf", "flush")
+        )
+        # ... so the sender was done before server 0 next touched the
+        # filesystem (the open it had been queueing for all along).
+        held = [
+            r for op in ("open", "flush", "close")
+            for r in self._records(result, 0, "shdf", op) if r.t_end > asked
+        ]
+        assert sent <= min(r.t_start for r in held)
+        assert machine.fs.metrics.peak_write_demand == 1
 
 
 class TestOverflowCounterExport:

@@ -2,13 +2,22 @@
 
 The stage limit is a module constant (``server.WRITE_BEHIND_BYTES``), not
 an option; patched to 0 here, every block lands on its own — through the
-same staged code path, not a kept fork — and must reproduce,
-bit for bit, the virtual times of the commit before the stage existed.
-The reference values below were captured on that commit
-(b1f166d) with ``Machine(turing(), seed=100)`` on shrunken versions of
-the four Rocpanda benchmark workloads; the third number of each triple
-is the filesystem's write-op count.  The default limit must then do no
-more transfers and finish no later, and leave the same files behind.
+same staged code path, not a kept fork — and must reproduce, bit for
+bit, the reference values below: ``Machine(turing(), seed=100)`` on
+shrunken versions of the four Rocpanda benchmark workloads, the third
+number of each triple being the filesystem's write-op count.  The
+default limit must then do fewer transfers and finish earlier, and leave
+the same files behind.
+
+The triples were first captured on the commit before the stage existed
+(b1f166d).  They were re-derived when every landing began to take the
+filesystem's write-slot lease (ISSUE 18): per-block landing now pays one
+lock RPC (1.5 ms on Turing) per open, landing and close, and these
+one- and two-server jobs have next to no contention for the lease to
+remove, so each wall moved up — write 1.2991 -> 1.4209, restart
+1.1756 -> 1.2446, weak 1.7145 -> 1.8525, strong 1.2234 -> 1.3058 — with
+visible I/O moving only where a sender met a landing (write, weak) and
+the op counts unchanged.
 """
 
 import pytest
@@ -17,12 +26,12 @@ from repro.cluster import Machine, turing
 from repro.genx import GENxConfig, lab_scale_motor, run_genx, scalability_cylinder
 from repro.io.rocpanda import server
 
-#: (wall_time, visible_io_time, fs write ops) before the stage existed.
+#: (wall_time, visible_io_time, fs write ops), every block landing alone.
 PARENT = {
-    "write": (1.299067242243781, 0.08074908292375615, 156),
-    "restart": (1.1756284997576385, 0.031241341943015588, 46),
-    "weak": (1.7145142281393586, 0.050272750283471584, 92),
-    "strong": (1.223397445205478, 0.02130883281101628, 108),
+    "write": (1.4209390566247733, 0.07851158900059499, 156),
+    "restart": (1.2446284997576376, 0.031241341943015588, 46),
+    "weak": (1.8525142281393594, 0.06077275028347162, 92),
+    "strong": (1.305804564140802, 0.02130883281101628, 108),
 }
 
 

@@ -1,14 +1,17 @@
 """Property test: the server's write-behind limit never shows in the files.
 
 ``server.WRITE_BEHIND_BYTES`` (a module constant, patched here) decides
-how many queued eager-sized blocks share one filesystem transfer — from
-every block on its own (0) to as many as the queue holds (2**30);
-rendezvous-sized blocks land on their own whatever it says, and the
-layouts below mix both kinds.  Record order is the FIFO queue order
-either way, so for any topology and pane layout every server
-file must be byte-identical across limits, and a restart must restore
-exactly the arrays the clients registered.  Virtual time is *not*
-compared: fewer transfers is the point.
+how many queued blocks share one filesystem transfer — from every block
+on its own (0) to as many as the queue holds (2**30); the layouts below
+mix eager-sized and rendezvous-sized blocks, and both kinds merge.
+Every landing holds the filesystem's write-slot lease, so on a shared
+filesystem (Turing's NFS: one slot) the limit also changes which server
+lands when, and what a queued server ingests meanwhile.  Record order
+is each server's FIFO queue order whoever lands first, so for any
+topology, pane layout and filesystem every server file must be
+byte-identical across limits, and a restart must restore exactly the
+arrays the clients registered.  Virtual time is *not* compared: fewer
+transfers is the point.
 """
 
 import numpy as np
@@ -18,12 +21,18 @@ from hypothesis import strategies as st
 
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
+from repro.cluster import turing
 from repro.io import PandaServer, RocpandaModule, rocpanda_init
 from repro.io.rocpanda import server
 from repro.roccom import AttributeSpec, Roccom
 from repro.vmpi import run_spmd
 
-LIMITS = (0, 1, 4 * 1024, 64 * 1024, 2**30)
+LIMITS = (0, 1, 4 * 1024, 64 * 1024, 256 * 1024, 2**30)
+
+
+def _spec(shared):
+    """Turing (one NFS write slot for all servers) or per-node disks."""
+    return turing() if shared else make_testbox(nnodes=4, cpus_per_node=4)
 
 
 def _window(com):
@@ -42,7 +51,7 @@ def _pane_arrays(seed, rank, layout):
     }
 
 
-def _write(limit, nservers, nclients, layout, nsnapshots, seed):
+def _write(limit, nservers, nclients, layout, nsnapshots, seed, shared):
     """One Rocpanda write job; returns (machine, servers' stats)."""
 
     def main(ctx):
@@ -65,14 +74,20 @@ def _write(limit, nservers, nclients, layout, nsnapshots, seed):
         yield from com.call_function("OUT.sync")
         yield from panda.finalize()
 
-    machine = Machine(make_testbox(nnodes=4, cpus_per_node=4), seed=seed)
+    machine = Machine(_spec(shared), seed=seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(server, "WRITE_BEHIND_BYTES", limit)
         job = run_spmd(machine, nservers + nclients, main)
+    if shared:
+        # The servers took turns at the one slot — the filesystem never
+        # saw two writes at once — and the lease ends free.
+        lease = machine.fs.write_lease()
+        assert lease.count == 0 and not lease.queue
+        assert machine.fs.metrics.peak_write_demand <= lease.capacity == 1
     return machine, [r for r in job.returns if r is not None]
 
 
-def _restart(disk, prefix, pane_ids, nservers, nclients, seed):
+def _restart(disk, prefix, pane_ids, nservers, nclients, seed, shared):
     """Restart from ``disk``; returns {pane_id: (coords, field)} restored."""
 
     def main(ctx):
@@ -93,9 +108,7 @@ def _restart(disk, prefix, pane_ids, nservers, nclients, seed):
         yield from panda.finalize()
         return restored
 
-    machine = Machine(
-        make_testbox(nnodes=4, cpus_per_node=4), seed=seed + 1, disk=disk
-    )
+    machine = Machine(_spec(shared), seed=seed + 1, disk=disk)
     job = run_spmd(machine, nservers + nclients, main)
     merged = {}
     for restored in job.returns:
@@ -125,11 +138,12 @@ def shapes(draw):
     shapes(),
     st.integers(min_value=1, max_value=2),
     st.integers(min_value=0, max_value=10_000),
+    st.booleans(),
 )
 @settings(max_examples=8, deadline=None)
-def test_files_and_restart_do_not_depend_on_the_limit(shape, nsnapshots, seed):
+def test_files_and_restart_do_not_depend_on_the_limit(shape, nsnapshots, seed, shared):
     nservers, nclients, layout = shape
-    args = (nservers, nclients, layout, nsnapshots, seed)
+    args = (nservers, nclients, layout, nsnapshots, seed, shared)
     reference, ref_stats = _write(0, *args)
     ref_files = {p: reference.disk.open(p).read() for p in reference.disk.listdir("wb_")}
     assert ref_files
@@ -155,7 +169,7 @@ def test_files_and_restart_do_not_depend_on_the_limit(shape, nsnapshots, seed):
         expected.update(_pane_arrays(seed, rank, layout))
     restored = _restart(
         machine.disk, f"wb_{nsnapshots - 1:02d}", sorted(expected),
-        nservers, nclients, seed,
+        nservers, nclients, seed, shared,
     )
     assert sorted(restored) == sorted(expected)
     for pid, (coords, field) in expected.items():

@@ -21,6 +21,7 @@ from repro.shdf.codec import (
     encode_commit_footer,
     encode_dataset,
     encode_header,
+    scan_file,
 )
 
 
@@ -131,6 +132,14 @@ class TestJournaledFiles:
     def test_journaled_file_with_wrong_commit_count_is_torn(self):
         with pytest.raises(TornFileError):
             decode_file(self._journaled(ndatasets=1, committed=2))
+
+    def test_empty_file_is_torn(self):
+        # A writer that crashed inside open() — file created, header not
+        # yet landed — leaves zero bytes: no magic, no journal flag.  The
+        # restart scan must be able to skip it like any other torn file.
+        for decode in (decode_file, scan_file):
+            with pytest.raises(TornFileError):
+                decode(b"")
 
     def test_footer_is_fixed_size(self):
         assert len(encode_commit_footer(7)) == COMMIT_SIZE
