@@ -294,6 +294,7 @@ def cmd_faultbench(args) -> None:
 
 def cmd_trace(args) -> None:
     from .bench import render_table
+    from .bench.scale import DRAIN_TERMS, server_drain
     from .cluster import Machine, turing
     from .genx import GENxConfig, lab_scale_motor, run_genx
     from .obs import overlap_ratio, render_timeline, summary_payload
@@ -348,7 +349,7 @@ def cmd_trace(args) -> None:
             int(counters.get("retries", 0) + counters.get("write_retries", 0)),
             int(counters.get("failovers", 0)),
             int(counters.get("write_flushes", 0)),
-            mod.get("ops", {}).get("slot_wait", {}).get("time", 0.0),
+            *server_drain(result).values(),
             int(tier_counters.get("drain_backlog_bytes", 0)),
             int(tier_counters.get("tier_evictions", 0)),
             int(tier_counters.get("drain_flushes", 0)),
@@ -356,7 +357,8 @@ def cmd_trace(args) -> None:
     sections.append(render_table(
         ["service", "visible write (s)", "background (s)", "overlap",
          "messages", "bytes on wire", "flushes", "retries", "failovers",
-         "write flushes", "slot wait (s)", "drain backlog (B)", "tier evict", "drain flushes"],
+         "write flushes", *(f"{t.replace('_', ' ')} (s)" for t in DRAIN_TERMS),
+         "drain backlog (B)", "tier evict", "drain flushes"],
         rows,
         title="Instrumentation summary (overlap = background / (background + visible write))",
     ))

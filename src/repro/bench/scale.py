@@ -26,10 +26,10 @@ Each point reports both clocks:
   collectives, which is where O(P) -> O(log P) shows up, and
   ``fs_write_ops`` counts the filesystem transfers the servers'
   write-behind stage merged the blocks into; ``final_sync_s`` is the
-  drain the run failed to hide, ``slot_wait_s`` the longest any one
-  server sat queued for the filesystem's write-slot lease,
-  ``peak_write_demand`` the most writes the filesystem had in flight,
-  ``write_mb_per_virt_s`` payload over virtual wall, Ertl's curve).
+  drain the run failed to hide, ``drain`` where the slowest server's
+  went (:func:`server_drain`), ``peak_write_demand`` the most writes
+  the filesystem had in flight, ``write_mb_per_virt_s`` payload over
+  virtual wall, Ertl's curve).
 
 ``run_scalebench`` attaches per-point speedups against a committed
 baseline payload when one of matching size is supplied, and
@@ -151,7 +151,7 @@ def bench_scale_point(
         # Filesystem transfers the job made (exact for a seed).
         "fs_write_ops": int(machine.fs.metrics.write_ops),
         "final_sync_s": round(max(c.final_sync_time for c in result.clients), 6),
-        "slot_wait_s": round(max(s.stats.slot_wait_time for s in result.servers), 6),
+        "drain": server_drain(result),
         "peak_write_demand": int(machine.fs.metrics.peak_write_demand),
         "payload_bytes": int(payload_bytes),
         "write_mb_per_virt_s": round(payload_bytes / 2**20 / result.wall_time, 2),
@@ -159,6 +159,23 @@ def bench_scale_point(
         if host_wall > 0
         else float("inf"),
     }
+
+
+#: The terms of a server's drain, as ``ServerStats`` names them: the
+#: first on its main loop, the rest on its lander.
+DRAIN_TERMS = ("bookkeeping", "meta", "lock_rpc", "slot_wait", "transfer")
+
+
+def server_drain(result) -> Dict[str, float]:
+    """``{term}_s`` per :data:`DRAIN_TERMS` for the server of ``result``
+    whose drain (their sum: its ``bg_write``, ``settle``, ``land`` and
+    ``slot_wait`` records) was the longest; zeros without servers."""
+    drains = [
+        [getattr(s.stats, f"{term}_time") for term in DRAIN_TERMS]
+        for s in result.servers
+    ]
+    slowest = max(drains, key=sum, default=[0.0] * len(DRAIN_TERMS))
+    return {f"{t}_s": round(v, 6) for t, v in zip(DRAIN_TERMS, slowest)}
 
 
 def load_scale_baseline(path: str) -> Optional[Dict]:
@@ -281,7 +298,7 @@ def render_scale(payload: Dict[str, Any]) -> str:
                 p["computation_s"],
                 p["visible_io_s"],
                 p.get("final_sync_s"),
-                p.get("slot_wait_s"),
+                *(p.get("drain", {}).get(f"{term}_s") for term in DRAIN_TERMS),
                 p.get("peak_write_demand"),
                 p.get("write_mb_per_virt_s"),
                 p["events_per_sec"],
@@ -294,7 +311,8 @@ def render_scale(payload: Dict[str, Any]) -> str:
         [
             "curve", "clients", "ranks", "host wall (s)", "virt wall (s)",
             "compute (s)", "visible I/O (s)", "final sync (s)",
-            "slot wait (s)", "peak writers", "virt MB/s", "events/s", "host MB/s",
+            *(f"{term.replace('_', ' ')} (s)" for term in DRAIN_TERMS),
+            "peak writers", "virt MB/s", "events/s", "host MB/s",
             "max queue", "fs writes",
             "speedup vs baseline",
         ],

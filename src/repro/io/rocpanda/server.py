@@ -5,21 +5,29 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
 * it **buffers** incoming data blocks instead of writing them, so the
   rendezvous send from the client completes as soon as the block is in
   server memory — the client returns to computation;
-* it **writes behind**: while clients compute, the server drains its
-  buffer into SHDF files, *checking for new client requests between
-  writing two data blocks* (non-blocking probe), so writing always
-  yields to new requests.  Blocks bound for one file are staged in
-  that file's writer and land together in transfers of about
-  :data:`WRITE_BEHIND_BYTES`; whenever the queue runs dry every stage
-  is landed, so nothing is staged while the server blocks in probe or
-  answers a sync.  Each landing holds the filesystem's **write-slot
-  lease** (``fs.write_lease``), and a server queued for it keeps
-  probing (:meth:`PandaServer._leased`): the servers take turns at the
-  shared filesystem instead of contending inside it;
-* when nothing is buffered it **blocks in probe**, leaving its CPU idle
+* it **writes behind**, in two stages.  The **main loop** drains its
+  buffer into the files' writers, *checking for new client requests
+  between two data blocks* (non-blocking probe), so writing always
+  yields to new requests; per block it pays the format's directory
+  bookkeeping (CPU) and never waits for the filesystem.  A file's
+  blocks are staged in its writer, and a stage of about
+  :data:`WRITE_BEHIND_BYTES` is sealed and queued for the **lander**, a
+  second process (started on demand, gone when idle) that does all that
+  touches ``ctx.fs``, in queue order: open and header, the stage's
+  metadata round trips, the lock RPC, a plain FIFO wait for the
+  filesystem's **write-slot lease** (``fs.write_lease``: the servers
+  take turns at the shared filesystem instead of contending inside
+  it), the transfer, close and footer.  What is staged when the queue
+  runs dry the lander seals itself: at once if it was idle, and if
+  busy when it catches up — with what accumulated meanwhile, so a
+  saturated write slot sees few, large transfers.  A sync is answered
+  only when queue, stages and lander are empty, and the main loop waits
+  for the lander only where clients are meant to wait for the disk:
+  buffer overflow, write-through and the final close;
+* when nothing is queued it **blocks in probe**, leaving its CPU idle
   for the operating system — the SMP side-benefit of §4.1 (the noise
-  model reads ``cpu.server_busy_fraction``, which the server keeps
-  up to date);
+  model reads ``cpu.server_busy_fraction``: busy while the main loop
+  keeps books or the lander holds the lease);
 * on **buffer overflow** it gracefully writes old blocks out to make
   room for incoming data;
 * on **restart** (two-phase collective read) every client requests
@@ -52,6 +60,7 @@ from ...shdf.drivers import HDFDriver, hdf4_driver
 from ...shdf.file import SHDFReader, SHDFWriter
 from ...vmpi.datatypes import ANY_SOURCE, ANY_TAG
 from ..base import DataBlock, datasets_to_blocks
+from ..trochdf import BackgroundWriteError
 from .protocol import (
     TAG_BLOCK,
     TAG_CTRL,
@@ -77,16 +86,14 @@ def server_file_path(prefix: str, server_index: int) -> str:
     return f"{prefix}_s{server_index:04d}.shdf"
 
 
-#: Bytes a file's write-behind stage holds before it lands as one
-#: filesystem transfer.  A block that would push the stage past the
-#: limit lands the stage first, so no transfer exceeds max(limit, one
-#: block) — the longest a server holds the filesystem's write-slot
-#: lease, and the longest it ignores probes.  Every block is staged,
-#: eager or rendezvous: a landing never queues behind another server's
-#: any more (see :meth:`PandaServer._leased`), so a merged transfer
-#: costs its own bytes and nothing else.  256 KiB is where the lock RPC
-#: per landing is paid back on every workload without the transfers
-#: growing long enough to delay a sender (DESIGN §8 has the sweep).
+#: Bytes a file's write-behind stage holds before the main loop seals
+#: it for the lander, which lands it as one filesystem transfer.  A
+#: block that would push the stage past the limit seals it first, so no
+#: transfer exceeds max(limit, one block) — the longest a server holds
+#: the filesystem's write-slot lease.  Every block is staged, eager or
+#: rendezvous.  256 KiB is where the lock RPC per landing is paid back
+#: on every workload without the transfers growing long enough to delay
+#: another server's turn (DESIGN §8 has the sweep).
 WRITE_BEHIND_BYTES = 256 * 1024
 
 
@@ -139,12 +146,14 @@ class ServerStats:
     #: Staged transfers landed; ``blocks_written / write_flushes`` is the
     #: blocks-per-transfer ratio write-behind achieved.
     write_flushes: int = 0
-    #: Staging + transfer time; queueing for the write slot is not in it.
-    background_write_time: float = 0.0
-    #: Idle waits in probe while queued for the write-slot lease (a
-    #: message handled in between splits one), and their total time.
-    slot_waits: int = 0
+    #: Where the drain went.  Main loop: directory bookkeeping.  Lander:
+    #: the stages' metadata round trips, a lock RPC per lease request,
+    #: the waits queued for the lease, the time holding it.
+    bookkeeping_time: float = 0.0
+    meta_time: float = 0.0
+    lock_rpc_time: float = 0.0
     slot_wait_time: float = 0.0
+    transfer_time: float = 0.0
     restart_blocks_sent: int = 0
     peak_buffered_bytes: int = 0
     #: Blocks that arrived before their path's WriteBegin (message
@@ -160,6 +169,14 @@ class ServerStats:
     restart_regions_read: int = 0
     restart_resumes_served: int = 0
 
+    @property
+    def background_write_time(self) -> float:
+        """Write-behind work; queueing for the write slot is not in it."""
+        return (
+            self.bookkeeping_time + self.meta_time
+            + self.lock_rpc_time + self.transfer_time
+        )
+
 
 class _PathState:
     """Per-output-file bookkeeping on the server."""
@@ -170,9 +187,8 @@ class _PathState:
         "begun",
         "expected",
         "received",
-        "written",
+        "booked",
         "staged",
-        "opened",
         "seen",
     )
 
@@ -182,11 +198,11 @@ class _PathState:
         self.begun: set = set()
         self.expected: Dict[int, int] = {}
         self.received = 0
-        #: Blocks landed on disk.
-        self.written = 0
-        #: Blocks staged in the writer, not landed: still buffer memory.
+        #: Blocks through the format bookkeeping: staged, sealed or landed.
+        self.booked = 0
+        #: Blocks in the writer's open stage (sealed ones travel with
+        #: their landing).
         self.staged: List = []
-        self.opened = False
         #: (client, block_id) pairs already ingested — duplicate
         #: suppression for retried sends and duplicated messages.
         self.seen: set = set()
@@ -206,11 +222,15 @@ class PandaServer:
         #: entries keep their zero-copy record views.
         self._queue: deque = deque()
         self._buffered_bytes = 0
-        #: Seconds spent queued for the write-slot lease, summed;
-        #: ``_probing`` while a message is handled in between (no block
-        #: may be written re-entrantly).
-        self._lease_delay = 0.0
-        self._probing = False
+        #: FIFO of ``(path state, sealed blocks, close the file?)`` for
+        #: the lander; its process while it runs; the event its next
+        #: landing fires; the main-loop process (interrupted if a landing
+        #: fails for good); bookkeeping in progress + lease held.
+        self._landings: deque = deque()
+        self._lander = None
+        self._landed = ctx.env.event()
+        self._main = None
+        self._nworking = 0
         self._shutdown_ranks: set = set()
         self._sync_waiters: List[Tuple[int, int]] = []
         #: path -> [(client, BlockEnvelope | BlockBatch), ...] that
@@ -239,20 +259,27 @@ class PandaServer:
     def run(self):
         """Generator: serve until every client has sent Shutdown.
 
-        An injected crash (:class:`~repro.des.Interrupt`) abandons open
-        writers without their commit footers — their files are
-        detectably torn and the restart scan skips them — and returns
-        with ``stats.crashed`` set.
+        An injected crash (:class:`~repro.des.Interrupt`) stops the
+        lander at the same instant and abandons open writers without
+        their commit footers — their files are detectably torn and the
+        restart scan skips them — and returns with ``stats.crashed``
+        set.  A landing whose retries are exhausted interrupts the main
+        loop too, and raises here: buffered data will never be durable.
         """
+        self._main = self.ctx.env.active_process
         try:
             result = yield from self._serve()
             return result
         except Interrupt as exc:
+            if isinstance(exc.cause, WriteFaultError):
+                raise BackgroundWriteError(
+                    f"server rank {self.ctx.rank}: landing failed for good: {exc.cause}"
+                ) from exc.cause
             self.stats.crashed = True
-            rec = self.ctx.recorder
-            if rec is not None:
-                rec.record_counter("rocpanda", "server_crashes")
-                self.ctx.log_fault(f"server rank {self.ctx.rank} crashed: {exc.cause}")
+            if self._lander is not None:
+                self._lander.interrupt(exc.cause)
+            self.ctx.recorder.record_counter("rocpanda", "server_crashes")
+            self.ctx.log_fault(f"server rank {self.ctx.rank} crashed: {exc.cause}")
             return self.stats
 
     def _serve(self):
@@ -266,13 +293,12 @@ class PandaServer:
                 if status is not None:
                     yield from self._handle_one(status)
                 else:
-                    yield from self._write_one_block()
+                    yield from self._stage_one_block()
             elif self._expected_clients() <= self._shutdown_ranks:
                 break
             else:
-                # Nothing to write: block in probe; the CPU is idle and
+                # Nothing to stage: block in probe; the CPU is idle and
                 # absorbs OS background work (§4.1).
-                self.ctx.cpu.server_busy_fraction = self.config.busy_fraction_idle
                 status = yield from world.probe(ANY_SOURCE, ANY_TAG)
                 yield from self._handle_one(status)
             self._answer_sync_waiters()
@@ -284,7 +310,9 @@ class PandaServer:
                 f"server rank {self.ctx.rank} shut down with data blocks "
                 f"for paths {paths} that never saw a WriteBegin"
             )
-        yield from self._close_finished_paths(force=True)
+        self._close_finished_paths(force=True)
+        if self._lander is not None:
+            yield self._lander
         # Under a burst storage tier, the server's durability promise
         # extends through the write-behind drain: wait for it before
         # answering the final syncs and going away.
@@ -330,10 +358,8 @@ class PandaServer:
         msg, st = yield from world.recv(source=status.source, tag=status.tag)
         if isinstance(msg, WriteBegin):
             yield from self._on_write_begin(st.source, msg)
-        elif isinstance(msg, BlockEnvelope):
-            yield from self._on_block(st.source, msg)
-        elif isinstance(msg, BlockBatch):
-            yield from self._on_block_batch(st.source, msg)
+        elif isinstance(msg, (BlockEnvelope, BlockBatch)):
+            yield from self._on_blocks(st.source, msg)
         elif isinstance(msg, SyncRequest):
             self._sync_waiters.append((st.source, msg.seq))
         elif isinstance(msg, RestartRequest):
@@ -344,11 +370,9 @@ class PandaServer:
             raise TypeError(f"server got unexpected message {type(msg).__name__}")
 
     def _on_write_begin(self, client: int, msg: WriteBegin):
-        state = self._paths.setdefault(msg.path, _PathState())
-        state.begun.add(client)
-        state.expected[client] = msg.nblocks
-        if not state.opened:
-            state.opened = True
+        state = self._paths.get(msg.path)
+        if state is None:
+            state = self._paths[msg.path] = _PathState()
             gen = self._file_gens.get(msg.path, 0)
             file_path = server_file_path(msg.path, self.server_index)
             if gen:
@@ -364,106 +388,49 @@ class PandaServer:
                 visible=not self.config.active_buffering,
             )
             state.writer_attrs = dict(msg.file_attrs)
+        state.begun.add(client)
+        state.expected[client] = msg.nblocks
         orphans = self._orphans.pop(msg.path, None)
         if orphans:
             # Replay blocks that overtook this announcement; their
             # ingest cost is charged now, at processing time.
             for oclient, omsg in orphans:
-                if isinstance(omsg, BlockBatch):
-                    yield from self._on_block_batch(oclient, omsg)
-                else:
-                    yield from self._on_block(oclient, omsg)
+                yield from self._on_blocks(oclient, omsg)
 
-    def _stash_orphan(self, client: int, msg) -> None:
-        """Hold a block that arrived before its path's WriteBegin."""
-        self._orphans.setdefault(msg.path, []).append((client, msg))
-        self.stats.orphan_blocks_stashed += 1
-        if self.ctx.recorder is not None:
-            self.ctx.recorder.record_counter("rocpanda", "orphan_blocks_stashed")
+    def _on_blocks(self, client: int, msg):
+        """Generator: take one block, or one aggregated envelope of
+        them, into the buffer.
 
-    def _on_block(self, client: int, msg: BlockEnvelope):
-        state = self._paths.get(msg.path)
-        if state is None or state.writer is None:
-            # The data overtook the (eager, NIC-queued) WriteBegin:
-            # stash it until the announcement lands.
-            self._stash_orphan(client, msg)
-            return
-        cfg = self.config
-        block = msg.block
-        nbytes = block.nbytes
-        self.stats.blocks_received += 1
-        self.stats.bytes_received += nbytes
-        t0 = self.ctx.now
-        # Buffer-management / protocol bookkeeping per block.
-        yield self.ctx.env.sleep(cfg.ingest_overhead)
-        key = (client, block.block_id)
-        if key in state.seen:
-            # A resend whose first copy also arrived (duplicated message
-            # or a retried send that was in fact delivered): drop it, or
-            # the writer would emit duplicate dataset names.
-            self.stats.duplicate_blocks_dropped += 1
-            if self.ctx.recorder is not None:
-                self.ctx.recorder.record_counter(
-                    "rocpanda", "duplicate_blocks_dropped"
-                )
-            return
-        state.seen.add(key)
-        state.received += 1
-        if not cfg.active_buffering:
-            self.ctx.io_record(
-                "rocpanda", "ingest", path=msg.path, nbytes=nbytes,
-                t_start=t0, visible=False,
-            )
-            # Ablation: write through while the client waits (nothing
-            # is ever queued, so every block lands on its own).
-            self._buffered_bytes += nbytes
-            yield from self._write_block(msg.path, block)
-            yield from self._close_finished_paths()
-            return
-        # Copy into the server's buffer hierarchy.
-        yield self.ctx.env.sleep(nbytes / cfg.ingest_bw)
-        self.ctx.io_record(
-            "rocpanda", "ingest", path=msg.path, nbytes=nbytes,
-            t_start=t0, visible=False,
-        )
-        yield from self._make_room(nbytes)
-        self._queue.append((msg.path, block))
-        self._buffered_bytes += nbytes
-        self.stats.peak_buffered_bytes = max(
-            self.stats.peak_buffered_bytes, self._buffered_bytes
-        )
-
-    def _on_block_batch(self, client: int, msg: BlockBatch):
-        """Generator: scatter one aggregated envelope into the buffer.
-
-        The blocks arrive pre-serialised; each is requeued **without
+        The blocks arrive pre-serialised; each is queued **without
         re-copying its payload** — the queue entries keep the zero-copy
-        record views of the shared batch buffer.  Dedup runs per
-        sub-block against the same ``(client, block_id)`` set
-        :meth:`_on_block` uses, so a re-shipped batch after failover
-        drops exactly the blocks the first delivery already landed.
+        record views of the message's buffer.  Dedup runs per block
+        against the path's ``(client, block_id)`` set — a duplicated
+        message, a retried send that was in fact delivered, a batch
+        re-shipped after failover — or the writer would emit duplicate
+        dataset names.
         """
         state = self._paths.get(msg.path)
-        if state is None or state.writer is None:
-            self._stash_orphan(client, msg)
+        if state is None:
+            # The data overtook the (eager, NIC-queued) WriteBegin:
+            # stash it until the announcement lands.
+            self._orphans.setdefault(msg.path, []).append((client, msg))
+            self.stats.orphan_blocks_stashed += 1
+            self.ctx.recorder.record_counter("rocpanda", "orphan_blocks_stashed")
             return
         cfg = self.config
-        blocks = msg.blocks
+        blocks = msg.blocks if isinstance(msg, BlockBatch) else [msg.block]
         total = sum(b.nbytes for b in blocks)
         self.stats.blocks_received += len(blocks)
         self.stats.bytes_received += total
         t0 = self.ctx.now
-        # One bookkeeping charge per aggregated message.
+        # Buffer-management / protocol bookkeeping, once per message.
         yield self.ctx.env.sleep(cfg.ingest_overhead)
         fresh = []
         for eb in blocks:
             key = (client, eb.block_id)
             if key in state.seen:
                 self.stats.duplicate_blocks_dropped += 1
-                if self.ctx.recorder is not None:
-                    self.ctx.recorder.record_counter(
-                        "rocpanda", "duplicate_blocks_dropped"
-                    )
+                self.ctx.recorder.record_counter("rocpanda", "duplicate_blocks_dropped")
                 continue
             state.seen.add(key)
             state.received += 1
@@ -473,13 +440,16 @@ class PandaServer:
                 "rocpanda", "ingest", path=msg.path, nbytes=total,
                 t_start=t0, visible=False,
             )
+            # Ablation A1: write through — the sender waits for the lander.
             for eb in fresh:
                 self._buffered_bytes += eb.nbytes
-                yield from self._write_block(msg.path, eb)
-            yield from self._close_finished_paths()
+                yield from self._stage_block(msg.path, eb)
+            self._close_finished_paths()
+            if self._lander is not None:
+                yield self._lander
             return
         total_fresh = sum(b.nbytes for b in fresh)
-        # One streaming copy into the buffer hierarchy for the batch.
+        # One streaming copy into the server's buffer hierarchy.
         yield self.ctx.env.sleep(total_fresh / cfg.ingest_bw)
         self.ctx.io_record(
             "rocpanda", "ingest", path=msg.path, nbytes=total,
@@ -493,29 +463,128 @@ class PandaServer:
             self.stats.peak_buffered_bytes, self._buffered_bytes
         )
 
-    # -- background writing --------------------------------------------------
+    # -- background writing: the main loop's half ----------------------------
     def _make_room(self, nbytes: int):
-        """Generator: graceful overflow — write previously buffered data
-        out to make room for ``nbytes`` of incoming data (§6.1)."""
+        """Generator: graceful overflow — get previously buffered data
+        written out to make room for ``nbytes`` of incoming data (§6.1).
+        Memory is freed when a stage lands: the main loop stages what is
+        queued, then waits for the lander, landing by landing."""
         limit = self.config.buffer_bytes
-        if self._buffered_bytes + nbytes <= limit or self._probing:
+        if self._buffered_bytes + nbytes <= limit:
             return
         self.stats.overflow_flushes += 1
-        if self.ctx.recorder is not None:
-            self.ctx.recorder.record_counter("rocpanda", "overflow_flushes")
-        while self._queue and self._buffered_bytes + nbytes > limit:
-            yield from self._write_one_block()
+        self.ctx.recorder.record_counter("rocpanda", "overflow_flushes")
+        while self._buffered_bytes + nbytes > limit:
+            if self._queue:
+                yield from self._stage_one_block()
+            elif self._lander is not None:
+                yield self._landed
+            else:
+                break
 
-    def _write_one_block(self):
+    def _stage_one_block(self):
         path, block = self._queue.popleft()
-        yield from self._write_block(path, block)
-        yield from self._close_finished_paths()
+        yield from self._stage_block(path, block)
+        self._close_finished_paths()
 
+    def _working(self, delta: int) -> None:
+        """The CPU is busy while the main loop keeps books or the lander
+        holds the lease; otherwise it absorbs OS noise (§4.1)."""
+        self._nworking += delta
+        cfg = self.config
+        self.ctx.cpu.server_busy_fraction = (
+            cfg.busy_fraction_writing if self._nworking else cfg.busy_fraction_idle
+        )
+
+    def _stage_block(self, path: str, block):
+        """Generator: format bookkeeping for one buffered :class:`EncodedBlock`.
+
+        The block's records are *staged* in the file's writer: directory
+        bookkeeping, CPU work, is the only time spent here.  A stage
+        that holds :data:`WRITE_BEHIND_BYTES` is sealed for the lander,
+        and a block that would push it past the limit seals it first.
+        What is left when the queue has run dry the lander seals itself
+        (:meth:`_land`) — an idle one, woken here, at once; a busy one
+        when it catches up, so at a saturated write slot the stages grow
+        instead of landing as many small transfers.  Record order is
+        queue order whatever is sealed when: the files are
+        byte-identical.  Staging cannot fault, so a record is staged
+        exactly once; ``bg_write`` records the bookkeeping, and the
+        written counters move when the stage lands.
+        """
+        self._working(+1)
+        t0 = self.ctx.now
+        state = self._paths[path]
+        writer = state.writer
+        records = block.records
+        if not state.booked:
+            # The file's first block: the lander opens the file (an
+            # empty landing) while the blocks behind it are staged.
+            writer.begin(state.writer_attrs)
+            self._seal(state)
+        if (
+            writer.staged_bytes
+            and writer.staged_bytes + writer.charge_for(records) > WRITE_BEHIND_BYTES
+        ):
+            self._seal(state)
+        yield from writer.write_records(records)
+        state.staged.append(block)
+        state.booked += 1
+        if writer.staged_bytes >= WRITE_BEHIND_BYTES:
+            self._seal(state)
+        self._wake_lander()
+        self.stats.bookkeeping_time += self.ctx.now - t0
+        self.ctx.io_record(
+            "rocpanda", "bg_write", path=path, nbytes=block.nbytes,
+            t_start=t0, visible=not self.config.active_buffering,
+        )
+        self._working(-1)
+
+    def _seal(self, state: _PathState, close: bool = False) -> None:
+        """Queue ``state``'s open stage (and its file's close) for the lander."""
+        state.writer.seal()
+        self._landings.append((state, state.staged, close))
+        state.staged = []
+        self._wake_lander()
+
+    def _wake_lander(self) -> None:
+        if self._lander is None:
+            self._lander = self.ctx.env.process(self._land(), name="panda-lander")
+
+    def _close_finished_paths(self, force: bool = False) -> None:
+        """Retire every fully-staged output file; the lander closes it."""
+        if not self._paths:
+            return
+        expected_clients = self._expected_clients()
+        nexpected = len(expected_clients)
+        retire = []
+        for path, state in self._paths.items():
+            # Monotone-counter precondition: completion needs every
+            # expected client announced and received == booked, so the
+            # subset/sum work below only runs when it could pass.
+            if not force and (
+                len(state.begun) < nexpected or state.received != state.booked
+            ):
+                continue
+            announced = expected_clients <= state.begun
+            all_expected = sum(state.expected.values()) if announced else None
+            complete = announced and state.received == state.booked == all_expected
+            if complete or force:
+                retire.append((path, state))
+        for path, state in retire:
+            # Retired before the close lands: a client re-announcing
+            # the path meanwhile starts a new generation.
+            del self._paths[path]
+            if self._faults is not None:
+                self._file_gens[path] = self._file_gens.get(path, 0) + 1
+            if state.booked:
+                self._seal(state, close=True)
+
+    # -- background writing: the lander's half -------------------------------
     def _note_write_retry(self, attempt: int, exc: BaseException) -> None:
         self.stats.write_retries += 1
-        if self.ctx.recorder is not None:
-            self.ctx.recorder.record_counter("rocpanda", "write_retries")
-            self.ctx.log_fault(f"server write fault ({exc}); retry {attempt + 1}")
+        self.ctx.recorder.record_counter("rocpanda", "write_retries")
+        self.ctx.log_fault(f"server write fault ({exc}); retry {attempt + 1}")
 
     def _retrying_write(self, op):
         """Generator: ``op()`` under the write-slot lease, retried on faults
@@ -529,163 +598,108 @@ class PandaServer:
         """Generator: run ``op()`` holding the filesystem's write-slot lease.
 
         Asking costs one lock RPC (``fs.meta_op``), paid before the
-        request joins the queue.  While it is queued the server is back
-        in its probe loop: a message ends the wait, the request is
-        withdrawn (the lease is never held by a server doing something
-        else), the message is handled, and the server asks again.  It
-        stops probing only when it could not buffer the pending message
-        — a full or write-through server makes its senders wait for the
-        disk, as it always has.
+        request joins the lease's FIFO queue, where it keeps its place:
+        the lander has nothing else to do, and the main loop takes the
+        messages meanwhile.  ``finally`` gives the lease back (or
+        withdraws the request) on a fault and on a crash.
         """
-        ctx, cfg = self.ctx, self.config
-        lease = ctx.fs.write_lease(ctx.node)
+        ctx, stats = self.ctx, self.stats
+        t_rpc = ctx.now
         yield from ctx.fs.meta_op(ctx.node)
-        t0 = ctx.now
+        t_asked = ctx.now
+        stats.lock_rpc_time += t_asked - t_rpc
+        lease = ctx.fs.write_lease(ctx.node)
         req = lease.request()
         try:
-            while not req.triggered:
-                ctx.cpu.server_busy_fraction = cfg.busy_fraction_idle
-                t_idle = ctx.now
-                status = yield from self.topo.world.probe(ANY_SOURCE, ANY_TAG, until=req)
-                if status is not None and (
-                    not cfg.active_buffering
-                    or self._buffered_bytes + status.nbytes > cfg.buffer_bytes
-                ):
-                    yield req
-                if ctx.now > t_idle:
-                    self.stats.slot_waits += 1
-                    self.stats.slot_wait_time += ctx.now - t_idle
-                    ctx.io_record("rocpanda", "slot_wait", t_start=t_idle, visible=False)
-                    ctx.recorder.record_counter("rocpanda", "slot_waits")
-                if req.triggered:
-                    break
-                req.cancel()
-                self._probing = True
-                yield from self._handle_one(status)
-                self._probing = False
-                req = lease.request()
-            self._lease_delay += ctx.now - t0
-            ctx.cpu.server_busy_fraction = cfg.busy_fraction_writing
-            return (yield from op())
+            yield req
+            t_granted = ctx.now
+            if t_granted > t_asked:
+                stats.slot_wait_time += t_granted - t_asked
+                ctx.io_record("rocpanda", "slot_wait", t_start=t_asked, visible=False)
+            self._working(+1)
+            try:
+                return (yield from op())
+            finally:
+                self._working(-1)
+                stats.transfer_time += ctx.now - t_granted
         finally:
-            self._probing = False
             if req.triggered:
                 lease.release(req)
             else:
                 req.cancel()
 
-    def _write_block(self, path: str, block):
-        """Generator: write one buffered :class:`EncodedBlock`.
+    def _land(self):
+        """Generator, the lander process: everything that waits for ``ctx.fs``.
 
-        The block's records are *staged* in the file's writer — format
-        bookkeeping is paid per block, outside the lease — and the
-        stage lands as one filesystem transfer once it holds
-        :data:`WRITE_BEHIND_BYTES`.  A block that would push the stage
-        past the limit lands it first.  When the queue has run dry
-        every file's stage lands, so the server never sleeps in probe,
-        nor answers a sync, on staged data (write-through never queues,
-        so there every block lands on its own).  Record order is queue
-        order whatever lands when: the files are byte-identical.
-
-        Only the open and the landing can fault, and each retries on
-        its own: a record is staged exactly once.  The ``bg_write``
-        record is the time the server spent on this block, including a
-        landing it triggered but not the wait for the lease (that is
-        ``slot_wait``); the written counters move in :meth:`_land`.
+        Takes the sealed stages in queue order; a file's first landing
+        opens it, its last closes it, and each step that writes holds
+        the lease and retries on its own.  A stage's metadata round
+        trips need no turn at the slot and are paid once, ahead of its
+        landing — with nothing sealed and the main loop still staging,
+        already for an open stage.  Caught up, the main loop's queue dry,
+        it seals what was staged meanwhile; with nothing left it answers
+        the waiting syncs and exits.  Records: ``settle`` the round
+        trips, ``land`` one landing, its ``slot_wait`` excepted.
         """
-        cpu = self.ctx.cpu
-        cpu.server_busy_fraction = self.config.busy_fraction_writing
-        t0 = self.ctx.now
-        delay0 = self._lease_delay
-        state = self._paths[path]
-        writer = state.writer
-        records = block.records
-        if not writer.is_open and writer.ndatasets == 0:
-            # This block is the file's first: open the file.
-            yield from self._retrying_write(
-                lambda: writer.open(file_attrs=state.writer_attrs)
-            )
-            self.stats.files_created += 1
-        if (
-            writer.staged_bytes
-            and writer.staged_bytes + writer.charge_for(records) > WRITE_BEHIND_BYTES
-        ):
-            yield from self._land(state)
-        yield from writer.write_records(records)
-        state.staged.append(block)
-        if not self._queue:
-            # list(): a WriteBegin handled while queued may add a path.
-            for other in list(self._paths.values()):
-                yield from self._land(other)
-        elif writer.staged_bytes >= WRITE_BEHIND_BYTES:
-            yield from self._land(state)
-        t0 += self._lease_delay - delay0
-        self.stats.background_write_time += self.ctx.now - t0
-        self.ctx.io_record(
-            "rocpanda", "bg_write", path=path, nbytes=block.nbytes,
-            t_start=t0, visible=not self.config.active_buffering,
-        )
-        cpu.server_busy_fraction = self.config.busy_fraction_idle
-
-    def _land(self, state: _PathState):
-        """Generator: land one file's stage as a single transfer."""
-        if not state.staged:
-            return
-        yield from self._retrying_write(state.writer.flush)
-        # The staged blocks occupied buffer memory until this instant,
-        # and only now are they written.
-        for block in state.staged:
-            self._buffered_bytes -= block.nbytes
-            self.stats.bytes_written += block.data_nbytes
-        state.written += len(state.staged)
-        self.stats.blocks_written += len(state.staged)
-        state.staged = []
-        self.stats.write_flushes += 1
-        if self.ctx.recorder is not None:
-            self.ctx.recorder.record_counter("rocpanda", "write_flushes")
-
-    def _close_finished_paths(self, force: bool = False):
-        """Generator: close and retire every fully-written output file."""
-        if not self._paths:
-            return
-        expected_clients = self._expected_clients()
-        nexpected = len(expected_clients)
-        retire = []
-        for path, state in self._paths.items():
-            # Monotone-counter precondition: completion needs every
-            # expected client announced and received == written, so the
-            # subset/sum work below only runs when it could pass.
-            # Staged blocks count as drained here: a file whose last
-            # block is staged lands and closes now.
-            drained = state.written + len(state.staged)
-            if not force and (
-                len(state.begun) < nexpected or state.received != drained
-            ):
-                continue
-            announced = expected_clients <= state.begun
-            all_expected = sum(state.expected.values()) if announced else None
-            complete = (
-                announced
-                and state.received == all_expected
-                and drained == all_expected
-            )
-            if complete or (force and state.opened):
-                retire.append((path, state))
-        for path, state in retire:
-            # Retired before the close queues for the lease: a client
-            # re-announcing the path meanwhile starts a new generation.
-            del self._paths[path]
-            if self._faults is not None:
-                self._file_gens[path] = self._file_gens.get(path, 0) + 1
-        for path, state in retire:
-            if state.writer is not None and state.writer.is_open:
-                yield from self._land(state)
-                yield from self._retrying_write(state.writer.close)
+        ctx, stats = self.ctx, self.stats
+        shown = dict(visible=not self.config.active_buffering)
+        try:
+            while True:
+                if not self._landings and not self._queue:
+                    for state in self._paths.values():
+                        if state.staged:
+                            self._seal(state)
+                entry = self._landings[0] if self._landings else None
+                owing = [entry[0]] if entry else self._paths.values()
+                writer = next((st.writer for st in owing if st.writer.owed_meta), None)
+                if writer is not None:
+                    t0 = ctx.now
+                    yield from writer.settle_meta()
+                    stats.meta_time += ctx.now - t0
+                    ctx.io_record("rocpanda", "settle", path=writer.path, t_start=t0, **shown)
+                    if entry is None:
+                        continue
+                elif entry is None:
+                    self._answer_sync_waiters()
+                    return
+                state, blocks, close = entry
+                writer = state.writer
+                t0 = ctx.now - stats.slot_wait_time
+                if not writer.is_open:
+                    yield from self._retrying_write(writer.open)
+                    stats.files_created += 1
+                if blocks:
+                    yield from self._retrying_write(writer.land)
+                    # The blocks occupied buffer memory until this
+                    # instant, and only now are they written.
+                    for block in blocks:
+                        self._buffered_bytes -= block.nbytes
+                        stats.bytes_written += block.data_nbytes
+                    stats.blocks_written += len(blocks)
+                    stats.write_flushes += 1
+                    ctx.recorder.record_counter("rocpanda", "write_flushes")
+                if close:
+                    yield from self._retrying_write(writer.close)
+                self._landings.popleft()
+                ctx.io_record(
+                    "rocpanda", "land", path=writer.path,
+                    nbytes=sum(block.nbytes for block in blocks),
+                    t_start=t0 + stats.slot_wait_time, **shown,
+                )
+                landed, self._landed = self._landed, ctx.env.event()
+                landed.succeed()
+        except Interrupt:
+            pass  # the server crashed: nothing lands after this instant
+        except WriteFaultError as exc:
+            ctx.log_fault(f"server landing of {writer.path} FAILED: {exc}")
+            self._main.interrupt(exc)
+        finally:
+            self._lander = None
 
     def _answer_sync_waiters(self) -> None:
         if not self._sync_waiters:
             return
-        if self._queue or any(s.received != s.written for s in self._paths.values()):
+        if self._buffered_bytes or self._landings:
             return
         waiters, self._sync_waiters = self._sync_waiters, []
         world = self.topo.world
@@ -722,9 +736,8 @@ class PandaServer:
     # -- two-phase restart (sieved bulk reads + read-ahead) ---------------------
     def _note_read_retry(self, attempt: int, exc: BaseException) -> None:
         self.stats.read_retries += 1
-        if self.ctx.recorder is not None:
-            self.ctx.recorder.record_counter("rocpanda", "read_retries")
-            self.ctx.log_fault(f"server read fault ({exc}); retry {attempt + 1}")
+        self.ctx.recorder.record_counter("rocpanda", "read_retries")
+        self.ctx.log_fault(f"server read fault ({exc}); retry {attempt + 1}")
 
     def _restart_files(self, prefix: str) -> List[str]:
         files = sorted(
@@ -758,9 +771,8 @@ class PandaServer:
                 yield from reader.open_scan()
             except TornFileError as exc:
                 self.stats.torn_files_skipped += 1
-                if ctx.recorder is not None:
-                    ctx.recorder.record_counter("rocpanda", "torn_files_skipped")
-                    ctx.log_fault(f"skipping torn restart file {file_path}: {exc}")
+                ctx.recorder.record_counter("rocpanda", "torn_files_skipped")
+                ctx.log_fault(f"skipping torn restart file {file_path}: {exc}")
                 continue
             readers.append(reader)
             for region in _restart_regions(
@@ -906,9 +918,8 @@ class PandaServer:
         share = msg.resume_of
         world = self.topo.world
         self.stats.restart_resumes_served += 1
-        if ctx.recorder is not None:
-            ctx.recorder.record_counter("rocpanda", "restart_resumes_served")
-            ctx.log_fault(f"resuming share of dead server {share} for client {client}")
+        ctx.recorder.record_counter("rocpanda", "restart_resumes_served")
+        ctx.log_fault(f"resuming share of dead server {share} for client {client}")
         sent = 0
         if msg.block_ids:
             datasets = yield from self._restart_share_datasets(msg.prefix, share)

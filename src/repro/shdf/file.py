@@ -10,6 +10,7 @@ disk — so restart files decode to exactly what was written.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
@@ -35,6 +36,17 @@ from .model import Dataset, FileImage
 __all__ = ["SHDFWriter", "SHDFReader"]
 
 
+class _Stage:
+    """Records bound for one transfer, and the round trips they owe."""
+
+    __slots__ = ("chunks", "names", "meta_ops")
+
+    def __init__(self, fs, vfile, node):
+        self.chunks = WriteCoalescer(fs, vfile, node=node)
+        self.names = []  # (name, length) of the records, in order
+        self.meta_ops = 0
+
+
 class SHDFWriter:
     """Append-mode writer for one SHDF file.
 
@@ -45,21 +57,27 @@ class SHDFWriter:
         yield from writer.write_dataset(Dataset("b1/pressure", arr, {...}))
         yield from writer.close()
 
-    **Write-behind stage.**  The writer owns one
-    :class:`~repro.fs.coalesce.WriteCoalescer` for the life of the open
-    file.  :meth:`write_records` pays the format's per-dataset
-    bookkeeping and *stages* the records; :meth:`flush` lands
-    everything staged as one filesystem transfer, in staging order, and
-    :meth:`close` flushes first — so a caller that stages several small
-    batches (the Rocpanda server) pays the filesystem's per-operation
-    latency once per stage instead of once per batch, and the file's
-    bytes do not depend on where the flushes fell.
+    **Write-behind stages.**  :meth:`write_records` pays the format's
+    per-dataset directory bookkeeping (CPU) and *stages* the records;
+    their metadata round trips are owed by the stage.  A stage lands as
+    one filesystem transfer — what it owes first, paid once, then a
+    single write through its :class:`~repro.fs.coalesce.WriteCoalescer`
+    — so a caller that stages several small batches pays the
+    filesystem's per-operation latency once per stage, not per batch.
+    :meth:`flush` lands everything staged and :meth:`close` flushes
+    first: a sequential caller sees CPU, metadata, transfer.  Staging
+    and landing may also be two callers (the Rocpanda server's main loop
+    and its lander): :meth:`begin` accepts records before :meth:`open`
+    has written the header, :meth:`seal` closes the open stage, and
+    :meth:`settle_meta` / :meth:`land` pay for the oldest stage while
+    new records join the newest.  Stages land in the order they were
+    sealed, so the file's bytes do not depend on where the seals fell.
 
     ``ndatasets`` counts **staged** records, not only landed ones: it
     is the directory size the next ``create_cost`` is charged at, and a
     record is staged exactly once — staging cannot fault, and a caller
-    retrying a faulted landing re-runs :meth:`flush` (or
-    :meth:`close`), never ``write_records``.  A fault leaves the stage
+    retrying a faulted landing re-runs :meth:`land`, :meth:`flush` or
+    :meth:`close`, never ``write_records``.  A fault leaves the stage
     intact (the VFS raises before mutating anything); a crash loses at
     most the staged bytes, in a file that has no commit footer yet and
     is torn either way.
@@ -104,8 +122,10 @@ class SHDFWriter:
         self._vfile = None
         self._ndatasets = 0
         self._entries = []  # (name, offset, length) for the v2 index
-        self._stage: Optional[WriteCoalescer] = None
-        self._staged = []  # (name, length) of staged records, in order
+        #: Unlanded stages, oldest first; records join the last one
+        #: (empty: the writer accepts none).
+        self._stages: deque = deque()
+        self._header = b""
         self._open = False
         #: Total virtual seconds spent in this writer (diagnostics).
         self.busy_time = 0.0
@@ -117,8 +137,13 @@ class SHDFWriter:
 
     @property
     def staged_bytes(self) -> int:
-        """Bytes the next :meth:`flush` will charge the filesystem for."""
-        return self._stage.pending_bytes if self._stage is not None else 0
+        """Bytes the open stage's transfer will charge the filesystem for."""
+        return self._stages[-1].chunks.pending_bytes if self._stages else 0
+
+    @property
+    def owed_meta(self) -> int:
+        """Metadata round trips the oldest stage still owes."""
+        return self._stages[0].meta_ops if self._stages else 0
 
     @property
     def is_open(self) -> bool:
@@ -138,30 +163,33 @@ class SHDFWriter:
                 visible=self._visible,
             )
 
-    def open(self, file_attrs: Optional[Dict[str, Any]] = None):
-        """Generator: create the file and write its header."""
-        if self._open:
-            raise RuntimeError(f"{self.path}: already open")
-        t0 = self.env.now
+    def begin(self, file_attrs: Optional[Dict[str, Any]] = None) -> None:
+        """Create the empty file and start accepting records (no virtual
+        time passes; :meth:`open`, which calls this, writes the header)."""
         self._vfile = self.fs.disk.create(self.path, exist_ok=True)
         self._vfile.truncate()
         self._entries = []
-        self._staged = []
         self._ndatasets = 0
-        self._stage = WriteCoalescer(self.fs, self._vfile, node=self.node)
-        yield from self.fs.meta_op(self.node)
+        self._stages = deque([_Stage(self.fs, self._vfile, self.node)])
         attrs = dict(file_attrs or {})
         if self.journal:
             attrs[JOURNAL_ATTR] = True
-        if self.format_version == 2:
-            header = encode_header_v2(attrs)
-        else:
-            header = encode_header(attrs)
-        yield from self.fs.write(len(header), self.node)
-        self._vfile.append(header)
+        encode = encode_header_v2 if self.format_version == 2 else encode_header
+        self._header = encode(attrs)
+
+    def open(self, file_attrs: Optional[Dict[str, Any]] = None):
+        """Generator: create the file (unless begun) and write its header."""
+        if self._open:
+            raise RuntimeError(f"{self.path}: already open")
+        t0 = self.env.now
+        if not self._stages:
+            self.begin(file_attrs)
+        yield from self.fs.meta_op(self.node)
+        yield from self.fs.write(len(self._header), self.node)
+        self._vfile.append(self._header)
         self._open = True
         self.busy_time += self.env.now - t0
-        self._record("open", len(header), t0)
+        self._record("open", len(self._header), t0)
 
     def write_dataset(self, dataset: Dataset):
         """Generator: append one dataset (driver + filesystem costs)."""
@@ -169,7 +197,7 @@ class SHDFWriter:
             raise RuntimeError(f"{self.path}: not open")
         t0 = self.env.now
         record = encode_dataset(dataset)
-        yield from self._land()  # staged records precede this one
+        yield from self._land_all()  # staged records precede this one
         # Format-internal bookkeeping (directory maintenance).
         yield self.env.sleep(self.driver.create_cost(self._ndatasets))
         for _ in range(self.driver.fs_meta_ops_per_dataset):
@@ -194,11 +222,11 @@ class SHDFWriter:
         ``records`` is a sequence of ``(name, record_bytes, data_nbytes)``
         tuples.  Driver bookkeeping charges the same total as the
         per-dataset path (each record still pays ``create_cost`` at its
-        own directory size, and the same number of meta ops), but
-        nothing reaches the disk yet: the records join the stage and
-        land — together with whatever else is staged — through a
-        **single** filesystem write at the next :meth:`flush` or
-        :meth:`close`, the data-sieving merge that makes gathered
+        own directory size, and its stage owes the same number of meta
+        ops), but nothing reaches the filesystem yet: the records join
+        the open stage and land — together with whatever else it holds
+        — through a **single** filesystem write when it lands, the
+        data-sieving merge that makes gathered
         server-side writes large and sequential.  The disk mutation
         happens through
         :meth:`~repro.fs.vfs.VirtualFile.append_many`, which checks
@@ -207,7 +235,7 @@ class SHDFWriter:
         faulted landing leaves the records staged, and the retry is
         :meth:`flush` or :meth:`close`, not this call again.
         """
-        if not self._open:
+        if not self._stages:
             raise RuntimeError(f"{self.path}: not open")
         records = list(records)
         if not records:
@@ -217,34 +245,64 @@ class SHDFWriter:
         yield self.env.sleep(
             sum(self.driver.create_cost(n0 + k) for k in range(len(records)))
         )
-        yield from self.fs.meta_ops_bulk(
-            self.driver.fs_meta_ops_per_dataset * len(records), self.node
-        )
+        stage = self._stages[-1]  # read after the sleep: a seal may fall in it
+        stage.meta_ops += self.driver.fs_meta_ops_per_dataset * len(records)
         meta_bytes = self.driver.meta_bytes_per_dataset
         for name, record, _data_nbytes in records:
-            self._stage.add(record, meta_bytes=meta_bytes)
-            self._staged.append((name, len(record)))
+            stage.chunks.add(record, meta_bytes=meta_bytes)
+            stage.names.append((name, len(record)))
         self._ndatasets += len(records)
         self.busy_time += self.env.now - t0
         self._record("write_records", sum(r[2] for r in records), t0)
 
-    def _land(self):
-        """Generator: one filesystem transfer for everything staged."""
-        offsets = yield from self._stage.flush()
-        for (name, length), offset in zip(self._staged, offsets):
-            self._entries.append((name, offset, length))
-        self._staged = []
+    def seal(self) -> None:
+        """Close the open stage: it lands as one transfer, after the
+        stages sealed before it; later records join a new stage."""
+        if self._stages[-1].names:
+            self._stages.append(_Stage(self.fs, self._vfile, self.node))
 
-    def flush(self):
-        """Generator: land the stage; a no-op when nothing is staged."""
-        if not self._open:
-            raise RuntimeError(f"{self.path}: not open")
-        if not self._staged:
-            return
+    def _settle_meta(self):
+        stage = self._stages[0]
+        owed, stage.meta_ops = stage.meta_ops, 0
+        yield from self.fs.meta_ops_bulk(owed, self.node)
+
+    def _land_next(self):
+        """Generator: the oldest stage — the metadata round trips it
+        still owes, then one filesystem transfer."""
+        yield from self._settle_meta()
+        stage = self._stages[0]
+        offsets = yield from stage.chunks.flush()
+        for (name, length), offset in zip(stage.names, offsets):
+            self._entries.append((name, offset, length))
+        stage.names = []
+        if len(self._stages) > 1:
+            self._stages.popleft()
+
+    def _land_all(self):
+        while len(self._stages) > 1 or self._stages[0].names:
+            yield from self._land_next()
+
+    def settle_meta(self):
+        """Generator: pay the oldest stage's metadata round trips ahead
+        of its :meth:`land`: they need no turn at the filesystem."""
         t0 = self.env.now
-        yield from self._land()
+        yield from self._settle_meta()
+        self.busy_time += self.env.now - t0
+        self._record("settle_meta", 0, t0)
+
+    def land(self):
+        """Generator: land the oldest stage as one transfer."""
+        t0 = self.env.now
+        yield from self._land_next()
         self.busy_time += self.env.now - t0
         self._record("flush", 0, t0)
+
+    def flush(self):
+        """Generator: land every stage; a no-op when nothing is staged."""
+        if not self._open:
+            raise RuntimeError(f"{self.path}: not open")
+        while len(self._stages) > 1 or self._stages[0].names:
+            yield from self.land()
 
     def close(self):
         """Generator: close the file.
@@ -256,7 +314,7 @@ class SHDFWriter:
         if not self._open:
             raise RuntimeError(f"{self.path}: not open")
         t0 = self.env.now
-        yield from self._land()
+        yield from self._land_all()
         if self.format_version == 2:
             index_offset = self._vfile.size
             tail = (
@@ -272,6 +330,7 @@ class SHDFWriter:
             self._vfile.append(footer)
         yield from self.fs.meta_op(self.node)
         self._open = False
+        self._stages.clear()
         self.busy_time += self.env.now - t0
         self._record("close", 0, t0)
 

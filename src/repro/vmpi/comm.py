@@ -448,29 +448,17 @@ class Comm:
         self.env.process(_proc(), name=f"irecv:{self.rank}")
         return request
 
-    def probe(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, until: Optional[Event] = None
-    ):
+    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Generator: block until a matching message is available.
 
-        Returns its :class:`Status` without consuming the message.  With
-        ``until`` the wait also ends once that event has been processed,
-        and the result is then ``None`` (message or no message).
+        Returns its :class:`Status` without consuming the message.
         """
         _check_recv_tag(tag)
-        return self._probe(source, tag, until)
+        return self._probe(source, tag)
 
-    def _probe(self, source: int, tag: int, until: Optional[Event] = None):
-        mailbox = self._mailbox(self.rank)
-        peek = mailbox.peek_matching(source, tag)
-        if until is None:
-            envelope = yield peek
-            return envelope.status()
-        try:
-            yield self.env.any_of([peek, until])
-        finally:
-            mailbox.cancel_waiter(peek)
-        return None if until.processed else peek.value.status()
+    def _probe(self, source: int, tag: int):
+        envelope = yield self._mailbox(self.rank).peek_matching(source, tag)
+        return envelope.status()
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
         """Immediate probe: Status of a matching pending message, or None."""

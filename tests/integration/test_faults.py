@@ -301,7 +301,7 @@ class TestWriteBehindStage:
 
 
 class TestWriteSlotLease:
-    """Two servers taking turns at Turing's one NFS write slot."""
+    """Two servers' landers taking turns at Turing's one NFS write slot."""
 
     @staticmethod
     def _records(result, rank, module, op):
@@ -312,9 +312,12 @@ class TestWriteSlotLease:
 
     @pytest.fixture(scope="class")
     def contended_instant(self):
-        """A fault-free run, and an instant at which server 4 holds the
-        lease (inside a landing) while server 0 is queued for it."""
-        result, machine = _launch(8, _write_main(2), spec=turing())
+        """An instant at which server 4's lander holds the lease (inside
+        a transfer) while server 0's is queued — in a run whose injector
+        never fires, so that clients ship as they do under a crash plan
+        and the crashing runs below follow it up to that instant."""
+        idle = FaultPlan((ServerCrash(rank=4, at_time=1e9),))
+        result, machine = _launch(8, _write_main(2), plan=idle, spec=turing())
         assert machine.fs.metrics.peak_write_demand == 1
         for wait in self._records(result, 0, "rocpanda", "slot_wait"):
             t = (wait.t_start + wait.t_end) / 2
@@ -335,13 +338,23 @@ class TestWriteSlotLease:
             plan, spec=turing(), servers=servers
         )
         # The run terminated (we are here), with the lease free: the
-        # holder's Interrupt unwound through the release, the queued
-        # server's cancelled its request.
+        # crash interrupted the victim's lander too, whose Interrupt
+        # unwound through the release (holder) or withdrew its request
+        # (queued).
         lease = machine.fs.write_lease()
         assert lease.count == 0 and not lease.queue
         (crashed,) = [s for s in servers if s.stats.crashed]
         (survivor,) = [s for s in servers if not s.stats.crashed]
         assert crashed.ctx.rank == victim
+        assert crashed._lander is None and survivor._lander is None
+        # The landing it died in never completed, and nothing of the
+        # victim's reached the filesystem after the crash instant.
+        assert crashed._landings
+        assert all(
+            r.t_end <= contended_instant
+            for r in result.recorder.io_records
+            if r.rank == victim and r.module in ("shdf", "rocpanda")
+        )
         # The survivor drained its own blocks and the heir's re-shipped ones.
         assert survivor.stats.blocks_written == 6 * NBLOCKS
         assert not survivor._queue and not survivor._paths
@@ -386,6 +399,99 @@ class TestWriteSlotLease:
         assert holders[0] is not holders[1]
         assert lease.count == 0 and not lease.queue
 
+    def test_crash_with_sealed_stages_still_to_land(self, monkeypatch):
+        """Every block its own stage: the main loop has sealed all nine
+        long before the lander is through them."""
+        monkeypatch.setattr(panda_server, "WRITE_BEHIND_BYTES", 0)
+        idle = FaultPlan((ServerCrash(rank=4, at_time=1e9),))
+        result, _ = _launch(8, _write_main(2), plan=idle, spec=turing())
+        lands = [r for r in self._records(result, 4, "rocpanda", "land") if r.nbytes]
+        staged = self._records(result, 4, "rocpanda", "bg_write")
+        assert len(lands) == len(staged) == 3 * NBLOCKS
+        assert staged[-1].t_end < lands[3].t_start
+        crash_at = (lands[3].t_start + lands[3].t_end) / 2
+
+        _, _, reference = _checkpoint_then_restart(plan=None, spec=turing())
+        servers = []
+        plan = FaultPlan((ServerCrash(rank=4, at_time=crash_at),))
+        result, machine, restored = _checkpoint_then_restart(
+            plan, spec=turing(), servers=servers
+        )
+        (crashed,) = [s for s in servers if s.stats.crashed]
+        # Three stages landed; the fourth was in flight, five more and
+        # the file's close sealed behind it — all still buffer memory,
+        # none reported written.
+        assert crashed.stats.blocks_written == 3
+        assert [
+            (len(blocks), close) for _st, blocks, close in crashed._landings
+        ] == [(1, False)] * 6 + [(0, True)]
+        assert crashed._buffered_bytes == sum(
+            b.nbytes for _st, blocks, _close in crashed._landings for b in blocks
+        )
+        assert crashed._lander is None
+        lease = machine.fs.write_lease()
+        assert lease.count == 0 and not lease.queue
+        # No byte of its file after the crash instant: three stages'
+        # records, no footer — torn, and covered by the heir.
+        (state, _blocks, _close) = crashed._landings[0]
+        image = machine.disk.open(state.writer.path).read()
+        with pytest.raises(TornFileError):
+            decode_file(image)
+        assert all(
+            r.t_end <= crash_at
+            for r in result.recorder.io_records
+            if r.rank == 4 and r.module in ("shdf", "rocpanda")
+        )
+        assert set(restored) == set(reference) == set(range(18))
+        for pid in reference:
+            for name in ("coords", "pressure"):
+                np.testing.assert_array_equal(
+                    restored[pid][name], reference[pid][name]
+                )
+
+    def test_heir_adopts_while_its_own_lander_is_busy(self, contended_instant):
+        servers = []
+        plan = FaultPlan((ServerCrash(rank=4, at_time=contended_instant),))
+        result, machine, restored = _checkpoint_then_restart(
+            plan, spec=turing(), servers=servers
+        )
+        (heir,) = [s for s in servers if not s.stats.crashed]
+        # At the crash the heir's lander was mid-landing, queued for the
+        # slot the victim held (the victim's release is its grant) ...
+        assert any(
+            r.t_start < contended_instant == r.t_end
+            for r in self._records(result, 0, "rocpanda", "slot_wait")
+        )
+        # ... and its main loop took the orphaned clients' re-shipped
+        # snapshot meanwhile and afterwards, into the same file.
+        adopted = [
+            r for r in self._records(result, 0, "rocpanda", "ingest")
+            if r.t_start > contended_instant
+        ]
+        assert adopted and heir.stats.blocks_received == 6 * NBLOCKS
+        assert heir.stats.blocks_written == 6 * NBLOCKS
+        assert heir._buffered_bytes == 0 and not heir._landings
+        assert heir._lander is None
+        assert set(restored) == set(range(18))
+
+    def test_exhausted_retries_in_the_lander_raise_out_of_run(self):
+        """Landings that fail for good must not hang the clients in sync
+        nor let the job end as if the data were safe."""
+        machine = Machine(turing(), seed=0)
+
+        def hook(path, nbytes):
+            if nbytes > 4096:  # every landing; headers and footers pass
+                raise TransientIOError(f"injected EIO ({path})")
+
+        machine.disk.fault_hook = hook
+        servers = []
+        config = ServerConfig(retry=RetryPolicy(max_attempts=3, base_delay=1e-4))
+        with pytest.raises(BackgroundWriteError, match="landing failed for good"):
+            run_spmd(machine, 8, _write_main(2, config, servers))
+        failed = [s for s in servers if s.stats.write_retries]
+        assert failed and all(s.stats.write_retries == 2 for s in failed)
+        assert all(s.stats.blocks_written == 0 and not s.stats.crashed for s in servers)
+
     def test_a_queued_server_still_answers_a_rendezvous_sender(self):
         """Server 4's clients ship 1 MB blocks, so its landings hold the
         slot for ~20 ms each.  Client 1 ships a late snapshot ``b`` that
@@ -426,17 +532,19 @@ class TestWriteSlotLease:
             r for r in self._records(result, 0, "rocpanda", "ingest") if r.path == "c"
         ]
         assert len(ingests) == NBLOCKS and asked < ingests[0].t_start
-        # Server 0 took the late blocks between two waits for the slot ...
+        # Server 0's main loop took the late blocks while its lander sat
+        # queued for the slot, in one unbroken wait (it keeps its place) ...
         waits = self._records(result, 0, "rocpanda", "slot_wait")
-        assert any(w.t_end <= ingests[0].t_start and w.t_start < asked for w in waits)
-        assert any(w.t_start >= ingests[-1].t_end for w in waits)
+        assert any(
+            w.t_start < asked and ingests[-1].t_end < w.t_end for w in waits
+        )
         # ... while server 4 held it, inside one transfer ...
         assert any(
             f.t_start < ingests[0].t_start and ingests[-1].t_end < f.t_end
             for f in self._records(result, 4, "shdf", "flush")
         )
         # ... so the sender was done before server 0 next touched the
-        # filesystem (the open it had been queueing for all along).
+        # filesystem (the open its lander had been queueing for all along).
         held = [
             r for op in ("open", "flush", "close")
             for r in self._records(result, 0, "shdf", op) if r.t_end > asked

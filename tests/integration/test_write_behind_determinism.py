@@ -10,14 +10,17 @@ default limit must then do fewer transfers and finish earlier, and leave
 the same files behind.
 
 The triples were first captured on the commit before the stage existed
-(b1f166d).  They were re-derived when every landing began to take the
-filesystem's write-slot lease (ISSUE 18): per-block landing now pays one
-lock RPC (1.5 ms on Turing) per open, landing and close, and these
-one- and two-server jobs have next to no contention for the lease to
-remove, so each wall moved up — write 1.2991 -> 1.4209, restart
-1.1756 -> 1.2446, weak 1.7145 -> 1.8525, strong 1.2234 -> 1.3058 — with
-visible I/O moving only where a sender met a landing (write, weak) and
-the op counts unchanged.
+(b1f166d), and re-derived when every landing began to take the
+filesystem's write-slot lease (ISSUE 18: one lock RPC per open, landing
+and close; write 1.2991 -> 1.4209, restart 1.1756 -> 1.2446, weak
+1.7145 -> 1.8525, strong 1.2234 -> 1.3058).  They were re-derived again
+when the server became a two-stage pipeline (ISSUE 19): the main loop
+only keeps the format's books and a lander process does every
+filesystem wait, so a block's metadata round trips, lock RPC and
+transfer overlap the next blocks' bookkeeping — write 1.4209 -> 1.0224,
+restart 1.2446 -> 0.8950, weak 1.8525 -> 1.1265, strong
+1.3058 -> 0.8840 — with visible I/O lower where a sender used to meet a
+landing (write, weak), unchanged elsewhere, and the op counts unchanged.
 """
 
 import pytest
@@ -28,10 +31,10 @@ from repro.io.rocpanda import server
 
 #: (wall_time, visible_io_time, fs write ops), every block landing alone.
 PARENT = {
-    "write": (1.4209390566247733, 0.07851158900059499, 156),
-    "restart": (1.2446284997576376, 0.031241341943015588, 46),
-    "weak": (1.8525142281393594, 0.06077275028347162, 92),
-    "strong": (1.305804564140802, 0.02130883281101628, 108),
+    "write": (1.0224068641351867, 0.048411973384286905, 156),
+    "restart": (0.8950154420461217, 0.031241341943015588, 46),
+    "weak": (1.126539746456382, 0.04405320981716296, 92),
+    "strong": (0.8839733874828659, 0.02130883281101628, 108),
 }
 
 

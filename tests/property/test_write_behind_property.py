@@ -4,14 +4,16 @@
 how many queued blocks share one filesystem transfer — from every block
 on its own (0) to as many as the queue holds (2**30); the layouts below
 mix eager-sized and rendezvous-sized blocks, and both kinds merge.
-Every landing holds the filesystem's write-slot lease, so on a shared
-filesystem (Turing's NFS: one slot) the limit also changes which server
-lands when, and what a queued server ingests meanwhile.  Record order
-is each server's FIFO queue order whoever lands first, so for any
-topology, pane layout and filesystem every server file must be
+Each server's lander process holds the filesystem's write-slot lease
+for every landing, so on a shared filesystem (Turing's NFS: one slot)
+the limit also changes which server lands when, and what its main loop
+ingests and stages meanwhile.  Record order is each server's FIFO queue
+order whoever lands first and wherever the stages were sealed, so for
+any topology, pane layout and filesystem every server file must be
 byte-identical across limits, and a restart must restore exactly the
-arrays the clients registered.  Virtual time is *not* compared: fewer
-transfers is the point.
+arrays the clients registered.  Every server must also end drained: no
+lander, nothing sealed or buffered.  Virtual time is *not* compared:
+fewer transfers is the point.
 """
 
 import numpy as np
@@ -54,10 +56,13 @@ def _pane_arrays(seed, rank, layout):
 def _write(limit, nservers, nclients, layout, nsnapshots, seed, shared):
     """One Rocpanda write job; returns (machine, servers' stats)."""
 
+    servers = []
+
     def main(ctx):
         topo = yield from rocpanda_init(ctx, nservers)
         if topo.is_server:
-            return (yield from PandaServer(ctx, topo).run())
+            servers.append(PandaServer(ctx, topo))
+            return (yield from servers[-1].run())
         com = Roccom(ctx)
         panda = com.load_module(RocpandaModule(ctx, topo))
         w = _window(com)
@@ -78,6 +83,11 @@ def _write(limit, nservers, nclients, layout, nsnapshots, seed, shared):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(server, "WRITE_BEHIND_BYTES", limit)
         job = run_spmd(machine, nservers + nclients, main)
+    for panda_server in servers:
+        # Drained: the lander is gone, with nothing sealed, staged or
+        # buffered left behind, and every path retired.
+        assert panda_server._lander is None and not panda_server._landings
+        assert panda_server._buffered_bytes == 0 and not panda_server._paths
     if shared:
         # The servers took turns at the one slot — the filesystem never
         # saw two writes at once — and the lease ends free.

@@ -1,13 +1,19 @@
 """Unit tests for the scaling benchmark harness (PR 7 tentpole)."""
 
+import pytest
+
 from repro.bench.scale import (
+    DRAIN_TERMS,
     QUICK_POINTS,
     STRONG_POINTS,
     attach_scale_speedups,
     bench_scale_point,
     check_scale_regressions,
     render_scale,
+    server_drain,
 )
+from repro.cluster import Machine, turing
+from repro.genx import GENxConfig, run_genx
 from repro.genx.workloads import lab_scale_motor
 
 
@@ -68,6 +74,33 @@ class TestBenchScalePoint:
     def test_sweep_points(self):
         assert STRONG_POINTS == (64, 128, 256, 512, 1024)
         assert QUICK_POINTS == (128,)
+
+    def test_drain_terms_sum_to_the_slowest_servers_records(self):
+        point = bench_scale_point(tiny_workload(), 8, prefix="ts")
+        assert list(point["drain"]) == [f"{term}_s" for term in DRAIN_TERMS]
+        config = GENxConfig(
+            workload=tiny_workload(), io_mode="rocpanda", nservers=2, prefix="td"
+        )
+        result = run_genx(Machine(turing(), seed=100), 10, config)
+        drain = server_drain(result)
+        assert all(value > 0 for value in drain.values())
+        # Every second of a server's drain is in exactly one hidden
+        # record of its main loop (bg_write) or of its lander.
+        drains = [
+            sum(
+                r.duration
+                for r in result.recorder.io_records
+                if r.rank == s.rank and r.module == "rocpanda"
+                and r.op in ("bg_write", "land", "settle", "slot_wait")
+            )
+            for s in result.servers
+        ]
+        assert sum(drain.values()) == pytest.approx(max(drains), rel=0.01)
+        hdf = run_genx(
+            Machine(turing(), seed=100), 4,
+            GENxConfig(workload=tiny_workload(), io_mode="rochdf", prefix="th"),
+        )
+        assert set(server_drain(hdf).values()) == {0.0}
 
 
 class TestSpeedupAttachment:

@@ -222,3 +222,155 @@ class TestFaultedFlush:
         # The retry re-paid the transfer, not the format bookkeeping.
         assert fs.metrics.meta_ops == ref_fs.metrics.meta_ops
         assert fs.metrics.write_ops == ref_fs.metrics.write_ops + 1
+
+
+class TestSealThenLand:
+    """Staging and landing as two callers: seal now, land later."""
+
+    def _sealed_writer(self, format_version=1):
+        """A begun (not yet open) writer holding three sealed stages —
+        batch 0, batches 1+2, batch 3 — staged before its header lands."""
+        env = Environment()
+        fs = NFSModel(env)
+        writer = SHDFWriter(
+            env, fs, "f.shdf", hdf4_driver(), format_version=format_version
+        )
+        b0, b1, b2, b3 = batches()
+
+        def stage():
+            writer.begin(file_attrs={"k": 1})
+            assert not writer.is_open
+            yield from writer.write_records(b0)
+            writer.seal()
+            writer.seal()  # nothing staged since: no empty stage
+            yield from writer.write_records(b1)
+            yield from writer.write_records(b2)
+            writer.seal()
+            yield from writer.write_records(b3)
+            writer.seal()
+            assert writer.staged_bytes == 0
+            # Bookkeeping was CPU only: the filesystem saw nothing yet.
+            assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (0, 0)
+            assert writer.ndatasets == sum(map(len, batches()))
+
+        drive(env, stage())
+        return env, fs, writer
+
+    @pytest.mark.parametrize("format_version", [1, 2])
+    def test_sealed_stages_land_in_order_one_transfer_each(self, format_version):
+        env, fs, writer = self._sealed_writer(format_version)
+        sizes = []
+
+        def land():
+            yield from writer.open()  # begun: open() only writes the header
+            for _ in range(3):
+                size, ops = writer._vfile.size, fs.metrics.write_ops
+                yield from writer.settle_meta()
+                assert fs.metrics.write_ops == ops  # round trips, no transfer
+                yield from writer.land()
+                assert fs.metrics.write_ops == ops + 1
+                sizes.append(writer._vfile.size - size)
+            ops = fs.metrics.write_ops
+            yield from writer.flush()  # nothing left
+            assert fs.metrics.write_ops == ops
+            yield from writer.close()
+
+        drive(env, land())
+        b0, b1, b2, b3 = ([len(r[1]) for r in b] for b in batches())
+        assert sizes == [sum(b0), sum(b1) + sum(b2), sum(b3)]
+        eager, fs_eager, _ = write_file(format_version, True)
+        image = bytes(fs.disk.open("f.shdf").read())
+        assert image == eager
+        assert fs.metrics.meta_ops == fs_eager.metrics.meta_ops
+        assert fs.metrics.bytes_written == fs_eager.metrics.bytes_written
+        if format_version == 2:
+            index = read_index(image)
+            assert list(index) == [n for b in batches() for n, _rec, _n in b]
+            for name, (offset, _length) in index.items():
+                assert read_dataset_at(image, offset).name == name
+
+    def test_close_lands_what_is_sealed_and_what_is_open(self):
+        env, fs, writer = self._sealed_writer()
+        extra = encode_records([Dataset("W/tail", np.arange(5.0), {"ncomp": 1})])
+
+        def finish():
+            yield from writer.open()
+            yield from writer.write_records(extra)  # joins a new, open stage
+            ops = fs.metrics.write_ops
+            yield from writer.close()
+            # Three sealed stages, the open one, the footer.
+            assert fs.metrics.write_ops == ops + 5
+
+        drive(env, finish())
+        names = decode_file(fs.disk.open("f.shdf").read()).names()
+        assert names == [n for b in batches() for n, _r, _n in b] + ["W/tail"]
+
+    def test_meta_round_trips_are_paid_once_across_a_faulted_landing(self):
+        env, fs, writer = self._sealed_writer()
+        armed = {"n": 0}
+
+        def hook(path, nbytes):
+            if armed["n"]:
+                armed["n"] -= 1
+                raise TransientIOError(path)
+
+        fs.disk.fault_hook = hook
+
+        def land():
+            yield from writer.open()
+            meta = fs.metrics.meta_ops
+            yield from writer.settle_meta()
+            owed = fs.metrics.meta_ops - meta
+            assert owed == len(batches()[0]) * hdf4_driver().fs_meta_ops_per_dataset
+            armed["n"] = 1
+            size = writer._vfile.size
+            with pytest.raises(TransientIOError):
+                yield from writer.land()
+            assert writer._vfile.size == size
+            t0 = env.now
+            yield from writer.settle_meta()  # nothing owed any more
+            assert (env.now, fs.metrics.meta_ops) == (t0, meta + owed)
+            yield from writer.land()  # the retry: the same stage, once
+            assert fs.metrics.meta_ops == meta + owed
+            yield from writer.close()
+
+        drive(env, land())
+        eager, fs_eager, _ = write_file(1, True)
+        assert bytes(fs.disk.open("f.shdf").read()) == eager
+        assert fs.metrics.meta_ops == fs_eager.metrics.meta_ops
+
+    @pytest.mark.parametrize(
+        "format_version, closed_at",
+        [(1, 0.015249830078125), (2, 0.015252468577067059)],
+    )
+    def test_sequential_caller_sees_the_parent_instants(self, format_version, closed_at):
+        """open / write_records / close on ``NFSModel``: CPU, metadata,
+        transfer in the order they always came, so the open and the close
+        end at the instants they ended at before the round trips moved
+        from ``write_records`` into the landing (values from 9bed612) —
+        to the last bit; only the instant in between is earlier, by
+        exactly those round trips."""
+        env = Environment()
+        fs = NFSModel(env)
+        writer = SHDFWriter(
+            env, fs, "f.shdf", hdf4_driver(), format_version=format_version
+        )
+        rng = np.random.default_rng(11)
+        records = encode_records(
+            Dataset(f"W/b0/f{k}", rng.random(30 + k), {"ncomp": 1}) for k in range(3)
+        )
+        marks = []
+
+        def program():
+            yield from writer.open(file_attrs={"k": 1})
+            marks.append(env.now)
+            yield from writer.write_records(records)
+            marks.append(env.now)
+            yield from writer.close()
+            marks.append(env.now)
+
+        drive(env, program())
+        assert marks[0] == 0.0030012397766113284
+        assert marks[2] == writer.busy_time == closed_at
+        assert marks[1] == pytest.approx(0.01052523977661133 - 3 * fs.meta_latency)
+        assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (5, 3)

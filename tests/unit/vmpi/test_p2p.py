@@ -283,43 +283,3 @@ class TestProbe:
 
         launch(2, main)
         assert times["probed"] >= 3.0
-
-    def test_probe_until_returns_none_when_the_event_fires_first(self):
-        seen = {}
-
-        def main(ctx):
-            comm = ctx.world
-            if ctx.rank == 0:
-                yield from ctx.sleep(3.0)
-                yield from comm.send(1, dest=1)
-            else:
-                status = yield from comm.probe(until=ctx.env.timeout(1.0))
-                seen["first"] = (status, ctx.now)
-                # The abandoned probe left no waiter behind ...
-                assert not comm._mailbox(comm.rank)._waiters
-                # ... and the message is still there for the next one.
-                status = yield from comm.probe(until=ctx.env.timeout(5.0))
-                seen["second"] = (status.source, ctx.now)
-                yield from comm.recv(source=0)
-
-        launch(2, main)
-        assert seen["first"] == (None, 1.0)
-        assert seen["second"][0] == 0 and 3.0 <= seen["second"][1] < 4.0
-
-    def test_probe_until_prefers_the_event_when_both_are_ready(self):
-        seen = []
-
-        def main(ctx):
-            comm = ctx.world
-            if ctx.rank == 0:
-                yield from comm.send(1, dest=1)
-            else:
-                yield from ctx.sleep(2.0)  # message already queued
-                fired = ctx.env.timeout(0.0)
-                yield fired
-                seen.append((yield from comm.probe(until=fired)))
-                seen.append(comm.iprobe())
-                yield from comm.recv(source=0)
-
-        launch(2, main)
-        assert seen[0] is None and seen[1] is not None
