@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
-from repro.vmpi import ANY_SOURCE, ANY_TAG, MPIError, payload_nbytes, run_spmd
+from repro.vmpi import ANY_SOURCE, ANY_TAG, Job, MPIError, payload_nbytes, run_spmd
 
 
 def launch(nprocs, main, seed=0, spec=None):
@@ -283,3 +283,185 @@ class TestProbe:
 
         launch(2, main)
         assert times["probed"] >= 3.0
+
+
+EAGER = b"x" * 100
+RNDV = np.zeros(1 << 17)  # 1 MiB: rendezvous
+
+
+class TestGuardedSendRecv:
+    """The timeout-guarded calls, at the vmpi level."""
+
+    def test_eager_guarded_send_is_ok_before_any_receive(self):
+        out = {}
+
+        def main(ctx):
+            comm = ctx.world
+            if ctx.rank == 0:
+                out["verdict"] = yield from comm.send_with_timeout(
+                    EAGER, dest=1, tag=3, timeout=0.5
+                )
+                out["sent_at"] = ctx.now
+            else:
+                yield from ctx.sleep(5.0)
+                out["data"], _ = yield from comm.recv(source=0, tag=3)
+
+        launch(2, main)
+        assert out["verdict"] == "ok"
+        assert out["sent_at"] < 0.5
+        assert out["data"] == EAGER
+
+    def test_rendezvous_matched_in_time_is_ok_and_cancels_the_guard(self):
+        out = {}
+
+        def main(ctx):
+            comm = ctx.world
+            if ctx.rank == 0:
+                yield from ctx.sleep(1.0)  # rank 1 is parked in its recv
+                depth = ctx.env.queue_depth()
+                out["verdict"] = yield from comm.send_with_timeout(
+                    RNDV, dest=1, tag=3, timeout=100.0
+                )
+                yield from ctx.sleep(1.0)  # rank 1 has returned
+                out["depth"] = (depth, ctx.env.queue_depth())
+            else:
+                out["data"], _ = yield from comm.recv(source=0, tag=3)
+
+        result = launch(2, main)
+        assert out["verdict"] == "ok"
+        np.testing.assert_array_equal(out["data"], RNDV)
+        # The guard left with the send: nothing of it still queued, and
+        # the job did not run on to the guard's deadline.
+        assert out["depth"][1] == out["depth"][0]
+        assert result.wall_time < 10.0
+
+    def test_unmatched_rendezvous_is_retracted_at_the_deadline(self):
+        out = {}
+
+        def main(ctx):
+            comm = ctx.world
+            if ctx.rank == 0:
+                out["verdict"] = yield from comm.send_with_timeout(
+                    RNDV, dest=1, tag=3, timeout=0.5
+                )
+                out["at"] = ctx.now
+            else:
+                yield from ctx.sleep(2.0)  # never posts a receive
+                out["pending"] = comm.iprobe(source=0)
+
+        launch(2, main)
+        assert out["verdict"] == "retracted"
+        assert 0.5 <= out["at"] < 0.6
+        assert out["pending"] is None  # the announcement is withdrawn
+
+    def test_dropped_announcement_reads_as_retracted(self):
+        out = {}
+
+        def main(ctx):
+            comm = ctx.world
+            if ctx.rank == 0:
+                out["verdict"] = yield from comm.send_with_timeout(
+                    RNDV, dest=1, tag=3, timeout=0.5
+                )
+                out["at"] = ctx.now
+            else:
+                out["got"] = yield from comm.recv_with_timeout(
+                    source=0, tag=3, timeout=2.0
+                )
+
+        machine = Machine(make_testbox(), seed=0)
+        job = Job(machine, 2)
+        job.network.fault_filter = lambda src, dst, tag, nbytes: ("drop", None)
+        job.run(main)
+        assert out["verdict"] == "retracted"
+        assert 0.5 <= out["at"] < 0.6
+        assert out["got"] is None  # the receiver never saw it
+
+    def test_receiver_mid_pull_at_the_deadline_is_stuck(self):
+        out = {}
+
+        def main(ctx):
+            comm = ctx.world
+            if ctx.rank == 0:
+                out["verdict"] = yield from comm.send_with_timeout(
+                    RNDV, dest=1, tag=3, timeout=0.001  # the pull takes ~3 ms
+                )
+                out["at"] = ctx.now
+            else:
+                data, _ = yield from comm.recv(source=0, tag=3)
+                out["recv_done"] = ctx.now
+                out["intact"] = data is RNDV
+
+        launch(2, main)
+        assert out["verdict"] == "stuck"
+        assert out["at"] < out["recv_done"]
+        assert out["intact"]  # the pull still completes
+
+    def test_timed_out_recv_returns_none_and_steals_nothing(self):
+        out = {}
+
+        def main(ctx):
+            comm = ctx.world
+            if ctx.rank == 0:
+                yield from ctx.sleep(1.0)
+                yield from comm.send("late", dest=1, tag=3)
+            else:
+                out["first"] = yield from comm.recv_with_timeout(
+                    source=0, tag=3, timeout=0.5
+                )
+                out["timed_out_at"] = ctx.now
+                out["second"], _ = yield from comm.recv(source=0, tag=3)
+
+        launch(2, main)
+        assert out["first"] is None
+        assert 0.5 <= out["timed_out_at"] < 0.6
+        assert out["second"] == "late"
+
+    def test_recv_with_timeout_returns_a_queued_or_timely_message(self):
+        out = {}
+
+        def main(ctx):
+            comm = ctx.world
+            if ctx.rank == 0:
+                yield from comm.send("queued", dest=1, tag=3)
+                yield from ctx.sleep(1.0)
+                yield from comm.send(RNDV, dest=1, tag=4)
+            else:
+                yield from ctx.sleep(0.5)
+                out["queued"] = yield from comm.recv_with_timeout(
+                    source=0, tag=3, timeout=0.25
+                )
+                out["timely"] = yield from comm.recv_with_timeout(
+                    source=0, tag=4, timeout=5.0
+                )
+
+        result = launch(2, main)
+        payload, status = out["queued"]
+        assert (payload, status.source, status.tag) == ("queued", 0, 3)
+        np.testing.assert_array_equal(out["timely"][0], RNDV)
+        assert result.wall_time < 2.0  # the 5 s guard went with the match
+
+    @pytest.mark.parametrize("payload", [EAGER, RNDV], ids=["eager", "rendezvous"])
+    def test_guarded_and_plain_send_finish_at_the_same_instant(self, payload):
+        def run(guarded):
+            times = {}
+
+            def main(ctx):
+                comm = ctx.world
+                if ctx.rank == 0:
+                    if guarded:
+                        yield from comm.send_with_timeout(
+                            payload, dest=1, tag=3, timeout=50.0
+                        )
+                    else:
+                        yield from comm.send(payload, dest=1, tag=3)
+                    times["send"] = ctx.now
+                else:
+                    yield from ctx.sleep(0.25)
+                    yield from comm.recv(source=0, tag=3)
+                    times["recv"] = ctx.now
+
+            times["wall"] = launch(2, main).wall_time
+            return times
+
+        assert run(guarded=True) == run(guarded=False)
