@@ -23,6 +23,7 @@ from ..fs.models import NFSModel
 from ..genx.driver import GENxConfig, run_genx
 from ..genx.workloads import lab_scale_motor
 from ..io.rocpanda import ServerConfig
+from ..shdf.codec import encode_records
 from ..shdf.drivers import HDFDriver, hdf4_driver, hdf5_driver
 from ..shdf.file import SHDFReader, SHDFWriter
 from ..shdf.model import Dataset
@@ -70,13 +71,24 @@ def run_active_buffering_ablation(
     return out
 
 
+def _write_per_dataset(writer: SHDFWriter, count: int, data: np.ndarray):
+    """Generator: ``count`` datasets, each staged and landed on its own —
+    per-dataset create cost, round trip and transfer, as A2 measures."""
+    yield from writer.open()
+    for i in range(count):
+        yield from writer.write_records(encode_records([Dataset(f"d{i}", data)]))
+        yield from writer.flush()
+    yield from writer.close()
+
+
 def run_hdf_driver_scaling(
     dataset_counts: Sequence[int] = (50, 200, 800, 3200),
     dataset_bytes: int = 8192,
 ) -> Dict[str, Dict[int, Tuple[float, float]]]:
     """A2: (write_time, read_time) per driver vs datasets per file.
 
-    Pure SHDF + NFS micro-benchmark, no GENx in the loop.
+    Pure SHDF + NFS micro-benchmark, no GENx in the loop: one dataset
+    per write and one directory lookup per dataset read.
     """
     out: Dict[str, Dict[int, Tuple[float, float]]] = {}
     for driver_factory in (hdf4_driver, hdf5_driver):
@@ -89,14 +101,12 @@ def run_hdf_driver_scaling(
 
             def program():
                 writer = SHDFWriter(env, fs, "a2.shdf", driver)
-                yield from writer.open()
-                for i in range(count):
-                    yield from writer.write_dataset(Dataset(f"d{i}", data))
-                yield from writer.close()
+                yield from _write_per_dataset(writer, count, data)
                 t_write = env.now
                 reader = SHDFReader(env, fs, "a2.shdf", driver)
-                yield from reader.open()
-                yield from reader.read_all()
+                yield from reader.open_scan()
+                for name in reader.names():
+                    yield from reader.read_batch([name])
                 yield from reader.close()
                 return t_write, env.now - t_write
 
@@ -142,10 +152,7 @@ def run_driver_tier_matrix(
 
             def program():
                 writer = SHDFWriter(env, fs, "a2t.shdf", driver)
-                yield from writer.open()
-                for i in range(ndatasets):
-                    yield from writer.write_dataset(Dataset(f"d{i}", data))
-                yield from writer.close()
+                yield from _write_per_dataset(writer, ndatasets, data)
                 t_visible = env.now
                 barrier = getattr(fs, "drain_barrier", None)
                 if barrier is not None:

@@ -20,14 +20,15 @@ Benchmarks:
   ``Comm.send``/``recv`` stack (fan-in with source-selective receives,
   the Rocpanda server pattern);
 * ``codec_encode`` / ``codec_decode`` / ``codec_decode_zero_copy`` —
-  SHDF codec bandwidth in MB/s;
+  SHDF codec bandwidth in MB/s (``codec_decode`` is the restart
+  decode: private writable copies);
 * ``ship_batched`` — Rocpanda client→server block shipping through
   the full stack (Roccom call, encode, pack, vmpi flights, server
   ingest + write);
 * ``restart_twophase`` — Rocpanda collective restart through the full
   stack (server scan, sieved bulk reads, reply flights, client apply);
-* ``vfs_coalesce`` / ``vfs_percall`` — SHDF dataset writes through the
-  write-coalescing scheduler vs one ``fs.write`` per dataset;
+* ``vfs_coalesce`` — SHDF dataset writes through the write-coalescing
+  scheduler;
 * ``vfs_read_coalesce`` — SHDF dataset reads through the structural
   scan + read-coalescing scheduler (one directory pass, sieved merged
   ``fs.read`` calls);
@@ -320,7 +321,6 @@ def bench_codec(
 ) -> Dict[str, Dict[str, float]]:
     """SHDF encode/decode bandwidth (MB/s) over a multi-dataset image."""
     from ..shdf.codec import decode_file, encode_file
-    import inspect
 
     image = _codec_image(ndatasets, nbytes_each)
     buf = bytes(encode_file(image))
@@ -339,11 +339,9 @@ def bench_codec(
         }
 
     out = {"encode": report(lambda: encode_file(image))}
-    out["decode"] = report(lambda: decode_file(buf))
-    # Zero-copy decode exists only after the codec optimization; report
-    # it when available so baselines from older trees still load.
-    if "copy" in inspect.signature(decode_file).parameters:
-        out["decode_zero_copy"] = report(lambda: decode_file(buf, copy=False))
+    # What restart runs: scan_file + decode_batch into private copies.
+    out["decode"] = report(lambda: decode_file(buf, copy=True))
+    out["decode_zero_copy"] = report(lambda: decode_file(buf))
     return out
 
 
@@ -462,14 +460,12 @@ def bench_restart(
 
 def bench_vfs_coalesce(
     ndatasets: int = 256, cells: int = 512, repeats: int = 4,
-    coalesce: bool = True,
 ) -> Dict[str, float]:
-    """SHDF dataset write rate (datasets/sec) with and without coalescing.
+    """SHDF dataset write rate (datasets/sec) through the coalesced path.
 
-    ``coalesce`` routes the whole file through
+    The whole file goes through
     :meth:`~repro.shdf.file.SHDFWriter.write_records` (one merged
-    VirtualDisk transfer via the write-coalescing scheduler); off, each
-    dataset pays its own ``fs.write`` — the pre-aggregation path.
+    VirtualDisk transfer via the write-coalescing scheduler).
     """
     from ..des import Environment
     from ..fs import NFSModel
@@ -492,11 +488,7 @@ def bench_vfs_coalesce(
             for r in range(repeats):
                 writer = SHDFWriter(env, fs, f"co_{r}.shdf", hdf4_driver())
                 yield from writer.open()
-                if coalesce:
-                    yield from writer.write_records(encode_records(datasets))
-                else:
-                    for d in datasets:
-                        yield from writer.write_dataset(d)
+                yield from writer.write_records(encode_records(datasets))
                 yield from writer.close()
 
         env.process(writes(), name="writes")
@@ -764,9 +756,8 @@ def run_perfbench(
         sizes["ship_blocks"], sizes["ship_snaps"]))
     micro["restart_twophase"] = best(lambda: bench_restart(
         sizes["restart_blocks"], repeats=sizes["restart_repeats"]))
-    for name, coalesce in (("vfs_coalesce", True), ("vfs_percall", False)):
-        micro[name] = best(lambda c=coalesce: bench_vfs_coalesce(
-            sizes["vfs_datasets"], repeats=sizes["vfs_repeats"], coalesce=c))
+    micro["vfs_coalesce"] = best(lambda: bench_vfs_coalesce(
+        sizes["vfs_datasets"], repeats=sizes["vfs_repeats"]))
     micro["vfs_read_coalesce"] = best(lambda: bench_vfs_read_coalesce(
         sizes["vfs_read_datasets"], repeats=sizes["vfs_read_repeats"]))
     for name, tier in (

@@ -192,9 +192,7 @@ class RocpandaModule(ServiceModule):
         itself would.  With a single client the server idles during the
         pack gaps; with many clients other blocks fill them — the
         pipelining behind Fig 3(a)'s throughput rise from 1 to 15
-        clients.  One prebound :class:`~repro.vmpi.comm.SendStream`
-        serves every flight, and the server appends the record bytes
-        verbatim.
+        clients.  The server appends the record bytes verbatim.
         """
         ctx = self.ctx
         world = self.topo.world
@@ -211,14 +209,16 @@ class RocpandaModule(ServiceModule):
             dest=self._server,
             tag=TAG_CTRL,
         )
-        stream = world.stream(self._server, TAG_BLOCK)
+        server = self._server
         sleep = ctx.env.sleep
         pack_overhead = self.pack_overhead
         pack_bw = self.pack_bw
         stats = self.stats
         for eb in blocks:
             yield sleep(pack_overhead + eb.nbytes / pack_bw)
-            yield from stream.send(BlockEnvelope(path, eb), nbytes=eb.nbytes + 64)
+            yield from world.send(
+                BlockEnvelope(path, eb), server, TAG_BLOCK, nbytes=eb.nbytes + 64
+            )
             stats.blocks_written += 1
             stats.bytes_written += eb.data_nbytes
 

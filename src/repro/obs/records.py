@@ -63,7 +63,7 @@ class IORecord:
     #: "rocpanda", "shdf", ...).
     module: str
     #: Operation kind ("write_attribute", "bg_write", "ingest",
-    #: "open", "write_dataset", ...).
+    #: "open", "write_records", ...).
     op: str
     rank: int
     path: str = ""

@@ -6,13 +6,6 @@ drivers reproducing the HDF4-linear vs HDF5-logarithmic metadata
 scaling the paper's design decisions hinge on.
 """
 
-from .codec_v2 import (
-    decode_file_v2,
-    detect_version,
-    encode_file_v2,
-    read_dataset_at,
-    read_index,
-)
 from .codec import (
     JOURNAL_ATTR,
     CodecError,
@@ -24,7 +17,6 @@ from .codec import (
     encode_dataset,
     encode_file,
     encode_header,
-    iter_records,
     scan_file,
 )
 from .drivers import HDFDriver, hdf4_driver, hdf5_driver, raw_driver
@@ -43,14 +35,8 @@ __all__ = [
     "encode_header",
     "decode_header",
     "encode_dataset",
-    "iter_records",
     "scan_file",
     "decode_batch",
-    "encode_file_v2",
-    "decode_file_v2",
-    "detect_version",
-    "read_index",
-    "read_dataset_at",
     "HDFDriver",
     "hdf4_driver",
     "hdf5_driver",

@@ -5,6 +5,7 @@ Layout::
     header  := MAGIC "SHDF" | u16 version | attrs
     record  := MAGIC "DSET" | str16 name | attrs | str16 dtype
                | u8 ndim | u64*ndim dims | u64 nbytes | raw data
+    commit  := MAGIC "SEOF" | u64 record count     (journaled files)
     attrs   := u32 count | (str16 name | value)*
     value   := u8 tag | payload        (None/bool/int/float/str/bytes/
                                         ndarray/list)
@@ -33,19 +34,10 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from typing import Any, Iterator, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
-from .format import (
-    COMMIT_MAGIC,
-    COMMIT_SIZE,
-    FILE_MAGIC,
-    INDEX_MAGIC,
-    JOURNAL_ATTR,
-    RECORD_MAGIC,
-    VERSION,
-)
 from .model import Dataset, FileImage
 
 __all__ = [
@@ -61,9 +53,23 @@ __all__ = [
     "decode_file",
     "decode_batch",
     "decode_header",
-    "iter_records",
     "scan_file",
 ]
+
+FILE_MAGIC = b"SHDF"
+RECORD_MAGIC = b"DSET"
+VERSION = 1
+
+#: Atomic-commit footer: magic + u64 dataset count (12 bytes).  The
+#: writer appends it as the final act of ``close``; its absence marks
+#: the file as torn.
+COMMIT_MAGIC = b"SEOF"
+COMMIT_SIZE = 12
+
+#: File attribute the writer injects.  Readers hitting a file that
+#: carries it but lacks a valid commit raise :class:`TornFileError`
+#: instead of decoding a partial snapshot.
+JOURNAL_ATTR = "_shdf_journal"
 
 _TAG_NONE = 0
 _TAG_BOOL = 1
@@ -104,13 +110,6 @@ class TornFileError(CodecError):
 
 
 # -- low-level pieces -------------------------------------------------------
-
-def _pack_str16(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise CodecError(f"string too long ({len(raw)} bytes)")
-    return _U16.pack(len(raw)) + raw
-
 
 def _append_str16(out: bytearray, s: str) -> None:
     raw = s.encode("utf-8")
@@ -274,12 +273,6 @@ def _encode_attrs_into(out: bytearray, attrs: dict) -> None:
         _encode_value(value, out)
 
 
-def _encode_attrs(attrs: dict) -> bytes:
-    out = bytearray()
-    _encode_attrs_into(out, attrs)
-    return bytes(out)
-
-
 def _decode_attrs(reader: _Reader, copy: bool = True) -> dict:
     count = reader.u32()
     attrs = {}
@@ -401,24 +394,19 @@ def encode_file(image: FileImage) -> bytes:
 
 
 def encode_commit_footer(ndatasets: int) -> bytes:
-    """v1 atomic-commit footer (12 bytes: magic + u64 dataset count)."""
+    """Atomic-commit footer (12 bytes: magic + u64 dataset count)."""
     return COMMIT_MAGIC + _U64.pack(ndatasets)
 
 
 def decode_header(buf: bytes) -> Tuple[dict, int, int]:
-    """Decode the header; returns (file_attrs, offset_after_header, version).
-
-    Accepts both format versions (their headers are identical except
-    for the version number) and hands the parsed version back so
-    callers dispatch without re-reading raw bytes.
-    """
+    """Decode the header; returns (file_attrs, offset_after_header, version)."""
     if not len(buf):
         raise TornFileError("empty SHDF file (writer crashed inside open)")
     reader = _Reader(buf)
     if reader.take(4) != FILE_MAGIC:
         raise CodecError("not an SHDF file (bad magic)")
     version = reader.u16()
-    if version not in (1, 2):
+    if version != VERSION:
         raise CodecError(f"unsupported SHDF version {version}")
     attrs = _decode_attrs(reader)
     return attrs, reader.pos, version
@@ -481,35 +469,18 @@ def scan_file(buf: bytes) -> Tuple[dict, list]:
     Returns ``(attrs, entries)`` with ``entries`` a list of ``(name,
     offset, length)`` tuples in on-disk order, such that ``buf[offset :
     offset + length]`` is one full record for :func:`decode_batch`.
-    This is the sieving reader's directory pass: v2 files resolve it
-    from their index; v1 files are skip-scanned (headers walked, array
-    payloads jumped over).
+    This is the sieving reader's directory pass and the format's one
+    record walk: headers are walked, array payloads jumped over.
 
-    Torn-file semantics are identical to :func:`decode_file`: a
-    journaled file missing its commit raises :class:`TornFileError`, a
-    buffer cut mid-record raises :class:`CodecError`.
+    Corruption handling: a buffer cut mid-record (or mid-magic), or
+    carrying garbage where a record should start, raises
+    :class:`CodecError` — a short read must never look like a short
+    file; a *journaled* file (one whose writer promised a commit — see
+    :data:`JOURNAL_ATTR`) missing its commit raises
+    :class:`TornFileError`, the signal the restart path uses to skip a
+    crash-torn snapshot.
     """
-    attrs, pos, version = decode_header(buf)
-    journaled = bool(attrs.get(JOURNAL_ATTR))
-    if version == 2:
-        from .codec_v2 import read_index
-
-        try:
-            index = read_index(buf)
-        except TornFileError:
-            raise
-        except CodecError as exc:
-            if journaled:
-                raise TornFileError(
-                    f"torn v2 SHDF file (no committed index): {exc}"
-                ) from exc
-            # unclosed, non-journaled v2 file: sequential fallback below
-        else:
-            entries = sorted(
-                ((name, off, length) for name, (off, length) in index.items()),
-                key=lambda e: e[1],
-            )
-            return attrs, entries
+    attrs, pos, _version = decode_header(buf)
     entries = []
     reader = _Reader(buf, pos)
     nbuf = len(buf)
@@ -523,18 +494,16 @@ def scan_file(buf: bytes) -> Tuple[dict, list]:
         elif chunk == COMMIT_MAGIC and reader.pos == nbuf - COMMIT_SIZE:
             committed = _U64.unpack_from(buf, reader.pos + 4)[0]
             break
-        elif version == 2 and chunk == INDEX_MAGIC:
-            break  # torn index region of a non-journaled v2 file
         else:
             raise CodecError(
                 f"truncated or corrupt SHDF record at offset {reader.pos}"
             )
-    if journaled and version == 1:
+    if attrs.get(JOURNAL_ATTR):
         if committed is None:
-            raise TornFileError("torn v1 SHDF file (missing commit footer)")
+            raise TornFileError("torn SHDF file (missing commit footer)")
         if committed != len(entries):
             raise TornFileError(
-                f"torn v1 SHDF file (commit says {committed} datasets, "
+                f"torn SHDF file (commit says {committed} datasets, "
                 f"found {len(entries)})"
             )
     return attrs, entries
@@ -573,93 +542,21 @@ def _decode_record(reader: _Reader, copy: bool = True) -> Dataset:
     return Dataset(name, _frombuffer(raw, dtype, shape, copy), attrs)
 
 
-def iter_records(buf: bytes, copy: bool = False) -> Iterator[Dataset]:
-    """Iterate dataset records of a full file buffer (header first).
-
-    Works for both versions: a v2 file's records are scanned
-    sequentially up to its index block.  Yields read-only zero-copy
-    views of ``buf`` unless ``copy=True``.  A buffer cut mid-record or
-    carrying garbage where a record should start raises
-    :class:`CodecError` — a short read must never look like a short
-    file.
-    """
-    _attrs, pos, _version = decode_header(buf)
-    reader = _Reader(buf, pos)
-    nbuf = len(buf)
-    while not reader.exhausted:
-        chunk = buf[reader.pos : reader.pos + 4]
-        if chunk == RECORD_MAGIC:
-            yield _decode_record(reader, copy)
-        elif chunk == INDEX_MAGIC:
-            break  # v2 index reached
-        elif chunk == COMMIT_MAGIC and reader.pos == nbuf - COMMIT_SIZE:
-            break  # v1 commit footer
-        else:
-            raise CodecError(
-                f"truncated or corrupt SHDF record at offset {reader.pos}"
-            )
-
-
 def decode_file(buf: bytes, copy: bool = False) -> FileImage:
     """Decode a full file buffer into a :class:`FileImage`.
 
-    Dispatches on the format version: v1 scans sequentially, v2 reads
-    through the dataset index (falling back to a scan when the index
-    is missing, e.g. an unclosed file).
-
-    Corruption handling: a buffer cut mid-record (or mid-magic) raises
-    :class:`CodecError`; a *journaled* file (one whose writer promised
-    a commit — see :data:`JOURNAL_ATTR`) missing its commit raises
-    :class:`TornFileError`, the signal the restart path uses to skip a
-    crash-torn snapshot.
+    :func:`scan_file` (whose corruption and torn-file errors propagate)
+    followed by :func:`decode_batch` over the extents it found.
 
     Dataset arrays are **read-only views** of ``buf`` by default;
     callers that mutate them in place (the restart path) must pass
     ``copy=True`` for private writable copies.
     """
-    attrs, pos, version = decode_header(buf)
-    journaled = bool(attrs.get(JOURNAL_ATTR))
-    if version == 2:
-        # Functions (not constants) still cross lazily in this one
-        # direction: codec_v2 imports codec at module level, so the
-        # reverse function import cannot be hoisted.
-        from .codec_v2 import decode_file_v2, read_index
-
-        try:
-            read_index(buf)
-        except TornFileError:
-            raise
-        except CodecError as exc:
-            if journaled:
-                raise TornFileError(
-                    f"torn v2 SHDF file (no committed index): {exc}"
-                ) from exc
-            # unclosed, non-journaled v2 file: sequential fallback below
-        else:
-            return decode_file_v2(buf, copy=copy)
+    attrs, entries = scan_file(buf)
     image = FileImage(attrs)
-    reader = _Reader(buf, pos)
-    nbuf = len(buf)
-    committed = None
-    while not reader.exhausted:
-        chunk = buf[reader.pos : reader.pos + 4]
-        if chunk == RECORD_MAGIC:
-            image.add(_decode_record(reader, copy))
-        elif chunk == COMMIT_MAGIC and reader.pos == nbuf - COMMIT_SIZE:
-            committed = _U64.unpack_from(buf, reader.pos + 4)[0]
-            break
-        elif version == 2 and chunk == INDEX_MAGIC:
-            break  # torn index region of a non-journaled v2 file
-        else:
-            raise CodecError(
-                f"truncated or corrupt SHDF record at offset {reader.pos}"
-            )
-    if journaled and version == 1:
-        if committed is None:
-            raise TornFileError("torn v1 SHDF file (missing commit footer)")
-        if committed != len(image):
-            raise TornFileError(
-                f"torn v1 SHDF file (commit says {committed} datasets, "
-                f"found {len(image)})"
-            )
+    view = memoryview(buf)
+    for dataset in decode_batch(
+        (view[offset : offset + length] for _name, offset, length in entries), copy
+    ):
+        image.add(dataset)
     return image

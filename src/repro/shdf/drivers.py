@@ -137,7 +137,11 @@ def hdf5_driver(
     meta_bytes_per_dataset: int = 4096,
     fs_meta_ops_per_dataset: int = 1,
 ) -> HDFDriver:
-    """HDF5: higher constants, *logarithmic* (B-tree) directory growth."""
+    """HDF5: higher constants, *logarithmic* (B-tree) directory growth.
+
+    A cost model only: the bytes on disk are the one SHDF format's,
+    whichever driver charged for them.
+    """
     return HDFDriver(
         name="hdf5",
         create_base=create_base,

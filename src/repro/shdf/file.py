@@ -9,11 +9,8 @@ disk — so restart files decode to exactly what was written.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
-from typing import Any, Dict, Iterator, List, Optional
-
-import numpy as np
+from typing import Any, Dict, List, Optional
 
 from ..des import Environment
 from ..fs.coalesce import ReadCoalescer, WriteCoalescer
@@ -21,17 +18,11 @@ from ..fs.models import FileSystemModel
 from .codec import (
     JOURNAL_ATTR,
     decode_batch,
-    decode_file,
     encode_commit_footer,
-    encode_dataset,
     encode_header,
-    iter_records,
     scan_file,
 )
-from .format import END_MAGIC, FOOTER_SIZE
-from .codec_v2 import encode_header_v2, encode_index
 from .drivers import HDFDriver, hdf4_driver
-from .model import Dataset, FileImage
 
 __all__ = ["SHDFWriter", "SHDFReader"]
 
@@ -39,11 +30,10 @@ __all__ = ["SHDFWriter", "SHDFReader"]
 class _Stage:
     """Records bound for one transfer, and the round trips they owe."""
 
-    __slots__ = ("chunks", "names", "meta_ops")
+    __slots__ = ("chunks", "meta_ops")
 
     def __init__(self, fs, vfile, node):
         self.chunks = WriteCoalescer(fs, vfile, node=node)
-        self.names = []  # (name, length) of the records, in order
         self.meta_ops = 0
 
 
@@ -54,8 +44,16 @@ class SHDFWriter:
 
         writer = SHDFWriter(env, fs, "snap_0001.hdf", driver, node=node)
         yield from writer.open(file_attrs={"time_step": 50})
-        yield from writer.write_dataset(Dataset("b1/pressure", arr, {...}))
+        yield from writer.write_records(
+            encode_records([Dataset("b1/pressure", arr, {...})])
+        )
         yield from writer.close()
+
+    There is one on-disk format (see :mod:`.codec`), whatever the
+    driver: the driver is a *timing* model.  Every file is journaled —
+    its header carries :data:`~.codec.JOURNAL_ATTR` and ``close``
+    appends the 12-byte commit footer as its final write — so readers
+    can tell a committed snapshot from one torn by a crash mid-write.
 
     **Write-behind stages.**  :meth:`write_records` pays the format's
     per-dataset directory bookkeeping (CPU) and *stages* the records;
@@ -90,11 +88,9 @@ class SHDFWriter:
         path: str,
         driver: Optional[HDFDriver] = None,
         node=None,
-        format_version: Optional[int] = None,
         recorder=None,
         rank: int = -1,
         visible: bool = True,
-        journal: bool = True,
     ):
         self.env = env
         self.fs = fs
@@ -107,21 +103,8 @@ class SHDFWriter:
         self._recorder = recorder
         self._rank = rank
         self._visible = visible
-        #: Atomic-commit journaling: mark the file so readers can tell a
-        #: committed snapshot from one torn by a crash mid-write.  v2
-        #: files commit via their index footer; v1 files get a 12-byte
-        #: commit footer appended at close.
-        self.journal = journal
-        # Log-growth drivers (HDF5-like) default to the indexed v2
-        # on-disk format; linear ones to the scan-based v1.
-        if format_version is None:
-            format_version = 2 if self.driver.growth == "log" else 1
-        if format_version not in (1, 2):
-            raise ValueError(f"unsupported format version {format_version}")
-        self.format_version = format_version
         self._vfile = None
         self._ndatasets = 0
-        self._entries = []  # (name, offset, length) for the v2 index
         #: Unlanded stages, oldest first; records join the last one
         #: (empty: the writer accepts none).
         self._stages: deque = deque()
@@ -168,14 +151,9 @@ class SHDFWriter:
         time passes; :meth:`open`, which calls this, writes the header)."""
         self._vfile = self.fs.disk.create(self.path, exist_ok=True)
         self._vfile.truncate()
-        self._entries = []
         self._ndatasets = 0
         self._stages = deque([_Stage(self.fs, self._vfile, self.node)])
-        attrs = dict(file_attrs or {})
-        if self.journal:
-            attrs[JOURNAL_ATTR] = True
-        encode = encode_header_v2 if self.format_version == 2 else encode_header
-        self._header = encode(attrs)
+        self._header = encode_header({**(file_attrs or {}), JOURNAL_ATTR: True})
 
     def open(self, file_attrs: Optional[Dict[str, Any]] = None):
         """Generator: create the file (unless begun) and write its header."""
@@ -191,26 +169,6 @@ class SHDFWriter:
         self.busy_time += self.env.now - t0
         self._record("open", len(self._header), t0)
 
-    def write_dataset(self, dataset: Dataset):
-        """Generator: append one dataset (driver + filesystem costs)."""
-        if not self._open:
-            raise RuntimeError(f"{self.path}: not open")
-        t0 = self.env.now
-        record = encode_dataset(dataset)
-        yield from self._land_all()  # staged records precede this one
-        # Format-internal bookkeeping (directory maintenance).
-        yield self.env.sleep(self.driver.create_cost(self._ndatasets))
-        for _ in range(self.driver.fs_meta_ops_per_dataset):
-            yield from self.fs.meta_op(self.node)
-        yield from self.fs.write(
-            len(record) + self.driver.meta_bytes_per_dataset, self.node
-        )
-        offset = self._vfile.append(record)
-        self._entries.append((dataset.name, offset, len(record)))
-        self._ndatasets += 1
-        self.busy_time += self.env.now - t0
-        self._record("write_dataset", dataset.nbytes, t0)
-
     def charge_for(self, records) -> int:
         """Bytes staging ``records`` would add to :attr:`staged_bytes`."""
         meta_bytes = self.driver.meta_bytes_per_dataset
@@ -220,15 +178,13 @@ class SHDFWriter:
         """Generator: stage many records for one coalesced transfer.
 
         ``records`` is a sequence of ``(name, record_bytes, data_nbytes)``
-        tuples.  Driver bookkeeping charges the same total as the
-        per-dataset path (each record still pays ``create_cost`` at its
-        own directory size, and its stage owes the same number of meta
-        ops), but nothing reaches the filesystem yet: the records join
-        the open stage and land — together with whatever else it holds
-        — through a **single** filesystem write when it lands, the
-        data-sieving merge that makes gathered
-        server-side writes large and sequential.  The disk mutation
-        happens through
+        tuples.  Driver bookkeeping is charged per dataset (each record
+        pays ``create_cost`` at its own directory size, and its stage
+        owes its meta ops), but nothing reaches the filesystem yet: the
+        records join the open stage and land — together with whatever
+        else it holds — through a **single** filesystem write when it
+        lands, the data-sieving merge that makes gathered server-side
+        writes large and sequential.  The disk mutation happens through
         :meth:`~repro.fs.vfs.VirtualFile.append_many`, which checks
         fault hooks *before* appending anything, so the
         raise-before-mutate guarantee holds at stage granularity: a
@@ -248,9 +204,8 @@ class SHDFWriter:
         stage = self._stages[-1]  # read after the sleep: a seal may fall in it
         stage.meta_ops += self.driver.fs_meta_ops_per_dataset * len(records)
         meta_bytes = self.driver.meta_bytes_per_dataset
-        for name, record, _data_nbytes in records:
+        for _name, record, _data_nbytes in records:
             stage.chunks.add(record, meta_bytes=meta_bytes)
-            stage.names.append((name, len(record)))
         self._ndatasets += len(records)
         self.busy_time += self.env.now - t0
         self._record("write_records", sum(r[2] for r in records), t0)
@@ -258,7 +213,7 @@ class SHDFWriter:
     def seal(self) -> None:
         """Close the open stage: it lands as one transfer, after the
         stages sealed before it; later records join a new stage."""
-        if self._stages[-1].names:
+        if self._stages[-1].chunks.pending:
             self._stages.append(_Stage(self.fs, self._vfile, self.node))
 
     def _settle_meta(self):
@@ -270,16 +225,12 @@ class SHDFWriter:
         """Generator: the oldest stage — the metadata round trips it
         still owes, then one filesystem transfer."""
         yield from self._settle_meta()
-        stage = self._stages[0]
-        offsets = yield from stage.chunks.flush()
-        for (name, length), offset in zip(stage.names, offsets):
-            self._entries.append((name, offset, length))
-        stage.names = []
+        yield from self._stages[0].chunks.flush()
         if len(self._stages) > 1:
             self._stages.popleft()
 
     def _land_all(self):
-        while len(self._stages) > 1 or self._stages[0].names:
+        while len(self._stages) > 1 or self._stages[0].chunks.pending:
             yield from self._land_next()
 
     def settle_meta(self):
@@ -301,33 +252,22 @@ class SHDFWriter:
         """Generator: land every stage; a no-op when nothing is staged."""
         if not self._open:
             raise RuntimeError(f"{self.path}: not open")
-        while len(self._stages) > 1 or self._stages[0].names:
+        while len(self._stages) > 1 or self._stages[0].chunks.pending:
             yield from self.land()
 
     def close(self):
         """Generator: close the file.
 
-        Anything still staged lands first.  Version-2 files get their
-        dataset index and footer written out here (like HDF5 flushing
-        its B-tree at close).
+        Anything still staged lands first; the commit footer is the
+        last write.
         """
         if not self._open:
             raise RuntimeError(f"{self.path}: not open")
         t0 = self.env.now
         yield from self._land_all()
-        if self.format_version == 2:
-            index_offset = self._vfile.size
-            tail = (
-                encode_index(self._entries)
-                + struct.pack("<Q", index_offset)
-                + END_MAGIC
-            )
-            yield from self.fs.write(len(tail), self.node)
-            self._vfile.append(tail)
-        elif self.journal:
-            footer = encode_commit_footer(self._ndatasets)
-            yield from self.fs.write(len(footer), self.node)
-            self._vfile.append(footer)
+        footer = encode_commit_footer(self._ndatasets)
+        yield from self.fs.write(len(footer), self.node)
+        self._vfile.append(footer)
         yield from self.fs.meta_op(self.node)
         self._open = False
         self._stages.clear()
@@ -336,7 +276,13 @@ class SHDFWriter:
 
 
 class SHDFReader:
-    """Reader for one SHDF file on the virtual disk."""
+    """Reader for one SHDF file on the virtual disk.
+
+    :meth:`open_scan` scans the file's record directory into extents —
+    names, offsets, lengths — without materializing any array; dataset
+    data is decoded only when :meth:`read_extents` / :meth:`read_batch`
+    pulls it through the :class:`~repro.fs.coalesce.ReadCoalescer`.
+    """
 
     def __init__(
         self,
@@ -357,16 +303,15 @@ class SHDFReader:
         self._recorder = recorder
         self._rank = rank
         self._visible = visible
-        self._image: Optional[FileImage] = None
-        # Scan-mode state (open_scan): record extents + raw file bytes.
+        # Record extents + the file they index, between open and close.
         self._entries: Optional[List] = None
         self._attrs: Optional[Dict[str, Any]] = None
         self._vfile = None
 
     @property
     def is_open(self) -> bool:
-        """True between a successful ``open`` and the matching ``close``."""
-        return self._image is not None or self._entries is not None
+        """True between a successful ``open_scan`` and the matching ``close``."""
+        return self._entries is not None
 
     def _record(self, op: str, nbytes: int, t_start: float) -> None:
         if self._recorder is not None:
@@ -381,34 +326,13 @@ class SHDFReader:
                 visible=self._visible,
             )
 
-    def open(self):
-        """Generator: open the file and parse its structure.
-
-        The structural parse is charged per dataset (the directory must
-        be walked); dataset *data* is charged when actually read.
-        """
-        t0 = self.env.now
-        yield from self.fs.meta_op(self.node)
-        buf = self.fs.disk.open(self.path).read()
-        # copy=True: restart consumers install these arrays into Roccom
-        # windows, where physics kernels mutate them in place.
-        self._image = decode_file(buf, copy=True)
-        # Writer-internal markers (the journal flag) are not user attrs.
-        for key in [k for k in self._image.attrs if k.startswith("_shdf_")]:
-            del self._image.attrs[key]
-        self._record("open", 0, t0)
-        return self._image.attrs
-
     def open_scan(self):
         """Generator: open the file by *structural scan* (no data decode).
 
-        The sieving counterpart of :meth:`open`: one metadata round
-        trip, then the file's record directory is scanned into extents
-        — names, offsets, lengths — without materializing any array.
-        Dataset data is decoded only when :meth:`read_extents` /
-        :meth:`read_batch` pulls it through the
-        :class:`~repro.fs.coalesce.ReadCoalescer`.  Torn-file semantics
-        match :meth:`open` (``TornFileError`` propagates).
+        One metadata round trip, then the file's record directory is
+        scanned into extents; returns the file attributes.  A torn file
+        raises :class:`~.codec.TornFileError` (see
+        :func:`~.codec.scan_file`).
         """
         if self.is_open:
             raise RuntimeError(f"{self.path}: already open")
@@ -427,60 +351,26 @@ class SHDFReader:
     @property
     def ndatasets(self) -> int:
         self._require_open()
-        if self._image is not None:
-            return len(self._image)
         return len(self._entries)
 
     def names(self) -> List[str]:
         self._require_open()
-        if self._image is not None:
-            return self._image.names()
         return [name for name, _offset, _length in self._entries]
 
     def entries(self) -> List:
         """The ``(name, offset, length)`` record extents, in file order.
 
-        Scan mode only: callers (e.g. the Rocpanda restart servers) use
-        these to chunk a file into bulk-read regions, then hand each
-        chunk back to :meth:`read_extents`.
+        Callers (e.g. the Rocpanda restart servers) use these to chunk
+        a file into bulk-read regions, then hand each chunk back to
+        :meth:`read_extents`.
         """
-        self._require_scan()
+        self._require_open()
         return list(self._entries)
 
     @property
     def file_attrs(self) -> Dict[str, Any]:
         self._require_open()
-        if self._image is not None:
-            return self._image.attrs
         return self._attrs
-
-    def read_dataset(self, name: str):
-        """Generator: locate and read one dataset; returns :class:`Dataset`."""
-        self._require_image()
-        t0 = self.env.now
-        dataset = self._image.get(name)
-        yield self.env.sleep(self.driver.lookup_cost(len(self._image)))
-        for _ in range(self.driver.fs_meta_ops_per_dataset):
-            yield from self.fs.meta_op(self.node)
-        yield from self.fs.read(
-            dataset.nbytes + self.driver.meta_bytes_per_dataset, self.node
-        )
-        self._record("read_dataset", dataset.nbytes, t0)
-        return dataset
-
-    def read_all(self):
-        """Generator: sequentially read every dataset; returns list.
-
-        A sequential scan still pays the per-dataset lookup cost — this
-        is the HDF4 behaviour that makes Rocpanda restart files (with
-        thousands of datasets each) expensive to load (§7.1).
-        """
-        self._require_image()
-        out = []
-        for dataset in self._image:
-            loaded = yield from self.read_dataset(dataset.name)
-            out.append(loaded)
-        return out
 
     def read_extents(self, entries, sieve_gap: int = 65536):
         """Generator: read ``(name, offset, length)`` record extents merged.
@@ -493,12 +383,10 @@ class SHDFReader:
         :class:`Dataset` list in ``entries`` order, with private
         writable arrays (restart consumers mutate them in place).
 
-        Requires scan mode (:meth:`open_scan`).  Directory lookup time
-        is *not* charged here — callers charge it once per directory
-        pass (see :meth:`read_batch`), which is exactly the per-dataset
-        ``lookup_cost`` saving of the sieved path.
+        Directory lookup time is *not* charged here — callers charge it
+        once per directory pass (see :meth:`read_batch`).
         """
-        self._require_scan()
+        self._require_open()
         entries = list(entries)
         if not entries:
             return []
@@ -518,13 +406,12 @@ class SHDFReader:
         """Generator: read many datasets through one directory pass.
 
         Charges a single ``lookup_cost`` at the file's directory size —
-        one scan locates every requested record, instead of the
-        per-dataset re-scan :meth:`read_dataset` models — then services
-        the extents via :meth:`read_extents`.  ``names=None`` reads
+        one scan locates every requested record — then services the
+        extents via :meth:`read_extents`.  ``names=None`` reads
         everything; otherwise datasets are returned in *file order*
         restricted to ``names`` (unknown names raise ``KeyError``).
         """
-        self._require_scan()
+        self._require_open()
         t0 = self.env.now
         yield self.env.sleep(self.driver.lookup_cost(len(self._entries)))
         if names is None:
@@ -544,7 +431,6 @@ class SHDFReader:
         self._require_open()
         t0 = self.env.now
         yield from self.fs.meta_op(self.node)
-        self._image = None
         self._entries = None
         self._attrs = None
         self._vfile = None
@@ -553,11 +439,3 @@ class SHDFReader:
     def _require_open(self):
         if not self.is_open:
             raise RuntimeError(f"{self.path}: not open")
-
-    def _require_image(self):
-        if self._image is None:
-            raise RuntimeError(f"{self.path}: not open (image mode)")
-
-    def _require_scan(self):
-        if self._entries is None:
-            raise RuntimeError(f"{self.path}: not open in scan mode")

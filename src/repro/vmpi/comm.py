@@ -46,7 +46,7 @@ from .datatypes import (
     release_envelope,
 )
 
-__all__ = ["Comm", "Request", "SendStream"]
+__all__ = ["Comm", "Request"]
 
 #: Base of the internal tag space reserved for collectives.  User tags
 #: must satisfy ``0 <= tag < _COLL_TAG_BASE``.
@@ -116,12 +116,11 @@ class Comm:
         self._coll_seq = 0
         self._send_seq = 0
         self._recorder = getattr(job, "recorder", None)
-        #: Lazy caches for per-message lookups (comm rank -> Node /
-        #: Mailbox); both mappings are stable for the job's lifetime.
+        #: Lazy cache of the per-message lookups, comm rank -> ``(Node,
+        #: Mailbox, global rank)``; stable for the job's lifetime.
         #: Array-backed: comm ranks are dense, so a flat list beats a
         #: dict hash per message on the hot path.
-        self._node_cache = [None] * len(self.group)
-        self._mailbox_cache = [None] * len(self.group)
+        self._peer_cache = [None] * len(self.group)
 
     # -- introspection ----------------------------------------------------
     @property
@@ -135,40 +134,54 @@ class Comm:
     def global_rank(self, rank: Optional[int] = None) -> int:
         return self.group[self.rank if rank is None else rank]
 
-    def _node(self, rank: int):
-        node = self._node_cache[rank]
-        if node is None:
-            node = self._node_cache[rank] = self.job.context(self.group[rank]).node
-        return node
-
-    def _mailbox(self, rank: int):
-        box = self._mailbox_cache[rank]
-        if box is None:
-            box = self._mailbox_cache[rank] = self.job.mailbox(self.id, self.group[rank])
-        return box
+    def _peer(self, rank: int):
+        peer = self._peer_cache[rank]
+        if peer is None:
+            grank = self.group[rank]
+            peer = self._peer_cache[rank] = (
+                self.job.context(grank).node,
+                self.job.mailbox(self.id, grank),
+                grank,
+            )
+        return peer
 
     def _check_rank(self, rank: int, what: str) -> None:
         if not 0 <= rank < self.size:
             raise MPIError(f"{what} rank {rank} out of range for size {self.size}")
 
     # -- point-to-point ----------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0):
+    def send(self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None):
         """Blocking send of ``obj`` to comm rank ``dest`` (generator).
 
-        Raises :class:`MPIError` eagerly for tags in the reserved
-        collective range (see module docstring).
+        ``nbytes`` short-circuits :func:`payload_nbytes` when the caller
+        already knows the wire size (batched envelopes do).  Raises
+        :class:`MPIError` eagerly for tags in the reserved collective
+        range (see module docstring).
         """
         _check_send_tag(tag)
-        return self._send(obj, dest, tag)
+        return self._send(obj, dest, tag, nbytes)
 
-    def _send(self, obj: Any, dest: int, tag: int = 0):
-        """Generator: blocking send, no tag validation (internal/collective)."""
+    def _send(
+        self,
+        obj: Any,
+        dest: int,
+        tag: int = 0,
+        nbytes: Optional[int] = None,
+        timeout: Optional[float] = None,
+    ):
+        """Generator: the one send body, no tag validation.
+
+        ``timeout=None`` waits plainly; a timeout guards the rendezvous
+        wait and makes the verdict (see :meth:`send_with_timeout`) mean
+        something — a plain send reads ``"ok"`` whatever happened.
+        """
         self._check_rank(dest, "dest")
         network = self.job.network
         env = self.env
-        nbytes = payload_nbytes(obj)
-        src_node = self._node(self.rank)
-        dst_node = self._node(dest)
+        if nbytes is None:
+            nbytes = payload_nbytes(obj)
+        src_node, _, src_grank = self._peer(self.rank)
+        dst_node, mailbox, dst_grank = self._peer(dest)
         self._send_seq += 1
         envelope = make_envelope(
             self.job.envelope_pool,
@@ -184,25 +197,22 @@ class Comm:
         recorder = self._recorder
         if recorder is not None:
             recorder.count_send(
-                self.global_rank(), self.group[dest], nbytes,
-                eager=envelope.mode == MODE_EAGER,
+                src_grank, dst_grank, nbytes, eager=envelope.mode == MODE_EAGER
             )
         # Fault-injection filter: one attribute check on the no-fault path.
         fault = None
         if network.fault_filter is not None:
-            fault = network.fault_decision(
-                self.global_rank(), self.group[dest], tag, nbytes
-            )
+            fault = network.fault_decision(src_grank, dst_grank, tag, nbytes)
         yield env.sleep(network.spec.sw_overhead)
         if envelope.mode == MODE_EAGER:
             # Buffered: payload travels on its own; send returns now.
             # The flight rides the network's callback chain — spawning a
             # process per eager message would double the event count.
-            mailbox = self._mailbox(dest)
+            # Eager loss is undetectable at the transport, guarded or not.
             if fault is not None:
                 kind, extra = fault
                 if kind == "drop":
-                    return  # lost on the wire; the sender cannot tell
+                    return "ok"  # lost on the wire; the sender cannot tell
                 if kind == "duplicate":
                     network.schedule_delivery(
                         src_node, dst_node, nbytes, mailbox, envelope
@@ -212,38 +222,42 @@ class Comm:
                         src_node, dst_node, nbytes, mailbox, envelope,
                         extra_delay=extra,
                     )
-                    return
+                    return "ok"
             network.schedule_delivery(
                 src_node, dst_node, nbytes, mailbox, envelope
             )
-            return
+            return "ok"
         # Rendezvous: announce, then block until the receiver drains us.
-        envelope.done_event = Event(env)
+        done = envelope.done_event = Event(env)
         yield from network.control_message(src_node, dst_node)
         if fault is not None:
             kind, extra = fault
             if kind == "drop":
-                # Announcement lost: the receiver never sees the message
-                # and this plain send does not detect it (use
-                # ``send_with_timeout`` for loss detection).
-                return
+                # Announcement lost: the receiver never sees the message.
+                # A plain send does not detect it; a guarded one reports
+                # it exactly like a timed-out, successfully retracted
+                # send.
+                if timeout is None:
+                    return "ok"
+                yield env.timeout(timeout)
+                return "retracted"
             if kind == "delay":
                 yield env.timeout(extra)
-        self._mailbox(dest).deliver(envelope)
-        yield envelope.done_event
-
-    def stream(self, dest: int, tag: int = 0) -> "SendStream":
-        """Bulk-transfer fast path: a prebound sender to one (dest, tag).
-
-        Returns a :class:`SendStream` whose :meth:`~SendStream.send`
-        yields *exactly* the events of :meth:`send` — same envelopes,
-        sequence numbers, modes, and timeouts — but with the per-message
-        rank checks, node/mailbox cache lookups, and recorder resolution
-        hoisted out of the loop.  Batched shipping pushes a whole
-        snapshot's blocks through one stream, so the Python cost per
-        flight drops while the DES schedule stays bit-identical.
-        """
-        return SendStream(self, dest, tag)
+        mailbox.deliver(envelope)
+        if timeout is None:
+            yield done
+            return "ok"
+        guard = env.timeout(timeout)
+        yield env.any_of([done, guard])
+        if done.triggered:
+            # Delivered in time: lazily cancel the still-queued guard so
+            # it neither lingers in the depth accounting nor costs a
+            # dispatch when its deadline arrives.
+            guard.cancel()
+            return "ok"
+        if mailbox.retract(envelope):
+            return "retracted"
+        return "stuck"
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive (generator); returns ``(payload, Status)``.
@@ -254,30 +268,53 @@ class Comm:
         _check_recv_tag(tag)
         return self._recv(source, tag)
 
-    def _recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Generator: blocking receive, no tag validation (internal)."""
+    def _recv(
+        self,
+        source: int = ANY_SOURCE,
+        tag: int = ANY_TAG,
+        timeout: Optional[float] = None,
+    ):
+        """Generator: the one receive body, no tag validation.
+
+        With a ``timeout`` it returns ``None`` when nothing matched in
+        time (see :meth:`recv_with_timeout`).
+        """
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
         env = self.env
         network = self.job.network
-        mailbox = self._mailbox(self.rank)
+        dst_node, mailbox, grank = self._peer(self.rank)
         get_ev = mailbox.get_matching(source, tag)
-        envelope = yield get_ev
-        mailbox.recycle(get_ev)
+        if timeout is None:
+            envelope = yield get_ev
+            mailbox.recycle(get_ev)
+        else:
+            if not get_ev.triggered:
+                guard = env.timeout(timeout)
+                yield env.any_of([get_ev, guard])
+                if not get_ev.triggered:
+                    mailbox.cancel_waiter(get_ev)
+                    return None
+                guard.cancel()
+            envelope = get_ev.value
         if envelope.mode == MODE_RNDV:
-            src_node = self._node(envelope.src)
-            dst_node = self._node(self.rank)
+            src_node = self._peer(envelope.src)[0]
             # Clear-to-send, then pull the payload through the network.
             yield from network.control_message(dst_node, src_node)
             yield from network.transfer(src_node, dst_node, envelope.nbytes)
-            envelope.done_event.succeed()
+            if not envelope.done_event.triggered:
+                envelope.done_event.succeed()
         recorder = self._recorder
         if recorder is not None:
-            recorder.count_recv(self.global_rank(), envelope.nbytes)
+            recorder.count_recv(grank, envelope.nbytes)
         yield env.sleep(network.spec.sw_overhead)
         payload = envelope.payload
         status = envelope.status()
-        if envelope.mode == MODE_EAGER and network.fault_filter is None:
+        if (
+            timeout is None
+            and envelope.mode == MODE_EAGER
+            and network.fault_filter is None
+        ):
             # The receiver is the envelope's last holder on the eager
             # path (the sender returned at hand-off); rendezvous
             # envelopes stay unpooled because a timed-out guarded
@@ -303,83 +340,7 @@ class Comm:
           duplicate suppression makes a resend safe.
         """
         _check_send_tag(tag)
-        return self._send_with_timeout(obj, dest, tag, timeout)
-
-    def _send_with_timeout(self, obj: Any, dest: int, tag: int, timeout: float):
-        self._check_rank(dest, "dest")
-        network = self.job.network
-        env = self.env
-        nbytes = payload_nbytes(obj)
-        src_node = self._node(self.rank)
-        dst_node = self._node(dest)
-        self._send_seq += 1
-        envelope = make_envelope(
-            self.job.envelope_pool,
-            self.id,
-            self.rank,
-            dest,
-            tag,
-            obj,
-            nbytes,
-            MODE_EAGER if network.is_eager(nbytes) else MODE_RNDV,
-            self._send_seq,
-        )
-        recorder = self._recorder
-        if recorder is not None:
-            recorder.count_send(
-                self.global_rank(), self.group[dest], nbytes,
-                eager=envelope.mode == MODE_EAGER,
-            )
-        fault = None
-        if network.fault_filter is not None:
-            fault = network.fault_decision(
-                self.global_rank(), self.group[dest], tag, nbytes
-            )
-        yield env.sleep(network.spec.sw_overhead)
-        if envelope.mode == MODE_EAGER:
-            mailbox = self._mailbox(dest)
-            if fault is not None:
-                kind, extra = fault
-                if kind == "drop":
-                    return "ok"
-                if kind == "duplicate":
-                    network.schedule_delivery(
-                        src_node, dst_node, nbytes, mailbox, envelope
-                    )
-                elif kind == "delay":
-                    network.schedule_delivery(
-                        src_node, dst_node, nbytes, mailbox, envelope,
-                        extra_delay=extra,
-                    )
-                    return "ok"
-            network.schedule_delivery(
-                src_node, dst_node, nbytes, mailbox, envelope
-            )
-            return "ok"
-        envelope.done_event = Event(env)
-        yield from network.control_message(src_node, dst_node)
-        if fault is not None:
-            kind, extra = fault
-            if kind == "drop":
-                # Announcement lost: report it exactly like a timed-out,
-                # successfully-retracted send — the receiver never saw it.
-                yield env.timeout(timeout)
-                return "retracted"
-            if kind == "delay":
-                yield env.timeout(extra)
-        mailbox = self._mailbox(dest)
-        mailbox.deliver(envelope)
-        guard = env.timeout(timeout)
-        yield env.any_of([envelope.done_event, guard])
-        if envelope.done_event.triggered:
-            # Delivered in time: lazily cancel the still-queued guard so
-            # it neither lingers in the depth accounting nor costs a
-            # dispatch when its deadline arrives.
-            guard.cancel()
-            return "ok"
-        if mailbox.retract(envelope):
-            return "retracted"
-        return "stuck"
+        return self._send(obj, dest, tag, timeout=timeout)
 
     def recv_with_timeout(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG, timeout: float = 0.25
@@ -391,35 +352,7 @@ class Comm:
         cannot steal a later delivery.
         """
         _check_recv_tag(tag)
-        return self._recv_with_timeout(source, tag, timeout)
-
-    def _recv_with_timeout(self, source: int, tag: int, timeout: float):
-        if source != ANY_SOURCE:
-            self._check_rank(source, "source")
-        env = self.env
-        network = self.job.network
-        mailbox = self._mailbox(self.rank)
-        get_ev = mailbox.get_matching(source, tag)
-        if not get_ev.triggered:
-            guard = env.timeout(timeout)
-            yield env.any_of([get_ev, guard])
-            if not get_ev.triggered:
-                mailbox.cancel_waiter(get_ev)
-                return None
-            guard.cancel()
-        envelope = get_ev.value
-        if envelope.mode == MODE_RNDV:
-            src_node = self._node(envelope.src)
-            dst_node = self._node(self.rank)
-            yield from network.control_message(dst_node, src_node)
-            yield from network.transfer(src_node, dst_node, envelope.nbytes)
-            if not envelope.done_event.triggered:
-                envelope.done_event.succeed()
-        recorder = self._recorder
-        if recorder is not None:
-            recorder.count_recv(self.global_rank(), envelope.nbytes)
-        yield env.sleep(network.spec.sw_overhead)
-        return envelope.payload, envelope.status()
+        return self._recv(source, tag, timeout)
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send; returns a :class:`Request`."""
@@ -457,13 +390,13 @@ class Comm:
         return self._probe(source, tag)
 
     def _probe(self, source: int, tag: int):
-        envelope = yield self._mailbox(self.rank).peek_matching(source, tag)
+        envelope = yield self._peer(self.rank)[1].peek_matching(source, tag)
         return envelope.status()
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
         """Immediate probe: Status of a matching pending message, or None."""
         _check_recv_tag(tag)
-        envelope = self._mailbox(self.rank).find(source, tag)
+        envelope = self._peer(self.rank)[1].find(source, tag)
         return None if envelope is None else envelope.status()
 
     # -- collectives ---------------------------------------------------------
@@ -691,102 +624,3 @@ class Comm:
     def __repr__(self) -> str:
         return f"<Comm id={self.id} rank={self.rank}/{self.size}>"
 
-
-class SendStream:
-    """Prebound point-to-point sender for repeated sends to one target.
-
-    Created by :meth:`Comm.stream`.  Every per-message constant —
-    destination node, mailbox, recorder, global ranks — is resolved
-    once here; :meth:`send` then replays :meth:`Comm.send`'s event
-    sequence verbatim (it shares the communicator's send-sequence
-    counter, so interleaving stream and plain sends stays well
-    ordered).
-    """
-
-    __slots__ = (
-        "comm", "dest", "tag", "_network", "_env",
-        "_src_node", "_dst_node", "_mailbox", "_recorder",
-        "_src_grank", "_dst_grank",
-    )
-
-    def __init__(self, comm: Comm, dest: int, tag: int):
-        _check_send_tag(tag)
-        comm._check_rank(dest, "dest")
-        self.comm = comm
-        self.dest = dest
-        self.tag = tag
-        self._network = comm.job.network
-        self._env = comm.env
-        self._src_node = comm._node(comm.rank)
-        self._dst_node = comm._node(dest)
-        self._mailbox = comm._mailbox(dest)
-        self._recorder = comm._recorder
-        self._src_grank = comm.global_rank()
-        self._dst_grank = comm.group[dest]
-
-    def send(self, obj: Any, nbytes: Optional[int] = None):
-        """Generator: blocking send; event-for-event equal to Comm.send.
-
-        ``nbytes`` short-circuits :func:`payload_nbytes` when the
-        caller already knows the wire size (batched envelopes do).
-        """
-        comm = self.comm
-        network = self._network
-        env = self._env
-        if nbytes is None:
-            nbytes = payload_nbytes(obj)
-        comm._send_seq += 1
-        envelope = make_envelope(
-            comm.job.envelope_pool,
-            comm.id,
-            comm.rank,
-            self.dest,
-            self.tag,
-            obj,
-            nbytes,
-            MODE_EAGER if network.is_eager(nbytes) else MODE_RNDV,
-            comm._send_seq,
-        )
-        if self._recorder is not None:
-            self._recorder.count_send(
-                self._src_grank, self._dst_grank, nbytes,
-                eager=envelope.mode == MODE_EAGER,
-            )
-        fault = None
-        if network.fault_filter is not None:
-            fault = network.fault_decision(
-                self._src_grank, self._dst_grank, self.tag, nbytes
-            )
-        yield env.sleep(network.spec.sw_overhead)
-        src_node = self._src_node
-        dst_node = self._dst_node
-        if envelope.mode == MODE_EAGER:
-            mailbox = self._mailbox
-            if fault is not None:
-                kind, extra = fault
-                if kind == "drop":
-                    return
-                if kind == "duplicate":
-                    network.schedule_delivery(
-                        src_node, dst_node, nbytes, mailbox, envelope
-                    )
-                elif kind == "delay":
-                    network.schedule_delivery(
-                        src_node, dst_node, nbytes, mailbox, envelope,
-                        extra_delay=extra,
-                    )
-                    return
-            network.schedule_delivery(
-                src_node, dst_node, nbytes, mailbox, envelope
-            )
-            return
-        envelope.done_event = Event(env)
-        yield from network.control_message(src_node, dst_node)
-        if fault is not None:
-            kind, extra = fault
-            if kind == "drop":
-                return
-            if kind == "delay":
-                yield env.timeout(extra)
-        self._mailbox.deliver(envelope)
-        yield envelope.done_event

@@ -30,7 +30,7 @@ from repro.io import (
 from repro.io.rocpanda import server as panda_server
 from repro.obs import summary_payload
 from repro.roccom import AttributeSpec, LOC_ELEMENT, LOC_NODE, Roccom
-from repro.shdf import TornFileError, decode_file, iter_records
+from repro.shdf import TornFileError, decode_file
 from repro.vmpi import run_spmd
 
 NBLOCKS = 3  # per client
@@ -280,7 +280,7 @@ class TestWriteBehindStage:
             on_disk = {
                 d.name: d.data
                 for path in ctx.machine.disk.listdir("ck_s")
-                for d in iter_records(ctx.machine.disk.open(path).read())
+                for d in decode_file(ctx.machine.disk.open(path).read())
             }
             for pid in window.pane_ids():
                 for attr in ("coords", "pressure"):

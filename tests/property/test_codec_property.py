@@ -115,27 +115,6 @@ def test_zero_copy_and_copying_decodes_are_identical(image):
     assert views == copies == image
 
 
-@given(file_images())
-@settings(max_examples=80, deadline=None)
-def test_v2_roundtrip_matches_v1(image):
-    """Both on-disk formats decode to the identical image."""
-    from repro.shdf import decode_file, encode_file_v2
-
-    assert decode_file(encode_file_v2(image)) == image
-
-
-@given(file_images())
-@settings(max_examples=60, deadline=None)
-def test_v2_index_is_complete_and_random_accessible(image):
-    from repro.shdf import encode_file_v2, read_dataset_at, read_index
-
-    buf = encode_file_v2(image)
-    index = read_index(buf)
-    assert set(index) == set(image.names())
-    for name, (offset, _len) in index.items():
-        assert read_dataset_at(buf, offset) == image.get(name)
-
-
 @given(st.lists(datasets(), max_size=6), st.data())
 @settings(max_examples=80, deadline=None)
 def test_batch_is_exactly_the_concatenated_single_encodes(batch, data):

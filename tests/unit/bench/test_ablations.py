@@ -7,8 +7,21 @@ shape and their headline inequalities hold at toy sizes.
 
 import pytest
 
-from repro.bench.ablations import run_driver_tier_matrix
+from repro.bench.ablations import run_driver_tier_matrix, run_hdf_driver_scaling
 from repro.bench.fig3a import run_fig3a_partial_read
+
+
+class TestDriverScaling:
+    def test_hdf4_write_is_superlinear_hdf5_near_linear(self):
+        out = run_hdf_driver_scaling(dataset_counts=(100, 400))
+        assert set(out) == {"hdf4", "hdf5"}
+        (h4_small, _), (h4_big, _) = out["hdf4"][100], out["hdf4"][400]
+        (h5_small, h5_read), (h5_big, _) = out["hdf5"][100], out["hdf5"][400]
+        # 4x the datasets per file: HDF4's linear directory makes the
+        # write cost grow faster than the count, HDF5's B-tree does not.
+        assert h4_big > 4.5 * h4_small
+        assert 3.5 * h5_small < h5_big < 4.5 * h5_small
+        assert h5_read > 0
 
 
 class TestDriverTierMatrix:

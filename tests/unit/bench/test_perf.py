@@ -32,7 +32,6 @@ EXPECTED_MICROS = [
     "ship_batched",
     "restart_twophase",
     "vfs_coalesce",
-    "vfs_percall",
     "vfs_read_coalesce",
     "tier_absorb_burst",
     "tier_absorb_direct",

@@ -5,7 +5,12 @@ import pytest
 
 from repro.des import Environment
 from repro.fs import DiskFullError, NFSModel, VirtualDisk, WriteCoalescer
-from repro.shdf.codec import encode_dataset
+from repro.shdf.codec import (
+    JOURNAL_ATTR,
+    encode_commit_footer,
+    encode_dataset,
+    encode_header,
+)
 from repro.shdf.drivers import hdf4_driver
 from repro.shdf.file import SHDFReader, SHDFWriter
 from repro.shdf.model import Dataset
@@ -111,28 +116,35 @@ class TestWriteRecords:
         ]
 
     def test_equivalent_to_per_dataset_writes(self):
-        """write_records == the write_dataset loop: same bytes on disk,
-        same readable index — but one merged transfer, so the file costs
-        (N-1) fewer fixed per-write latencies of virtual time."""
+        """write_records == landing every dataset on its own: the bytes
+        the pure codec gives, the same readable directory — but one
+        merged transfer, so the file costs (N-1) fewer fixed per-write
+        latencies of virtual time."""
         datasets = self._datasets()
+        records = [(d.name, encode_dataset(d), d.nbytes) for d in datasets]
 
         def write(env, fs, coalesced):
             writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver())
             yield from writer.open(file_attrs={"k": 1})
             if coalesced:
-                yield from writer.write_records(
-                    [(d.name, encode_dataset(d), d.nbytes) for d in datasets]
-                )
+                yield from writer.write_records(records)
             else:
-                for d in datasets:
-                    yield from writer.write_dataset(d)
+                for record in records:
+                    yield from writer.write_records([record])
+                    yield from writer.flush()
             yield from writer.close()
 
         env1, env2 = Environment(), Environment()
         fs1, fs2 = NFSModel(env1), NFSModel(env2)
         drive(env1, write(env1, fs1, False))
         drive(env2, write(env2, fs2, True))
-        assert fs2.disk.open("f.shdf").read() == fs1.disk.open("f.shdf").read()
+        expected = (
+            encode_header({"k": 1, JOURNAL_ATTR: True})
+            + b"".join(record for _name, record, _n in records)
+            + encode_commit_footer(len(records))
+        )
+        assert fs2.disk.open("f.shdf").read() == expected
+        assert fs1.disk.open("f.shdf").read() == expected
         assert env1.now - env2.now == pytest.approx(
             (len(datasets) - 1) * fs1.meta_latency
         )
@@ -143,9 +155,9 @@ class TestWriteRecords:
         reader = SHDFReader(reader_env, fs2, "f.shdf", hdf4_driver())
 
         def read_back():
-            yield from reader.open()
+            yield from reader.open_scan()
             for d in datasets:
-                got = yield from reader.read_dataset(d.name)
+                (got,) = yield from reader.read_batch([d.name])
                 np.testing.assert_array_equal(got.data, d.data)
             yield from reader.close()
 

@@ -12,7 +12,6 @@ from repro.shdf import (
     encode_dataset,
     encode_file,
     encode_header,
-    iter_records,
 )
 
 
@@ -67,12 +66,6 @@ def test_incremental_append_matches_batch_encode():
     for ds in img:
         incremental += encode_dataset(ds)
     assert incremental == encode_file(img)
-
-
-def test_iter_records_streams_datasets():
-    img = build_image()
-    names = [d.name for d in iter_records(encode_file(img))]
-    assert names == img.names()
 
 
 def test_empty_file_roundtrip():

@@ -13,6 +13,7 @@ from repro.shdf import (
     hdf5_driver,
     raw_driver,
 )
+from repro.shdf.codec import encode_records
 
 
 class TestDrivers:
@@ -60,6 +61,12 @@ def run(env, gen):
     return p.value
 
 
+def write_one(writer, dataset):
+    """Generator: stage one dataset and land it on its own."""
+    yield from writer.write_records(encode_records([dataset]))
+    yield from writer.flush()
+
+
 class TestTimedFileAPI:
     def make(self, driver=None):
         env = Environment()
@@ -77,18 +84,49 @@ class TestTimedFileAPI:
             writer = SHDFWriter(env, fs, "snap.hdf", driver)
             yield from writer.open(file_attrs={"step": 1})
             for block in blocks:
-                yield from writer.write_dataset(block)
+                yield from write_one(writer, block)
             yield from writer.close()
 
             reader = SHDFReader(env, fs, "snap.hdf", driver)
-            attrs = yield from reader.open()
+            attrs = yield from reader.open_scan()
             assert attrs == {"step": 1}
-            out = yield from reader.read_all()
+            out = yield from reader.read_batch()
             yield from reader.close()
             return out
 
         out = run(env, program())
         assert out == blocks
+
+    def test_hdf5_driver_files_restart_bit_identically(self):
+        """The driver is a cost model: the bytes are the one format's,
+        and they come back through ``open_scan`` / ``read_batch``."""
+        rng = np.random.default_rng(3)
+        blocks = [
+            Dataset(f"b{i}/f", rng.random((4 + i, 3)), {"ncomp": 3, "step": i})
+            for i in range(6)
+        ]
+        images = {}
+        for factory in (hdf4_driver, hdf5_driver):
+            env, fs, driver = self.make(factory())
+
+            def program():
+                writer = SHDFWriter(env, fs, "snap.hdf", driver)
+                yield from writer.open(file_attrs={"step": 7})
+                yield from writer.write_records(encode_records(blocks[:2]))
+                yield from writer.write_records(encode_records(blocks[2:]))
+                yield from writer.close()
+                reader = SHDFReader(env, fs, "snap.hdf", driver)
+                attrs = yield from reader.open_scan()
+                out = yield from reader.read_batch()
+                yield from reader.close()
+                return attrs, out
+
+            attrs, out = run(env, program())
+            assert attrs == {"step": 7}
+            assert out == blocks
+            assert all(d.data.flags.writeable for d in out)
+            images[driver.name] = bytes(fs.disk.open("snap.hdf").read())
+        assert images["hdf5"] == images["hdf4"]
 
     def test_write_charges_time(self):
         env, fs, driver = self.make()
@@ -96,7 +134,7 @@ class TestTimedFileAPI:
         def program():
             writer = SHDFWriter(env, fs, "f.hdf", driver)
             yield from writer.open()
-            yield from writer.write_dataset(Dataset("d", np.zeros(1000)))
+            yield from write_one(writer, Dataset("d", np.zeros(1000)))
             yield from writer.close()
 
         run(env, program())
@@ -110,12 +148,12 @@ class TestTimedFileAPI:
             writer = SHDFWriter(env, fs, "f.hdf", driver)
             yield from writer.open()
             t_first = env.now
-            yield from writer.write_dataset(Dataset("d0", np.zeros(1)))
+            yield from write_one(writer, Dataset("d0", np.zeros(1)))
             cost_first = env.now - t_first
             for i in range(1, 100):
-                yield from writer.write_dataset(Dataset(f"d{i}", np.zeros(1)))
+                yield from write_one(writer, Dataset(f"d{i}", np.zeros(1)))
             t_last = env.now
-            yield from writer.write_dataset(Dataset("dlast", np.zeros(1)))
+            yield from write_one(writer, Dataset("dlast", np.zeros(1)))
             cost_last = env.now - t_last
             yield from writer.close()
             return cost_first, cost_last
@@ -129,7 +167,7 @@ class TestTimedFileAPI:
 
         def program():
             with pytest.raises(RuntimeError):
-                yield from writer.write_dataset(Dataset("d", np.zeros(1)))
+                yield from write_one(writer, Dataset("d", np.zeros(1)))
 
         run(env, program())
 
@@ -151,16 +189,16 @@ class TestTimedFileAPI:
         def program():
             writer = SHDFWriter(env, fs, "f.hdf", driver)
             yield from writer.open()
-            yield from writer.write_dataset(Dataset("old", np.zeros(1)))
+            yield from write_one(writer, Dataset("old", np.zeros(1)))
             yield from writer.close()
 
             writer2 = SHDFWriter(env, fs, "f.hdf", driver)
             yield from writer2.open()
-            yield from writer2.write_dataset(Dataset("new", np.ones(1)))
+            yield from write_one(writer2, Dataset("new", np.ones(1)))
             yield from writer2.close()
 
             reader = SHDFReader(env, fs, "f.hdf", driver)
-            yield from reader.open()
+            yield from reader.open_scan()
             return reader.names()
 
         names = run(env, program())
@@ -172,13 +210,13 @@ class TestTimedFileAPI:
         def program():
             writer = SHDFWriter(env, fs, "f.hdf", driver)
             yield from writer.open()
-            yield from writer.write_dataset(Dataset("a", np.arange(3.0)))
-            yield from writer.write_dataset(Dataset("b", np.arange(4.0)))
+            yield from write_one(writer, Dataset("a", np.arange(3.0)))
+            yield from write_one(writer, Dataset("b", np.arange(4.0)))
             yield from writer.close()
 
             reader = SHDFReader(env, fs, "f.hdf", driver)
-            yield from reader.open()
-            ds = yield from reader.read_dataset("b")
+            yield from reader.open_scan()
+            (ds,) = yield from reader.read_batch(["b"])
             assert reader.ndatasets == 2
             yield from reader.close()
             return ds
@@ -198,7 +236,7 @@ class TestTimedFileAPI:
         def program():
             writer = SHDFWriter(env, fs, "f.hdf", driver)
             yield from writer.open()
-            yield from writer.write_dataset(Dataset("d", np.zeros(10000)))
+            yield from write_one(writer, Dataset("d", np.zeros(10000)))
             yield from writer.close()
             return writer.busy_time
 

@@ -1,8 +1,9 @@
-"""Scan-mode reads (open_scan / read_batch) vs the per-dataset spec.
+"""Sieved reads (open_scan / read_batch) vs a per-dataset loop.
 
-The sieved restart path must return exactly the datasets the classic
-``open`` + ``read_dataset`` loop does, while issuing one merged
-``fs.read`` and charging format metadata identically.
+The sieved restart path must return exactly the datasets the pure
+codec decodes (and a one-name-per-call ``read_batch`` loop reads),
+while issuing one merged ``fs.read`` and charging format metadata
+identically.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from repro.des import Environment
 from repro.fs import NFSModel
-from repro.shdf import decode_batch, scan_file
+from repro.shdf import decode_batch, decode_file, scan_file
 from repro.shdf.codec import encode_dataset
 from repro.shdf.drivers import hdf4_driver
 from repro.shdf.file import SHDFReader, SHDFWriter
@@ -81,10 +82,10 @@ class TestReadBatch:
         reader1 = SHDFReader(env1, fs1, "f.shdf", hdf4_driver())
 
         def per_dataset():
-            yield from reader1.open()
+            yield from reader1.open_scan()
             out = []
             for name in wanted:
-                out.append((yield from reader1.read_dataset(name)))
+                out += yield from reader1.read_batch([name])
             yield from reader1.close()
             return out
 
@@ -109,6 +110,10 @@ class TestReadBatch:
 
     def test_full_file_matches_per_dataset_loop(self):
         got1, got2, loop_meta, batch_meta, batch_reads = self._roundtrip()
+        env = Environment()
+        fs = NFSModel(env)
+        _write(env, fs, _datasets())
+        assert got2 == list(decode_file(fs.disk.open("f.shdf").read()))
         assert [d.name for d in got2] == [d.name for d in got1]
         for a, b in zip(got1, got2):
             np.testing.assert_array_equal(a.data, b.data)

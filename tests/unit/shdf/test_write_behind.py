@@ -10,8 +10,6 @@ from repro.shdf import (
     SHDFWriter,
     decode_file,
     hdf4_driver,
-    read_dataset_at,
-    read_index,
 )
 from repro.shdf.codec import encode_records
 
@@ -38,13 +36,11 @@ def batches(nbatches=4, per_batch=3):
     ]
 
 
-def write_file(format_version, flush_every_call, end_with_flush=False):
+def write_file(flush_every_call, end_with_flush=False):
     """One file from the same batches; returns (bytes, fs, writer)."""
     env = Environment()
     fs = NFSModel(env)
-    writer = SHDFWriter(
-        env, fs, "f.shdf", hdf4_driver(), format_version=format_version
-    )
+    writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver())
 
     def program():
         yield from writer.open(file_attrs={"k": 1})
@@ -62,11 +58,10 @@ def write_file(format_version, flush_every_call, end_with_flush=False):
 
 
 class TestStagedWriteRecords:
-    @pytest.mark.parametrize("format_version", [1, 2])
     @pytest.mark.parametrize("end_with_flush", [False, True])
-    def test_same_bytes_as_flushing_every_call(self, format_version, end_with_flush):
-        eager, fs_eager, _ = write_file(format_version, True)
-        staged, fs_staged, writer = write_file(format_version, False, end_with_flush)
+    def test_same_bytes_as_flushing_every_call(self, end_with_flush):
+        eager, fs_eager, _ = write_file(True)
+        staged, fs_staged, writer = write_file(False, end_with_flush)
         assert staged == eager
         assert writer.staged_bytes == 0
         # Same bytes and bookkeeping charged; one transfer instead of four.
@@ -74,15 +69,6 @@ class TestStagedWriteRecords:
         assert fs_eager.metrics.write_ops - fs_staged.metrics.write_ops == nbatches - 1
         assert fs_staged.metrics.bytes_written == fs_eager.metrics.bytes_written
         assert fs_staged.metrics.meta_ops == fs_eager.metrics.meta_ops
-
-    def test_v2_index_offsets_point_at_the_staged_records(self):
-        staged, _, _ = write_file(2, False)
-        index = read_index(staged)
-        assert index == read_index(write_file(2, True)[0])
-        names = [name for records in batches() for name, _rec, _n in records]
-        assert list(index) == names
-        for name, (offset, _length) in index.items():
-            assert read_dataset_at(staged, offset).name == name
 
     def test_staging_pays_bookkeeping_but_lands_nothing(self):
         env = Environment()
@@ -132,23 +118,6 @@ class TestStagedWriteRecords:
             yield from writer.close()
 
         drive(env, program())
-
-    def test_write_dataset_lands_the_stage_first(self):
-        env = Environment()
-        fs = NFSModel(env)
-        writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver())
-        (records,) = batches(1)
-        extra = Dataset("W/tail", np.arange(4.0))
-
-        def program():
-            yield from writer.open()
-            yield from writer.write_records(records)
-            yield from writer.write_dataset(extra)
-            yield from writer.close()
-
-        drive(env, program())
-        names = decode_file(fs.disk.open("f.shdf").read()).names()
-        assert names == [r[0] for r in records] + ["W/tail"]
 
     def test_closed_writer_rejects_staging_and_flush(self):
         env = Environment()
@@ -227,14 +196,12 @@ class TestFaultedFlush:
 class TestSealThenLand:
     """Staging and landing as two callers: seal now, land later."""
 
-    def _sealed_writer(self, format_version=1):
+    def _sealed_writer(self):
         """A begun (not yet open) writer holding three sealed stages —
         batch 0, batches 1+2, batch 3 — staged before its header lands."""
         env = Environment()
         fs = NFSModel(env)
-        writer = SHDFWriter(
-            env, fs, "f.shdf", hdf4_driver(), format_version=format_version
-        )
+        writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver())
         b0, b1, b2, b3 = batches()
 
         def stage():
@@ -256,9 +223,8 @@ class TestSealThenLand:
         drive(env, stage())
         return env, fs, writer
 
-    @pytest.mark.parametrize("format_version", [1, 2])
-    def test_sealed_stages_land_in_order_one_transfer_each(self, format_version):
-        env, fs, writer = self._sealed_writer(format_version)
+    def test_sealed_stages_land_in_order_one_transfer_each(self):
+        env, fs, writer = self._sealed_writer()
         sizes = []
 
         def land():
@@ -278,16 +244,10 @@ class TestSealThenLand:
         drive(env, land())
         b0, b1, b2, b3 = ([len(r[1]) for r in b] for b in batches())
         assert sizes == [sum(b0), sum(b1) + sum(b2), sum(b3)]
-        eager, fs_eager, _ = write_file(format_version, True)
-        image = bytes(fs.disk.open("f.shdf").read())
-        assert image == eager
+        eager, fs_eager, _ = write_file(True)
+        assert bytes(fs.disk.open("f.shdf").read()) == eager
         assert fs.metrics.meta_ops == fs_eager.metrics.meta_ops
         assert fs.metrics.bytes_written == fs_eager.metrics.bytes_written
-        if format_version == 2:
-            index = read_index(image)
-            assert list(index) == [n for b in batches() for n, _rec, _n in b]
-            for name, (offset, _length) in index.items():
-                assert read_dataset_at(image, offset).name == name
 
     def test_close_lands_what_is_sealed_and_what_is_open(self):
         env, fs, writer = self._sealed_writer()
@@ -335,15 +295,12 @@ class TestSealThenLand:
             yield from writer.close()
 
         drive(env, land())
-        eager, fs_eager, _ = write_file(1, True)
+        eager, fs_eager, _ = write_file(True)
         assert bytes(fs.disk.open("f.shdf").read()) == eager
         assert fs.metrics.meta_ops == fs_eager.metrics.meta_ops
 
-    @pytest.mark.parametrize(
-        "format_version, closed_at",
-        [(1, 0.015249830078125), (2, 0.015252468577067059)],
-    )
-    def test_sequential_caller_sees_the_parent_instants(self, format_version, closed_at):
+    @pytest.mark.parametrize("closed_at", [0.015249830078125])
+    def test_sequential_caller_sees_the_parent_instants(self, closed_at):
         """open / write_records / close on ``NFSModel``: CPU, metadata,
         transfer in the order they always came, so the open and the close
         end at the instants they ended at before the round trips moved
@@ -352,9 +309,7 @@ class TestSealThenLand:
         exactly those round trips."""
         env = Environment()
         fs = NFSModel(env)
-        writer = SHDFWriter(
-            env, fs, "f.shdf", hdf4_driver(), format_version=format_version
-        )
+        writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver())
         rng = np.random.default_rng(11)
         records = encode_records(
             Dataset(f"W/b0/f{k}", rng.random(30 + k), {"ncomp": 1}) for k in range(3)

@@ -68,10 +68,27 @@ def test_no_argument_selects_a_second_path():
     test would pass to select another."""
     from repro.des import Environment
     from repro.genx import run_genx
+    import repro.shdf
+    import repro.vmpi
     from repro.io import RocpandaModule
+    from repro.shdf import SHDFReader, SHDFWriter
     from repro.vmpi import Comm, Job, run_spmd
 
-    knobs = {"queue", "mailbox_factory", "tracer", "batched", "batched_restart"}
-    for fn in (Environment, Job, run_spmd, run_genx, RocpandaModule):
+    knobs = {
+        "queue", "mailbox_factory", "tracer", "batched", "batched_restart",
+        "format_version", "journal",
+    }
+    for fn in (Environment, Job, run_spmd, run_genx, RocpandaModule, SHDFWriter):
         assert not knobs & set(inspect.signature(fn).parameters), fn
     assert not hasattr(Comm, "collective_algo")
+    # One send body: no prebound sender beside Comm.send.
+    assert not hasattr(Comm, "stream")
+    assert not hasattr(repro.vmpi, "SendStream")
+    # One SHDF format, one writer path, one reader mode.
+    gone = {"read_index", "read_dataset_at", "detect_version", "iter_records"}
+    assert not [
+        name for name in repro.shdf.__all__ if name.endswith("_v2") or name in gone
+    ]
+    assert not hasattr(SHDFWriter, "write_dataset")
+    assert not hasattr(SHDFReader, "read_dataset")
+    assert not hasattr(SHDFReader, "read_all")
