@@ -10,20 +10,21 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
   between two data blocks* (non-blocking probe), so writing always
   yields to new requests; per block it pays the format's directory
   bookkeeping (CPU) and never waits for the filesystem.  A file's
-  blocks are staged in its writer, and a stage of about
-  :data:`WRITE_BEHIND_BYTES` is sealed and queued for the **lander**, a
-  second process (started on demand, gone when idle) that does all that
-  touches ``ctx.fs``, in queue order: open and header, the stage's
-  metadata round trips, the lock RPC, a plain FIFO wait for the
+  blocks are staged in its writer, and the sealed stages are landed by
+  the **lander**, a second process (started on demand, gone when idle)
+  that does all that touches ``ctx.fs``, in queue order.  Under the
   filesystem's **write-slot lease** (``fs.write_lease``: the servers
-  take turns at the shared filesystem instead of contending inside
-  it), the transfer, close and footer.  What is staged when the queue
-  runs dry the lander seals itself: at once if it was idle, and if
-  busy when it catches up — with what accumulated meanwhile, so a
-  saturated write slot sees few, large transfers.  A sync is answered
-  only when queue, stages and lander are empty, and the main loop waits
-  for the lander only where clients are meant to wait for the disk:
-  buffer overflow, write-through and the final close;
+  take turns at the shared filesystem instead of contending inside it)
+  only bytes move — header, stage, commit footer, one FIFO wait per
+  queue entry; the create, metadata, lock and close round trips are
+  paid outside the hold.  Stages are slot-paced: an idle lander is
+  handed a stage of :data:`WRITE_BEHIND_BYTES`, a busy one seals for
+  itself when it catches up — what accumulated during its wait, so a
+  saturated write slot sees few, large transfers — and whatever is
+  staged once the queue runs dry.  A sync is answered only when queue,
+  stages and lander are empty, and the main loop waits for the lander
+  only where clients are meant to wait for the disk: buffer overflow,
+  write-through and the final close;
 * when nothing is queued it **blocks in probe**, leaving its CPU idle
   for the operating system — the SMP side-benefit of §4.1 (the noise
   model reads ``cpu.server_busy_fraction``: busy while the main loop
@@ -86,14 +87,14 @@ def server_file_path(prefix: str, server_index: int) -> str:
     return f"{prefix}_s{server_index:04d}.shdf"
 
 
-#: Bytes a file's write-behind stage holds before the main loop seals
-#: it for the lander, which lands it as one filesystem transfer.  A
-#: block that would push the stage past the limit seals it first, so no
-#: transfer exceeds max(limit, one block) — the longest a server holds
-#: the filesystem's write-slot lease.  Every block is staged, eager or
-#: rendezvous.  256 KiB is where the lock RPC per landing is paid back
-#: on every workload without the transfers growing long enough to delay
-#: another server's turn (DESIGN §8 has the sweep).
+#: The smallest write-behind stage worth a transfer to an idle lander:
+#: the main loop seals a file's stage at this size (a block that would
+#: push it past seals it first) only while the lander has nothing
+#: sealed ahead of it.  A busy lander seals for itself when it catches
+#: up, so its next transfer is whatever was staged during its wait,
+#: bounded by ``ServerConfig.buffer_bytes``, not by this.  Every block
+#: is staged, eager or rendezvous.  256 KiB is where the lock RPC per
+#: hold is paid back on every workload (DESIGN §8 has the table).
 WRITE_BEHIND_BYTES = 256 * 1024
 
 
@@ -147,8 +148,8 @@ class ServerStats:
     #: blocks-per-transfer ratio write-behind achieved.
     write_flushes: int = 0
     #: Where the drain went.  Main loop: directory bookkeeping.  Lander:
-    #: the stages' metadata round trips, a lock RPC per lease request,
-    #: the waits queued for the lease, the time holding it.
+    #: create, dataset and close round trips, a lock RPC per lease
+    #: request, the waits queued for the lease, the time holding it.
     bookkeeping_time: float = 0.0
     meta_time: float = 0.0
     lock_rpc_time: float = 0.0
@@ -500,12 +501,12 @@ class PandaServer:
         """Generator: format bookkeeping for one buffered :class:`EncodedBlock`.
 
         The block's records are *staged* in the file's writer: directory
-        bookkeeping, CPU work, is the only time spent here.  A stage
-        that holds :data:`WRITE_BEHIND_BYTES` is sealed for the lander,
-        and a block that would push it past the limit seals it first.
-        What is left when the queue has run dry the lander seals itself
-        (:meth:`_land`) — an idle one, woken here, at once; a busy one
-        when it catches up, so at a saturated write slot the stages grow
+        bookkeeping, CPU work, is the only time spent here.  While the
+        lander has nothing sealed ahead of it, a stage that holds
+        :data:`WRITE_BEHIND_BYTES` is sealed for it, and a block that
+        would push it past the limit seals it first; a busy lander
+        seals what was staged meanwhile when it catches up
+        (:meth:`_land`), so at a saturated write slot the stages grow
         instead of landing as many small transfers.  Record order is
         queue order whatever is sealed when: the files are
         byte-identical.  Staging cannot fault, so a record is staged
@@ -523,14 +524,15 @@ class PandaServer:
             writer.begin(state.writer_attrs)
             self._seal(state)
         if (
-            writer.staged_bytes
+            not self._landings
+            and writer.staged_bytes
             and writer.staged_bytes + writer.charge_for(records) > WRITE_BEHIND_BYTES
         ):
             self._seal(state)
         yield from writer.write_records(records)
         state.staged.append(block)
         state.booked += 1
-        if writer.staged_bytes >= WRITE_BEHIND_BYTES:
+        if not self._landings and writer.staged_bytes >= WRITE_BEHIND_BYTES:
             self._seal(state)
         self._wake_lander()
         self.stats.bookkeeping_time += self.ctx.now - t0
@@ -586,28 +588,25 @@ class PandaServer:
         self.ctx.recorder.record_counter("rocpanda", "write_retries")
         self.ctx.log_fault(f"server write fault ({exc}); retry {attempt + 1}")
 
-    def _retrying_write(self, op):
-        """Generator: ``op()`` under the write-slot lease, retried on faults
-        (released before each back-off, asked for again after it)."""
-        return retrying(
-            self.ctx.env, self.config.retry, lambda: self._leased(op),
-            on_retry=self._note_write_retry,
-        )
-
-    def _leased(self, op):
-        """Generator: run ``op()`` holding the filesystem's write-slot lease.
+    def _leased(self, writer: SHDFWriter, blocks: List, close: bool):
+        """Generator: the writes of one lander entry — header, stage,
+        commit footer — in one hold of the filesystem's write-slot lease.
 
         Asking costs one lock RPC (``fs.meta_op``), paid before the
         request joins the lease's FIFO queue, where it keeps its place:
         the lander has nothing else to do, and the main loop takes the
         messages meanwhile.  ``finally`` gives the lease back (or
-        withdraws the request) on a fault and on a crash.
+        withdraws the request) on a fault and on a crash; the retry
+        resumes at the write that faulted — a written header is not
+        re-written, a landed stage not re-landed.
         """
         ctx, stats = self.ctx, self.stats
+        shown = dict(path=writer.path, visible=not self.config.active_buffering)
         t_rpc = ctx.now
         yield from ctx.fs.meta_op(ctx.node)
         t_asked = ctx.now
         stats.lock_rpc_time += t_asked - t_rpc
+        ctx.io_record("rocpanda", "settle", t_start=t_rpc, **shown)
         lease = ctx.fs.write_lease(ctx.node)
         req = lease.request()
         try:
@@ -616,82 +615,102 @@ class PandaServer:
             if t_granted > t_asked:
                 stats.slot_wait_time += t_granted - t_asked
                 ctx.io_record("rocpanda", "slot_wait", t_start=t_asked, visible=False)
+            nbytes = sum(block.nbytes for block in blocks)
             self._working(+1)
             try:
-                return (yield from op())
+                if not writer.is_open:
+                    yield from writer.write_header()
+                    stats.files_created += 1
+                if blocks:
+                    yield from writer.land()
+                    # The blocks occupied buffer memory until this
+                    # instant, and only now are they written.
+                    self._buffered_bytes -= nbytes
+                    stats.bytes_written += sum(block.data_nbytes for block in blocks)
+                    stats.blocks_written += len(blocks)
+                    stats.write_flushes += 1
+                    ctx.recorder.record_counter("rocpanda", "write_flushes")
+                    blocks.clear()
+                if close:
+                    yield from writer.commit()
             finally:
                 self._working(-1)
                 stats.transfer_time += ctx.now - t_granted
+            ctx.io_record("rocpanda", "land", nbytes=nbytes, t_start=t_granted, **shown)
         finally:
             if req.triggered:
                 lease.release(req)
             else:
                 req.cancel()
 
+    def _settle(self, writer: SHDFWriter, round_trips):
+        """Generator: a writer's metadata round trips; they need no turn
+        at the slot, so the lander pays them before or after a hold."""
+        t0 = self.ctx.now
+        yield from round_trips
+        self.stats.meta_time += self.ctx.now - t0
+        self.ctx.io_record(
+            "rocpanda", "settle", path=writer.path, t_start=t0,
+            visible=not self.config.active_buffering,
+        )
+
     def _land(self):
         """Generator, the lander process: everything that waits for ``ctx.fs``.
 
-        Takes the sealed stages in queue order; a file's first landing
-        opens it, its last closes it, and each step that writes holds
-        the lease and retries on its own.  A stage's metadata round
-        trips need no turn at the slot and are paid once, ahead of its
-        landing — with nothing sealed and the main loop still staging,
-        already for an open stage.  Caught up, the main loop's queue dry,
-        it seals what was staged meanwhile; with nothing left it answers
-        the waiting syncs and exits.  Records: ``settle`` the round
-        trips, ``land`` one landing, its ``slot_wait`` excepted.
+        Takes the sealed stages in queue order, each entry in one hold
+        of the lease (:meth:`_leased`): a file's first writes its
+        header, its last the commit footer.  Only bytes move under the
+        lease: the create round trip and the stage's metadata round
+        trips are paid ahead of the hold — with nothing sealed and the
+        main loop still staging, already for an open stage — and the
+        close round trip after it.  Caught up, it seals what was staged
+        meanwhile — a stage that has reached :data:`WRITE_BEHIND_BYTES`,
+        and any stage once the main loop's queue is dry; with nothing
+        left it answers the waiting syncs and exits.  Records:
+        ``settle`` the round trips, ``slot_wait`` the wait for the
+        grant, ``land`` the hold.
         """
-        ctx, stats = self.ctx, self.stats
-        shown = dict(visible=not self.config.active_buffering)
         try:
             while True:
-                if not self._landings and not self._queue:
+                if not self._landings:
                     for state in self._paths.values():
-                        if state.staged:
+                        if state.staged and (
+                            not self._queue
+                            or state.writer.staged_bytes >= WRITE_BEHIND_BYTES
+                        ):
                             self._seal(state)
-                entry = self._landings[0] if self._landings else None
-                owing = [entry[0]] if entry else self._paths.values()
-                writer = next((st.writer for st in owing if st.writer.owed_meta), None)
-                if writer is not None:
-                    t0 = ctx.now
-                    yield from writer.settle_meta()
-                    stats.meta_time += ctx.now - t0
-                    ctx.io_record("rocpanda", "settle", path=writer.path, t_start=t0, **shown)
-                    if entry is None:
-                        continue
-                elif entry is None:
-                    self._answer_sync_waiters()
-                    return
-                state, blocks, close = entry
+                if not self._landings:
+                    writer = next(
+                        (st.writer for st in self._paths.values() if st.writer.owed_meta),
+                        None,
+                    )
+                    if writer is None:
+                        self._answer_sync_waiters()
+                        return
+                    yield from self._settle(writer, writer.settle_meta())
+                    continue
+                state, blocks, close = self._landings[0]
                 writer = state.writer
-                t0 = ctx.now - stats.slot_wait_time
                 if not writer.is_open:
-                    yield from self._retrying_write(writer.open)
-                    stats.files_created += 1
-                if blocks:
-                    yield from self._retrying_write(writer.land)
-                    # The blocks occupied buffer memory until this
-                    # instant, and only now are they written.
-                    for block in blocks:
-                        self._buffered_bytes -= block.nbytes
-                        stats.bytes_written += block.data_nbytes
-                    stats.blocks_written += len(blocks)
-                    stats.write_flushes += 1
-                    ctx.recorder.record_counter("rocpanda", "write_flushes")
-                if close:
-                    yield from self._retrying_write(writer.close)
-                self._landings.popleft()
-                ctx.io_record(
-                    "rocpanda", "land", path=writer.path,
-                    nbytes=sum(block.nbytes for block in blocks),
-                    t_start=t0 + stats.slot_wait_time, **shown,
+                    yield from self._settle(writer, writer.create())
+                if writer.owed_meta:
+                    yield from self._settle(writer, writer.settle_meta())
+                # Retried on faults: the lease is released before each
+                # back-off and asked for again after it.
+                yield from retrying(
+                    self.ctx.env, self.config.retry,
+                    lambda: self._leased(writer, blocks, close),
+                    on_retry=self._note_write_retry,
                 )
-                landed, self._landed = self._landed, ctx.env.event()
+                if close:
+                    yield from self._settle(writer, writer.release())
+                self._landings.popleft()
+                landed, self._landed = self._landed, self.ctx.env.event()
                 landed.succeed()
         except Interrupt:
             pass  # the server crashed: nothing lands after this instant
         except WriteFaultError as exc:
-            ctx.log_fault(f"server landing of {writer.path} FAILED: {exc}")
+            self.ctx.log_fault(f"server landing of {writer.path} FAILED: {exc}")
             self._main.interrupt(exc)
         finally:
             self._lander = None

@@ -70,6 +70,10 @@ class SHDFWriter:
     :meth:`settle_meta` / :meth:`land` pay for the oldest stage while
     new records join the newest.  Stages land in the order they were
     sealed, so the file's bytes do not depend on where the seals fell.
+    A caller that takes turns at a write slot holds it for the writes
+    alone: ``open`` is :meth:`create` (a round trip) then
+    :meth:`write_header`, ``close`` :meth:`commit` (stages, footer) then
+    :meth:`release` (a round trip).
 
     ``ndatasets`` counts **staged** records, not only landed ones: it
     is the directory size the next ``create_cost`` is charged at, and a
@@ -155,17 +159,25 @@ class SHDFWriter:
         self._stages = deque([_Stage(self.fs, self._vfile, self.node)])
         self._header = encode_header({**(file_attrs or {}), JOURNAL_ATTR: True})
 
-    def open(self, file_attrs: Optional[Dict[str, Any]] = None):
-        """Generator: create the file (unless begun) and write its header."""
+    def create(self, file_attrs: Optional[Dict[str, Any]] = None):
+        """Generator: the create round trip (:meth:`begin` first, unless begun)."""
         if self._open:
             raise RuntimeError(f"{self.path}: already open")
-        t0 = self.env.now
         if not self._stages:
             self.begin(file_attrs)
         yield from self.fs.meta_op(self.node)
+
+    def write_header(self):
+        """Generator: write the created file's header; it is open."""
         yield from self.fs.write(len(self._header), self.node)
         self._vfile.append(self._header)
         self._open = True
+
+    def open(self, file_attrs: Optional[Dict[str, Any]] = None):
+        """Generator: :meth:`create` the file and :meth:`write_header`."""
+        t0 = self.env.now
+        yield from self.create(file_attrs)
+        yield from self.write_header()
         self.busy_time += self.env.now - t0
         self._record("open", len(self._header), t0)
 
@@ -255,22 +267,27 @@ class SHDFWriter:
         while len(self._stages) > 1 or self._stages[0].chunks.pending:
             yield from self.land()
 
-    def close(self):
-        """Generator: close the file.
-
-        Anything still staged lands first; the commit footer is the
-        last write.
-        """
+    def commit(self):
+        """Generator: land anything still staged, then the commit footer
+        — the file's last write."""
         if not self._open:
             raise RuntimeError(f"{self.path}: not open")
-        t0 = self.env.now
         yield from self._land_all()
         footer = encode_commit_footer(self._ndatasets)
         yield from self.fs.write(len(footer), self.node)
         self._vfile.append(footer)
+
+    def release(self):
+        """Generator: the close round trip of a committed file."""
         yield from self.fs.meta_op(self.node)
         self._open = False
         self._stages.clear()
+
+    def close(self):
+        """Generator: :meth:`commit` the file and :meth:`release` it."""
+        t0 = self.env.now
+        yield from self.commit()
+        yield from self.release()
         self.busy_time += self.env.now - t0
         self._record("close", 0, t0)
 

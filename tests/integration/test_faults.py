@@ -45,7 +45,8 @@ def _declare(com):
 
 
 def _write_main(
-    nservers, server_config=None, servers=None, after_sync=None, nodes=1200
+    nservers, server_config=None, servers=None, after_sync=None, nodes=1200,
+    prefixes=("ck",),
 ):
     """Checkpoint writer: data depends only on the client rank.
 
@@ -53,6 +54,7 @@ def _write_main(
     ``after_sync(ctx, window)`` runs at the instant ``OUT.sync`` returns.
     The default ``nodes`` makes 34 KB rendezvous-sized blocks;
     ``EAGER_NODES`` makes 9 KB ones the servers' write-behind stage merges.
+    ``prefixes`` names the snapshots, written back to back before the sync.
     """
 
     def main(ctx):
@@ -74,7 +76,8 @@ def _write_main(
             w.set_array("coords", pid, rng.random((nn, 3)))
             w.set_array("pressure", pid, rng.random(ne))
         yield from ctx.sleep(0.05)  # past init: faults land mid-write
-        yield from com.call_function("OUT.write_attribute", "Fluid", None, "ck")
+        for prefix in prefixes:
+            yield from com.call_function("OUT.write_attribute", "Fluid", None, prefix)
         yield from com.call_function("OUT.sync")
         if after_sync is not None:
             after_sync(ctx, w)
@@ -399,44 +402,123 @@ class TestWriteSlotLease:
         assert holders[0] is not holders[1]
         assert lease.count == 0 and not lease.queue
 
-    def test_crash_with_sealed_stages_still_to_land(self, monkeypatch):
-        """Every block its own stage: the main loop has sealed all nine
-        long before the lander is through them."""
-        monkeypatch.setattr(panda_server, "WRITE_BEHIND_BYTES", 0)
+    @pytest.mark.parametrize("faulted", [0, -2, -1], ids=["header", "stage", "footer"])
+    def test_a_faulted_entry_resumes_at_the_write_that_faulted(self, faulted):
+        """Server 4's file is a header (its own entry), a stage, and a last
+        stage with the commit footer in one hold.  An EIO on any of them
+        costs one more lock RPC, one more turn at the slot and that one
+        write again: nothing before it is re-written, no round trip re-paid."""
+
+        def run(fail_append=None):
+            machine = Machine(turing(), seed=0)
+            appends = []
+
+            def hook(path, nbytes):
+                if path.endswith("s0001.shdf"):
+                    appends.append(nbytes)
+                    if len(appends) - 1 == fail_append:
+                        raise TransientIOError(f"injected EIO ({path})")
+
+            machine.disk.fault_hook = hook
+            result = run_spmd(machine, 8, _write_main(2))
+            stats = [s for kind, s in result.returns if kind == "server"]
+            image = {p: machine.disk.open(p).read() for p in machine.disk.listdir("ck_s")}
+            return result, machine, image, stats, appends
+
+        result, ref_machine, reference, ref_stats, ref_appends = run()
+        assert len(ref_appends) == 4 and ref_appends[-1] == 12  # the footer
+        # The last stage and the footer went under one grant.
+        lands = self._records(result, 4, "rocpanda", "land")
+        assert len(lands) == 3 and lands[-1].nbytes > 0
+        k = faulted % len(ref_appends)
+        _, machine, image, stats, appends = run(fail_append=k)
+        assert image == reference
+        assert appends == ref_appends[: k + 1] + ref_appends[k:]
+        assert sum(s.write_retries for s in stats) == 1
+        assert [s.write_flushes for s in stats] == [s.write_flushes for s in ref_stats]
+        assert [s.blocks_written for s in stats] == [s.blocks_written for s in ref_stats]
+        metrics, ref_metrics = machine.fs.metrics, ref_machine.fs.metrics
+        assert metrics.write_ops == ref_metrics.write_ops + 1
+        assert metrics.meta_ops == ref_metrics.meta_ops + 1  # the retry's lock RPC
+        lease = machine.fs.write_lease()
+        assert lease.count == 0 and not lease.queue
+
+    def test_crash_after_the_footer_leaves_a_committed_file(self):
+        """The close round trip is paid after the lease is given back; a
+        server that dies in it has written its commit footer."""
         idle = FaultPlan((ServerCrash(rank=4, at_time=1e9),))
         result, _ = _launch(8, _write_main(2), plan=idle, spec=turing())
-        lands = [r for r in self._records(result, 4, "rocpanda", "land") if r.nbytes]
+        closing = self._records(result, 4, "rocpanda", "settle")[-1]
+        assert closing.t_start == self._records(result, 4, "rocpanda", "land")[-1].t_end
+        crash_at = (closing.t_start + closing.t_end) / 2
+
+        _, _, reference = _checkpoint_then_restart(plan=None, spec=turing())
+        servers = []
+        plan = FaultPlan((ServerCrash(rank=4, at_time=crash_at),))
+        _, machine, restored = _checkpoint_then_restart(
+            plan, spec=turing(), servers=servers
+        )
+        (crashed,) = [s for s in servers if s.stats.crashed]
+        assert crashed.stats.blocks_written == 3 * NBLOCKS
+        assert [(blocks, close) for _st, blocks, close in crashed._landings] == [([], True)]
+        lease = machine.fs.write_lease()
+        assert lease.count == 0 and not lease.queue
+        # Committed: the restart scan takes it (beside the heir's copy of
+        # the blocks its unanswered clients re-shipped).
+        committed = decode_file(machine.disk.open("ck_s0001.shdf").read())
+        assert len(committed.names()) == 2 * 3 * NBLOCKS
+        assert set(restored) == set(reference) == set(range(18))
+        for pid in reference:
+            for name in ("coords", "pressure"):
+                np.testing.assert_array_equal(
+                    restored[pid][name], reference[pid][name]
+                )
+
+    def test_crash_with_sealed_stages_still_to_land(self):
+        """Three snapshots back to back: a busy lander is sealed nothing
+        by size, but every file's open and close entries queue behind
+        it, the close carrying all that was staged meanwhile."""
+        prefixes = ("aa", "bb", "ck")
+        idle = FaultPlan((ServerCrash(rank=4, at_time=1e9),))
+        result, _ = _launch(8, _write_main(2, prefixes=prefixes), plan=idle, spec=turing())
+        lands = self._records(result, 4, "rocpanda", "land")
         staged = self._records(result, 4, "rocpanda", "bg_write")
-        assert len(lands) == len(staged) == 3 * NBLOCKS
-        assert staged[-1].t_end < lands[3].t_start
-        crash_at = (lands[3].t_start + lands[3].t_end) / 2
+        assert len(staged) == 3 * NBLOCKS * len(prefixes)
+        # The first hold after the main loop staged its last block and
+        # retired its last file: the header write of the second file.
+        in_flight = next(r for r in lands if r.t_start > staged[-1].t_end)
+        assert in_flight.nbytes == 0 and in_flight.path.startswith("bb_")
+        crash_at = (in_flight.t_start + in_flight.t_end) / 2
 
         _, _, reference = _checkpoint_then_restart(plan=None, spec=turing())
         servers = []
         plan = FaultPlan((ServerCrash(rank=4, at_time=crash_at),))
         result, machine, restored = _checkpoint_then_restart(
-            plan, spec=turing(), servers=servers
+            plan, spec=turing(), servers=servers, prefixes=prefixes
         )
         (crashed,) = [s for s in servers if s.stats.crashed]
-        # Three stages landed; the fourth was in flight, five more and
-        # the file's close sealed behind it — all still buffer memory,
-        # none reported written.
-        assert crashed.stats.blocks_written == 3
+        # The first file landed whole; the second's open was in flight,
+        # its close and the third file's open and close sealed behind it
+        # — all still buffer memory, none reported written.
+        assert crashed.stats.blocks_written == 3 * NBLOCKS
         assert [
             (len(blocks), close) for _st, blocks, close in crashed._landings
-        ] == [(1, False)] * 6 + [(0, True)]
+        ] == [(0, False), (3 * NBLOCKS, True)] * 2
         assert crashed._buffered_bytes == sum(
             b.nbytes for _st, blocks, _close in crashed._landings for b in blocks
         )
-        assert crashed._lander is None
+        assert crashed._lander is None and not crashed._paths
         lease = machine.fs.write_lease()
         assert lease.count == 0 and not lease.queue
-        # No byte of its file after the crash instant: three stages'
-        # records, no footer — torn, and covered by the heir.
-        (state, _blocks, _close) = crashed._landings[0]
-        image = machine.disk.open(state.writer.path).read()
-        with pytest.raises(TornFileError):
-            decode_file(image)
+        # No byte of a queued landing after the crash instant: the first
+        # file is committed, the other two are empty — torn, and covered
+        # by the heir.
+        decode_file(machine.disk.open("aa_s0001.shdf").read())
+        for state, _blocks, _close in crashed._landings:
+            image = machine.disk.open(state.writer.path).read()
+            assert len(image) == 0
+            with pytest.raises(TornFileError):
+                decode_file(image)
         assert all(
             r.t_end <= crash_at
             for r in result.recorder.io_records

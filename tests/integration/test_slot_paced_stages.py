@@ -1,0 +1,83 @@
+"""The weak workload where the write slot is contended, and where it is not.
+
+A busy lander's stage grows for as long as the lander has to wait, so
+what bounds it is the server's buffer (``_make_room``), not the stage
+limit; and where the filesystem has a slot per server nobody waits at
+all.  A server's file holds its blocks in arrival order, which the
+network and an overflowing buffer's back-pressure decide — so across
+machines and buffer sizes the files are compared record by record, not
+byte by byte.
+"""
+
+import pytest
+
+from repro.cluster import Machine, frost, turing
+from repro.genx import GENxConfig, run_genx, scalability_cylinder
+from repro.io import ServerConfig
+from repro.shdf import decode_file
+
+PER_CLIENT = 0.05 * 2**20
+
+
+def _weak(spec, nclients, nservers, server_config=None):
+    """One weak-scaling job; returns (result, fs metrics, lease, records)."""
+    cylinder = scalability_cylinder(
+        blocks_per_client_fluid=2, blocks_per_client_solid=1,
+        per_client_bytes=PER_CLIENT, steps=2, snapshot_interval=2,
+    )
+    machine = Machine(spec, seed=100)
+    config = GENxConfig(
+        workload=cylinder, io_mode="rocpanda", nservers=nservers, prefix="k",
+        server_config=server_config,
+    )
+    result = run_genx(machine, nclients + nservers, config)
+    records = {}
+    for path in machine.disk.listdir(""):
+        image = machine.disk.open(path).read()
+        records[path] = (
+            len(image),
+            {d.name: (d.data.tobytes(), d.attrs) for d in decode_file(image)},
+        )
+    return result, machine.fs.metrics, machine.fs.write_lease(), records
+
+
+def _holds(result):
+    return sum(s.stats.transfer_time for s in result.servers)
+
+
+def test_gpfs_grants_two_slots_and_writes_what_turing_writes():
+    on_turing, nfs, nfs_lease, turing_files = _weak(turing(), 32, 4)
+    on_frost, gpfs, gpfs_lease, frost_files = _weak(frost(), 32, 4)
+    assert (nfs_lease.capacity, nfs.peak_write_demand) == (1, 1)
+    # Frost's GPFS has a slot per server node: two landers write at once,
+    # each hold still nothing but its own bytes.
+    assert (gpfs_lease.capacity, gpfs.peak_write_demand) == (2, 2)
+    assert _holds(on_frost) == pytest.approx(gpfs.write_busy_time, abs=1e-9)
+    assert _holds(on_turing) == pytest.approx(nfs.write_busy_time, abs=1e-9)
+    waits = [sum(s.stats.slot_wait_time for s in r.servers) for r in (on_frost, on_turing)]
+    assert 0 < waits[0] < waits[1]
+    assert frost_files == turing_files
+    # A slot per Rocpanda server: nobody queues.
+    two_servers, gpfs, gpfs_lease, _files = _weak(frost(), 32, 2)
+    assert gpfs.peak_write_demand == gpfs_lease.capacity == 2
+    assert [s.stats.slot_wait_time for s in two_servers.servers] == [0.0, 0.0]
+
+
+def test_a_buffer_below_one_snapshot_share_bounds_the_stage():
+    """16 servers at Turing's one slot, each with room for half of what
+    its eight clients ship per snapshot: the stage cannot grow past the
+    buffer, the senders wait for landings, and the run ends with the
+    same records on disk."""
+    roomy, _metrics, _lease, reference = _weak(turing(), 128, 16)
+    share = 8 * PER_CLIENT
+    tight, metrics, lease, files = _weak(
+        turing(), 128, 16, ServerConfig(buffer_bytes=share / 2)
+    )
+    assert sum(s.stats.overflow_flushes for s in roomy.servers) == 0
+    assert sum(s.stats.overflow_flushes for s in tight.servers) > 0
+    assert max(s.stats.peak_buffered_bytes for s in roomy.servers) > share / 2
+    assert max(s.stats.peak_buffered_bytes for s in tight.servers) <= share / 2
+    assert tight.visible_io_time > roomy.visible_io_time
+    assert _holds(tight) == pytest.approx(metrics.write_busy_time, abs=1e-9)
+    assert metrics.peak_write_demand == 1 and lease.count == 0 and not lease.queue
+    assert files == reference

@@ -1,26 +1,19 @@
 """Virtual-time pins for the Rocpanda server's write-behind stage.
 
 The stage limit is a module constant (``server.WRITE_BEHIND_BYTES``), not
-an option; patched to 0 here, every block lands on its own — through the
-same staged code path, not a kept fork — and must reproduce, bit for
-bit, the reference values below: ``Machine(turing(), seed=100)`` on
-shrunken versions of the four Rocpanda benchmark workloads, the third
-number of each triple being the filesystem's write-op count.  The
-default limit must then do fewer transfers and finish earlier, and leave
-the same files behind.
+an option.  It is the smallest stage worth a transfer to an *idle*
+lander: the main loop seals at it only while the lander has nothing
+sealed ahead of it, and a busy lander's next transfer is whatever was
+staged during its wait.  Patched to 0, an idle lander is handed every
+block on its own — through the same staged code path, not a kept fork —
+and a busy one still merges what piled up behind it.
 
-The triples were first captured on the commit before the stage existed
-(b1f166d), and re-derived when every landing began to take the
-filesystem's write-slot lease (ISSUE 18: one lock RPC per open, landing
-and close; write 1.2991 -> 1.4209, restart 1.1756 -> 1.2446, weak
-1.7145 -> 1.8525, strong 1.2234 -> 1.3058).  They were re-derived again
-when the server became a two-stage pipeline (ISSUE 19): the main loop
-only keeps the format's books and a lander process does every
-filesystem wait, so a block's metadata round trips, lock RPC and
-transfer overlap the next blocks' bookkeeping — write 1.4209 -> 1.0224,
-restart 1.2446 -> 0.8950, weak 1.8525 -> 1.1265, strong
-1.3058 -> 0.8840 — with visible I/O lower where a sender used to meet a
-landing (write, weak), unchanged elsewhere, and the op counts unchanged.
+Pinned below, for ``Machine(turing(), seed=100)`` on shrunken versions
+of the four Rocpanda benchmark workloads, are ``(wall, visible I/O,
+filesystem write ops)`` under the default limit and under limit 0 —
+"the parent" a later change is held to, bit for bit.  What holds whatever
+the numbers are: limit 0 never makes fewer transfers than the default,
+and the files are byte-identical.
 """
 
 import pytest
@@ -29,12 +22,19 @@ from repro.cluster import Machine, turing
 from repro.genx import GENxConfig, lab_scale_motor, run_genx, scalability_cylinder
 from repro.io.rocpanda import server
 
-#: (wall_time, visible_io_time, fs write ops), every block landing alone.
-PARENT = {
-    "write": (1.0224068641351867, 0.048411973384286905, 156),
-    "restart": (0.8950154420461217, 0.031241341943015588, 46),
-    "weak": (1.126539746456382, 0.04405320981716296, 92),
-    "strong": (0.8839733874828659, 0.02130883281101628, 108),
+#: (wall_time, visible_io_time, fs write ops) under the default limit ...
+DEFAULT = {
+    "write": (0.9765372421647501, 0.048411973384286905, 66),
+    "restart": (0.7915154420461238, 0.031241341943015588, 13),
+    "weak": (0.9015397464563841, 0.04405320981716296, 20),
+    "strong": (0.7470381901728532, 0.02130883281101628, 22),
+}
+#: ... and with the limit patched to 0.
+LIMIT_ZERO = {
+    "write": (0.97953724216475, 0.048411973384286905, 72),
+    "restart": (0.7945154420461239, 0.031241341943015588, 14),
+    "weak": (0.9315397464563842, 0.04405320981716296, 30),
+    "strong": (0.7797744951148244, 0.02130883281101628, 43),
 }
 
 
@@ -76,18 +76,28 @@ def _jobs():
 
 
 def _run_all():
-    """Every job: {name: (triple, disk image)}."""
+    """Every job: {name: (triple, disk image, the lease's ledger)}."""
     out, disks = {}, {}
     for name, (nranks, config, start_from) in _jobs().items():
         machine = Machine(turing(), seed=100, disk=disks.get(start_from))
         result = run_genx(machine, nranks, config)
         disks[name] = machine.disk
         image = {p: machine.disk.open(p).read() for p in machine.disk.listdir("")}
+        metrics = machine.fs.metrics
         out[name] = (
-            (result.wall_time, result.visible_io_time, machine.fs.metrics.write_ops),
+            (result.wall_time, result.visible_io_time, metrics.write_ops),
             image,
+            (
+                sum(s.stats.transfer_time for s in result.servers),
+                metrics.write_busy_time,
+                metrics.peak_write_demand,
+            ),
         )
     return out
+
+
+def _triples(runs):
+    return {name: run[0] for name, run in runs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +107,32 @@ def per_block():
         return _run_all()
 
 
-def test_limit_zero_is_the_parent_bit_for_bit(per_block):
-    assert {name: triple for name, (triple, _image) in per_block.items()} == PARENT
+@pytest.fixture(scope="module")
+def default():
+    return _run_all()
 
 
-def test_default_limit_same_files_fewer_transfers_no_later(per_block):
-    for name, (triple, image) in _run_all().items():
-        (wall, _visible, ops), (ref_wall, _ref_visible, ref_ops) = triple, PARENT[name]
+def test_limit_zero_is_the_parent_bit_for_bit(per_block, default):
+    assert _triples(per_block) == LIMIT_ZERO
+    assert _triples(default) == DEFAULT
+    for name, (triple, image, _lease) in default.items():
+        assert per_block[name][0][2] >= triple[2], name
+        assert per_block[name][1] == image, name
+
+
+def test_default_limit_same_files_fewer_transfers_no_later(per_block, default):
+    for name, (triple, image, _lease) in default.items():
+        (wall, _visible, ops), (ref_wall, _ref_visible, ref_ops) = triple, LIMIT_ZERO[name]
         assert image == per_block[name][1], name
         assert ops < ref_ops, name
         assert wall < ref_wall, name
+
+
+def test_under_the_lease_only_bytes_move(per_block, default):
+    """The servers' holds of Turing's one write slot add up to exactly
+    the filesystem's write-busy time: no lock RPC, create, metadata or
+    close round trip is paid by a server the others are queued behind."""
+    for runs in (per_block, default):
+        for name, (_triple, _image, (held, busy, peak)) in runs.items():
+            assert held == pytest.approx(busy, abs=1e-9), name
+            assert peak == 1, name

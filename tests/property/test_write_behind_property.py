@@ -1,9 +1,11 @@
 """Property test: the server's write-behind limit never shows in the files.
 
-``server.WRITE_BEHIND_BYTES`` (a module constant, patched here) decides
-how many queued blocks share one filesystem transfer — from every block
-on its own (0) to as many as the queue holds (2**30); the layouts below
-mix eager-sized and rendezvous-sized blocks, and both kinds merge.
+``server.WRITE_BEHIND_BYTES`` (a module constant, patched here) is the
+smallest stage the main loop hands an idle lander — from every block on
+its own (0) to as many as the queue holds (2**30) — while a busy lander's
+next transfer is whatever was staged during its wait, whatever the limit;
+the layouts below mix eager-sized and rendezvous-sized blocks, and both
+kinds merge.
 Each server's lander process holds the filesystem's write-slot lease
 for every landing, so on a shared filesystem (Turing's NFS: one slot)
 the limit also changes which server lands when, and what its main loop
@@ -157,8 +159,9 @@ def test_files_and_restart_do_not_depend_on_the_limit(shape, nsnapshots, seed, s
     reference, ref_stats = _write(0, *args)
     ref_files = {p: reference.disk.open(p).read() for p in reference.disk.listdir("wb_")}
     assert ref_files
-    # Limit 0 is the same code landing every block on its own.
-    assert sum(s.write_flushes for s in ref_stats) == sum(
+    # Limit 0 is the same code: at most one transfer per block, fewer
+    # where a lander was busy while its main loop staged.
+    assert sum(s.write_flushes for s in ref_stats) <= sum(
         s.blocks_written for s in ref_stats
     )
     for limit in LIMITS[1:]:
@@ -185,3 +188,17 @@ def test_files_and_restart_do_not_depend_on_the_limit(shape, nsnapshots, seed, s
     for pid, (coords, field) in expected.items():
         np.testing.assert_array_equal(restored[pid][0], coords)
         np.testing.assert_array_equal(restored[pid][1], field)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["local", "turing"])
+def test_limit_zero_lands_every_block_alone_iff_the_lander_keeps_up(shared):
+    """One server, small blocks.  On its own local disk the lander has
+    landed a block before the next is staged, so it is never found busy
+    and limit 0 means a transfer per block; on Turing's NFS every
+    landing costs round trips and the blocks staged meanwhile share the
+    next transfer."""
+    layout = [[(100, 500)] * 3 for _ in range(2)]
+    _machine, stats = _write(0, 1, 2, layout, 2, 7, shared)
+    (flushes,), (written,) = ([s.write_flushes for s in stats], [s.blocks_written for s in stats])
+    assert written == 12
+    assert (flushes == written) == (not shared)

@@ -299,6 +299,49 @@ class TestSealThenLand:
         assert bytes(fs.disk.open("f.shdf").read()) == eager
         assert fs.metrics.meta_ops == fs_eager.metrics.meta_ops
 
+    def test_open_and_close_in_their_halves_round_trips_apart_from_writes(self):
+        """create / write_header and commit / release are open and close
+        cut where a caller's hold of a write slot begins and ends: the
+        same bytes, the same costs, and a commit that faulted in the
+        footer re-lands nothing."""
+        env, fs, writer = self._sealed_writer()
+        armed = {"n": 0}
+
+        def hook(path, nbytes):
+            if armed["n"]:
+                armed["n"] -= 1
+                raise TransientIOError(path)
+
+        fs.disk.fault_hook = hook
+
+        def land():
+            yield from writer.create()
+            assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (1, 0)
+            assert not writer.is_open
+            yield from writer.write_header()
+            assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (1, 1)
+            assert writer.is_open
+            while writer.owed_meta:
+                yield from writer.settle_meta()
+                yield from writer.land()
+            meta, ops, size = fs.metrics.meta_ops, fs.metrics.write_ops, writer._vfile.size
+            armed["n"] = 1
+            with pytest.raises(TransientIOError):
+                yield from writer.commit()  # the footer faults
+            yield from writer.commit()
+            # Two footer attempts, nothing else; committed, not yet closed.
+            assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (meta, ops + 2)
+            assert writer._vfile.size == size + 12 and writer.is_open
+            decode_file(fs.disk.open("f.shdf").read())
+            yield from writer.release()
+            assert fs.metrics.meta_ops == meta + 1 and not writer.is_open
+
+        drive(env, land())
+        eager, fs_eager, _ = write_file(True)
+        assert bytes(fs.disk.open("f.shdf").read()) == eager
+        assert fs.metrics.meta_ops == fs_eager.metrics.meta_ops
+        assert fs.metrics.bytes_written == fs_eager.metrics.bytes_written + 12
+
     @pytest.mark.parametrize("closed_at", [0.015249830078125])
     def test_sequential_caller_sees_the_parent_instants(self, closed_at):
         """open / write_records / close on ``NFSModel``: CPU, metadata,
