@@ -10,7 +10,7 @@ files written by a previous run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Set
 
 import numpy as np
 
@@ -74,6 +74,11 @@ class Machine:
         self._network: Optional[Network] = None
         #: Armed fault injector (:meth:`install_faults`), or ``None``.
         self.faults = None
+        #: The liveness oracle of the recovery protocols: the ranks the
+        #: injector has crashed so far (nothing else can kill one), and
+        #: whether the installed plan can crash a rank at all.
+        self._dead: Set[int] = set()
+        self.ranks_can_die = False
 
     def install_faults(self, plan):
         """Arm a :class:`repro.faults.FaultPlan` on this run.
@@ -88,6 +93,14 @@ class Machine:
         self.faults = FaultInjector(self, plan)
         self.faults.install()
         return self.faults
+
+    def is_dead(self, rank: int) -> bool:
+        """True once ``rank`` has been crashed."""
+        return rank in self._dead
+
+    def dead_ranks(self) -> Set[int]:
+        """The crashed ranks (a live view: it only ever grows)."""
+        return self._dead
 
     def build_network(self, nprocs: int) -> Network:
         """Instantiate the network for a job of ``nprocs`` processes."""

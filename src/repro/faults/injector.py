@@ -21,7 +21,7 @@ done to the run.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class FaultInjector:
         #: Private stream so fault randomness never perturbs the
         #: machine's own noise/load sampling.
         self.rng = np.random.default_rng((machine.seed << 8) ^ 0xFA)
-        self._dead: Set[int] = set()
         self._recorder = None
         #: Remaining-failure budgets, one mutable cell per plan spec,
         #: split by direction (write vs read hooks).
@@ -66,14 +65,6 @@ class FaultInjector:
         ]
         self._installed = False
 
-    # -- death oracle ----------------------------------------------------
-    def is_dead(self, rank: int) -> bool:
-        """True once ``rank`` has been crashed by the injector."""
-        return rank in self._dead
-
-    def dead_ranks(self) -> Set[int]:
-        return set(self._dead)
-
     # -- observability ---------------------------------------------------
     def _record(self, name: str, rank: int, message: str) -> None:
         rec = self._recorder
@@ -87,6 +78,7 @@ class FaultInjector:
         if self._installed:
             raise RuntimeError("fault injector already installed")
         self._installed = True
+        self.machine.ranks_can_die = bool(self.plan.of_type(ServerCrash))
         env = self.machine.env
         if self._eio_budgets:
             self.machine.disk.fault_hook = self._disk_hook
@@ -160,9 +152,9 @@ class FaultInjector:
         if not victim.is_alive:
             return
         # Mark dead *before* the interrupt resumes the victim (URGENT):
-        # survivors that poll ``is_dead`` during the victim's unwinding
-        # must already see the truth.
-        self._dead.add(spec.rank)
+        # survivors that poll ``machine.is_dead`` during the victim's
+        # unwinding must already see the truth.
+        self.machine.dead_ranks().add(spec.rank)
         self._record("server_crash", spec.rank, f"rank {spec.rank} crashed")
         victim.interrupt(f"injected crash of rank {spec.rank}")
 

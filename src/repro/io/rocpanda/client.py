@@ -6,6 +6,14 @@ as Rochdf, but implemented by shipping data blocks to the rank's
 dedicated I/O server.  The *visible* output cost is "the time to send
 the output data to appropriate servers" (§7.1) — the actual file
 writes happen behind the clients' backs.
+
+There is one client protocol, whether or not a fault plan is installed:
+a snapshot is one ``WriteBegin`` and a per-block stream of guarded
+sends, ``sync`` and restart wait with timed receives.  What is sent, and
+when, never depends on the plan; a live server is waited for, a dead one
+(``machine.is_dead``) failed over, a lost announcement resent.  The plan
+decides one thing only: output is retained for a re-ship until the next
+``sync`` in runs where a rank can die (``machine.ranks_can_die``).
 """
 
 from __future__ import annotations
@@ -100,19 +108,19 @@ class RocpandaModule(ServiceModule):
         self._sender: Optional[VThread] = None
         self._send_queue: Optional[Store] = None
         self._pending_sends: List[Event] = []
-        #: Current I/O server (``topo.my_server`` until a failover).
+        #: Current I/O server (``topo.my_server`` until a failover), and
+        #: the machine's live set of crashed ranks.
         self._server = topo.my_server
-        #: FaultInjector when the machine runs under fault injection;
-        #: None keeps every code path byte-identical to the fault-free
-        #: module (the resilience layer costs one attribute check).
-        self._faults = None
+        self._dead = ctx.machine.dead_ranks()
+        #: Output a failover would re-ship: everything since the last
+        #: acknowledged sync where a rank can die, else only what is
+        #: being shipped right now.
         self._unsynced: List[_PendingOutput] = []
         self._sync_seq = 0
 
     # -- module lifecycle ---------------------------------------------------
     def load(self, com) -> None:
         self.com = com
-        self._faults = getattr(self.ctx.machine, "faults", None)
         self._register_io_window(com)
         if self.client_buffering:
             self._send_queue = Store(self.ctx.env)
@@ -177,14 +185,59 @@ class RocpandaModule(ServiceModule):
 
     def _deliver(self, window_name, batch, file_attrs):
         """Generator: ship one snapshot (from the caller or the sender)."""
-        if self._faults is None:
-            yield from self._ship(window_name, batch, file_attrs)
-        else:
-            self._unsynced.append(_PendingOutput(window_name, batch, file_attrs))
-            yield from self._deliver_pending()
+        self._unsynced.append(_PendingOutput(window_name, batch, file_attrs))
+        yield from self._deliver_pending()
+        if not self.ctx.machine.ranks_can_die:
+            # No failover can ask for it again: holding every snapshot
+            # until the next sync would only pin its memory.
+            self._unsynced.clear()
 
-    def _ship(self, window_name, batch, file_attrs):
-        """Generator: two-phase ship of a pre-encoded snapshot batch.
+    # -- resilience layer ----------------------------------------------------
+    def _server_alive(self) -> bool:
+        return self._server not in self._dead
+
+    def _failover(self) -> None:
+        """Retarget to the deterministic replacement for a dead server."""
+        dead = self._server
+        self._server = failover_server(dead, self.topo.servers, self.ctx.machine.is_dead)
+        self.stats.failovers += 1
+        self.ctx.recorder.record_counter(self.name, "failovers")
+        self.ctx.log_fault(f"server {dead} dead; failing over to {self._server}")
+
+    def _send_guarded(self, msg, tag, nbytes=None):
+        """Generator: rendezvous send to the current server; 'ok' or 'dead'.
+
+        A live server is waited for: the guard re-arms while
+        ``_server_alive`` holds, so back-pressure (a full buffer, a busy
+        lander) costs the sender nothing but the wait and its
+        announcement keeps its place.  A ``"retracted"`` verdict from a
+        live server is a lost announcement — the server never saw the
+        message — and is resent after exponential backoff; any verdict
+        from a dead one (``"stuck"``: it crashed mid-pull) is ``'dead'``
+        and the caller fails over (server block dedup covers the re-ship).
+        """
+        ctx = self.ctx
+        policy = self.retry
+        for attempt in range(policy.max_attempts):
+            if not self._server_alive():
+                return "dead"
+            verdict = yield from self.topo.world.send_with_timeout(
+                msg, self._server, tag, policy.op_timeout, nbytes, self._server_alive
+            )
+            if verdict == "ok":
+                return "ok"
+            if not self._server_alive():
+                return "dead"
+            self.stats.retries += 1
+            ctx.recorder.record_counter(self.name, "retries")
+            yield ctx.env.sleep(policy.delay(attempt))
+        raise RuntimeError(
+            f"rank {ctx.rank}: announcements to Rocpanda server "
+            f"{self._server} kept getting lost"
+        )
+
+    def _ship_guarded(self, entry: _PendingOutput):
+        """Generator: ship one pending output; returns 'ok' or 'dead'.
 
         One WriteBegin, then per block a pack timeout and a rendezvous
         flight — each ``EncodedBlock`` pins its accounting size to the
@@ -192,116 +245,41 @@ class RocpandaModule(ServiceModule):
         itself would.  With a single client the server idles during the
         pack gaps; with many clients other blocks fill them — the
         pipelining behind Fig 3(a)'s throughput rise from 1 to 15
-        clients.  The server appends the record bytes verbatim.
+        clients.  The server appends the record bytes verbatim, and its
+        per-block dedup drops whatever a re-ship after failover sends
+        twice.
         """
-        ctx = self.ctx
-        world = self.topo.world
-        path = batch.path
-        blocks = batch.blocks
-        yield from world.send(
+        path = entry.batch.path
+        blocks = entry.batch.blocks
+        if not self._server_alive():
+            return "dead"
+        # Control messages are eager, never waited on: nothing to guard.
+        yield from self.topo.world.send(
             WriteBegin(
                 path=path,
-                window=window_name,
+                window=entry.window,
                 nblocks=len(blocks),
                 total_bytes=sum(b.nbytes for b in blocks),
-                file_attrs=file_attrs,
+                file_attrs=entry.file_attrs,
             ),
             dest=self._server,
             tag=TAG_CTRL,
         )
-        server = self._server
-        sleep = ctx.env.sleep
+        sleep = self.ctx.env.sleep
         pack_overhead = self.pack_overhead
         pack_bw = self.pack_bw
         stats = self.stats
         for eb in blocks:
             yield sleep(pack_overhead + eb.nbytes / pack_bw)
-            yield from world.send(
-                BlockEnvelope(path, eb), server, TAG_BLOCK, nbytes=eb.nbytes + 64
+            verdict = yield from self._send_guarded(
+                BlockEnvelope(path, eb), TAG_BLOCK, eb.nbytes + 64
             )
+            if verdict != "ok":
+                return verdict
+            # Per delivery attempt: a re-ship after failover re-counts
+            # the blocks it re-sends.
             stats.blocks_written += 1
             stats.bytes_written += eb.data_nbytes
-
-    # -- resilience layer (active only under fault injection) ---------------
-    def _record_counter(self, name: str) -> None:
-        rec = self.ctx.recorder
-        if rec is not None:
-            rec.record_counter(self.name, name)
-
-    def _failover(self) -> None:
-        """Retarget to the deterministic replacement for a dead server."""
-        dead = self._server
-        self._server = failover_server(dead, self.topo.servers, self._faults.is_dead)
-        self.stats.failovers += 1
-        self._record_counter("failovers")
-        self.ctx.log_fault(f"server {dead} dead; failing over to {self._server}")
-
-    def _send_guarded(self, msg, tag):
-        """Generator: send with timeout + backoff; returns 'ok' or 'dead'.
-
-        ``"retracted"`` verdicts (the server never saw the message) are
-        resent after exponential backoff; ``"stuck"`` verdicts mean the
-        server is mid-pull, so the message counts as delivered (server
-        block dedup covers the crashed-mid-pull corner at re-ship).
-        """
-        ctx = self.ctx
-        world = self.topo.world
-        policy = self.retry
-        for attempt in range(policy.max_attempts):
-            if self._faults.is_dead(self._server):
-                return "dead"
-            verdict = yield from world.send_with_timeout(
-                msg, dest=self._server, tag=tag, timeout=policy.op_timeout
-            )
-            if verdict == "ok":
-                return "ok"
-            if self._faults.is_dead(self._server):
-                return "dead"
-            if verdict == "stuck":
-                return "ok"
-            self.stats.retries += 1
-            self._record_counter("retries")
-            yield ctx.env.sleep(policy.delay(attempt))
-        if self._faults.is_dead(self._server):
-            return "dead"
-        raise RuntimeError(
-            f"rank {ctx.rank}: send to Rocpanda server {self._server} "
-            f"kept timing out"
-        )
-
-    def _ship_guarded(self, entry: _PendingOutput):
-        """Generator: ship one pending output; returns 'ok' or 'dead'.
-
-        The whole snapshot rides a single guarded :class:`BlockBatch`
-        (its wire size is the sum of the per-block envelopes), so a
-        failover re-ships one message instead of N, and the server's
-        per-block dedup drops whatever the dead server already
-        persisted.
-        """
-        ctx = self.ctx
-        batch = entry.batch
-        total = sum(b.nbytes for b in batch.blocks)
-        verdict = yield from self._send_guarded(
-            WriteBegin(
-                path=batch.path,
-                window=entry.window,
-                nblocks=len(batch.blocks),
-                total_bytes=total,
-                file_attrs=entry.file_attrs,
-            ),
-            TAG_CTRL,
-        )
-        if verdict != "ok":
-            return verdict
-        # One marshalling charge for the aggregated envelope.
-        yield ctx.env.sleep(self.pack_overhead + total / self.pack_bw)
-        verdict = yield from self._send_guarded(batch, TAG_BLOCK)
-        if verdict != "ok":
-            return verdict
-        # Per delivery attempt: a re-ship after failover re-counts the
-        # blocks it re-sends.
-        self.stats.blocks_written += len(batch.blocks)
-        self.stats.bytes_written += sum(b.data_nbytes for b in batch.blocks)
         return "ok"
 
     def _deliver_pending(self):
@@ -310,16 +288,12 @@ class RocpandaModule(ServiceModule):
             undelivered = [
                 e for e in self._unsynced if e.delivered_to != self._server
             ]
-            if not undelivered:
-                return
-            failed = False
             for entry in undelivered:
                 verdict = yield from self._ship_guarded(entry)
                 if verdict == "dead":
-                    failed = True
                     break
                 entry.delivered_to = self._server
-            if not failed:
+            else:
                 return
             self._failover()
         raise RuntimeError(
@@ -365,7 +339,7 @@ class RocpandaModule(ServiceModule):
         ctx = self.ctx
         t0 = ctx.now
         yield from self._drain_sends()
-        if self._faults is not None and self._faults.is_dead(self._server):
+        if not self._server_alive():
             self._failover()
         window = self.com.window(window_name)
         wanted = set(window.pane_ids())
@@ -415,90 +389,60 @@ class RocpandaModule(ServiceModule):
         """
         ctx = self.ctx
         world = self.topo.world
-        faults = self._faults
+        is_dead = ctx.machine.is_dead
         servers = self.topo.servers
         attrs = tuple(attr_names) if attr_names is not None else None
-        if faults is None:
-            alive = list(servers)
-        else:
-            alive = [s for s in servers if not faults.is_dead(s)]
         #: share rank -> rank currently expected to serve that share.
         awaiting: Dict[int, int] = {}
-        request = RestartRequest(
-            prefix=path,
-            window=window_name,
-            block_ids=tuple(sorted(wanted)),
-            attr_names=attrs,
-        )
-        for server in alive:
-            yield from world.send(request, dest=server, tag=TAG_CTRL)
-            awaiting[server] = server
-        # Shares of servers already dead before the restart began are
-        # claimed from their heirs straight away.
-        for dead in (s for s in servers if s not in awaiting):
-            heir = failover_server(dead, servers, faults.is_dead)
+
+        def request(share, serving):
+            """Generator: ask for ``share`` from ``serving`` — or, when
+            that rank is dead, from its heir, as a resume carrying the
+            block IDs this rank is still missing."""
+            if is_dead(serving):
+                serving = failover_server(serving, servers, is_dead)
+                self.stats.failovers += 1
+                ctx.recorder.record_counter(self.name, "failovers")
             yield from world.send(
                 RestartRequest(
                     prefix=path,
                     window=window_name,
                     block_ids=tuple(sorted(wanted)),
                     attr_names=attrs,
-                    resume_of=dead,
+                    resume_of=None if serving == share else share,
                 ),
-                dest=heir,
+                dest=serving,
                 tag=TAG_CTRL,
             )
-            awaiting[dead] = heir
-            self.stats.failovers += 1
-            self._record_counter("failovers")
+            awaiting[share] = serving
+
+        # Shares of servers already dead before the restart began are
+        # claimed from their heirs straight away.
+        for server in servers:
+            yield from request(server, server)
         restored: List[int] = []
         nbytes = 0
         misses = 0
         while awaiting:
-            if faults is None:
-                msg, status = yield from world.recv(
-                    source=ANY_SOURCE, tag=TAG_REPLY
-                )
-            else:
-                reply = yield from world.recv_with_timeout(
-                    source=ANY_SOURCE, tag=TAG_REPLY,
-                    timeout=self.retry.op_timeout * 4,
-                )
-                if reply is None:
-                    # A share's server may have died mid-read: resume
-                    # each orphaned share from its current heir, with
-                    # the block IDs this rank is still missing.
-                    moved = False
-                    for share, serving in list(awaiting.items()):
-                        if not faults.is_dead(serving):
-                            continue
-                        heir = failover_server(
-                            serving, servers, faults.is_dead
+            reply = yield from world.recv_with_timeout(
+                source=ANY_SOURCE, tag=TAG_REPLY,
+                timeout=self.retry.op_timeout * 4,
+            )
+            if reply is None:
+                # A share's server may have died mid-read: resume each
+                # orphaned share from its current heir.
+                orphaned = [item for item in awaiting.items() if is_dead(item[1])]
+                for share, serving in orphaned:
+                    yield from request(share, serving)
+                if not orphaned:
+                    misses += 1
+                    if misses > 1000:
+                        raise RuntimeError(
+                            f"rank {ctx.rank}: Rocpanda batched restart "
+                            f"stalled waiting on shares {sorted(awaiting)}"
                         )
-                        yield from world.send(
-                            RestartRequest(
-                                prefix=path,
-                                window=window_name,
-                                block_ids=tuple(sorted(wanted)),
-                                attr_names=attrs,
-                                resume_of=share,
-                            ),
-                            dest=heir,
-                            tag=TAG_CTRL,
-                        )
-                        awaiting[share] = heir
-                        self.stats.failovers += 1
-                        self._record_counter("failovers")
-                        moved = True
-                    if not moved:
-                        misses += 1
-                        if misses > 1000:
-                            raise RuntimeError(
-                                f"rank {ctx.rank}: Rocpanda batched restart "
-                                f"stalled waiting on shares {sorted(awaiting)}"
-                            )
-                    continue
-                msg, status = reply
+                continue
+            msg, status = reply
             if isinstance(msg, RestartBatch):
                 nbytes += self._apply_batch(msg, status.source, wanted, restored)
             elif isinstance(msg, RestartDone):
@@ -522,71 +466,48 @@ class RocpandaModule(ServiceModule):
         return restored, nbytes
 
     def sync(self):
-        """Generator: wait until everything this rank sent is on disk."""
+        """Generator: wait until everything this rank sent is on disk.
+
+        The request carries a sequence number the server echoes, so
+        stale replies are discarded.  A live server that has not
+        answered yet is draining and is waited for; the request is
+        asked again (same seq) at geometrically growing intervals,
+        which is what recovers a dropped eager ``SyncRequest`` or
+        ``SyncReply``.  A dead server triggers failover: re-ship
+        everything unsynced to the replacement, then sync against it.
+        """
         t0 = self.ctx.now
         world = self.topo.world
-        yield from self._drain_sends()
-        if self._faults is None:
-            yield from world.send(SyncRequest(), dest=self._server, tag=TAG_CTRL)
-            msg, _ = yield from world.recv(source=self._server, tag=TAG_REPLY)
-            if not isinstance(msg, SyncReply):
-                raise TypeError(f"expected SyncReply, got {type(msg).__name__}")
-        else:
-            yield from self._sync_resilient()
-        self.stats.sync_time += self.ctx.now - t0
-        self.ctx.io_record(self.name, "sync", t_start=t0)
-
-    def _sync_resilient(self):
-        """Generator: sync that survives lost messages and dead servers.
-
-        Requests carry a sequence number the server echoes; on a reply
-        timeout the request is re-sent (same seq) while the server is
-        alive, and stale replies from earlier requests are discarded.
-        A dead server triggers failover: re-ship everything unsynced to
-        the replacement, then sync against it.
-        """
-        world = self.topo.world
         policy = self.retry
+        yield from self._drain_sends()
         self._sync_seq += 1
-        seq = self._sync_seq
+        request = SyncRequest(self._sync_seq)
         for _ in range(len(self.topo.servers) + 1):
             yield from self._deliver_pending()
-            verdict = yield from self._send_guarded(SyncRequest(seq), TAG_CTRL)
-            if verdict == "dead":
-                self._failover()
-                continue
-            acked = False
-            misses = 0
-            while not acked:
+            asked = self.ctx.now
+            patience = policy.op_timeout * 4
+            # Eager: nothing to guard, and harmless if the server is dead.
+            yield from world.send(request, dest=self._server, tag=TAG_CTRL)
+            while self._server_alive():
                 reply = yield from world.recv_with_timeout(
-                    source=self._server, tag=TAG_REPLY,
-                    timeout=policy.op_timeout * 4,
+                    source=self._server, tag=TAG_REPLY, timeout=patience
                 )
                 if reply is None:
-                    if self._faults.is_dead(self._server):
+                    if not self._server_alive():
                         break
-                    misses += 1
-                    if misses > 1000:
+                    if self.ctx.now - asked > policy.op_timeout * 4000:
                         raise RuntimeError(
                             f"rank {self.ctx.rank}: Rocpanda sync stalled"
                         )
-                    # Request or reply lost (or the server is still
-                    # draining its queue): ask again with the same seq.
-                    self.stats.retries += 1
-                    self._record_counter("retries")
-                    verdict = yield from self._send_guarded(
-                        SyncRequest(seq), TAG_CTRL
-                    )
-                    if verdict == "dead":
-                        break
-                    continue
-                msg, _ = reply
-                if isinstance(msg, SyncReply) and msg.seq == seq:
-                    acked = True
+                    patience *= policy.factor
+                    self.ctx.recorder.record_counter(self.name, "sync_reasks")
+                    yield from world.send(request, dest=self._server, tag=TAG_CTRL)
+                elif isinstance(reply[0], SyncReply) and reply[0].seq == request.seq:
+                    self._unsynced.clear()
+                    self.stats.sync_time += self.ctx.now - t0
+                    self.ctx.io_record(self.name, "sync", t_start=t0)
+                    return
                 # else: stale reply from an earlier request; drop it.
-            if acked:
-                self._unsynced.clear()
-                return
             self._failover()
         raise RuntimeError(
             f"rank {self.ctx.rank}: could not sync with any Rocpanda server"
@@ -606,10 +527,9 @@ class RocpandaModule(ServiceModule):
             return
         self._finalized = True
         yield from self._shutdown_sender()
-        if self._faults is not None:
-            yield from self._deliver_pending()
-            if self._faults.is_dead(self._server):
-                self._failover()
+        yield from self._deliver_pending()
+        if not self._server_alive():
+            self._failover()
         yield from self.topo.world.send(
             Shutdown(), dest=self._server, tag=TAG_CTRL
         )

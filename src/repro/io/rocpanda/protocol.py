@@ -109,21 +109,14 @@ class EncodedBlock:
 
 @dataclass
 class BlockBatch:
-    """A whole snapshot's blocks for one server, as one wire message.
+    """A whole snapshot's encoded blocks, as the client holds them.
 
-    The aggregated envelope of two-phase shipping: a single guarded
-    send delivers every block, so the resilient path pays one
-    delivery/failover round instead of one per block.  Wire size is the
-    sum of the per-block envelope sizes, keeping the rendezvous
-    byte-count identical to shipping the blocks individually.
+    Not a wire message: the client ships the blocks one
+    :class:`BlockEnvelope` each and keeps the batch for a re-ship.
     """
 
     path: str
     blocks: List[EncodedBlock]
-
-    @property
-    def nbytes(self) -> int:
-        return sum(b.nbytes + 64 for b in self.blocks)
 
 
 def encode_block_batch(path: str, blocks) -> BlockBatch:

@@ -66,7 +66,6 @@ from .protocol import (
     TAG_BLOCK,
     TAG_CTRL,
     TAG_REPLY,
-    BlockBatch,
     BlockEnvelope,
     ProtocolError,
     RestartBatch,
@@ -233,20 +232,24 @@ class PandaServer:
         self._main = None
         self._nworking = 0
         self._shutdown_ranks: set = set()
-        self._sync_waiters: List[Tuple[int, int]] = []
-        #: path -> [(client, BlockEnvelope | BlockBatch), ...] that
-        #: arrived before the path's first WriteBegin.  A small eager
+        #: client -> seq of the sync it waits in; asking again (same
+        #: seq) keeps its one entry, so each request is answered once.
+        self._sync_waiters: Dict[int, int] = {}
+        #: path -> [(client, BlockEnvelope), ...] that arrived before
+        #: the path's first WriteBegin.  A small eager
         #: WriteBegin queues on the destination NIC while a rendezvous
         #: block announcement (a control message that skips the NIC)
         #: lands ahead of it — at 256+ ranks with >16 KiB blocks this
         #: reordering is routine, so the server stashes the early
         #: blocks and replays them when the announcement arrives.
-        self._orphans: Dict[str, List[Tuple[int, Any]]] = {}
+        self._orphans: Dict[str, List[Tuple[int, BlockEnvelope]]] = {}
         self._restart_requests: Dict[str, Dict[int, RestartRequest]] = {}
-        self._faults = getattr(ctx.machine, "faults", None)
-        #: Reused by _expected_clients when no injector is installed
-        #: (frozen: the membership can only change under faults).
-        self._clients_nofault = frozenset(topo.my_clients)
+        #: The machine's live set of crashed ranks; ``_expected_clients()``
+        #: and the number of them it was computed for (the membership
+        #: changes only when a rank dies).
+        self._dead = ctx.machine.dead_ranks()
+        self._expected = set(topo.my_clients)
+        self._expected_ndead = 0
         #: path -> number of times the path was retired; a later
         #: re-announcement (a failed-over client re-shipping) writes a
         #: new generation file instead of truncating the committed one.
@@ -326,31 +329,34 @@ class PandaServer:
     def _expected_clients(self) -> set:
         """World ranks whose data (and Shutdown) this server must see.
 
-        Without fault injection this is exactly ``my_clients``.  With
-        faults it additionally adopts the clients of every dead server
-        whose deterministic failover target (:func:`failover_server`)
-        is this rank — the same pure rule the clients evaluate, so both
-        sides agree without coordination.
+        While every rank is alive this is exactly ``my_clients``.  It
+        additionally adopts the clients of every dead server whose
+        deterministic failover target (:func:`failover_server`) is this
+        rank — the same pure rule the clients evaluate, so both sides
+        agree without coordination.
         """
-        faults = self._faults
-        if faults is None:
-            return self._clients_nofault
+        dead_ranks = self._dead
+        if len(dead_ranks) == self._expected_ndead:
+            return self._expected
+        is_dead = self.ctx.machine.is_dead
         expected = set(self.topo.my_clients)
         servers = self.topo.servers
-        for dead in faults.dead_ranks():
+        for dead in dead_ranks:
             expected.discard(dead)
             if dead not in servers or dead == self.ctx.rank:
                 continue
             try:
-                heir = failover_server(dead, servers, faults.is_dead)
+                heir = failover_server(dead, servers, is_dead)
             except RuntimeError:
                 continue
             if heir == self.ctx.rank:
                 expected.update(
                     r
                     for r in clients_of(dead, servers, self.topo.nprocs)
-                    if not faults.is_dead(r)
+                    if r not in dead_ranks
                 )
+        self._expected = expected
+        self._expected_ndead = len(dead_ranks)
         return expected
 
     # -- message handling ---------------------------------------------------
@@ -359,10 +365,10 @@ class PandaServer:
         msg, st = yield from world.recv(source=status.source, tag=status.tag)
         if isinstance(msg, WriteBegin):
             yield from self._on_write_begin(st.source, msg)
-        elif isinstance(msg, (BlockEnvelope, BlockBatch)):
-            yield from self._on_blocks(st.source, msg)
+        elif isinstance(msg, BlockEnvelope):
+            yield from self._on_block(st.source, msg)
         elif isinstance(msg, SyncRequest):
-            self._sync_waiters.append((st.source, msg.seq))
+            self._sync_waiters[st.source] = msg.seq
         elif isinstance(msg, RestartRequest):
             yield from self._on_restart_request(st.source, msg)
         elif isinstance(msg, Shutdown):
@@ -396,19 +402,18 @@ class PandaServer:
             # Replay blocks that overtook this announcement; their
             # ingest cost is charged now, at processing time.
             for oclient, omsg in orphans:
-                yield from self._on_blocks(oclient, omsg)
+                yield from self._on_block(oclient, omsg)
 
-    def _on_blocks(self, client: int, msg):
-        """Generator: take one block, or one aggregated envelope of
-        them, into the buffer.
+    def _on_block(self, client: int, msg: BlockEnvelope):
+        """Generator: take one block into the buffer.
 
-        The blocks arrive pre-serialised; each is queued **without
-        re-copying its payload** — the queue entries keep the zero-copy
-        record views of the message's buffer.  Dedup runs per block
-        against the path's ``(client, block_id)`` set — a duplicated
-        message, a retried send that was in fact delivered, a batch
-        re-shipped after failover — or the writer would emit duplicate
-        dataset names.
+        The block arrives pre-serialised and is queued **without
+        re-copying its payload** — the queue entry keeps the zero-copy
+        record views of the sender's buffer.  Dedup runs against the
+        path's ``(client, block_id)`` set — a duplicated message, a
+        retried send that was in fact delivered, a snapshot re-shipped
+        after failover — or the writer would emit duplicate dataset
+        names.
         """
         state = self._paths.get(msg.path)
         if state is None:
@@ -419,47 +424,40 @@ class PandaServer:
             self.ctx.recorder.record_counter("rocpanda", "orphan_blocks_stashed")
             return
         cfg = self.config
-        blocks = msg.blocks if isinstance(msg, BlockBatch) else [msg.block]
-        total = sum(b.nbytes for b in blocks)
-        self.stats.blocks_received += len(blocks)
-        self.stats.bytes_received += total
+        eb = msg.block
+        self.stats.blocks_received += 1
+        self.stats.bytes_received += eb.nbytes
         t0 = self.ctx.now
         # Buffer-management / protocol bookkeeping, once per message.
         yield self.ctx.env.sleep(cfg.ingest_overhead)
-        fresh = []
-        for eb in blocks:
-            key = (client, eb.block_id)
-            if key in state.seen:
-                self.stats.duplicate_blocks_dropped += 1
-                self.ctx.recorder.record_counter("rocpanda", "duplicate_blocks_dropped")
-                continue
-            state.seen.add(key)
-            state.received += 1
-            fresh.append(eb)
+        key = (client, eb.block_id)
+        if key in state.seen:
+            self.stats.duplicate_blocks_dropped += 1
+            self.ctx.recorder.record_counter("rocpanda", "duplicate_blocks_dropped")
+            return
+        state.seen.add(key)
+        state.received += 1
         if not cfg.active_buffering:
             self.ctx.io_record(
-                "rocpanda", "ingest", path=msg.path, nbytes=total,
+                "rocpanda", "ingest", path=msg.path, nbytes=eb.nbytes,
                 t_start=t0, visible=False,
             )
             # Ablation A1: write through — the sender waits for the lander.
-            for eb in fresh:
-                self._buffered_bytes += eb.nbytes
-                yield from self._stage_block(msg.path, eb)
+            self._buffered_bytes += eb.nbytes
+            yield from self._stage_block(msg.path, eb)
             self._close_finished_paths()
             if self._lander is not None:
                 yield self._lander
             return
-        total_fresh = sum(b.nbytes for b in fresh)
         # One streaming copy into the server's buffer hierarchy.
-        yield self.ctx.env.sleep(total_fresh / cfg.ingest_bw)
+        yield self.ctx.env.sleep(eb.nbytes / cfg.ingest_bw)
         self.ctx.io_record(
-            "rocpanda", "ingest", path=msg.path, nbytes=total,
+            "rocpanda", "ingest", path=msg.path, nbytes=eb.nbytes,
             t_start=t0, visible=False,
         )
-        yield from self._make_room(total_fresh)
-        for eb in fresh:
-            self._queue.append((msg.path, eb))
-        self._buffered_bytes += total_fresh
+        yield from self._make_room(eb.nbytes)
+        self._queue.append((msg.path, eb))
+        self._buffered_bytes += eb.nbytes
         self.stats.peak_buffered_bytes = max(
             self.stats.peak_buffered_bytes, self._buffered_bytes
         )
@@ -577,8 +575,7 @@ class PandaServer:
             # Retired before the close lands: a client re-announcing
             # the path meanwhile starts a new generation.
             del self._paths[path]
-            if self._faults is not None:
-                self._file_gens[path] = self._file_gens.get(path, 0) + 1
+            self._file_gens[path] = self._file_gens.get(path, 0) + 1
             if state.booked:
                 self._seal(state, close=True)
 
@@ -720,9 +717,9 @@ class PandaServer:
             return
         if self._buffered_bytes or self._landings:
             return
-        waiters, self._sync_waiters = self._sync_waiters, []
+        waiters, self._sync_waiters = self._sync_waiters, {}
         world = self.topo.world
-        for client, seq in waiters:
+        for client, seq in waiters.items():
             # Eager-sized reply echoing the request's seq; fire-and-forget.
             self.ctx.env.process(
                 world.send(SyncReply(seq), dest=client, tag=TAG_REPLY),
@@ -747,10 +744,7 @@ class PandaServer:
 
     def _expected_restart_clients(self) -> set:
         """Live compute ranks that join a collective restart."""
-        ranks = set(range(self.topo.nprocs)) - set(self.topo.servers)
-        if self._faults is None:
-            return ranks
-        return {r for r in ranks if not self._faults.is_dead(r)}
+        return set(range(self.topo.nprocs)) - set(self.topo.servers) - self._dead
 
     # -- two-phase restart (sieved bulk reads + read-ahead) ---------------------
     def _note_read_retry(self, attempt: int, exc: BaseException) -> None:

@@ -31,7 +31,7 @@ tag, so application traffic can never cross-match collective traffic.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..des import Environment, Event
 from .datatypes import (
@@ -96,6 +96,41 @@ class Request:
 
     def test(self) -> bool:
         return self._event.triggered
+
+
+class _SendGuard:
+    """The timer beside one guarded rendezvous wait.
+
+    An expiry while ``alive()`` holds re-arms it — the announcement
+    stays posted and keeps its place in the mailbox — and any other
+    expiry ends the sender's wait with the verdict.  (An object, not a
+    closure: a callback that re-registers itself would be a reference
+    cycle pinning the payload until the next collection.)
+    """
+
+    __slots__ = ("env", "timeout", "alive", "mailbox", "envelope", "timer")
+
+    def __init__(self, env, timeout, alive, mailbox, envelope):
+        self.env = env
+        self.timeout = timeout
+        self.alive = alive
+        self.mailbox = mailbox
+        self.envelope = envelope
+        self.arm()
+
+    def arm(self) -> None:
+        self.timer = self.env.timeout(self.timeout)
+        self.timer.callbacks.append(self.expire)
+
+    def expire(self, _event) -> None:
+        envelope = self.envelope
+        done = envelope.done_event
+        if done.triggered:
+            return
+        if self.alive is not None and self.alive():
+            self.arm()
+        else:
+            done.succeed("retracted" if self.mailbox.retract(envelope) else "stuck")
 
 
 class Comm:
@@ -168,6 +203,7 @@ class Comm:
         tag: int = 0,
         nbytes: Optional[int] = None,
         timeout: Optional[float] = None,
+        alive: Optional[Callable[[], bool]] = None,
     ):
         """Generator: the one send body, no tag validation.
 
@@ -247,17 +283,17 @@ class Comm:
         if timeout is None:
             yield done
             return "ok"
-        guard = env.timeout(timeout)
-        yield env.any_of([done, guard])
-        if done.triggered:
-            # Delivered in time: lazily cancel the still-queued guard so
-            # it neither lingers in the depth accounting nor costs a
-            # dispatch when its deadline arrives.
-            guard.cancel()
-            return "ok"
-        if mailbox.retract(envelope):
-            return "retracted"
-        return "stuck"
+        # Guarded: the sender waits on ``done`` exactly as a plain send
+        # does, with a timer beside it (:class:`_SendGuard`).
+        guard = _SendGuard(env, timeout, alive, mailbox, envelope)
+        verdict = yield done
+        if verdict is not None:
+            return verdict
+        # Delivered: lazily cancel the still-queued timer so it neither
+        # lingers in the depth accounting nor costs a dispatch when its
+        # deadline arrives.
+        guard.timer.cancel()
+        return "ok"
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive (generator); returns ``(payload, Status)``.
@@ -288,15 +324,23 @@ class Comm:
         if timeout is None:
             envelope = yield get_ev
             mailbox.recycle(get_ev)
+        elif get_ev.triggered:
+            envelope = get_ev.value
         else:
-            if not get_ev.triggered:
-                guard = env.timeout(timeout)
-                yield env.any_of([get_ev, guard])
+            # The receiver waits on the match exactly as a plain receive
+            # does; a timer that expires first withdraws the waiter and
+            # ends the wait with no envelope.
+            def expire(_event):
                 if not get_ev.triggered:
                     mailbox.cancel_waiter(get_ev)
-                    return None
-                guard.cancel()
-            envelope = get_ev.value
+                    get_ev.succeed(None)
+
+            guard = env.timeout(timeout)
+            guard.callbacks.append(expire)
+            envelope = yield get_ev
+            if envelope is None:
+                return None
+            guard.cancel()
         if envelope.mode == MODE_RNDV:
             src_node = self._peer(envelope.src)[0]
             # Clear-to-send, then pull the payload through the network.
@@ -310,11 +354,7 @@ class Comm:
         yield env.sleep(network.spec.sw_overhead)
         payload = envelope.payload
         status = envelope.status()
-        if (
-            timeout is None
-            and envelope.mode == MODE_EAGER
-            and network.fault_filter is None
-        ):
+        if envelope.mode == MODE_EAGER and network.fault_filter is None:
             # The receiver is the envelope's last holder on the eager
             # path (the sender returned at hand-off); rendezvous
             # envelopes stay unpooled because a timed-out guarded
@@ -323,10 +363,16 @@ class Comm:
         return payload, status
 
     # -- timeout-guarded point-to-point (resilience layer) -----------------
-    def send_with_timeout(self, obj: Any, dest: int, tag: int = 0, timeout: float = 0.25):
+    def send_with_timeout(
+        self, obj: Any, dest: int, tag: int = 0, timeout: float = 0.25,
+        nbytes: Optional[int] = None, alive: Optional[Callable[[], bool]] = None,
+    ):
         """Generator: send with delivery-timeout detection.
 
-        Returns one of:
+        ``alive`` is the caller's liveness knowledge of the receiver:
+        while it returns true an unmatched announcement is not timed
+        out — a slow receiver is waited for, at its place in the queue —
+        and the guard only re-arms.  Returns one of:
 
         * ``"ok"`` — delivered (or eager: handed to the network; eager
           loss is undetectable at the transport and must be covered by a
@@ -340,7 +386,7 @@ class Comm:
           duplicate suppression makes a resend safe.
         """
         _check_send_tag(tag)
-        return self._send(obj, dest, tag, timeout=timeout)
+        return self._send(obj, dest, tag, nbytes, timeout, alive)
 
     def recv_with_timeout(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG, timeout: float = 0.25

@@ -8,14 +8,18 @@ write faults reported at the next sync, and the faultbench chaos
 matrix meeting its 100%-recovery acceptance bar.
 """
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+import repro.io
 from repro.bench import run_faultbench
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
 from repro.cluster import turing
-from repro.faults import FaultPlan, RetryPolicy, ServerCrash, TransientEIO
+from repro.faults import FaultPlan, MessageFault, RetryPolicy, ServerCrash, TransientEIO
 from repro.genx import GENxConfig, lab_scale_motor, run_genx
 from repro.fs.vfs import TransientIOError
 from repro.io import (
@@ -28,6 +32,7 @@ from repro.io import (
     rocpanda_init,
 )
 from repro.io.rocpanda import server as panda_server
+from repro.io.rocpanda.protocol import TAG_CTRL, TAG_REPLY
 from repro.obs import summary_payload
 from repro.roccom import AttributeSpec, LOC_ELEMENT, LOC_NODE, Roccom
 from repro.shdf import TornFileError, decode_file
@@ -123,6 +128,10 @@ def _launch(nprocs, main, plan=None, seed=0, disk=None, spec=None):
     return run_spmd(machine, nprocs, main), machine
 
 
+def _disk_image(machine):
+    return {path: machine.disk.open(path).read() for path in machine.disk.listdir("")}
+
+
 def _checkpoint_then_restart(plan, spec=None, **write_kwargs):
     """Write 8 procs / 2 servers (under ``plan``), restart 6 / 3."""
     result, machine = _launch(
@@ -147,7 +156,7 @@ class TestServerCrashFailover:
         result, machine, restored = _checkpoint_then_restart(plan)
 
         # The fault actually happened and was survived, not avoided.
-        assert machine.faults.is_dead(4)
+        assert machine.is_dead(4)
         server_stats = [s for kind, s in result.returns if kind == "server"]
         assert any(s.crashed for s in server_stats)
         client_stats = [s for kind, s in result.returns if kind == "client"]
@@ -316,11 +325,10 @@ class TestWriteSlotLease:
     @pytest.fixture(scope="class")
     def contended_instant(self):
         """An instant at which server 4's lander holds the lease (inside
-        a transfer) while server 0's is queued — in a run whose injector
-        never fires, so that clients ship as they do under a crash plan
-        and the crashing runs below follow it up to that instant."""
-        idle = FaultPlan((ServerCrash(rank=4, at_time=1e9),))
-        result, machine = _launch(8, _write_main(2), plan=idle, spec=turing())
+        a transfer) while server 0's is queued — in the fault-free run,
+        which the crashing runs below follow up to that instant (a plan
+        changes nothing of what is sent or when)."""
+        result, machine = _launch(8, _write_main(2), spec=turing())
         assert machine.fs.metrics.peak_write_demand == 1
         for wait in self._records(result, 0, "rocpanda", "slot_wait"):
             t = (wait.t_start + wait.t_end) / 2
@@ -446,8 +454,7 @@ class TestWriteSlotLease:
     def test_crash_after_the_footer_leaves_a_committed_file(self):
         """The close round trip is paid after the lease is given back; a
         server that dies in it has written its commit footer."""
-        idle = FaultPlan((ServerCrash(rank=4, at_time=1e9),))
-        result, _ = _launch(8, _write_main(2), plan=idle, spec=turing())
+        result, _ = _launch(8, _write_main(2), spec=turing())
         closing = self._records(result, 4, "rocpanda", "settle")[-1]
         assert closing.t_start == self._records(result, 4, "rocpanda", "land")[-1].t_end
         crash_at = (closing.t_start + closing.t_end) / 2
@@ -479,8 +486,7 @@ class TestWriteSlotLease:
         by size, but every file's open and close entries queue behind
         it, the close carrying all that was staged meanwhile."""
         prefixes = ("aa", "bb", "ck")
-        idle = FaultPlan((ServerCrash(rank=4, at_time=1e9),))
-        result, _ = _launch(8, _write_main(2, prefixes=prefixes), plan=idle, spec=turing())
+        result, _ = _launch(8, _write_main(2, prefixes=prefixes), spec=turing())
         lands = self._records(result, 4, "rocpanda", "land")
         staged = self._records(result, 4, "rocpanda", "bg_write")
         assert len(staged) == 3 * NBLOCKS * len(prefixes)
@@ -635,6 +641,41 @@ class TestWriteSlotLease:
         assert machine.fs.metrics.peak_write_demand == 1
 
 
+class TestSyncSurvivesLostMessages:
+    """``SyncRequest`` and ``SyncReply`` are eager: a drop is invisible
+    to the transport, and only the client's re-ask recovers it."""
+
+    @pytest.mark.parametrize(
+        "lost", [dict(tag=TAG_CTRL, src=1), dict(tag=TAG_REPLY, dst=1)],
+        ids=["request", "reply"],
+    )
+    def test_a_dropped_sync_message_is_asked_for_again(self, lost):
+        clean, clean_machine = _launch(8, _write_main(2))
+        (asked,) = [
+            r for r in clean.recorder.io_records
+            if (r.rank, r.module, r.op) == (1, "rocpanda", "sync")
+        ]
+        # Client 1's first control message from the instant it enters
+        # sync is its SyncRequest; the first reply it is sent, the ack.
+        plan = FaultPlan((MessageFault("drop", start=asked.t_start, **lost),))
+        result, machine = _launch(8, _write_main(2), plan=plan)
+        counters = summary_payload(result.recorder)["counters"]
+        assert counters["faults"] == {"msg_drop": 1}
+        assert counters["rocpanda"]["sync_reasks"] == 1
+        assert "sync_reasks" not in summary_payload(clean.recorder)["counters"].get(
+            "rocpanda", {}
+        )
+        # A re-ask is not a retry: no faulted operation was redone.
+        client_stats = [s for kind, s in result.returns if kind == "client"]
+        assert sum(s.retries + s.failovers for s in client_stats) == 0
+        (synced,) = [
+            r for r in result.recorder.io_records
+            if (r.rank, r.module, r.op) == (1, "rocpanda", "sync")
+        ]
+        assert synced.t_end > asked.t_end
+        assert _disk_image(machine) == _disk_image(clean_machine)
+
+
 class TestOverflowCounterExport:
     """ISSUE satellite: overflow_flushes visible in the obs rollups."""
 
@@ -732,8 +773,10 @@ class TestCoalescedWriteResumesAtFaultedStage:
 class TestIdleInjectorIsTransparent:
     """An installed injector that never fires must not change the run.
 
-    Rochdf and T-Rochdf have one data path whether or not an injector
-    is installed, so the fault matrix measures the path production runs.
+    Every I/O service has one data path and one protocol whether or not
+    an injector is installed, so the fault matrix measures the path
+    production runs — also under a plan that *could* kill a rank, the
+    one thing a Rocpanda client looks at (it keeps un-synced output).
     """
 
     @staticmethod
@@ -744,33 +787,50 @@ class TestIdleInjectorIsTransparent:
         config = GENxConfig(
             workload=lab_scale_motor(scale=0.02, steps=4, snapshot_interval=2),
             io_mode=io_mode,
+            nservers=1 if io_mode == "rocpanda" else 0,
         )
         result = run_genx(machine, 4, config)
-        image = {
-            path: machine.disk.open(path).read()
-            for path in machine.disk.listdir("")
-        }
-        return result.wall_time, result.visible_io_time, image
+        return result.wall_time, result.visible_io_time, _disk_image(machine)
 
-    @pytest.mark.parametrize("io_mode", ["rochdf", "trochdf"])
+    @pytest.mark.parametrize("io_mode", ["rochdf", "trochdf", "rocpanda"])
     @pytest.mark.parametrize(
         "plan",
-        [FaultPlan(()), FaultPlan((TransientEIO(start=1e9),))],
-        ids=["empty_plan", "never_fires"],
+        [
+            FaultPlan(()),
+            FaultPlan((TransientEIO(start=1e9),)),
+            FaultPlan((ServerCrash(rank=0, at_time=1e9),)),
+        ],
+        ids=["empty_plan", "never_fires", "crash_never_comes"],
     )
     def test_same_times_and_disk_image_as_no_injector(self, io_mode, plan):
         reference = self._run(io_mode, None)
         assert reference[2], "job wrote no files"
         assert self._run(io_mode, plan) == reference
 
+    def test_no_io_module_asks_whether_an_injector_is_installed(self):
+        """The fork cannot come back unnoticed: nothing under
+        ``repro/io`` holds the injector or branches on its presence
+        (liveness is ``machine.is_dead``, always there)."""
+        fork = re.compile(r"faults is (not )?None|_faults\b")
+        sources = sorted(pathlib.Path(repro.io.__file__).parent.rglob("*.py"))
+        assert len(sources) > 5
+        hits = [
+            f"{path.name}:{n}: {line.strip()}"
+            for path in sources
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if fork.search(line)
+        ]
+        assert not hits, hits
+
 
 class TestChaosMatrix:
     """ISSUE acceptance: 100% recovery, 100% determinism, full matrix."""
 
     def test_batched_shipping_rows_recover(self):
-        """Spot-check: the rocpanda rows (which ship batched — the
-        module's default) stay at 100% recovery/determinism, so the
-        one-guarded-send batch path replays cleanly under faults."""
+        """Spot-check: the rocpanda rows stay at 100% recovery and
+        determinism, so the encoded batch — shipped, and after a
+        failover re-shipped, one guarded block at a time — replays
+        cleanly under faults."""
         payload = run_faultbench(
             skip_overhead=True,
             only=["server_crash/rocpanda", "msg_drop/rocpanda"],

@@ -12,6 +12,7 @@ byte by byte.
 import pytest
 
 from repro.cluster import Machine, frost, turing
+from repro.faults import FaultPlan, ServerCrash
 from repro.genx import GENxConfig, run_genx, scalability_cylinder
 from repro.io import ServerConfig
 from repro.shdf import decode_file
@@ -19,13 +20,15 @@ from repro.shdf import decode_file
 PER_CLIENT = 0.05 * 2**20
 
 
-def _weak(spec, nclients, nservers, server_config=None):
+def _weak(spec, nclients, nservers, server_config=None, per_client=PER_CLIENT, plan=None):
     """One weak-scaling job; returns (result, fs metrics, lease, records)."""
     cylinder = scalability_cylinder(
         blocks_per_client_fluid=2, blocks_per_client_solid=1,
-        per_client_bytes=PER_CLIENT, steps=2, snapshot_interval=2,
+        per_client_bytes=per_client, steps=2, snapshot_interval=2,
     )
     machine = Machine(spec, seed=100)
+    if plan is not None:
+        machine.install_faults(plan)
     config = GENxConfig(
         workload=cylinder, io_mode="rocpanda", nservers=nservers, prefix="k",
         server_config=server_config,
@@ -81,3 +84,29 @@ def test_a_buffer_below_one_snapshot_share_bounds_the_stage():
     assert _holds(tight) == pytest.approx(metrics.write_busy_time, abs=1e-9)
     assert metrics.peak_write_demand == 1 and lease.count == 0 and not lease.queue
     assert files == reference
+
+
+@pytest.mark.parametrize(
+    "fraction, wall, visible",
+    [(0.5, 4.2231, 2.2578), (0.1, 5.3330, 3.7804), (0.02, 5.4599, 3.7825)],
+)
+def test_back_pressure_is_waited_for_with_or_without_an_idle_plan(fraction, wall, visible):
+    """A guard that expires against a live server costs nothing but the
+    guard.  With room for a tenth of a snapshot share a sender waits
+    seconds for landings: its announcement stays posted and keeps its
+    place, so the run takes what it took before sends were guarded —
+    it used to end in "kept timing out" once any plan was installed."""
+    per_client = 0.5 * 2**20
+    config = ServerConfig(buffer_bytes=8 * per_client * fraction)
+    idle = FaultPlan((ServerCrash(rank=0, at_time=1e9),))
+    plain, _metrics, _lease, reference = _weak(turing(), 128, 16, config, per_client)
+    guarded, _metrics, _lease, files = _weak(
+        turing(), 128, 16, config, per_client, plan=idle
+    )
+    assert (plain.wall_time, plain.visible_io_time) == pytest.approx((wall, visible), abs=5e-5)
+    assert (guarded.wall_time, guarded.visible_io_time) == (
+        plain.wall_time, plain.visible_io_time,
+    )
+    assert files == reference
+    for result in (plain, guarded):
+        assert sum(c.io_stats.retries + c.io_stats.failovers for c in result.clients) == 0

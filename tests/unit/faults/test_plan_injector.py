@@ -111,9 +111,9 @@ class TestInjectorCrashes:
 
         result = run_spmd(machine, 3, main)
         assert result.returns == ["finished", "crashed", "finished"]
-        assert machine.faults.is_dead(1)
-        assert machine.faults.dead_ranks() == {1}
-        assert not machine.faults.is_dead(0)
+        assert machine.is_dead(1)
+        assert machine.dead_ranks() == {1}
+        assert not machine.is_dead(0)
 
     def test_crash_is_recorded_as_fault_counter(self):
         machine = _machine(FaultPlan((ServerCrash(rank=0, at_time=0.5),)))
@@ -137,7 +137,7 @@ class TestInjectorCrashes:
             try:
                 yield from ctx.sleep(1.0)
             except Interrupt:
-                seen["dead"] = machine.faults.is_dead(ctx.rank)
+                seen["dead"] = machine.is_dead(ctx.rank)
             return None
 
         run_spmd(machine, 1, main)

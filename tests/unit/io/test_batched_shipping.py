@@ -8,8 +8,10 @@ from repro.cluster import testbox as make_testbox
 from repro.io import PandaServer, RocpandaModule, rocpanda_init
 from repro.io.base import DataBlock, block_to_datasets
 from repro.io.rocpanda.protocol import (
+    TAG_BLOCK,
     TAG_CTRL,
     BlockBatch,
+    BlockEnvelope,
     EncodedBlock,
     WriteBegin,
     encode_block_batch,
@@ -137,7 +139,6 @@ class TestEncodeBlockBatch:
                 for d in block_to_datasets(block)
             ]
             assert [(n, bytes(r), nb) for n, r, nb in eb.records] == expected
-        assert batch.nbytes == sum(b.nbytes + 64 for b in batch.blocks)
 
     def test_encoding_is_the_snapshot_copy(self):
         """Mutating source arrays after encoding must not change the
@@ -150,6 +151,8 @@ class TestEncodeBlockBatch:
 
 
 class TestServerBatchPath:
+    """The server takes a batch's blocks one :class:`BlockEnvelope` each."""
+
     def _run(self, send):
         def main(ctx):
             topo = yield from rocpanda_init(ctx, 1)
@@ -179,31 +182,15 @@ class TestServerBatchPath:
                 ),
                 dest=topo.my_server, tag=TAG_CTRL,
             )
-            from repro.io.rocpanda.protocol import TAG_BLOCK
-
-            yield from topo.world.send(
-                batch, dest=topo.my_server, tag=TAG_BLOCK
-            )
-            # The identical batch again: every block is a duplicate.
-            yield from topo.world.send(
-                batch, dest=topo.my_server, tag=TAG_BLOCK
-            )
+            # The batch as a re-ship after failover sends it: every
+            # block a second time.
+            for eb in batch.blocks + batch.blocks:
+                yield from topo.world.send(
+                    BlockEnvelope(batch.path, eb), dest=topo.my_server, tag=TAG_BLOCK
+                )
 
         machine, stats = self._run(send)
+        assert stats.blocks_received == 2 * len(blocks)
         assert stats.duplicate_blocks_dropped == len(blocks)
         assert stats.blocks_written == len(blocks)
         assert machine.disk.exists("dup_s0000.shdf")
-
-    def test_batch_without_write_begin_is_protocol_error(self):
-        from repro.io import ProtocolError
-        from repro.io.rocpanda.protocol import TAG_BLOCK
-
-        batch = encode_block_batch("never_begun", _blocks(n=1))
-
-        def send(ctx, topo):
-            yield from topo.world.send(
-                batch, dest=topo.my_server, tag=TAG_BLOCK
-            )
-
-        with pytest.raises(ProtocolError, match="WriteBegin"):
-            self._run(send)

@@ -10,6 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster import Machine
+from repro.cluster import testbox as make_testbox
+from repro.faults import RetryPolicy
 from repro.io.rocpanda.client import RocpandaModule
 from repro.io.rocpanda.protocol import (
     ProtocolError,
@@ -36,9 +39,6 @@ class _FakeWorld:
         self.sent.append((msg, dest, tag))
         return _gen()
 
-    def recv(self, source, tag):
-        return _gen(self.replies.pop(0))
-
     def recv_with_timeout(self, source, tag, timeout):
         return _gen(self.replies.pop(0) if self.replies else None)
 
@@ -46,10 +46,10 @@ class _FakeWorld:
 def _fake_client(replies):
     return SimpleNamespace(
         topo=SimpleNamespace(world=_FakeWorld(replies), servers=[1]),
-        ctx=SimpleNamespace(rank=3),
+        ctx=SimpleNamespace(rank=3, machine=Machine(make_testbox())),
         stats=SimpleNamespace(blocks_read=0, bytes_read=0),
+        retry=RetryPolicy(),
         com=None,
-        _faults=None,
     )
 
 
