@@ -154,9 +154,7 @@ def run_driver_tier_matrix(
                 writer = SHDFWriter(env, fs, "a2t.shdf", driver)
                 yield from _write_per_dataset(writer, ndatasets, data)
                 t_visible = env.now
-                barrier = getattr(fs, "drain_barrier", None)
-                if barrier is not None:
-                    yield from barrier()
+                yield from fs.drain_barrier()
                 return t_visible, env.now
 
             proc = env.process(program())

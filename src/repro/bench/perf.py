@@ -586,10 +586,8 @@ def bench_tier_absorb(
                 yield from writer.open()
                 yield from writer.write_records(encode_records(datasets))
                 yield from writer.close()
-            barrier = getattr(fs, "drain_barrier", None)
-            if barrier is not None:
-                yield from barrier()
-                assert fs.backlog_bytes == 0
+            yield from fs.drain_barrier()
+            assert tier != "burst" or fs.backlog_bytes == 0
 
         env.process(writes(), name="writes")
         env.run()

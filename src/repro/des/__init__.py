@@ -11,16 +11,7 @@ timings.
 from .core import NORMAL, URGENT, Environment, Event, Process, Timeout
 from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Condition, ConditionValue
-from .resources import (
-    Container,
-    FilterStore,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
-from .sync import CondVar, CyclicBarrier, Mutex, Semaphore
+from .resources import Release, Request, Resource
 
 __all__ = [
     "Environment",
@@ -38,14 +29,6 @@ __all__ = [
     "Condition",
     "ConditionValue",
     "Resource",
-    "PriorityResource",
     "Request",
     "Release",
-    "Store",
-    "FilterStore",
-    "Container",
-    "Mutex",
-    "CondVar",
-    "Semaphore",
-    "CyclicBarrier",
 ]

@@ -1,29 +1,20 @@
-"""Shared resources for the DES kernel.
+"""The shared resource of the DES kernel.
 
-* :class:`Resource` — capacity-limited resource with FIFO (or priority)
-  request queue; models CPUs, NICs, file-server service slots.
-* :class:`Store` — unbounded/bounded FIFO object store; models message
-  queues and mailboxes.
-* :class:`FilterStore` — store whose ``get`` takes a predicate; models
-  tag/source-matched message retrieval.
-* :class:`Container` — continuous-level resource; models memory pools.
+:class:`Resource` is a capacity-limited resource with a FIFO request
+queue; it models NICs, file-server service slots and the filesystems'
+write-slot lease.  It is the only queueing primitive the stack uses:
+messages are matched in :mod:`repro.vmpi.mailbox`, and work handed to a
+background process is queued by its owner
+(:class:`repro.vthread.BackgroundWorker`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import List
 
 from .core import Environment, Event
 
-__all__ = [
-    "Resource",
-    "PriorityResource",
-    "Request",
-    "Release",
-    "Store",
-    "FilterStore",
-    "Container",
-]
+__all__ = ["Resource", "Request", "Release"]
 
 
 class Request(Event):
@@ -42,11 +33,9 @@ class Request(Event):
     the stack instead).
     """
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
-        self.time = resource.env.now
         resource._do_request(self)
 
     def cancel(self) -> None:
@@ -86,8 +75,8 @@ class Resource:
         """Number of granted (active) requests."""
         return len(self.users)
 
-    def request(self, priority: int = 0) -> Request:
-        return Request(self, priority)
+    def request(self) -> Request:
+        return Request(self)
 
     def release(self, request: Request) -> Release:
         return Release(self, request)
@@ -98,10 +87,7 @@ class Resource:
             self.users.append(request)
             request.succeed()
         else:
-            self._enqueue(request)
-
-    def _enqueue(self, request: Request) -> None:
-        self.queue.append(request)
+            self.queue.append(request)
 
     def _do_release(self, release: Release) -> None:
         try:
@@ -115,200 +101,3 @@ class Resource:
             request = self.queue.pop(0)
             self.users.append(request)
             request.succeed()
-
-
-class PriorityResource(Resource):
-    """Resource whose queue is ordered by (priority, request time).
-
-    Lower ``priority`` values are served first.
-    """
-
-    def _enqueue(self, request: Request) -> None:
-        self.queue.append(request)
-        self.queue.sort(key=lambda r: (r.priority, r.time))
-
-
-class StorePut(Event):
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-        store._do_put(self)
-
-
-class StoreGet(Event):
-    def __init__(self, store: "Store", filter: Optional[Callable] = None):
-        super().__init__(store.env)
-        self.filter = filter
-        store._do_get(self)
-
-    def cancel(self) -> None:
-        """Withdraw an unfulfilled get from the store's waiter queue."""
-        if not self.triggered:
-            try:
-                self._store_ref.getters.remove(self)
-            except (AttributeError, ValueError):
-                pass
-
-
-class Store:
-    """FIFO object store with optional capacity bound."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        self.env = env
-        self.capacity = capacity
-        self.items: List[Any] = []
-        self.putters: List[StorePut] = []
-        self.getters: List[StoreGet] = []
-
-    def put(self, item: Any) -> StorePut:
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        return StoreGet(self)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    # -- internals -----------------------------------------------------
-    def _do_put(self, event: StorePut) -> None:
-        if len(self.items) < self.capacity:
-            self.items.append(event.item)
-            event.succeed()
-            self._serve_getters()
-        else:
-            self.putters.append(event)
-
-    def _do_get(self, event: StoreGet) -> None:
-        event._store_ref = self
-        self.getters.append(event)
-        self._serve_getters()
-
-    def _serve_getters(self) -> None:
-        # Serve waiting getters FIFO while items are available.
-        while self.getters and self.items:
-            getter = self.getters[0]
-            item = self._match(getter)
-            if item is _NO_MATCH:
-                break
-            self.getters.pop(0)
-            getter.succeed(item)
-            self._admit_putters()
-
-    def _match(self, getter: StoreGet) -> Any:
-        return self.items.pop(0)
-
-    def _admit_putters(self) -> None:
-        while self.putters and len(self.items) < self.capacity:
-            putter = self.putters.pop(0)
-            self.items.append(putter.item)
-            putter.succeed()
-
-
-_NO_MATCH = object()
-
-
-class FilterStore(Store):
-    """Store whose ``get(filter)`` retrieves the first matching item.
-
-    Unlike the plain :class:`Store`, *every* waiting getter is checked
-    against the available items whenever the store changes, so a getter
-    with a narrow filter does not block getters behind it.
-    """
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        return StoreGet(self, filter)
-
-    def _serve_getters(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            for getter in list(self.getters):
-                if getter.triggered:
-                    self.getters.remove(getter)
-                    continue
-                for i, item in enumerate(self.items):
-                    if getter.filter is None or getter.filter(item):
-                        del self.items[i]
-                        self.getters.remove(getter)
-                        getter.succeed(item)
-                        self._admit_putters()
-                        progress = True
-                        break
-
-
-class ContainerPut(Event):
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be > 0")
-        super().__init__(container.env)
-        self.amount = amount
-        container._do_put(self)
-
-
-class ContainerGet(Event):
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be > 0")
-        super().__init__(container.env)
-        self.amount = amount
-        container._do_get(self)
-
-
-class Container:
-    """A continuous-level resource (e.g. a memory pool in bytes)."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = init
-        self.putters: List[ContainerPut] = []
-        self.getters: List[ContainerGet] = []
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    # -- internals -----------------------------------------------------
-    def _do_put(self, event: ContainerPut) -> None:
-        self.putters.append(event)
-        self._settle()
-
-    def _do_get(self, event: ContainerGet) -> None:
-        self.getters.append(event)
-        self._settle()
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self.putters:
-                put = self.putters[0]
-                if self._level + put.amount <= self.capacity:
-                    self.putters.pop(0)
-                    self._level += put.amount
-                    put.succeed()
-                    progress = True
-            if self.getters:
-                get = self.getters[0]
-                if get.amount <= self._level:
-                    self.getters.pop(0)
-                    self._level -= get.amount
-                    get.succeed()
-                    progress = True

@@ -133,6 +133,15 @@ class FileSystemModel:
         yield from self._service_read(nbytes, node)
         self.metrics.read_busy_time += self.env.now - t0
 
+    def drain_barrier(self):
+        """Generator: return once every completed write is durable.
+
+        A model that writes through is durable when :meth:`write`
+        returns: this yields nothing — no event, no virtual time.  A
+        write-behind tier overrides it.
+        """
+        yield from ()
+
     # -- hooks -----------------------------------------------------------
     def _service_meta(self, node):
         # Every model charges a flat ``meta_latency`` (set by the subclass)

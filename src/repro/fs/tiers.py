@@ -5,8 +5,11 @@ processes absorb snapshot data over the network and write behind the
 computation.  A burst buffer pushes the same idea one level *down* the
 storage stack: writes land in a bounded memory tier at memory-bandwidth
 cost and are *visible-complete* immediately, while a background drain
-process flushes dirty extents to the backing disk through the same
-:class:`~repro.fs.coalesce.WriteCoalescer` the servers use.
+flushes dirty extents to the backing disk through the same
+:class:`~repro.fs.coalesce.WriteCoalescer` the servers use.  The drain
+is a :class:`~repro.vthread.BackgroundWorker`, like the servers' lander
+and T-Rochdf's I/O thread; the tier's own is the policy below: what is
+flushed when, spill instead of blocking, a failed drain fails barriers.
 
 Layering
 --------
@@ -54,8 +57,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..des import Environment, Event
+from ..des import Environment
 from ..faults.retry import RetryPolicy, retrying
+from ..vthread import BackgroundWorker
 from .coalesce import WriteCoalescer
 from .models import FileSystemModel
 from .vfs import FileExists, VirtualDisk, VirtualFile, WriteFaultError
@@ -295,12 +299,11 @@ class BurstBufferTier(FileSystemModel):
 
     Fronts ``backing`` (any :class:`FileSystemModel`): writes are
     charged at memory bandwidth and become visible-complete
-    immediately; a background DES process drains dirty extents to the
+    immediately; the background drain moves dirty extents to the
     backing filesystem through a :class:`WriteCoalescer`, retrying
     transient faults with :attr:`TierConfig.retry`.  Reads delegate to
     the backing model's timing (conservative: a resident read would be
-    faster, but restart dominates on cold data and the executable spec
-    stays comparable).
+    faster, but restart dominates on cold data).
     """
 
     def __init__(
@@ -327,14 +330,13 @@ class BurstBufferTier(FileSystemModel):
         #: create/truncate); the barrier waits for these too.
         self._pending_ns = 0
         self._flushes_in_flight = 0
-        self._wakeup: Optional[Event] = None
-        self._barrier_waiters: List[Event] = []
+        #: The background drain; gone whenever nothing is dirty.
+        self._drain = BackgroundWorker(env, self._next_flush, "tier-drain")
         self._failure: Optional[BaseException] = None
         self._recorder = None
         self._reported_backlog_peak = 0
         #: Monotonic LRU clock (not env.now: ties must break by order).
         self._touch_clock = 0
-        env.process(self._drain_loop(), name="tier-drain")
 
     # -- job hookup ------------------------------------------------------
     def attach_job(self, job) -> None:
@@ -364,7 +366,7 @@ class BurstBufferTier(FileSystemModel):
             yield from self._spill(nbytes, node)
         yield self.env.timeout(cfg.absorb_latency + nbytes / cfg.absorb_bw)
         self.stats.absorbed_bytes += nbytes
-        self._kick_drain()
+        self._drain.kick()
 
     def _service_read(self, nbytes: int, node):
         yield from self.backing._service_read(nbytes, node)
@@ -409,8 +411,8 @@ class BurstBufferTier(FileSystemModel):
             state.backing_vfile = None
             self._set_pending_ns(state, True)
             self._enqueue(state)
-            self._kick_drain()
-        self._check_barrier()
+            self._drain.kick()
+        self._drain.notify()
 
     def _note_write(self, vfile: _TierFile) -> None:
         state = self._ensure_state(vfile)
@@ -434,7 +436,7 @@ class BurstBufferTier(FileSystemModel):
         self._touch(state)
         if state.needs_flush:
             self._enqueue(state)
-        self._kick_drain()
+        self._drain.kick()
 
     def _note_overwrite(self, vfile: _TierFile, offset: int) -> None:
         state = self._ensure_state(vfile)
@@ -468,7 +470,7 @@ class BurstBufferTier(FileSystemModel):
         # A truncate with no follow-up writes must still reach the
         # backing disk: schedule a (namespace-only) drain visit.
         self._enqueue(state)
-        self._kick_drain()
+        self._drain.kick()
 
     def _note_unlink(self, path: str) -> None:
         state = self._states.pop(path, None)
@@ -479,7 +481,7 @@ class BurstBufferTier(FileSystemModel):
             if state.pending_ns:
                 self._pending_ns -= 1
         self.journal.forget(path)
-        self._check_barrier()
+        self._drain.notify()
 
     def _set_pending_ns(self, state: _PathState, flag: bool) -> None:
         if state.pending_ns != flag:
@@ -549,7 +551,10 @@ class BurstBufferTier(FileSystemModel):
             state = self._pick_dirty()
             if state is None:
                 break  # everything dirty is already in flight elsewhere
-            yield from self._flush_chunk(state, node)
+            try:
+                yield from self._flush_chunk(state, node)
+            finally:
+                self._drain.notify()  # not a job of the drain: say so
             self._evict_clean(cfg.capacity_bytes - incoming)
 
     # -- the drain -------------------------------------------------------
@@ -565,34 +570,23 @@ class BurstBufferTier(FileSystemModel):
             return state
         return None
 
-    def _drain_loop(self):
-        while True:
-            state = self._pick_dirty()
-            if state is None:
-                self._check_barrier()
-                ev = Event(self.env)
-                self._wakeup = ev
-                yield ev
-                continue
-            try:
-                yield from self._flush_chunk(state, None)
-            except WriteFaultError as exc:
-                # The drain must not die silently: park the failure,
-                # fail every durability barrier loudly, and stop — a
-                # drain whose retries exhausted will not magically
-                # succeed on the same bytes a moment later.
-                self._failure = exc
-                self.stats.drain_failures += 1
-                waiters, self._barrier_waiters = self._barrier_waiters, []
-                for waiter in waiters:
-                    waiter.succeed()
-                return
+    def _next_flush(self):
+        if self._failure is not None:
+            return None
+        state = self._pick_dirty()
+        return self._flush_behind(state) if state is not None else None
 
-    def _kick_drain(self) -> None:
-        ev = self._wakeup
-        if ev is not None:
-            self._wakeup = None
-            ev.succeed()
+    def _flush_behind(self, state: _PathState):
+        """Generator, one job of the background drain: one chunk."""
+        try:
+            yield from self._flush_chunk(state, None)
+        except WriteFaultError as exc:
+            # The drain must not die silently: park the failure, fail
+            # every durability barrier loudly, and stop — a drain whose
+            # retries exhausted will not magically succeed on the same
+            # bytes a moment later.
+            self._failure = exc
+            self.stats.drain_failures += 1
 
     def _note_drain_retry(self, attempt: int, exc: BaseException) -> None:
         self.stats.drain_retries += 1
@@ -646,19 +640,16 @@ class BurstBufferTier(FileSystemModel):
             self._flushes_in_flight -= 1
             if state.needs_flush:
                 self._enqueue(state)
-                self._kick_drain()
-            self._check_barrier()
+                self._drain.kick()
 
     # -- durability barrier ----------------------------------------------
-    def _check_barrier(self) -> None:
-        if (
+    def _settled(self) -> bool:
+        """No barrier has anything left to wait for: durable, or failed."""
+        return self._failure is not None or (
             self._backlog == 0
             and self._flushes_in_flight == 0
             and self._pending_ns == 0
-        ):
-            waiters, self._barrier_waiters = self._barrier_waiters, []
-            for waiter in waiters:
-                waiter.succeed()
+        )
 
     def drain_barrier(self):
         """Generator: return once every absorbed byte is durable on the
@@ -667,18 +658,8 @@ class BurstBufferTier(FileSystemModel):
         Raises :class:`DrainFailedError` if the drain exhausted its
         retries — the durability promise cannot be kept.
         """
-        while True:
-            if self._failure is not None:
-                raise DrainFailedError(
-                    f"write-behind drain failed: {self._failure}"
-                ) from self._failure
-            if (
-                self._backlog == 0
-                and self._flushes_in_flight == 0
-                and self._pending_ns == 0
-            ):
-                return
-            ev = Event(self.env)
-            self._barrier_waiters.append(ev)
-            self._kick_drain()
-            yield ev
+        yield from self._drain.wait(self._settled)
+        if self._failure is not None:
+            raise DrainFailedError(
+                f"write-behind drain failed: {self._failure}"
+            ) from self._failure

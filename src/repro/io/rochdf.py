@@ -274,17 +274,6 @@ class RochdfModule(ServiceModule):
         )
         return sorted(restored)
 
-    def _tier_barrier(self):
-        """Generator: wait for a burst tier's write-behind drain, if any.
-
-        Under ``storage_tier="direct"`` the machine's fs has no
-        ``drain_barrier`` and this is a pure no-op (no events, no time),
-        keeping the seam timing-transparent.
-        """
-        barrier = getattr(self.ctx.fs, "drain_barrier", None)
-        if barrier is not None:
-            yield from barrier()
-
     def sync(self):
         """Generator: make every completed write durable.
 
@@ -294,7 +283,7 @@ class RochdfModule(ServiceModule):
         """
         t0 = self.ctx.now
         yield self.ctx.env.sleep(0)
-        yield from self._tier_barrier()
+        yield from self.ctx.fs.drain_barrier()
         self.ctx.io_record(self.name, "sync", t_start=t0)
 
 

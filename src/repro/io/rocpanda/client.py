@@ -18,13 +18,13 @@ decides one thing only: output is retained for a re-ship until the next
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Dict, List, Optional
 
-from ...des import Event, Store
 from ...faults.retry import RetryPolicy
 from ...roccom.module import ServiceModule
 from ...vmpi.datatypes import ANY_SOURCE
-from ...vthread import VThread
+from ...vthread import BackgroundWorker
 from ..base import IOStats, apply_block, collect_blocks
 from .protocol import (
     TAG_BLOCK,
@@ -89,7 +89,7 @@ class RocpandaModule(ServiceModule):
         """``client_buffering`` enables the *full* active-buffering
         hierarchy of [13]: output is first copied into client-side
         buffers (visible cost = the memcpy, like T-Rochdf) and a
-        persistent background sender ships the blocks to the server.
+        background sender ships the blocks to the server.
         GENx's production configuration keeps this off — "only
         server-side buffering is used because the servers have enough
         idle memory" (§6.1) — but the hierarchy is part of the scheme.
@@ -105,9 +105,13 @@ class RocpandaModule(ServiceModule):
         self.stats = IOStats()
         self.com = None
         self._finalized = False
-        self._sender: Optional[VThread] = None
-        self._send_queue: Optional[Store] = None
-        self._pending_sends: List[Event] = []
+        #: Client-side buffering: ``(window, batch, file_attrs)`` of the
+        #: calls not yet shipped, oldest first, and the background
+        #: sender that ships them; both stay empty and idle without it.
+        self._sends: deque = deque()
+        self._sender = BackgroundWorker(
+            ctx.env, self._next_send, f"panda-sender-r{ctx.rank}"
+        )
         #: Current I/O server (``topo.my_server`` until a failover), and
         #: the machine's live set of crashed ranks.
         self._server = topo.my_server
@@ -122,24 +126,16 @@ class RocpandaModule(ServiceModule):
     def load(self, com) -> None:
         self.com = com
         self._register_io_window(com)
-        if self.client_buffering:
-            self._send_queue = Store(self.ctx.env)
-            self._sender = VThread(
-                self.ctx.env,
-                self._sender_main(),
-                name=f"panda-sender-r{self.ctx.rank}",
-            )
 
     def unload(self, com):
-        """Generator: drain buffered sends, join the sender, tear down.
+        """Generator: drain buffered sends, then tear down.
 
-        In client-buffering mode a plain teardown would drop
-        ``_pending_sends`` and leave the background sender running;
-        unload goes through the same drain-and-join path ``finalize``
-        uses so no buffered block is lost.  Drive with
-        ``yield from com.unload_module("rocpanda")``.
+        In client-buffering mode a plain teardown would drop the
+        buffered sends and leave the background sender running; unload
+        waits for it as ``finalize`` does, so no buffered block is lost.
+        Drive with ``yield from com.unload_module("rocpanda")``.
         """
-        yield from self._shutdown_sender()
+        yield from self._sender.wait()
         self._deregister_io_window(com)
         self.com = None
 
@@ -172,9 +168,8 @@ class RocpandaModule(ServiceModule):
             # Full active-buffering hierarchy ([13]): visible cost is
             # the local copy; the background sender ships the batch.
             yield from ctx.memcpy(total)
-            done = Event(ctx.env)
-            self._pending_sends.append(done)
-            self._send_queue.put((window_name, batch, attrs, done))
+            self._sends.append((window_name, batch, attrs))
+            self._sender.kick()
         else:
             yield from self._deliver(window_name, batch, attrs)
         self.stats.snapshots += 1
@@ -301,27 +296,18 @@ class RocpandaModule(ServiceModule):
             f"Rocpanda server"
         )
 
-    def _sender_main(self):
-        """Persistent background sender (client-side buffering mode)."""
-        while True:
-            job = yield self._send_queue.get()
-            if job is None:
-                return
-            window_name, batch, file_attrs, done = job
-            t0 = self.ctx.now
-            yield from self._deliver(window_name, batch, file_attrs)
-            done.succeed()
-            self.ctx.io_record(
-                self.name, "bg_ship", path=batch.path,
-                nbytes=sum(b.nbytes for b in batch.blocks), t_start=t0,
-                visible=False,
-            )
+    def _next_send(self):
+        return self._ship_behind(*self._sends.popleft()) if self._sends else None
 
-    def _drain_sends(self):
-        """Generator: wait until all buffered sends reached the server."""
-        pending, self._pending_sends = self._pending_sends, []
-        for done in pending:
-            yield done
+    def _ship_behind(self, window_name, batch, file_attrs):
+        """Generator, one job of the background sender: one buffered call."""
+        t0 = self.ctx.now
+        yield from self._deliver(window_name, batch, file_attrs)
+        self.ctx.io_record(
+            self.name, "bg_ship", path=batch.path,
+            nbytes=sum(b.nbytes for b in batch.blocks), t_start=t0,
+            visible=False,
+        )
 
     def read_attribute(
         self,
@@ -338,7 +324,7 @@ class RocpandaModule(ServiceModule):
         """
         ctx = self.ctx
         t0 = ctx.now
-        yield from self._drain_sends()
+        yield from self._sender.wait()
         if not self._server_alive():
             self._failover()
         window = self.com.window(window_name)
@@ -479,7 +465,7 @@ class RocpandaModule(ServiceModule):
         t0 = self.ctx.now
         world = self.topo.world
         policy = self.retry
-        yield from self._drain_sends()
+        yield from self._sender.wait()
         self._sync_seq += 1
         request = SyncRequest(self._sync_seq)
         for _ in range(len(self.topo.servers) + 1):
@@ -513,20 +499,12 @@ class RocpandaModule(ServiceModule):
             f"rank {self.ctx.rank}: could not sync with any Rocpanda server"
         )
 
-    def _shutdown_sender(self):
-        """Generator: drain pending sends and join the background sender."""
-        yield from self._drain_sends()
-        if self._sender is not None and self._sender.alive:
-            self._send_queue.put(None)  # shutdown token
-            yield from self._sender.join()
-        self._sender = None
-
     def finalize(self):
         """Generator: tell the server this client is done (call once)."""
         if self._finalized:
             return
         self._finalized = True
-        yield from self._shutdown_sender()
+        yield from self._sender.wait()
         yield from self._deliver_pending()
         if not self._server_alive():
             self._failover()

@@ -11,8 +11,10 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
   yields to new requests; per block it pays the format's directory
   bookkeeping (CPU) and never waits for the filesystem.  A file's
   blocks are staged in its writer, and the sealed stages are landed by
-  the **lander**, a second process (started on demand, gone when idle)
-  that does all that touches ``ctx.fs``, in queue order.  Under the
+  the **lander**, a second process (a
+  :class:`~repro.vthread.BackgroundWorker`: started on demand, gone
+  when idle) that does all that touches ``ctx.fs``, in queue order.
+  Under the
   filesystem's **write-slot lease** (``fs.write_lease``: the servers
   take turns at the shared filesystem instead of contending inside it)
   only bytes move — header, stage, commit footer, one FIFO wait per
@@ -60,6 +62,7 @@ from ...shdf.codec import TornFileError
 from ...shdf.drivers import HDFDriver, hdf4_driver
 from ...shdf.file import SHDFReader, SHDFWriter
 from ...vmpi.datatypes import ANY_SOURCE, ANY_TAG
+from ...vthread import BackgroundWorker
 from ..base import DataBlock, datasets_to_blocks
 from ..trochdf import BackgroundWriteError
 from .protocol import (
@@ -223,12 +226,13 @@ class PandaServer:
         self._queue: deque = deque()
         self._buffered_bytes = 0
         #: FIFO of ``(path state, sealed blocks, close the file?)`` for
-        #: the lander; its process while it runs; the event its next
-        #: landing fires; the main-loop process (interrupted if a landing
-        #: fails for good); bookkeeping in progress + lease held.
+        #: the lander, and the lander; the fault a landing failed for
+        #: good with (the lander stops); the main-loop process
+        #: (interrupted when that happens); bookkeeping in progress +
+        #: lease held.
         self._landings: deque = deque()
-        self._lander = None
-        self._landed = ctx.env.event()
+        self._lander = BackgroundWorker(ctx.env, self._next_landing, "panda-lander")
+        self._failure: Optional[WriteFaultError] = None
         self._main = None
         self._nworking = 0
         self._shutdown_ranks: set = set()
@@ -280,8 +284,7 @@ class PandaServer:
                     f"server rank {self.ctx.rank}: landing failed for good: {exc.cause}"
                 ) from exc.cause
             self.stats.crashed = True
-            if self._lander is not None:
-                self._lander.interrupt(exc.cause)
+            self._lander.interrupt(exc.cause)
             self.ctx.recorder.record_counter("rocpanda", "server_crashes")
             self.ctx.log_fault(f"server rank {self.ctx.rank} crashed: {exc.cause}")
             return self.stats
@@ -315,14 +318,11 @@ class PandaServer:
                 f"for paths {paths} that never saw a WriteBegin"
             )
         self._close_finished_paths(force=True)
-        if self._lander is not None:
-            yield self._lander
+        yield from self._lander.wait()
         # Under a burst storage tier, the server's durability promise
         # extends through the write-behind drain: wait for it before
         # answering the final syncs and going away.
-        barrier = getattr(ctx.fs, "drain_barrier", None)
-        if barrier is not None:
-            yield from barrier()
+        yield from ctx.fs.drain_barrier()
         self._answer_sync_waiters()
         return self.stats
 
@@ -446,8 +446,7 @@ class PandaServer:
             self._buffered_bytes += eb.nbytes
             yield from self._stage_block(msg.path, eb)
             self._close_finished_paths()
-            if self._lander is not None:
-                yield self._lander
+            yield from self._lander.wait()
             return
         # One streaming copy into the server's buffer hierarchy.
         yield self.ctx.env.sleep(eb.nbytes / cfg.ingest_bw)
@@ -473,13 +472,11 @@ class PandaServer:
             return
         self.stats.overflow_flushes += 1
         self.ctx.recorder.record_counter("rocpanda", "overflow_flushes")
-        while self._buffered_bytes + nbytes > limit:
-            if self._queue:
-                yield from self._stage_one_block()
-            elif self._lander is not None:
-                yield self._landed
-            else:
-                break
+        while self._queue and self._buffered_bytes + nbytes > limit:
+            yield from self._stage_one_block()
+        yield from self._lander.wait(
+            lambda: self._buffered_bytes + nbytes <= limit or not self._lander.busy
+        )
 
     def _stage_one_block(self):
         path, block = self._queue.popleft()
@@ -504,7 +501,7 @@ class PandaServer:
         :data:`WRITE_BEHIND_BYTES` is sealed for it, and a block that
         would push it past the limit seals it first; a busy lander
         seals what was staged meanwhile when it catches up
-        (:meth:`_land`), so at a saturated write slot the stages grow
+        (:meth:`_next_landing`), so at a saturated write slot the stages grow
         instead of landing as many small transfers.  Record order is
         queue order whatever is sealed when: the files are
         byte-identical.  Staging cannot fault, so a record is staged
@@ -532,7 +529,7 @@ class PandaServer:
         state.booked += 1
         if not self._landings and writer.staged_bytes >= WRITE_BEHIND_BYTES:
             self._seal(state)
-        self._wake_lander()
+        self._lander.kick()
         self.stats.bookkeeping_time += self.ctx.now - t0
         self.ctx.io_record(
             "rocpanda", "bg_write", path=path, nbytes=block.nbytes,
@@ -545,11 +542,7 @@ class PandaServer:
         state.writer.seal()
         self._landings.append((state, state.staged, close))
         state.staged = []
-        self._wake_lander()
-
-    def _wake_lander(self) -> None:
-        if self._lander is None:
-            self._lander = self.ctx.env.process(self._land(), name="panda-lander")
+        self._lander.kick()
 
     def _close_finished_paths(self, force: bool = False) -> None:
         """Retire every fully-staged output file; the lander closes it."""
@@ -651,66 +644,64 @@ class PandaServer:
             visible=not self.config.active_buffering,
         )
 
-    def _land(self):
-        """Generator, the lander process: everything that waits for ``ctx.fs``.
+    def _next_landing(self):
+        """The lander's next job, in queue order: everything that waits
+        for ``ctx.fs``.
 
-        Takes the sealed stages in queue order, each entry in one hold
+        Caught up, the lander seals what was staged meanwhile — a stage
+        that has reached :data:`WRITE_BEHIND_BYTES`, and any stage once
+        the main loop's queue is dry.  With nothing sealed and the main
+        loop still staging it pays an open stage's metadata round trips
+        ahead of its hold; with nothing left it answers the waiting
+        syncs and is done.
+        """
+        if self._failure is not None:
+            return None
+        if not self._landings:
+            for state in self._paths.values():
+                if state.staged and (
+                    not self._queue
+                    or state.writer.staged_bytes >= WRITE_BEHIND_BYTES
+                ):
+                    self._seal(state)
+        if self._landings:
+            return self._land(*self._landings[0])
+        for state in self._paths.values():
+            if state.writer.owed_meta:
+                return self._settle(state.writer, state.writer.settle_meta())
+        self._answer_sync_waiters()
+        return None
+
+    def _land(self, state: _PathState, blocks: List, close: bool):
+        """Generator, one job of the lander: one queue entry, in one hold
         of the lease (:meth:`_leased`): a file's first writes its
         header, its last the commit footer.  Only bytes move under the
         lease: the create round trip and the stage's metadata round
-        trips are paid ahead of the hold — with nothing sealed and the
-        main loop still staging, already for an open stage — and the
-        close round trip after it.  Caught up, it seals what was staged
-        meanwhile — a stage that has reached :data:`WRITE_BEHIND_BYTES`,
-        and any stage once the main loop's queue is dry; with nothing
-        left it answers the waiting syncs and exits.  Records:
-        ``settle`` the round trips, ``slot_wait`` the wait for the
-        grant, ``land`` the hold.
+        trips are paid ahead of the hold, the close round trip after it.
+        Records: ``settle`` the round trips, ``slot_wait`` the wait for
+        the grant, ``land`` the hold.  A fault that outlasts the retries
+        stops the lander and interrupts the main loop.
         """
+        writer = state.writer
         try:
-            while True:
-                if not self._landings:
-                    for state in self._paths.values():
-                        if state.staged and (
-                            not self._queue
-                            or state.writer.staged_bytes >= WRITE_BEHIND_BYTES
-                        ):
-                            self._seal(state)
-                if not self._landings:
-                    writer = next(
-                        (st.writer for st in self._paths.values() if st.writer.owed_meta),
-                        None,
-                    )
-                    if writer is None:
-                        self._answer_sync_waiters()
-                        return
-                    yield from self._settle(writer, writer.settle_meta())
-                    continue
-                state, blocks, close = self._landings[0]
-                writer = state.writer
-                if not writer.is_open:
-                    yield from self._settle(writer, writer.create())
-                if writer.owed_meta:
-                    yield from self._settle(writer, writer.settle_meta())
-                # Retried on faults: the lease is released before each
-                # back-off and asked for again after it.
-                yield from retrying(
-                    self.ctx.env, self.config.retry,
-                    lambda: self._leased(writer, blocks, close),
-                    on_retry=self._note_write_retry,
-                )
-                if close:
-                    yield from self._settle(writer, writer.release())
-                self._landings.popleft()
-                landed, self._landed = self._landed, self.ctx.env.event()
-                landed.succeed()
-        except Interrupt:
-            pass  # the server crashed: nothing lands after this instant
+            if not writer.is_open:
+                yield from self._settle(writer, writer.create())
+            if writer.owed_meta:
+                yield from self._settle(writer, writer.settle_meta())
+            # Retried on faults: the lease is released before each
+            # back-off and asked for again after it.
+            yield from retrying(
+                self.ctx.env, self.config.retry,
+                lambda: self._leased(writer, blocks, close),
+                on_retry=self._note_write_retry,
+            )
+            if close:
+                yield from self._settle(writer, writer.release())
+            self._landings.popleft()
         except WriteFaultError as exc:
             self.ctx.log_fault(f"server landing of {writer.path} FAILED: {exc}")
+            self._failure = exc
             self._main.interrupt(exc)
-        finally:
-            self._lander = None
 
     def _answer_sync_waiters(self) -> None:
         if not self._sync_waiters:

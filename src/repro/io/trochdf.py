@@ -1,6 +1,6 @@
 """T-Rochdf: multi-threaded individual I/O with background writing (§6.2).
 
-One persistent I/O thread per process handles all output.  A
+One I/O thread per process handles all output.  A
 ``write_attribute`` call copies the output data into local buffers (the
 only *visible* cost) and returns; the I/O thread writes the buffered
 data while the main thread computes.  The main thread buffers all write
@@ -15,45 +15,29 @@ snapshot the arrays with a real copy).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Dict, List, Optional
 
-from ..des import Event, Store
 from ..faults.retry import RetryPolicy
 from ..fs.vfs import WriteFaultError
 from ..shdf.drivers import HDFDriver
 from ..shdf.file import SHDFWriter
-from ..vthread import VThread
+from ..vthread import BackgroundWorker
 from .base import DataBlock, collect_blocks
 from .rochdf import RochdfModule, snapshot_file_path
 
 __all__ = ["TRochdfModule", "BackgroundWriteError"]
-
-_SHUTDOWN = object()
 
 
 class BackgroundWriteError(RuntimeError):
     """Unrecoverable write faults hit by the background I/O thread.
 
     The thread itself must not die silently (the main thread would wait
-    on ``sync`` forever believing its data safe); instead it completes
-    the job's ``done`` event and parks the failure here, and the *next*
-    ``sync`` (or snapshot boundary, or unload) raises this on the main
-    thread.  The partial file carries no commit footer, so restart
-    readers detect it as torn.
+    on ``sync`` forever believing its data safe); instead it parks the
+    failure here and writes on, and the *next* ``sync`` (or snapshot
+    boundary, or unload) raises this on the main thread.  The partial
+    file carries no commit footer, so restart readers detect it as torn.
     """
-
-
-class _WriteJob:
-    """One buffered write_attribute call, to be executed by the I/O thread."""
-
-    __slots__ = ("path", "snapshot_id", "blocks", "file_attrs", "done")
-
-    def __init__(self, path, snapshot_id, blocks, file_attrs, done):
-        self.path = path
-        self.snapshot_id = snapshot_id
-        self.blocks = blocks
-        self.file_attrs = file_attrs
-        self.done = done
 
 
 class TRochdfModule(RochdfModule):
@@ -73,42 +57,37 @@ class TRochdfModule(RochdfModule):
         retry: Optional[RetryPolicy] = None,
     ):
         super().__init__(ctx, driver, retry)
-        self._queue: Store = Store(ctx.env)
-        self._pending: List[Event] = []
+        #: Buffered write_attribute calls, ``(path, blocks, file_attrs)``,
+        #: oldest first; the single I/O thread (one per process: less
+        #: thread switching, competing writes serialized, §6.2) takes
+        #: them in this order and is gone while there are none.
+        self._jobs: deque = deque()
+        self._io = BackgroundWorker(
+            ctx.env, self._next_write, f"trochdf-io-r{ctx.rank}"
+        )
         self._current_snapshot: Optional[Any] = None
-        self._thread: Optional[VThread] = None
         #: (file_path, exception) pairs from failed background writes,
         #: surfaced to the main thread by :meth:`_raise_io_errors`.
         self._io_errors: List[tuple] = []
 
     # -- module lifecycle ----------------------------------------------------
     def load(self, com) -> None:
-        if self._thread is not None and self._thread.alive:
+        if self._io.busy:
             raise RuntimeError(
                 "trochdf reloaded while its previous I/O thread is still "
                 "running; drive unload with 'yield from com.unload_module(...)'"
             )
         super().load(com)
-        # The single persistent I/O thread (reduces thread switching
-        # overhead and serializes competing write requests, §6.2).
-        self._thread = VThread(
-            self.ctx.env, self._io_thread_main(), name=f"trochdf-io-r{self.ctx.rank}"
-        )
 
     def unload(self, com):
-        """Generator: drain buffered snapshots, join the I/O thread, tear down.
+        """Generator: drain buffered snapshots, then tear down.
 
         Unload must not lose buffered data: every pending write is
-        waited for and the thread is joined before the window goes
-        away, so a reload can never race a still-writing thread.
+        waited for before the window goes away, so a reload can never
+        race a still-writing thread.
         Drive with ``yield from com.unload_module("trochdf")``.
         """
-        thread = self._thread
-        if thread is not None and thread.alive:
-            self._queue.put(_SHUTDOWN)
-            yield from self._drain(raise_errors=False)
-            yield from thread.join()
-        self._thread = None
+        yield from self._drain(raise_errors=False)
         super().unload(com)
         self._raise_io_errors()
 
@@ -155,11 +134,8 @@ class TRochdfModule(RochdfModule):
             )
         yield from ctx.memcpy(total)
 
-        done = Event(ctx.env)
-        self._pending.append(done)
-        self._queue.put(
-            _WriteJob(path, sid, buffered, dict(file_attrs or {}), done)
-        )
+        self._jobs.append((path, buffered, dict(file_attrs or {})))
+        self._io.kick()
         self.stats.snapshots += 1
         self.stats.visible_write_time += ctx.now - t0
         ctx.io_record(
@@ -170,7 +146,7 @@ class TRochdfModule(RochdfModule):
         """Generator: wait until all buffered snapshots are on disk (§5)."""
         t0 = self.ctx.now
         yield from self._drain()
-        yield from self._tier_barrier()
+        yield from self.ctx.fs.drain_barrier()
         self.stats.sync_time += self.ctx.now - t0
         self.ctx.io_record(self.name, "sync", t_start=t0)
 
@@ -187,16 +163,13 @@ class TRochdfModule(RochdfModule):
         wait out its own buffered snapshots so a read-after-write of the
         same prefix never observes a half-written file.
         """
-        if self._pending:
-            yield from self._drain()
+        yield from self._drain()
         result = yield from super().read_attribute(window_name, attr_names, path)
         return result
 
     # -- internals ---------------------------------------------------------------
     def _drain(self, raise_errors: bool = True):
-        pending, self._pending = self._pending, []
-        for done in pending:
-            yield done
+        yield from self._io.wait()
         self._current_snapshot = None
         if raise_errors:
             self._raise_io_errors()
@@ -210,36 +183,33 @@ class TRochdfModule(RochdfModule):
             + "; ".join(f"{path}: {exc}" for path, exc in errors)
         )
 
-    def _io_thread_main(self):
-        """The persistent background writer loop."""
+    def _next_write(self):
+        return self._write_file_behind(*self._jobs.popleft()) if self._jobs else None
+
+    def _write_file_behind(self, path, blocks, file_attrs):
+        """Generator, one job of the I/O thread: one buffered call's file."""
         ctx = self.ctx
-        while True:
-            job = yield self._queue.get()
-            if job is _SHUTDOWN:
-                return
-            t0 = ctx.now
-            file_path = snapshot_file_path(job.path, ctx.rank)
-            writer = SHDFWriter(
-                ctx.env, ctx.fs, file_path, self.driver, node=ctx.node,
-                recorder=ctx.recorder, rank=ctx.rank, visible=False,
+        t0 = ctx.now
+        file_path = snapshot_file_path(path, ctx.rank)
+        writer = SHDFWriter(
+            ctx.env, ctx.fs, file_path, self.driver, node=ctx.node,
+            recorder=ctx.recorder, rank=ctx.rank, visible=False,
+        )
+        try:
+            nbytes = yield from self._write_file(
+                writer, blocks, dict(file_attrs, writer_rank=ctx.rank)
             )
-            try:
-                nbytes = yield from self._write_file(
-                    writer, job.blocks, dict(job.file_attrs, writer_rank=ctx.rank)
+        except WriteFaultError as exc:
+            # Report to the main thread at its next sync; don't die.
+            self._io_errors.append((file_path, exc))
+            if ctx.recorder is not None:
+                ctx.recorder.record_counter(self.name, "background_write_failures")
+                ctx.log_fault(
+                    f"trochdf background write of {file_path} FAILED: {exc}"
                 )
-            except WriteFaultError as exc:
-                # Report to the main thread at its next sync; don't die.
-                self._io_errors.append((file_path, exc))
-                if ctx.recorder is not None:
-                    ctx.recorder.record_counter(self.name, "background_write_failures")
-                    ctx.log_fault(
-                        f"trochdf background write of {file_path} FAILED: {exc}"
-                    )
-                job.done.succeed()
-                continue
-            self.stats.files_created += 1
-            job.done.succeed()
-            ctx.io_record(
-                self.name, "bg_write", path=file_path, nbytes=nbytes,
-                t_start=t0, visible=False,
-            )
+            return
+        self.stats.files_created += 1
+        ctx.io_record(
+            self.name, "bg_write", path=file_path, nbytes=nbytes,
+            t_start=t0, visible=False,
+        )

@@ -51,7 +51,7 @@ def _declare(com):
 
 def _write_main(
     nservers, server_config=None, servers=None, after_sync=None, nodes=1200,
-    prefixes=("ck",),
+    prefixes=("ck",), client_buffering=False,
 ):
     """Checkpoint writer: data depends only on the client rank.
 
@@ -60,6 +60,7 @@ def _write_main(
     The default ``nodes`` makes 34 KB rendezvous-sized blocks;
     ``EAGER_NODES`` makes 9 KB ones the servers' write-behind stage merges.
     ``prefixes`` names the snapshots, written back to back before the sync.
+    ``client_buffering`` ships them from the clients' background senders.
     """
 
     def main(ctx):
@@ -71,7 +72,9 @@ def _write_main(
             stats = yield from server.run()
             return ("server", stats)
         com = Roccom(ctx)
-        panda = com.load_module(RocpandaModule(ctx, topo))
+        panda = com.load_module(
+            RocpandaModule(ctx, topo, client_buffering=client_buffering)
+        )
         w = _declare(com)
         rng = np.random.default_rng(300 + topo.comm.rank)
         for i in range(NBLOCKS):
@@ -150,10 +153,15 @@ def _checkpoint_then_restart(plan, spec=None, **write_kwargs):
 class TestServerCrashFailover:
     """ISSUE satellite: crash + failover + different-server-count restart."""
 
-    def test_restart_bit_identical_to_fault_free_reference(self):
+    @pytest.mark.parametrize("client_buffering", [False, True])
+    def test_restart_bit_identical_to_fault_free_reference(self, client_buffering):
+        """Also when the blocks in flight at the crash belong to the
+        clients' background senders, which then do the failover."""
         _, _, reference = _checkpoint_then_restart(plan=None)
         plan = FaultPlan((ServerCrash(rank=4, at_time=0.055),))
-        result, machine, restored = _checkpoint_then_restart(plan)
+        result, machine, restored = _checkpoint_then_restart(
+            plan, client_buffering=client_buffering
+        )
 
         # The fault actually happened and was survived, not avoided.
         assert machine.is_dead(4)
@@ -357,7 +365,7 @@ class TestWriteSlotLease:
         (crashed,) = [s for s in servers if s.stats.crashed]
         (survivor,) = [s for s in servers if not s.stats.crashed]
         assert crashed.ctx.rank == victim
-        assert crashed._lander is None and survivor._lander is None
+        assert not crashed._lander.busy and not survivor._lander.busy
         # The landing it died in never completed, and nothing of the
         # victim's reached the filesystem after the crash instant.
         assert crashed._landings
@@ -513,7 +521,7 @@ class TestWriteSlotLease:
         assert crashed._buffered_bytes == sum(
             b.nbytes for _st, blocks, _close in crashed._landings for b in blocks
         )
-        assert crashed._lander is None and not crashed._paths
+        assert not crashed._lander.busy and not crashed._paths
         lease = machine.fs.write_lease()
         assert lease.count == 0 and not lease.queue
         # No byte of a queued landing after the crash instant: the first
@@ -559,7 +567,7 @@ class TestWriteSlotLease:
         assert adopted and heir.stats.blocks_received == 6 * NBLOCKS
         assert heir.stats.blocks_written == 6 * NBLOCKS
         assert heir._buffered_bytes == 0 and not heir._landings
-        assert heir._lander is None
+        assert not heir._lander.busy
         assert set(restored) == set(range(18))
 
     def test_exhausted_retries_in_the_lander_raise_out_of_run(self):

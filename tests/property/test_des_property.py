@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Environment, PriorityResource, Resource, Store
+from repro.des import Environment, Resource
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=40))
@@ -61,66 +61,6 @@ def test_resource_never_exceeds_capacity(capacity, jobs):
     assert max_in_use[0] <= capacity
     assert served[0] == len(jobs)  # no job starves
     assert res.count == 0  # everything released
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=30),
-)
-@settings(max_examples=80, deadline=None)
-def test_store_is_fifo_and_conserves_items(items):
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer():
-        for item in items:
-            yield store.put(item)
-            yield env.timeout(0.1)
-
-    def consumer():
-        for _ in items:
-            received.append((yield store.get()))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert received == list(items)
-    assert len(store) == 0
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=0, max_value=3), st.floats(0, 5)),
-        min_size=2,
-        max_size=20,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_priority_resource_orders_by_priority_then_time(entries):
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield env.timeout(100)  # everyone queues behind this
-        res.release(req)
-
-    def user(idx, prio, arrive):
-        yield env.timeout(arrive)
-        req = res.request(priority=prio)
-        yield req
-        order.append((prio, env.now, idx))
-        res.release(req)
-
-    env.process(holder())
-    for idx, (prio, arrive) in enumerate(entries):
-        env.process(user(idx, prio, min(arrive, 99.0)))
-    env.run()
-    # Served priorities must be non-decreasing.
-    priorities = [p for p, _, _ in order]
-    assert priorities == sorted(priorities)
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=100), min_size=1, max_size=20))

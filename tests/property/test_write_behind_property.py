@@ -88,7 +88,7 @@ def _write(limit, nservers, nclients, layout, nsnapshots, seed, shared):
     for panda_server in servers:
         # Drained: the lander is gone, with nothing sealed, staged or
         # buffered left behind, and every path retired.
-        assert panda_server._lander is None and not panda_server._landings
+        assert not panda_server._lander.busy and not panda_server._landings
         assert panda_server._buffered_bytes == 0 and not panda_server._paths
     if shared:
         # The servers took turns at the one slot — the filesystem never

@@ -1,15 +1,8 @@
-"""Unit tests for DES resources: Resource, Store, FilterStore, Container."""
+"""Unit tests for the DES kernel's Resource."""
 
 import pytest
 
-from repro.des import (
-    Container,
-    Environment,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.des import Environment, Resource
 
 
 class TestResource:
@@ -120,296 +113,3 @@ class TestResource:
         env.process(patient())
         env.run()
         assert ("patient", 10) in served
-
-
-class TestPriorityResource:
-    def test_lower_priority_value_served_first(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder():
-            req = res.request()
-            yield req
-            yield env.timeout(10)
-            res.release(req)
-
-        def user(tag, prio, arrive):
-            yield env.timeout(arrive)
-            req = res.request(priority=prio)
-            yield req
-            order.append(tag)
-            res.release(req)
-
-        env.process(holder())
-        env.process(user("low-prio", 5, 1))
-        env.process(user("high-prio", 0, 2))
-        env.run()
-        assert order == ["high-prio", "low-prio"]
-
-    def test_equal_priority_is_fifo(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder():
-            req = res.request()
-            yield req
-            yield env.timeout(10)
-            res.release(req)
-
-        def user(tag, arrive):
-            yield env.timeout(arrive)
-            req = res.request(priority=1)
-            yield req
-            order.append(tag)
-            res.release(req)
-
-        env.process(holder())
-        env.process(user("a", 1))
-        env.process(user("b", 2))
-        env.run()
-        assert order == ["a", "b"]
-
-
-class TestStore:
-    def test_put_then_get(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def producer():
-            yield store.put("item1")
-            yield store.put("item2")
-
-        def consumer():
-            got.append((yield store.get()))
-            got.append((yield store.get()))
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert got == ["item1", "item2"]
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((item, env.now))
-
-        def producer():
-            yield env.timeout(5)
-            yield store.put("late")
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert got == [("late", 5)]
-
-    def test_bounded_store_blocks_putter(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        trace = []
-
-        def producer():
-            yield store.put("a")
-            trace.append(("put-a", env.now))
-            yield store.put("b")
-            trace.append(("put-b", env.now))
-
-        def consumer():
-            yield env.timeout(3)
-            item = yield store.get()
-            trace.append((f"got-{item}", env.now))
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert ("put-a", 0) in trace
-        assert ("put-b", 3) in trace
-
-    def test_len_reports_items(self):
-        env = Environment()
-        store = Store(env)
-        store.put("x")
-        store.put("y")
-        env.run()
-        assert len(store) == 2
-
-    def test_fifo_ordering_of_getters(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def consumer(tag):
-            item = yield store.get()
-            got.append((tag, item))
-
-        def producer():
-            yield env.timeout(1)
-            yield store.put(1)
-            yield store.put(2)
-
-        env.process(consumer("first"))
-        env.process(consumer("second"))
-        env.process(producer())
-        env.run()
-        assert got == [("first", 1), ("second", 2)]
-
-    def test_invalid_capacity(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
-
-
-class TestFilterStore:
-    def test_filter_matches_specific_item(self):
-        env = Environment()
-        store = FilterStore(env)
-        got = []
-
-        def producer():
-            yield store.put({"tag": 1, "data": "one"})
-            yield store.put({"tag": 2, "data": "two"})
-
-        def consumer():
-            item = yield store.get(lambda m: m["tag"] == 2)
-            got.append(item["data"])
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert got == ["two"]
-        assert len(store.items) == 1
-
-    def test_narrow_getter_does_not_block_others(self):
-        env = Environment()
-        store = FilterStore(env)
-        got = []
-
-        def narrow():
-            item = yield store.get(lambda x: x == "never")
-            got.append(("narrow", item))
-
-        def broad():
-            item = yield store.get(lambda x: True)
-            got.append(("broad", item))
-
-        def producer():
-            yield env.timeout(1)
-            yield store.put("anything")
-
-        env.process(narrow())
-        env.process(broad())
-        env.process(producer())
-        env.run(until=10)
-        assert got == [("broad", "anything")]
-
-    def test_get_without_filter_takes_first(self):
-        env = Environment()
-        store = FilterStore(env)
-        store.put("a")
-        store.put("b")
-        got = []
-
-        def consumer():
-            got.append((yield store.get()))
-
-        env.process(consumer())
-        env.run()
-        assert got == ["a"]
-
-    def test_waiting_getter_served_on_matching_put(self):
-        env = Environment()
-        store = FilterStore(env)
-        got = []
-
-        def consumer():
-            item = yield store.get(lambda x: x % 2 == 0)
-            got.append((item, env.now))
-
-        def producer():
-            yield env.timeout(1)
-            yield store.put(3)
-            yield env.timeout(1)
-            yield store.put(4)
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert got == [(4, 2)]
-        assert store.items == [3]
-
-
-class TestContainer:
-    def test_initial_level(self):
-        env = Environment()
-        c = Container(env, capacity=100, init=40)
-        assert c.level == 40
-
-    def test_put_and_get_adjust_level(self):
-        env = Environment()
-        c = Container(env, capacity=100, init=0)
-
-        def proc():
-            yield c.put(30)
-            assert c.level == 30
-            yield c.get(10)
-            assert c.level == 20
-
-        env.process(proc())
-        env.run()
-
-    def test_get_blocks_until_enough(self):
-        env = Environment()
-        c = Container(env, capacity=100, init=0)
-        times = []
-
-        def consumer():
-            yield c.get(50)
-            times.append(env.now)
-
-        def producer():
-            yield env.timeout(1)
-            yield c.put(20)
-            yield env.timeout(1)
-            yield c.put(30)
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert times == [2]
-
-    def test_put_blocks_at_capacity(self):
-        env = Environment()
-        c = Container(env, capacity=50, init=40)
-        times = []
-
-        def producer():
-            yield c.put(20)
-            times.append(env.now)
-
-        def consumer():
-            yield env.timeout(5)
-            yield c.get(15)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert times == [5]
-
-    def test_invalid_amounts(self):
-        env = Environment()
-        c = Container(env, capacity=10)
-        with pytest.raises(ValueError):
-            c.put(0)
-        with pytest.raises(ValueError):
-            c.get(-1)
-
-    def test_invalid_init(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Container(env, capacity=10, init=20)

@@ -1,8 +1,8 @@
 """Unload/reload lifecycle tests for the threaded I/O services.
 
-Unload must never lose buffered data: T-Rochdf drains its pending
-snapshots and joins the I/O thread, and the Rocpanda client (in
-client-buffering mode) flushes its background sender — all before the
+Unload must never lose buffered data: T-Rochdf waits for its I/O thread
+to run out of buffered snapshots, and the Rocpanda client (in
+client-buffering mode) for its background sender — all before the
 module's window is torn down.  A reload after unload must not leave a
 second I/O thread running.
 """
@@ -49,11 +49,10 @@ class TestTRochdfUnload:
             mod = com.load_module(TRochdfModule(ctx))
             setup_window(com, ctx.rank, nblocks=3)
             yield from com.call_function("OUT.write_attribute", "W", None, "ul")
-            # No sync: the snapshot is still queued for the I/O thread.
-            assert mod._pending
+            # No sync: the I/O thread still has the snapshot to write.
+            assert mod._io.busy
             yield from com.unload_module("trochdf")
-            assert mod._thread is None
-            assert not mod._pending
+            assert not mod._io.busy and not mod._jobs
 
         _, machine = launch(1, main)
         files = list_snapshot_files(machine.disk, "ul")
@@ -65,14 +64,14 @@ class TestTRochdfUnload:
         def main(ctx):
             com = Roccom(ctx)
             mod = com.load_module(TRochdfModule(ctx))
-            thread = mod._thread
             setup_window(com, ctx.rank)
             yield from com.call_function("OUT.write_attribute", "W", None, "j")
+            busy = [mod._io.busy]
             yield from com.unload_module("trochdf")
-            return thread.alive
+            return busy + [mod._io.busy]
 
         result, _ = launch(1, main)
-        assert result.returns == [False]
+        assert result.returns == [[True, False]]
 
     def test_unload_reload_cycle_no_duplicate_threads(self):
         """After unload + reload exactly one I/O thread is alive."""
@@ -80,15 +79,13 @@ class TestTRochdfUnload:
         def main(ctx):
             com = Roccom(ctx)
             mod1 = com.load_module(TRochdfModule(ctx))
-            first_thread = mod1._thread
             setup_window(com, ctx.rank)
             yield from com.call_function("OUT.write_attribute", "W", None, "c0")
             yield from com.unload_module("trochdf")
 
             mod2 = com.load_module(TRochdfModule(ctx))
             yield from com.call_function("OUT.write_attribute", "W", None, "c1")
-            yield from com.call_function("OUT.sync")
-            alive = (first_thread.alive, mod2._thread.alive)
+            alive = (mod1._io.busy, mod2._io.busy)
             yield from com.unload_module("trochdf")
             return alive
 
@@ -100,11 +97,13 @@ class TestTRochdfUnload:
 
     def test_reload_guard_while_thread_alive(self):
         """Popping the module without driving its unload leaves the old
-        thread running; a reload must refuse rather than fork a twin."""
+        thread writing; a reload must refuse rather than fork a twin."""
 
         def main(ctx):
             com = Roccom(ctx)
             mod = com.load_module(TRochdfModule(ctx))
+            setup_window(com, ctx.rank)
+            yield from com.call_function("OUT.write_attribute", "W", None, "g")
             com.unload_module("trochdf")  # generator never driven
             with pytest.raises(RuntimeError, match="still"):
                 mod.load(com)
@@ -142,10 +141,9 @@ class TestRocpandaClientUnload:
 
         def body(ctx, topo, com, panda):
             yield from com.call_function("OUT.write_attribute", "W", None, "pul")
-            assert panda._pending_sends  # still queued client-side
+            assert panda._sender.busy  # still shipping client-side
             yield from com.unload_module("rocpanda")
-            assert panda._sender is None
-            assert not panda._pending_sends
+            assert not panda._sender.busy and not panda._sends
 
         outcome = self._run(body)
         # 2 clients x 2 blocks, none lost.
@@ -156,17 +154,15 @@ class TestRocpandaClientUnload:
         def body(ctx, topo, com, panda):
             yield from com.call_function("OUT.write_attribute", "W", None, "r0")
             yield from com.unload_module("rocpanda")
-            first_sender = panda._sender
-            assert first_sender is None
+            assert not panda._sender.busy
 
             panda2 = com.load_module(
                 RocpandaModule(ctx, topo, client_buffering=True)
             )
             yield from com.call_function("OUT.write_attribute", "W", None, "r1")
-            yield from com.call_function("OUT.sync")
-            assert panda2._sender is not None and panda2._sender.alive
+            assert panda2._sender.busy and not panda._sender.busy
             yield from com.unload_module("rocpanda")
-            assert not panda2._sender  # joined and cleared
+            assert not panda2._sender.busy
 
         outcome = self._run(body)
         # Two snapshots of 2 blocks from each of the 2 clients.

@@ -27,23 +27,27 @@ def launch(nprocs, main, seed=0):
 
 
 class TestTRochdfThreadLifecycle:
-    def test_io_thread_started_on_load(self):
+    def test_io_thread_exists_only_with_work(self):
         def main(ctx):
             com = Roccom(ctx)
             mod = com.load_module(TRochdfModule(ctx))
-            assert mod._thread is not None and mod._thread.alive
+            setup_window(com, ctx)
+            busy = [mod._io.busy]
+            yield from com.call_function("OUT.write_attribute", "W", None, "ol")
+            busy.append(mod._io.busy)
             yield from com.call_function("OUT.sync")
+            return busy + [mod._io.busy]
 
-        launch(1, main)
+        result, _ = launch(1, main)
+        assert result.returns == [[False, True, False]]
 
     def test_unload_shuts_thread_down(self):
         def main(ctx):
             com = Roccom(ctx)
             mod = com.load_module(TRochdfModule(ctx))
-            thread = mod._thread
             yield from com.call_function("OUT.sync")
             yield from com.unload_module("trochdf")
-            return thread.alive
+            return mod._io.busy
 
         result, _ = launch(1, main)
         assert result.returns == [False]
