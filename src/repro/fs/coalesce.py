@@ -142,7 +142,7 @@ class ReadCoalescer:
         c = ReadCoalescer(fs, vfile, node=node, gap=gap)
         for name, offset, length in entries:
             c.add(offset, length, meta_bytes=driver.meta_bytes_per_dataset)
-        chunks = yield from c.run()   # bytes per extent, in add order
+        chunks = yield from c.run()   # a view per extent, in add order
 
     Each merged run charges **one** ``fs.read`` covering the run's span
     (wanted bytes plus any sieved-through holes) plus the format
@@ -187,22 +187,24 @@ class ReadCoalescer:
     def run(self):
         """Generator: service all pending extents through merged reads.
 
-        Returns the list of per-extent ``bytes``, in :meth:`add` order.
-        The pending extents are cleared only after *every* run has been
-        served, so a read fault raised mid-schedule leaves the coalescer
-        intact for a retry (which replays and re-charges the whole
-        schedule).  A no-op (empty list) when nothing is pending.
+        Returns one read-only :class:`memoryview` per extent, in
+        :meth:`add` order: a slice of its merged run's buffer, which
+        each run copies out of the file once.  The pending extents are
+        cleared only after *every* run has been served, so a read fault
+        raised mid-schedule leaves the coalescer intact for a retry
+        (which replays and re-charges the whole schedule).  A no-op
+        (empty list) when nothing is pending.
         """
         if not self._extents:
             return []
         runs = self.plan()
         # Metadata charge rides on the first (largest-savings) run.
         meta = self._meta
-        buffers: List[Tuple[int, bytes]] = []
+        buffers: List[Tuple[int, memoryview]] = []
         for start, length in runs:
             yield from self.fs.read(length + meta, self.node)
             meta = 0
-            buffers.append((start, self.vfile.read_checked(start, length)))
+            buffers.append((start, memoryview(self.vfile.read_checked(start, length))))
         chunks = []
         for offset, nbytes in self._extents:
             for start, data in buffers:

@@ -207,19 +207,10 @@ class _TierFile(VirtualFile):
         super().__init__(path, disk=disk)
         self._tier = tier
 
-    def append(self, data) -> int:
-        offset = super().append(data)
-        self._tier._note_write(self)
-        return offset
-
-    def append_many(self, chunks) -> int:
+    def append_many(self, chunks) -> int:  # append lands here too
         offset = super().append_many(chunks)
         self._tier._note_write(self)
         return offset
-
-    def write_at(self, offset: int, data) -> None:
-        super().write_at(offset, data)
-        self._tier._note_overwrite(self, offset)
 
     def truncate(self) -> None:
         super().truncate()
@@ -251,19 +242,15 @@ class TierDisk(VirtualDisk):
         if self.backing.exists(path) and not exist_ok:
             raise FileExists(path)
         f = _TierFile(path, self, self._tier)
-        prefilled = 0
         if self.backing.exists(path):
             # Shadow the durable content so create(exist_ok=True) keeps
-            # its return-the-existing-file contract; the copied prefix
-            # is already on the backing disk, so the drain starts past
-            # it (no re-drain, no double write).
-            data = self.backing.open(path).read()
-            if data:
-                f._data.extend(data)
-                self._used += len(data)
-                prefilled = len(data)
+            # its return-the-existing-file contract: the front shares the
+            # backing file's chunks.  That prefix is already durable, so
+            # it lands past the tier's notifications and the drain starts
+            # after it (no re-drain, no double write).
+            VirtualFile.append_many(f, self.backing.open(path).views())
         self._files[path] = f
-        self._tier._note_create(f, prefilled)
+        self._tier._note_create(f, f.size)
         return f
 
     def open(self, path: str) -> VirtualFile:
@@ -438,20 +425,6 @@ class BurstBufferTier(FileSystemModel):
             self._enqueue(state)
         self._drain.kick()
 
-    def _note_overwrite(self, vfile: _TierFile, offset: int) -> None:
-        state = self._ensure_state(vfile)
-        if offset < state.drained:
-            # A rewrite below the drain pointer invalidates the durable
-            # prefix; the drain is append-only, so restart the epoch
-            # (truncate the backing copy and re-drain from scratch).
-            self._backlog -= state.dirty
-            state.drained = 0
-            state.known_size = 0
-            state.epoch += 1
-            self._set_pending_ns(state, True)
-            self.journal.advance(state.path, state.epoch, 0)
-        self._note_write(vfile)
-
     def _note_truncate(self, vfile: _TierFile) -> None:
         state = self._states.get(vfile.path)
         if state is None:
@@ -611,10 +584,11 @@ class BurstBufferTier(FileSystemModel):
             start = state.drained
             end = min(state.vfile.size, start + self.config.drain_chunk_bytes)
             if end > start:
-                data = state.vfile.read(start, end - start)
                 t0 = self.env.now
                 coalescer = WriteCoalescer(self.backing, state.backing_vfile, node=node)
-                coalescer.add(data)
+                # The front's chunks themselves: the backing file shares them.
+                for view in state.vfile.views(start, end - start):
+                    coalescer.add(view)
                 yield from retrying(
                     self.env, self.config.retry,
                     coalescer.flush, on_retry=self._note_drain_retry,

@@ -5,6 +5,20 @@ The timing of I/O operations is modeled by the filesystem models in
 means snapshot/restart round-trips are bit-exact and testable, and a
 virtual disk can be persisted to (or loaded from) a real directory.
 
+Content: an append-only rope
+----------------------------
+A file is a list of immutable chunks plus their cumulative end offsets.
+``append`` / ``append_many`` keep a *reference* to ``bytes`` and to
+read-only views whose ``.obj`` is ``bytes`` — the record views
+:func:`~repro.shdf.codec.encode_batch` hands out, so a snapshot byte is
+copied once on its way to disk (array → encode buffer) and a file keeps
+alive the encode buffers its records came from.  Every other input (a
+``bytearray``, a writable view, a numpy buffer) is copied once when
+appended, so no holder can change what is on disk.
+:meth:`VirtualFile.views` returns the read-only slices of the chunks a
+range spans, without copying; :meth:`VirtualFile.read` joins them (a
+read that covers exactly one ``bytes`` object returns that object).
+
 Write faults
 ------------
 A disk can refuse writes in two ways, both checked *before* any byte is
@@ -20,16 +34,18 @@ Read faults
 -----------
 Reads are checked only through :meth:`VirtualFile.read_checked`, which
 consults the disk's ``read_fault_hook`` before returning any byte.  The
-plain :meth:`VirtualFile.read` stays unchecked on purpose: structural
-parses (``SHDFReader.open``, torn-file detection) must observe the disk
-as-is, and capacity never constrains reads.  Fault-injected read paths
-(the :class:`~repro.fs.coalesce.ReadCoalescer`) go through the checked
-entry point so a transient read EIO can be retried.
+plain :meth:`VirtualFile.read` and :meth:`VirtualFile.views` stay
+unchecked on purpose: structural parses (``SHDFReader.open``, torn-file
+detection) must observe the disk as-is, and capacity never constrains
+reads.  Fault-injected read paths (the
+:class:`~repro.fs.coalesce.ReadCoalescer`) go through the checked entry
+point so a transient read EIO can be retried.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from typing import Callable, Dict, List, Optional
 
 __all__ = [
@@ -63,30 +79,36 @@ class DiskFullError(WriteFaultError):
     """The disk's ``capacity_bytes`` limit would be exceeded (ENOSPC)."""
 
 
+def _immutable(chunk):
+    """``chunk`` as bytes no holder can change: by reference if it already is."""
+    if type(chunk) is bytes:
+        return chunk
+    if (
+        type(chunk) is memoryview and chunk.readonly
+        and type(chunk.obj) is bytes and chunk.c_contiguous
+    ):
+        return chunk.cast("B")  # flat bytes, so len() counts bytes
+    return bytes(chunk)
+
+
 class VirtualFile:
-    """A byte container with append/at-offset write and ranged read."""
+    """An append-only rope of immutable chunks with ranged reads."""
 
     def __init__(self, path: str, disk: Optional["VirtualDisk"] = None):
         self.path = path
         self.disk = disk
-        self._data = bytearray()
+        #: ``bytes`` or read-only views over ``bytes``, in file order.
+        self._chunks: List = []
+        #: Cumulative end offset of each chunk (the last one is the size).
+        self._ends: List[int] = []
 
     @property
     def size(self) -> int:
-        return len(self._data)
+        return self._ends[-1] if self._ends else 0
 
-    def _check_write(self, grow: int) -> None:
-        if self.disk is not None:
-            self.disk._check_write(self.path, grow)
-
-    def append(self, data: bytes) -> int:
+    def append(self, data) -> int:
         """Append ``data``; returns the offset it was written at."""
-        self._check_write(len(data))
-        offset = len(self._data)
-        self._data.extend(data)
-        if self.disk is not None:
-            self.disk._used += len(data)
-        return offset
+        return self.append_many((data,))
 
     def append_many(self, chunks) -> int:
         """Append several chunks as one transfer; returns the first offset.
@@ -96,32 +118,40 @@ class VirtualFile:
         raise-before-mutate guarantee at batch granularity: either every
         chunk is appended or the file is untouched.
         """
-        total = sum(len(c) for c in chunks)
-        self._check_write(total)
-        offset = len(self._data)
-        for chunk in chunks:
-            self._data.extend(chunk)
+        held = [c for c in map(_immutable, chunks) if len(c)]
+        total = sum(map(len, held))
+        if self.disk is not None:
+            self.disk._check_write(self.path, total)
+        offset = end = self.size
+        for chunk in held:
+            end += len(chunk)
+            self._ends.append(end)
+        self._chunks += held
         if self.disk is not None:
             self.disk._used += total
         return offset
 
-    def write_at(self, offset: int, data: bytes) -> None:
-        if offset < 0:
-            raise ValueError("negative offset")
-        end = offset + len(data)
-        grow = max(0, end - len(self._data))
-        self._check_write(grow)
-        if grow:
-            self._data.extend(b"\x00" * grow)
-            if self.disk is not None:
-                self.disk._used += grow
-        self._data[offset:end] = data
+    def views(self, offset: int = 0, nbytes: Optional[int] = None) -> List[memoryview]:
+        """Read-only, zero-copy slices of the chunks ``[offset, offset +
+        nbytes)`` spans, in order (clipped at end of file)."""
+        ends = self._ends
+        end = self.size if nbytes is None else min(self.size, offset + nbytes)
+        out = []
+        i = bisect_right(ends, offset)
+        pos = offset
+        while pos < end:
+            start = ends[i - 1] if i else 0
+            stop = min(ends[i], end)
+            out.append(memoryview(self._chunks[i])[pos - start : stop - start])
+            pos = stop
+            i += 1
+        return out
 
     def read(self, offset: int = 0, nbytes: Optional[int] = None) -> bytes:
-        end = None if nbytes is None else offset + nbytes
-        # Slice a view, not the bytearray: the range is copied once.
-        with memoryview(self._data) as view:
-            return bytes(view[offset:end])
+        views = self.views(offset, nbytes)
+        if len(views) == 1 and len(views[0]) == len(views[0].obj):
+            return views[0].obj  # one whole bytes object: it is the answer
+        return b"".join(views)
 
     def read_checked(self, offset: int = 0, nbytes: Optional[int] = None) -> bytes:
         """Ranged read that consults the disk's read fault hook first.
@@ -131,14 +161,15 @@ class VirtualFile:
         retry the whole read without having consumed a partial result.
         """
         if self.disk is not None:
-            want = len(self._data) - offset if nbytes is None else nbytes
+            want = self.size - offset if nbytes is None else nbytes
             self.disk._check_read(self.path, max(0, want))
         return self.read(offset, nbytes)
 
     def truncate(self) -> None:
         if self.disk is not None:
-            self.disk._used -= len(self._data)
-        self._data.clear()
+            self.disk._used -= self.size
+        self._chunks = []
+        self._ends = []
 
     def __repr__(self) -> str:
         return f"<VirtualFile {self.path!r} ({self.size} bytes)>"

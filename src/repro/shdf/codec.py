@@ -21,20 +21,27 @@ path (every snapshot of every rank round-trips through it), so
 * encoding gathers each record as ``(memoised prefix, view of the
   array's own buffer)`` and lands a record, a batch or a whole file
   with one ``bytes.join`` — sized exactly, every payload byte copied
-  once (no ``tobytes``, no growing buffer, no trailing ``bytes()``);
+  once (no ``tobytes``, no growing buffer, no trailing ``bytes()``).
+  The virtual disk keeps that buffer by reference, so array → disk is
+  that one copy;
+* a record header is parsed once: :func:`scan_file` decodes every
+  header into a :class:`RecordHeader` while jumping over the payloads,
+  and datasets are built from those headers plus a payload slice
+  (:meth:`RecordHeader.dataset`) — no second walk;
 * decoding reads through one :class:`memoryview` with precompiled
   :class:`struct.Struct` instances, and by default returns **read-only
   zero-copy views** of the input buffer (``np.frombuffer``).  Callers
   that mutate decoded arrays in place — the restart path installs them
   into Roccom windows where physics kernels update them — must pass
-  ``copy=True``.
+  ``copy=True``, which copies each payload once, out of the buffer it
+  was decoded from.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from typing import Any, Tuple
+from typing import Any, Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -54,6 +61,7 @@ __all__ = [
     "decode_batch",
     "decode_header",
     "scan_file",
+    "RecordHeader",
 ]
 
 FILE_MAGIC = b"SHDF"
@@ -85,6 +93,7 @@ _I64_MAX = (1 << 63) - 1
 
 # Precompiled fixed-width codecs (struct.pack/unpack with a format
 # string re-parses the format on every call).
+_U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -111,12 +120,18 @@ class TornFileError(CodecError):
 
 # -- low-level pieces -------------------------------------------------------
 
-def _append_str16(out: bytearray, s: str) -> None:
+def _str16(s: str) -> bytes:
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise CodecError(f"string too long ({len(raw)} bytes)")
-    out += _U16.pack(len(raw))
-    out += raw
+    return _U16.pack(len(raw)) + raw
+
+
+def _dims(arr: np.ndarray) -> bytes:
+    """``u8 ndim | u64*ndim dims``."""
+    dims = _DIMS.get(arr.ndim)
+    packed = dims.pack(*arr.shape) if dims else struct.pack(f"<{arr.ndim}Q", *arr.shape)
+    return _U8.pack(arr.ndim) + packed
 
 
 def _array_payload(arr: np.ndarray):
@@ -177,8 +192,15 @@ class _Reader:
         return self._unpack(_F64)
 
     def str16(self) -> str:
-        n = self.u16()
-        return str(self.take(n), "utf-8")
+        # u16() and take() inlined: every record header holds ~10 of these.
+        start = self.pos + 2
+        if start > self._len:
+            raise CodecError("truncated SHDF data")
+        end = start + _U16.unpack_from(self._mv, self.pos)[0]
+        if end > self._len:
+            raise CodecError("truncated SHDF data")
+        self.pos = end
+        return str(self._mv[start:end], "utf-8")
 
     @property
     def exhausted(self) -> bool:
@@ -197,40 +219,34 @@ def _frombuffer(raw: memoryview, dtype: np.dtype, shape: tuple, copy: bool) -> n
     return data
 
 
-def _encode_value(value: Any, out: bytearray) -> None:
+def _encode_value(value: Any, out: list) -> None:
+    """Append one attribute value's encoded parts to ``out``."""
     if value is None:
-        out.append(_TAG_NONE)
+        out.append(b"\x00")
     elif isinstance(value, (bool, np.bool_)):
-        out += b"\x01\x01" if value else b"\x01\x00"
+        out.append(b"\x01\x01" if value else b"\x01\x00")
     elif isinstance(value, (int, np.integer)):
         iv = int(value)
         if not _I64_MIN <= iv <= _I64_MAX:
             raise CodecError(f"integer attribute out of i64 range: {iv}")
-        out += _TAG_INT_S.pack(_TAG_INT, iv)
+        out.append(_TAG_INT_S.pack(_TAG_INT, iv))
     elif isinstance(value, (float, np.floating)):
-        out += _TAG_FLOAT_S.pack(_TAG_FLOAT, float(value))
+        out.append(_TAG_FLOAT_S.pack(_TAG_FLOAT, float(value)))
     elif isinstance(value, str):
         raw = value.encode("utf-8")
-        out += _TAG_STR_S.pack(_TAG_STR, len(raw))
-        out += raw
+        out += (_TAG_STR_S.pack(_TAG_STR, len(raw)), raw)
     elif isinstance(value, (bytes, bytearray)):
-        out += _TAG_STR_S.pack(_TAG_BYTES, len(value))
-        out += value
+        out += (_TAG_STR_S.pack(_TAG_BYTES, len(value)), value)
     elif isinstance(value, np.ndarray):
         if value.dtype == object:
             raise CodecError("object-dtype attribute arrays are not storable")
         arr = np.asarray(value, order="C")  # keeps 0-d shape intact
-        out.append(_TAG_NDARRAY)
-        _append_str16(out, arr.dtype.str)
-        out.append(arr.ndim)
-        if arr.ndim:
-            dims = _DIMS.get(arr.ndim)
-            out += dims.pack(*arr.shape) if dims else struct.pack(
-                f"<{arr.ndim}Q", *arr.shape
-            )
-        out += _array_payload(arr)
+        out += (
+            _U8.pack(_TAG_NDARRAY), _str16(arr.dtype.str), _dims(arr),
+            _array_payload(arr),
+        )
     elif isinstance(value, (list, tuple)):
-        out += _TAG_STR_S.pack(_TAG_LIST, len(value))
+        out.append(_TAG_STR_S.pack(_TAG_LIST, len(value)))
         for item in value:
             _encode_value(item, out)
     else:
@@ -266,10 +282,10 @@ def _decode_value(reader: _Reader, copy: bool = True) -> Any:
     raise CodecError(f"unknown attribute tag {tag}")
 
 
-def _encode_attrs_into(out: bytearray, attrs: dict) -> None:
-    out += _U32.pack(len(attrs))
+def _encode_attrs_into(out: list, attrs: dict) -> None:
+    out.append(_U32.pack(len(attrs)))
     for name, value in attrs.items():
-        _append_str16(out, name)
+        out.append(_str16(name))
         _encode_value(value, out)
 
 
@@ -286,10 +302,9 @@ def _decode_attrs(reader: _Reader, copy: bool = True) -> dict:
 
 def encode_header(attrs: dict) -> bytes:
     """File header bytes: magic, version, file attributes."""
-    out = bytearray(FILE_MAGIC)
-    out += _U16.pack(VERSION)
+    out = [FILE_MAGIC, _U16.pack(VERSION)]
     _encode_attrs_into(out, attrs)
-    return bytes(out)
+    return b"".join(out)
 
 
 #: Memo of encoded record *prefixes* (magic, name, attrs, dtype, shape,
@@ -304,18 +319,10 @@ _prefix_memo: "OrderedDict[tuple, bytes]" = OrderedDict()
 
 
 def _encode_record_prefix(dataset: Dataset, arr: np.ndarray) -> bytes:
-    out = bytearray(RECORD_MAGIC)
-    _append_str16(out, dataset.name)
+    out = [RECORD_MAGIC, _str16(dataset.name)]
     _encode_attrs_into(out, dataset.attrs)
-    _append_str16(out, arr.dtype.str)
-    out.append(arr.ndim)
-    if arr.ndim:
-        dims = _DIMS.get(arr.ndim)
-        out += dims.pack(*arr.shape) if dims else struct.pack(
-            f"<{arr.ndim}Q", *arr.shape
-        )
-    out += _U64.pack(arr.nbytes)
-    return bytes(out)
+    out += (_str16(arr.dtype.str), _dims(arr), _U64.pack(arr.nbytes))
+    return b"".join(out)
 
 
 def _record_parts(dataset: Dataset) -> tuple:
@@ -412,65 +419,76 @@ def decode_header(buf: bytes) -> Tuple[dict, int, int]:
     return attrs, reader.pos, version
 
 
-def _skip_value(reader: _Reader) -> None:
-    """Advance past one attribute value without materializing it."""
-    tag = reader.u8()
-    if tag == _TAG_NONE:
-        return
-    if tag == _TAG_BOOL:
-        reader.u8()
-    elif tag == _TAG_INT:
-        reader.take(8)
-    elif tag == _TAG_FLOAT:
-        reader.take(8)
-    elif tag in (_TAG_STR, _TAG_BYTES):
-        reader.take(reader.u32())
-    elif tag == _TAG_NDARRAY:
-        dtype = np.dtype(reader.str16())
-        ndim = reader.u8()
-        shape = tuple(reader.u64() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        reader.take(count * dtype.itemsize)
-    elif tag == _TAG_LIST:
-        for _ in range(reader.u32()):
-            _skip_value(reader)
-    else:
-        raise CodecError(f"unknown attribute tag {tag}")
+class RecordHeader(NamedTuple):
+    """One dataset record's header, parsed once by :func:`scan_file`.
 
-
-def _skip_attrs(reader: _Reader) -> None:
-    for _ in range(reader.u32()):
-        reader.take(reader.u16())  # name (str16)
-        _skip_value(reader)
-
-
-def _skip_record(reader: _Reader) -> str:
-    """Advance past one dataset record; returns its name.
-
-    The skip walks exactly the fields :func:`_decode_record` would
-    (payload length is explicit, so no array is built), which is what
-    makes a metadata-only directory scan cheap in wall-clock terms.
+    ``payload_offset`` is where the array bytes start *within the
+    record*: they run from there to the record's end.
     """
+
+    name: str
+    attrs: dict
+    dtype: np.dtype
+    shape: tuple
+    payload_offset: int
+
+    def dataset(self, record, copy: bool = False) -> Dataset:
+        """The :class:`Dataset` this header describes, over ``record``
+        (the record's bytes, header included).
+
+        The data is a read-only view of ``record`` (array-valued
+        attributes: of the buffer the header was parsed from); with
+        ``copy=True`` every array is a private writable copy.
+        """
+        raw = memoryview(record)[self.payload_offset :]
+        attrs = dict(self.attrs)
+        if copy:
+            for key, value in attrs.items():
+                if isinstance(value, (np.ndarray, list)):
+                    attrs[key] = _private(value)
+        # trusted: a parsed header is valid by construction (_read_record).
+        return Dataset.trusted(
+            self.name, _frombuffer(raw, self.dtype, self.shape, copy), attrs
+        )
+
+
+def _private(value: Any) -> Any:
+    """A decoded attribute value that shares no buffer with its file."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, list):
+        return [_private(v) for v in value]
+    return value
+
+
+def _read_record(reader: _Reader) -> RecordHeader:
+    """Parse the record at the cursor and step past its payload."""
+    start = reader.pos
     if reader.take(4) != RECORD_MAGIC:
         raise CodecError("bad dataset record magic")
     name = reader.str16()
-    _skip_attrs(reader)
-    reader.take(reader.u16())  # dtype string
+    if not name:
+        raise CodecError("empty dataset name")
+    attrs = _decode_attrs(reader, copy=False)
+    dtype = np.dtype(reader.str16())
     ndim = reader.u8()
-    reader.take(8 * ndim)  # dims
+    shape = tuple(reader.u64() for _ in range(ndim))
     nbytes = reader.u64()
+    payload_offset = reader.pos - start
     reader.take(nbytes)
-    return name
+    return RecordHeader(name, attrs, dtype, shape, payload_offset)
 
 
-def scan_file(buf: bytes) -> Tuple[dict, list]:
-    """Structural scan: file attrs + record extents, no array decoding.
+def scan_file(buf: bytes) -> Tuple[dict, Dict[Tuple[str, int, int], RecordHeader]]:
+    """Structural scan: file attrs + every record's parsed header.
 
-    Returns ``(attrs, entries)`` with ``entries`` a list of ``(name,
-    offset, length)`` tuples in on-disk order, such that ``buf[offset :
-    offset + length]`` is one full record for :func:`decode_batch`.
-    This is the sieving reader's directory pass and the format's one
-    record walk: headers are walked, array payloads jumped over.
+    Returns ``(attrs, records)``: ``records`` maps each record's
+    ``(name, offset, length)`` extent, in on-disk order, to its
+    :class:`RecordHeader`; ``buf[offset : offset + length]`` is the
+    whole record, and ``records[extent].dataset(buf[offset : offset +
+    length])`` its dataset.  This is the format's one record walk: each
+    header is decoded here once, array payloads are jumped over, and
+    nothing re-parses a header to decode the data later.
 
     Corruption handling: a buffer cut mid-record (or mid-magic), or
     carrying garbage where a record should start, raises
@@ -481,32 +499,30 @@ def scan_file(buf: bytes) -> Tuple[dict, list]:
     crash-torn snapshot.
     """
     attrs, pos, _version = decode_header(buf)
-    entries = []
+    records = {}
     reader = _Reader(buf, pos)
     nbuf = len(buf)
     committed = None
     while not reader.exhausted:
-        chunk = buf[reader.pos : reader.pos + 4]
-        if chunk == RECORD_MAGIC:
-            start = reader.pos
-            name = _skip_record(reader)
-            entries.append((name, start, reader.pos - start))
-        elif chunk == COMMIT_MAGIC and reader.pos == nbuf - COMMIT_SIZE:
-            committed = _U64.unpack_from(buf, reader.pos + 4)[0]
+        start = reader.pos
+        magic = buf[start : start + 4]
+        if magic == RECORD_MAGIC:
+            header = _read_record(reader)
+            records[(header.name, start, reader.pos - start)] = header
+        elif magic == COMMIT_MAGIC and start == nbuf - COMMIT_SIZE:
+            committed = _U64.unpack_from(buf, start + 4)[0]
             break
         else:
-            raise CodecError(
-                f"truncated or corrupt SHDF record at offset {reader.pos}"
-            )
+            raise CodecError(f"truncated or corrupt SHDF record at offset {start}")
     if attrs.get(JOURNAL_ATTR):
         if committed is None:
             raise TornFileError("torn SHDF file (missing commit footer)")
-        if committed != len(entries):
+        if committed != len(records):
             raise TornFileError(
                 f"torn SHDF file (commit says {committed} datasets, "
-                f"found {len(entries)})"
+                f"found {len(records)})"
             )
-    return attrs, entries
+    return attrs, records
 
 
 def decode_batch(records, copy: bool = False) -> list:
@@ -521,42 +537,28 @@ def decode_batch(records, copy: bool = False) -> list:
     out = []
     for chunk in records:
         reader = _Reader(chunk)
-        out.append(_decode_record(reader, copy))
+        header = _read_record(reader)
         if not reader.exhausted:
             raise CodecError(
                 f"trailing bytes after dataset record ({reader._len - reader.pos})"
             )
+        out.append(header.dataset(chunk, copy))
     return out
-
-
-def _decode_record(reader: _Reader, copy: bool = True) -> Dataset:
-    if reader.take(4) != RECORD_MAGIC:
-        raise CodecError("bad dataset record magic")
-    name = reader.str16()
-    attrs = _decode_attrs(reader, copy)
-    dtype = np.dtype(reader.str16())
-    ndim = reader.u8()
-    shape = tuple(reader.u64() for _ in range(ndim))
-    nbytes = reader.u64()
-    raw = reader.take(nbytes)
-    return Dataset(name, _frombuffer(raw, dtype, shape, copy), attrs)
 
 
 def decode_file(buf: bytes, copy: bool = False) -> FileImage:
     """Decode a full file buffer into a :class:`FileImage`.
 
-    :func:`scan_file` (whose corruption and torn-file errors propagate)
-    followed by :func:`decode_batch` over the extents it found.
+    :func:`scan_file` (whose corruption and torn-file errors propagate),
+    then each record's dataset built from the header the scan parsed.
 
     Dataset arrays are **read-only views** of ``buf`` by default;
     callers that mutate them in place (the restart path) must pass
     ``copy=True`` for private writable copies.
     """
-    attrs, entries = scan_file(buf)
+    attrs, records = scan_file(buf)
     image = FileImage(attrs)
     view = memoryview(buf)
-    for dataset in decode_batch(
-        (view[offset : offset + length] for _name, offset, length in entries), copy
-    ):
-        image.add(dataset)
+    for (_name, offset, length), header in records.items():
+        image.add(header.dataset(view[offset : offset + length], copy))
     return image

@@ -17,7 +17,6 @@ from ..fs.coalesce import ReadCoalescer, WriteCoalescer
 from ..fs.models import FileSystemModel
 from .codec import (
     JOURNAL_ATTR,
-    decode_batch,
     encode_commit_footer,
     encode_header,
     scan_file,
@@ -296,9 +295,10 @@ class SHDFReader:
     """Reader for one SHDF file on the virtual disk.
 
     :meth:`open_scan` scans the file's record directory into extents —
-    names, offsets, lengths — without materializing any array; dataset
-    data is decoded only when :meth:`read_extents` / :meth:`read_batch`
-    pulls it through the :class:`~repro.fs.coalesce.ReadCoalescer`.
+    names, offsets, lengths — parsing every record header once and
+    materializing no array; dataset data is decoded only when
+    :meth:`read_extents` / :meth:`read_batch` pulls it through the
+    :class:`~repro.fs.coalesce.ReadCoalescer`, from those headers.
     """
 
     def __init__(
@@ -320,8 +320,9 @@ class SHDFReader:
         self._recorder = recorder
         self._rank = rank
         self._visible = visible
-        # Record extents + the file they index, between open and close.
-        self._entries: Optional[List] = None
+        # Record extents -> parsed headers (file order), and the file
+        # they index, between open and close.
+        self._entries: Optional[Dict] = None
         self._attrs: Optional[Dict[str, Any]] = None
         self._vfile = None
 
@@ -347,9 +348,9 @@ class SHDFReader:
         """Generator: open the file by *structural scan* (no data decode).
 
         One metadata round trip, then the file's record directory is
-        scanned into extents; returns the file attributes.  A torn file
-        raises :class:`~.codec.TornFileError` (see
-        :func:`~.codec.scan_file`).
+        scanned into extents and their parsed headers; returns the file
+        attributes.  A torn file raises :class:`~.codec.TornFileError`
+        (see :func:`~.codec.scan_file`).
         """
         if self.is_open:
             raise RuntimeError(f"{self.path}: already open")
@@ -396,7 +397,8 @@ class SHDFReader:
         ops are charged as one bulk event, the extents are merged by a
         :class:`~repro.fs.coalesce.ReadCoalescer` (sieving through holes
         up to ``sieve_gap`` bytes) into a few large ``fs.read`` calls,
-        and the resulting record slices are batch-decoded.  Returns the
+        and each record's dataset is built from the header
+        :meth:`open_scan` parsed plus its payload slice.  Returns the
         :class:`Dataset` list in ``entries`` order, with private
         writable arrays (restart consumers mutate them in place).
 
@@ -414,8 +416,11 @@ class SHDFReader:
         coalescer = ReadCoalescer(self.fs, self._vfile, node=self.node, gap=sieve_gap)
         for _name, offset, length in entries:
             coalescer.add(offset, length, meta_bytes=self.driver.meta_bytes_per_dataset)
-        chunks = yield from coalescer.run()
-        datasets = decode_batch(chunks, copy=True)
+        records = yield from coalescer.run()
+        datasets = [
+            self._entries[extent].dataset(record, copy=True)
+            for extent, record in zip(entries, records)
+        ]
         self._record("read_extents", sum(d.nbytes for d in datasets), t0)
         return datasets
 

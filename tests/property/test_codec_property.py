@@ -146,3 +146,81 @@ def test_batch_is_exactly_the_concatenated_single_encodes(batch, data):
         pos += length
     assert pos == len(buf)
     assert decode_batch(buf[o:o + n] for _name, o, n, _nb in entries) == batch
+
+
+def _journaled(image):
+    """A committed journaled file's bytes, as ``SHDFWriter`` lays it out,
+    and the ``(start, end)`` span of every record in it."""
+    from repro.shdf.codec import (
+        JOURNAL_ATTR, encode_commit_footer, encode_dataset, encode_header,
+    )
+
+    parts = [encode_header({**image.attrs, JOURNAL_ATTR: True})]
+    spans = []
+    pos = len(parts[0])
+    for ds in image:
+        record = encode_dataset(ds)
+        spans.append((pos, pos + len(record)))
+        parts.append(record)
+        pos += len(record)
+    parts.append(encode_commit_footer(len(image)))
+    return b"".join(parts), spans
+
+
+@given(file_images(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_scanned_headers_decode_like_decode_batch(image, copy):
+    """One header walk: the datasets built from ``scan_file``'s parsed
+    headers equal ``decode_batch`` over the same extents, and the
+    extents tile the records exactly."""
+    from repro.shdf.codec import decode_batch, scan_file
+
+    buf, spans = _journaled(image)
+    _attrs, records = scan_file(buf)
+    assert [(o, o + n) for _name, o, n in records] == spans
+    assert [name for name, _o, _n in records] == image.names()
+    view = memoryview(buf)
+    built = [
+        header.dataset(view[o : o + n], copy)
+        for (_name, o, n), header in records.items()
+    ]
+    assert built == decode_batch((view[o : o + n] for _name, o, n in records), copy)
+    assert built == list(image)
+    for ds in built:
+        assert ds.data.flags.writeable == copy
+
+
+@given(file_images(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_damaged_journaled_files_raise_the_documented_errors(image, data):
+    """Truncated, corrupt and torn buffers: a cut on a record boundary
+    is torn (``TornFileError``), any other cut, garbage where a record
+    or the footer should start, or a record with bad magic is corrupt
+    (``CodecError``, not torn), a wrong commit count is torn."""
+    from repro.shdf import CodecError, TornFileError, decode_file, scan_file
+
+    buf, spans = _journaled(image)
+    header_end = spans[0][0] if spans else len(buf) - 12
+    boundaries = {header_end} | {end for _start, end in spans}
+    damage = data.draw(st.sampled_from(["cut", "garbage", "magic", "count"]))
+    if damage == "cut":
+        cut = data.draw(st.integers(0, len(buf) - 1))
+        damaged = buf[:cut]
+        expected = TornFileError if cut == 0 or cut in boundaries else CodecError
+    elif damage == "garbage":
+        damaged = buf + data.draw(st.binary(min_size=1, max_size=16))
+        expected = CodecError
+    elif damage == "magic" and spans:
+        start = data.draw(st.sampled_from([s for s, _e in spans]))
+        damaged = buf[:start] + b"X" + buf[start + 1 :]
+        expected = CodecError
+    else:
+        damaged = buf[:-8] + (len(image) + 1).to_bytes(8, "little")
+        expected = TornFileError
+    for decode in (scan_file, decode_file):
+        try:
+            decode(damaged)
+        except CodecError as exc:
+            assert type(exc) is expected, (damage, exc)
+        else:
+            raise AssertionError(f"{damage}: decoded a damaged file")

@@ -1,7 +1,9 @@
 """Unit tests for the virtual disk."""
 
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.fs import FileExists, FileNotFound, VirtualDisk
@@ -45,25 +47,72 @@ def test_append_returns_offset():
     assert f.size == 5
 
 
-def test_write_at_extends_with_zeros():
+def test_append_many_lands_every_input_kind_in_order():
+    """bytes, views over bytes, bytearrays, writable views and numpy
+    buffers all land as their bytes; empty chunks add nothing."""
     disk = VirtualDisk()
     f = disk.create("f")
-    f.write_at(4, b"xy")
-    assert f.read() == b"\x00\x00\x00\x00xy"
+    base = b"0123456789"
+    chunks = [
+        b"ab", memoryview(base)[2:5], b"", bytearray(b"cd"),
+        memoryview(bytearray(b"ef")), np.array([1, 2], dtype=np.uint16),
+    ]
+    assert f.append(b"<") == 0
+    assert f.append_many(chunks) == 1
+    assert f.read() == b"<ab234cdef\x01\x00\x02\x00"
+    assert f.size == disk.total_bytes == 14
 
 
-def test_write_at_overwrites():
-    disk = VirtualDisk()
-    f = disk.create("f")
-    f.append(b"abcdef")
-    f.write_at(2, b"ZZ")
-    assert f.read() == b"abZZef"
-
-
-def test_write_at_negative_offset_rejected():
+def test_mutating_an_appended_buffer_leaves_the_file_unchanged():
+    """What is on disk is copied or immutable: a holder of the source
+    buffer cannot change it after the append."""
     f = VirtualDisk().create("f")
-    with pytest.raises(ValueError):
-        f.write_at(-1, b"x")
+    ba = bytearray(b"abcd")
+    wv = memoryview(bytearray(b"efgh"))
+    arr = np.frombuffer(bytearray(b"ijkl"), dtype=np.uint8)
+    f.append(ba)
+    f.append_many([wv, arr])
+    ba[:] = b"ZZZZ"
+    wv[:] = b"YYYY"
+    arr[:] = 0
+    assert f.read() == b"abcdefghijkl"
+
+
+def test_appending_a_read_only_view_over_bytes_keeps_a_reference():
+    """The landing copy is gone: an 8 MiB view over ``bytes`` lands
+    without allocating its size, and a read of one whole ``bytes`` chunk
+    is that object; a ``bytearray`` of the same size is copied once."""
+    payload = bytes(8 << 20)
+    view = memoryview(payload)[4096:]
+    mutable = bytearray(len(view))
+    f = VirtualDisk().create("f")
+    g = VirtualDisk().create("g")
+    tracemalloc.start()
+    try:
+        f.append(view)
+        f.append_many([view])
+        by_reference = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        g.append(mutable)
+        copied = tracemalloc.get_traced_memory()[1] - by_reference
+    finally:
+        tracemalloc.stop()
+    assert by_reference < 64 * 1024
+    assert copied >= len(mutable)
+    whole = VirtualDisk().create("w")
+    whole.append(payload)
+    assert whole.read() is payload
+
+
+def test_views_are_read_only_slices_of_the_appended_bytes():
+    payload = b"0123456789"
+    f = VirtualDisk().create("f")
+    f.append(payload)
+    f.append(memoryview(payload)[:4])
+    views = f.views(8, 4)
+    assert [bytes(v) for v in views] == [b"89", b"01"]
+    assert all(v.readonly and v.obj is payload for v in views)
+    assert f.views(14) == [] and f.views(3, 0) == []
 
 
 def test_ranged_read():

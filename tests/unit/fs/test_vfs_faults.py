@@ -69,16 +69,24 @@ class TestFaultHook:
         f.append(b"data")  # budget exhausted: third attempt lands
         assert f.read() == b"data"
 
-    def test_hook_applies_to_write_at_too(self):
+    def test_hook_applies_to_append_many_too(self):
+        """One check for the whole batch, sized in bytes, before any
+        chunk lands."""
         disk = VirtualDisk()
         f = disk.create("a")
         f.append(b"0000")
-        disk.fault_hook = lambda path, nbytes: (_ for _ in ()).throw(
-            TransientIOError(path)
-        )
+        seen = []
+
+        def hook(path, nbytes):
+            seen.append(nbytes)
+            raise TransientIOError(path)
+
+        disk.fault_hook = hook
         with pytest.raises(TransientIOError):
-            f.write_at(0, b"11")
+            f.append_many([b"11", memoryview(b"2222")[1:], bytearray(b"3")])
+        assert seen == [6]
         assert f.read() == b"0000"
+        assert disk.total_bytes == 4
 
 
 class TestPersistAfterFaults:
