@@ -1,17 +1,20 @@
 """DESIGN §8's table: where the four Rocpanda workloads' virtual wall goes.
 
-    python3 benchmarks/drain_ledger.py [--seed 100] [--limit BYTES]
+    python3 benchmarks/drain_ledger.py [--seed 100] [--limit BYTES] [--driver hdf4|hdf5]
 
 One in-process job sequence per ``benchmarks/e2e`` Rocpanda workload at
 bench size (about a minute), printed as the markdown table DESIGN.md
 carries: virtual wall, the drain the run failed to hide, filesystem
-transfers, and the five ``ServerStats`` drain terms in server-seconds
-summed over the servers.  Everything in it is exact for a seed.
-``--limit`` patches ``server.WRITE_BEHIND_BYTES`` (a module constant,
-not an option) the way the tests do, for the "why 256 KiB" rows.
+transfers, the records (datasets) the servers' files hold — what the
+format's directory bookkeeping grows with — and the five ``ServerStats``
+drain terms in server-seconds summed over the servers.  Everything in
+it is exact for a seed.  ``--limit`` patches ``server.WRITE_BEHIND_BYTES``
+(a module constant, not an option) the way the tests do, for the "why
+256 KiB" rows; ``--driver`` is the servers' format driver.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -21,7 +24,8 @@ sys.path[:0] = [os.path.join(HERE, "..", "src"), os.path.join(HERE, "e2e")]
 from repro.bench.scale import DRAIN_TERMS  # noqa: E402
 from repro.cluster import Machine, turing  # noqa: E402
 from repro.genx import run_genx  # noqa: E402
-from repro.io.rocpanda import server  # noqa: E402
+from repro.io.rocpanda import ServerConfig, server  # noqa: E402
+from repro.shdf import hdf4_driver, hdf5_driver, scan_file  # noqa: E402
 
 from child import copy_disk  # noqa: E402
 from workloads import build  # noqa: E402
@@ -31,39 +35,52 @@ WORKLOADS = (
 )
 
 
-def ledger(name: str, seed: int) -> list:
+DRIVERS = {"hdf4": hdf4_driver, "hdf5": hdf5_driver}
+
+
+def ledger(name: str, seed: int, driver: str) -> list:
     workload = build(name)
+    servers = ServerConfig(driver=DRIVERS[driver]())
+
+    def config(job):
+        return dataclasses.replace(job.config, server_config=servers)
+
     disk = None
     if workload.checkpoint is not None:
         machine = Machine(turing(), seed=seed)
-        run_genx(machine, workload.checkpoint.nranks, workload.checkpoint.config)
+        run_genx(machine, workload.checkpoint.nranks, config(workload.checkpoint))
         disk = machine.disk
-    wall = sync = ops = 0
+    wall = sync = ops = records = 0
     terms = dict.fromkeys(DRAIN_TERMS, 0.0)
     for job in workload.jobs:
         machine = Machine(turing(), seed=seed, disk=copy_disk(disk))
-        result = run_genx(machine, job.nranks, job.config)
+        result = run_genx(machine, job.nranks, config(job))
         wall += result.wall_time
         sync += max(c.final_sync_time for c in result.clients)
         ops += machine.fs.metrics.write_ops
+        records += sum(
+            len(scan_file(machine.disk.open(path).read())[1])
+            for path in machine.disk.listdir(job.config.prefix + "_")
+        )
         for term in DRAIN_TERMS:
             terms[term] += sum(getattr(s.stats, f"{term}_time") for s in result.servers)
     drain = (f"{terms[term]:.2f}" for term in DRAIN_TERMS)
-    return [f"`{name}`", f"{wall:.3f}", f"{sync:.3f}", ops, *drain]
+    return [f"`{name}`", f"{wall:.3f}", f"{sync:.3f}", ops, records, *drain]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=100)
     parser.add_argument("--limit", type=int, default=server.WRITE_BEHIND_BYTES)
+    parser.add_argument("--driver", choices=sorted(DRIVERS), default="hdf4")
     args = parser.parse_args()
     seed, server.WRITE_BEHIND_BYTES = args.seed, args.limit
     head = ["workload", "`virt_wall_s`", "`virt_final_sync_s`", "`fs.write_ops`",
-            *(term.replace("_", " ") for term in DRAIN_TERMS)]
+            "records", *(term.replace("_", " ") for term in DRAIN_TERMS)]
     print("| " + " | ".join(head) + " |")
     print("|---|" + "--:|" * (len(head) - 1))
     for name in WORKLOADS:
-        print("| " + " | ".join(map(str, ledger(name, seed))) + " |")
+        print("| " + " | ".join(map(str, ledger(name, seed, args.driver))) + " |")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.cluster import Machine, turing
 from repro.genx import GENxConfig, lab_scale_motor, run_genx
+from repro.rocketeer import load_snapshot
 from repro.shdf import decode_file
 
 
@@ -62,19 +63,21 @@ def main():
     print(f"  restart latency: {second.restart_time:.3f} s (virtual)")
 
     # --- 3. bit-exact verification --------------------------------------
-    checkpoint = decode_file(disk.open("run1_000012_rocflo_s0000.shdf").read())
-    # The restarted run wrote its step-0 snapshot with 3 servers; gather
-    # all its pieces and compare dataset by dataset.
-    restored = {}
-    for path in disk.listdir("run2_000000_rocflo"):
-        for ds in decode_file(disk.open(path).read()):
-            restored[ds.name] = ds
+    # The restarted run wrote its step-0 snapshot with 3 servers; Rocketeer
+    # reassembles both snapshots block by block (a server file holds one
+    # record per attribute per write-behind stage), compared array by array.
+    checkpoint = load_snapshot(disk, "run1", 12).window("rocflo")
+    restored = load_snapshot(disk, "run2", 0).window("rocflo")
+    assert sorted(restored) == sorted(checkpoint)
     mismatches = 0
-    for path in disk.listdir("run1_000012_rocflo"):
-        for ds in decode_file(disk.open(path).read()):
-            if not np.array_equal(ds.data, restored[ds.name].data, equal_nan=True):
+    compared = 0
+    for block_id, block in checkpoint.items():
+        for attr, array in block.arrays.items():
+            compared += 1
+            got = restored[block_id].arrays[attr]
+            if got.shape != array.shape or not np.array_equal(got, array, equal_nan=True):
                 mismatches += 1
-    print(f"  datasets compared : {len(restored)}")
+    print(f"  arrays compared   : {compared} in {len(restored)} blocks")
     print(f"  mismatches        : {mismatches}")
     assert mismatches == 0, "restart corrupted state!"
     print("  restart is bit-exact across a 2-server -> 3-server change")

@@ -87,7 +87,8 @@ def _immutable(chunk):
         type(chunk) is memoryview and chunk.readonly
         and type(chunk.obj) is bytes and chunk.c_contiguous
     ):
-        return chunk.cast("B")  # flat bytes, so len() counts bytes
+        # Flat bytes, so len() counts bytes.
+        return chunk if chunk.ndim == 1 and chunk.format == "B" else chunk.cast("B")
     return bytes(chunk)
 
 

@@ -43,8 +43,10 @@ class GENxConfig:
     io_mode: str = "rocpanda"
     #: Rocpanda servers (required iff io_mode == "rocpanda").
     nservers: int = 0
-    #: Scientific-format driver factory.
+    #: Scientific-format driver factory, for every service's files.
     driver_factory: Callable[[], HDFDriver] = hdf4_driver
+    #: Rocpanda servers' tunables; an explicit one wins, driver included
+    #: (None: the defaults, with ``driver_factory``'s driver).
     server_config: Optional[ServerConfig] = None
     #: Optional (overhead_seconds, bytes_per_second) override of the
     #: Rocpanda client's per-block marshalling cost (platform tuning).
@@ -166,7 +168,10 @@ def genx_main(config: GENxConfig):
         if config.io_mode == "rocpanda":
             topo = yield from rocpanda_init(ctx, config.nservers)
             if topo.is_server:
-                server = PandaServer(ctx, topo, config.server_config)
+                server = PandaServer(
+                    ctx, topo,
+                    config.server_config or ServerConfig(driver=config.driver_factory()),
+                )
                 stats = yield from server.run()
                 return ServerReport(rank=ctx.rank, stats=stats)
             comm = topo.comm

@@ -3,16 +3,19 @@
 * :class:`DataBlock` — the unit of I/O (§4): all arrays + metadata of
   one pane, self-contained so it can travel between processes and into
   files.
-* window ↔ SHDF layout: each array of each data block becomes one SHDF
-  dataset named ``<window>/b<block_id>/<attr>``, with enough dataset
-  attributes to reconstruct the pane on read ("data from different
-  arrays in the same data block stored in neighboring HDF datasets").
+* window ↔ SHDF layout: an array of a data block is encoded as one
+  record named ``<window>/b<block_id>/<attr>``, with the dataset
+  attributes that rebuild the pane ("neighboring HDF datasets", §4):
+  Rochdf's and T-Rochdf's files.  A Rocpanda server lands one
+  write-behind stage's blocks as one record per attribute instead
+  (:func:`block_record`); :func:`datasets_to_blocks` reads either.
 * :class:`IOStats` — per-rank accounting every I/O service maintains;
   the benchmark harness aggregates these into the paper's numbers.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -21,6 +24,7 @@ import numpy as np
 
 from ..roccom.attribute import LOC_WINDOW, AttributeSpec
 from ..roccom.registry import Roccom
+from ..shdf.codec import encode_record_prefix
 from ..shdf.model import Dataset
 
 __all__ = [
@@ -35,6 +39,10 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^(?P<window>[^/]+)/b(?P<block>\d+)/(?P<attr>[^/]+)$")
+
+#: Record attribute of a record holding several blocks' arrays: one row
+#: ``(block_id, nnodes, nelems, rows)`` per block, in payload order.
+BLOCK_INDEX = "blocks"
 
 #: Estimated per-array protocol overhead when a block travels as a message.
 _BLOCK_WIRE_OVERHEAD = 256
@@ -206,28 +214,83 @@ def block_to_datasets(block: DataBlock) -> List[Dataset]:
     return out
 
 
+def record_groups(block: DataBlock) -> list:
+    """What each of ``block``'s records (:func:`block_to_datasets` order)
+    shares with the records it may join in one :func:`block_record`: its
+    dataset attributes but the per-block ones, dtype, and shape past
+    axis 0.  An array with no rows to join by (0-d, or zero-byte rows)
+    joins none: its group is its record's name."""
+    specs = block.specs
+    return [
+        (block.window, attr, specs[attr].location, specs[attr].ncomp,
+         specs[attr].unit, a.dtype, a.shape[1:])
+        if a.ndim and a.itemsize * math.prod(a.shape[1:])
+        else dataset_name(block.window, block.block_id, attr)
+        for attr, a in block.arrays.items()
+    ]
+
+
+def block_record(group, parts) -> tuple:
+    """The chunks that land ``parts``, ``(EncodedBlock, its entry)``
+    records sharing ``group``, as one record: a lone block's record as
+    it is, else a new header — named after the first block, with a
+    :data:`BLOCK_INDEX` for the per-block attributes — and read-only
+    views of the payloads, concatenated along axis 0 (nothing copied).
+    """
+    if len(parts) == 1:
+        block, (_name, offset, length, _nbytes) = parts[0]
+        return (block.buf[offset : offset + length],)
+    window, attr, location, ncomp, unit, dtype, tail = group
+    row = dtype.itemsize * math.prod(tail)
+    rows = [(b.block_id, b.nnodes, b.nelems, entry[3] // row) for b, entry in parts]
+    index = np.array(rows, dtype=np.int64)
+    attrs = {
+        "window": window, "attr": attr, "location": location,
+        "ncomp": ncomp, "unit": unit, BLOCK_INDEX: index,
+    }
+    name = dataset_name(window, parts[0][0].block_id, attr)
+    prefix = encode_record_prefix(name, attrs, dtype, (int(index[:, 3].sum()), *tail))
+    return (prefix, *(b.buf[o + n - nb : o + n] for b, (_, o, n, nb) in parts))
+
+
+def record_block_ids(attrs: Dict[str, Any]) -> List[int]:
+    """Ids of the blocks whose arrays a record with ``attrs`` holds."""
+    index = attrs.get(BLOCK_INDEX)
+    return [attrs["block_id"]] if index is None else index[:, 0].tolist()
+
+
 def datasets_to_blocks(datasets: List[Dataset]) -> List[DataBlock]:
-    """Group decoded SHDF datasets back into :class:`DataBlock` s."""
+    """Group decoded SHDF datasets back into :class:`DataBlock` s.
+
+    A :func:`block_record` is split along axis 0, each block's rows a
+    view of its exact dtype and shape — private and writable iff the
+    dataset was decoded as a copy (restart), as a lone block's array is.
+    """
     by_block: Dict[Tuple[str, int], DataBlock] = {}
     for ds in datasets:
         window, block_id, attr = parse_dataset_name(ds.name)
-        key = (window, block_id)
-        if key not in by_block:
-            by_block[key] = DataBlock(
-                window=window,
-                block_id=block_id,
-                nnodes=int(ds.attrs["nnodes"]),
-                nelems=int(ds.attrs["nelems"]),
-                arrays={},
-                specs={},
-            )
-        block = by_block[key]
-        block.arrays[attr] = ds.data
-        block.specs[attr] = AttributeSpec(
+        index = ds.attrs.get(BLOCK_INDEX)
+        if index is None:
+            parts = [(block_id, ds.attrs["nnodes"], ds.attrs["nelems"], ds.data)]
+        else:
+            ends = np.cumsum(index[:, 3]).tolist()
+            parts = [
+                (bid, nnodes, nelems, ds.data[end - rows : end])
+                for (bid, nnodes, nelems, rows), end in zip(index.tolist(), ends)
+            ]
+        spec = AttributeSpec(
             attr,
             location=str(ds.attrs["location"]),
             ncomp=int(ds.attrs["ncomp"]),
             dtype=ds.data.dtype.str.lstrip("<>=|"),
             unit=str(ds.attrs["unit"]),
         )
+        for bid, nnodes, nelems, data in parts:
+            block = by_block.get((window, bid))
+            if block is None:
+                block = by_block[(window, bid)] = DataBlock(
+                    window, bid, int(nnodes), int(nelems), arrays={}, specs={}
+                )
+            block.arrays[attr] = data
+            block.specs[attr] = spec
     return [by_block[k] for k in sorted(by_block)]

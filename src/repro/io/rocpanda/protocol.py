@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ...shdf.codec import encode_records
-from ..base import DataBlock, block_to_datasets
+from ...shdf.codec import encode_batch
+from ..base import DataBlock, block_to_datasets, record_groups
 
 __all__ = [
     "ProtocolError",
@@ -80,30 +80,35 @@ class EncodedBlock:
     """One data block already serialised to SHDF record bytes.
 
     The *client* encodes (one pass over the whole snapshot into a
-    shared buffer) and ships the record bytes; the server appends them
-    verbatim.  ``records`` holds ``(dataset_name, record_bytes,
-    data_nbytes)`` tuples whose record bytes are zero-copy slices of
-    the shared batch buffer.  ``nbytes`` is pinned to the source
+    shared buffer) and ships the record bytes, which the server lands
+    (:func:`~repro.io.base.block_record`).  ``entries`` are this block's
+    :func:`~repro.shdf.codec.encode_batch` entries in the batch's
+    read-only ``buf``, ``groups`` their
+    :func:`~repro.io.base.record_groups`.  ``nbytes`` is pinned to the source
     :class:`DataBlock`'s accounting size (arrays plus a per-array wire
     estimate), which is what the wire and the server's buffer charge.
     """
 
-    __slots__ = ("block_id", "nbytes", "records")
+    __slots__ = ("block_id", "nnodes", "nelems", "nbytes", "buf", "entries", "groups")
 
-    def __init__(self, block_id: int, nbytes: int, records: List[Tuple]):
-        self.block_id = block_id
-        self.nbytes = nbytes
-        self.records = records
+    def __init__(self, block: DataBlock, buf: memoryview, entries: List[Tuple], groups: List):
+        self.block_id = block.block_id
+        self.nnodes = block.nnodes
+        self.nelems = block.nelems
+        self.nbytes = block.nbytes
+        self.buf = buf
+        self.entries = entries
+        self.groups = groups
 
     @property
     def data_nbytes(self) -> int:
         """Array bytes of the block (what ``IOStats.bytes_written`` counts)."""
-        return sum(r[2] for r in self.records)
+        return sum(e[3] for e in self.entries)
 
     def __repr__(self) -> str:
         return (
             f"<EncodedBlock b{self.block_id} "
-            f"{len(self.records)} records, {self.nbytes} bytes>"
+            f"{len(self.entries)} records, {self.nbytes} bytes>"
         )
 
 
@@ -122,25 +127,20 @@ class BlockBatch:
 def encode_block_batch(path: str, blocks) -> BlockBatch:
     """Serialise ``blocks`` into one :class:`BlockBatch`.
 
-    All datasets of all blocks are encoded into **one** shared buffer
-    (:func:`repro.shdf.codec.encode_records`); each block's records are
-    read-only zero-copy views of it, which is what lets the same views
-    sit in the client's re-ship buffer while a server writes them.
+    All datasets of all blocks are encoded into **one** shared,
+    read-only buffer (:func:`repro.shdf.codec.encode_batch`), which is
+    what lets the same bytes sit in the client's re-ship buffer while a
+    server writes them.
     """
-    datasets = []
-    spans = []  # (block, ndatasets)
-    for block in blocks:
-        ds = block_to_datasets(block)
-        datasets.extend(ds)
-        spans.append((block, len(ds)))
-    records = encode_records(datasets)
+    datasets = [block_to_datasets(block) for block in blocks]
+    buf, entries = encode_batch(d for ds in datasets for d in ds)
+    shared: dict = {}  # one object per group: the server's lookups match by identity
     encoded = []
     i = 0
-    for block, count in spans:
-        encoded.append(
-            EncodedBlock(block.block_id, block.nbytes, records[i : i + count])
-        )
-        i += count
+    for block, ds in zip(blocks, datasets):
+        groups = [shared.setdefault(g, g) for g in record_groups(block)]
+        encoded.append(EncodedBlock(block, buf, entries[i : i + len(ds)], groups))
+        i += len(ds)
     return BlockBatch(path, encoded)
 
 

@@ -8,14 +8,13 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
 * it **writes behind**, in two stages.  The **main loop** drains its
   buffer into the files' writers, *checking for new client requests
   between two data blocks* (non-blocking probe), so writing always
-  yields to new requests; per block it pays the format's directory
-  bookkeeping (CPU) and never waits for the filesystem.  A file's
-  blocks are staged in its writer, and the sealed stages are landed by
-  the **lander**, a second process (a
+  yields to new requests; it stages a file's blocks a dataset per
+  attribute, pays the format's directory bookkeeping (CPU) per dataset
+  and never waits for the filesystem.  The sealed stages, a record per
+  dataset, are landed by the **lander**, a second process (a
   :class:`~repro.vthread.BackgroundWorker`: started on demand, gone
   when idle) that does all that touches ``ctx.fs``, in queue order.
-  Under the
-  filesystem's **write-slot lease** (``fs.write_lease``: the servers
+  Under the filesystem's **write-slot lease** (``fs.write_lease``: the servers
   take turns at the shared filesystem instead of contending inside it)
   only bytes move — header, stage, commit footer, one FIFO wait per
   queue entry; the create, metadata, lock and close round trips are
@@ -51,7 +50,7 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -63,7 +62,7 @@ from ...shdf.drivers import HDFDriver, hdf4_driver
 from ...shdf.file import SHDFReader, SHDFWriter
 from ...vmpi.datatypes import ANY_SOURCE, ANY_TAG
 from ...vthread import BackgroundWorker
-from ..base import DataBlock, datasets_to_blocks
+from ..base import DataBlock, block_record, datasets_to_blocks, record_block_ids
 from ..trochdf import BackgroundWriteError
 from .protocol import (
     TAG_BLOCK,
@@ -125,9 +124,9 @@ class ServerConfig:
     #: restart read EIO).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Target bytes per bulk-read region in two-phase restart.  Regions
-    #: are cut at data-block boundaries once they exceed this, so one
-    #: region's decoded blocks can be scattered while the next region's
-    #: disk read runs ahead.
+    #: are cut at write-behind stage boundaries once they exceed this, so
+    #: one region's decoded blocks can be scattered while the next
+    #: region's disk read runs ahead.
     restart_region_bytes: float = 4 * 1024 * 1024
     #: Maximum hole (bytes) the restart read sieves through when
     #: merging record extents into one contiguous ``fs.read``.
@@ -189,9 +188,10 @@ class _PathState:
         "writer_attrs",
         "begun",
         "expected",
-        "received",
         "booked",
         "staged",
+        "groups",
+        "staged_bytes",
         "seen",
     )
 
@@ -200,12 +200,13 @@ class _PathState:
         self.writer_attrs: Dict[str, Any] = {}
         self.begun: set = set()
         self.expected: Dict[int, int] = {}
-        self.received = 0
         #: Blocks through the format bookkeeping: staged, sealed or landed.
         self.booked = 0
-        #: Blocks in the writer's open stage (sealed ones travel with
-        #: their landing).
+        #: The open stage: blocks (sealed ones travel with their landing),
+        #: their bytes, their records by group — one dataset each.
         self.staged: List = []
+        self.groups: Dict[tuple, List] = {}
+        self.staged_bytes = 0
         #: (client, block_id) pairs already ingested — duplicate
         #: suppression for retried sends and duplicated messages.
         self.seen: set = set()
@@ -436,7 +437,6 @@ class PandaServer:
             self.ctx.recorder.record_counter("rocpanda", "duplicate_blocks_dropped")
             return
         state.seen.add(key)
-        state.received += 1
         if not cfg.active_buffering:
             self.ctx.io_record(
                 "rocpanda", "ingest", path=msg.path, nbytes=eb.nbytes,
@@ -495,39 +495,43 @@ class PandaServer:
     def _stage_block(self, path: str, block):
         """Generator: format bookkeeping for one buffered :class:`EncodedBlock`.
 
-        The block's records are *staged* in the file's writer: directory
-        bookkeeping, CPU work, is the only time spent here.  While the
-        lander has nothing sealed ahead of it, a stage that holds
+        Each of its records extends its group's dataset in the file's
+        open stage or opens one; only an opened dataset pays the format's
+        directory bookkeeping (CPU: the only time spent here), and a
+        sealed stage lands a record per dataset.  While the lander has
+        nothing sealed ahead of it, a stage that holds
         :data:`WRITE_BEHIND_BYTES` is sealed for it, and a block that
-        would push it past the limit seals it first; a busy lander
-        seals what was staged meanwhile when it catches up
-        (:meth:`_next_landing`), so at a saturated write slot the stages grow
-        instead of landing as many small transfers.  Record order is
-        queue order whatever is sealed when: the files are
-        byte-identical.  Staging cannot fault, so a record is staged
-        exactly once; ``bg_write`` records the bookkeeping, and the
-        written counters move when the stage lands.
+        would push it past the limit seals it first; a busy lander seals
+        what was staged meanwhile when it catches up
+        (:meth:`_next_landing`), so at a saturated write slot the stages
+        grow instead of landing as many small transfers.  Staging cannot
+        fault, so a block is staged exactly once; ``bg_write`` records
+        the bookkeeping, and the written counters move when it lands.
         """
         self._working(+1)
         t0 = self.ctx.now
         state = self._paths[path]
-        writer = state.writer
-        records = block.records
         if not state.booked:
             # The file's first block: the lander opens the file (an
             # empty landing) while the blocks behind it are staged.
-            writer.begin(state.writer_attrs)
+            state.writer.begin(state.writer_attrs)
             self._seal(state)
         if (
             not self._landings
-            and writer.staged_bytes
-            and writer.staged_bytes + writer.charge_for(records) > WRITE_BEHIND_BYTES
+            and state.staged
+            and state.staged_bytes + block.nbytes > WRITE_BEHIND_BYTES
         ):
             self._seal(state)
-        yield from writer.write_records(records)
+        opened = 0
+        for group, entry in zip(block.groups, block.entries):
+            parts = state.groups.setdefault(group, [])
+            opened += not parts
+            parts.append((block, entry))
         state.staged.append(block)
+        state.staged_bytes += block.nbytes
+        yield from state.writer.book(opened, block.data_nbytes)
         state.booked += 1
-        if not self._landings and writer.staged_bytes >= WRITE_BEHIND_BYTES:
+        if state.staged and not self._landings and state.staged_bytes >= WRITE_BEHIND_BYTES:
             self._seal(state)
         self._lander.kick()
         self.stats.bookkeeping_time += self.ctx.now - t0
@@ -538,10 +542,12 @@ class PandaServer:
         self._working(-1)
 
     def _seal(self, state: _PathState, close: bool = False) -> None:
-        """Queue ``state``'s open stage (and its file's close) for the lander."""
+        """Queue ``state``'s open stage, one record per dataset (and its
+        file's close), for the lander."""
+        state.writer.stage(block_record(*group) for group in state.groups.items())
         state.writer.seal()
         self._landings.append((state, state.staged, close))
-        state.staged = []
+        state.staged, state.groups, state.staged_bytes = [], {}, 0
         self._lander.kick()
 
     def _close_finished_paths(self, force: bool = False) -> None:
@@ -556,12 +562,12 @@ class PandaServer:
             # expected client announced and received == booked, so the
             # subset/sum work below only runs when it could pass.
             if not force and (
-                len(state.begun) < nexpected or state.received != state.booked
+                len(state.begun) < nexpected or len(state.seen) != state.booked
             ):
                 continue
             announced = expected_clients <= state.begun
             all_expected = sum(state.expected.values()) if announced else None
-            complete = announced and state.received == state.booked == all_expected
+            complete = announced and len(state.seen) == state.booked == all_expected
             if complete or force:
                 retire.append((path, state))
         for path, state in retire:
@@ -660,8 +666,7 @@ class PandaServer:
         if not self._landings:
             for state in self._paths.values():
                 if state.staged and (
-                    not self._queue
-                    or state.writer.staged_bytes >= WRITE_BEHIND_BYTES
+                    not self._queue or state.staged_bytes >= WRITE_BEHIND_BYTES
                 ):
                     self._seal(state)
         if self._landings:
@@ -708,7 +713,15 @@ class PandaServer:
             return
         if self._buffered_bytes or self._landings:
             return
-        waiters, self._sync_waiters = self._sync_waiters, {}
+        # An eager block still in flight can be overtaken by its sender's
+        # SyncRequest: that client waits until what it announced is in.
+        owed = set()
+        for state in self._paths.values():
+            got = Counter(client for client, _b in state.seen)
+            owed.update(c for c, n in state.expected.items() if got[c] < n)
+        waiters = {c: seq for c, seq in self._sync_waiters.items() if c not in owed}
+        for client in waiters:
+            del self._sync_waiters[client]
         world = self.topo.world
         for client, seq in waiters.items():
             # Eager-sized reply echoing the request's seq; fire-and-forget.
@@ -964,27 +977,28 @@ class PandaServer:
 
 
 def _restart_regions(entries, region_bytes: float):
-    """Split scan entries into bulk-read regions cut at block boundaries.
+    """Split a file's records into bulk-read regions cut at stage boundaries.
 
-    ``entries`` are ``(name, offset, length)`` in on-disk order with
-    names shaped ``window/b<id>/<attr>``; a region never splits one
-    data block's records, so each region decodes to whole blocks that
-    can be scattered independently.
+    ``entries`` are ``(extent, RecordHeader)`` pairs in on-disk order,
+    each record one attribute of one block or of a stage's blocks.  A
+    region is cut only where no block of the records before the cut has
+    one after it, so each region decodes to whole blocks that can be
+    scattered independently.
     """
+    ids = [record_block_ids(header.attrs) for _extent, header in entries]
+    last = {block_id: i for i, blocks in enumerate(ids) for block_id in blocks}
     regions: List[List] = []
     current: List = []
     size = 0
-    prev_block = None
-    for entry in entries:
-        name = entry[0]
-        head = "/".join(name.split("/", 2)[:2])
-        if current and head != prev_block and size >= region_bytes:
+    reach = -1
+    for i, ((extent, _header), blocks) in enumerate(zip(entries, ids)):
+        if current and reach < i and size >= region_bytes:
             regions.append(current)
             current = []
             size = 0
-        current.append(entry)
-        size += entry[2]
-        prev_block = head
+        current.append(extent)
+        size += extent[2]
+        reach = max(reach, *(last[block_id] for block_id in blocks))
     if current:
         regions.append(current)
     return regions

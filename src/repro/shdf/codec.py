@@ -39,6 +39,7 @@ path (every snapshot of every rank round-trips through it), so
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 from typing import Any, Dict, NamedTuple, Tuple
@@ -60,6 +61,7 @@ __all__ = [
     "decode_file",
     "decode_batch",
     "decode_header",
+    "encode_record_prefix",
     "scan_file",
     "RecordHeader",
 ]
@@ -127,11 +129,12 @@ def _str16(s: str) -> bytes:
     return _U16.pack(len(raw)) + raw
 
 
-def _dims(arr: np.ndarray) -> bytes:
+def _dims(shape: tuple) -> bytes:
     """``u8 ndim | u64*ndim dims``."""
-    dims = _DIMS.get(arr.ndim)
-    packed = dims.pack(*arr.shape) if dims else struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    return _U8.pack(arr.ndim) + packed
+    ndim = len(shape)
+    dims = _DIMS.get(ndim)
+    packed = dims.pack(*shape) if dims else struct.pack(f"<{ndim}Q", *shape)
+    return _U8.pack(ndim) + packed
 
 
 def _array_payload(arr: np.ndarray):
@@ -242,7 +245,7 @@ def _encode_value(value: Any, out: list) -> None:
             raise CodecError("object-dtype attribute arrays are not storable")
         arr = np.asarray(value, order="C")  # keeps 0-d shape intact
         out += (
-            _U8.pack(_TAG_NDARRAY), _str16(arr.dtype.str), _dims(arr),
+            _U8.pack(_TAG_NDARRAY), _str16(arr.dtype.str), _dims(arr.shape),
             _array_payload(arr),
         )
     elif isinstance(value, (list, tuple)):
@@ -318,10 +321,13 @@ _PREFIX_MEMO_CAP = 65536
 _prefix_memo: "OrderedDict[tuple, bytes]" = OrderedDict()
 
 
-def _encode_record_prefix(dataset: Dataset, arr: np.ndarray) -> bytes:
-    out = [RECORD_MAGIC, _str16(dataset.name)]
-    _encode_attrs_into(out, dataset.attrs)
-    out += (_str16(arr.dtype.str), _dims(arr), _U64.pack(arr.nbytes))
+def encode_record_prefix(name: str, attrs: dict, dtype: np.dtype, shape: tuple) -> bytes:
+    """A record's bytes up to its payload, which must follow: the
+    ``prod(shape)`` items of ``dtype``, raw, as one or many chunks."""
+    out = [RECORD_MAGIC, _str16(name)]
+    _encode_attrs_into(out, attrs)
+    nbytes = math.prod(shape) * dtype.itemsize
+    out += (_str16(dtype.str), _dims(shape), _U64.pack(nbytes))
     return b"".join(out)
 
 
@@ -342,9 +348,10 @@ def _record_parts(dataset: Dataset) -> tuple:
         key = (dataset.name, arr.dtype.str, arr.shape, tuple(ak))
         prefix = _prefix_memo.get(key)
     except TypeError:  # unhashable attr value (ndarray/list attrs)
-        return _encode_record_prefix(dataset, arr), _array_payload(arr)
+        prefix = encode_record_prefix(dataset.name, dataset.attrs, arr.dtype, arr.shape)
+        return prefix, _array_payload(arr)
     if prefix is None:
-        prefix = _encode_record_prefix(dataset, arr)
+        prefix = encode_record_prefix(dataset.name, dataset.attrs, arr.dtype, arr.shape)
         _prefix_memo[key] = prefix
         if len(_prefix_memo) > _PREFIX_MEMO_CAP:
             _prefix_memo.popitem(last=False)

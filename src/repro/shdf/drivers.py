@@ -116,8 +116,8 @@ def hdf4_driver(
 ) -> HDFDriver:
     """HDF4: cheap constants, *linear* directory growth.
 
-    With thousands of datasets per file (Rocpanda restart files) the
-    linear term dominates — the effect behind Table 1's restart row.
+    With thousands of datasets per file the linear term dominates the
+    writer's ``create_cost`` (a sieved restart never pays ``lookup_cost``).
     """
     return HDFDriver(
         name="hdf4",

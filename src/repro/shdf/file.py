@@ -54,9 +54,9 @@ class SHDFWriter:
     appends the 12-byte commit footer as its final write — so readers
     can tell a committed snapshot from one torn by a crash mid-write.
 
-    **Write-behind stages.**  :meth:`write_records` pays the format's
-    per-dataset directory bookkeeping (CPU) and *stages* the records;
-    their metadata round trips are owed by the stage.  A stage lands as
+    **Write-behind stages.**  :meth:`write_records` *stages* records
+    (:meth:`stage`) and pays the format's per-dataset directory
+    bookkeeping (:meth:`book`, CPU); the stage owes their round trips.  A stage lands as
     one filesystem transfer — what it owes first, paid once, then a
     single write through its :class:`~repro.fs.coalesce.WriteCoalescer`
     — so a caller that stages several small batches pays the
@@ -180,22 +180,16 @@ class SHDFWriter:
         self.busy_time += self.env.now - t0
         self._record("open", len(self._header), t0)
 
-    def charge_for(self, records) -> int:
-        """Bytes staging ``records`` would add to :attr:`staged_bytes`."""
-        meta_bytes = self.driver.meta_bytes_per_dataset
-        return sum(len(record) + meta_bytes for _name, record, _n in records)
-
     def write_records(self, records):
         """Generator: stage many records for one coalesced transfer.
 
         ``records`` is a sequence of ``(name, record_bytes, data_nbytes)``
-        tuples.  Driver bookkeeping is charged per dataset (each record
-        pays ``create_cost`` at its own directory size, and its stage
-        owes its meta ops), but nothing reaches the filesystem yet: the
-        records join the open stage and land — together with whatever
-        else it holds — through a **single** filesystem write when it
-        lands, the data-sieving merge that makes gathered server-side
-        writes large and sequential.  The disk mutation happens through
+        tuples, each its own dataset: :meth:`stage` then :meth:`book`.
+        Nothing reaches the filesystem yet: the records join the open
+        stage and land — together with whatever else it holds — through
+        a **single** filesystem write when it lands, the data-sieving
+        merge that makes gathered server-side writes large and
+        sequential.  The disk mutation happens through
         :meth:`~repro.fs.vfs.VirtualFile.append_many`, which checks
         fault hooks *before* appending anything, so the
         raise-before-mutate guarantee holds at stage granularity: a
@@ -207,19 +201,34 @@ class SHDFWriter:
         records = list(records)
         if not records:
             return
+        self.stage((record,) for _name, record, _n in records)
+        yield from self.book(len(records), sum(r[2] for r in records))
+
+    def stage(self, records) -> None:
+        """Add records, each a sequence of chunks, to the open stage."""
+        chunks = self._stages[-1].chunks
+        meta_bytes = self.driver.meta_bytes_per_dataset
+        for record in records:
+            chunks.add(record[0], meta_bytes=meta_bytes)
+            for chunk in record[1:]:
+                chunks.add(chunk)
+
+    def book(self, ndatasets: int, data_nbytes: int):
+        """Generator: ``create_cost`` (CPU) for ``ndatasets`` new datasets
+        at the directory size each finds; the open stage owes their round
+        trips at once, so a seal during the sleep takes them along.
+        Recorded as ``write_records`` of ``data_nbytes`` array bytes."""
+        if not self._stages:
+            raise RuntimeError(f"{self.path}: not open")
         t0 = self.env.now
         n0 = self._ndatasets
+        self._ndatasets += ndatasets
+        self._stages[-1].meta_ops += self.driver.fs_meta_ops_per_dataset * ndatasets
         yield self.env.sleep(
-            sum(self.driver.create_cost(n0 + k) for k in range(len(records)))
+            sum(self.driver.create_cost(n0 + k) for k in range(ndatasets))
         )
-        stage = self._stages[-1]  # read after the sleep: a seal may fall in it
-        stage.meta_ops += self.driver.fs_meta_ops_per_dataset * len(records)
-        meta_bytes = self.driver.meta_bytes_per_dataset
-        for _name, record, _data_nbytes in records:
-            stage.chunks.add(record, meta_bytes=meta_bytes)
-        self._ndatasets += len(records)
         self.busy_time += self.env.now - t0
-        self._record("write_records", sum(r[2] for r in records), t0)
+        self._record("write_records", data_nbytes, t0)
 
     def seal(self) -> None:
         """Close the open stage: it lands as one transfer, after the
@@ -376,14 +385,15 @@ class SHDFReader:
         return [name for name, _offset, _length in self._entries]
 
     def entries(self) -> List:
-        """The ``(name, offset, length)`` record extents, in file order.
+        """``((name, offset, length), RecordHeader)`` per record, in file
+        order: its extent and parsed header.
 
         Callers (e.g. the Rocpanda restart servers) use these to chunk
-        a file into bulk-read regions, then hand each chunk back to
-        :meth:`read_extents`.
+        a file into bulk-read regions, then hand each chunk's extents
+        back to :meth:`read_extents`.
         """
         self._require_open()
-        return list(self._entries)
+        return list(self._entries.items())
 
     @property
     def file_attrs(self) -> Dict[str, Any]:

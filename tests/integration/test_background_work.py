@@ -20,6 +20,7 @@ from repro.fs import TierConfig
 from repro.genx import GENxConfig, lab_scale_motor, run_genx
 from repro.shdf.drivers import apply_storage_tier
 from repro.vthread import BackgroundWorker
+from tests.restored import restored
 
 #: Below one snapshot of the workload (~93 KB per server file), so the
 #: tier evicts and spills while the lander is still landing.
@@ -44,23 +45,20 @@ def run(io_mode, storage_tier="direct", client_buffering=False):
     return run_genx(machine, 5 if rocpanda else 4, config)
 
 
-def disk_image(machine):
-    return {path: machine.disk.open(path).read() for path in machine.disk.listdir("")}
-
-
 def test_three_workers_in_one_sync_leave_the_direct_image():
     """Sender -> lander -> drain: a client's ``sync`` returns only when
     all three have run dry, and the backing disk then holds what the
-    plain run (no sender, no tier) wrote, byte for byte."""
+    plain run (no sender, no tier) wrote, block for block — the records
+    are the stages', which the sender's timing moves."""
     plain = run("rocpanda")
     stacked = run("rocpanda", storage_tier="burst", client_buffering=True)
     tier = stacked.machine.fs
     assert tier.stats.evictions and tier.stats.drain_flushes
     assert tier.backlog_bytes == 0
     assert tier.journal.validate(stacked.machine.disk) == []
-    image = disk_image(stacked.machine)
+    image = restored(stacked.machine.disk)
     assert len(image) == 9
-    assert image == disk_image(plain.machine)
+    assert image == restored(plain.machine.disk)
 
 
 @pytest.fixture

@@ -31,12 +31,14 @@ from repro.io import (
     TRochdfModule,
     rocpanda_init,
 )
+from repro.io.base import record_block_ids
 from repro.io.rocpanda import server as panda_server
 from repro.io.rocpanda.protocol import TAG_CTRL, TAG_REPLY
 from repro.obs import summary_payload
 from repro.roccom import AttributeSpec, LOC_ELEMENT, LOC_NODE, Roccom
-from repro.shdf import TornFileError, decode_file
+from repro.shdf import TornFileError, decode_file, scan_file
 from repro.vmpi import run_spmd
+from tests.restored import file_blocks
 
 NBLOCKS = 3  # per client
 EAGER_NODES = 300
@@ -237,10 +239,14 @@ class TestWriteBehindStage:
         assert ref_stats.write_flushes < ref_stats.blocks_written == 4 * NBLOCKS
         assert ref_appends[1] > 2 * 8_400
         image, stats, appends = self._one_server_write(fail_append=1)
-        # Same file: no record staged twice, none lost.
+        # Same file: no array staged twice, none lost.
         assert image == reference
-        names = decode_file(image).names()
-        assert len(names) == len(set(names)) == 2 * 4 * NBLOCKS
+        arrays = [
+            (block_id, d.attrs["attr"])
+            for d in decode_file(image)
+            for block_id in record_block_ids(d.attrs)
+        ]
+        assert len(arrays) == len(set(arrays)) == 2 * 4 * NBLOCKS
         assert stats.write_retries == 1
         assert appends == ref_appends[:2] + ref_appends[1:]
         assert stats.write_flushes == ref_stats.write_flushes
@@ -250,9 +256,14 @@ class TestWriteBehindStage:
     def test_crash_with_a_staged_tail_is_a_torn_file_the_heir_covers(
         self, whole_file_stage
     ):
-        _, _, reference = _checkpoint_then_restart(plan=None, nodes=EAGER_NODES)
+        clean, _, reference = _checkpoint_then_restart(plan=None, nodes=EAGER_NODES)
+        # Mid-way through the bookkeeping of server 4's first block.
+        first = next(
+            r for r in clean.recorder.io_records
+            if (r.rank, r.module, r.op) == (4, "rocpanda", "bg_write")
+        )
         servers = []
-        plan = FaultPlan((ServerCrash(rank=4, at_time=0.065),))
+        plan = FaultPlan((ServerCrash(rank=4, at_time=(first.t_start + first.t_end) / 2),))
         result, machine, restored = _checkpoint_then_restart(
             plan, servers=servers, nodes=EAGER_NODES
         )
@@ -260,7 +271,7 @@ class TestWriteBehindStage:
         # It died holding staged blocks, which it does not report as
         # written: nothing of them reached the disk ...
         staged = [st for st in crashed._paths.values() if st.staged]
-        assert staged and all(st.writer.staged_bytes for st in staged)
+        assert staged and all(st.staged_bytes for st in staged)
         assert crashed.stats.blocks_received > 0
         assert crashed.stats.blocks_written == crashed.stats.bytes_written == 0
         # ... in a file that has no commit footer, so the restart scan
@@ -288,28 +299,41 @@ class TestWriteBehindStage:
     ):
         monkeypatch.setattr(panda_server, "WRITE_BEHIND_BYTES", limit)
         servers = []
-        checked = []
+        synced = []
 
         def after_sync(ctx, window):
             # Nothing this client was told is durable may still be staged.
             assert all(
-                st.writer.staged_bytes == 0 and not st.staged
+                st.staged_bytes == 0 and not st.staged
                 for server in servers
                 for st in server._paths.values()
             )
-            on_disk = {
-                d.name: d.data
-                for path in ctx.machine.disk.listdir("ck_s")
-                for d in decode_file(ctx.machine.disk.open(path).read())
+            # What its server's file holds at this instant (it commits
+            # once the server's other clients are done too).
+            mine = "ck_s0000.shdf" if ctx.rank < 4 else "ck_s0001.shdf"
+            arrays = {
+                pid: {attr: window.get_array(attr, pid).copy() for attr in ("coords", "pressure")}
+                for pid in window.pane_ids()
             }
-            for pid in window.pane_ids():
-                for attr in ("coords", "pressure"):
-                    np.testing.assert_array_equal(
-                        on_disk[f"Fluid/b{pid}/{attr}"], window.get_array(attr, pid)
-                    )
-                checked.append(pid)
+            synced.append((mine, ctx.machine.disk.open(mine).read(), arrays))
 
-        _launch(8, _write_main(2, None, servers, after_sync, nodes=nodes))
+        _, machine = _launch(8, _write_main(2, None, servers, after_sync, nodes=nodes))
+        checked = []
+        for path, at_sync, arrays in synced:
+            final = machine.disk.open(path).read()
+            assert final[: len(at_sync)] == at_sync
+            landed = {
+                (block_id, header.attrs["attr"])
+                for (_name, offset, length), header in scan_file(final)[1].items()
+                if offset + length <= len(at_sync)
+                for block_id in record_block_ids(header.attrs)
+            }
+            _attrs, blocks = file_blocks(final)
+            for pid, by_attr in arrays.items():
+                for attr, array in by_attr.items():
+                    assert (pid, attr) in landed
+                    assert blocks[pid][2][attr][3] == array.tobytes()
+                checked.append(pid)
         assert sorted(checked) == list(range(6 * NBLOCKS))
         written = sum(s.stats.blocks_written for s in servers)
         flushes = sum(s.stats.write_flushes for s in servers)
@@ -420,10 +444,10 @@ class TestWriteSlotLease:
 
     @pytest.mark.parametrize("faulted", [0, -2, -1], ids=["header", "stage", "footer"])
     def test_a_faulted_entry_resumes_at_the_write_that_faulted(self, faulted):
-        """Server 4's file is a header (its own entry), a stage, and a last
-        stage with the commit footer in one hold.  An EIO on any of them
-        costs one more lock RPC, one more turn at the slot and that one
-        write again: nothing before it is re-written, no round trip re-paid."""
+        """Server 4's file is a header (its own entry), then its one stage
+        with the commit footer in one hold.  An EIO on any of them costs
+        one more lock RPC, one more turn at the slot and that one write
+        again: nothing before it is re-written, no round trip re-paid."""
 
         def run(fail_append=None):
             machine = Machine(turing(), seed=0)
@@ -442,10 +466,10 @@ class TestWriteSlotLease:
             return result, machine, image, stats, appends
 
         result, ref_machine, reference, ref_stats, ref_appends = run()
-        assert len(ref_appends) == 4 and ref_appends[-1] == 12  # the footer
-        # The last stage and the footer went under one grant.
+        assert len(ref_appends) == 3 and ref_appends[-1] == 12  # the footer
+        # The stage and the footer went under one grant.
         lands = self._records(result, 4, "rocpanda", "land")
-        assert len(lands) == 3 and lands[-1].nbytes > 0
+        assert len(lands) == 2 and lands[-1].nbytes > 0
         k = faulted % len(ref_appends)
         _, machine, image, stats, appends = run(fail_append=k)
         assert image == reference
@@ -480,8 +504,8 @@ class TestWriteSlotLease:
         assert lease.count == 0 and not lease.queue
         # Committed: the restart scan takes it (beside the heir's copy of
         # the blocks its unanswered clients re-shipped).
-        committed = decode_file(machine.disk.open("ck_s0001.shdf").read())
-        assert len(committed.names()) == 2 * 3 * NBLOCKS
+        _attrs, committed = file_blocks(machine.disk.open("ck_s0001.shdf").read())
+        assert sum(len(arrays) for _nn, _ne, arrays in committed.values()) == 2 * 3 * NBLOCKS
         assert set(restored) == set(reference) == set(range(18))
         for pid in reference:
             for name in ("coords", "pressure"):
@@ -498,10 +522,10 @@ class TestWriteSlotLease:
         lands = self._records(result, 4, "rocpanda", "land")
         staged = self._records(result, 4, "rocpanda", "bg_write")
         assert len(staged) == 3 * NBLOCKS * len(prefixes)
-        # The first hold after the main loop staged its last block and
-        # retired its last file: the header write of the second file.
-        in_flight = next(r for r in lands if r.t_start > staged[-1].t_end)
-        assert in_flight.nbytes == 0 and in_flight.path.startswith("bb_")
+        # The second file's header write, after the main loop staged its
+        # last block and retired its last file.
+        in_flight = next(r for r in lands if r.path.startswith("bb_"))
+        assert in_flight.nbytes == 0 and in_flight.t_start > staged[-1].t_end
         crash_at = (in_flight.t_start + in_flight.t_end) / 2
 
         _, _, reference = _checkpoint_then_restart(plan=None, spec=turing())

@@ -7,6 +7,7 @@ from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
 from repro.cluster.presets import turing
 from repro.genx import GENxConfig, lab_scale_motor, run_genx, scalability_cylinder
+from repro.io import datasets_to_blocks
 from repro.shdf import decode_file
 
 
@@ -132,11 +133,17 @@ class TestRestartIntegration:
         # The restarted run's step-0 snapshot must equal the first
         # run's step-4 snapshot (same restored state written back out).
         suffix = "_rocflo_p00000.shdf" if io_mode == "rochdf" else "_rocflo_s0000.shdf"
-        a = decode_file(disk.open("ckpt_000004" + suffix).read())
-        b = decode_file(disk.open("ckpt2_000000" + suffix).read())
-        for name in a.names():
-            if name.endswith("/pressure"):
-                np.testing.assert_array_equal(a.get(name).data, b.get(name).data)
+        a, b = (
+            {blk.block_id: blk for blk in datasets_to_blocks(list(decode_file(
+                disk.open(prefix + suffix).read()
+            )))}
+            for prefix in ("ckpt_000004", "ckpt2_000000")
+        )
+        assert sorted(a) == sorted(b)
+        for block_id, block in a.items():
+            np.testing.assert_array_equal(
+                block.arrays["pressure"], b[block_id].arrays["pressure"]
+            )
 
     def test_restart_with_different_server_count(self):
         wl = tiny_workload(steps=4, interval=4)

@@ -9,6 +9,7 @@ from repro.io import (
     PandaServer,
     RocpandaModule,
     ServerConfig,
+    datasets_to_blocks,
     rocpanda_init,
     server_file_path,
     server_ranks,
@@ -54,6 +55,11 @@ def panda_main(nservers, body, server_config=None):
         return ("client", result)
 
     return main
+
+
+def file_blocks(machine, path):
+    """The data blocks one server file restores to."""
+    return datasets_to_blocks(list(decode_file(machine.disk.open(path).read())))
 
 
 def launch(nprocs, main, disk=None, seed=0):
@@ -123,14 +129,15 @@ class TestCollectiveWrite:
             yield from com.call_function("OUT.sync")
 
         result, machine = launch(8, panda_main(2, body))
-        names = []
-        for path in machine.disk.listdir("all"):
-            image = decode_file(machine.disk.open(path).read())
-            names.extend(image.names())
-        # 6 clients x 3 blocks x 2 arrays = 36 datasets.
-        assert len(names) == 36
-        blocks = {n.split("/")[1] for n in names}
-        assert blocks == {f"b{i}" for i in range(18)}
+        arrays = [
+            (block.block_id, attr)
+            for path in machine.disk.listdir("all")
+            for block in file_blocks(machine, path)
+            for attr in block.arrays
+        ]
+        # 6 clients x 3 blocks x 2 arrays = 36 arrays, each once.
+        assert len(arrays) == len(set(arrays)) == 36
+        assert {block_id for block_id, _attr in arrays} == set(range(18))
 
     def test_server_file_attrs_preserved(self):
         def body(ctx, topo, com, panda):
@@ -178,9 +185,9 @@ class TestCollectiveWrite:
         result, machine = launch(4, panda_main(1, body, config))
         server_stats = next(r[1] for r in result.returns if r[0] == "server")
         assert server_stats.overflow_flushes > 0
-        image = decode_file(machine.disk.open(server_file_path("ovf", 0)).read())
+        blocks = file_blocks(machine, server_file_path("ovf", 0))
         # 3 clients x 4 blocks x 2 arrays
-        assert len(image) == 24
+        assert sum(len(block.arrays) for block in blocks) == 24
 
     def test_multi_window_back_to_back_outputs(self):
         """Different modules issue back-to-back output requests (§6.1)."""
@@ -298,8 +305,9 @@ class TestSyncSemantics:
         assert all(ts >= tw for tw, ts in client_times)
         # The file must be complete at sync time: decode and count.
         for path in machine.disk.listdir("sy"):
-            image = decode_file(machine.disk.open(path).read())
-            assert len(image) == 3 * 6 * 2  # clients x blocks x arrays
+            blocks = file_blocks(machine, path)
+            # clients x blocks x arrays
+            assert sum(len(block.arrays) for block in blocks) == 3 * 6 * 2
 
     def test_compute_overlaps_with_server_writes(self):
         """Total time with overlap < write time + compute time serially."""

@@ -3,10 +3,10 @@
 A busy lander's stage grows for as long as the lander has to wait, so
 what bounds it is the server's buffer (``_make_room``), not the stage
 limit; and where the filesystem has a slot per server nobody waits at
-all.  A server's file holds its blocks in arrival order, which the
-network and an overflowing buffer's back-pressure decide — so across
-machines and buffer sizes the files are compared record by record, not
-byte by byte.
+all.  A server's file holds a record per attribute per stage, so where
+the network, the slot and an overflowing buffer's back-pressure put the
+seals decides its bytes — across machines and buffer sizes the files
+are compared by the blocks they restore to, not byte by byte.
 """
 
 import pytest
@@ -15,13 +15,13 @@ from repro.cluster import Machine, frost, turing
 from repro.faults import FaultPlan, ServerCrash
 from repro.genx import GENxConfig, run_genx, scalability_cylinder
 from repro.io import ServerConfig
-from repro.shdf import decode_file
+from tests.restored import restored
 
 PER_CLIENT = 0.05 * 2**20
 
 
 def _weak(spec, nclients, nservers, server_config=None, per_client=PER_CLIENT, plan=None):
-    """One weak-scaling job; returns (result, fs metrics, lease, records)."""
+    """One weak-scaling job; returns (result, fs metrics, lease, blocks)."""
     cylinder = scalability_cylinder(
         blocks_per_client_fluid=2, blocks_per_client_solid=1,
         per_client_bytes=per_client, steps=2, snapshot_interval=2,
@@ -34,14 +34,7 @@ def _weak(spec, nclients, nservers, server_config=None, per_client=PER_CLIENT, p
         server_config=server_config,
     )
     result = run_genx(machine, nclients + nservers, config)
-    records = {}
-    for path in machine.disk.listdir(""):
-        image = machine.disk.open(path).read()
-        records[path] = (
-            len(image),
-            {d.name: (d.data.tobytes(), d.attrs) for d in decode_file(image)},
-        )
-    return result, machine.fs.metrics, machine.fs.write_lease(), records
+    return result, machine.fs.metrics, machine.fs.write_lease(), restored(machine.disk)
 
 
 def _holds(result):
@@ -88,7 +81,7 @@ def test_a_buffer_below_one_snapshot_share_bounds_the_stage():
 
 @pytest.mark.parametrize(
     "fraction, wall, visible",
-    [(0.5, 4.2231, 2.2578), (0.1, 5.3330, 3.7804), (0.02, 5.4599, 3.7825)],
+    [(0.5, 3.9436, 2.1131), (0.1, 5.1989, 3.7101), (0.02, 5.3303, 3.8440)],
 )
 def test_back_pressure_is_waited_for_with_or_without_an_idle_plan(fraction, wall, visible):
     """A guard that expires against a live server costs nothing but the

@@ -1,7 +1,7 @@
 """Property test: two-phase batched shipping lands the registered data.
 
-File contents are a property of the *data*: every dataset the servers
-wrote must decode to the array a client registered, once per snapshot,
+File contents are a property of the *data*: every block the servers
+wrote must decode to the arrays a client registered, once per snapshot,
 with nothing missing and nothing extra — across random block layouts,
 client/server counts, and snapshot schedules.
 """
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
-from repro.io import PandaServer, RocpandaModule, rocpanda_init
+from repro.io import PandaServer, RocpandaModule, datasets_to_blocks, rocpanda_init
 from repro.roccom import AttributeSpec, Roccom
 from repro.shdf import decode_file
 from repro.vmpi import run_spmd
@@ -92,12 +92,11 @@ def test_batched_shipping_is_bit_identical(shape, nsnapshots, seed):
         for path in files:
             if not path.startswith(f"eq_{snap:02d}_"):
                 continue
-            for dataset in decode_file(files[path]):
-                pane = dataset.attrs["block_id"]
-                attr = dataset.attrs["attr"]
-                expected = registered[pane][attr]
-                assert dataset.data.dtype == expected.dtype
-                np.testing.assert_array_equal(dataset.data, expected)
-                assert (pane, attr) not in seen
-                seen.add((pane, attr))
+            for block in datasets_to_blocks(list(decode_file(files[path]))):
+                for attr, array in block.arrays.items():
+                    expected = registered[block.block_id][attr]
+                    assert (array.dtype, array.shape) == (expected.dtype, expected.shape)
+                    np.testing.assert_array_equal(array, expected)
+                    assert (block.block_id, attr) not in seen
+                    seen.add((block.block_id, attr))
         assert seen == {(p, a) for p in registered for a in registered[p]}

@@ -124,6 +124,9 @@ def test_active_buffering_integrity_under_any_buffer_size(
     run_spmd(machine, 4, main)
 
     image = decode_file(machine.disk.open("prop_s0000.shdf").read())
-    assert len(image) == len(expected)
+    blocks = {b.block_id: b for b in datasets_to_blocks(list(image))}
+    assert blocks.keys() == expected.keys()
     for pane_id, data in expected.items():
-        np.testing.assert_array_equal(image.get(f"W/b{pane_id}/field").data, data)
+        restored = blocks[pane_id].arrays["field"]
+        assert (restored.dtype, restored.shape) == (data.dtype, data.shape)
+        np.testing.assert_array_equal(restored, data)

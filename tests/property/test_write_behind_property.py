@@ -1,4 +1,4 @@
-"""Property test: the server's write-behind limit never shows in the files.
+"""Property test: the server's write-behind limit never shows in the blocks.
 
 ``server.WRITE_BEHIND_BYTES`` (a module constant, patched here) is the
 smallest stage the main loop hands an idle lander — from every block on
@@ -9,13 +9,14 @@ kinds merge.
 Each server's lander process holds the filesystem's write-slot lease
 for every landing, so on a shared filesystem (Turing's NFS: one slot)
 the limit also changes which server lands when, and what its main loop
-ingests and stages meanwhile.  Record order is each server's FIFO queue
-order whoever lands first and wherever the stages were sealed, so for
-any topology, pane layout and filesystem every server file must be
-byte-identical across limits, and a restart must restore exactly the
-arrays the clients registered.  Every server must also end drained: no
-lander, nothing sealed or buffered.  Virtual time is *not* compared:
-fewer transfers is the point.
+ingests and stages meanwhile.  A stage lands one record per attribute,
+so where the seals fall decides a file's bytes; for any topology, pane
+layout and filesystem every server file must restore to the same blocks
+across limits, a stage of one block must land the client's records byte
+for byte (the write-through ablation stages every block alone), and a
+restart must restore exactly the arrays the clients registered.  Every
+server must also end drained: no lander, nothing sealed or buffered.
+Virtual time is *not* compared: fewer transfers is the point.
 """
 
 import numpy as np
@@ -26,10 +27,13 @@ from hypothesis import strategies as st
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
 from repro.cluster import turing
-from repro.io import PandaServer, RocpandaModule, rocpanda_init
+from repro.io import DataBlock, PandaServer, RocpandaModule, ServerConfig, rocpanda_init
+from repro.io.base import BLOCK_INDEX, block_to_datasets
 from repro.io.rocpanda import server
 from repro.roccom import AttributeSpec, Roccom
+from repro.shdf import encode_dataset, scan_file
 from repro.vmpi import run_spmd
+from tests.restored import restored
 
 LIMITS = (0, 1, 4 * 1024, 64 * 1024, 256 * 1024, 2**30)
 
@@ -39,10 +43,13 @@ def _spec(shared):
     return turing() if shared else make_testbox(nnodes=4, cpus_per_node=4)
 
 
+SPECS = (AttributeSpec("coords", "node", ncomp=3), AttributeSpec("field", "element"))
+
+
 def _window(com):
     w = com.new_window("W")
-    w.declare_attribute(AttributeSpec("coords", "node", ncomp=3))
-    w.declare_attribute(AttributeSpec("field", "element"))
+    for spec in SPECS:
+        w.declare_attribute(spec)
     return w
 
 
@@ -55,15 +62,15 @@ def _pane_arrays(seed, rank, layout):
     }
 
 
-def _write(limit, nservers, nclients, layout, nsnapshots, seed, shared):
-    """One Rocpanda write job; returns (machine, servers' stats)."""
+def _write(limit, nservers, nclients, layout, nsnapshots, seed, shared, config=None):
+    """One Rocpanda write job; returns (machine, servers' stats, job)."""
 
     servers = []
 
     def main(ctx):
         topo = yield from rocpanda_init(ctx, nservers)
         if topo.is_server:
-            servers.append(PandaServer(ctx, topo))
+            servers.append(PandaServer(ctx, topo, config))
             return (yield from servers[-1].run())
         com = Roccom(ctx)
         panda = com.load_module(RocpandaModule(ctx, topo))
@@ -96,7 +103,7 @@ def _write(limit, nservers, nclients, layout, nsnapshots, seed, shared):
         lease = machine.fs.write_lease()
         assert lease.count == 0 and not lease.queue
         assert machine.fs.metrics.peak_write_demand <= lease.capacity == 1
-    return machine, [r for r in job.returns if r is not None]
+    return machine, [r for r in job.returns if r is not None], job
 
 
 def _restart(disk, prefix, pane_ids, nservers, nclients, seed, shared):
@@ -156,8 +163,8 @@ def shapes(draw):
 def test_files_and_restart_do_not_depend_on_the_limit(shape, nsnapshots, seed, shared):
     nservers, nclients, layout = shape
     args = (nservers, nclients, layout, nsnapshots, seed, shared)
-    reference, ref_stats = _write(0, *args)
-    ref_files = {p: reference.disk.open(p).read() for p in reference.disk.listdir("wb_")}
+    reference, ref_stats, _job = _write(0, *args)
+    ref_files = restored(reference.disk, "wb_")
     assert ref_files
     # Limit 0 is the same code: at most one transfer per block, fewer
     # where a lander was busy while its main loop staged.
@@ -165,8 +172,8 @@ def test_files_and_restart_do_not_depend_on_the_limit(shape, nsnapshots, seed, s
         s.blocks_written for s in ref_stats
     )
     for limit in LIMITS[1:]:
-        machine, stats = _write(limit, *args)
-        files = {p: machine.disk.open(p).read() for p in machine.disk.listdir("wb_")}
+        machine, stats, _job = _write(limit, *args)
+        files = restored(machine.disk, "wb_")
         assert files.keys() == ref_files.keys()
         for path in files:
             assert files[path] == ref_files[path], (limit, path)
@@ -176,29 +183,56 @@ def test_files_and_restart_do_not_depend_on_the_limit(shape, nsnapshots, seed, s
         assert 0 < sum(s.write_flushes for s in stats) <= sum(
             s.write_flushes for s in ref_stats
         )
+    # Write-through stages every block alone: each record is the one the
+    # client encoded, byte for byte.
+    through, _stats, _job = _write(0, *args, config=ServerConfig(active_buffering=False))
+    assert restored(through.disk, "wb_") == ref_files
+    sent = {}
+    for rank in range(nclients):
+        for pid, (coords, field) in _pane_arrays(seed, rank, layout).items():
+            block = DataBlock(
+                "W", pid, len(coords), len(field),
+                {"coords": coords, "field": field}, {s.name: s for s in SPECS},
+            )
+            sent.update((d.name, encode_dataset(d)) for d in block_to_datasets(block))
+    landed = {}
+    for path in through.disk.listdir("wb_"):
+        data = through.disk.open(path).read()
+        for (name, offset, length), header in scan_file(data)[1].items():
+            assert BLOCK_INDEX not in header.attrs
+            landed[name] = data[offset : offset + length]
+    assert landed.keys() <= sent.keys()
+    assert all(landed[name] == sent[name] for name in landed)
     # ``machine`` holds the 2**30 run: the fewest, largest transfers.
     expected = {}
     for rank in range(nclients):
         expected.update(_pane_arrays(seed, rank, layout))
-    restored = _restart(
+    back = _restart(
         machine.disk, f"wb_{nsnapshots - 1:02d}", sorted(expected),
         nservers, nclients, seed, shared,
     )
-    assert sorted(restored) == sorted(expected)
+    assert sorted(back) == sorted(expected)
     for pid, (coords, field) in expected.items():
-        np.testing.assert_array_equal(restored[pid][0], coords)
-        np.testing.assert_array_equal(restored[pid][1], field)
+        np.testing.assert_array_equal(back[pid][0], coords)
+        np.testing.assert_array_equal(back[pid][1], field)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["local", "turing"])
 def test_limit_zero_lands_every_block_alone_iff_the_lander_keeps_up(shared):
-    """One server, small blocks.  On its own local disk the lander has
-    landed a block before the next is staged, so it is never found busy
-    and limit 0 means a transfer per block; on Turing's NFS every
-    landing costs round trips and the blocks staged meanwhile share the
-    next transfer."""
+    """One server, small blocks.  A file's first landing holds the blocks
+    staged while the lander opened the file.  After that, on its own
+    local disk the lander has landed a block before the next is staged,
+    so it is never found busy and limit 0 means a transfer per block; on
+    Turing's NFS every landing costs round trips and the blocks staged
+    meanwhile share the next transfer."""
     layout = [[(100, 500)] * 3 for _ in range(2)]
-    _machine, stats = _write(0, 1, 2, layout, 2, 7, shared)
+    _machine, stats, job = _write(0, 1, 2, layout, 2, 7, shared)
     (flushes,), (written,) = ([s.write_flushes for s in stats], [s.blocks_written for s in stats])
-    assert written == 12
-    assert (flushes == written) == (not shared)
+    assert written == 12 and flushes < written
+    lands = {}
+    for r in job.recorder.io_records:
+        if (r.module, r.op) == ("rocpanda", "land") and r.nbytes:
+            lands.setdefault(r.path, []).append(r.nbytes)
+    one_block = min(n for per_file in lands.values() for n in per_file)
+    later = [n for per_file in lands.values() for n in per_file[1:]]
+    assert (bool(later) and set(later) == {one_block}) == (not shared)

@@ -1,0 +1,33 @@
+"""What SHDF files restore to, for comparing runs whose stages differ.
+
+A Rocpanda server lands a write-behind stage's blocks one record per
+attribute, so two runs that seal stages at different blocks write
+different bytes for the same snapshot; what they must agree on is the
+blocks each file restores to, array by array, with exact dtypes and
+shapes.
+"""
+
+from repro.io import datasets_to_blocks
+from repro.shdf import decode_file
+
+
+def file_blocks(data) -> tuple:
+    """``(file attrs, {block_id: block})`` of one file's bytes, each block
+    as ``(nnodes, nelems, {attr: (spec, dtype, shape, bytes)})``."""
+    image = decode_file(data)
+    return image.attrs, {
+        block.block_id: (
+            block.nnodes,
+            block.nelems,
+            {
+                attr: (block.specs[attr], array.dtype.str, array.shape, array.tobytes())
+                for attr, array in block.arrays.items()
+            },
+        )
+        for block in datasets_to_blocks(list(image))
+    }
+
+
+def restored(disk, prefix: str = "") -> dict:
+    """:func:`file_blocks` of every file under ``prefix`` on ``disk``."""
+    return {path: file_blocks(disk.open(path).read()) for path in disk.listdir(prefix)}

@@ -5,6 +5,8 @@ import pytest
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
 from repro.genx import GENxConfig, lab_scale_motor, run_genx
+from repro.io import ServerConfig
+from repro.shdf import hdf4_driver, hdf5_driver, scan_file
 from repro.util import MB
 
 
@@ -71,3 +73,47 @@ class TestMetricAggregation:
     def test_client_counts(self, results):
         assert len(results["rochdf"].clients) == 3
         assert len(results["rocpanda"].clients) == 3
+
+
+class TestDriverFactory:
+    """``GENxConfig.driver_factory`` is every service's format driver."""
+
+    @staticmethod
+    def _booked(machine, driver):
+        """The directory bookkeeping the files on ``machine`` cost under
+        ``driver``: each dataset's ``create_cost`` at its index."""
+        return sum(
+            driver.create_cost(i)
+            for path in machine.disk.listdir("d_")
+            for i in range(len(scan_file(machine.disk.open(path).read())[1]))
+        )
+
+    @pytest.mark.parametrize(
+        "factory, server_config, charged",
+        [
+            (hdf5_driver, None, hdf5_driver),
+            (hdf4_driver, None, hdf4_driver),
+            # An explicit server config wins, driver included.
+            (hdf5_driver, ServerConfig(), hdf4_driver),
+        ],
+    )
+    def test_the_factory_reaches_the_servers_bookkeeping(
+        self, factory, server_config, charged
+    ):
+        wl = lab_scale_motor(
+            scale=0.02, nblocks_fluid=12, nblocks_solid=6, steps=4,
+            snapshot_interval=4,
+        )
+        machine = Machine(make_testbox(), seed=2)
+        result = run_genx(
+            machine, 4,
+            GENxConfig(
+                workload=wl, io_mode="rocpanda", nservers=1, prefix="d",
+                driver_factory=factory, server_config=server_config,
+            ),
+        )
+        (server,) = result.servers
+        booked = server.stats.bookkeeping_time
+        assert booked == pytest.approx(self._booked(machine, charged()), rel=1e-12)
+        other = hdf4_driver if charged is hdf5_driver else hdf5_driver
+        assert booked != pytest.approx(self._booked(machine, other()), rel=1e-3)

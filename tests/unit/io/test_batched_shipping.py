@@ -114,8 +114,9 @@ class TestEncodeBatch:
         for re-shipping: every record is a read-only view."""
         batch = encode_block_batch("snap", _blocks())
         for eb in batch.blocks:
-            for _name, view, _nbytes in eb.records:
-                assert isinstance(view, memoryview) and view.readonly
+            assert isinstance(eb.buf, memoryview) and eb.buf.readonly
+            for _name, offset, length, _nbytes in eb.entries:
+                view = eb.buf[offset : offset + length]
                 with pytest.raises(TypeError):
                     view[0] = 0
         records = encode_records(block_to_datasets(_blocks(n=1)[0]))
@@ -138,16 +139,19 @@ class TestEncodeBlockBatch:
                 (d.name, bytes(encode_dataset(d)), d.nbytes)
                 for d in block_to_datasets(block)
             ]
-            assert [(n, bytes(r), nb) for n, r, nb in eb.records] == expected
+            assert [
+                (n, bytes(eb.buf[o : o + length]), nb) for n, o, length, nb in eb.entries
+            ] == expected
 
     def test_encoding_is_the_snapshot_copy(self):
         """Mutating source arrays after encoding must not change the
         record bytes (no separate array copy is taken)."""
         blocks = _blocks(n=1)
         batch = encode_block_batch("snap", blocks)
-        before = bytes(batch.blocks[0].records[0][1])
+        eb = batch.blocks[0]
+        before = bytes(eb.buf)
         blocks[0].arrays["f"][:] = -1.0
-        assert bytes(batch.blocks[0].records[0][1]) == before
+        assert bytes(eb.buf) == before
 
 
 class TestServerBatchPath:

@@ -14,7 +14,7 @@ import pytest
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
 from repro.io import PandaServer, rocpanda_init
-from repro.io.base import DataBlock
+from repro.io.base import BLOCK_INDEX, DataBlock, datasets_to_blocks
 from repro.io.rocpanda.protocol import (
     TAG_BLOCK,
     TAG_CTRL,
@@ -108,7 +108,10 @@ class TestOrphanReplay:
         assert stats.orphan_blocks_stashed == 3
         assert stats.blocks_written == 3
         image = decode_file(machine.disk.open("mo_s0000.shdf").read())
-        assert len(image) == 3
+        # Staged together, the three land as one record, in arrival order.
+        (record,) = image
+        assert record.attrs[BLOCK_INDEX][:, 0].tolist() == [0, 1, 2]
+        assert [b.block_id for b in datasets_to_blocks(list(image))] == [0, 1, 2]
 
     def test_in_order_traffic_never_stashes(self):
         block = make_block()

@@ -5,7 +5,13 @@ import pytest
 
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
-from repro.io import PandaServer, RocpandaModule, ServerConfig, rocpanda_init
+from repro.io import (
+    PandaServer,
+    RocpandaModule,
+    ServerConfig,
+    datasets_to_blocks,
+    rocpanda_init,
+)
 from repro.roccom import AttributeSpec, LOC_ELEMENT, Roccom
 from repro.shdf import decode_file
 from repro.vmpi import run_spmd
@@ -139,4 +145,5 @@ class TestMultiSnapshotInterleave:
         _, machine = panda_job(3, 1, body)
         for step in range(3):
             image = decode_file(machine.disk.open(f"ms{step}_s0000.shdf").read())
-            assert len(image) == 4  # 2 clients x 2 blocks
+            blocks = datasets_to_blocks(list(image))
+            assert len(blocks) == 4  # 2 clients x 2 blocks
