@@ -10,7 +10,8 @@ format's directory bookkeeping grows with — and the five ``ServerStats``
 drain terms in server-seconds summed over the servers.  Everything in
 it is exact for a seed.  ``--limit`` patches ``server.WRITE_BEHIND_BYTES``
 (a module constant, not an option) the way the tests do, for the "why
-256 KiB" rows; ``--driver`` is the servers' format driver.
+256 KiB" rows; ``--driver`` is the servers' format driver.  Every run
+asserts one filesystem write per hold of the write slot.
 """
 
 import argparse
@@ -42,19 +43,25 @@ def ledger(name: str, seed: int, driver: str) -> list:
     workload = build(name)
     servers = ServerConfig(driver=DRIVERS[driver]())
 
-    def config(job):
-        return dataclasses.replace(job.config, server_config=servers)
+    def run(machine, job):
+        config = dataclasses.replace(job.config, server_config=servers)
+        result = run_genx(machine, job.nranks, config)
+        # One filesystem write per hold of the write slot, no hold without one.
+        writes = machine.fs.metrics.write_ops
+        holds = sum(s.stats.write_flushes for s in result.servers)
+        assert writes == holds, f"{name}: {writes} writes in {holds} holds"
+        return result
 
     disk = None
     if workload.checkpoint is not None:
         machine = Machine(turing(), seed=seed)
-        run_genx(machine, workload.checkpoint.nranks, config(workload.checkpoint))
+        run(machine, workload.checkpoint)
         disk = machine.disk
     wall = sync = ops = records = 0
     terms = dict.fromkeys(DRAIN_TERMS, 0.0)
     for job in workload.jobs:
         machine = Machine(turing(), seed=seed, disk=copy_disk(disk))
-        result = run_genx(machine, job.nranks, config(job))
+        result = run(machine, job)
         wall += result.wall_time
         sync += max(c.final_sync_time for c in result.clients)
         ops += machine.fs.metrics.write_ops

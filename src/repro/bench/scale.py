@@ -137,13 +137,17 @@ def bench_scale_point(
     # Array bytes the servers landed on disk (exact for a workload).
     payload_bytes = sum(s.stats.bytes_written for s in result.servers)
     # Under the write-slot lease only bytes move: the servers' holds are
-    # the filesystem's write-busy time, one writer at a time.
+    # the filesystem's write-busy time, one writer at a time, one write
+    # per hold and no hold without one.
     metrics = machine.fs.metrics
     held = sum(s.stats.transfer_time for s in result.servers)
-    if abs(held - metrics.write_busy_time) > 1e-9 or metrics.peak_write_demand != 1:
+    holds = sum(s.stats.write_flushes for s in result.servers)
+    if (abs(held - metrics.write_busy_time) > 1e-9 or metrics.peak_write_demand != 1
+            or metrics.write_ops != holds):
         raise AssertionError(
             f"{prefix}_{nclients}: lease held {held} s for {metrics.write_busy_time} s "
-            f"of writes, {metrics.peak_write_demand} at once"
+            f"of writes, {metrics.peak_write_demand} at once, {metrics.write_ops} "
+            f"writes in {holds} holds"
         )
     return {
         "nclients": nclients,

@@ -114,44 +114,27 @@ class RochdfModule(ServiceModule):
     def _write_file(self, writer: SHDFWriter, blocks, file_attrs) -> int:
         """Generator: open/write/close one snapshot file, retrying faults.
 
-        Every dataset of the snapshot lands through one merged
-        filesystem transfer (the same write-coalescing scheduler the
-        Rocpanda servers use), so a whole file costs one ``fs.write``
-        instead of one per dataset.  T-Rochdf inherits this via its I/O
-        thread.
-
-        The attempt is stage-resumable: the VFS raises *before*
-        mutating anything on a write fault, so a retry redoes only the
-        stage that faulted — a faulted ``open`` truncates and starts
-        the file over; ``write_records`` only stages (``ndatasets``
-        counts the staged records, so they are never staged twice) and
-        ``close`` lands them, so a ``close`` that faulted in the landing
-        appended nothing and one that faulted in the footer leaves the
-        landed records in place: either way the retry is ``close``.
-        Returns the payload bytes written (stats are bumped once, after
-        the file is committed).
+        The whole file — header, every dataset, commit footer — lands
+        through one merged filesystem transfer (the same write-coalescing
+        scheduler the Rocpanda servers use), so a file costs one
+        ``fs.write``: ``open`` is the create round trip, ``write_records``
+        only stages, and ``close`` lands.  T-Rochdf inherits this via its
+        I/O thread.  Only that landing can fault, and the VFS raises
+        *before* mutating anything: a faulted ``close`` leaves the file
+        empty and everything staged, so the retry is ``close`` again (a
+        committed writer stages no second footer).  Returns the payload
+        bytes written (stats are bumped once, after the file is
+        committed).
         """
-        nbytes = 0
-
-        def attempt():
-            nonlocal nbytes
-            if not writer.is_open:
-                yield from writer.open(file_attrs=file_attrs)
-            if writer.ndatasets == 0:
-                # Encode after the open: ranks queue on the filesystem
-                # there, so only those past it hold an encoded snapshot.
-                records = encode_records(
-                    dataset
-                    for block in blocks
-                    for dataset in block_to_datasets(block)
-                )
-                yield from writer.write_records(records)
-                nbytes = sum(r[2] for r in records)
-            yield from writer.close()
-
-        yield from retrying(
-            self.ctx.env, self.retry, attempt, on_retry=self._note_retry
+        yield from writer.open(file_attrs=file_attrs)
+        records = encode_records(
+            dataset for block in blocks for dataset in block_to_datasets(block)
         )
+        yield from writer.write_records(records)
+        yield from retrying(
+            self.ctx.env, self.retry, writer.close, on_retry=self._note_retry
+        )
+        nbytes = sum(r[2] for r in records)
         self.stats.blocks_written += len(blocks)
         self.stats.bytes_written += nbytes
         return nbytes

@@ -16,13 +16,14 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
   when idle) that does all that touches ``ctx.fs``, in queue order.
   Under the filesystem's **write-slot lease** (``fs.write_lease``: the servers
   take turns at the shared filesystem instead of contending inside it)
-  only bytes move — header, stage, commit footer, one FIFO wait per
-  queue entry; the create, metadata, lock and close round trips are
-  paid outside the hold.  Stages are slot-paced: an idle lander is
-  handed a stage of :data:`WRITE_BEHIND_BYTES`, a busy one seals for
-  itself when it catches up — what accumulated during its wait, so a
-  saturated write slot sees few, large transfers — and whatever is
-  staged once the queue runs dry.  A sync is answered only when queue,
+  only bytes move — one write per queue entry, a file's header riding
+  its first stage and the commit footer its last; the create, metadata,
+  lock and close round trips are paid outside the hold.  Stages are
+  slot-paced: an idle lander is handed a stage of
+  :data:`WRITE_BEHIND_BYTES`, a busy one seals for itself when it
+  catches up — what accumulated during its wait, so a saturated write
+  slot sees few, large transfers — and whatever is staged once the
+  queue runs dry.  A sync is answered only when queue,
   stages and lander are empty, and the main loop waits for the lander
   only where clients are meant to wait for the disk: buffer overflow,
   write-through and the final close;
@@ -94,8 +95,8 @@ def server_file_path(prefix: str, server_index: int) -> str:
 #: sealed ahead of it.  A busy lander seals for itself when it catches
 #: up, so its next transfer is whatever was staged during its wait,
 #: bounded by ``ServerConfig.buffer_bytes``, not by this.  Every block
-#: is staged, eager or rendezvous.  256 KiB is where the lock RPC per
-#: hold is paid back on every workload (DESIGN §8 has the table).
+#: is staged, eager or rendezvous.  256 KiB is the smallest limit that
+#: lands the strong workload in as few transfers as 1 MiB (DESIGN §8).
 WRITE_BEHIND_BYTES = 256 * 1024
 
 
@@ -145,8 +146,8 @@ class ServerStats:
     bytes_written: int = 0
     files_created: int = 0
     overflow_flushes: int = 0
-    #: Staged transfers landed; ``blocks_written / write_flushes`` is the
-    #: blocks-per-transfer ratio write-behind achieved.
+    #: Landings: holds of the write slot, one filesystem write each;
+    #: ``blocks_written / write_flushes`` is the blocks per transfer.
     write_flushes: int = 0
     #: Where the drain went.  Main loop: directory bookkeeping.  Lander:
     #: create, dataset and close round trips, a lock RPC per lease
@@ -230,12 +231,13 @@ class PandaServer:
         #: the lander, and the lander; the fault a landing failed for
         #: good with (the lander stops); the main-loop process
         #: (interrupted when that happens); bookkeeping in progress +
-        #: lease held.
+        #: lease held; the path the main loop books a block into.
         self._landings: deque = deque()
         self._lander = BackgroundWorker(ctx.env, self._next_landing, "panda-lander")
         self._failure: Optional[WriteFaultError] = None
         self._main = None
         self._nworking = 0
+        self._booking: Optional[_PathState] = None
         self._shutdown_ranks: set = set()
         #: client -> seq of the sync it waits in; asking again (same
         #: seq) keeps its one entry, so each request is answered once.
@@ -504,18 +506,18 @@ class PandaServer:
         would push it past the limit seals it first; a busy lander seals
         what was staged meanwhile when it catches up
         (:meth:`_next_landing`), so at a saturated write slot the stages
-        grow instead of landing as many small transfers.  Staging cannot
-        fault, so a block is staged exactly once; ``bg_write`` records
-        the bookkeeping, and the written counters move when it lands.
+        grow instead of landing as many small transfers — but never seals
+        the stage a block's books are being paid into, so the commit
+        footer rides the landing of the block that completes a file.
+        Staging cannot fault, so a block is staged exactly once;
+        ``bg_write`` records the bookkeeping, and the written counters
+        move when it lands.
         """
         self._working(+1)
         t0 = self.ctx.now
         state = self._paths[path]
         if not state.booked:
-            # The file's first block: the lander opens the file (an
-            # empty landing) while the blocks behind it are staged.
             state.writer.begin(state.writer_attrs)
-            self._seal(state)
         if (
             not self._landings
             and state.staged
@@ -529,7 +531,9 @@ class PandaServer:
             parts.append((block, entry))
         state.staged.append(block)
         state.staged_bytes += block.nbytes
+        self._booking = state
         yield from state.writer.book(opened, block.data_nbytes)
+        self._booking = None
         state.booked += 1
         if state.staged and not self._landings and state.staged_bytes >= WRITE_BEHIND_BYTES:
             self._seal(state)
@@ -543,8 +547,11 @@ class PandaServer:
 
     def _seal(self, state: _PathState, close: bool = False) -> None:
         """Queue ``state``'s open stage, one record per dataset (and its
-        file's close), for the lander."""
+        file's close: the commit footer rides the last stage to land),
+        for the lander."""
         state.writer.stage(block_record(*group) for group in state.groups.items())
+        if close:
+            state.writer.commit()
         state.writer.seal()
         self._landings.append((state, state.staged, close))
         state.staged, state.groups, state.staged_bytes = [], {}, 0
@@ -584,17 +591,17 @@ class PandaServer:
         self.ctx.recorder.record_counter("rocpanda", "write_retries")
         self.ctx.log_fault(f"server write fault ({exc}); retry {attempt + 1}")
 
-    def _leased(self, writer: SHDFWriter, blocks: List, close: bool):
-        """Generator: the writes of one lander entry — header, stage,
-        commit footer — in one hold of the filesystem's write-slot lease.
+    def _leased(self, writer: SHDFWriter, blocks: List):
+        """Generator: one lander entry's landing — one write, whatever
+        of header, records and commit footer its stage carries — in one
+        hold of the filesystem's write-slot lease.
 
         Asking costs one lock RPC (``fs.meta_op``), paid before the
         request joins the lease's FIFO queue, where it keeps its place:
         the lander has nothing else to do, and the main loop takes the
         messages meanwhile.  ``finally`` gives the lease back (or
-        withdraws the request) on a fault and on a crash; the retry
-        resumes at the write that faulted — a written header is not
-        re-written, a landed stage not re-landed.
+        withdraws the request) on a fault and on a crash; a faulted
+        landing appended nothing, so the retry lands the same stage.
         """
         ctx, stats = self.ctx, self.stats
         shown = dict(path=writer.path, visible=not self.config.active_buffering)
@@ -614,21 +621,15 @@ class PandaServer:
             nbytes = sum(block.nbytes for block in blocks)
             self._working(+1)
             try:
-                if not writer.is_open:
-                    yield from writer.write_header()
-                    stats.files_created += 1
-                if blocks:
-                    yield from writer.land()
-                    # The blocks occupied buffer memory until this
-                    # instant, and only now are they written.
-                    self._buffered_bytes -= nbytes
-                    stats.bytes_written += sum(block.data_nbytes for block in blocks)
-                    stats.blocks_written += len(blocks)
-                    stats.write_flushes += 1
-                    ctx.recorder.record_counter("rocpanda", "write_flushes")
-                    blocks.clear()
-                if close:
-                    yield from writer.commit()
+                yield from writer.land()
+                # The blocks occupied buffer memory until this instant,
+                # and only now are they written.
+                self._buffered_bytes -= nbytes
+                stats.bytes_written += sum(block.data_nbytes for block in blocks)
+                stats.blocks_written += len(blocks)
+                stats.write_flushes += 1
+                ctx.recorder.record_counter("rocpanda", "write_flushes")
+                blocks.clear()
             finally:
                 self._working(-1)
                 stats.transfer_time += ctx.now - t_granted
@@ -656,7 +657,8 @@ class PandaServer:
 
         Caught up, the lander seals what was staged meanwhile — a stage
         that has reached :data:`WRITE_BEHIND_BYTES`, and any stage once
-        the main loop's queue is dry.  With nothing sealed and the main
+        the main loop's queue is dry — but not one the main loop is
+        booking a block into.  With nothing sealed and the main
         loop still staging it pays an open stage's metadata round trips
         ahead of its hold; with nothing left it answers the waiting
         syncs and is done.
@@ -665,7 +667,7 @@ class PandaServer:
             return None
         if not self._landings:
             for state in self._paths.values():
-                if state.staged and (
+                if state.staged and state is not self._booking and (
                     not self._queue or state.staged_bytes >= WRITE_BEHIND_BYTES
                 ):
                     self._seal(state)
@@ -679,10 +681,11 @@ class PandaServer:
 
     def _land(self, state: _PathState, blocks: List, close: bool):
         """Generator, one job of the lander: one queue entry, in one hold
-        of the lease (:meth:`_leased`): a file's first writes its
-        header, its last the commit footer.  Only bytes move under the
-        lease: the create round trip and the stage's metadata round
-        trips are paid ahead of the hold, the close round trip after it.
+        of the lease (:meth:`_leased`): a file's first landing carries
+        its header, its last the commit footer.  Only bytes move under
+        the lease: the create round trip and the stage's metadata round
+        trips are paid ahead of the hold, the close round trip after it;
+        a close whose footer rode the landing before it takes no hold.
         Records: ``settle`` the round trips, ``slot_wait`` the wait for
         the grant, ``land`` the hold.  A fault that outlasts the retries
         stops the lander and interrupts the main loop.
@@ -690,16 +693,18 @@ class PandaServer:
         writer = state.writer
         try:
             if not writer.is_open:
-                yield from self._settle(writer, writer.create())
+                yield from self._settle(writer, writer.open())
+                self.stats.files_created += 1
             if writer.owed_meta:
                 yield from self._settle(writer, writer.settle_meta())
-            # Retried on faults: the lease is released before each
-            # back-off and asked for again after it.
-            yield from retrying(
-                self.ctx.env, self.config.retry,
-                lambda: self._leased(writer, blocks, close),
-                on_retry=self._note_write_retry,
-            )
+            if writer.owes_landing:
+                # Retried on faults: the lease is released before each
+                # back-off and asked for again after it.
+                yield from retrying(
+                    self.ctx.env, self.config.retry,
+                    lambda: self._leased(writer, blocks),
+                    on_retry=self._note_write_retry,
+                )
             if close:
                 yield from self._settle(writer, writer.release())
             self._landings.popleft()

@@ -415,7 +415,7 @@ def encode_commit_footer(ndatasets: int) -> bytes:
 def decode_header(buf: bytes) -> Tuple[dict, int, int]:
     """Decode the header; returns (file_attrs, offset_after_header, version)."""
     if not len(buf):
-        raise TornFileError("empty SHDF file (writer crashed inside open)")
+        raise TornFileError("empty SHDF file (writer crashed before its first landing)")
     reader = _Reader(buf)
     if reader.take(4) != FILE_MAGIC:
         raise CodecError("not an SHDF file (bad magic)")

@@ -50,38 +50,38 @@ class SHDFWriter:
 
     There is one on-disk format (see :mod:`.codec`), whatever the
     driver: the driver is a *timing* model.  Every file is journaled —
-    its header carries :data:`~.codec.JOURNAL_ATTR` and ``close``
-    appends the 12-byte commit footer as its final write — so readers
-    can tell a committed snapshot from one torn by a crash mid-write.
+    its header carries :data:`~.codec.JOURNAL_ATTR` and its last bytes
+    are the 12-byte commit footer — so readers can tell a committed
+    snapshot from one torn by a crash mid-write.
 
-    **Write-behind stages.**  :meth:`write_records` *stages* records
-    (:meth:`stage`) and pays the format's per-dataset directory
-    bookkeeping (:meth:`book`, CPU); the stage owes their round trips.  A stage lands as
-    one filesystem transfer — what it owes first, paid once, then a
-    single write through its :class:`~repro.fs.coalesce.WriteCoalescer`
-    — so a caller that stages several small batches pays the
-    filesystem's per-operation latency once per stage, not per batch.
-    :meth:`flush` lands everything staged and :meth:`close` flushes
-    first: a sequential caller sees CPU, metadata, transfer.  Staging
-    and landing may also be two callers (the Rocpanda server's main loop
-    and its lander): :meth:`begin` accepts records before :meth:`open`
-    has written the header, :meth:`seal` closes the open stage, and
+    **Bytes reach the disk only through landings.**  :meth:`write_records`
+    *stages* records (:meth:`stage`) and pays the format's per-dataset
+    directory bookkeeping (:meth:`book`, CPU); the stage owes their
+    round trips.  A stage lands as one filesystem transfer — what it
+    owes first, paid once, then a single write through its
+    :class:`~repro.fs.coalesce.WriteCoalescer` — and a landing is
+    exactly one ``fs.write``: the header is the first chunk of the
+    file's first stage, and the commit footer, staged by :meth:`commit`,
+    the last chunk of whichever stage lands last.  :meth:`open` is the
+    create round trip alone; :meth:`close` commits, lands everything
+    staged and pays the close round trip (:meth:`release`), so a
+    sequential caller sees metadata, CPU, metadata, transfer, metadata.
+    Staging and landing may also be two callers (the Rocpanda server's
+    main loop and its lander): :meth:`begin` accepts records before
+    :meth:`open`, :meth:`seal` closes the open stage, and
     :meth:`settle_meta` / :meth:`land` pay for the oldest stage while
     new records join the newest.  Stages land in the order they were
     sealed, so the file's bytes do not depend on where the seals fell.
-    A caller that takes turns at a write slot holds it for the writes
-    alone: ``open`` is :meth:`create` (a round trip) then
-    :meth:`write_header`, ``close`` :meth:`commit` (stages, footer) then
-    :meth:`release` (a round trip).
 
     ``ndatasets`` counts **staged** records, not only landed ones: it
     is the directory size the next ``create_cost`` is charged at, and a
     record is staged exactly once — staging cannot fault, and a caller
     retrying a faulted landing re-runs :meth:`land`, :meth:`flush` or
-    :meth:`close`, never ``write_records``.  A fault leaves the stage
-    intact (the VFS raises before mutating anything); a crash loses at
-    most the staged bytes, in a file that has no commit footer yet and
-    is torn either way.
+    :meth:`close`, never ``write_records``; a re-run ``close`` stages no
+    second footer.  A fault leaves the stage intact (the VFS raises
+    before mutating anything); a crash loses at most the staged bytes,
+    in a file that has no commit footer yet — empty if nothing landed —
+    and is torn either way.
     """
 
     def __init__(
@@ -111,7 +111,9 @@ class SHDFWriter:
         #: Unlanded stages, oldest first; records join the last one
         #: (empty: the writer accepts none).
         self._stages: deque = deque()
-        self._header = b""
+        #: None until :meth:`commit`; then the footer until a landing
+        #: carries it, and ``b""`` once one does.
+        self._footer: Optional[bytes] = None
         self._open = False
         #: Total virtual seconds spent in this writer (diagnostics).
         self.busy_time = 0.0
@@ -132,6 +134,12 @@ class SHDFWriter:
         return self._stages[0].meta_ops if self._stages else 0
 
     @property
+    def owes_landing(self) -> bool:
+        """True while staged bytes — header, records, footer — are unlanded."""
+        stages = self._stages
+        return bool(stages and (len(stages) > 1 or stages[0].chunks.pending or self._footer))
+
+    @property
     def is_open(self) -> bool:
         """True between a successful ``open`` and the matching ``close``."""
         return self._open
@@ -150,35 +158,29 @@ class SHDFWriter:
             )
 
     def begin(self, file_attrs: Optional[Dict[str, Any]] = None) -> None:
-        """Create the empty file and start accepting records (no virtual
-        time passes; :meth:`open`, which calls this, writes the header)."""
+        """Create the empty file and start accepting records, behind the
+        header its first landing writes (no virtual time passes)."""
         self._vfile = self.fs.disk.create(self.path, exist_ok=True)
         self._vfile.truncate()
         self._ndatasets = 0
+        self._footer = None
         self._stages = deque([_Stage(self.fs, self._vfile, self.node)])
-        self._header = encode_header({**(file_attrs or {}), JOURNAL_ATTR: True})
+        self._stages[0].chunks.add(
+            encode_header({**(file_attrs or {}), JOURNAL_ATTR: True})
+        )
 
-    def create(self, file_attrs: Optional[Dict[str, Any]] = None):
-        """Generator: the create round trip (:meth:`begin` first, unless begun)."""
+    def open(self, file_attrs: Optional[Dict[str, Any]] = None):
+        """Generator: the create round trip (:meth:`begin` first, unless
+        begun); the file is open and still empty."""
         if self._open:
             raise RuntimeError(f"{self.path}: already open")
+        t0 = self.env.now
         if not self._stages:
             self.begin(file_attrs)
         yield from self.fs.meta_op(self.node)
-
-    def write_header(self):
-        """Generator: write the created file's header; it is open."""
-        yield from self.fs.write(len(self._header), self.node)
-        self._vfile.append(self._header)
         self._open = True
-
-    def open(self, file_attrs: Optional[Dict[str, Any]] = None):
-        """Generator: :meth:`create` the file and :meth:`write_header`."""
-        t0 = self.env.now
-        yield from self.create(file_attrs)
-        yield from self.write_header()
         self.busy_time += self.env.now - t0
-        self._record("open", len(self._header), t0)
+        self._record("open", 0, t0)
 
     def write_records(self, records):
         """Generator: stage many records for one coalesced transfer.
@@ -236,6 +238,12 @@ class SHDFWriter:
         if self._stages[-1].chunks.pending:
             self._stages.append(_Stage(self.fs, self._vfile, self.node))
 
+    def commit(self) -> None:
+        """No more records: the commit footer becomes the last chunk of
+        the last stage to land.  Committing again stages nothing."""
+        if self._footer is None:
+            self._footer = encode_commit_footer(self._ndatasets)
+
     def _settle_meta(self):
         stage = self._stages[0]
         owed, stage.meta_ops = stage.meta_ops, 0
@@ -243,15 +251,17 @@ class SHDFWriter:
 
     def _land_next(self):
         """Generator: the oldest stage — the metadata round trips it
-        still owes, then one filesystem transfer."""
+        still owes, then one filesystem transfer (with the footer, if
+        the file is committed and no later stage holds a chunk: only the
+        newest stage is ever empty)."""
         yield from self._settle_meta()
-        yield from self._stages[0].chunks.flush()
+        stages = self._stages
+        if self._footer and (len(stages) == 1 or not stages[1].chunks.pending):
+            stages[0].chunks.add(self._footer)
+            self._footer = b""
+        yield from stages[0].chunks.flush()
         if len(self._stages) > 1:
             self._stages.popleft()
-
-    def _land_all(self):
-        while len(self._stages) > 1 or self._stages[0].chunks.pending:
-            yield from self._land_next()
 
     def settle_meta(self):
         """Generator: pay the oldest stage's metadata round trips ahead
@@ -272,29 +282,24 @@ class SHDFWriter:
         """Generator: land every stage; a no-op when nothing is staged."""
         if not self._open:
             raise RuntimeError(f"{self.path}: not open")
-        while len(self._stages) > 1 or self._stages[0].chunks.pending:
+        while self.owes_landing:
             yield from self.land()
 
-    def commit(self):
-        """Generator: land anything still staged, then the commit footer
-        — the file's last write."""
-        if not self._open:
-            raise RuntimeError(f"{self.path}: not open")
-        yield from self._land_all()
-        footer = encode_commit_footer(self._ndatasets)
-        yield from self.fs.write(len(footer), self.node)
-        self._vfile.append(footer)
-
     def release(self):
-        """Generator: the close round trip of a committed file."""
+        """Generator: the close round trip of a file whose bytes all landed."""
         yield from self.fs.meta_op(self.node)
         self._open = False
         self._stages.clear()
 
     def close(self):
-        """Generator: :meth:`commit` the file and :meth:`release` it."""
+        """Generator: :meth:`commit`, land everything staged, then
+        :meth:`release` the file."""
+        if not self._open:
+            raise RuntimeError(f"{self.path}: not open")
         t0 = self.env.now
-        yield from self.commit()
+        self.commit()
+        while self.owes_landing:
+            yield from self._land_next()
         yield from self.release()
         self.busy_time += self.env.now - t0
         self._record("close", 0, t0)

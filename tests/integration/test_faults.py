@@ -37,6 +37,7 @@ from repro.io.rocpanda.protocol import TAG_CTRL, TAG_REPLY
 from repro.obs import summary_payload
 from repro.roccom import AttributeSpec, LOC_ELEMENT, LOC_NODE, Roccom
 from repro.shdf import TornFileError, decode_file, scan_file
+from repro.shdf.codec import COMMIT_MAGIC, COMMIT_SIZE, FILE_MAGIC, encode_commit_footer
 from repro.vmpi import run_spmd
 from tests.restored import file_blocks
 
@@ -215,7 +216,7 @@ class TestWriteBehindStage:
     @staticmethod
     def _one_server_write(fail_append=None):
         """4 clients / 1 server; optionally fail the server file's
-        ``fail_append``-th append (0 is the header) once."""
+        ``fail_append``-th append (0 is the first landing) once."""
         machine = Machine(make_testbox(nnodes=8, cpus_per_node=4), seed=0)
         appends = []
 
@@ -233,12 +234,12 @@ class TestWriteBehindStage:
 
     def test_eio_on_a_staged_flush_retries_the_flush_alone(self, whole_file_stage):
         reference, ref_stats, ref_appends = self._one_server_write()
-        # Header, staged transfers, footer — and the first transfer
-        # carries more than one 9 KB block.
-        assert ref_stats.write_flushes == len(ref_appends) - 2
+        # One append per staged transfer, the header and the footer
+        # riding — and the first transfer carries more than one 9 KB block.
+        assert ref_stats.write_flushes == len(ref_appends)
         assert ref_stats.write_flushes < ref_stats.blocks_written == 4 * NBLOCKS
-        assert ref_appends[1] > 2 * 8_400
-        image, stats, appends = self._one_server_write(fail_append=1)
+        assert ref_appends[0] > 2 * 8_400
+        image, stats, appends = self._one_server_write(fail_append=0)
         # Same file: no array staged twice, none lost.
         assert image == reference
         arrays = [
@@ -248,7 +249,7 @@ class TestWriteBehindStage:
         ]
         assert len(arrays) == len(set(arrays)) == 2 * 4 * NBLOCKS
         assert stats.write_retries == 1
-        assert appends == ref_appends[:2] + ref_appends[1:]
+        assert appends == ref_appends[:1] + ref_appends
         assert stats.write_flushes == ref_stats.write_flushes
         assert stats.blocks_written == ref_stats.blocks_written
         assert stats.bytes_written == ref_stats.bytes_written
@@ -338,10 +339,14 @@ class TestWriteBehindStage:
         written = sum(s.stats.blocks_written for s in servers)
         flushes = sum(s.stats.write_flushes for s in servers)
         assert written == 6 * NBLOCKS
-        # Blocks share transfers iff there is a limit to share under,
+        # Blocks share transfers where there is a limit to share under,
         # eager-sized or rendezvous (the write-slot lease removed the
-        # reason to land rendezvous blocks one by one).
-        assert (flushes < written) == (limit > 0)
+        # reason to land rendezvous blocks one by one).  Under limit 0
+        # blocks share a transfer only where they piled up behind a busy
+        # lander: a file's rendezvous blocks do, behind the landing of
+        # its first; its eager ones do not.
+        assert flushes <= written
+        assert (flushes < written) == (limit > 0 or nodes > EAGER_NODES)
 
 
 class TestWriteSlotLease:
@@ -417,8 +422,8 @@ class TestWriteSlotLease:
             holders, state = [], {"armed": fail_flush}
 
             def hook(path, nbytes):
-                # Landings are the appends bigger than a header or footer.
-                if path.endswith("s0001.shdf") and nbytes > 4096:
+                # Every append is a landing.
+                if path.endswith("s0001.shdf"):
                     holders.append(lease.users[0])
                     if state["armed"]:
                         state["armed"] = False
@@ -442,22 +447,30 @@ class TestWriteSlotLease:
         assert holders[0] is not holders[1]
         assert lease.count == 0 and not lease.queue
 
-    @pytest.mark.parametrize("faulted", [0, -2, -1], ids=["header", "stage", "footer"])
+    @pytest.mark.parametrize(
+        "faulted", [{0}, {1}, {0, 1}], ids=["header", "footer", "every"]
+    )
     def test_a_faulted_entry_resumes_at_the_write_that_faulted(self, faulted):
-        """Server 4's file is a header (its own entry), then its one stage
-        with the commit footer in one hold.  An EIO on any of them costs
-        one more lock RPC, one more turn at the slot and that one write
-        again: nothing before it is re-written, no round trip re-paid."""
+        """Server 4's file lands in two entries, one write each: the
+        first carries the header, the second the commit footer.  An EIO
+        on either leaves the file's bytes as they were and costs one more
+        lock RPC, one more turn at the slot and that one write again; the
+        retry lands header, records and footer exactly once."""
 
-        def run(fail_append=None):
+        def run(fail=frozenset()):
             machine = Machine(turing(), seed=0)
             appends = []
 
+            offsets = []  # where each landing starts, in landing order
+
             def hook(path, nbytes):
                 if path.endswith("s0001.shdf"):
-                    appends.append(nbytes)
-                    if len(appends) - 1 == fail_append:
-                        raise TransientIOError(f"injected EIO ({path})")
+                    offset = machine.disk.open(path).size
+                    appends.append((offset, nbytes))
+                    if offset not in offsets:  # a landing's first attempt
+                        offsets.append(offset)
+                        if len(offsets) - 1 in fail:
+                            raise TransientIOError(f"injected EIO ({path})")
 
             machine.disk.fault_hook = hook
             result = run_spmd(machine, 8, _write_main(2))
@@ -466,20 +479,22 @@ class TestWriteSlotLease:
             return result, machine, image, stats, appends
 
         result, ref_machine, reference, ref_stats, ref_appends = run()
-        assert len(ref_appends) == 3 and ref_appends[-1] == 12  # the footer
-        # The stage and the footer went under one grant.
+        # Two landings, one append each, the first at offset 0.
+        assert [size for size, _n in ref_appends] == [0, ref_appends[0][1]]
+        assert len(reference["ck_s0001.shdf"]) == sum(n for _s, n in ref_appends)
         lands = self._records(result, 4, "rocpanda", "land")
-        assert len(lands) == 2 and lands[-1].nbytes > 0
-        k = faulted % len(ref_appends)
-        _, machine, image, stats, appends = run(fail_append=k)
+        assert len(lands) == 2 and all(land.nbytes > 0 for land in lands)
+        _, machine, image, stats, appends = run(frozenset(faulted))
         assert image == reference
-        assert appends == ref_appends[: k + 1] + ref_appends[k:]
-        assert sum(s.write_retries for s in stats) == 1
+        # Each faulted landing is attempted twice, at the same offset.
+        assert appends == [a for k, a in enumerate(ref_appends) for _ in range(1 + (k in faulted))]
+        assert sum(s.write_retries for s in stats) == len(faulted)
         assert [s.write_flushes for s in stats] == [s.write_flushes for s in ref_stats]
         assert [s.blocks_written for s in stats] == [s.blocks_written for s in ref_stats]
         metrics, ref_metrics = machine.fs.metrics, ref_machine.fs.metrics
-        assert metrics.write_ops == ref_metrics.write_ops + 1
-        assert metrics.meta_ops == ref_metrics.meta_ops + 1  # the retry's lock RPC
+        assert metrics.write_ops == ref_metrics.write_ops + len(faulted)
+        # The retries' lock RPCs, nothing else re-paid.
+        assert metrics.meta_ops == ref_metrics.meta_ops + len(faulted)
         lease = machine.fs.write_lease()
         assert lease.count == 0 and not lease.queue
 
@@ -515,17 +530,19 @@ class TestWriteSlotLease:
 
     def test_crash_with_sealed_stages_still_to_land(self):
         """Three snapshots back to back: a busy lander is sealed nothing
-        by size, but every file's open and close entries queue behind
-        it, the close carrying all that was staged meanwhile."""
+        by size, but every later file's close entry queues behind it,
+        carrying all that was staged meanwhile — header, blocks and
+        footer in one landing."""
         prefixes = ("aa", "bb", "ck")
         result, _ = _launch(8, _write_main(2, prefixes=prefixes), spec=turing())
         lands = self._records(result, 4, "rocpanda", "land")
         staged = self._records(result, 4, "rocpanda", "bg_write")
         assert len(staged) == 3 * NBLOCKS * len(prefixes)
-        # The second file's header write, after the main loop staged its
+        # The second file's only landing, after the main loop staged its
         # last block and retired its last file.
         in_flight = next(r for r in lands if r.path.startswith("bb_"))
-        assert in_flight.nbytes == 0 and in_flight.t_start > staged[-1].t_end
+        assert [r.path for r in lands].count(in_flight.path) == 1
+        assert in_flight.nbytes > 0 and in_flight.t_start > staged[-1].t_end
         crash_at = (in_flight.t_start + in_flight.t_end) / 2
 
         _, _, reference = _checkpoint_then_restart(plan=None, spec=turing())
@@ -535,13 +552,13 @@ class TestWriteSlotLease:
             plan, spec=turing(), servers=servers, prefixes=prefixes
         )
         (crashed,) = [s for s in servers if s.stats.crashed]
-        # The first file landed whole; the second's open was in flight,
-        # its close and the third file's open and close sealed behind it
-        # — all still buffer memory, none reported written.
+        # The first file landed whole; the second's one landing was in
+        # flight, the third file's sealed behind it — all still buffer
+        # memory, none reported written.
         assert crashed.stats.blocks_written == 3 * NBLOCKS
         assert [
             (len(blocks), close) for _st, blocks, close in crashed._landings
-        ] == [(0, False), (3 * NBLOCKS, True)] * 2
+        ] == [(3 * NBLOCKS, True)] * 2
         assert crashed._buffered_bytes == sum(
             b.nbytes for _st, blocks, _close in crashed._landings for b in blocks
         )
@@ -549,8 +566,8 @@ class TestWriteSlotLease:
         lease = machine.fs.write_lease()
         assert lease.count == 0 and not lease.queue
         # No byte of a queued landing after the crash instant: the first
-        # file is committed, the other two are empty — torn, and covered
-        # by the heir.
+        # file is committed, the other two are empty (created, nothing
+        # landed) — torn, and covered by the heir.
         decode_file(machine.disk.open("aa_s0001.shdf").read())
         for state, _blocks, _close in crashed._landings:
             image = machine.disk.open(state.writer.path).read()
@@ -600,8 +617,7 @@ class TestWriteSlotLease:
         machine = Machine(turing(), seed=0)
 
         def hook(path, nbytes):
-            if nbytes > 4096:  # every landing; headers and footers pass
-                raise TransientIOError(f"injected EIO ({path})")
+            raise TransientIOError(f"injected EIO ({path})")  # every landing
 
         machine.disk.fault_hook = hook
         servers = []
@@ -664,7 +680,8 @@ class TestWriteSlotLease:
             for f in self._records(result, 4, "shdf", "flush")
         )
         # ... so the sender was done before server 0 next touched the
-        # filesystem (the open its lander had been queueing for all along).
+        # filesystem (the first landing, header and all, its lander had
+        # been queueing for all along).
         held = [
             r for op in ("open", "flush", "close")
             for r in self._records(result, 0, "shdf", op) if r.t_end > asked
@@ -761,8 +778,11 @@ class TestBackgroundWriteFaultReporting:
 
 
 class TestCoalescedWriteResumesAtFaultedStage:
-    """One snapshot file is open / one merged write / close; a fault in
-    any stage retries that stage alone and never duplicates records."""
+    """One snapshot file is open (the create round trip) / staged records
+    / close, and what each stage puts in the file — header, records,
+    commit footer — rides close's one merged write.  A fault in it leaves
+    the file empty and everything staged; the retry, ``close`` again,
+    lands each stage's bytes exactly once."""
 
     @staticmethod
     def _write(fail_append=None):
@@ -779,27 +799,36 @@ class TestCoalescedWriteResumesAtFaultedStage:
             return mod.stats
 
         machine = Machine(make_testbox(nnodes=1, cpus_per_node=1), seed=0)
-        appends = [0]
+        sizes = []  # the file's size at each append attempt
 
         def hook(path, nbytes):
-            appends[0] += 1
-            if appends[0] - 1 == fail_append:
+            sizes.append(machine.disk.open(path).size)
+            if len(sizes) - 1 == fail_append:
                 raise TransientIOError(f"injected EIO ({path})")
 
         machine.disk.fault_hook = hook
         (stats,) = run_spmd(machine, 1, main).returns
         (path,) = machine.disk.listdir("st")
-        return machine.disk.open(path).read(), stats, appends[0]
+        return bytes(machine.disk.open(path).read()), stats, sizes
 
-    @pytest.mark.parametrize("stage", [0, 1, 2], ids=["open", "records", "close"])
+    @pytest.mark.parametrize("stage", ["open", "records", "close"])
     def test_fault_in_each_stage(self, stage):
-        reference, ref_stats, ref_appends = self._write()
-        assert (ref_appends, ref_stats.retries) == (3, 0)
-        image, stats, appends = self._write(fail_append=stage)
+        reference, ref_stats, ref_sizes = self._write()
+        assert (ref_sizes, ref_stats.retries) == ([0], 0)
+        image, stats, sizes = self._write(fail_append=0)
         assert image == reference
-        assert (appends, stats.retries) == (4, 1)
+        assert (sizes, stats.retries) == ([0, 0], 1)
         assert stats.blocks_written == ref_stats.blocks_written == 2
         assert stats.bytes_written == ref_stats.bytes_written
+        _attrs, records = scan_file(image)
+        if stage == "open":
+            assert image.startswith(FILE_MAGIC) and image.count(FILE_MAGIC) == 1
+        elif stage == "records":
+            names = [name for name, _offset, _length in records]
+            assert len(names) == len(set(names)) == 2 * 2
+        else:
+            assert image.count(COMMIT_MAGIC) == 1
+            assert image[-COMMIT_SIZE:] == encode_commit_footer(len(records))
 
 
 class TestIdleInjectorIsTransparent:

@@ -10,16 +10,20 @@ steps=12, snapshot_interval=4)``.  ``restart_rocpanda`` was last moved
 (1.1274 -> 0.0926) when the servers began landing a write-behind
 stage's blocks as one record per attribute: the sieved restart read
 pays a metadata round trip per record, and the files now hold a record
-per attribute per stage instead of one per block-array.
+per attribute per stage instead of one per block-array.  ``rochdf``
+(6.3731 -> 4.3066), ``trochdf`` (4.5366 -> 2.8461) and ``computation``
+(1.5501 -> 1.3958: the Rochdf run's time-step wall, whose collectives
+wait less for ranks still writing) moved when a file's header and commit footer began
+riding its one landing instead of being two more writes apiece.
 """
 
 from repro.bench.table1 import run_table1
 
 #: Virtual-time results, 64 compute processors (exact floats).
 REFERENCE_64P = {
-    "computation": 1.550125114528625,
-    "rochdf": 6.373118197948319,
-    "trochdf": 4.536586323580905,
+    "computation": 1.3957797280234925,
+    "rochdf": 4.306616666617703,
+    "trochdf": 2.8461074627772107,
     "rocpanda": 0.01210131640625011,
     "restart_rochdf": 0.2345703968658447,
     "restart_rocpanda": 0.09262652164233137,

@@ -11,11 +11,15 @@ and a busy one still merges what piled up behind it.
 Pinned below, for ``Machine(turing(), seed=100)`` on shrunken versions
 of the four Rocpanda benchmark workloads, are ``(wall, visible I/O,
 filesystem write ops)`` under the default limit and under limit 0 —
-"the parent" a later change is held to, bit for bit.  They are equal:
-on Turing the lander opens each file over NFS round trips while the
-snapshot's blocks are staged behind it, so it is never found idle with
-blocks to seal.  On per-node disks it is, and there the default makes
-fewer transfers and ends sooner.  What holds whatever the numbers are:
+"the parent" a later change is held to, bit for bit.  A landing is one
+write (a file's header and commit footer ride its first and last), so
+the write ops count landings.  On Turing the lander is found idle with
+blocks to seal only at a snapshot's first blocks: limit 0 lands the
+first alone, the rest share the stages that piled up during the NFS
+waits, and the walls differ by where the seals fell — by microseconds
+either way, but for the strong job's extra transfers.  On per-node
+disks the lander keeps up, and there the default makes far fewer
+transfers and ends sooner.  What holds whatever the numbers are:
 limit 0 never makes fewer transfers than the default, and the files
 restore to the same blocks.  (Their bytes differ where the seals fell
 apart: a stage lands one record per attribute.)
@@ -31,13 +35,18 @@ from tests.restored import restored
 
 #: (wall_time, visible_io_time, fs write ops) under the default limit ...
 DEFAULT = {
-    "write": (0.8015511040885861, 0.048411973384286905, 54),
-    "restart": (0.23832622158991262, 0.03124134194301466, 9),
-    "weak": (0.222605786371962, 0.040994793917571104, 18),
-    "strong": (0.3039222032343769, 0.02130883281101628, 18),
+    "write": (0.801515545553866, 0.048411973384286905, 24),
+    "restart": (0.2528122012180421, 0.03124134194301466, 4),
+    "weak": (0.22745671427279648, 0.040994793917571104, 8),
+    "strong": (0.3040072474293786, 0.02130883281101628, 8),
 }
 #: ... and with the limit patched to 0.
-LIMIT_ZERO = dict(DEFAULT)
+LIMIT_ZERO = {
+    "write": (0.804137352305464, 0.048411973384286905, 24),
+    "restart": (0.2528082998231113, 0.03124134194301466, 4),
+    "weak": (0.22745567390081495, 0.040994793917571104, 8),
+    "strong": (0.327844671967731, 0.02130883281101628, 12),
+}
 
 
 def _jobs():
@@ -144,7 +153,8 @@ def test_default_limit_same_files_fewer_transfers_no_later(
     for name, (triple, image, _lease) in default.items():
         (wall, _visible, ops), (ref_wall, _ref_visible, ref_ops) = triple, LIMIT_ZERO[name]
         assert image == per_block[name][1], name
-        assert (ops, wall) == (ref_ops, ref_wall), name
+        assert ops <= ref_ops, name
+        assert wall == pytest.approx(ref_wall, abs=1e-5) or wall < ref_wall, name
     # Per-node disks: the lander keeps up, and limit 0 hands it every
     # block it finds idle on its own.
     for name, (triple, image, _lease) in default_local.items():

@@ -134,9 +134,10 @@ class TestJournaledFiles:
             decode_file(self._journaled(ndatasets=1, committed=2))
 
     def test_empty_file_is_torn(self):
-        # A writer that crashed inside open() — file created, header not
-        # yet landed — leaves zero bytes: no magic, no journal flag.  The
-        # restart scan must be able to skip it like any other torn file.
+        # A writer that crashed before its first landing — file created,
+        # the header still staged with it — leaves zero bytes: no magic,
+        # no journal flag.  The restart scan must be able to skip it like
+        # any other torn file.
         for decode in (decode_file, scan_file):
             with pytest.raises(TornFileError):
                 decode(b"")

@@ -64,9 +64,13 @@ class TestStagedWriteRecords:
         staged, fs_staged, writer = write_file(False, end_with_flush)
         assert staged == eager
         assert writer.staged_bytes == 0
-        # Same bytes and bookkeeping charged; one transfer instead of four.
+        # Same bytes and bookkeeping charged.  Flushing every call is a
+        # transfer per batch (the header riding the first) and the
+        # footer alone; staging is one transfer carrying all of it — two
+        # if a flush before the close leaves the footer on its own.
         nbatches = len(batches())
-        assert fs_eager.metrics.write_ops - fs_staged.metrics.write_ops == nbatches - 1
+        assert fs_eager.metrics.write_ops == nbatches + 1
+        assert fs_staged.metrics.write_ops == 1 + end_with_flush
         assert fs_staged.metrics.bytes_written == fs_eager.metrics.bytes_written
         assert fs_staged.metrics.meta_ops == fs_eager.metrics.meta_ops
 
@@ -78,6 +82,11 @@ class TestStagedWriteRecords:
 
         def program():
             yield from writer.open()
+            # The create round trip alone: the header waits, staged, for
+            # the first landing.
+            assert writer._vfile.size == 0 and fs.metrics.write_ops == 0
+            header = writer.staged_bytes
+            assert header > 0
             size, ops, t0 = writer._vfile.size, fs.metrics.write_ops, env.now
             yield from writer.write_records(first)
             assert env.now > t0  # create_cost + meta ops are per batch
@@ -87,14 +96,16 @@ class TestStagedWriteRecords:
             # create_cost is charged at the true directory size.
             assert writer.ndatasets == len(first)
             meta = hdf4_driver().meta_bytes_per_dataset
-            assert writer.staged_bytes == sum(len(r[1]) + meta for r in first)
+            assert writer.staged_bytes == header + sum(len(r[1]) + meta for r in first)
             # One flush lands everything staged, in order.
             yield from writer.write_records(second)
-            assert writer.staged_bytes == sum(len(r[1]) + meta for r in first + second)
+            assert writer.staged_bytes == header + sum(
+                len(r[1]) + meta for r in first + second
+            )
             yield from writer.flush()
             assert writer.staged_bytes == 0
             assert fs.metrics.write_ops == ops + 1
-            assert writer._vfile.size == size + sum(
+            assert writer._vfile.size == size + header + sum(
                 len(r[1]) for r in first + second
             )
             yield from writer.close()
@@ -108,6 +119,8 @@ class TestStagedWriteRecords:
 
         def program():
             yield from writer.open()
+            yield from writer.flush()  # the header, alone
+            assert fs.metrics.write_ops == 1 and writer._vfile.size > 0
             t0, ops = env.now, fs.metrics.write_ops
             yield from writer.flush()
             yield from writer.write_records([])
@@ -171,6 +184,7 @@ class TestFaultedFlush:
             assert writer.is_open
             if fault_in == "flush":
                 yield from writer.flush()
+            # A re-run close stages no second footer.
             yield from writer.close()
 
         drive(env, program())
@@ -185,9 +199,11 @@ class TestFaultedFlush:
 
         drive(reference, clean())
         assert fs.disk.open("f.shdf").read() == ref_fs.disk.open("f.shdf").read()
-        # The retry re-paid the transfer, not the format bookkeeping.
+        # The retry re-paid the transfer, not the format bookkeeping; a
+        # flush before the close leaves the footer its own transfer.
         assert fs.metrics.meta_ops == ref_fs.metrics.meta_ops
-        assert fs.metrics.write_ops == ref_fs.metrics.write_ops + 1
+        assert ref_fs.metrics.write_ops == 1
+        assert fs.metrics.write_ops == 2 + (fault_in == "flush")
 
 
 class TestSealThenLand:
@@ -195,7 +211,7 @@ class TestSealThenLand:
 
     def _sealed_writer(self):
         """A begun (not yet open) writer holding three sealed stages —
-        batch 0, batches 1+2, batch 3 — staged before its header lands."""
+        header + batch 0, batches 1+2, batch 3 — before anything lands."""
         env = Environment()
         fs = NFSModel(env)
         writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver())
@@ -225,7 +241,8 @@ class TestSealThenLand:
         sizes = []
 
         def land():
-            yield from writer.open()  # begun: open() only writes the header
+            yield from writer.open()  # the create round trip, no write
+            assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (1, 0)
             for _ in range(3):
                 size, ops = writer._vfile.size, fs.metrics.write_ops
                 yield from writer.settle_meta()
@@ -236,11 +253,15 @@ class TestSealThenLand:
             ops = fs.metrics.write_ops
             yield from writer.flush()  # nothing left
             assert fs.metrics.write_ops == ops
-            yield from writer.close()
+            yield from writer.close()  # the footer, alone: the last stage went
+            assert fs.metrics.write_ops == ops + 1
 
         drive(env, land())
+        header = len(bytes(fs.disk.open("f.shdf").read())) - 12 - sum(
+            len(r[1]) for b in batches() for r in b
+        )
         b0, b1, b2, b3 = ([len(r[1]) for r in b] for b in batches())
-        assert sizes == [sum(b0), sum(b1) + sum(b2), sum(b3)]
+        assert sizes == [header + sum(b0), sum(b1) + sum(b2), sum(b3)]
         eager, fs_eager, _ = write_file(True)
         assert bytes(fs.disk.open("f.shdf").read()) == eager
         assert fs.metrics.meta_ops == fs_eager.metrics.meta_ops
@@ -255,8 +276,8 @@ class TestSealThenLand:
             yield from writer.write_records(extra)  # joins a new, open stage
             ops = fs.metrics.write_ops
             yield from writer.close()
-            # Three sealed stages, the open one, the footer.
-            assert fs.metrics.write_ops == ops + 5
+            # Three sealed stages, then the open one with the footer.
+            assert fs.metrics.write_ops == ops + 4
 
         drive(env, finish())
         names = decode_file(fs.disk.open("f.shdf").read()).names()
@@ -297,10 +318,11 @@ class TestSealThenLand:
         assert fs.metrics.meta_ops == fs_eager.metrics.meta_ops
 
     def test_open_and_close_in_their_halves_round_trips_apart_from_writes(self):
-        """create / write_header and commit / release are open and close
-        cut where a caller's hold of a write slot begins and ends: the
-        same bytes, the same costs, and a commit that faulted in the
-        footer re-lands nothing."""
+        """open is the create round trip, close is commit / landings /
+        release: a caller's hold of a write slot covers the landings
+        alone.  The committed footer rides the last stage; a landing that
+        faulted appends nothing, and committing again stages no second
+        footer — the same bytes, the same round trips."""
         env, fs, writer = self._sealed_writer()
         armed = {"n": 0}
 
@@ -312,41 +334,49 @@ class TestSealThenLand:
         fs.disk.fault_hook = hook
 
         def land():
-            yield from writer.create()
+            yield from writer.open()
             assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (1, 0)
-            assert not writer.is_open
-            yield from writer.write_header()
-            assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (1, 1)
-            assert writer.is_open
-            while writer.owed_meta:
+            assert writer.is_open and writer._vfile.size == 0
+            for _ in range(2):
                 yield from writer.settle_meta()
                 yield from writer.land()
+            writer.commit()
+            yield from writer.settle_meta()
             meta, ops, size = fs.metrics.meta_ops, fs.metrics.write_ops, writer._vfile.size
+            charged = fs.metrics.bytes_written
             armed["n"] = 1
             with pytest.raises(TransientIOError):
-                yield from writer.commit()  # the footer faults
-            yield from writer.commit()
-            # Two footer attempts, nothing else; committed, not yet closed.
+                yield from writer.land()  # the last stage, footer and all
+            charged = fs.metrics.bytes_written - charged
+            assert writer._vfile.size == size and writer.owes_landing
+            writer.commit()
+            yield from writer.land()
+            # Two attempts of one landing, nothing else; committed, not
+            # yet closed.
             assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (meta, ops + 2)
-            assert writer._vfile.size == size + 12 and writer.is_open
+            assert not writer.owes_landing and writer.is_open
+            b3 = sum(len(r[1]) for r in batches()[3])
+            assert writer._vfile.size == size + b3 + 12
             decode_file(fs.disk.open("f.shdf").read())
             yield from writer.release()
             assert fs.metrics.meta_ops == meta + 1 and not writer.is_open
+            return charged
 
-        drive(env, land())
+        charged = drive(env, land())
         eager, fs_eager, _ = write_file(True)
         assert bytes(fs.disk.open("f.shdf").read()) == eager
         assert fs.metrics.meta_ops == fs_eager.metrics.meta_ops
-        assert fs.metrics.bytes_written == fs_eager.metrics.bytes_written + 12
+        assert fs.metrics.bytes_written == fs_eager.metrics.bytes_written + charged
 
-    @pytest.mark.parametrize("closed_at", [0.015249830078125])
+    @pytest.mark.parametrize("closed_at", [0.012249830078125001])
     def test_sequential_caller_sees_the_parent_instants(self, closed_at):
-        """open / write_records / close on ``NFSModel``: CPU, metadata,
-        transfer in the order they always came, so the open and the close
-        end at the instants they ended at before the round trips moved
-        from ``write_records`` into the landing (values from 9bed612) —
-        to the last bit; only the instant in between is earlier, by
-        exactly those round trips."""
+        """open / write_records / close on ``NFSModel``: the create round
+        trip, CPU, then the datasets' round trips, one transfer and the
+        close round trip, pinned to the last bit.  Against header, stage
+        and footer as three writes (open at 0.0030012397766113284, close
+        at 0.015249830078125) the open ends one write earlier and the
+        close two: a write costs ``meta_latency`` plus its bytes, and
+        the bytes are the same."""
         env = Environment()
         fs = NFSModel(env)
         writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver())
@@ -365,7 +395,8 @@ class TestSealThenLand:
             marks.append(env.now)
 
         drive(env, program())
-        assert marks[0] == 0.0030012397766113284
+        assert marks[0] == fs.meta_latency
         assert marks[2] == writer.busy_time == closed_at
-        assert marks[1] == pytest.approx(0.01052523977661133 - 3 * fs.meta_latency)
-        assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (5, 3)
+        assert closed_at == pytest.approx(0.015249830078125 - 2 * fs.meta_latency)
+        assert marks[1] == pytest.approx(0.004524)
+        assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (5, 1)

@@ -90,5 +90,7 @@ def test_no_argument_selects_a_second_path():
         name for name in repro.shdf.__all__ if name.endswith("_v2") or name in gone
     ]
     assert not hasattr(SHDFWriter, "write_dataset")
+    # Bytes reach the disk only through landings: no header write of its own.
+    assert not hasattr(SHDFWriter, "write_header")
     assert not hasattr(SHDFReader, "read_dataset")
     assert not hasattr(SHDFReader, "read_all")
