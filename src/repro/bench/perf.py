@@ -11,8 +11,7 @@ Benchmarks:
 
 * ``des_events`` — DES kernel event throughput (timeout alloc +
   schedule + heap pop + generator resume per event);
-* ``des_dispatch_bucketed`` / ``bulk_delivery_bucketed`` — raw
-  schedule+pop rate and fused same-timestamp callback fan-out;
+* ``des_dispatch`` — raw schedule+pop rate of the event queue;
 * ``mailbox_backlog_indexed`` / ``mailbox_waiters_indexed`` — vmpi
   matching throughput against a deep backlog / a deep
   selective-waiter list;
@@ -62,7 +61,6 @@ import numpy as np
 __all__ = [
     "bench_des_events",
     "bench_des_dispatch",
-    "bench_bulk_delivery",
     "bench_mailbox_backlog",
     "bench_mailbox_waiters",
     "bench_vmpi_msgrate",
@@ -144,9 +142,8 @@ def bench_des_dispatch(nevents: int = 200_000) -> Dict[str, float]:
     """Raw schedule+pop dispatch rate through the event queue.
 
     The fill mixes same-``(time, priority)`` bursts (the tree-collective
-    / coalesced-flush shape that the bucketed queue turns into deque
-    appends) with distinct-key singletons (pure heap churn), in
-    isolation from process-resume cost.
+    / coalesced-flush shape) with distinct-key singletons, in isolation
+    from process-resume cost.
     """
     from ..des import NORMAL, Environment, Event
 
@@ -172,38 +169,6 @@ def bench_des_dispatch(nevents: int = 200_000) -> Dict[str, float]:
                 delay += 0.25
                 n += 1
         env.run()
-        return n
-
-    return _timed(run)
-
-
-def bench_bulk_delivery(
-    ndeliveries: int = 200_000, fanout: int = 64
-) -> Dict[str, float]:
-    """Same-timestamp callback fan-out via :meth:`Environment.schedule_callback`.
-
-    The queue fuses each ``fanout``-sized burst into one bulk entry
-    dispatched in a single pop; ``events_processed`` still counts the
-    whole fan-out.
-    """
-    from ..des import Environment
-
-    env = Environment()
-
-    def _sink(_arg) -> None:
-        return None
-
-    def run() -> int:
-        sc = env.schedule_callback
-        n = 0
-        delay = 1.0
-        while n < ndeliveries:
-            for _ in range(fanout):
-                sc(_sink, n, delay=delay)
-                n += 1
-            delay += 1.0
-        env.run()
-        assert env.events_processed == n
         return n
 
     return _timed(run)
@@ -732,10 +697,7 @@ def run_perfbench(
 
     micro: Dict[str, Any] = {}
     micro["des_events"] = best(lambda: bench_des_events(sizes["nevents"]))
-    micro["des_dispatch_bucketed"] = best(
-        lambda: bench_des_dispatch(sizes["nevents"]))
-    micro["bulk_delivery_bucketed"] = best(
-        lambda: bench_bulk_delivery(sizes["nevents"]))
+    micro["des_dispatch"] = best(lambda: bench_des_dispatch(sizes["nevents"]))
     micro["mailbox_backlog_indexed"] = best(
         lambda: bench_mailbox_backlog(sizes["nsources"], sizes["rounds"]))
     micro["mailbox_waiters_indexed"] = best(

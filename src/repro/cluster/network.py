@@ -19,28 +19,13 @@ the job size.  On Frost it is 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from ..des import Environment, Resource
 from ..util.units import MB, USEC
 from .node import Node
 
 __all__ = ["NetworkSpec", "Network"]
-
-
-def _invoke(cb) -> None:
-    # Module-level landing trampoline for intra-node flights: lets
-    # schedule_transfer hand the user callback straight to the DES
-    # bulk-delivery path without allocating a closure per message.
-    cb()
-
-
-def _land_nic(args) -> None:
-    # Landing trampoline for inter-node flights: free the NIC stream
-    # slot, then deliver.
-    nic, req, cb = args
-    nic.release(req)
-    cb()
 
 
 def _deliver(args) -> None:
@@ -167,44 +152,6 @@ class Network:
         finally:
             nic.release(req)
 
-    def schedule_transfer(
-        self,
-        src: Node,
-        dst: Node,
-        nbytes: int,
-        callback: Callable[[], None],
-        extra_delay: float = 0.0,
-    ) -> None:
-        """Fire-and-forget :meth:`transfer`: ``callback()`` runs when the
-        payload lands.
-
-        Virtual timing (including NIC queueing) is identical to
-        ``transfer``; the difference is purely mechanical — the flight
-        rides the DES bulk-delivery path
-        (:meth:`~repro.des.Environment.schedule_callback`) instead of
-        occupying a dedicated generator process or even a dedicated
-        completion Event, which matters because one of these runs per
-        eager message, and co-landing flights (a tree-collective level,
-        a coalesced scatter) fuse into a single vectorized dispatch.
-        ``extra_delay`` adds injected flight time (message-delay
-        faults).
-        """
-        load = max(src.external_load, dst.external_load)
-        duration = self.transfer_time(src, dst, nbytes) * load + extra_delay
-        self.messages += 1
-        self.bytes_transferred += nbytes
-        env = self.env
-        if src.index == dst.index:
-            env.schedule_callback(_invoke, callback, delay=duration)
-            return
-        nic = self._nics[dst.index]
-        req = nic.request()
-
-        def _fly(_event) -> None:
-            env.schedule_callback(_land_nic, (nic, req, callback), delay=duration)
-
-        req.callbacks.append(_fly)
-
     def schedule_delivery(
         self,
         src: Node,
@@ -214,13 +161,16 @@ class Network:
         envelope,
         extra_delay: float = 0.0,
     ) -> None:
-        """:meth:`schedule_transfer` specialized to a mailbox delivery.
+        """Fire-and-forget :meth:`transfer` that lands as
+        ``mailbox.deliver(envelope)``.
 
-        The flight schedule is identical; the only difference is that
-        the landing action is ``mailbox.deliver(envelope)`` expressed
-        as data instead of a per-message closure — the dominant eager
-        path (one of these per point-to-point message) allocates no
-        callable at all.
+        Virtual timing, NIC queueing included, is that of ``transfer``;
+        only the mechanism differs.  The flight is one
+        :meth:`~repro.des.Environment.schedule_callback` entry instead of
+        a generator process and a completion :class:`~repro.des.Event`,
+        and the landing action is data, not a per-message closure.  One
+        of these runs per eager point-to-point message.  ``extra_delay``
+        adds injected flight time (message-delay faults).
         """
         load = max(src.external_load, dst.external_load)
         duration = self.transfer_time(src, dst, nbytes) * load + extra_delay

@@ -9,7 +9,7 @@ timings.
 """
 
 from .core import NORMAL, URGENT, Environment, Event, Process, Timeout
-from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
+from .errors import Interrupt, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Condition, ConditionValue
 from .resources import Release, Request, Resource
 
@@ -20,7 +20,6 @@ __all__ = [
     "Timeout",
     "URGENT",
     "NORMAL",
-    "EmptySchedule",
     "Interrupt",
     "SimulationError",
     "StopSimulation",

@@ -10,32 +10,23 @@ The kernel is deterministic: events scheduled for the same time fire in
 (priority, insertion-order) order, so repeated runs of the same program
 produce identical traces.
 
-The scheduler merges three structures into one total order:
+The scheduler keeps two structures, merged into one total order:
 
-- a binary heap of singleton ``(time, priority, eid, event)`` entries;
-- the "now ladder" deque of zero-delay NORMAL events;
-- *buckets*: per-``(time, priority)`` deques for the same-timestamp
-  bursts that tree collectives and coalesced flushes emit.  A burst is
-  detected when a key repeats back-to-back (or an existing bucket is
-  hit); from then on every event of that key lands in the bucket with
-  a plain ``deque.append`` instead of an O(log n) heap push.  One
-  3-tuple ``(time, priority, first_eid)`` per live bucket sits in a
-  small key heap; because all later entries of a key are *forced* into
-  its bucket, the first eid under-approximates every bucketed eid while
-  no foreign entry of that key can sort between them — so the
-  head-to-head tuple comparison against the singleton heap and the now
-  ladder reproduces the pop order of one ``(time, priority, eid)`` heap
-  exactly.  The hypothesis property suite drives this queue and a
-  single-heap oracle (``tests/spec/heap_env.py``, which overrides the
-  three ``schedule*`` methods with one ``heappush`` each) through the
-  same schedule/cancel/bulk interleavings and asserts identical
-  callback firing order.
+- the "now ladder", a deque of zero-delay NORMAL events (the
+  succeed/trigger chains that make up most schedules);
+- one binary heap of ``(time, priority, eid, entry)`` tuples for
+  everything else.
+
+Both hold the same tuples, and the ladder is always sorted (time never
+decreases, eids increase), so popping whichever head compares smaller
+reproduces the order of a single ``(time, priority, eid)`` heap.  The
+property suite checks that against a single-heap oracle
+(``tests/spec/heap_env.py``).
 
 The queue also supports *lazy cancellation* (:meth:`Event.cancel`),
-pooled auto-free timeouts (:meth:`Environment.sleep`) and *fused bulk
-delivery* (:meth:`Environment.schedule_callback`): many same-timestamp
-callbacks ride one queue entry and run in a single dispatch, with the
-fan-out still counted in ``events_processed``.
+pooled auto-free timeouts (:meth:`Environment.sleep`) and an
+``Event``-free lane for fire-and-forget callbacks
+(:meth:`Environment.schedule_callback`).
 """
 
 from __future__ import annotations
@@ -45,7 +36,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from .errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
+from .errors import Interrupt, SimulationError, StopSimulation
 
 __all__ = [
     "Environment",
@@ -234,24 +225,18 @@ class _PooledTimeout(Timeout):
         super().__init__(env, delay, value)
 
 
-class _Bulk:
-    """A fused bulk-delivery entry: many callbacks, one queue slot.
+class _Call:
+    """The queue entry of :meth:`Environment.schedule_callback`.
 
-    Scheduled via :meth:`Environment.schedule_callback`; ``callbacks``
-    holds ``(fn, arg)`` pairs appended while the entry is still pending
-    at the same ``(time, priority)`` key.  Duck-types just enough of
-    :class:`Event` (``callbacks``/``_ok``/``_defused``/``_cancelled``)
-    for the run loop; the loop dispatches on the class to run the pairs
-    and count the fan-out in ``events_processed``.
+    ``callbacks`` holds the ``(fn, arg)`` pair; the run loop dispatches
+    on the class and calls ``fn(arg)``.  It cannot be cancelled and
+    never fails, so it needs nothing else of :class:`Event`.
     """
 
-    __slots__ = ("callbacks", "_ok", "_defused", "_cancelled")
+    __slots__ = ("callbacks",)
 
-    def __init__(self):
-        self.callbacks: Optional[list] = []
-        self._ok = True
-        self._defused = True
-        self._cancelled = False
+    def __init__(self, fn: Callable[[Any], None], arg: Any):
+        self.callbacks = (fn, arg)
 
 
 class Initialize(Event):
@@ -382,53 +367,30 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
+        #: The heap: ``(time, priority, eid, entry)`` for every entry
+        #: that is not on the now ladder.
         self._queue: list = []
-        #: The "now ladder": zero-delay NORMAL-priority events in
-        #: insertion order.  These are the overwhelming majority of
-        #: schedules (succeed/trigger chains), and a deque append/pop
-        #: replaces an O(log n) heap operation for each.  Entries are
-        #: full ``(time, priority, eid, event)`` tuples so the pop rule
-        #: is a plain tuple comparison against the heap head; because
-        #: time never decreases and eids increase, the deque is always
-        #: sorted, and the queue merge pops events in exactly the
-        #: single-heap order.
+        #: The "now ladder": zero-delay NORMAL-priority entries in
+        #: insertion order, as the same tuples, so the pop rule is a
+        #: plain tuple comparison against the heap head.  A deque
+        #: append/popleft replaces two O(log n) heap operations for the
+        #: most common schedule.
         self._nowq: deque = deque()
-        #: Burst buckets: ``(time, priority) -> deque of events`` plus
-        #: a key heap of ``(time, priority, first_eid)`` 3-tuples (one
-        #: per live bucket).  ``_last_key`` tracks the most recent heap
-        #: key to detect back-to-back bursts.
-        self._buckets: dict = {}
-        self._bucket_heap: list = []
-        self._last_key = None
-        #: Fusion state for :meth:`schedule_callback`: the most recent
-        #: pending bulk entry on the heap side (with its key) and on
-        #: the now ladder.  ``_lb`` is invalidated whenever a normal
-        #: event is scheduled at the same key, which is exactly the
-        #: condition under which further fusion would reorder
-        #: callbacks; the now-ladder check is positional (the bulk must
-        #: still be the deque tail) and needs no invalidation.
-        self._lb: Optional[_Bulk] = None
-        self._lb_key = None
-        self._lbn: Optional[_Bulk] = None
         self._eid = count()
         self._active_proc: Optional[Process] = None
         #: Freelist for :meth:`sleep` timeouts.
         self._timeout_pool: list = []
         #: Cancelled-but-still-queued entry count (depth accounting).
         self._ncancelled = 0
-        #: Total events processed by :meth:`run`/:meth:`step` (scaling
-        #: diagnostics; maintained cheaply in the run loop).  A fused
-        #: bulk entry counts its full fan-out; cancelled entries do not
-        #: count.
+        #: Total events processed by :meth:`run` (scaling diagnostics;
+        #: maintained cheaply in the run loop).  Cancelled entries do
+        #: not count.
         self.events_processed = 0
         #: Sampled high-water mark of the pending-event count
         #: (cancelled entries excluded).
         self.max_queue_depth = 0
         #: Total events lazily cancelled (diagnostics).
         self.events_cancelled = 0
-        #: Total callbacks that fused into an existing bulk entry
-        #: instead of costing their own queue slot (diagnostics).
-        self.bulk_merged = 0
 
     @property
     def now(self) -> float:
@@ -492,62 +454,10 @@ class Environment:
         """Schedule ``event`` to fire after ``delay`` time units."""
         if delay == 0.0 and priority == NORMAL:
             self._nowq.append((self._now, NORMAL, next(self._eid), event))
-            return
-        at = self._now + delay
-        key = (at, priority)
-        if key == self._lb_key:
-            # A normal event lands between bulk callbacks of this key:
-            # further fusion would fire later callbacks ahead of it.
-            self._lb = None
-            self._lb_key = None
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            # Every event of a bucketed key *must* join the bucket so
-            # no entry of that key with a larger eid exists outside it.
-            bucket.append(event)
-            return
-        if key == self._last_key:
-            # Back-to-back repeat: open a bucket for the burst.  The
-            # fresh eid under-approximates all future bucket members
-            # while every earlier entry of this key (singletons on the
-            # main heap) has a smaller eid still — head comparisons
-            # stay exact.
-            self._buckets[key] = deque((event,))
-            heappush(self._bucket_heap, (at, priority, next(self._eid)))
-            return
-        heappush(self._queue, (at, priority, next(self._eid), event))
-        self._last_key = key
-
-    def schedule_many(
-        self, events: Iterable[Event], priority: int = NORMAL, delay: float = 0.0
-    ) -> None:
-        """Bulk-schedule ``events`` with one shared (priority, delay).
-
-        Semantically identical to calling :meth:`schedule` per event in
-        iteration order.  Zero-delay batches extend the now ladder;
-        delayed batches go straight into a burst bucket — one key-heap
-        push for the whole batch instead of one heap push per event.
-        """
-        if delay == 0.0 and priority == NORMAL:
-            now = self._now
-            eid = self._eid
-            self._nowq.extend((now, NORMAL, next(eid), ev) for ev in events)
-            return
-        batch = deque(events)
-        if not batch:
-            return
-        at = self._now + delay
-        key = (at, priority)
-        if key == self._lb_key:
-            self._lb = None
-            self._lb_key = None
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            bucket.extend(batch)
-            return
-        self._buckets[key] = batch
-        heappush(self._bucket_heap, (at, priority, next(self._eid)))
-        self._last_key = key
+        else:
+            heappush(
+                self._queue, (self._now + delay, priority, next(self._eid), event)
+            )
 
     def schedule_callback(
         self,
@@ -556,150 +466,27 @@ class Environment:
         priority: int = NORMAL,
         delay: float = 0.0,
     ) -> None:
-        """Schedule ``fn(arg)`` to run after ``delay`` — fused when possible.
+        """Schedule ``fn(arg)`` to run after ``delay``, with no :class:`Event`.
 
-        The cheap path for fire-and-forget completions (message
-        landings, NIC releases): no :class:`Event` is allocated, and
-        consecutive callbacks targeting the same ``(time, priority)``
-        slot *fuse* into one pending :class:`_Bulk` entry, running
-        back-to-back in one dispatch.  Fusion preserves the exact
-        unfused firing order: a bulk only accepts another callback
-        while no other event has been scheduled at its key since the
-        bulk was created (heap side) or while it is still the tail of
-        the now ladder (zero-delay side), so nothing can sort between
-        its members.  Timing is identical by construction — fusion
-        never changes *when* a callback runs, only how many queue
-        entries carry the batch.
+        The lane for fire-and-forget completions (message landings):
+        one queue entry per call, ordered exactly like :meth:`schedule`
+        and counted once in ``events_processed``, but nothing can wait
+        on it or cancel it.
         """
-        if delay == 0.0 and priority == NORMAL:
-            nowq = self._nowq
-            lbn = self._lbn
-            if lbn is not None and nowq and nowq[-1][3] is lbn:
-                lbn.callbacks.append((fn, arg))
-                self.bulk_merged += 1
-                return
-            bulk = _Bulk()
-            bulk.callbacks.append((fn, arg))
-            self._lbn = bulk
-            nowq.append((self._now, NORMAL, next(self._eid), bulk))
-            return
-        at = self._now + delay
-        key = (at, priority)
-        lb = self._lb
-        if lb is not None and key == self._lb_key and lb.callbacks is not None:
-            lb.callbacks.append((fn, arg))
-            self.bulk_merged += 1
-            return
-        bulk = _Bulk()
-        bulk.callbacks.append((fn, arg))
-        self._lb = bulk
-        self._lb_key = key
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            bucket.append(bulk)
-            return
-        if key == self._last_key:
-            self._buckets[key] = deque((bulk,))
-            heappush(self._bucket_heap, (at, priority, next(self._eid)))
-            return
-        heappush(self._queue, (at, priority, next(self._eid), bulk))
-        self._last_key = key
-
-    def _pop_next(self):
-        """Pop the globally next entry; returns ``(time, event)``."""
-        nowq = self._nowq
-        queue = self._queue
-        bheap = self._bucket_heap
-        if bheap:
-            best = bheap[0]
-            src = 2
-            if queue and queue[0] < best:
-                best = queue[0]
-                src = 1
-            if nowq and nowq[0] < best:
-                best = nowq[0]
-                src = 0
-            if src == 2:
-                t, p, _ = bheap[0]
-                key = (t, p)
-                bucket = self._buckets[key]
-                event = bucket.popleft()
-                if not bucket:
-                    heappop(bheap)
-                    del self._buckets[key]
-                return t, event
-            if src == 1:
-                t, _, _, event = heappop(queue)
-                return t, event
-            t, _, _, event = nowq.popleft()
-            return t, event
-        if nowq:
-            if queue and queue[0] < nowq[0]:
-                t, _, _, event = heappop(queue)
-            else:
-                t, _, _, event = nowq.popleft()
-            return t, event
-        if queue:
-            t, _, _, event = heappop(queue)
-            return t, event
-        raise EmptySchedule()
+        self.schedule(_Call(fn, arg), priority, delay)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         t = _INF
-        nowq = self._nowq
-        queue = self._queue
-        bheap = self._bucket_heap
-        if nowq:
-            t = nowq[0][0]
-        if queue and queue[0][0] < t:
-            t = queue[0][0]
-        if bheap and bheap[0][0] < t:
-            t = bheap[0][0]
+        if self._nowq:
+            t = self._nowq[0][0]
+        if self._queue and self._queue[0][0] < t:
+            t = self._queue[0][0]
         return t
 
     def queue_depth(self) -> int:
         """Exact count of pending (non-cancelled) queue entries."""
-        depth = len(self._queue) + len(self._nowq) - self._ncancelled
-        if self._buckets:
-            depth += sum(map(len, self._buckets.values()))
-        return depth
-
-    def step(self) -> None:
-        """Process the next scheduled live event.
-
-        Cancelled entries surfacing first are drained (uncounted).
-        Raises :class:`EmptySchedule` if no events are left.
-        Keep in sync with the inlined loop in :meth:`run`.
-        """
-        while True:
-            self._now, event = self._pop_next()
-            callbacks, event.callbacks = event.callbacks, None
-            if callbacks is None:
-                if event._cancelled:
-                    self._ncancelled -= 1
-                    continue
-                # Event was already processed (condition shortcut).
-                self.events_processed += 1
-                return
-            break
-        if event.__class__ is _Bulk:
-            self.events_processed += len(callbacks)
-            for fn, arg in callbacks:
-                fn(arg)
-            return
-        self.events_processed += 1
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # A failed event nobody waited on: crash the simulation so
-            # errors in detached processes are never silently dropped.
-            exc = event._value
-            raise exc
-        if event.__class__ is _PooledTimeout:
-            event._gen += 1
-            self._timeout_pool.append(event)
+        return len(self._queue) + len(self._nowq) - self._ncancelled
 
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (a time, an event, or exhaustion).
@@ -723,46 +510,17 @@ class Environment:
                 stop.callbacks.append(_stop_simulation)
                 self.schedule(stop, priority=URGENT, delay=at - self._now)
 
-        # Inlined step() with all queues bound locally: this loop
-        # executes once per simulated event (millions per sweep), and
-        # the per-iteration attribute/call overhead of delegating to
-        # step() is measurable.  Keep the two bodies in sync.
+        # Both queues bound locally: this loop executes once per
+        # simulated event (millions per sweep).
         queue = self._queue
         nowq = self._nowq
-        bheap = self._bucket_heap
-        buckets = self._buckets
         pool = self._timeout_pool
         sample_mask = self._DEPTH_SAMPLE_MASK
         nevents = 0
         max_depth = self.max_queue_depth
         try:
             while True:
-                if bheap:
-                    # Buckets live: 3-way merge.  The bucket head wins
-                    # ties by construction (its first_eid bounds every
-                    # member from below; see the module docstring).
-                    best = bheap[0]
-                    src = 2
-                    if queue and queue[0] < best:
-                        best = queue[0]
-                        src = 1
-                    if nowq and nowq[0] < best:
-                        best = nowq[0]
-                        src = 0
-                    if src == 2:
-                        t, p, _ = bheap[0]
-                        key = (t, p)
-                        bucket = buckets[key]
-                        event = bucket.popleft()
-                        self._now = t
-                        if not bucket:
-                            heappop(bheap)
-                            del buckets[key]
-                    elif src == 1:
-                        self._now, _, _, event = heappop(queue)
-                    else:
-                        self._now, _, _, event = nowq.popleft()
-                elif nowq:
+                if nowq:
                     if queue and queue[0] < nowq[0]:
                         self._now, _, _, event = heappop(queue)
                     else:
@@ -770,12 +528,10 @@ class Environment:
                 elif queue:
                     self._now, _, _, event = heappop(queue)
                 else:
-                    raise EmptySchedule()
+                    break
                 nevents += 1
                 if not nevents & sample_mask:
                     depth = len(queue) + len(nowq) - self._ncancelled
-                    if buckets:
-                        depth += sum(map(len, buckets.values()))
                     if depth > max_depth:
                         max_depth = depth
                 callbacks, event.callbacks = event.callbacks, None
@@ -787,12 +543,9 @@ class Environment:
                         self._ncancelled -= 1
                     continue  # already processed (condition shortcut)
                 cls = event.__class__
-                if cls is _Bulk:
-                    # Fused bulk delivery: one queue entry, many
-                    # callbacks; the fan-out still counts as events.
-                    nevents += len(callbacks) - 1
-                    for fn, arg in callbacks:
-                        fn(arg)
+                if cls is _Call:
+                    fn, arg = callbacks
+                    fn(arg)
                     continue
                 for callback in callbacks:
                     callback(event)
@@ -806,16 +559,12 @@ class Environment:
                     pool.append(event)
         except StopSimulation as stop:
             return stop.value
-        except EmptySchedule:
-            if isinstance(until, Event) and not until.triggered:
-                raise SimulationError(
-                    "ran out of events before the awaited event fired"
-                ) from None
-            return None
         finally:
             self.events_processed += nevents
             self.max_queue_depth = max_depth
-
+        if isinstance(until, Event) and not until.triggered:
+            raise SimulationError("ran out of events before the awaited event fired")
+        return None
 
 def _stop_simulation(event: Event) -> None:
     if event._ok:

@@ -7,10 +7,6 @@ class SimulationError(Exception):
     """Base class for errors raised by the DES kernel itself."""
 
 
-class EmptySchedule(SimulationError):
-    """Raised by :meth:`Environment.step` when no events remain."""
-
-
 class StopSimulation(Exception):
     """Raised internally to end :meth:`Environment.run` at ``until``."""
 

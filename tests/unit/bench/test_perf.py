@@ -21,8 +21,7 @@ from repro.bench.perf import (
 
 EXPECTED_MICROS = [
     "des_events",
-    "des_dispatch_bucketed",
-    "bulk_delivery_bucketed",
+    "des_dispatch",
     "mailbox_backlog_indexed",
     "mailbox_waiters_indexed",
     "vmpi_msgrate_indexed",

@@ -1,70 +1,10 @@
-"""Unit tests for the DES core's batched scheduling (PR 7 tentpole).
+"""Unit tests for the DES core's two queues and its scaling diagnostics.
 
-Covers ``schedule_many``, the zero-delay "now ladder", and the scaling
-diagnostics (``events_processed`` / ``max_queue_depth``) the scalebench
-reads.
+Covers the zero-delay "now ladder" beside the heap and the diagnostics
+(``events_processed`` / ``max_queue_depth``) the scalebench reads.
 """
 
-import pytest
-
-from repro.des import EmptySchedule, Environment, URGENT
-
-
-def fired_order(env, events):
-    order = []
-    for i, ev in enumerate(events):
-        ev.callbacks.append(lambda e, i=i: order.append(i))
-    return order
-
-
-class TestScheduleMany:
-    def test_matches_per_event_schedule_order(self):
-        env_a, env_b = Environment(), Environment()
-        evs_a = [env_a.event() for _ in range(50)]
-        evs_b = [env_b.event() for _ in range(50)]
-        order_a = fired_order(env_a, evs_a)
-        order_b = fired_order(env_b, evs_b)
-        for ev in evs_a:
-            ev._ok = True
-            env_a.schedule(ev)
-        for ev in evs_b:
-            ev._ok = True
-        env_b.schedule_many(evs_b)
-        env_a.run()
-        env_b.run()
-        assert order_a == order_b == list(range(50))
-
-    def test_delayed_batch_fires_at_shared_time(self):
-        env = Environment()
-        evs = [env.event() for _ in range(10)]
-        times = []
-        for ev in evs:
-            ev._ok = True
-            ev.callbacks.append(lambda e: times.append(env.now))
-        env.schedule_many(evs, delay=2.5)
-        env.run()
-        assert times == [2.5] * 10
-
-    def test_priority_batch_beats_normal_same_time(self):
-        env = Environment()
-        order = []
-        normal = env.event()
-        normal._ok = True
-        normal.callbacks.append(lambda e: order.append("normal"))
-        urgent = [env.event() for _ in range(3)]
-        for ev in urgent:
-            ev._ok = True
-            ev.callbacks.append(lambda e: order.append("urgent"))
-        env.schedule(normal)
-        env.schedule_many(urgent, priority=URGENT)
-        env.run()
-        assert order == ["urgent", "urgent", "urgent", "normal"]
-
-    def test_empty_iterable_is_noop(self):
-        env = Environment()
-        env.schedule_many([])
-        with pytest.raises(EmptySchedule):
-            env.step()
+from repro.des import Environment, URGENT
 
 
 class TestNowLadder:
@@ -151,11 +91,12 @@ class TestScalingDiagnostics:
         assert env.events_processed > first
 
     def test_step_counts_too(self):
+        """A run of a single scheduled event counts exactly one."""
         env = Environment()
         ev = env.event()
         ev._ok = True
         env.schedule(ev)
-        env.step()
+        env.run(until=ev)
         assert env.events_processed == 1
 
     def test_max_queue_depth_sampled(self):
@@ -164,10 +105,10 @@ class TestScalingDiagnostics:
         n = env._DEPTH_SAMPLE_MASK * 2 + 10
 
         def spawn():
-            evs = [env.event() for _ in range(n)]
-            for ev in evs:
+            for _ in range(n):
+                ev = env.event()
                 ev._ok = True
-            env.schedule_many(evs, delay=1.0)
+                env.schedule(ev, delay=1.0)
             yield env.timeout(0.5)
 
         env.process(spawn(), name="s")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.des import (
-    EmptySchedule,
     Environment,
     Event,
     Interrupt,
@@ -84,9 +83,12 @@ def test_run_until_past_time_raises():
         env.run(until=3)
 
 def test_step_on_empty_schedule_raises():
-    env = Environment()
-    with pytest.raises(EmptySchedule):
-        env.step()
+    """An empty schedule ends run() at once; awaiting an event there raises."""
+    env = Environment(3.0)
+    assert env.run() is None
+    assert env.now == 3.0 and env.events_processed == 0
+    with pytest.raises(SimulationError):
+        env.run(until=env.event())
 
 
 def test_run_returns_none_when_events_exhausted():

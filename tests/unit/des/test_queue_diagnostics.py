@@ -1,15 +1,13 @@
-"""Diagnostics accuracy under lazy cancellation and fused bulk delivery.
+"""Diagnostics accuracy under lazy cancellation and callback entries.
 
 The scaling benchmarks report ``events_processed`` / ``max_queue_depth``
-per run; these must stay meaningful with the PR-8 queue features:
-cancelled entries may linger physically in the heap but must not
-inflate the depth, and a fused bulk entry must count its whole fan-out
-so event totals stay comparable across queue implementations.
+per run; these must stay meaningful: cancelled entries may linger
+physically in the heap but must not inflate the depth, and every
+``schedule_callback`` entry counts as one event, as in the single-heap
+oracle.
 """
 
-import pytest
-
-from repro.des import NORMAL, Environment
+from repro.des import Environment
 
 from tests.spec.heap_env import HeapEnvironment
 
@@ -60,18 +58,6 @@ class TestCancellationDiagnostics:
 
 
 class TestBulkDeliveryDiagnostics:
-    def test_fused_bulk_counts_fan_out(self):
-        """N same-key callbacks fused into one entry still count N."""
-        env = Environment()
-        hits = []
-        for i in range(16):
-            env.schedule_callback(hits.append, i, priority=NORMAL, delay=2.0)
-        env.run()
-        assert hits == list(range(16))
-        assert env.events_processed == 16
-        # At least one fusion actually happened on the bucketed queue.
-        assert env.bulk_merged >= 1
-
     def test_bulk_fan_out_matches_spec_queue_total(self):
         def drive(env_cls):
             env = env_cls()
@@ -83,11 +69,10 @@ class TestBulkDeliveryDiagnostics:
             env.run()
             return out, env.events_processed
 
-        bucketed, spec = drive(Environment), drive(HeapEnvironment)
-        assert bucketed == spec
+        assert drive(Environment) == drive(HeapEnvironment)
 
     def test_now_ladder_bulk_counts_fan_out(self):
-        """Zero-delay fused callbacks count their fan-out too."""
+        """Zero-delay callbacks count one event each."""
         env = Environment()
         hits = []
 

@@ -94,3 +94,10 @@ def test_no_argument_selects_a_second_path():
     assert not hasattr(SHDFWriter, "write_header")
     assert not hasattr(SHDFReader, "read_dataset")
     assert not hasattr(SHDFReader, "read_all")
+    # One event queue: a heap and the now ladder, no second entry point.
+    for name in ("schedule_many", "step", "bulk_merged", "_buckets"):
+        assert not hasattr(Environment, name), name
+        assert not hasattr(Environment(), name), name
+    from repro.cluster.network import Network
+
+    assert not hasattr(Network, "schedule_transfer")
