@@ -8,14 +8,14 @@ Runs the paper's experiments and demos without going through pytest:
 * ``ablations`` — the A1–A6 design-choice studies
 * ``demo``    — a quick GENx run with a timing breakdown
 * ``trace``   — per-rank I/O timeline + overlap ratios (repro.obs)
-* ``perfbench``  — wall-clock microbenchmarks of the simulator itself
-* ``scalebench`` — simulator scaling curves at 64..1024 ranks
+* ``scalebench`` — simulator scaling curves at 64..1024 ranks, both clocks
 * ``faultbench`` — fault-injection chaos matrix + recovery rates
 
 ``--quick`` shrinks everything for a fast smoke pass; ``--out DIR``
 also writes the rendered tables (and, where a command produces one,
 the aggregated instrumentation payload as ``BENCH_<name>.json``) to
-files.
+files.  Host time per workload and per layer is measured by
+``benchmarks/e2e/run.py``, not by this CLI.
 """
 
 from __future__ import annotations
@@ -189,56 +189,6 @@ def cmd_demo(args) -> None:
     ), payload={"modes": instrumentation})
 
 
-def cmd_perfbench(args) -> None:
-    from .bench.perf import (
-        DEFAULT_BASELINE_PATH,
-        DEFAULT_QUICK_BASELINE_PATH,
-        check_regressions,
-        load_baseline,
-        profile_stats,
-        render_perf,
-        run_perfbench,
-    )
-
-    default_baseline = (
-        DEFAULT_QUICK_BASELINE_PATH if args.quick else DEFAULT_BASELINE_PATH
-    )
-    baseline = load_baseline(args.baseline or default_baseline)
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    payload = run_perfbench(
-        quick=args.quick, baseline=baseline, skip_e2e=args.skip_e2e
-    )
-    if profiler is not None:
-        profiler.disable()
-        print(profile_stats(profiler, top=20))
-    _emit(args, "perf.txt", render_perf(payload), payload=payload)
-    if args.max_regression is not None:
-        if profiler is not None:
-            # cProfile's tracing overhead lands inside every timed
-            # region; rates measured under it cannot be compared to an
-            # unprofiled baseline.
-            print("[--profile active: skipping regression gate]")
-            return
-        if "speedup_vs_baseline" not in payload:
-            print("[no size-matched baseline: skipping regression gate]")
-            return
-        regressed = check_regressions(payload, args.max_regression)
-        if regressed:
-            floor = 1.0 - args.max_regression
-            for name, speedup in regressed:
-                print(
-                    f"REGRESSION: {name} at {speedup}x baseline "
-                    f"(floor {floor:.2f}x)", file=sys.stderr,
-                )
-            sys.exit(1)
-        print(f"[no micro below {1.0 - args.max_regression:.2f}x baseline]")
-
-
 def cmd_scalebench(args) -> None:
     from .bench.scale import (
         DEFAULT_SCALE_BASELINE_PATH,
@@ -280,15 +230,9 @@ def cmd_scalebench(args) -> None:
 
 
 def cmd_faultbench(args) -> None:
-    from .bench.faults import DEFAULT_PERF_PATH, render_faults, run_faultbench
+    from .bench.faults import render_faults, run_faultbench
 
-    payload = run_faultbench(
-        quick=args.quick,
-        seed=args.seed,
-        skip_overhead=args.skip_overhead,
-        perf_path=args.perf_baseline or DEFAULT_PERF_PATH,
-        only=args.only or None,
-    )
+    payload = run_faultbench(seed=args.seed, only=args.only or None)
     _emit(args, "faults.txt", render_faults(payload), payload=payload)
 
 
@@ -390,30 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=fn)
-    perf = sub.add_parser(
-        "perfbench",
-        help="wall-clock microbenchmarks of the simulator's hot paths",
-    )
-    perf.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline BENCH_perf JSON to compare against "
-             "(default: bench_results/BENCH_perf_baseline.json)",
-    )
-    perf.add_argument(
-        "--skip-e2e", action="store_true",
-        help="skip the end-to-end table1(64p) wall-clock run",
-    )
-    perf.add_argument(
-        "--profile", action="store_true",
-        help="run the suite under cProfile and print the top-20 "
-             "cumulative-time entries",
-    )
-    perf.add_argument(
-        "--max-regression", type=float, default=None, metavar="FRAC",
-        help="fail (exit 1) if any microbenchmark is more than FRAC "
-             "slower than the committed baseline (e.g. 0.25)",
-    )
-    perf.set_defaults(func=cmd_perfbench)
     scale = sub.add_parser(
         "scalebench",
         help="simulator scaling curves, 64 -> 1024 ranks "
@@ -438,15 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults = sub.add_parser(
         "faultbench",
         help="chaos matrix: fault injection x I/O module recovery rates",
-    )
-    faults.add_argument(
-        "--skip-overhead", action="store_true",
-        help="skip the no-fault table1(64p) overhead measurement",
-    )
-    faults.add_argument(
-        "--perf-baseline", default=None, metavar="PATH",
-        help="committed BENCH_perf JSON the overhead compares against "
-             "(default: bench_results/BENCH_perf.json)",
     )
     faults.add_argument(
         "--only", action="append", metavar="SCENARIO/MODULE",

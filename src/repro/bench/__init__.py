@@ -1,4 +1,10 @@
-"""Benchmark harness: Table 1, Fig 3(a), Fig 3(b), and ablations."""
+"""Benchmark harness: Table 1, Fig 3(a), Fig 3(b), ablations, faultbench
+and scalebench.
+
+Everything here reports *virtual* time except scalebench, which also
+times the simulator on the host at 64 to 1024 ranks; the per-workload,
+per-layer host clock is ``benchmarks/e2e`` (``--trace 1``).
+"""
 
 from .ablations import (
     run_active_buffering_ablation,
@@ -13,17 +19,6 @@ from .experiment import bench_runs, bench_scale, repeat_runs, summarize
 from .faults import render_faults, run_faultbench, scenario_names
 from .fig3a import Fig3aResult, run_fig3a, run_fig3a_partial_read
 from .fig3b import Fig3bResult, run_fig3b
-from .perf import (
-    bench_codec,
-    bench_des_events,
-    bench_mailbox_backlog,
-    bench_mailbox_waiters,
-    bench_table1_e2e,
-    bench_vmpi_msgrate,
-    load_baseline,
-    render_perf,
-    run_perfbench,
-)
 from .report import (
     render_instrumentation,
     render_series,
@@ -62,18 +57,9 @@ __all__ = [
     "summarize",
     "bench_scale",
     "bench_runs",
-    "run_perfbench",
-    "render_perf",
     "run_faultbench",
     "render_faults",
     "scenario_names",
-    "load_baseline",
-    "bench_des_events",
-    "bench_mailbox_backlog",
-    "bench_mailbox_waiters",
-    "bench_vmpi_msgrate",
-    "bench_codec",
-    "bench_table1_e2e",
     "run_scalebench",
     "render_scale",
     "check_scale_regressions",

@@ -8,7 +8,8 @@ run of the identical workload.  A scenario *recovers* when the digests
 match bit-for-bit.  Each faulted scenario also runs twice with the same
 seed; ``runs_identical`` proves the whole fault schedule — crashes,
 retries, failovers and all — replays deterministically from the
-:class:`~repro.cluster.Machine` seed.
+:class:`~repro.cluster.Machine` seed.  The result ships as
+``BENCH_faults.json``.
 
 The matrix exercises:
 
@@ -19,17 +20,15 @@ The matrix exercises:
 * Rochdf / T-Rochdf: transient ``EIO`` and disk-full windows absorbed
   by the write-retry path (for T-Rochdf, on the background I/O thread).
 
-``run_faultbench`` also measures the *no-fault overhead* of the
-resilience code: one wall-clock run of the Table 1 experiment at 64
-processors, compared against the committed ``BENCH_perf.json`` number,
-which must stay within noise (<= 5%).  The result ships as
-``BENCH_faults.json``.
+The matrix times nothing on the host.  That an installed but idle
+injector costs nothing is a test (``TestIdleInjectorIsTransparent``:
+virtual times and disk image bit-identical); host time is measured by
+``benchmarks/e2e`` and :mod:`repro.bench.scale`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -58,23 +57,9 @@ from ..io import (
 from ..io.rocpanda.protocol import TAG_BLOCK, TAG_CTRL
 from ..roccom import AttributeSpec, LOC_ELEMENT, LOC_NODE, Roccom
 from ..vmpi import run_spmd
-from .perf import bench_table1_e2e, load_baseline
 from .report import render_table
 
-__all__ = [
-    "run_faultbench",
-    "render_faults",
-    "scenario_names",
-    "DEFAULT_PERF_PATH",
-    "OVERHEAD_BUDGET",
-]
-
-#: Committed perf numbers the no-fault overhead check compares against.
-DEFAULT_PERF_PATH = os.path.join("bench_results", "BENCH_perf.json")
-
-#: Acceptance: resilience code must cost <= 5% wall-clock when no
-#: faults are injected.
-OVERHEAD_BUDGET = 0.05
+__all__ = ["run_faultbench", "render_faults", "scenario_names"]
 
 # Rocpanda scenario geometry: 8 procs / 2 servers (ranks 0 and 4) when
 # writing, restart on 6 procs / 3 servers -- a different server count,
@@ -518,20 +503,14 @@ def _reference_digests(seed: int, modules) -> Dict[str, str]:
 
 
 def run_faultbench(
-    quick: bool = False,
-    seed: int = 0,
-    skip_overhead: bool = False,
-    perf_path: str = DEFAULT_PERF_PATH,
-    only: Optional[List[str]] = None,
+    seed: int = 0, only: Optional[List[str]] = None
 ) -> Dict[str, Any]:
     """Run the chaos matrix; returns the ``BENCH_faults.json`` payload.
 
     Each scenario executes twice with the same seed (determinism check)
     and its restored data is compared against the fault-free reference
-    digest of the same workload (recovery check).  ``quick`` only
-    affects the overhead measurement's Table 1 scale; the matrix itself
-    is cheap enough to always run in full.  ``only`` restricts the
-    matrix to the named ``scenario/module`` rows (see
+    digest of the same workload (recovery check).  ``only`` restricts
+    the matrix to the named ``scenario/module`` rows (see
     :func:`scenario_names`).
     """
     selected = _scenarios()
@@ -544,10 +523,6 @@ def run_faultbench(
         if unknown:
             raise ValueError(f"unknown faultbench scenarios: {sorted(unknown)}")
 
-    # Measure overhead before the matrix: dozens of scenario machines
-    # leave the heap large enough to inflate the e2e wall clock past
-    # the noise budget when measured afterwards.
-    overhead = None if skip_overhead else _measure_overhead(quick, perf_path)
     references = _reference_digests(seed, {s["module"] for s in selected})
     matrix: List[Dict[str, Any]] = []
     for spec in selected:
@@ -575,9 +550,8 @@ def run_faultbench(
         matrix.append(row)
 
     nrows = max(len(matrix), 1)
-    payload: Dict[str, Any] = {
+    return {
         "schema": "faultbench-v1",
-        "quick": quick,
         "seed": seed,
         "matrix": matrix,
         "recovery_rate": round(sum(r["recovered"] for r in matrix) / nrows, 4),
@@ -586,34 +560,9 @@ def run_faultbench(
         ),
     }
 
-    if overhead is not None:
-        payload["overhead"] = overhead
-    return payload
-
-
-def _measure_overhead(quick: bool, perf_path: str) -> Dict[str, Any]:
-    """No-fault wall-clock cost of the resilience code vs BENCH_perf.json."""
-    e2e = bench_table1_e2e(quick=quick)
-    out: Dict[str, Any] = {"table1_64p": e2e, "baseline_path": perf_path}
-    baseline = load_baseline(perf_path)
-    entry = ((baseline or {}).get("e2e") or {}).get("table1_64p") or {}
-    comparable = (
-        entry.get("scale") == e2e["scale"] and entry.get("steps") == e2e["steps"]
-    )
-    if comparable and entry.get("wall_seconds"):
-        frac = e2e["wall_seconds"] / entry["wall_seconds"] - 1.0
-        out.update(
-            baseline_wall_seconds=entry["wall_seconds"],
-            overhead_frac=round(frac, 4),
-            within_noise=frac <= OVERHEAD_BUDGET,
-        )
-    else:
-        out["baseline_wall_seconds"] = None  # scale mismatch or no committed perf
-    return out
-
 
 def render_faults(payload: Dict[str, Any]) -> str:
-    """Human-readable BENCH_faults report (mirrors ``render_perf``)."""
+    """Human-readable BENCH_faults report."""
     rows = []
     for r in payload["matrix"]:
         notes = []
@@ -634,7 +583,7 @@ def render_faults(payload: Dict[str, Any]) -> str:
                 " ".join(notes) or "-",
             ]
         )
-    lines = [
+    return "\n".join([
         render_table(
             ["scenario", "module", "recovered", "deterministic", "notes"],
             rows,
@@ -643,19 +592,4 @@ def render_faults(payload: Dict[str, Any]) -> str:
         "",
         f"recovery rate:    {payload['recovery_rate'] * 100:.1f}%",
         f"determinism rate: {payload['determinism_rate'] * 100:.1f}%",
-    ]
-    overhead = payload.get("overhead")
-    if overhead:
-        wall = overhead["table1_64p"]["wall_seconds"]
-        lines.append("")
-        lines.append(f"no-fault table1_64p wall: {wall:.3f} s")
-        if overhead.get("baseline_wall_seconds"):
-            lines.append(
-                f"committed baseline:       {overhead['baseline_wall_seconds']:.3f} s"
-                f" (overhead {overhead['overhead_frac'] * 100:+.1f}%,"
-                f" budget {OVERHEAD_BUDGET * 100:.0f}%:"
-                f" {'OK' if overhead['within_noise'] else 'EXCEEDED'})"
-            )
-        else:
-            lines.append("committed baseline:       n/a (scale mismatch or missing)")
-    return "\n".join(lines)
+    ])

@@ -2,14 +2,14 @@
 
 The paper's own experiments stop at 480 processors (Fig 3a); this
 harness pushes the *simulator* an order of magnitude past Table 1's
-64-processor acceptance point and records how it holds up, PR-over-PR,
-as ``BENCH_scaling.json``:
+64-processor acceptance point and records how it holds up as
+``BENCH_scaling.json``:
 
 * **strong curve** — the Table 1 workload (:func:`lab_scale_motor`,
   repartitioned onto 1024 blocks so every client owns at least one)
   run under Rocpanda at 64/128/256/512/1024 clients.  Total data and
   computation are fixed; what scales is the rank count, and with it
-  the collective traffic the tree algorithms (PR 7) exist to tame.
+  the collective traffic the tree collectives exist to tame.
 * **weak curve** — :func:`scalability_cylinder` (the paper's Frost
   workload, run here on Turing's single NFS server like the strong
   curve) with a small fixed per-client share, same client counts.
@@ -35,10 +35,12 @@ Each point reports both clocks:
 
 ``run_scalebench`` attaches per-point speedups against a committed
 baseline payload when one of matching size is supplied, and
-``check_scale_regressions`` turns them into a CI gate exactly like
-:func:`repro.bench.perf.check_regressions` does for the
-microbenchmarks.  Quick mode runs the 128-client point only (a size a
-CI box absorbs) against ``BENCH_scaling_baseline_quick.json``.
+``check_scale_regressions`` turns them into CI's host-time gate;
+``check_scale_virtual`` holds the virtual fields exact.  Quick mode
+runs the 128-client point only (a size a CI box absorbs) against
+``BENCH_scaling_baseline_quick.json``.  Scalebench is the host clock
+across rank counts; ``benchmarks/e2e`` is the host clock per workload
+and, with ``--trace 1``, per layer.
 """
 
 from __future__ import annotations

@@ -36,8 +36,6 @@ class RocmanConfig:
     #: Take the initial (step-0) snapshot (the paper's runs do: "five
     #: output phases (including the initial snapshot)", §7.1).
     initial_snapshot: bool = True
-    #: Issue OUT.sync after each snapshot (debugging/timing aid, §5).
-    sync_each_snapshot: bool = False
 
 
 @dataclass
@@ -50,8 +48,6 @@ class RocmanReport:
     compute_wall_time: float = 0.0
     #: Wall time inside output (write_attribute) calls.
     output_wall_time: float = 0.0
-    #: Wall time inside sync calls.
-    sync_wall_time: float = 0.0
     #: Trajectory diagnostics (global chamber pressure per sample).
     pressure_history: List[float] = field(default_factory=list)
 
@@ -103,10 +99,6 @@ class Rocman:
             )
         self.report.snapshots += 1
         self.report.output_wall_time += self.ctx.now - t0
-        if self.config.sync_each_snapshot:
-            t1 = self.ctx.now
-            yield from self.com.call_function(f"{IO_WINDOW}.sync")
-            self.report.sync_wall_time += self.ctx.now - t1
 
     def restore(self, step: int, run_prefix: Optional[str] = None):
         """Generator: collective restart of all physics windows."""

@@ -893,14 +893,13 @@ class TestChaosMatrix:
         failover re-shipped, one guarded block at a time — replays
         cleanly under faults."""
         payload = run_faultbench(
-            skip_overhead=True,
-            only=["server_crash/rocpanda", "msg_drop/rocpanda"],
+            only=["server_crash/rocpanda", "msg_drop/rocpanda"]
         )
         assert payload["recovery_rate"] == 1.0
         assert payload["determinism_rate"] == 1.0
 
     def test_full_matrix_recovers_and_replays(self):
-        payload = run_faultbench(skip_overhead=True)
+        payload = run_faultbench()
         failed = [
             f"{r['scenario']}/{r['module']}"
             for r in payload["matrix"]

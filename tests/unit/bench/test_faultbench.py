@@ -1,5 +1,7 @@
 """Unit tests for the faultbench harness (repro.bench.faults)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,15 @@ class TestScenarioCatalog:
 
     def test_unknown_only_rejected(self):
         with pytest.raises(ValueError):
-            run_faultbench(skip_overhead=True, only=["no_such/row"])
+            run_faultbench(only=["no_such/row"])
+
+    def test_matrix_is_all_it_runs(self):
+        """Faultbench times nothing on the host: its only knobs pick the
+        seed and the rows."""
+        assert list(inspect.signature(run_faultbench).parameters) == [
+            "seed",
+            "only",
+        ]
 
 
 class TestDigest:
@@ -46,11 +56,11 @@ class TestDigest:
 
 class TestSingleScenario:
     def test_transient_eio_rochdf_recovers(self):
-        payload = run_faultbench(
-            skip_overhead=True, only=["transient_eio/rochdf"]
-        )
+        payload = run_faultbench(only=["transient_eio/rochdf"])
         assert payload["schema"] == "faultbench-v1"
-        assert "overhead" not in payload
+        assert set(payload) == {
+            "schema", "seed", "matrix", "recovery_rate", "determinism_rate",
+        }
         (row,) = payload["matrix"]
         assert row["scenario"] == "transient_eio"
         assert row["module"] == "rochdf"
@@ -62,9 +72,7 @@ class TestSingleScenario:
         assert payload["determinism_rate"] == 1.0
 
     def test_render_mentions_rows_and_rates(self):
-        payload = run_faultbench(
-            skip_overhead=True, only=["transient_eio/trochdf"]
-        )
+        payload = run_faultbench(only=["transient_eio/trochdf"])
         text = render_faults(payload)
         assert "transient_eio" in text
         assert "trochdf" in text

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
@@ -61,6 +62,16 @@ def test_version_string():
     import repro
 
     assert repro.__version__.count(".") == 2
+
+
+def test_bench_has_no_host_micro_suite():
+    """Host time is measured end to end (benchmarks/e2e) and across rank
+    counts (scalebench); repro.bench holds no synthetic micro suite."""
+    bench = importlib.import_module("repro.bench")
+    assert {m.name for m in pkgutil.iter_modules(bench.__path__)} == {
+        "ablations", "experiment", "faults", "fig3a", "fig3b", "report",
+        "scale", "table1",
+    }
 
 
 def test_no_argument_selects_a_second_path():

@@ -1,5 +1,6 @@
 """Unit tests for the ``python -m repro`` command-line interface."""
 
+import argparse
 import json
 import os
 
@@ -39,6 +40,24 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
+
+    def test_commands_and_faultbench_flags_are_exactly_these(self):
+        """Host time is measured by benchmarks/e2e and scalebench only:
+        no micro-benchmark command, and faultbench times nothing."""
+        parser = build_parser()
+        (sub,) = [
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(sub.choices) == {
+            "table1", "fig3a", "fig3b", "ablations", "demo", "trace",
+            "scalebench", "faultbench",
+        }
+        faultbench = sub.choices["faultbench"]
+        flags = {o for a in faultbench._actions for o in a.option_strings}
+        assert flags == {"-h", "--help", "--only"}
+        with pytest.raises(SystemExit):
+            parser.parse_args(["faultbench", "--quick"])
 
 
 class TestDemoCommand:
