@@ -21,7 +21,7 @@ Three models, matching the platforms in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..des import Environment, Resource
 from ..util.units import MB, MSEC
@@ -151,6 +151,21 @@ class FileSystemModel:
     def _service_meta_bulk(self, count: int, node):
         yield self.env.timeout(count * self.meta_latency)
 
+    def _hold(self, resource: Resource, service_time: Callable[[], float]):
+        """Generator: queue for one slot of ``resource``, then hold it for
+        ``service_time()`` seconds, computed at the grant.  An interrupt
+        (a crash) withdraws the request while it queues and gives the
+        slot back while it is held, so a dead rank's I/O keeps no slot."""
+        req = resource.request()
+        try:
+            yield req
+            yield self.env.timeout(service_time())
+        finally:
+            if req.triggered:
+                resource.release(req)
+            else:
+                req.cancel()
+
     def _service_write(self, nbytes: int, node):
         raise NotImplementedError
 
@@ -190,22 +205,17 @@ class NFSModel(FileSystemModel):
         self._read_server = Resource(env, capacity=read_slots)
 
     def _service_write(self, nbytes: int, node):
-        req = self._write_server.request()
-        yield req
-        try:
+        def service_time():
             factor = 1.0 + self.write_penalty * (self._write_demand - 1)
             factor = min(factor, self.max_penalty_factor)
-            yield self.env.timeout(self.meta_latency + nbytes / (self.write_bw / factor))
-        finally:
-            self._write_server.release(req)
+            return self.meta_latency + nbytes / (self.write_bw / factor)
+
+        yield from self._hold(self._write_server, service_time)
 
     def _service_read(self, nbytes: int, node):
-        req = self._read_server.request()
-        yield req
-        try:
-            yield self.env.timeout(self.meta_latency + nbytes / self.read_bw)
-        finally:
-            self._read_server.release(req)
+        yield from self._hold(
+            self._read_server, lambda: self.meta_latency + nbytes / self.read_bw
+        )
 
 
 class GPFSModel(FileSystemModel):
@@ -245,13 +255,9 @@ class GPFSModel(FileSystemModel):
         return server
 
     def _service_write(self, nbytes: int, node):
-        server = self._pick_server()
-        req = server.request()
-        yield req
-        try:
-            yield self.env.timeout(self.meta_latency + nbytes / self.server_bw)
-        finally:
-            server.release(req)
+        yield from self._hold(
+            self._pick_server(), lambda: self.meta_latency + nbytes / self.server_bw
+        )
 
     def _service_read(self, nbytes: int, node):
         yield from self._service_write(nbytes, node)
@@ -283,13 +289,9 @@ class LocalFSModel(FileSystemModel):
         return self._node_disk(("lease", node))
 
     def _service_write(self, nbytes: int, node):
-        disk = self._node_disk(node)
-        req = disk.request()
-        yield req
-        try:
-            yield self.env.timeout(self.meta_latency + nbytes / self.bw)
-        finally:
-            disk.release(req)
+        yield from self._hold(
+            self._node_disk(node), lambda: self.meta_latency + nbytes / self.bw
+        )
 
     def _service_read(self, nbytes: int, node):
         yield from self._service_write(nbytes, node)

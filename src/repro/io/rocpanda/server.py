@@ -33,20 +33,12 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
   keeps books or the lander holds the lease);
 * on **buffer overflow** it gracefully writes old blocks out to make
   room for incoming data;
-* on **restart** (two-phase collective read) every client requests
-  its wanted block IDs from every alive server, so each server derives
-  the full block->owner map from its own request bucket — no server
-  collective.  The server bulk-reads its round-robin share of the
-  restart files in large sieved regions through the
-  :class:`~repro.fs.coalesce.ReadCoalescer`, batch-decodes each region,
-  and scatters one aggregated :class:`RestartBatch` per (region,
-  owner) to whichever client wants the blocks — which is why a run may
-  restart with a different number of servers than wrote the files.  The
-  *next* region's disk read runs ahead while the current region's
-  batches are on the wire, overlapping modeled disk and network time.
-  A client whose server dies mid-read sends a ``resume_of`` request to
-  the dead server's heir, which rescans that share and replies to the
-  requester alone.
+* on **restart** (two-phase collective read) it hands the clients'
+  requests to its :class:`~.restart.RestartService`, which reads the
+  server's share of the restart files in large sieved regions, every
+  one in flight at once, and scatters the decoded blocks to whichever
+  client wants them — which is why a run may restart with a different
+  number of servers than wrote the files.
 """
 
 from __future__ import annotations
@@ -58,27 +50,23 @@ from typing import Any, Dict, List, Optional, Tuple
 from ...des import Interrupt
 from ...faults.retry import RetryPolicy, retrying
 from ...fs.vfs import WriteFaultError
-from ...shdf.codec import TornFileError
 from ...shdf.drivers import HDFDriver, hdf4_driver
-from ...shdf.file import SHDFReader, SHDFWriter
+from ...shdf.file import SHDFWriter
 from ...vmpi.datatypes import ANY_SOURCE, ANY_TAG
 from ...vthread import BackgroundWorker
-from ..base import DataBlock, block_record, datasets_to_blocks, record_block_ids
+from ..base import block_record
 from ..trochdf import BackgroundWriteError
 from .protocol import (
-    TAG_BLOCK,
-    TAG_CTRL,
     TAG_REPLY,
     BlockEnvelope,
     ProtocolError,
-    RestartBatch,
-    RestartDone,
     RestartRequest,
     Shutdown,
     SyncReply,
     SyncRequest,
     WriteBegin,
 )
+from .restart import RestartService
 from .topology import Topology, clients_of, failover_server
 
 __all__ = ["ServerConfig", "ServerStats", "PandaServer", "server_file_path"]
@@ -126,8 +114,8 @@ class ServerConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Target bytes per bulk-read region in two-phase restart.  Regions
     #: are cut at write-behind stage boundaries once they exceed this, so
-    #: one region's decoded blocks can be scattered while the next
-    #: region's disk read runs ahead.
+    #: one region's decoded blocks are scattered while later regions'
+    #: reads are still landing.
     restart_region_bytes: float = 4 * 1024 * 1024
     #: Maximum hole (bytes) the restart read sieves through when
     #: merging record extents into one contiguous ``fs.read``.
@@ -171,6 +159,12 @@ class ServerStats:
     torn_files_skipped: int = 0
     restart_regions_read: int = 0
     restart_resumes_served: int = 0
+    #: Where a collective restart went, summing to its ``restart_scan``
+    #: record: the open and close round trips, the main loop waiting for
+    #: a region's read to land, the ``RestartBatch`` sends.
+    restart_scan_time: float = 0.0
+    restart_read_wait_time: float = 0.0
+    restart_scatter_time: float = 0.0
 
     @property
     def background_write_time(self) -> float:
@@ -250,7 +244,6 @@ class PandaServer:
         #: reordering is routine, so the server stashes the early
         #: blocks and replays them when the announcement arrives.
         self._orphans: Dict[str, List[Tuple[int, BlockEnvelope]]] = {}
-        self._restart_requests: Dict[str, Dict[int, RestartRequest]] = {}
         #: The machine's live set of crashed ranks; ``_expected_clients()``
         #: and the number of them it was computed for (the membership
         #: changes only when a rank dies).
@@ -261,17 +254,15 @@ class PandaServer:
         #: re-announcement (a failed-over client re-shipping) writes a
         #: new generation file instead of truncating the committed one.
         self._file_gens: Dict[str, int] = {}
-        #: (prefix, share rank) -> decoded datasets of that dead
-        #: server's file share; fills on the first failover resume so
-        #: later resumes for the same share skip the rescan.
-        self._resume_cache: Dict[Tuple[str, int], List] = {}
+        self._restart = RestartService(self)
 
     # -- main loop -------------------------------------------------------
     def run(self):
         """Generator: serve until every client has sent Shutdown.
 
         An injected crash (:class:`~repro.des.Interrupt`) stops the
-        lander at the same instant and abandons open writers without
+        lander and the restart reads in flight at the same instant and
+        abandons open writers without
         their commit footers — their files are detectably torn and the
         restart scan skips them — and returns with ``stats.crashed``
         set.  A landing whose retries are exhausted interrupts the main
@@ -288,6 +279,7 @@ class PandaServer:
                 ) from exc.cause
             self.stats.crashed = True
             self._lander.interrupt(exc.cause)
+            self._restart.interrupt(exc.cause)
             self.ctx.recorder.record_counter("rocpanda", "server_crashes")
             self.ctx.log_fault(f"server rank {self.ctx.rank} crashed: {exc.cause}")
             return self.stats
@@ -373,7 +365,7 @@ class PandaServer:
         elif isinstance(msg, SyncRequest):
             self._sync_waiters[st.source] = msg.seq
         elif isinstance(msg, RestartRequest):
-            yield from self._on_restart_request(st.source, msg)
+            yield from self._restart.on_request(st.source, msg)
         elif isinstance(msg, Shutdown):
             self._shutdown_ranks.add(st.source)
         else:
@@ -734,276 +726,3 @@ class PandaServer:
                 world.send(SyncReply(seq), dest=client, tag=TAG_REPLY),
                 name="panda-sync-reply",
             )
-
-    # -- restart (collective read) ---------------------------------------------
-    def _on_restart_request(self, client: int, msg: RestartRequest):
-        if msg.resume_of is not None:
-            # Failover resume: served immediately and independently of
-            # any round-0 bucket — the request carries the block IDs
-            # its sender is still missing.
-            yield from self._serve_restart_resume(client, msg)
-            return
-        bucket = self._restart_requests.setdefault(msg.prefix, {})
-        bucket[client] = msg
-        # Every live client requests from every alive server, so this
-        # server's own bucket is the full owner map.
-        if len(bucket) >= len(self._expected_restart_clients()):
-            yield from self._do_restart_batched(msg.prefix)
-            del self._restart_requests[msg.prefix]
-
-    def _expected_restart_clients(self) -> set:
-        """Live compute ranks that join a collective restart."""
-        return set(range(self.topo.nprocs)) - set(self.topo.servers) - self._dead
-
-    # -- two-phase restart (sieved bulk reads + read-ahead) ---------------------
-    def _note_read_retry(self, attempt: int, exc: BaseException) -> None:
-        self.stats.read_retries += 1
-        self.ctx.recorder.record_counter("rocpanda", "read_retries")
-        self.ctx.log_fault(f"server read fault ({exc}); retry {attempt + 1}")
-
-    def _restart_files(self, prefix: str) -> List[str]:
-        files = sorted(
-            f for f in self.ctx.fs.disk.listdir(prefix + "_s") if f.endswith(".shdf")
-        )
-        if not files:
-            raise FileNotFoundError(
-                f"no Rocpanda restart files with prefix {prefix!r}"
-            )
-        return files
-
-    def _scan_restart_share(self, prefix: str, share_index: int):
-        """Generator: structurally scan one server share of the restart files.
-
-        Returns ``(readers, flat)`` where ``flat`` is the ordered list
-        of ``(reader, region_entries)`` bulk-read units.  Torn files
-        (no commit footer — their writer crashed mid-snapshot) are
-        skipped; their blocks come from the survivor that adopted the
-        dead server's clients.
-        """
-        ctx = self.ctx
-        files = self._restart_files(prefix)
-        readers = []
-        flat = []
-        for file_path in files[share_index :: self.topo.nservers]:
-            reader = SHDFReader(
-                ctx.env, ctx.fs, file_path, self.config.driver, node=ctx.node,
-                recorder=ctx.recorder, rank=ctx.rank,
-            )
-            try:
-                yield from reader.open_scan()
-            except TornFileError as exc:
-                self.stats.torn_files_skipped += 1
-                ctx.recorder.record_counter("rocpanda", "torn_files_skipped")
-                ctx.log_fault(f"skipping torn restart file {file_path}: {exc}")
-                continue
-            readers.append(reader)
-            for region in _restart_regions(
-                reader.entries(), self.config.restart_region_bytes
-            ):
-                flat.append((reader, region))
-        return readers, flat
-
-    def _read_regions(self, flat):
-        """Generator: yield each region's decoded datasets, reading ahead.
-
-        The next region's sieved disk read is launched as its own DES
-        process *before* the current region's datasets are handed to
-        the caller — so while the caller scatters batch replies over
-        the network, the disk is already serving the next region.
-        Transient read faults are retried *inside* that process; a
-        read-ahead whose retries are exhausted returns the fault as its
-        value (a failed event nobody waits on yet would crash the
-        simulation) and the fault is raised here, when the caller
-        reaches that region.
-
-        Implemented as a generator-of-generators: the caller drives
-        ``for step in self._read_regions(flat): datasets = yield from step``.
-        """
-        ctx = self.ctx
-        gap = self.config.restart_sieve_gap
-
-        def read(reader, region):
-            try:
-                datasets = yield from retrying(
-                    ctx.env, self.config.retry,
-                    lambda: reader.read_extents(region, sieve_gap=gap),
-                    on_retry=self._note_read_retry,
-                )
-            except WriteFaultError as exc:
-                return exc
-            return datasets
-
-        pending = None
-
-        def advance(i):
-            nonlocal pending
-            if pending is None:
-                pending = ctx.env.process(
-                    read(*flat[i]), name="panda-restart-read"
-                )
-            current = pending
-            if i + 1 < len(flat):
-                pending = ctx.env.process(
-                    read(*flat[i + 1]), name="panda-restart-readahead"
-                )
-            else:
-                pending = None
-            result = yield current
-            if isinstance(result, WriteFaultError):
-                raise result
-            return result
-
-        for i in range(len(flat)):
-            self.stats.restart_regions_read += 1
-            yield advance(i)
-
-    def _region_blocks(self, datasets, window: str, attr_filter):
-        """Group one region's datasets into per-block payloads."""
-        blocks = datasets_to_blocks(
-            [d for d in datasets if d.name.startswith(window + "/")]
-        )
-        if attr_filter is not None:
-            for block in blocks:
-                block.arrays = {
-                    k: v for k, v in block.arrays.items() if k in attr_filter
-                }
-                block.specs = {
-                    k: v for k, v in block.specs.items() if k in attr_filter
-                }
-        return blocks
-
-    def _do_restart_batched(self, prefix: str):
-        """Generator: the two-phase collective restart for one snapshot.
-
-        Phase one gathered every live client's wanted block IDs into
-        ``self._restart_requests[prefix]`` (each client requests from
-        *every* alive server, so the bucket is the complete owner map —
-        no allgather, no barrier: per-channel FIFO ordering guarantees
-        each client's RestartDone arrives after its last batch).
-        Phase two bulk-reads this server's file share region by region,
-        batch-decodes, and scatters one :class:`RestartBatch` per
-        (region, owner).
-        """
-        ctx = self.ctx
-        world = self.topo.world
-        requests = self._restart_requests[prefix]
-        owner_of: Dict[int, int] = {
-            bid: client
-            for client, req in requests.items()
-            for bid in req.block_ids
-        }
-        first = next(iter(requests.values()))
-        window = first.window
-        attr_filter = first.attr_names
-        sent = 0
-        t0 = ctx.now
-        scanned_bytes = 0
-        readers, flat = yield from self._scan_restart_share(
-            prefix, self.server_index
-        )
-        for step in self._read_regions(flat):
-            datasets = yield from step
-            scanned_bytes += sum(d.nbytes for d in datasets)
-            per_owner: Dict[int, List[DataBlock]] = {}
-            for block in self._region_blocks(datasets, window, attr_filter):
-                owner = owner_of.get(block.block_id)
-                if owner is None:
-                    continue
-                per_owner.setdefault(owner, []).append(block)
-            for owner in sorted(per_owner):
-                blocks = per_owner[owner]
-                yield from world.send(
-                    RestartBatch(prefix, blocks, len(blocks)),
-                    dest=owner, tag=TAG_REPLY,
-                )
-                sent += len(blocks)
-        for reader in readers:
-            yield from reader.close()
-        self.stats.restart_blocks_sent += sent
-        ctx.io_record(
-            "rocpanda", "restart_scan", path=prefix, nbytes=scanned_bytes,
-            t_start=t0,
-        )
-        for client in sorted(self._expected_restart_clients()):
-            yield from world.send(
-                RestartDone(prefix, sent), dest=client, tag=TAG_REPLY
-            )
-
-    def _serve_restart_resume(self, client: int, msg: RestartRequest):
-        """Generator: serve a failover resume for a dead server's share.
-
-        Replies go to the requesting client **only** — a multicast to
-        all owners could rendezvous-block forever against clients that
-        already completed their restart and left the reply loop.
-        """
-        ctx = self.ctx
-        share = msg.resume_of
-        world = self.topo.world
-        self.stats.restart_resumes_served += 1
-        ctx.recorder.record_counter("rocpanda", "restart_resumes_served")
-        ctx.log_fault(f"resuming share of dead server {share} for client {client}")
-        sent = 0
-        if msg.block_ids:
-            datasets = yield from self._restart_share_datasets(msg.prefix, share)
-            wanted = set(msg.block_ids)
-            blocks = [
-                b
-                for b in self._region_blocks(datasets, msg.window, msg.attr_names)
-                if b.block_id in wanted
-            ]
-            if blocks:
-                yield from world.send(
-                    RestartBatch(msg.prefix, blocks, len(blocks)),
-                    dest=client, tag=TAG_REPLY,
-                )
-                sent = len(blocks)
-                self.stats.restart_blocks_sent += sent
-        yield from world.send(
-            RestartDone(msg.prefix, sent, resume_of=share),
-            dest=client, tag=TAG_REPLY,
-        )
-
-    def _restart_share_datasets(self, prefix: str, share_rank: int):
-        """Generator: decode (and cache) a dead server's restart share."""
-        key = (prefix, share_rank)
-        cached = self._resume_cache.get(key)
-        if cached is not None:
-            return cached
-        share_index = self.topo.servers.index(share_rank)
-        readers, flat = yield from self._scan_restart_share(prefix, share_index)
-        datasets: List = []
-        for step in self._read_regions(flat):
-            region_datasets = yield from step
-            datasets.extend(region_datasets)
-        for reader in readers:
-            yield from reader.close()
-        self._resume_cache[key] = datasets
-        return datasets
-
-
-def _restart_regions(entries, region_bytes: float):
-    """Split a file's records into bulk-read regions cut at stage boundaries.
-
-    ``entries`` are ``(extent, RecordHeader)`` pairs in on-disk order,
-    each record one attribute of one block or of a stage's blocks.  A
-    region is cut only where no block of the records before the cut has
-    one after it, so each region decodes to whole blocks that can be
-    scattered independently.
-    """
-    ids = [record_block_ids(header.attrs) for _extent, header in entries]
-    last = {block_id: i for i, blocks in enumerate(ids) for block_id in blocks}
-    regions: List[List] = []
-    current: List = []
-    size = 0
-    reach = -1
-    for i, ((extent, _header), blocks) in enumerate(zip(entries, ids)):
-        if current and reach < i and size >= region_bytes:
-            regions.append(current)
-            current = []
-            size = 0
-        current.append(extent)
-        size += extent[2]
-        reach = max(reach, *(last[block_id] for block_id in blocks))
-    if current:
-        regions.append(current)
-    return regions

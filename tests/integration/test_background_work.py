@@ -116,9 +116,10 @@ def test_a_tier_that_absorbs_nothing_starts_no_process(made):
 
 def test_background_work_starts_only_through_the_worker():
     """Source-level: under ``repro/io`` and ``repro/fs`` a process is
-    spawned only at the fire-and-forget sync reply and the restart
-    read-ahead; everything else that runs behind its caller is a
-    ``BackgroundWorker``.  The primitives it replaced stay gone."""
+    spawned only at the fire-and-forget sync reply and for a restart
+    share's scans and region reads, all in flight at once; everything
+    else that runs behind its caller is a ``BackgroundWorker``.  The
+    primitives it replaced stay gone."""
     src = pathlib.Path(repro.__file__).parent
     spawns = [
         f"{path.relative_to(src)}: {line.strip()}"
@@ -127,11 +128,17 @@ def test_background_work_starts_only_through_the_worker():
         for line in path.read_text().splitlines()
         if "env.process(" in line
     ]
-    assert len(spawns) == 3 and all(
-        s.startswith("io/rocpanda/server.py") for s in spawns
-    ), spawns
+    assert [s.split(":")[0] for s in spawns] == [
+        "io/rocpanda/restart.py", "io/rocpanda/server.py",
+    ], spawns
     server = (src / "io/rocpanda/server.py").read_text()
-    assert len(re.findall(r'name="panda-(sync-reply|restart-read(ahead)?)"', server)) == 3
+    assert re.findall(r'name="(panda-[a-z-]+)"', server) == ["panda-sync-reply"]
+    restart = (src / "io/rocpanda/restart.py").read_text()
+    assert re.findall(r'"(panda-[a-z-]+)"', restart) == [
+        "panda-restart-scan", "panda-restart-read",
+    ]
+    # No read-ahead depth: the filesystem's read slots queue the reads.
+    assert "readahead" not in restart and "pending" not in restart
     gone = re.compile(r"Store\(|VThread")
     hits = [
         f"{path.relative_to(src)}:{n}"

@@ -11,6 +11,7 @@ deterministically under the same seed; exhausted retries must raise.
 
 import pytest
 
+from repro.bench import faults as faults_bench
 from repro.bench.faults import (
     _HDF_NBLOCKS,
     _HDF_NPROCS,
@@ -60,6 +61,27 @@ class TestServerCrashMidRestart:
         # Determinism: same seed, same digest, same counters.
         assert (digest1, info1) == (digest2, info2)
 
+    def test_the_dead_rank_reads_nothing_after_the_crash(self, monkeypatch):
+        """The crash stops the dead server's region reads at its
+        instant: none of them keeps a read slot past it."""
+        jobs = []
+
+        def spmd(*args, **kwargs):
+            jobs.append(run_spmd(*args, **kwargs))
+            return jobs[-1]
+
+        monkeypatch.setattr(faults_bench, "run_spmd", spmd)
+        crash = ServerCrash(rank=2, at_time=0.004)
+        _run_rocpanda_restart_fault_scenario(FaultPlan((crash,)), 0, _PATIENT_RETRY)
+        records = jobs[-1].recorder.io_records
+        scans = [r for r in records if r.op == "open_scan" and r.rank == crash.rank]
+        assert scans and all(r.t_end < crash.at_time for r in scans)
+        reads = [
+            r for r in records
+            if r.module == "shdf" and r.op == "read_extents" and r.rank == crash.rank
+        ]
+        assert all(r.t_end <= crash.at_time for r in reads), reads
+
 
 class TestTransientReadEIOMidRestart:
     def test_read_retry_absorbs_injected_eio(self, reference_digest):
@@ -74,8 +96,9 @@ class TestTransientReadEIOMidRestart:
         assert (digest1, info1) == (digest2, info2)
 
     def test_exhausted_read_retries_raise(self):
-        # The retry runs inside the read-ahead process; once exhausted
-        # the fault reaches the server when it waits on that region.
+        # The retry runs inside the region's read process; once
+        # exhausted the fault reaches the server when it waits on that
+        # region.
         plan = FaultPlan(
             (TransientEIO(op="read", path_prefix="ck", count=500),)
         )

@@ -36,14 +36,14 @@ from tests.restored import restored
 #: (wall_time, visible_io_time, fs write ops) under the default limit ...
 DEFAULT = {
     "write": (0.801515545553866, 0.048411973384286905, 24),
-    "restart": (0.2528122012180421, 0.03124134194301466, 4),
+    "restart": (0.24831220121804204, 0.03124134194301466, 4),
     "weak": (0.22745671427279648, 0.040994793917571104, 8),
     "strong": (0.3040072474293786, 0.02130883281101628, 8),
 }
 #: ... and with the limit patched to 0.
 LIMIT_ZERO = {
     "write": (0.804137352305464, 0.048411973384286905, 24),
-    "restart": (0.2528082998231113, 0.03124134194301466, 4),
+    "restart": (0.24830829982311126, 0.03124134194301466, 4),
     "weak": (0.22745567390081495, 0.040994793917571104, 8),
     "strong": (0.327844671967731, 0.02130883281101628, 12),
 }

@@ -8,9 +8,11 @@ inputs:
   arbitrary overlapping / adjacent / gapped extent layouts and sieve
   thresholds, and a schedule interrupted by an injected read fault
   raises before handing out any byte (and replays cleanly).
-* The Rocpanda restart — two-phase collective reads restore, bit for
-  bit, the arrays the writing job registered, across random
-  write-at-N / restart-at-M topologies and pane layouts.
+* The Rocpanda restart — two-phase collective reads, every region of
+  a server's share in flight at once, restore, bit for bit, the arrays
+  the writing job registered, across random write-at-N / restart-at-M
+  topologies and pane layouts.  Its example budget follows the
+  hypothesis profile: 10 in tier-1, 300 under ``--hypothesis-profile=long``.
 """
 
 import numpy as np
@@ -25,6 +27,8 @@ from repro.fs import NFSModel, ReadCoalescer, TransientIOError
 from repro.io import PandaServer, RocpandaModule, rocpanda_init
 from repro.roccom import AttributeSpec, Roccom
 from repro.vmpi import run_spmd
+
+RESTART_EXAMPLES = max(10, settings.default.max_examples // 10)
 
 
 def drive(env, gen):
@@ -215,7 +219,7 @@ def restart_shapes(draw):
 
 
 @given(restart_shapes(), st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=RESTART_EXAMPLES, deadline=None)
 def test_batched_restart_restores_bit_identical_data(shape, seed):
     nservers_w, nclients_w, layout, nservers_r, nclients_r = shape
     machine, written = _write_checkpoint(nservers_w, nclients_w, layout, seed)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment
+from repro.des import Environment, Interrupt
 from repro.fs import GPFSModel, LocalFSModel, NFSModel
 from repro.util import MB
 
@@ -147,6 +147,39 @@ class TestGPFS:
         fs = GPFSModel(env, nservers=1, server_bw=10 * MB, meta_latency=0.0)
         elapsed = drive(env, fs.read(20 * MB))
         assert elapsed == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "make, slot",
+    [
+        (lambda env: NFSModel(env, read_slots=1), lambda fs: fs._read_server),
+        (lambda env: GPFSModel(env, nservers=1), lambda fs: fs._servers[0]),
+        (lambda env: LocalFSModel(env), lambda fs: fs._node_disk("n0")),
+    ],
+    ids=["nfs", "gpfs", "local"],
+)
+def test_an_interrupted_read_keeps_no_slot(make, slot):
+    """A crash withdraws a queued read and gives a held slot back."""
+    env = Environment()
+    fs = make(env)
+
+    def reader():
+        try:
+            yield from fs.read(10 * MB, node="n0")
+        except Interrupt:
+            pass
+
+    holder, queued = env.process(reader()), env.process(reader())
+
+    def crash():
+        yield env.timeout(0.01)
+        queued.interrupt("crash")
+        yield env.timeout(0.01)
+        holder.interrupt("crash")
+
+    env.process(crash())
+    env.run()
+    assert slot(fs).count == 0 and not slot(fs).queue
 
 
 class TestLocalFS:
