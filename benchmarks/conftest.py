@@ -1,20 +1,24 @@
 """Shared fixtures for the benchmark suite.
 
-Each benchmark regenerates one table/figure of the paper, prints the
-paper-style rows, saves them under ``bench_results/``, and asserts the
+Each benchmark runs one artefact of :data:`repro.bench.ARTEFACTS` (the
+definition ``python -m repro paper`` also runs), prints its paper-style
+rows, saves them to its ``bench_results/`` file, and asserts the
 qualitative shape (who wins, by roughly what factor).  Absolute wall
 time of the benchmark function itself is what pytest-benchmark records.
 
-Environment knobs:
+Environment knobs (read by :func:`repro.bench.sizing`):
 
 * ``REPRO_BENCH_SCALE`` — workload scale factor (default 1.0 = the
   paper-faithful sizes);
-* ``REPRO_BENCH_RUNS``  — repetitions per configuration (default small).
+* ``REPRO_BENCH_RUNS``  — repetitions per configuration (default: each
+  artefact's own).
 """
 
 import os
 
 import pytest
+
+from repro.bench import ARTEFACTS
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "bench_results")
 
@@ -26,9 +30,12 @@ def results_dir():
 
 
 @pytest.fixture
-def save_result(results_dir):
-    def _save(name: str, text: str):
-        path = os.path.join(results_dir, name)
+def save_artefact(results_dir):
+    """``save_artefact(name, result)``: render into the artefact's file."""
+    def _save(name: str, result):
+        artefact = ARTEFACTS[name]
+        text = artefact.text(result)
+        path = os.path.join(results_dir, artefact.filename)
         with open(path, "w") as fh:
             fh.write(text + "\n")
         print()

@@ -1,50 +1,33 @@
-"""Benchmarks: ablations of the design choices (DESIGN.md A1-A4)."""
+"""Benchmarks: ablations of the design choices (DESIGN.md A1-A6)."""
 
 import pytest
 
-from repro.bench import (
-    render_series,
-    render_table,
-    run_active_buffering_ablation,
-    run_buffer_size_sweep,
-    run_hdf_driver_scaling,
-    run_ratio_sweep,
-)
+from repro.bench import ARTEFACTS, sizing
 
 
-def test_active_buffering(benchmark, save_result):
+@pytest.fixture
+def run_artefact(benchmark, save_artefact):
+    """Run an artefact under the benchmark timer and save its file."""
+    def _run(name):
+        result = benchmark.pedantic(
+            ARTEFACTS[name].result, args=sizing(), rounds=1, iterations=1
+        )
+        save_artefact(name, result)
+        return result
+
+    return _run
+
+
+def test_active_buffering(run_artefact):
     """A1: buffering at the servers hides the write cost (§6.1)."""
-    result = benchmark.pedantic(
-        run_active_buffering_ablation, rounds=1, iterations=1
-    )
-    save_result(
-        "ablation_a1_active_buffering.txt",
-        render_table(
-            ["mode", "visible I/O (s)"],
-            [[k, v] for k, v in result.items()],
-            title="A1 — active buffering on/off (32 clients + 4 servers, Turing)",
-        ),
-    )
+    result = run_artefact("ablation_a1_active_buffering").column("visible_io")
     assert result["buffered"] < result["write_through"] / 2
 
 
-def test_hdf4_vs_hdf5_scaling(benchmark, save_result):
+def test_hdf4_vs_hdf5_scaling(run_artefact):
     """A2: HDF4 degrades linearly with datasets/file, HDF5 does not."""
-    result = benchmark.pedantic(run_hdf_driver_scaling, rounds=1, iterations=1)
+    result = run_artefact("ablation_a2_hdf_drivers")
     counts = sorted(next(iter(result.values())).keys())
-    save_result(
-        "ablation_a2_hdf_drivers.txt",
-        render_series(
-            "datasets/file",
-            counts,
-            {
-                f"{name} {op} (s)": [result[name][c][i] for c in counts]
-                for name in result
-                for i, op in ((0, "write"), (1, "read"))
-            },
-            title="A2 — HDF4 vs HDF5 driver scaling with dataset count",
-        ),
-    )
     h4, h5 = result["hdf4"], result["hdf5"]
     small, big = counts[0], counts[-1]
     # HDF4 wins small files (cheap constants), loses big ones (linear
@@ -62,21 +45,10 @@ def test_hdf4_vs_hdf5_scaling(benchmark, save_result):
     assert h5_rate_big < 1.5 * h5_rate_small
 
 
-def test_client_server_ratio(benchmark, save_result):
+def test_client_server_ratio(run_artefact):
     """A3: the paper's >= 8:1 ratio is a sensible operating point."""
-    result = benchmark.pedantic(run_ratio_sweep, rounds=1, iterations=1)
+    result = run_artefact("ablation_a3_ratio").rows()
     ratios = sorted(result)
-    save_result(
-        "ablation_a3_ratio.txt",
-        render_table(
-            ["client:server", "visible I/O (s)", "files/snapshot-window", "total procs"],
-            [
-                [f"{r}:1", result[r]["visible_io"], result[r]["files"], result[r]["total_procs"]]
-                for r in ratios
-            ],
-            title="A3 — client:server ratio sweep (32 clients, Turing)",
-        ),
-    )
     # Fewer servers => fewer files but more visible I/O; the sweep
     # must show both monotone trends.
     files = [result[r]["files"] for r in ratios]
@@ -84,21 +56,10 @@ def test_client_server_ratio(benchmark, save_result):
     assert result[ratios[-1]]["visible_io"] > result[ratios[0]]["visible_io"]
 
 
-def test_buffer_overflow(benchmark, save_result):
+def test_buffer_overflow(run_artefact):
     """A4: undersized buffers degrade gracefully (overflow flushes)."""
-    result = benchmark.pedantic(run_buffer_size_sweep, rounds=1, iterations=1)
+    result = run_artefact("ablation_a4_buffer").rows()
     fractions = sorted(result)
-    save_result(
-        "ablation_a4_buffer.txt",
-        render_table(
-            ["buffer (x snapshot share)", "visible I/O (s)", "overflow flushes"],
-            [
-                [f, result[f]["visible_io"], result[f]["overflow_flushes"]]
-                for f in fractions
-            ],
-            title="A4 — server buffer capacity sweep (16 clients + 2 servers)",
-        ),
-    )
     tiny, huge = fractions[0], fractions[-1]
     # Undersized buffers must trigger overflow writes and cost more
     # visible time; amply-sized buffers must never overflow.
@@ -107,37 +68,13 @@ def test_buffer_overflow(benchmark, save_result):
     assert result[tiny]["visible_io"] > result[huge]["visible_io"]
 
 
-def test_client_buffering(benchmark, save_result):
+def test_client_buffering(run_artefact):
     """A5: the full buffer hierarchy shrinks visible I/O further."""
-    from repro.bench import run_client_buffering_ablation
-
-    result = benchmark.pedantic(
-        run_client_buffering_ablation, rounds=1, iterations=1
-    )
-    save_result(
-        "ablation_a5_client_buffering.txt",
-        render_table(
-            ["buffering", "visible I/O (s)"],
-            [[k, v] for k, v in result.items()],
-            title="A5 — client-side buffer level ([13]) on top of server buffering",
-        ),
-    )
+    result = run_artefact("ablation_a5_client_buffering").column("visible_io")
     assert result["client+server"] < result["server_only"] / 3
 
 
-def test_load_balancing(benchmark, save_result):
+def test_load_balancing(run_artefact):
     """A6: runtime block migration flattens an imbalanced partition."""
-    from repro.bench import run_load_balancing_ablation
-
-    result = benchmark.pedantic(
-        run_load_balancing_ablation, rounds=1, iterations=1
-    )
-    save_result(
-        "ablation_a6_load_balancing.txt",
-        render_table(
-            ["partition", "computation time (s)"],
-            [[k, v] for k, v in result.items()],
-            title="A6 — dynamic load balancing on an irregular block set",
-        ),
-    )
+    result = run_artefact("ablation_a6_load_balancing")
     assert result["balanced"] < result["static"]

@@ -11,29 +11,22 @@ capability.
 
 import pytest
 
-from repro.bench import bench_runs, run_fig3a
-from repro.bench.fig3a import PARALLEL_HDF5_REFERENCE_BPS
-
-PROC_COUNTS = (1, 3, 7, 15, 30, 60, 120, 480)
+from repro.bench import ARTEFACTS, sizing
+from repro.bench.sweep import PARALLEL_HDF5_REFERENCE_BPS
 
 
 @pytest.fixture(scope="module")
 def fig3a_result():
-    return run_fig3a(
-        proc_counts=PROC_COUNTS,
-        nruns=bench_runs(2),
-        steps=2,
-        snapshot_interval=1,
-    )
+    return ARTEFACTS["fig3a"].result(*sizing())
 
 
-def test_fig3a(benchmark, fig3a_result, save_result):
+def test_fig3a(benchmark, fig3a_result, save_artefact):
     benchmark.pedantic(lambda: fig3a_result, rounds=1, iterations=1)
-    save_result("fig3a.txt", fig3a_result.render())
+    save_artefact("fig3a", fig3a_result)
 
     res = fig3a_result
-    panda = {n: s.value for n, s in zip(res.proc_counts, res.throughput["rocpanda"])}
-    rochdf = {n: s.value for n, s in zip(res.proc_counts, res.throughput["rochdf"])}
+    panda = res.column("rocpanda")
+    rochdf = res.column("rochdf")
 
     # Throughput rises from 1 client to a full node of 15 clients.
     assert panda[15] > 2.0 * panda[1]

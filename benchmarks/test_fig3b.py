@@ -11,31 +11,24 @@ also doing the I/O (§4.1: "double effects").
 
 import pytest
 
-from repro.bench import bench_runs, run_fig3b
+from repro.bench import ARTEFACTS, sizing
 
 PROC_COUNTS = (15, 60, 240)
 
 
 @pytest.fixture(scope="module")
 def fig3b_result():
-    return run_fig3b(
-        proc_counts=PROC_COUNTS,
-        nruns=bench_runs(2),
-        per_client_bytes=0.25 * 1024 * 1024,
-        steps=10,
-        step_seconds=20.0,
-        snapshot_interval=5,
-    )
+    return ARTEFACTS["fig3b"].result(*sizing())
 
 
-def test_fig3b(benchmark, fig3b_result, save_result):
+def test_fig3b(benchmark, fig3b_result, save_artefact):
     benchmark.pedantic(lambda: fig3b_result, rounds=1, iterations=1)
-    save_result("fig3b.txt", fig3b_result.render())
+    save_artefact("fig3b", fig3b_result)
 
     res = fig3b_result
-    v16 = dict(zip(res.proc_counts, res.values("16NS")))
-    v15 = dict(zip(res.proc_counts, res.values("15NS")))
-    v15s = dict(zip(res.proc_counts, res.values("15S")))
+    v16 = res.column("16NS")
+    v15 = res.column("15NS")
+    v15s = res.column("15S")
     largest = PROC_COUNTS[-1]
 
     # At scale, 16 compute ranks per node are visibly slower than 15.

@@ -19,23 +19,20 @@ as processors are added.
 
 import pytest
 
-from repro.bench import bench_runs, bench_scale, run_table1
+from repro.bench import ARTEFACTS, sizing
+from repro.bench.sweep import TABLE1_PAPER
 
 PROC_COUNTS = (16, 32, 64)
 
 
 @pytest.fixture(scope="module")
 def table1_result():
-    return run_table1(
-        proc_counts=PROC_COUNTS,
-        nruns=bench_runs(3),
-        scale=bench_scale(1.0),
-    )
+    return ARTEFACTS["table1"].result(*sizing())
 
 
-def test_table1(benchmark, table1_result, save_result):
+def test_table1(benchmark, table1_result, save_artefact):
     benchmark.pedantic(lambda: table1_result, rounds=1, iterations=1)
-    save_result("table1.txt", table1_result.render())
+    save_artefact("table1", table1_result)
 
     res = table1_result
     comp = [res.value("computation", n) for n in PROC_COUNTS]
@@ -74,12 +71,12 @@ def test_table1(benchmark, table1_result, save_result):
 
 
 @pytest.mark.skipif(
-    bench_scale(1.0) != 1.0, reason="paper magnitudes need the full-size workload"
+    sizing()[0] != 1.0, reason="paper magnitudes need the full-size workload"
 )
 def test_table1_vs_paper_magnitudes(table1_result):
     """Measured values within ~3x of every paper cell (soft fidelity)."""
     res = table1_result
-    for metric, cells in res.paper.items():
+    for metric, (_, cells) in TABLE1_PAPER.items():
         for nprocs, paper_value in cells.items():
             measured = res.value(metric, nprocs)
             ratio = measured / paper_value

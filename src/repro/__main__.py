@@ -2,20 +2,19 @@
 
 Runs the paper's experiments and demos without going through pytest:
 
-* ``table1``  — Table 1 (Turing computation & I/O times)
-* ``fig3a``   — Fig 3(a) (Frost apparent write throughput)
-* ``fig3b``   — Fig 3(b) (Frost SMP layout comparison)
-* ``ablations`` — the A1–A6 design-choice studies
+* ``paper [NAME ...]`` — the paper's artefacts (Table 1, Fig 3(a),
+  Fig 3(b), ablations A1–A6), each from its one definition in
+  :data:`repro.bench.ARTEFACTS` (default: all of them)
 * ``demo``    — a quick GENx run with a timing breakdown
 * ``trace``   — per-rank I/O timeline + overlap ratios (repro.obs)
 * ``scalebench`` — simulator scaling curves at 64..1024 ranks, both clocks
 * ``faultbench`` — fault-injection chaos matrix + recovery rates
 
-``--quick`` shrinks everything for a fast smoke pass; ``--out DIR``
-also writes the rendered tables (and, where a command produces one,
-the aggregated instrumentation payload as ``BENCH_<name>.json``) to
-files.  Host time per workload and per layer is measured by
-``benchmarks/e2e/run.py``, not by this CLI.
+``--quick`` shrinks everything for a fast smoke pass (``paper``: a
+quarter of each workload, one run); ``--out DIR`` also writes the
+rendered tables (and any aggregated instrumentation payload, as
+``BENCH_<name>.json``) to files.  Host time per workload and per layer
+is measured by ``benchmarks/e2e/run.py``, not by this CLI.
 """
 
 from __future__ import annotations
@@ -41,118 +40,19 @@ def _emit(args, name: str, text: str, payload=None) -> None:
             print(f"[saved to {jpath}]")
 
 
-def cmd_table1(args) -> None:
-    from .bench import run_table1
+class _Names(list):
+    """``paper``'s choices; no name at all (every artefact) passes too."""
 
-    result = run_table1(
-        proc_counts=(16, 32, 64),
-        nruns=2 if args.quick else args.runs,
-        scale=0.25 if args.quick else 1.0,
-    )
-    _emit(args, "table1.txt", result.render())
+    def __contains__(self, item) -> bool:
+        return item == [] or list.__contains__(self, item)
 
 
-def cmd_fig3a(args) -> None:
-    from .bench import run_fig3a, run_fig3a_partial_read
+def cmd_paper(args) -> None:
+    from .bench import ARTEFACTS, sizing
 
-    counts = (1, 3, 7, 15, 30) if args.quick else (1, 3, 7, 15, 30, 60, 120, 480)
-    result = run_fig3a(proc_counts=counts, nruns=1 if args.quick else args.runs,
-                       steps=2, snapshot_interval=1)
-    partial_lines = []
-    for module in ("rochdf", "trochdf"):
-        pr = run_fig3a_partial_read(
-            nprocs=4 if args.quick else 15,
-            nblocks_per_rank=2 if args.quick else 4,
-            nelems=512 if args.quick else 4096,
-            module=module,
-        )
-        partial_lines.append(
-            f"partial attribute read, {module} (1 of 4 attrs, "
-            f"{pr['nprocs']} procs): "
-            f"{pr['partial_read_s']*1e3:.2f} ms sieved vs "
-            f"{pr['full_read_s']*1e3:.2f} ms full-record scan "
-            f"({pr['speedup']:.2f}x less visible read time)"
-        )
-    _emit(args, "fig3a.txt", result.render() + "\n" + "\n".join(partial_lines))
-
-
-def cmd_fig3b(args) -> None:
-    from .bench import run_fig3b
-
-    counts = (15, 60) if args.quick else (15, 60, 240)
-    result = run_fig3b(
-        proc_counts=counts,
-        nruns=1 if args.quick else args.runs,
-        per_client_bytes=0.25 * 1024 * 1024,
-        steps=10,
-        step_seconds=20.0,
-        snapshot_interval=5,
-    )
-    _emit(args, "fig3b.txt", result.render())
-
-
-def cmd_ablations(args) -> None:
-    from .bench import (
-        render_table,
-        run_active_buffering_ablation,
-        run_buffer_size_sweep,
-        run_client_buffering_ablation,
-        run_driver_tier_matrix,
-        run_hdf_driver_scaling,
-        run_load_balancing_ablation,
-        run_ratio_sweep,
-    )
-
-    a1 = run_active_buffering_ablation()
-    _emit(args, "a1.txt", render_table(
-        ["mode", "visible I/O (s)"], [[k, v] for k, v in a1.items()],
-        title="A1 — active buffering on/off",
-    ))
-    a2 = run_hdf_driver_scaling()
-    rows = []
-    for driver, cells in a2.items():
-        for count, (w, r) in sorted(cells.items()):
-            rows.append([driver, count, w, r])
-    _emit(args, "a2.txt", render_table(
-        ["driver", "datasets", "write (s)", "read (s)"], rows,
-        title="A2 — HDF4 vs HDF5 scaling",
-    ))
-    a2t = run_driver_tier_matrix(ndatasets=100 if args.quick else 800)
-    rows = [
-        [
-            driver, tier, v["visible_write_s"], v["durable_s"],
-            (v["durable_s"] - v["visible_write_s"]) * 1e3,
-        ]
-        for driver, tiers in a2t.items()
-        for tier, v in tiers.items()
-    ]
-    _emit(args, "a2_tiers.txt", render_table(
-        ["driver", "tier", "visible write (s)", "durable (s)", "drain tail (ms)"],
-        rows,
-        title="A2b — driver x storage tier",
-    ))
-    a3 = run_ratio_sweep()
-    _emit(args, "a3.txt", render_table(
-        ["ratio", "visible I/O (s)", "files"],
-        [[f"{k}:1", v["visible_io"], v["files"]] for k, v in sorted(a3.items())],
-        title="A3 — client:server ratio",
-    ))
-    a4 = run_buffer_size_sweep()
-    _emit(args, "a4.txt", render_table(
-        ["buffer (x snapshot)", "visible I/O (s)", "flushes"],
-        [[k, v["visible_io"], v["overflow_flushes"]] for k, v in sorted(a4.items())],
-        title="A4 — server buffer capacity",
-    ))
-    a5 = run_client_buffering_ablation()
-    _emit(args, "a5.txt", render_table(
-        ["buffering", "visible I/O (s)"], [[k, v] for k, v in a5.items()],
-        title="A5 — client-side buffer level",
-    ))
-    a6 = run_load_balancing_ablation()
-    _emit(args, "a6.txt", render_table(
-        ["partition", "computation (s)"], [[k, v] for k, v in a6.items()],
-        title="A6 — dynamic load balancing",
-    ))
+    scale, runs = sizing(args.quick)
+    for artefact in (ARTEFACTS[name] for name in args.names or ARTEFACTS):
+        _emit(args, artefact.filename, artefact.text(artefact.result(scale, runs)))
 
 
 def cmd_demo(args) -> None:
@@ -310,6 +210,8 @@ def cmd_trace(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .bench import ARTEFACTS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
@@ -319,21 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--quick", action="store_true",
                         help="shrink workloads for a fast smoke pass")
-    parser.add_argument("--runs", type=int, default=3,
-                        help="repetitions per configuration (default 3)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", metavar="DIR",
                         help="also save rendered tables under DIR")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, help_text in (
-        ("table1", cmd_table1, "reproduce Table 1 (Turing)"),
-        ("fig3a", cmd_fig3a, "reproduce Fig 3(a) (Frost throughput)"),
-        ("fig3b", cmd_fig3b, "reproduce Fig 3(b) (Frost SMP layouts)"),
-        ("ablations", cmd_ablations, "run the A1-A6 ablation studies"),
-        ("demo", cmd_demo, "quick three-service comparison run"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=fn)
+    paper = sub.add_parser("paper", help="regenerate the paper's artefacts")
+    paper.add_argument("names", nargs="*", metavar="NAME", choices=_Names(ARTEFACTS),
+                       help="default: all of " + ", ".join(ARTEFACTS))
+    paper.set_defaults(func=cmd_paper)
+    sub.add_parser("demo", help="quick three-service comparison run").set_defaults(
+        func=cmd_demo)
     scale = sub.add_parser(
         "scalebench",
         help="simulator scaling curves, 64 -> 1024 ranks "
@@ -356,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scale.set_defaults(func=cmd_scalebench)
     faults = sub.add_parser(
-        "faultbench",
-        help="chaos matrix: fault injection x I/O module recovery rates",
+        "faultbench", help="chaos matrix: fault injection x I/O module recovery rates"
     )
     faults.add_argument(
         "--only", action="append", metavar="SCENARIO/MODULE",
@@ -365,9 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
              "see repro.bench.scenario_names()",
     )
     faults.set_defaults(func=cmd_faultbench)
-    trace = sub.add_parser(
-        "trace", help="per-rank I/O timeline and overlap ratios"
-    )
+    trace = sub.add_parser("trace", help="per-rank I/O timeline and overlap ratios")
     trace.add_argument(
         "scenario", nargs="?", default="all",
         choices=("all", "rochdf", "trochdf", "rocpanda"),

@@ -1,22 +1,19 @@
 """Plain-text rendering of benchmark tables and series.
 
-Also the glue between the benches and the instrumentation layer
-(:mod:`repro.obs`): :func:`render_instrumentation` turns a job's
-recorder into a per-module rollup table and :func:`write_bench_json`
-persists the aggregated payload as a ``BENCH_<name>.json`` trajectory
-file next to the rendered text.
+:func:`write_bench_json` persists a command's aggregated
+instrumentation payload (:mod:`repro.obs`) as a ``BENCH_<name>.json``
+trajectory file next to the rendered text.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 __all__ = [
     "render_table",
     "render_series",
-    "render_instrumentation",
     "write_bench_json",
 ]
 
@@ -69,28 +66,6 @@ def render_series(
     for i, x in enumerate(xs):
         rows.append([x] + [series[name][i] for name in series])
     return render_table(headers, rows, title=title)
-
-
-def render_instrumentation(recorder, title: Optional[str] = None) -> str:
-    """Per-module rollup table of one job's instrumentation stream."""
-    from ..obs import summary_payload
-
-    payload = summary_payload(recorder)
-    rows = []
-    for name, mod in payload["modules"].items():
-        rows.append([
-            name,
-            mod["visible_time"],
-            mod["background_time"],
-            mod["overlap_ratio"],
-            mod["bytes_total"],
-            mod["nrecords"],
-        ])
-    return render_table(
-        ["module", "visible (s)", "background (s)", "overlap", "bytes", "records"],
-        rows,
-        title=title or "I/O instrumentation",
-    )
 
 
 def write_bench_json(out_dir: str, name: str, payload: Dict) -> str:

@@ -28,7 +28,7 @@ The second axis of the seam is *where* writes land:
   so writes absorb at memory speed and drain in the background.
 
 Both axes compose: any driver can run over either tier, which is the
-driver×tier ablation matrix in :mod:`repro.bench.ablations`.
+driver×tier ablation matrix in :mod:`repro.bench.micro`.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ paths) must not move simulated time at all: every Table 1 metric at 64
 compute processors must equal these values bit for bit.  A change that
 means to move one re-derives the pin and says so.
 
-Captured at ``run_table1(proc_counts=(64,), nruns=1, scale=0.02,
-steps=12, snapshot_interval=4)``.  ``restart_rocpanda`` was last moved
+Captured on the 64-processor rows of the Table 1 artefact
+(:data:`repro.bench.ARTEFACTS`) at ``scale=0.02, steps=12,
+snapshot_interval=4``, one run.  ``restart_rocpanda`` was last moved
 (1.1274 -> 0.0926) when the servers began landing a write-behind
 stage's blocks as one record per attribute: the sieved restart read
 pays a metadata round trip per record, and the files now hold a record
@@ -17,7 +18,10 @@ wait less for ranks still writing) moved when a file's header and commit footer 
 riding its one landing instead of being two more writes apiece.
 """
 
-from repro.bench.table1 import run_table1
+from dataclasses import replace
+
+from repro.bench import ARTEFACTS
+from repro.genx import lab_scale_motor
 
 #: Virtual-time results, 64 compute processors (exact floats).
 REFERENCE_64P = {
@@ -31,7 +35,12 @@ REFERENCE_64P = {
 
 
 def test_table1_64p_virtual_times_are_pinned():
-    result = run_table1(
-        proc_counts=(64,), nruns=1, scale=0.02, steps=12, snapshot_interval=4
-    )
+    sweep = ARTEFACTS["table1"].run
+    result = replace(
+        sweep,
+        workload=lambda scale: lab_scale_motor(
+            scale=0.02 * scale, steps=12, snapshot_interval=4
+        ),
+        rows=[row for row in sweep.rows if row.x == 64],
+    )(runs=1)
     assert {m: result.value(m, 64) for m in REFERENCE_64P} == REFERENCE_64P

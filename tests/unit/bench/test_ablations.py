@@ -1,14 +1,17 @@
 """Smoke tests for the ablation studies that gate CI cheaply.
 
 Only the tiny, deterministic ablations run here (the full A1-A6 sweep
-is a bench-CLI concern); the point is that the matrices keep their
-shape and their headline inequalities hold at toy sizes.
+is ``python -m repro paper``'s concern); the point is that the matrices
+keep their shape and their headline inequalities hold at toy sizes.
 """
 
 import pytest
 
-from repro.bench.ablations import run_driver_tier_matrix, run_hdf_driver_scaling
-from repro.bench.fig3a import run_fig3a_partial_read
+from repro.bench.micro import (
+    run_driver_tier_matrix,
+    run_fig3a_partial_read,
+    run_hdf_driver_scaling,
+)
 
 
 class TestDriverScaling:

@@ -1,12 +1,9 @@
 """Unit tests for the bench harness: rendering and run policies."""
 
-import os
-
 import pytest
 
 from repro.bench import render_series, render_table
-from repro.bench.experiment import bench_runs, bench_scale, repeat_runs, summarize
-from repro.cluster import testbox as make_testbox
+from repro.bench.sweep import sizing, summarize
 
 
 class TestRenderTable:
@@ -54,31 +51,24 @@ class TestRenderSeries:
 
 
 class TestEnvKnobs:
+    """One function reads the two knobs; ``--quick`` maps onto the pair."""
+
     def test_bench_scale_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        assert bench_scale(0.5) == 0.5
+        monkeypatch.delenv("REPRO_BENCH_RUNS", raising=False)
+        assert sizing() == (1.0, None)
+        assert sizing(quick=True) == (0.25, 1)
 
     def test_bench_scale_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
-        assert bench_scale(1.0) == 0.25
+        assert sizing()[0] == 0.25
 
     def test_bench_runs_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_RUNS", "7")
-        assert bench_runs(3) == 7
+        assert sizing()[1] == 7
 
 
 class TestRepeatAndSummarize:
-    def test_repeat_runs_distinct_seeds(self):
-        seen = []
-
-        def run_once(machine, seed):
-            seen.append((machine.seed, seed))
-            return {"metric": float(seed)}
-
-        out = repeat_runs(make_testbox, run_once, nruns=3, seed_base=10)
-        assert [s["metric"] for s in out] == [10.0, 11.0, 12.0]
-        assert all(ms == s for ms, s in seen)
-
     def test_summarize_best(self):
         samples = [{"t": 5.0}, {"t": 3.0}, {"t": 4.0}]
         out = summarize(samples, "best")

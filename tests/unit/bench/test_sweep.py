@@ -1,0 +1,67 @@
+"""The paper registry: one definition per ``bench_results/`` file."""
+
+import os
+from collections import Counter
+
+from repro.bench import ARTEFACTS, Grid, Row, Sweep
+from repro.cluster import testbox as make_testbox
+from repro.genx import lab_scale_motor
+
+RESULTS = os.path.join(os.path.dirname(__file__), "..", "..", "..", "bench_results")
+
+#: Written by faultbench, which keeps its own runner.
+NOT_IN_REGISTRY = {"faults.txt"}
+
+
+def test_every_committed_table_has_exactly_one_definition():
+    committed = {n for n in os.listdir(RESULTS) if n.endswith(".txt")}
+    producers = Counter(a.filename for a in ARTEFACTS.values())
+    assert all(count == 1 for count in producers.values()), producers
+    assert set(producers) == committed - NOT_IN_REGISTRY
+    assert all(name == a.name for name, a in ARTEFACTS.items())
+
+
+def _tiny(rows, runs=2, policy="best"):
+    return Sweep(
+        preset=lambda: make_testbox(nnodes=4, cpus_per_node=2),
+        workload=lambda scale: lab_scale_motor(
+            scale=0.005 * scale, nblocks_fluid=8, nblocks_solid=4,
+            steps=4, snapshot_interval=2,
+        ),
+        rows=rows, runs=runs, seed=7, policy=policy, prefix="tiny",
+    )
+
+
+def test_sweep_fills_named_columns_per_point_and_restarts_on_the_disk():
+    seen = []
+
+    def visible(result):
+        seen.append(result.machine.seed)
+        return result.visible_io_time
+
+    sweep = _tiny([
+        Row(2, "rochdf", 2, {"io": visible},
+            restart={"restart": lambda r: r.restart_time}, restart_seed=100),
+        Row(4, "rochdf", 4, {"io": visible}),
+    ])
+    grid = sweep()
+    assert isinstance(grid, Grid)
+    assert grid.xs == [2, 4]
+    assert set(grid.cells) == {"io", "restart"}
+    assert set(grid.column("io")) == {2, 4}
+    assert list(grid.column("restart")) == [2]
+    assert grid.value("restart", 2) > 0
+    assert grid.rows()[4] == {"io": grid.value("io", 4)}
+    # Runs are seeded seed, seed + 1, ...; the restart job sees its own.
+    assert seen == [7, 8, 7, 8]
+    # Best of N: the kept value is one of the runs' own.
+    once = _tiny(sweep.rows, runs=1)()
+    assert grid.value("io", 2) <= once.value("io", 2)
+
+
+def test_runs_and_scale_override_the_definition():
+    row = Row("only", "rochdf", 2, {"bytes": lambda r: r.bytes_written_per_snapshot})
+    sweep = _tiny([row], policy="mean_ci")
+    grid = sweep(scale=2.0, runs=3)
+    assert grid.cells["bytes"]["only"].n == 3
+    assert grid.value("bytes", "only") > sweep().value("bytes", "only")

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.bench import ARTEFACTS
 
 
 class TestParser:
@@ -16,9 +17,12 @@ class TestParser:
 
     def test_known_commands(self):
         parser = build_parser()
-        for cmd in ("table1", "fig3a", "fig3b", "ablations", "demo", "trace"):
+        for cmd in ("paper", "demo", "trace"):
             args = parser.parse_args([cmd])
             assert callable(args.func)
+        assert parser.parse_args(["paper"]).names == []
+        args = parser.parse_args(["paper", "table1", "fig3b"])
+        assert args.names == ["table1", "fig3b"]
 
     def test_trace_scenario_choices(self):
         parser = build_parser()
@@ -30,29 +34,37 @@ class TestParser:
 
     def test_flags(self):
         args = build_parser().parse_args(
-            ["--quick", "--runs", "5", "--seed", "9", "--out", "/tmp/x", "demo"]
+            ["--quick", "--seed", "9", "--out", "/tmp/x", "demo"]
         )
         assert args.quick
-        assert args.runs == 5
         assert args.seed == 9
         assert args.out == "/tmp/x"
+        # Run count and size belong to each artefact's definition.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--runs", "5", "demo"])
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["paper", "fig99"])
 
     def test_commands_and_faultbench_flags_are_exactly_these(self):
         """Host time is measured by benchmarks/e2e and scalebench only:
-        no micro-benchmark command, and faultbench times nothing."""
+        no micro-benchmark command, and faultbench times nothing.  One
+        command runs the paper's artefacts, by their registry names."""
         parser = build_parser()
         (sub,) = [
             a for a in parser._actions
             if isinstance(a, argparse._SubParsersAction)
         ]
         assert set(sub.choices) == {
-            "table1", "fig3a", "fig3b", "ablations", "demo", "trace",
-            "scalebench", "faultbench",
+            "paper", "demo", "trace", "scalebench", "faultbench",
         }
+        (names,) = [
+            a for a in sub.choices["paper"]._actions if a.dest == "names"
+        ]
+        assert list(names.choices) == list(ARTEFACTS)
         faultbench = sub.choices["faultbench"]
         flags = {o for a in faultbench._actions for o in a.option_strings}
         assert flags == {"-h", "--help", "--only"}
@@ -74,6 +86,17 @@ class TestDemoCommand:
         assert set(payload["modes"]) == {"rochdf", "trochdf", "rocpanda"}
         for mode in payload["modes"]:
             assert payload["modes"][mode]["modules"][mode]["nrecords"] > 0
+
+
+class TestPaperCommand:
+    def test_regenerates_the_committed_file(self, tmp_path, capsys):
+        """The drift check CI runs for every artefact, on the fastest."""
+        rc = main(["--out", str(tmp_path), "paper", "ablation_a6_load_balancing"])
+        assert rc == 0
+        name = "ablation_a6_load_balancing.txt"
+        committed = os.path.join(os.path.dirname(__file__), "..", "..", "bench_results", name)
+        with open(tmp_path / name) as new, open(committed) as old:
+            assert new.read() == old.read()
 
 
 class TestTraceCommand:
