@@ -5,10 +5,12 @@
 One in-process job sequence per ``benchmarks/e2e`` Rocpanda workload at
 bench size (about a minute), printed as the markdown table DESIGN.md
 carries: virtual wall, the drain the run failed to hide, filesystem
-transfers, the records (datasets) the servers' files hold — what the
-format's directory bookkeeping grows with — and the five ``ServerStats``
-drain terms in server-seconds summed over the servers.  Everything in
-it is exact for a seed.  ``--limit`` patches ``server.WRITE_BEHIND_BYTES``
+transfers, the files, the latency-bound shares merged into another
+server's file, the records (datasets) the files hold — what the
+format's directory bookkeeping grows with — the five ``ServerStats``
+drain terms in server-seconds summed over the servers, and ``forward``:
+the server-seconds merged shares spent on the wire to their writers
+(their ``forward`` records).  Everything in it is exact for a seed.  ``--limit`` patches ``server.WRITE_BEHIND_BYTES``
 (a module constant, not an option) the way the tests do, for the "why
 256 KiB" rows; ``--driver`` is the servers' format driver.  Every run
 asserts one filesystem write per hold of the write slot.
@@ -57,7 +59,7 @@ def ledger(name: str, seed: int, driver: str) -> list:
         machine = Machine(turing(), seed=seed)
         run(machine, workload.checkpoint)
         disk = machine.disk
-    wall = sync = ops = records = 0
+    wall = sync = ops = files = merged = records = forward = 0
     terms = dict.fromkeys(DRAIN_TERMS, 0.0)
     for job in workload.jobs:
         machine = Machine(turing(), seed=seed, disk=copy_disk(disk))
@@ -65,6 +67,11 @@ def ledger(name: str, seed: int, driver: str) -> list:
         wall += result.wall_time
         sync += max(c.final_sync_time for c in result.clients)
         ops += machine.fs.metrics.write_ops
+        files += result.files_created
+        merged += sum(s.stats.merged_shares for s in result.servers)
+        forward += sum(
+            r.t_end - r.t_start for r in result.recorder.io_records if r.op == "forward"
+        )
         records += sum(
             len(scan_file(machine.disk.open(path).read())[1])
             for path in machine.disk.listdir(job.config.prefix + "_")
@@ -72,7 +79,10 @@ def ledger(name: str, seed: int, driver: str) -> list:
         for term in DRAIN_TERMS:
             terms[term] += sum(getattr(s.stats, f"{term}_time") for s in result.servers)
     drain = (f"{terms[term]:.2f}" for term in DRAIN_TERMS)
-    return [f"`{name}`", f"{wall:.3f}", f"{sync:.3f}", ops, records, *drain]
+    return [
+        f"`{name}`", f"{wall:.3f}", f"{sync:.3f}", ops, files, merged, records, *drain,
+        f"{forward:.2f}",
+    ]
 
 
 def main() -> None:
@@ -82,8 +92,9 @@ def main() -> None:
     parser.add_argument("--driver", choices=sorted(DRIVERS), default="hdf4")
     args = parser.parse_args()
     seed, server.WRITE_BEHIND_BYTES = args.seed, args.limit
-    head = ["workload", "`virt_wall_s`", "`virt_final_sync_s`", "`fs.write_ops`",
-            "records", *(term.replace("_", " ") for term in DRAIN_TERMS)]
+    head = ["workload", "`virt_wall_s`", "`virt_final_sync_s`", "`fs.write_ops`", "files",
+            "merged shares", "records", *(term.replace("_", " ") for term in DRAIN_TERMS),
+            "forward"]
     print("| " + " | ".join(head) + " |")
     print("|---|" + "--:|" * (len(head) - 1))
     for name in WORKLOADS:

@@ -85,6 +85,12 @@ class FileSystemModel:
     def write_lease(self, node=None) -> Resource:
         return self._lease
 
+    @property
+    def write_latency(self) -> float:
+        """Seconds every write costs before its first byte: each model
+        serves a write as ``meta_latency`` plus its bytes at bandwidth."""
+        return self.meta_latency
+
     # -- public operations ----------------------------------------------
     def meta_op(self, node=None):
         """Open/close/create: small fixed-cost metadata round trip."""

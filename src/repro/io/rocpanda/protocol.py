@@ -32,6 +32,9 @@ __all__ = [
     "RestartBatch",
     "RestartDone",
     "Shutdown",
+    "Join",
+    "ShareBatch",
+    "JoinReply",
 ]
 
 class ProtocolError(RuntimeError):
@@ -223,3 +226,48 @@ class RestartDone:
 @dataclass(frozen=True)
 class Shutdown:
     """Client is finalizing; server exits after all clients say so."""
+
+
+@dataclass(frozen=True)
+class Join:
+    """Server -> a path's writer: count my clients' blocks in your file.
+
+    ``nblocks`` maps each client of the joining server's share to the
+    blocks it announced; ``file_attrs`` are their ``WriteBegin``'s, for a
+    writer none of whose own clients announced the path yet.  ``kind``
+    ``"withdraw"``: the joiner takes the share back, no answer came in
+    time; ``"ask"``: a heir asks whether the writer's file holds an
+    adopted client's blocks (answered ``held``, ``landed`` or
+    ``refused``, never ``accepted``).
+    """
+
+    path: str
+    nblocks: Dict[int, int]
+    file_attrs: Dict[str, Any] = field(default_factory=dict)
+    kind: str = "join"
+
+
+@dataclass
+class ShareBatch:
+    """A joined server's whole share of a path, ``(client, block)`` pairs,
+    as one message to the path's writer."""
+
+    path: str
+    blocks: List[Tuple[int, EncodedBlock]]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(block.nbytes + 64 for _client, block in self.blocks)
+
+
+@dataclass(frozen=True)
+class JoinReply:
+    """Writer -> joiner about ``clients``' blocks of ``path``: ``"accepted"``
+    (ship them), ``"refused"`` (the writer's file does not hold them:
+    land them yourself), ``"landed"`` (they are in its committed file) or
+    ``"held"`` (its retired file holds some: the verdict follows the
+    commit)."""
+
+    path: str
+    clients: Tuple[int, ...]
+    verdict: str

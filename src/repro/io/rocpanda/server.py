@@ -14,25 +14,27 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
   dataset, are landed by the **lander**, a second process (a
   :class:`~repro.vthread.BackgroundWorker`: started on demand, gone
   when idle) that does all that touches ``ctx.fs``, in queue order.
-  Under the filesystem's **write-slot lease** (``fs.write_lease``: the servers
-  take turns at the shared filesystem instead of contending inside it)
-  only bytes move — one write per queue entry, a file's header riding
-  its first stage and the commit footer its last; the create, metadata,
-  lock and close round trips are paid outside the hold.  Stages are
-  slot-paced: an idle lander is handed a stage of
+  Under the filesystem's **write-slot lease** (``fs.write_lease``: the
+  servers take turns at the shared filesystem) only bytes move — one
+  write per queue entry, a file's header riding its first stage and the
+  commit footer its last; the round trips are paid outside the hold.
+  Stages are slot-paced: an idle lander is handed a stage of
   :data:`WRITE_BEHIND_BYTES`, a busy one seals for itself when it
-  catches up — what accumulated during its wait, so a saturated write
-  slot sees few, large transfers — and whatever is staged once the
-  queue runs dry.  A sync is answered only when queue,
-  stages and lander are empty, and the main loop waits for the lander
-  only where clients are meant to wait for the disk: buffer overflow,
-  write-through and the final close;
+  catches up — so a saturated write slot sees few, large transfers —
+  and whatever is staged once the queue runs dry.  A sync is answered
+  only when queue, stages and lander are empty, and the main loop waits
+  for the lander only where clients are meant to wait for the disk:
+  buffer overflow, write-through and the final close;
 * when nothing is queued it **blocks in probe**, leaving its CPU idle
   for the operating system — the SMP side-benefit of §4.1 (the noise
   model reads ``cpu.server_busy_fraction``: busy while the main loop
   keeps books or the lander holds the lease);
 * on **buffer overflow** it gracefully writes old blocks out to make
   room for incoming data;
+* a **latency-bound share** — its clients' blocks of a path, fewer
+  bytes than the network moves in one write's latency — rides the
+  path's writer, a server on the same write slot, which lands it in its
+  one file for the path (:mod:`.merge`);
 * on **restart** (two-phase collective read) it hands the clients'
   requests to its :class:`~.restart.RestartService`, which reads the
   server's share of the restart files in large sieved regions, every
@@ -56,25 +58,15 @@ from ...vmpi.datatypes import ANY_SOURCE, ANY_TAG
 from ...vthread import BackgroundWorker
 from ..base import block_record
 from ..trochdf import BackgroundWriteError
+from .merge import MergeService
 from .protocol import (
-    TAG_REPLY,
-    BlockEnvelope,
-    ProtocolError,
-    RestartRequest,
-    Shutdown,
-    SyncReply,
-    SyncRequest,
-    WriteBegin,
+    TAG_REPLY, BlockEnvelope, Join, JoinReply, ProtocolError, RestartRequest,
+    ShareBatch, Shutdown, SyncReply, SyncRequest, WriteBegin,
 )
 from .restart import RestartService
-from .topology import Topology, clients_of, failover_server
+from .topology import Topology, expected_clients, server_file_path
 
 __all__ = ["ServerConfig", "ServerStats", "PandaServer", "server_file_path"]
-
-
-def server_file_path(prefix: str, server_index: int) -> str:
-    """Collective-mode file name for one server's part of a snapshot."""
-    return f"{prefix}_s{server_index:04d}.shdf"
 
 
 #: The smallest write-behind stage worth a transfer to an idle lander:
@@ -147,6 +139,11 @@ class ServerStats:
     transfer_time: float = 0.0
     restart_blocks_sent: int = 0
     peak_buffered_bytes: int = 0
+    #: Latency-bound shares: joined to another server's file (shipped as
+    #: ``forwarded_bytes`` on the wire), and taken into this server's.
+    joined_shares: int = 0
+    merged_shares: int = 0
+    forwarded_bytes: int = 0
     #: Blocks that arrived before their path's WriteBegin (message
     #: reordering between eager control and rendezvous data traffic)
     #: and were stashed until the announcement landed.
@@ -179,15 +176,8 @@ class _PathState:
     """Per-output-file bookkeeping on the server."""
 
     __slots__ = (
-        "writer",
-        "writer_attrs",
-        "begun",
-        "expected",
-        "booked",
-        "staged",
-        "groups",
-        "staged_bytes",
-        "seen",
+        "writer", "writer_attrs", "begun", "expected", "booked", "staged",
+        "groups", "staged_bytes", "seen", "owner", "held",
     )
 
     def __init__(self):
@@ -205,6 +195,10 @@ class _PathState:
         #: (client, block_id) pairs already ingested — duplicate
         #: suppression for retried sends and duplicated messages.
         self.seen: set = set()
+        #: Who lands the blocks (this server, the writer it joined, or
+        #: ``None``: undecided, :mod:`.merge`); ``(client, block)`` held.
+        self.owner: Optional[int] = None
+        self.held: List = []
 
 
 class PandaServer:
@@ -236,13 +230,10 @@ class PandaServer:
         #: client -> seq of the sync it waits in; asking again (same
         #: seq) keeps its one entry, so each request is answered once.
         self._sync_waiters: Dict[int, int] = {}
-        #: path -> [(client, BlockEnvelope), ...] that arrived before
-        #: the path's first WriteBegin.  A small eager
-        #: WriteBegin queues on the destination NIC while a rendezvous
-        #: block announcement (a control message that skips the NIC)
-        #: lands ahead of it — at 256+ ranks with >16 KiB blocks this
-        #: reordering is routine, so the server stashes the early
-        #: blocks and replays them when the announcement arrives.
+        #: path -> [(client, BlockEnvelope), ...] that overtook the path's
+        #: first WriteBegin: a small eager WriteBegin queues on the NIC
+        #: while a rendezvous announcement skips it (routine at 256+
+        #: ranks); they are replayed when the announcement arrives.
         self._orphans: Dict[str, List[Tuple[int, BlockEnvelope]]] = {}
         #: The machine's live set of crashed ranks; ``_expected_clients()``
         #: and the number of them it was computed for (the membership
@@ -255,18 +246,19 @@ class PandaServer:
         #: new generation file instead of truncating the committed one.
         self._file_gens: Dict[str, int] = {}
         self._restart = RestartService(self)
+        self._merge = MergeService(self)
 
     # -- main loop -------------------------------------------------------
     def run(self):
         """Generator: serve until every client has sent Shutdown.
 
         An injected crash (:class:`~repro.des.Interrupt`) stops the
-        lander and the restart reads in flight at the same instant and
-        abandons open writers without
-        their commit footers — their files are detectably torn and the
-        restart scan skips them — and returns with ``stats.crashed``
-        set.  A landing whose retries are exhausted interrupts the main
-        loop too, and raises here: buffered data will never be durable.
+        lander, the forwarder and the restart reads at the same instant
+        and abandons open writers without their commit footers — their
+        files are detectably torn and every reader skips them — and
+        returns with ``stats.crashed`` set.  A landing whose retries are
+        exhausted interrupts the main loop too, and raises here: buffered
+        data will never be durable.
         """
         self._main = self.ctx.env.active_process
         try:
@@ -280,6 +272,7 @@ class PandaServer:
             self.stats.crashed = True
             self._lander.interrupt(exc.cause)
             self._restart.interrupt(exc.cause)
+            self._merge.interrupt(exc.cause)
             self.ctx.recorder.record_counter("rocpanda", "server_crashes")
             self.ctx.log_fault(f"server rank {self.ctx.rank} crashed: {exc.cause}")
             return self.stats
@@ -296,13 +289,12 @@ class PandaServer:
                     yield from self._handle_one(status)
                 else:
                     yield from self._stage_one_block()
-            elif self._expected_clients() <= self._shutdown_ranks:
+            elif self._expected_clients() <= self._shutdown_ranks and self._merge.settled():
                 break
             else:
-                # Nothing to stage: block in probe; the CPU is idle and
-                # absorbs OS background work (§4.1).
-                status = yield from world.probe(ANY_SOURCE, ANY_TAG)
-                yield from self._handle_one(status)
+                # Nothing to stage: wait for a message; the CPU is idle
+                # and absorbs OS background work (§4.1).
+                yield from self._merge.next_message()
             self._answer_sync_waiters()
         if self._orphans:
             # A stashed block whose WriteBegin never arrived is a real
@@ -322,76 +314,56 @@ class PandaServer:
         return self.stats
 
     def _expected_clients(self) -> set:
-        """World ranks whose data (and Shutdown) this server must see.
-
-        While every rank is alive this is exactly ``my_clients``.  It
-        additionally adopts the clients of every dead server whose
-        deterministic failover target (:func:`failover_server`) is this
-        rank — the same pure rule the clients evaluate, so both sides
-        agree without coordination.
-        """
-        dead_ranks = self._dead
-        if len(dead_ranks) == self._expected_ndead:
-            return self._expected
-        is_dead = self.ctx.machine.is_dead
-        expected = set(self.topo.my_clients)
-        servers = self.topo.servers
-        for dead in dead_ranks:
-            expected.discard(dead)
-            if dead not in servers or dead == self.ctx.rank:
-                continue
-            try:
-                heir = failover_server(dead, servers, is_dead)
-            except RuntimeError:
-                continue
-            if heir == self.ctx.rank:
-                expected.update(
-                    r
-                    for r in clients_of(dead, servers, self.topo.nprocs)
-                    if r not in dead_ranks
-                )
-        self._expected = expected
-        self._expected_ndead = len(dead_ranks)
-        return expected
+        """World ranks whose data (and Shutdown) this server must see
+        (:func:`~.topology.expected_clients`), recomputed when a rank dies."""
+        if len(self._dead) != self._expected_ndead:
+            self._expected_ndead = len(self._dead)
+            self._expected = expected_clients(self.ctx.rank, self.topo, self.ctx.machine)
+            self._merge.prune(self._expected)
+        return self._expected
 
     # -- message handling ---------------------------------------------------
     def _handle_one(self, status):
-        world = self.topo.world
-        msg, st = yield from world.recv(source=status.source, tag=status.tag)
+        got = yield from self.topo.world.recv(source=status.source, tag=status.tag)
+        yield from self._dispatch(*got)
+
+    def _dispatch(self, msg, st):
         if isinstance(msg, WriteBegin):
             yield from self._on_write_begin(st.source, msg)
         elif isinstance(msg, BlockEnvelope):
             yield from self._on_block(st.source, msg)
         elif isinstance(msg, SyncRequest):
             self._sync_waiters[st.source] = msg.seq
+            self._merge.on_quiet(st.source)
+        elif isinstance(msg, (Join, ShareBatch, JoinReply)):
+            yield from self._merge.on_message(st.source, msg)
         elif isinstance(msg, RestartRequest):
             yield from self._restart.on_request(st.source, msg)
         elif isinstance(msg, Shutdown):
             self._shutdown_ranks.add(st.source)
+            self._merge.on_quiet(st.source)
         else:
             raise TypeError(f"server got unexpected message {type(msg).__name__}")
 
+    def _open_path(self, path: str, file_attrs) -> _PathState:
+        """A new state for ``path``: its file's writer (no file yet), and
+        who lands it (:meth:`MergeService.first_owner`)."""
+        state = self._paths[path] = _PathState()
+        gen = self._file_gens.get(path, 0)
+        state.writer = SHDFWriter(
+            self.ctx.env, self.ctx.fs, server_file_path(path, self.server_index, gen),
+            self.config.driver, node=self.ctx.node, recorder=self.ctx.recorder,
+            rank=self.ctx.rank, visible=not self.config.active_buffering,
+        )
+        state.writer_attrs = dict(file_attrs)
+        state.owner = self._merge.first_owner(path, gen)
+        return state
+
     def _on_write_begin(self, client: int, msg: WriteBegin):
-        state = self._paths.get(msg.path)
-        if state is None:
-            state = self._paths[msg.path] = _PathState()
-            gen = self._file_gens.get(msg.path, 0)
-            file_path = server_file_path(msg.path, self.server_index)
-            if gen:
-                file_path = f"{msg.path}_s{self.server_index:04d}g{gen}.shdf"
-            state.writer = SHDFWriter(
-                self.ctx.env,
-                self.ctx.fs,
-                file_path,
-                self.config.driver,
-                node=self.ctx.node,
-                recorder=self.ctx.recorder,
-                rank=self.ctx.rank,
-                visible=not self.config.active_buffering,
-            )
-            state.writer_attrs = dict(msg.file_attrs)
+        state = self._paths.get(msg.path) or self._open_path(msg.path, msg.file_attrs)
         state.begun.add(client)
         state.expected[client] = msg.nblocks
+        yield from self._merge.on_announce(msg.path, state, client, msg.total_bytes)
         orphans = self._orphans.pop(msg.path, None)
         if orphans:
             # Replay blocks that overtook this announcement; their
@@ -400,60 +372,77 @@ class PandaServer:
                 yield from self._on_block(oclient, omsg)
 
     def _on_block(self, client: int, msg: BlockEnvelope):
-        """Generator: take one block into the buffer.
-
-        The block arrives pre-serialised and is queued **without
-        re-copying its payload** — the queue entry keeps the zero-copy
-        record views of the sender's buffer.  Dedup runs against the
-        path's ``(client, block_id)`` set — a duplicated message, a
-        retried send that was in fact delivered, a snapshot re-shipped
-        after failover — or the writer would emit duplicate dataset
-        names.
-        """
-        state = self._paths.get(msg.path)
-        if state is None:
+        """Generator: take one client's block into the buffer."""
+        if msg.path not in self._paths:
+            if self._merge.taken(msg.path, client, msg.block.block_id):
+                self.stats.duplicate_blocks_dropped += 1
+                return
             # The data overtook the (eager, NIC-queued) WriteBegin:
             # stash it until the announcement lands.
             self._orphans.setdefault(msg.path, []).append((client, msg))
             self.stats.orphan_blocks_stashed += 1
             self.ctx.recorder.record_counter("rocpanda", "orphan_blocks_stashed")
             return
-        cfg = self.config
-        eb = msg.block
         self.stats.blocks_received += 1
-        self.stats.bytes_received += eb.nbytes
+        self.stats.bytes_received += msg.block.nbytes
+        yield from self._take(msg.path, [(client, msg.block)])
+
+    def _take(self, path: str, blocks: List, stage: bool = False):
+        """Generator: take one message's ``(client, block)`` pairs — a
+        client's block, or a joined share — into the buffer.
+
+        The blocks arrive pre-serialised and are queued **without
+        re-copying their payload** (zero-copy record views of the
+        sender's buffer).  Dedup runs against the path's ``(client,
+        block_id)`` set — a duplicated message, a retried send, a failover
+        re-ship — and drops a re-shipped block a committed file holds.  A
+        joined share (``stage``) is staged at once instead of queued.
+        """
+        state = self._paths[path]
+        cfg = self.config
         t0 = self.ctx.now
         # Buffer-management / protocol bookkeeping, once per message.
         yield self.ctx.env.sleep(cfg.ingest_overhead)
-        key = (client, eb.block_id)
-        if key in state.seen:
-            self.stats.duplicate_blocks_dropped += 1
-            self.ctx.recorder.record_counter("rocpanda", "duplicate_blocks_dropped")
+        fresh = []
+        for client, eb in blocks:
+            key = (client, eb.block_id)
+            if key in state.seen or self._merge.durable(path, state, client, eb):
+                self.stats.duplicate_blocks_dropped += 1
+                self.ctx.recorder.record_counter("rocpanda", "duplicate_blocks_dropped")
+                continue
+            state.seen.add(key)
+            fresh.append((path, client, eb))
+        nbytes = sum(eb.nbytes for _p, _c, eb in fresh)
+        if not fresh:
             return
-        state.seen.add(key)
         if not cfg.active_buffering:
             self.ctx.io_record(
-                "rocpanda", "ingest", path=msg.path, nbytes=eb.nbytes,
-                t_start=t0, visible=False,
+                "rocpanda", "ingest", path=path, nbytes=nbytes, t_start=t0, visible=False,
             )
             # Ablation A1: write through — the sender waits for the lander.
-            self._buffered_bytes += eb.nbytes
-            yield from self._stage_block(msg.path, eb)
+            self._buffered_bytes += nbytes
+            for _p, _c, eb in fresh:
+                yield from self._stage_block(path, eb)
             self._close_finished_paths()
             yield from self._lander.wait()
             return
         # One streaming copy into the server's buffer hierarchy.
-        yield self.ctx.env.sleep(eb.nbytes / cfg.ingest_bw)
+        yield self.ctx.env.sleep(nbytes / cfg.ingest_bw)
         self.ctx.io_record(
-            "rocpanda", "ingest", path=msg.path, nbytes=eb.nbytes,
+            "rocpanda", "merge" if stage else "ingest", path=path, nbytes=nbytes,
             t_start=t0, visible=False,
         )
-        yield from self._make_room(eb.nbytes)
-        self._queue.append((msg.path, eb))
-        self._buffered_bytes += eb.nbytes
+        yield from self._make_room(nbytes)
+        self._buffered_bytes += nbytes
         self.stats.peak_buffered_bytes = max(
             self.stats.peak_buffered_bytes, self._buffered_bytes
         )
+        if not stage:
+            self._merge.enqueue(state, fresh)
+            return
+        for _p, _c, eb in fresh:
+            yield from self._stage_block(path, eb)
+        self._close_finished_paths()
 
     # -- background writing: the main loop's half ----------------------------
     def _make_room(self, nbytes: int):
@@ -466,15 +455,21 @@ class PandaServer:
             return
         self.stats.overflow_flushes += 1
         self.ctx.recorder.record_counter("rocpanda", "overflow_flushes")
+        self._merge.decide_all()
         while self._queue and self._buffered_bytes + nbytes > limit:
             yield from self._stage_one_block()
+        self._merge.seal_merged()
         yield from self._lander.wait(
             lambda: self._buffered_bytes + nbytes <= limit or not self._lander.busy
         )
 
     def _stage_one_block(self):
-        path, block = self._queue.popleft()
-        yield from self._stage_block(path, block)
+        path, client, block = self._queue.popleft()
+        state = self._paths[path]
+        if state.owner == self.ctx.rank:
+            yield from self._stage_block(path, block)
+        else:
+            self._merge.hold(state, client, block)
         self._close_finished_paths()
 
     def _working(self, delta: int) -> None:
@@ -494,26 +489,25 @@ class PandaServer:
         directory bookkeeping (CPU: the only time spent here), and a
         sealed stage lands a record per dataset.  While the lander has
         nothing sealed ahead of it, a stage that holds
-        :data:`WRITE_BEHIND_BYTES` is sealed for it, and a block that
-        would push it past the limit seals it first; a busy lander seals
-        what was staged meanwhile when it catches up
-        (:meth:`_next_landing`), so at a saturated write slot the stages
-        grow instead of landing as many small transfers — but never seals
-        the stage a block's books are being paid into, so the commit
-        footer rides the landing of the block that completes a file.
-        Staging cannot fault, so a block is staged exactly once;
-        ``bg_write`` records the bookkeeping, and the written counters
-        move when it lands.
+        :data:`WRITE_BEHIND_BYTES` (times :meth:`MergeService.stages`) is
+        sealed for it, and a block that would push it past seals it
+        first; a busy lander seals what was staged meanwhile when it
+        catches up (:meth:`_next_landing`) — never the stage a block's
+        books are being paid into, so the commit footer rides the landing
+        of the block that completes a file.  Staging cannot fault, so a
+        block is staged exactly once; ``bg_write`` records it.
         """
         self._working(+1)
         t0 = self.ctx.now
         state = self._paths[path]
         if not state.booked:
             state.writer.begin(state.writer_attrs)
+        stages = self._merge.stages(path)
+        limit = WRITE_BEHIND_BYTES * stages
         if (
             not self._landings
             and state.staged
-            and state.staged_bytes + block.nbytes > WRITE_BEHIND_BYTES
+            and state.staged_bytes + block.nbytes > limit
         ):
             self._seal(state)
         opened = 0
@@ -527,7 +521,7 @@ class PandaServer:
         yield from state.writer.book(opened, block.data_nbytes)
         self._booking = None
         state.booked += 1
-        if state.staged and not self._landings and state.staged_bytes >= WRITE_BEHIND_BYTES:
+        if stages == 1 and state.staged and not self._landings and state.staged_bytes >= limit:
             self._seal(state)
         self._lander.kick()
         self.stats.bookkeeping_time += self.ctx.now - t0
@@ -567,14 +561,17 @@ class PandaServer:
             announced = expected_clients <= state.begun
             all_expected = sum(state.expected.values()) if announced else None
             complete = announced and len(state.seen) == state.booked == all_expected
-            if complete or force:
+            if force or complete:
                 retire.append((path, state))
         for path, state in retire:
             # Retired before the close lands: a client re-announcing
             # the path meanwhile starts a new generation.
             del self._paths[path]
-            self._file_gens[path] = self._file_gens.get(path, 0) + 1
-            if state.booked:
+            self._merge.retire(path, state)
+            if state.owner != self.ctx.rank:
+                self._merge.forward(path, state)
+            elif state.booked:
+                self._file_gens[path] = self._file_gens.get(path, 0) + 1
                 self._seal(state, close=True)
 
     # -- background writing: the lander's half -------------------------------
@@ -589,11 +586,11 @@ class PandaServer:
         hold of the filesystem's write-slot lease.
 
         Asking costs one lock RPC (``fs.meta_op``), paid before the
-        request joins the lease's FIFO queue, where it keeps its place:
-        the lander has nothing else to do, and the main loop takes the
-        messages meanwhile.  ``finally`` gives the lease back (or
-        withdraws the request) on a fault and on a crash; a faulted
-        landing appended nothing, so the retry lands the same stage.
+        request joins the lease's FIFO queue, where it keeps its place
+        while the main loop takes the messages.  ``finally`` gives the
+        lease back (or withdraws the request) on a fault and on a crash;
+        a faulted landing appended nothing, so the retry lands the same
+        stage.
         """
         ctx, stats = self.ctx, self.stats
         shown = dict(path=writer.path, visible=not self.config.active_buffering)
@@ -649,19 +646,18 @@ class PandaServer:
 
         Caught up, the lander seals what was staged meanwhile — a stage
         that has reached :data:`WRITE_BEHIND_BYTES`, and any stage once
-        the main loop's queue is dry — but not one the main loop is
-        booking a block into.  With nothing sealed and the main
-        loop still staging it pays an open stage's metadata round trips
-        ahead of its hold; with nothing left it answers the waiting
-        syncs and is done.
+        the main loop's queue is dry — but not a merged path's (its main
+        loop seals it) nor one the main loop is booking a block into.
+        With nothing sealed it pays an open stage's metadata round trips
+        ahead of its hold; with nothing left it answers the waiting syncs.
         """
         if self._failure is not None:
             return None
         if not self._landings:
-            for state in self._paths.values():
+            for path, state in self._paths.items():
                 if state.staged and state is not self._booking and (
                     not self._queue or state.staged_bytes >= WRITE_BEHIND_BYTES
-                ):
+                ) and self._merge.stages(path) == 1:
                     self._seal(state)
         if self._landings:
             return self._land(*self._landings[0])
@@ -699,6 +695,7 @@ class PandaServer:
                 )
             if close:
                 yield from self._settle(writer, writer.release())
+                self._merge.committed(state)
             self._landings.popleft()
         except WriteFaultError as exc:
             self.ctx.log_fault(f"server landing of {writer.path} FAILED: {exc}")
@@ -719,10 +716,10 @@ class PandaServer:
         waiters = {c: seq for c, seq in self._sync_waiters.items() if c not in owed}
         for client in waiters:
             del self._sync_waiters[client]
-        world = self.topo.world
+        self._merge.synced(waiters)
         for client, seq in waiters.items():
-            # Eager-sized reply echoing the request's seq; fire-and-forget.
-            self.ctx.env.process(
-                world.send(SyncReply(seq), dest=client, tag=TAG_REPLY),
-                name="panda-sync-reply",
-            )
+            self._reply(SyncReply(seq), client, TAG_REPLY)  # echoes the seq
+
+    def _reply(self, msg, dest: int, tag: int) -> None:
+        """Send a small reply, fire-and-forget."""
+        self.ctx.env.process(self.topo.world.send(msg, dest=dest, tag=tag), name="panda-reply")

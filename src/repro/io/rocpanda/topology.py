@@ -17,6 +17,7 @@ automatically" (§4.1).
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -28,6 +29,9 @@ __all__ = [
     "rocpanda_init",
     "clients_of",
     "failover_server",
+    "expected_clients",
+    "path_writer",
+    "server_file_path",
 ]
 
 
@@ -79,6 +83,52 @@ def failover_server(dead: int, servers: Tuple[int, ...], is_dead) -> int:
         if not is_dead(candidate):
             return candidate
     raise RuntimeError("no surviving Rocpanda server to fail over to")
+
+
+def expected_clients(rank: int, topo: "Topology", machine) -> set:
+    """World ranks whose data (and Shutdown) server ``rank`` must see.
+
+    While every rank is alive this is exactly its ``my_clients``.  It
+    additionally adopts the clients of every dead server whose
+    deterministic failover target (:func:`failover_server`) is ``rank`` —
+    the same pure rule the clients evaluate, so both sides agree without
+    coordination.
+    """
+    dead_ranks = machine.dead_ranks()
+    expected = set(topo.my_clients)
+    for dead in dead_ranks:
+        expected.discard(dead)
+        if dead not in topo.servers or dead == rank:
+            continue
+        try:
+            heir = failover_server(dead, topo.servers, machine.is_dead)
+        except RuntimeError:
+            continue
+        if heir == rank:
+            expected.update(
+                r for r in clients_of(dead, topo.servers, topo.nprocs) if r not in dead_ranks
+            )
+    return expected
+
+
+def server_file_path(prefix: str, server_index: int, gen: int = 0) -> str:
+    """Collective-mode file name for one server's part of a snapshot — the
+    one place that builds it.  A path re-announced after its file was
+    retired (a failover re-ship) lands in generation ``gen`` beside it."""
+    return f"{prefix}_s{server_index:04d}{f'g{gen}' if gen else ''}.shdf"
+
+
+def path_writer(path: str, group: Tuple[int, ...], is_dead) -> int:
+    """The server that writes ``path``'s one file for a lease ``group``.
+
+    A stable hash of the path (CRC-32, the same in every process, unlike
+    ``hash()``) picks a member of the group; a dead one is skipped the
+    way :func:`failover_server` skips it, so every server that asks
+    names the same writer.  Raises RuntimeError when none survives.
+    """
+    ordered = sorted(group)
+    start = ordered[zlib.crc32(path.encode()) % len(ordered)]
+    return start if not is_dead(start) else failover_server(start, ordered, is_dead)
 
 
 @dataclass

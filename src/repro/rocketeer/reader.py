@@ -24,9 +24,10 @@ __all__ = ["Snapshot", "SnapshotSeries", "load_snapshot", "discover_snapshots"]
 
 #: File names produced by the I/O services:
 #:   <run>_<step>_<window>_pNNNNN.shdf   (individual mode)
-#:   <run>_<step>_<window>_sNNNN.shdf    (collective mode)
+#:   <run>_<step>_<window>_sNNNN.shdf    (collective mode,
+#:   <run>_<step>_<window>_sNNNNgG.shdf   and its failover generations)
 _SNAPSHOT_RE = re.compile(
-    r"^(?P<run>.+)_(?P<step>\d{6})_(?P<window>[a-z0-9]+)_(?P<writer>[ps]\d+)\.shdf$"
+    r"^(?P<run>.+)_(?P<step>\d{6})_(?P<window>[a-z0-9]+)_(?P<writer>[ps]\d+)(?:g\d+)?\.shdf$"
 )
 
 

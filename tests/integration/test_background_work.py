@@ -93,7 +93,7 @@ def test_a_finished_job_leaves_nothing_blocked(
     env = result.machine.env
     workers = [w for w in made[BackgroundWorker] if w.env is env]
     expected = {
-        "rochdf": 0, "trochdf": 4, "rocpanda": 4 + 1,  # senders + the lander
+        "rochdf": 0, "trochdf": 4, "rocpanda": 4 + 2,  # senders, lander, forwarder
     }[io_mode] + (storage_tier == "burst")
     assert len(workers) == expected
     assert [w for w in workers if w.busy] == []
@@ -116,7 +116,8 @@ def test_a_tier_that_absorbs_nothing_starts_no_process(made):
 
 def test_background_work_starts_only_through_the_worker():
     """Source-level: under ``repro/io`` and ``repro/fs`` a process is
-    spawned only at the fire-and-forget sync reply and for a restart
+    spawned only at the fire-and-forget reply (a sync's, a merged
+    share's ``Landed``) and for a restart
     share's scans and region reads, all in flight at once; everything
     else that runs behind its caller is a ``BackgroundWorker``.  The
     primitives it replaced stay gone."""
@@ -132,7 +133,7 @@ def test_background_work_starts_only_through_the_worker():
         "io/rocpanda/restart.py", "io/rocpanda/server.py",
     ], spawns
     server = (src / "io/rocpanda/server.py").read_text()
-    assert re.findall(r'name="(panda-[a-z-]+)"', server) == ["panda-sync-reply"]
+    assert re.findall(r'name="(panda-[a-z-]+)"', server) == ["panda-reply"]
     restart = (src / "io/rocpanda/restart.py").read_text()
     assert re.findall(r'"(panda-[a-z-]+)"', restart) == [
         "panda-restart-scan", "panda-restart-read",

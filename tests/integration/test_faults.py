@@ -39,6 +39,7 @@ from repro.roccom import AttributeSpec, LOC_ELEMENT, LOC_NODE, Roccom
 from repro.shdf import TornFileError, decode_file, scan_file
 from repro.shdf.codec import COMMIT_MAGIC, COMMIT_SIZE, FILE_MAGIC, encode_commit_footer
 from repro.vmpi import run_spmd
+from repro.rocketeer import load_snapshot
 from tests.restored import file_blocks
 
 NBLOCKS = 3  # per client
@@ -61,7 +62,8 @@ def _write_main(
     ``servers`` (a list) collects the live :class:`PandaServer` objects;
     ``after_sync(ctx, window)`` runs at the instant ``OUT.sync`` returns.
     The default ``nodes`` makes 34 KB rendezvous-sized blocks;
-    ``EAGER_NODES`` makes 9 KB ones the servers' write-behind stage merges.
+    ``EAGER_NODES`` makes 9 KB ones the servers' write-behind stage merges;
+    a callable gives each client's from its rank in the client group.
     ``prefixes`` names the snapshots, written back to back before the sync.
     ``client_buffering`` ships them from the clients' background senders.
     """
@@ -80,9 +82,10 @@ def _write_main(
         )
         w = _declare(com)
         rng = np.random.default_rng(300 + topo.comm.rank)
+        mine = nodes(topo.comm.rank) if callable(nodes) else nodes
         for i in range(NBLOCKS):
             pid = topo.comm.rank * NBLOCKS + i
-            nn, ne = nodes + i, nodes // 2 + i
+            nn, ne = mine + i, mine // 2 + i
             w.register_pane(pid, nn, ne)
             w.set_array("coords", pid, rng.random((nn, 3)))
             w.set_array("pressure", pid, rng.random(ne))
@@ -96,6 +99,17 @@ def _write_main(
         return ("client", panda.stats)
 
     return main
+
+
+def _registered(comm_rank, nodes=1200):
+    """{pane_id: (coords, pressure)} client ``comm_rank`` of
+    :func:`_write_main` registers."""
+    rng = np.random.default_rng(300 + comm_rank)
+    nodes = nodes(comm_rank) if callable(nodes) else nodes
+    return {
+        comm_rank * NBLOCKS + i: (rng.random((nodes + i, 3)), rng.random(nodes // 2 + i))
+        for i in range(NBLOCKS)
+    }
 
 
 def _restart_main(nservers, per_client):
@@ -201,6 +215,49 @@ class TestServerCrashFailover:
         # A fault-free run has nothing to say.
         clean, _ = _launch(8, _write_main(2))
         assert clean.recorder.events == []
+
+
+    def test_rocketeer_reads_the_failover_generation_file(self):
+        """Server 0 retires ``ck`` with its own clients' blocks; server 4
+        dies before any of its clients wrote.  They write later, fail
+        over to server 0, and its re-announced ``ck`` lands beside the
+        committed file as generation 1 — the only copy of their blocks,
+        which Rocketeer reads like every other server file."""
+
+        def main(ctx):
+            topo = yield from rocpanda_init(ctx, 2)
+            if topo.is_server:
+                return ("server", (yield from PandaServer(ctx, topo).run()))
+            com = Roccom(ctx)
+            panda = com.load_module(RocpandaModule(ctx, topo))
+            w = _declare(com)
+            for pid, (coords, pressure) in _registered(topo.comm.rank).items():
+                w.register_pane(pid, len(coords), len(pressure))
+                w.set_array("coords", pid, coords)
+                w.set_array("pressure", pid, pressure)
+            yield from ctx.sleep(0.05 if topo.my_server == 0 else 0.3)
+            yield from com.call_function("OUT.write_attribute", "Fluid", None, "run_000000_ck")
+            yield from com.call_function("OUT.sync")
+            yield from ctx.sleep(0.5 - ctx.now)  # the heir serves on
+            yield from panda.finalize()
+            return ("client", panda.stats)
+
+        plan = FaultPlan((ServerCrash(rank=4, at_time=0.2),))
+        result, machine = _launch(8, main, plan=plan)
+        assert sum(s.failovers for kind, s in result.returns if kind == "client") == 3
+        assert machine.disk.listdir("run_") == [
+            "run_000000_ck_s0000.shdf", "run_000000_ck_s0000g1.shdf",
+        ]
+        snapshot = load_snapshot(machine.disk, "run", 0)
+        assert snapshot.nfiles == 2
+        blocks = snapshot.window("ck")
+        expected = {
+            pid: arrays for rank in range(6) for pid, arrays in _registered(rank).items()
+        }
+        assert sorted(blocks) == sorted(expected)
+        for pid, (coords, pressure) in expected.items():
+            np.testing.assert_array_equal(blocks[pid].arrays["coords"], coords)
+            np.testing.assert_array_equal(blocks[pid].arrays["pressure"], pressure)
 
 
 class TestWriteBehindStage:

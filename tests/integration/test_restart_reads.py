@@ -18,16 +18,19 @@ NCLIENTS = 8
 
 def _restart(spec, write_servers: int, restart_servers: int):
     """Write a two-step motor at ``write_servers``, restart its step-2
-    snapshot at ``restart_servers``; the restart job's result."""
+    snapshot at ``restart_servers``; the restart job's result.  At this
+    scale every server's share of a window is byte-bound, so each writer
+    lands a file per window, a record per attribute per stage."""
     motor = lab_scale_motor(
-        scale=0.02, steps=2, snapshot_interval=2, nblocks_fluid=16, nblocks_solid=8
+        scale=0.8, steps=2, snapshot_interval=2, nblocks_fluid=16, nblocks_solid=8
     )
     panda = dict(workload=motor, io_mode="rocpanda")
     machine = Machine(spec(), seed=100)
-    run_genx(
+    written = run_genx(
         machine, NCLIENTS + write_servers,
         GENxConfig(nservers=write_servers, prefix="w", **panda),
     )
+    assert not any(server.stats.joined_shares for server in written.servers)
     restart = Machine(spec(), seed=100, disk=machine.disk)
     return run_genx(
         restart, NCLIENTS + restart_servers,

@@ -15,7 +15,7 @@ from repro.cluster import Machine, frost, turing
 from repro.faults import FaultPlan, ServerCrash
 from repro.genx import GENxConfig, run_genx, scalability_cylinder
 from repro.io import ServerConfig
-from tests.restored import restored
+from tests.restored import by_path, restored
 
 PER_CLIENT = 0.05 * 2**20
 
@@ -52,7 +52,7 @@ def test_gpfs_grants_two_slots_and_writes_what_turing_writes():
     assert _holds(on_turing) == pytest.approx(nfs.write_busy_time, abs=1e-9)
     waits = [sum(s.stats.slot_wait_time for s in r.servers) for r in (on_frost, on_turing)]
     assert 0 < waits[0] < waits[1]
-    assert frost_files == turing_files
+    assert by_path(frost_files) == by_path(turing_files)
     # A slot per Rocpanda server: nobody queues.
     two_servers, gpfs, gpfs_lease, _files = _weak(frost(), 32, 2)
     assert gpfs.peak_write_demand == gpfs_lease.capacity == 2
@@ -76,7 +76,7 @@ def test_a_buffer_below_one_snapshot_share_bounds_the_stage():
     assert tight.visible_io_time > roomy.visible_io_time
     assert _holds(tight) == pytest.approx(metrics.write_busy_time, abs=1e-9)
     assert metrics.peak_write_demand == 1 and lease.count == 0 and not lease.queue
-    assert files == reference
+    assert by_path(files) == by_path(reference)
 
 
 @pytest.mark.parametrize(

@@ -35,17 +35,17 @@ from tests.restored import restored
 
 #: (wall_time, visible_io_time, fs write ops) under the default limit ...
 DEFAULT = {
-    "write": (0.801515545553866, 0.048411973384286905, 24),
-    "restart": (0.24831220121804204, 0.03124134194301466, 4),
+    "write": (0.8019716014920732, 0.048411973384286905, 21),
+    "restart": (0.24765296049538582, 0.03124134194301466, 4),
     "weak": (0.22745671427279648, 0.040994793917571104, 8),
-    "strong": (0.3040072474293786, 0.02130883281101628, 8),
+    "strong": (0.2892658135024877, 0.02130883281101628, 6),
 }
 #: ... and with the limit patched to 0.
 LIMIT_ZERO = {
-    "write": (0.804137352305464, 0.048411973384286905, 24),
-    "restart": (0.24830829982311126, 0.03124134194301466, 4),
+    "write": (0.8045934082436713, 0.048411973384286905, 21),
+    "restart": (0.24764905910045504, 0.03124134194301466, 4),
     "weak": (0.22745567390081495, 0.040994793917571104, 8),
-    "strong": (0.327844671967731, 0.02130883281101628, 12),
+    "strong": (0.3015962876624221, 0.02130883281101628, 7),
 }
 
 

@@ -4,8 +4,12 @@ A Rocpanda server lands a write-behind stage's blocks one record per
 attribute, so two runs that seal stages at different blocks write
 different bytes for the same snapshot; what they must agree on is the
 blocks each file restores to, array by array, with exact dtypes and
-shapes.
+shapes.  Where latency-bound shares merge into their writer's file
+(which ones depends on the filesystem, the network and the buffer),
+runs agree on the blocks each *path* restores to (:func:`by_path`).
 """
+
+import re
 
 from repro.io import datasets_to_blocks
 from repro.shdf import decode_file
@@ -31,3 +35,16 @@ def file_blocks(data) -> tuple:
 def restored(disk, prefix: str = "") -> dict:
     """:func:`file_blocks` of every file under ``prefix`` on ``disk``."""
     return {path: file_blocks(disk.open(path).read()) for path in disk.listdir(prefix)}
+
+
+def by_path(files: dict) -> dict:
+    """:func:`restored` regrouped per snapshot path: the file name less
+    its ``_sNNNN`` (and failover ``gG``) suffix, mapped to the union of
+    its server files' blocks (file attributes aside)."""
+    out: dict = {}
+    for name, (_attrs, blocks) in files.items():
+        path = re.sub(r"_s\d+(g\d+)?\.shdf$", "", name)
+        merged = out.setdefault(path, {})
+        assert not merged.keys() & blocks.keys(), name
+        merged.update(blocks)
+    return out

@@ -128,3 +128,20 @@ class TestRendering:
         assert "rocflo.pressure" in report
         assert "rocburn.burn_distance" in report
         assert "3 snapshots" in report
+
+
+def test_snapshot_pattern_reads_every_server_file_name():
+    """Rocketeer's file pattern accepts every name ``server_file_path``
+    builds — a failover generation's too — and the individual-mode one."""
+    from repro.io.rocpanda import server_file_path
+    from repro.rocketeer.reader import _SNAPSHOT_RE
+
+    for index, gen in ((0, 0), (3, 0), (1, 1), (12, 3)):
+        name = server_file_path("run_000010_rocflo", index, gen)
+        m = _SNAPSHOT_RE.match(name)
+        assert m, name
+        assert (m.group("run"), m.group("step"), m.group("window")) == (
+            "run", "000010", "rocflo",
+        )
+    assert server_file_path("p", 1, 2) == "p_s0001g2.shdf"
+    assert _SNAPSHOT_RE.match("run_000010_rocflo_p00003.shdf")

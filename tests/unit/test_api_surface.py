@@ -113,3 +113,27 @@ def test_no_argument_selects_a_second_path():
     from repro.cluster.network import Network
 
     assert not hasattr(Network, "schedule_transfer")
+
+
+def test_merging_shares_adds_no_option():
+    """Which Rocpanda shares ride another server's file follows from the
+    filesystem's write latency and the network: no config field, no
+    argument selects it."""
+    import dataclasses
+
+    from repro.genx import GENxConfig
+    from repro.io import PandaServer, ServerConfig
+
+    assert {f.name for f in dataclasses.fields(GENxConfig)} == {
+        "adapt_interval", "adapt_mesh", "client_buffering", "client_pack",
+        "driver_factory", "initial_snapshot", "io_mode", "lb_interval",
+        "lb_threshold", "load_balance", "nservers", "prefix", "restart_prefix",
+        "restart_step", "server_config", "steps", "storage_tier", "tier_config",
+        "workload",
+    }
+    assert {f.name for f in dataclasses.fields(ServerConfig)} == {
+        "active_buffering", "buffer_bytes", "busy_fraction_idle",
+        "busy_fraction_writing", "driver", "ingest_bw", "ingest_overhead",
+        "restart_region_bytes", "restart_sieve_gap", "retry",
+    }
+    assert set(inspect.signature(PandaServer).parameters) == {"ctx", "topo", "config"}
