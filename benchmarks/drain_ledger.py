@@ -6,11 +6,14 @@ One in-process job sequence per ``benchmarks/e2e`` Rocpanda workload at
 bench size (about a minute), printed as the markdown table DESIGN.md
 carries: virtual wall, the drain the run failed to hide, filesystem
 transfers, the files, the latency-bound shares merged into another
-server's file, the records (datasets) the files hold — what the
-format's directory bookkeeping grows with — the five ``ServerStats``
-drain terms in server-seconds summed over the servers, and ``forward``:
-the server-seconds merged shares spent on the wire to their writers
-(their ``forward`` records).  Everything in it is exact for a seed.  ``--limit`` patches ``server.WRITE_BEHIND_BYTES``
+server's file and the Joins refused (their writer had retired the
+path), the records (datasets) the files hold — what the format's
+directory bookkeeping grows with — the five ``ServerStats`` drain terms
+in server-seconds summed over the servers, ``forward``: the
+server-seconds merged shares spent on the wire to their writers (their
+``forward`` records), and the first-landing lag: per snapshot, its
+first ``land`` record's start minus its first ``ingest``'s, summed over
+the snapshots.  Everything in it is exact for a seed.  ``--limit`` patches ``server.WRITE_BEHIND_BYTES``
 (a module constant, not an option) the way the tests do, for the "why
 256 KiB" rows; ``--driver`` is the servers' format driver.  Every run
 asserts one filesystem write per hold of the write slot.
@@ -19,6 +22,7 @@ asserts one filesystem write per hold of the write slot.
 import argparse
 import dataclasses
 import os
+import re
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -41,6 +45,18 @@ WORKLOADS = (
 DRIVERS = {"hdf4": hdf4_driver, "hdf5": hdf5_driver}
 
 
+def first_landing_lag(records) -> float:
+    """Sum over snapshots of first ``land`` start minus first ``ingest`` start."""
+    first = {}
+    for r in records:
+        if r.op in ("ingest", "land") and r.path:
+            key = (re.search(r"_(\d{6})_", r.path).group(1), r.op)
+            first[key] = min(first.get(key, r.t_start), r.t_start)
+    return sum(
+        t - first[(step, "ingest")] for (step, op), t in first.items() if op == "land"
+    )
+
+
 def ledger(name: str, seed: int, driver: str) -> list:
     workload = build(name)
     servers = ServerConfig(driver=DRIVERS[driver]())
@@ -59,7 +75,7 @@ def ledger(name: str, seed: int, driver: str) -> list:
         machine = Machine(turing(), seed=seed)
         run(machine, workload.checkpoint)
         disk = machine.disk
-    wall = sync = ops = files = merged = records = forward = 0
+    wall = sync = ops = files = merged = refused = records = forward = lag = 0
     terms = dict.fromkeys(DRAIN_TERMS, 0.0)
     for job in workload.jobs:
         machine = Machine(turing(), seed=seed, disk=copy_disk(disk))
@@ -69,6 +85,8 @@ def ledger(name: str, seed: int, driver: str) -> list:
         ops += machine.fs.metrics.write_ops
         files += result.files_created
         merged += sum(s.stats.merged_shares for s in result.servers)
+        refused += sum(s.stats.refused_joins for s in result.servers)
+        lag += first_landing_lag(result.recorder.io_records)
         forward += sum(
             r.t_end - r.t_start for r in result.recorder.io_records if r.op == "forward"
         )
@@ -80,8 +98,8 @@ def ledger(name: str, seed: int, driver: str) -> list:
             terms[term] += sum(getattr(s.stats, f"{term}_time") for s in result.servers)
     drain = (f"{terms[term]:.2f}" for term in DRAIN_TERMS)
     return [
-        f"`{name}`", f"{wall:.3f}", f"{sync:.3f}", ops, files, merged, records, *drain,
-        f"{forward:.2f}",
+        f"`{name}`", f"{wall:.3f}", f"{sync:.3f}", ops, files, merged, refused, records,
+        *drain, f"{forward:.2f}", f"{lag:.3f}",
     ]
 
 
@@ -93,8 +111,8 @@ def main() -> None:
     args = parser.parse_args()
     seed, server.WRITE_BEHIND_BYTES = args.seed, args.limit
     head = ["workload", "`virt_wall_s`", "`virt_final_sync_s`", "`fs.write_ops`", "files",
-            "merged shares", "records", *(term.replace("_", " ") for term in DRAIN_TERMS),
-            "forward"]
+            "merged shares", "refused joins", "records",
+            *(term.replace("_", " ") for term in DRAIN_TERMS), "forward", "first-landing lag"]
     print("| " + " | ".join(head) + " |")
     print("|---|" + "--:|" * (len(head) - 1))
     for name in WORKLOADS:

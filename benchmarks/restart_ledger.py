@@ -6,11 +6,12 @@ Writes the ``benchmarks/e2e`` workload's checkpoint (8 servers) and
 restarts it at 8, 4 and 2 servers, in process, at bench size (under a
 minute), and prints one markdown row per restart job: its virtual wall,
 the restart the clients saw (``virt_restart_s``), the regions the
-servers read, and the three ``ServerStats`` restart terms — open and
-close round trips, waiting for a region to land, the batch sends — in
-server-seconds summed over the servers.  Everything in it is exact for
-a seed.  Every run asserts that each server's terms sum to its
-``restart_scan`` records.
+servers read, the hole bytes their sieved reads charged beside the
+records (``sieve_waste_bytes``), and the three ``ServerStats`` restart
+terms — open and close round trips, waiting for a region to land, the
+batch sends — in server-seconds summed over the servers.  Everything in
+it is exact for a seed.  Every run asserts that each server's terms sum
+to its ``restart_scan`` records.
 """
 
 import argparse
@@ -52,6 +53,7 @@ def ledger(seed: int) -> list:
         rows.append([
             len(result.servers), f"{result.wall_time:.3f}", f"{result.restart_time:.3f}",
             sum(s.stats.restart_regions_read for s in result.servers),
+            sum(s.stats.restart_sieve_waste_bytes for s in result.servers),
             *(f"{terms[term]:.3f}" for term in TERMS),
         ])
     return rows
@@ -62,7 +64,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=100)
     args = parser.parse_args()
     head = ["servers", "`virt_wall_s`", "`virt_restart_s`", "regions",
-            "scan", "read wait", "scatter"]
+            "`sieve_waste_bytes`", "scan", "read wait", "scatter"]
     print("| " + " | ".join(head) + " |")
     print("|--:|" + "--:|" * (len(head) - 1))
     for row in ledger(args.seed):

@@ -238,7 +238,10 @@ class Join:
     ``"withdraw"``: the joiner takes the share back, no answer came in
     time; ``"ask"``: a heir asks whether the writer's file holds an
     adopted client's blocks (answered ``held``, ``landed`` or
-    ``refused``, never ``accepted``).
+    ``refused``, never ``accepted``); ``"poll"``: the writer asks a peer
+    whether it joins, answered by its Join or by ``"local"`` (it lands
+    its share itself, or has none); ``"done"``: every client of the
+    sender has shut down — ``"local"`` for every path.
     """
 
     path: str

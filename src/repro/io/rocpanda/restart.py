@@ -22,6 +22,7 @@ from typing import Dict, List, Tuple
 
 from ...des import Interrupt
 from ...faults.retry import retrying
+from ...fs.coalesce import merge_extents
 from ...fs.vfs import WriteFaultError
 from ...shdf.codec import TornFileError
 from ...shdf.file import SHDFReader
@@ -155,13 +156,13 @@ class RestartService:
             reader = yield scan
             if reader is not None:
                 readers.append(reader)
-        regions = [
-            self._start(self._read(reader, region), "panda-restart-read")
-            for reader in readers
-            for region in _restart_regions(
-                reader.entries(), self.config.restart_region_bytes
-            )
-        ]
+        regions = []
+        for reader in readers:
+            for region in _restart_regions(reader.entries(), self.config.restart_region_bytes):
+                self.stats.restart_sieve_waste_bytes += _sieve_waste(
+                    region, self.config.restart_sieve_gap
+                )
+                regions.append(self._start(self._read(reader, region), "panda-restart-read"))
         return readers, regions
 
     def _landed(self, region):
@@ -331,3 +332,11 @@ def _restart_regions(entries, region_bytes: float):
     if current:
         regions.append(current)
     return regions
+
+
+def _sieve_waste(region, gap: int) -> int:
+    """Hole bytes a region's sieved read charges beside its records."""
+    extents = [(offset, length) for _name, offset, length in region]
+    return sum(n for _s, n in merge_extents(extents, gap)) - sum(
+        n for _s, n in merge_extents(extents)
+    )

@@ -9,6 +9,8 @@ and the writer's ``land`` records and the close round trip after its
 last.  Whatever the instant, every committed file holds blocks no other
 committed file holds, and a restart at two servers restores every
 registered array bit for bit (a torn file is skipped by every reader).
+The last case, at two servers, crashes a peer the writer is still
+waiting to hear from.
 """
 
 import numpy as np
@@ -16,12 +18,14 @@ import pytest
 
 from repro.cluster import turing
 from repro.faults import DiskFull, FaultPlan, RetryPolicy, ServerCrash
-from repro.io import ServerConfig
+from repro.io import PandaServer, RocpandaModule, ServerConfig, rocpanda_init
 from repro.io.base import record_block_ids
+from repro.roccom import Roccom
 from repro.shdf import TornFileError, scan_file
 from tests.integration.test_faults import (
-    EAGER_NODES, _launch, _registered, _restart_main, _write_main,
+    EAGER_NODES, _declare, _launch, _registered, _restart_main, _write_main,
 )
+from tests.restored import file_blocks
 
 WRITER, JOINERS = 8, (0, 4)
 NPROCS = 12
@@ -163,3 +167,51 @@ def test_heir_asks_a_writer_between_its_retire_and_its_commit():
     assert len(asks) == 3 and all(retire < a.t_start < commit.t_start for a in asks)
     assert machine.disk.listdir("") == ["ck_s0002.shdf"]
     _assert_restored_once(machine)
+
+
+def test_a_peer_that_dies_before_it_answers_is_not_waited_for():
+    """Clients 1-3 write ``d``, a path their server 0 writes; clients 5-7
+    (server 4) write nothing and compute a while.  0's share is
+    latency-bound, so it asks 4, which keeps its answer until its clients
+    are quiet — and dies first.  The writer retires ``d`` without it,
+    4's clients fail over to 0, and ``d`` restores exactly."""
+
+    def main(ctx):
+        topo = yield from rocpanda_init(ctx, 2)
+        if topo.is_server:
+            return ("server", (yield from PandaServer(ctx, topo).run()))
+        com = Roccom(ctx)
+        panda = com.load_module(RocpandaModule(ctx, topo))
+        w = _declare(com)
+        for pid, (coords, pressure) in _registered(topo.comm.rank, EAGER_NODES).items():
+            w.register_pane(pid, len(coords), len(pressure))
+            w.set_array("coords", pid, coords)
+            w.set_array("pressure", pid, pressure)
+        if ctx.rank < 4:
+            yield from com.call_function("OUT.write_attribute", "Fluid", None, "d")
+        else:
+            yield from ctx.sleep(0.05)
+        yield from com.call_function("OUT.sync")
+        yield from panda.finalize()
+        return ("client", panda.stats)
+
+    crash_at = 0.02
+    result, machine = _launch(
+        8, main, plan=FaultPlan((ServerCrash(rank=4, at_time=crash_at),)), spec=turing()
+    )
+    assert machine.is_dead(4)
+    assert machine.disk.listdir("") == ["d_s0000.shdf"]
+    # The writer's file was committed only after the peer's death.
+    close = [r for r in _records(result, 0, "settle") if r.path == "d_s0000.shdf"][-1]
+    assert close.t_start > crash_at
+    committed = _committed_blocks(machine.disk)
+    expected = {
+        pid: arrays for rank in range(3) for pid, arrays in _registered(rank, EAGER_NODES).items()
+    }
+    assert committed == {"d_s0000.shdf": set(expected)}
+    _attrs, blocks = file_blocks(machine.disk.open("d_s0000.shdf").read())
+    for pid, (coords, pressure) in expected.items():
+        assert blocks[pid][2]["coords"][3] == coords.tobytes()
+        assert blocks[pid][2]["pressure"][3] == pressure.tobytes()
+    clients = [s for kind, s in result.returns if kind == "client"]
+    assert sum(c.failovers for c in clients) == 3

@@ -81,7 +81,7 @@ def test_a_buffer_below_one_snapshot_share_bounds_the_stage():
 
 @pytest.mark.parametrize(
     "fraction, wall, visible",
-    [(0.5, 3.8247, 2.2011), (0.1, 5.0396, 3.6085), (0.02, 5.1265, 3.6691)],
+    [(0.5, 3.6810, 1.9591), (0.1, 4.7822, 3.4439), (0.02, 5.1342, 3.6571)],
 )
 def test_back_pressure_is_waited_for_with_or_without_an_idle_plan(fraction, wall, visible):
     """A guard that expires against a live server costs nothing but the

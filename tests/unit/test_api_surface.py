@@ -117,8 +117,9 @@ def test_no_argument_selects_a_second_path():
 
 def test_merging_shares_adds_no_option():
     """Which Rocpanda shares ride another server's file follows from the
-    filesystem's write latency and the network: no config field, no
-    argument selects it."""
+    filesystem's write latency and the network, and a writer's wait for
+    its peers' word and the lander's staging follow from what the server
+    observes: no config field, no argument selects any of them."""
     import dataclasses
 
     from repro.genx import GENxConfig
