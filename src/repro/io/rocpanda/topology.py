@@ -85,14 +85,14 @@ def failover_server(dead: int, servers: Tuple[int, ...], is_dead) -> int:
     raise RuntimeError("no surviving Rocpanda server to fail over to")
 
 
-def expected_clients(rank: int, topo: "Topology", machine) -> set:
+def expected_clients(rank: int, topo: "Topology", machine, quiet=frozenset()) -> set:
     """World ranks whose data (and Shutdown) server ``rank`` must see.
 
     While every rank is alive this is exactly its ``my_clients``.  It
     additionally adopts the clients of every dead server whose
     deterministic failover target (:func:`failover_server`) is ``rank`` —
     the same pure rule the clients evaluate, so both sides agree without
-    coordination.
+    coordination — but the ``quiet`` ones, which shut down before.
     """
     dead_ranks = machine.dead_ranks()
     expected = set(topo.my_clients)
@@ -106,7 +106,8 @@ def expected_clients(rank: int, topo: "Topology", machine) -> set:
             continue
         if heir == rank:
             expected.update(
-                r for r in clients_of(dead, topo.servers, topo.nprocs) if r not in dead_ranks
+                r for r in clients_of(dead, topo.servers, topo.nprocs)
+                if r not in dead_ranks and r not in quiet
             )
     return expected
 

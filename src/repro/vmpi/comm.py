@@ -427,17 +427,31 @@ class Comm:
         self.env.process(_proc(), name=f"irecv:{self.rank}")
         return request
 
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, until: Optional[Event] = None):
         """Generator: block until a matching message is available.
 
-        Returns its :class:`Status` without consuming the message.
+        Returns its :class:`Status` without consuming the message, or
+        ``None`` if the event ``until`` fires first.
         """
         _check_recv_tag(tag)
-        return self._probe(source, tag)
+        return self._probe(source, tag, until)
 
-    def _probe(self, source: int, tag: int):
-        envelope = yield self._peer(self.rank)[1].peek_matching(source, tag)
-        return envelope.status()
+    def _probe(self, source: int, tag: int, until: Optional[Event] = None):
+        mailbox = self._peer(self.rank)[1]
+        peek = mailbox.peek_matching(source, tag)
+        if until is not None and not peek.triggered:
+            # Withdrawn like a timed-out receive's waiter.
+            def withdraw(_event):
+                if not peek.triggered:
+                    mailbox.cancel_waiter(peek)
+                    peek.succeed(None)
+
+            if until.triggered:
+                withdraw(until)
+            else:
+                until.callbacks.append(withdraw)
+        envelope = yield peek
+        return None if envelope is None else envelope.status()
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
         """Immediate probe: Status of a matching pending message, or None."""

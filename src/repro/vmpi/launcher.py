@@ -212,6 +212,10 @@ class Job:
         #: can deliver one envelope twice, so recycling is disabled the
         #: moment a fault filter is installed.
         self.envelope_pool: list = []
+        #: State the ranks' services share for the job's lifetime, by
+        #: name, as they share the machine's death oracle (the Rocpanda
+        #: servers' finalize keeps its ``Finale`` here).
+        self.shared: Dict[str, Any] = {}
 
     # -- registry used by Comm ----------------------------------------------
     def context(self, global_rank: int) -> RankContext:
