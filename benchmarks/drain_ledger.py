@@ -28,10 +28,10 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(HERE, "..", "src"), os.path.join(HERE, "e2e")]
 
-from repro.bench.scale import DRAIN_TERMS  # noqa: E402
 from repro.cluster import Machine, turing  # noqa: E402
 from repro.genx import run_genx  # noqa: E402
 from repro.io.rocpanda import ServerConfig, server  # noqa: E402
+from repro.io.rocpanda.server import DRAIN_TERMS  # noqa: E402
 from repro.shdf import hdf4_driver, hdf5_driver, scan_file  # noqa: E402
 
 from child import copy_disk  # noqa: E402

@@ -3,23 +3,26 @@
 Runs the paper's experiments and demos without going through pytest:
 
 * ``paper [NAME ...]`` — the paper's artefacts (Table 1, Fig 3(a),
-  Fig 3(b), ablations A1–A6), each from its one definition in
-  :data:`repro.bench.ARTEFACTS` (default: all of them)
+  Fig 3(b), ablations A1–A6) and the simulator's strong and weak
+  scaling curves, each from its one definition in
+  :data:`repro.bench.ARTEFACTS` (default: all of them); ``--baseline``
+  compares each sweep with a committed run of it (:func:`repro.bench.compare`)
 * ``demo``    — a quick GENx run with a timing breakdown
 * ``trace``   — per-rank I/O timeline + overlap ratios (repro.obs)
-* ``scalebench`` — simulator scaling curves at 64..1024 ranks, both clocks
 * ``faultbench`` — fault-injection chaos matrix + recovery rates
 
 ``--quick`` shrinks everything for a fast smoke pass (``paper``: a
-quarter of each workload, one run); ``--out DIR`` also writes the
-rendered tables (and any aggregated instrumentation payload, as
-``BENCH_<name>.json``) to files.  Host time per workload and per layer
-is measured by ``benchmarks/e2e/run.py``, not by this CLI.
+quarter of each workload, one run; a scaling curve's 128-client point
+alone); ``--out DIR`` also writes the rendered tables (and any
+aggregated payload, as ``BENCH_<name>.json``: ``paper``'s holds each
+sweep's :meth:`~repro.bench.Grid.payload`) to files.  Host time per
+workload and per layer is measured by ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -48,11 +51,32 @@ class _Names(list):
 
 
 def cmd_paper(args) -> None:
-    from .bench import ARTEFACTS, sizing
+    from .bench import ARTEFACTS, Grid, compare, sizing, write_bench_json
 
     scale, runs = sizing(args.quick)
+    baseline = {}
+    if args.baseline:
+        with open(args.baseline) as fh:
+            baseline = json.load(fh)
+    grids, failures = {}, []
     for artefact in (ARTEFACTS[name] for name in args.names or ARTEFACTS):
-        _emit(args, artefact.filename, artefact.text(artefact.result(scale, runs)))
+        result = artefact.result(scale, runs)
+        _emit(args, artefact.filename, artefact.text(result))
+        if not isinstance(result, Grid):
+            continue
+        grids[artefact.name] = result.payload()
+        if args.baseline:
+            ratios, found = compare(result, baseline.get(artefact.name), args.max_regression)
+            print(f"[{artefact.name} vs baseline: " + (", ".join(
+                f"{name} {ratio}x" for name, ratio in ratios.items()
+            ) or "no size-matched baseline, not compared") + "]")
+            failures += [f"{artefact.name} {failure}" for failure in found]
+    if args.out and grids:
+        print(f"[saved to {write_bench_json(args.out, 'paper', grids)}]")
+    for failure in failures:
+        print(f"BASELINE MISMATCH: {failure}", file=sys.stderr)
+    if failures:
+        sys.exit(1)
 
 
 def cmd_demo(args) -> None:
@@ -89,46 +113,6 @@ def cmd_demo(args) -> None:
     ), payload={"modes": instrumentation})
 
 
-def cmd_scalebench(args) -> None:
-    from .bench.scale import (
-        DEFAULT_SCALE_BASELINE_PATH,
-        DEFAULT_SCALE_QUICK_BASELINE_PATH,
-        check_scale_regressions,
-        check_scale_virtual,
-        load_scale_baseline,
-        render_scale,
-        run_scalebench,
-    )
-
-    default_baseline = (
-        DEFAULT_SCALE_QUICK_BASELINE_PATH
-        if args.quick
-        else DEFAULT_SCALE_BASELINE_PATH
-    )
-    baseline = load_scale_baseline(args.baseline or default_baseline)
-    points = tuple(args.points) if args.points else None
-    payload = run_scalebench(quick=args.quick, baseline=baseline, points=points)
-    _emit(args, "scaling.txt", render_scale(payload), payload=payload)
-    if args.max_regression is not None:
-        if "speedup_vs_baseline" not in payload:
-            print("[no size-matched baseline: skipping regression gate]")
-            return
-        # The quick points' virtual clocks are exact at the bench's seed.
-        moved = check_scale_virtual(payload) if args.quick else []
-        for name, old, new in moved:
-            print(f"VIRTUAL MISMATCH: {name} {old} -> {new}", file=sys.stderr)
-        regressed = check_scale_regressions(payload, args.max_regression)
-        floor = 1.0 - args.max_regression
-        for name, speedup in regressed:
-            print(
-                f"REGRESSION: {name} at {speedup}x baseline "
-                f"(floor {floor:.2f}x)", file=sys.stderr,
-            )
-        if moved or regressed:
-            sys.exit(1)
-        print(f"[no point below {1.0 - args.max_regression:.2f}x baseline]")
-
-
 def cmd_faultbench(args) -> None:
     from .bench.faults import render_faults, run_faultbench
 
@@ -138,9 +122,9 @@ def cmd_faultbench(args) -> None:
 
 def cmd_trace(args) -> None:
     from .bench import render_table
-    from .bench.scale import DRAIN_TERMS, server_drain
     from .cluster import Machine, turing
     from .genx import GENxConfig, lab_scale_motor, run_genx
+    from .io.rocpanda.server import DRAIN_TERMS, server_drain
     from .obs import overlap_ratio, render_timeline, summary_payload
 
     modes = (
@@ -193,7 +177,7 @@ def cmd_trace(args) -> None:
             int(counters.get("retries", 0) + counters.get("write_retries", 0)),
             int(counters.get("failovers", 0)),
             int(counters.get("write_flushes", 0)),
-            *server_drain(result).values(),
+            *server_drain(s.stats for s in result.servers).values(),
             int(tier_counters.get("drain_backlog_bytes", 0)),
             int(tier_counters.get("tier_evictions", 0)),
             int(tier_counters.get("drain_flushes", 0)),
@@ -228,30 +212,19 @@ def build_parser() -> argparse.ArgumentParser:
     paper = sub.add_parser("paper", help="regenerate the paper's artefacts")
     paper.add_argument("names", nargs="*", metavar="NAME", choices=_Names(ARTEFACTS),
                        help="default: all of " + ", ".join(ARTEFACTS))
+    paper.add_argument(
+        "--baseline", metavar="PATH",
+        help="a BENCH_paper.json to compare each sweep with: fail (exit 1) "
+             "on any cell that moved or any host column below the floor",
+    )
+    paper.add_argument(
+        "--max-regression", type=float, default=0.25, metavar="FRAC",
+        help="host floor for --baseline: host wall, events/s and host MB/s "
+             "may be at most FRAC worse (default 0.25)",
+    )
     paper.set_defaults(func=cmd_paper)
     sub.add_parser("demo", help="quick three-service comparison run").set_defaults(
         func=cmd_demo)
-    scale = sub.add_parser(
-        "scalebench",
-        help="simulator scaling curves, 64 -> 1024 ranks "
-             "(--quick: 128-client point only)",
-    )
-    scale.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline BENCH_scaling JSON to compare against "
-             "(default: bench_results/BENCH_scaling_baseline[_quick].json)",
-    )
-    scale.add_argument(
-        "--points", type=int, nargs="+", default=None, metavar="N",
-        help="client counts to run instead of the standard sweep",
-    )
-    scale.add_argument(
-        "--max-regression", type=float, default=None, metavar="FRAC",
-        help="fail (exit 1) if any curve point's host wall, events/s or "
-             "host MB/s is more than FRAC worse than the committed "
-             "baseline (e.g. 0.25)",
-    )
-    scale.set_defaults(func=cmd_scalebench)
     faults = sub.add_parser(
         "faultbench", help="chaos matrix: fault injection x I/O module recovery rates"
     )

@@ -23,7 +23,7 @@ The matrix exercises:
 The matrix times nothing on the host.  That an installed but idle
 injector costs nothing is a test (``TestIdleInjectorIsTransparent``:
 virtual times and disk image bit-identical); host time is measured by
-``benchmarks/e2e`` and :mod:`repro.bench.scale`.
+``benchmarks/e2e`` and by the paper sweeps (:attr:`repro.bench.Grid.host`).
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""One registry of the paper's artefacts: Table 1, Fig 3(a)/(b), A1-A6.
+"""One registry of the paper's artefacts: Table 1, Fig 3(a)/(b), A1-A6,
+and the simulator's strong and weak scaling curves.
 
 Each :class:`Artefact` is a name (its ``bench_results/<name>.txt``), a
 title, a renderer and a run: a :class:`Sweep` of GENx jobs, collapsed
@@ -7,11 +8,17 @@ Frost), or a plain callable for the micro experiments of
 :mod:`repro.bench.micro`.  ``python -m repro paper`` and
 ``benchmarks/test_*.py`` both run :data:`ARTEFACTS`: one definition per
 file.
+
+A sweep also times each job on the host.  Those columns are kept apart
+from the (virtual, exact per seed) cells, in :attr:`Grid.host`: the
+``.txt`` files hold only cells, and :meth:`Grid.payload` holds both
+for :func:`compare` against a committed baseline.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -21,6 +28,7 @@ from ..cluster.presets import frost, turing
 from ..genx.driver import GENxConfig, GENxRunResult, run_genx
 from ..genx.workloads import WorkloadSpec, lab_scale_motor, scalability_cylinder
 from ..io.rocpanda import ServerConfig
+from ..io.rocpanda.server import DRAIN_TERMS, server_drain
 from ..util.stats import Summary, best_of, mean_ci
 from ..util.units import MB
 from ..vmpi import placement as placements
@@ -28,7 +36,7 @@ from . import micro
 from .report import render_series, render_table
 
 __all__ = [
-    "ARTEFACTS", "Artefact", "Grid", "Row", "Sweep", "sizing", "summarize",
+    "ARTEFACTS", "Artefact", "Grid", "Row", "Sweep", "compare", "sizing", "summarize",
     "PARALLEL_HDF5_REFERENCE_BPS", "TABLE1_PAPER",
 ]
 
@@ -41,9 +49,10 @@ PARALLEL_HDF5_REFERENCE_BPS = 160 * MB
 
 
 def sizing(quick: bool = False) -> Tuple[float, Optional[int]]:
-    """``(scale, runs)``: a factor on each definition's workload size and
-    a run count replacing its own (None keeps it).  ``quick`` is ``(0.25,
-    1)``; otherwise ``REPRO_BENCH_SCALE`` (default 1.0, the paper-faithful
+    """``(scale, runs)``: a factor on each definition's workload size (a
+    scaling curve keeps its size, and below 1 runs one point) and a run
+    count replacing its own (None keeps it).  ``quick`` is ``(0.25, 1)``;
+    otherwise ``REPRO_BENCH_SCALE`` (default 1.0, the paper-faithful
     sizes) and ``REPRO_BENCH_RUNS`` decide."""
     if quick:
         return 0.25, 1
@@ -84,12 +93,18 @@ class Row:
     restart_seed: int = 0
 
 
+#: A point's host columns, and whether bigger is faster.
+HOST_COLUMNS = {"host_wall_s": False, "events_per_sec": True, "host_mb_per_s": True}
+
+
 @dataclass
 class Grid:
-    """A sweep's result: metric -> sweep point -> :class:`Summary`."""
+    """A sweep's result: metric -> sweep point -> :class:`Summary`, and
+    per point what its jobs cost the host (:data:`HOST_COLUMNS`)."""
 
     xs: List[Any]
     cells: Dict[str, Dict[Any, Summary]]
+    host: Dict[Any, Dict[str, float]] = field(default_factory=dict)
 
     def value(self, metric: str, x: Any) -> float:
         return self.cells[metric][x].value
@@ -102,13 +117,68 @@ class Grid:
         """``{x: {metric: value}}``, one dict per sweep point."""
         return {x: {m: c[x].value for m, c in self.cells.items() if x in c} for x in self.xs}
 
+    def payload(self) -> Dict[str, Any]:
+        """The JSON form: per point its cells' values and host columns."""
+        rows = self.rows()
+        return {"schema": "grid-v1", "points": [
+            {"x": x, "cells": rows[x], "host": self.host.get(x, {})} for x in self.xs
+        ]}
+
+
+def compare(
+    grid: Grid, baseline: Optional[Dict[str, Any]], max_regression: float = 0.25
+) -> Tuple[Dict[str, float], List[str]]:
+    """``grid`` against ``baseline``, the :meth:`Grid.payload` of a
+    committed run of the same sweep: ``(ratios, failures)``.
+
+    ``ratios`` maps ``"<x> <column>"`` to each host column's speedup
+    over the baseline (bigger is faster); ``failures`` names every ratio
+    below ``1 - max_regression`` and every cell whose value moved, old
+    -> new (cells are virtual: exact for a seed).  A baseline over other
+    points, or none, compares nothing; a point or column it lacks is
+    skipped.
+    """
+    if baseline is None or [p["x"] for p in baseline["points"]] != grid.xs:
+        return {}, []
+    ratios, moved, rows = {}, [], grid.rows()
+    for point in baseline["points"]:
+        x, new = point["x"], grid.host.get(point["x"], {})
+        for column, bigger_is_faster in HOST_COLUMNS.items():
+            old = point["host"].get(column)
+            if old and new.get(column):
+                ratio = new[column] / old
+                ratios[f"{x} {column}"] = round(ratio if bigger_is_faster else 1 / ratio, 3)
+        moved += [
+            f"{x} {metric}: {old} -> {rows[x][metric]}"
+            for metric, old in point["cells"].items()
+            if metric in rows[x] and rows[x][metric] != old
+        ]
+    floor = 1.0 - max_regression
+    return ratios, [
+        f"{name} at {ratio}x baseline (floor {floor:.2f}x)"
+        for name, ratio in ratios.items() if ratio < floor
+    ] + moved
+
+
+def _host_columns(seconds: float, events: int, payload: int) -> Dict[str, float]:
+    return {
+        "host_wall_s": round(seconds, 3),
+        "events_per_sec": round(events / seconds, 1),
+        "host_mb_per_s": round(payload / MB / seconds, 1),
+    }
+
+
+def _payload(result: GENxRunResult) -> int:
+    """Array bytes the job's compute ranks wrote."""
+    return sum(c.io_stats.bytes_written for c in result.clients)
+
 
 @dataclass(frozen=True)
 class Sweep:
     """Rows of GENx jobs on one machine preset, on fresh machines seeded
     ``seed, seed + 1, ...`` (``runs`` of them).  ``workload`` maps the
     scale factor to the workload; ``rows`` is a list or a function of
-    ``(sweep, workload)`` returning one."""
+    ``(sweep, scale)`` returning one."""
 
     preset: Callable[[], MachineSpec]
     workload: Callable[[float], WorkloadSpec]
@@ -118,9 +188,13 @@ class Sweep:
     policy: str
     prefix: str
 
-    def sample(self, workload: WorkloadSpec, row: Row, seed: int) -> Dict[str, float]:
+    def sample(
+        self, workload: WorkloadSpec, row: Row, seed: int
+    ) -> Tuple[Dict[str, float], Tuple[float, int, int]]:
         """Run a row once on a fresh machine (and its restart on that disk),
-        reduced to its metrics: the jobs are freed before the next starts."""
+        reduced to its metrics and what the write job cost the host:
+        ``(seconds, DES events, payload bytes)``.  The jobs are freed
+        before the next starts."""
         kw = {"prefix": self.prefix, **row.config}
         if row.server:
             kw["server_config"] = ServerConfig(**row.server)
@@ -129,7 +203,9 @@ class Sweep:
         )
         machine = Machine(self.preset(), seed=seed)
         nprocs = row.clients + row.servers
+        t0 = time.perf_counter()
         result = run_genx(machine, nprocs, config, placement=row.placement)
+        cost = (time.perf_counter() - t0, machine.env.events_processed, _payload(result))
         sample = {k: metric(result) for k, metric in row.metrics.items()}
         if row.restart:
             again = Machine(self.preset(), seed=seed + row.restart_seed, disk=machine.disk)
@@ -138,20 +214,24 @@ class Sweep:
                 restart_step=workload.steps, restart_prefix=config.prefix,
             ), placement=row.placement)
             sample.update({k: metric(restarted) for k, metric in row.restart.items()})
-        return sample
+        return sample, cost
 
     def __call__(self, scale: float = 1.0, runs: Optional[int] = None) -> Grid:
         workload = self.workload(scale)
-        rows = self.rows(self, workload) if callable(self.rows) else self.rows
+        rows = self.rows(self, scale) if callable(self.rows) else self.rows
         cells: Dict[str, Dict[Any, Summary]] = {}
+        costs: Dict[Any, List] = {}
         for row in rows:
-            samples = [
-                self.sample(workload, row, seed)
-                for seed in range(self.seed, self.seed + (runs or self.runs))
-            ]
+            samples = []
+            for seed in range(self.seed, self.seed + (runs or self.runs)):
+                sample, cost = self.sample(workload, row, seed)
+                samples.append(sample)
+                costs.setdefault(row.x, []).append(cost)
             for key, summary in summarize(samples, self.policy).items():
                 cells.setdefault(key, {})[row.x] = summary
-        return Grid(list(dict.fromkeys(r.x for r in rows)), cells)
+        # A point's host columns: all its write jobs, summed.
+        host = {x: _host_columns(*map(sum, zip(*jobs))) for x, jobs in costs.items()}
+        return Grid(list(dict.fromkeys(r.x for r in rows)), cells, host)
 
 
 @dataclass(frozen=True)
@@ -186,9 +266,8 @@ restart = attrgetter("restart_time")
 
 def _throughput(result: GENxRunResult) -> float:
     """Apparent write throughput: bytes written / visible output cost."""
-    total = sum(c.io_stats.bytes_written for c in result.clients)
     cost = result.visible_io_time
-    return total / cost if cost > 0 else 0.0
+    return _payload(result) / cost if cost > 0 else 0.0
 
 
 # ---- renderers --------------------------------------------------------
@@ -300,12 +379,7 @@ TABLE1 = Sweep(
 # ---- Fig 3(a) and 3(b) (§7.2) -----------------------------------------
 # The Frost "scalability" test: fixed data per compute processor, 15
 # compute processors per 16-way node.  Fig 3(a)'s Rocpanda puts a server
-# on each node's 16th CPU and is calibrated to Frost's 375 MHz POWER3s:
-# servers ingest slower than Turing's, and clients pay a per-block
-# marshalling cost, so one client cannot keep a server busy.
-
-FROST_SERVER = {"ingest_overhead": 2.0e-3, "ingest_bw": 100 * MB}
-FROST_CLIENT_PACK = (3.0e-3, 80 * MB)
+# on each node's 16th CPU; ``frost()`` carries its 375 MHz POWER3 costs.
 
 FIG3A = Sweep(
     preset=frost,
@@ -316,9 +390,7 @@ FIG3A = Sweep(
         row
         for n in (1, 3, 7, 15, 30, 60, 120, 480)
         for row in (
-            Row(n, "rocpanda", n, {"rocpanda": _throughput},
-                servers=max(1, n // 15), server=FROST_SERVER,
-                config={"client_pack": FROST_CLIENT_PACK}),
+            Row(n, "rocpanda", n, {"rocpanda": _throughput}, servers=max(1, n // 15)),
             Row(n, "rochdf", n, {"rochdf": _throughput},
                 placement=placements.leave_one_idle),
         )
@@ -380,12 +452,13 @@ A3 = _ablation(920, [
 ])
 
 
-def _a4_rows(sweep: Sweep, workload: WorkloadSpec) -> List[Row]:
+def _a4_rows(sweep: Sweep, scale: float) -> List[Row]:
     """Buffer capacities as fractions of one server's snapshot share,
     measured by a probe job of the same workload."""
     probe = Row(None, "rocpanda", 16, {"snapshot": attrgetter("bytes_written_per_snapshot")},
                 servers=2, config={"prefix": "a4p"})
-    share = sweep.sample(workload, probe, sweep.seed)["snapshot"] / 2
+    sample, _cost = sweep.sample(sweep.workload(scale), probe, sweep.seed)
+    share = sample["snapshot"] / 2
     return [
         Row(fraction, "rocpanda", 16, {
             "visible_io": visible,
@@ -406,6 +479,98 @@ A5 = _ablation(960, [
         config={"prefix": f"a5_{on}", "client_buffering": on})
     for label, on in (("server_only", False), ("client+server", True))
 ])
+
+# ---- the simulator's scaling curves ------------------------------------
+# Past the paper's 480 processors: Rocpanda at 8:1 on Turing, 64 -> 1024
+# clients, all on one 576-node Turing (the 1024-client point's 1152
+# ranks; every node past the 208th has Turing's calibration).  The
+# strong curve fixes the total: Table 1's motor at the acceptance size,
+# repartitioned onto 1024 + 1024 blocks so every client owns one, and
+# what scales is the rank count, with it the collective traffic.  The
+# weak curve fixes the share: the Frost cylinder at 0.25 MB per client,
+# so total data grows 16x over the sweep and stresses the DES core, the
+# servers' fan-in and the one write slot.  Below full size a curve runs
+# its 128-client point alone, at full size.
+
+SCALING_CLIENTS = (64, 128, 256, 512, 1024)
+QUICK_CLIENTS = (128,)
+
+
+def _leased_writes(result: GENxRunResult) -> int:
+    """The filesystem's writes, checked against its write-slot lease:
+    under it only bytes move — one write per hold, the holds summing to
+    the write-busy time, one writer at a time."""
+    metrics = result.machine.fs.metrics
+    held = sum(s.stats.transfer_time for s in result.servers)
+    holds = sum(s.stats.write_flushes for s in result.servers)
+    if (abs(held - metrics.write_busy_time) > 1e-9 or metrics.peak_write_demand != 1
+            or metrics.write_ops != holds):
+        raise AssertionError(
+            f"{len(result.clients)} clients: lease held {held} s for "
+            f"{metrics.write_busy_time} s of writes, {metrics.peak_write_demand} at "
+            f"once, {metrics.write_ops} writes in {holds} holds"
+        )
+    return metrics.write_ops
+
+
+def _drain(term: str) -> Metric:
+    return lambda r: server_drain(s.stats for s in r.servers)[f"{term}_s"]
+
+
+#: metric -> (header, metric); every column exact for a seed.
+SCALING_COLUMNS: Dict[str, Tuple[str, Metric]] = {
+    "virtual_wall_s": ("virt wall (s)", attrgetter("wall_time")),
+    "computation_s": ("compute (s)", computation),
+    "visible_io_s": ("visible I/O (s)", visible),
+    "final_sync_s": ("final sync (s)", lambda r: max(c.final_sync_time for c in r.clients)),
+    **{f"{term}_s": (f"{term.replace('_', ' ')} (s)", _drain(term)) for term in DRAIN_TERMS},
+    "fs_write_ops": ("fs writes", _leased_writes),
+    "peak_write_demand": ("peak writers", lambda r: r.machine.fs.metrics.peak_write_demand),
+    "refused_joins": ("refused joins", lambda r: sum(s.stats.refused_joins for s in r.servers)),
+    "payload_bytes": ("payload (B)", _payload),
+    "events": ("events", lambda r: r.machine.env.events_processed),
+    "max_queue_depth": ("max queue", lambda r: r.machine.env.max_queue_depth),
+}
+SCALING_METRICS = {name: metric for name, (_header, metric) in SCALING_COLUMNS.items()}
+
+
+def _scaling_rows(sweep: Sweep, scale: float) -> List[Row]:
+    return [
+        Row(n, "rocpanda", n, SCALING_METRICS, servers=n // 8,
+            config={"prefix": f"{sweep.prefix}_{n}"})
+        for n in (SCALING_CLIENTS if scale >= 1 else QUICK_CLIENTS)
+    ]
+
+
+def _scaling(workload: Callable[[], WorkloadSpec], prefix: str) -> Sweep:
+    return Sweep(preset=lambda: turing(nnodes=576), workload=lambda _scale: workload(),
+                 rows=_scaling_rows, runs=1, seed=100, policy="best", prefix=prefix)
+
+
+SCALING_STRONG = _scaling(lambda: lab_scale_motor(
+    scale=0.05, steps=40, snapshot_interval=10, nblocks_fluid=1024, nblocks_solid=1024,
+), "sstrong")
+
+SCALING_WEAK = _scaling(lambda: scalability_cylinder(
+    per_client_bytes=0.25 * MB, blocks_per_client_fluid=2, blocks_per_client_solid=1,
+    steps=12, snapshot_interval=4,
+), "sweak")
+
+
+def _scaling_table(grid: Grid, title: str) -> str:
+    """One row per client count; seconds to the microsecond."""
+    return render_table(
+        ["clients", "ranks", *(header for header, _metric in SCALING_COLUMNS.values())],
+        [
+            [n, n + n // 8, *(
+                f"{v:.6f}" if isinstance(v, float) else v
+                for v in (grid.value(m, n) for m in SCALING_COLUMNS)
+            )]
+            for n in grid.xs
+        ],
+        title=title,
+    )
+
 
 _VISIBLE_IO = {"visible_io": "visible I/O (s)"}
 
@@ -440,4 +605,10 @@ ARTEFACTS: Dict[str, Artefact] = {a.name: a for a in (
                  ["partition", "computation time (s)"],
                  [[k, v] for k, v in result.items()], title=title,
              ), micro.run_load_balancing_ablation),
+    Artefact("scaling_strong", "Strong scaling — the Table 1 motor under Rocpanda "
+             "at 8:1, 64 -> 1024 clients (Turing, seed 100)", _scaling_table,
+             SCALING_STRONG),
+    Artefact("scaling_weak", "Weak scaling — 0.25 MB per client under Rocpanda "
+             "at 8:1, 64 -> 1024 clients (Turing, seed 100)", _scaling_table,
+             SCALING_WEAK),
 )}

@@ -17,7 +17,7 @@ import numpy as np
 from ..des import Environment
 from ..fs.models import FileSystemModel
 from ..fs.vfs import VirtualDisk
-from ..util.units import GB
+from ..util.units import GB, MB
 from .network import Network, NetworkSpec
 from .node import Node
 from .noise import ExternalLoad, NoExternalLoad, NoiseModel, NoNoise
@@ -43,6 +43,15 @@ class MachineSpec:
     fs_factory: Callable[[Environment, VirtualDisk], FileSystemModel] = None
     noise: NoiseModel = field(default_factory=NoNoise)
     external_load: ExternalLoad = field(default_factory=NoExternalLoad)
+    #: Rocpanda's CPU costs on this platform: a client marshals each
+    #: block in ``pack_overhead`` seconds plus its bytes at ``pack_bw``;
+    #: a server books each message in ``ingest_overhead`` seconds and
+    #: copies its bytes into the buffer at ``ingest_bw`` (Panda's large
+    #: streaming memcpys, faster than T-Rochdf's per-array buffering).
+    pack_overhead: float = 0.2e-3
+    pack_bw: float = 350 * MB
+    ingest_overhead: float = 0.4e-3
+    ingest_bw: float = 350 * MB
 
     def total_cpus(self) -> int:
         return self.nnodes * self.cpus_per_node

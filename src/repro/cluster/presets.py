@@ -85,6 +85,10 @@ def frost(
     tasks", §4.1) provides per-node OS noise; with per-timestep
     synchronization this noise is amplified with scale — the mechanism
     behind Figure 3(b).
+
+    Rocpanda runs at the 375 MHz CPUs' pace: its servers ingest slower
+    than Turing's, and its clients pay a per-block marshalling cost, so
+    one client cannot keep a server busy (Fig 3(a)).
     """
     return MachineSpec(
         name="frost",
@@ -111,6 +115,10 @@ def frost(
         ),
         noise=OSNoise(duty=noise_duty, leak=0.001, gamma_shape=0.5),
         external_load=NoExternalLoad(),
+        pack_overhead=3.0e-3,
+        pack_bw=80 * MB,
+        ingest_overhead=2.0e-3,
+        ingest_bw=100 * MB,
     )
 
 

@@ -48,9 +48,6 @@ class GENxConfig:
     #: Rocpanda servers' tunables; an explicit one wins, driver included
     #: (None: the defaults, with ``driver_factory``'s driver).
     server_config: Optional[ServerConfig] = None
-    #: Optional (overhead_seconds, bytes_per_second) override of the
-    #: Rocpanda client's per-block marshalling cost (platform tuning).
-    client_pack: Optional[tuple] = None
     #: Full active-buffering hierarchy ([13]): buffer on the clients
     #: too, shipping to servers from a background sender thread.
     client_buffering: bool = False
@@ -181,14 +178,7 @@ def genx_main(config: GENxConfig):
 
         com = Roccom(ctx)
         if config.io_mode == "rocpanda":
-            pack = config.client_pack or (None, None)
-            io_module = RocpandaModule(
-                ctx,
-                topo,
-                pack_overhead=pack[0],
-                pack_bw=pack[1],
-                client_buffering=config.client_buffering,
-            )
+            io_module = RocpandaModule(ctx, topo, client_buffering=config.client_buffering)
         elif config.io_mode == "trochdf":
             io_module = TRochdfModule(ctx, config.driver_factory())
         else:

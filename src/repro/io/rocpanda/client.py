@@ -72,17 +72,10 @@ class RocpandaModule(ServiceModule):
 
     name = "rocpanda"
 
-    #: Default per-block marshalling overhead (message assembly).
-    PACK_OVERHEAD = 0.2e-3
-    #: Default marshalling copy bandwidth, bytes/s.
-    PACK_BW = 350 * 1024 * 1024
-
     def __init__(
         self,
         ctx,
         topo: Topology,
-        pack_overhead: float = None,
-        pack_bw: float = None,
         client_buffering: bool = False,
         retry: Optional[RetryPolicy] = None,
     ):
@@ -93,13 +86,16 @@ class RocpandaModule(ServiceModule):
         GENx's production configuration keeps this off — "only
         server-side buffering is used because the servers have enough
         idle memory" (§6.1) — but the hierarchy is part of the scheme.
+        Each block's marshalling costs the machine's ``pack_overhead``
+        and ``pack_bw`` (:class:`~repro.cluster.MachineSpec`).
         """
         if topo.is_server:
             raise ValueError("RocpandaModule is the client side; servers run PandaServer")
         self.ctx = ctx
         self.topo = topo
-        self.pack_overhead = pack_overhead if pack_overhead is not None else self.PACK_OVERHEAD
-        self.pack_bw = pack_bw if pack_bw is not None else self.PACK_BW
+        spec = ctx.machine.spec
+        self.pack_overhead = spec.pack_overhead
+        self.pack_bw = spec.pack_bw
         self.client_buffering = client_buffering
         self.retry = retry if retry is not None else RetryPolicy()
         self.stats = IOStats()

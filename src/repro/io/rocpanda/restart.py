@@ -31,6 +31,14 @@ from .protocol import TAG_REPLY, RestartBatch, RestartDone, RestartRequest
 
 __all__ = ["RestartService"]
 
+#: Target bytes per bulk-read region.  Regions are cut at write-behind
+#: stage boundaries once they exceed this, so one region's decoded
+#: blocks are scattered while later regions' reads are still landing.
+RESTART_REGION_BYTES = 4 * 1024 * 1024
+#: Largest hole (bytes) a region's read sieves through when merging
+#: record extents into one contiguous ``fs.read``.
+RESTART_SIEVE_GAP = 65536
+
 
 class RestartService:
     """One server's restart side.  :class:`~.server.PandaServer` hands
@@ -128,11 +136,10 @@ class RestartService:
         fault that outlasts the retries (or a crash) is the value, raised
         when the main loop reaches the region: a failed event nobody
         waits on yet would stop the simulation."""
-        gap = self.config.restart_sieve_gap
         try:
             return (yield from retrying(
                 self.ctx.env, self.config.retry,
-                lambda: reader.read_extents(region, sieve_gap=gap),
+                lambda: reader.read_extents(region, sieve_gap=RESTART_SIEVE_GAP),
                 on_retry=self._note_read_retry,
             ))
         except (WriteFaultError, Interrupt) as exc:
@@ -158,10 +165,8 @@ class RestartService:
                 readers.append(reader)
         regions = []
         for reader in readers:
-            for region in _restart_regions(reader.entries(), self.config.restart_region_bytes):
-                self.stats.restart_sieve_waste_bytes += _sieve_waste(
-                    region, self.config.restart_sieve_gap
-                )
+            for region in _restart_regions(reader.entries(), RESTART_REGION_BYTES):
+                self.stats.restart_sieve_waste_bytes += _sieve_waste(region, RESTART_SIEVE_GAP)
                 regions.append(self._start(self._read(reader, region), "panda-restart-read"))
         return readers, regions
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ...des import Interrupt
 from ...faults.retry import RetryPolicy, retrying
@@ -62,7 +62,10 @@ from .protocol import (
 from .restart import RestartService
 from .topology import Topology, expected_clients, server_file_path
 
-__all__ = ["ServerConfig", "ServerStats", "PandaServer", "server_file_path"]
+__all__ = [
+    "ServerConfig", "ServerStats", "PandaServer", "server_file_path", "DRAIN_TERMS",
+    "server_drain",
+]
 
 
 #: The smallest write-behind stage worth a transfer: caught up with the
@@ -76,38 +79,27 @@ __all__ = ["ServerConfig", "ServerStats", "PandaServer", "server_file_path"]
 WRITE_BEHIND_BYTES = 256 * 1024
 
 
+#: ``cpu.server_busy_fraction`` while the lander works and while it is
+#: idle (§4.1): an idle server's CPU absorbs the node's OS background work.
+BUSY_FRACTION_WRITING = 0.95
+BUSY_FRACTION_IDLE = 0.05
+
+
 @dataclass
 class ServerConfig:
-    """Tunables of one I/O server."""
+    """Tunables of one I/O server.  What it costs to take a block in is
+    the machine's (``MachineSpec.ingest_overhead`` / ``ingest_bw``)."""
 
     #: Buffer capacity for active buffering, in bytes.
     buffer_bytes: float = 512 * 1024 * 1024
     #: Scientific-format driver used for the files.
     driver: HDFDriver = field(default_factory=hdf4_driver)
-    #: Per-block server-side bookkeeping cost on ingest (buffer
-    #: management + Panda protocol handling), seconds.
-    ingest_overhead: float = 0.4e-3
-    #: Bandwidth of the buffering copy on the server (bytes/s).  Panda
-    #: copies received blocks with large streaming memcpys, faster than
-    #: the per-array buffering T-Rochdf does on the compute side.
-    ingest_bw: float = 350 * 1024 * 1024
     #: Disable buffering entirely (ablation A1): write through, making
     #: clients wait for actual file I/O.
     active_buffering: bool = True
-    #: ``server_busy_fraction`` while actively writing vs while idle.
-    busy_fraction_writing: float = 0.95
-    busy_fraction_idle: float = 0.05
     #: Backoff schedule for transient disk faults (write EIO, disk-full,
     #: restart read EIO).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Target bytes per bulk-read region in two-phase restart.  Regions
-    #: are cut at write-behind stage boundaries once they exceed this, so
-    #: one region's decoded blocks are scattered while later regions'
-    #: reads are still landing.
-    restart_region_bytes: float = 4 * 1024 * 1024
-    #: Maximum hole (bytes) the restart read sieves through when
-    #: merging record extents into one contiguous ``fs.read``.
-    restart_sieve_gap: int = 65536
 
 
 @dataclass
@@ -168,6 +160,20 @@ class ServerStats:
         return self.bookkeeping_time + self.meta_time + self.lock_rpc_time + self.transfer_time
 
 
+#: The terms of a server's drain, as :class:`ServerStats` names them
+#: (``<term>_time``), all on its lander.
+DRAIN_TERMS = ("bookkeeping", "meta", "lock_rpc", "slot_wait", "transfer")
+
+
+def server_drain(stats: Iterable[ServerStats]) -> Dict[str, float]:
+    """``{term}_s`` per :data:`DRAIN_TERMS` for the server whose drain
+    (their sum: its ``bg_write``, ``settle``, ``land`` and ``slot_wait``
+    records) was the longest; zeros without servers."""
+    drains = [[getattr(st, f"{term}_time") for term in DRAIN_TERMS] for st in stats]
+    slowest = max(drains, key=sum, default=[0.0] * len(DRAIN_TERMS))
+    return {f"{term}_s": value for term, value in zip(DRAIN_TERMS, slowest)}
+
+
 class _PathState:
     """Per-output-file bookkeeping on the server."""
 
@@ -205,6 +211,9 @@ class PandaServer:
         self.topo = topo
         self.config = config if config is not None else ServerConfig()
         self.stats = ServerStats()
+        spec = ctx.machine.spec
+        self._ingest_overhead = spec.ingest_overhead
+        self._ingest_bw = spec.ingest_bw
         self.server_index = topo.servers.index(ctx.rank)
         self._paths: Dict[str, _PathState] = {}
         #: FIFO of (path, EncodedBlock) awaiting background write;
@@ -405,7 +414,7 @@ class PandaServer:
         cfg = self.config
         t0 = self.ctx.now
         # Buffer-management / protocol bookkeeping, once per message.
-        yield self.ctx.env.sleep(cfg.ingest_overhead)
+        yield self.ctx.env.sleep(self._ingest_overhead)
         fresh = []
         for client, eb in blocks:
             key = (client, eb.block_id)
@@ -420,7 +429,7 @@ class PandaServer:
             return
         if cfg.active_buffering:
             # One streaming copy into the server's buffer hierarchy.
-            yield self.ctx.env.sleep(nbytes / cfg.ingest_bw)
+            yield self.ctx.env.sleep(nbytes / self._ingest_bw)
         self.ctx.io_record("rocpanda", op, path=path, nbytes=nbytes, t_start=t0, visible=False)
         if cfg.active_buffering:
             yield from self._make_room(nbytes)
@@ -462,9 +471,8 @@ class PandaServer:
     def _working(self, delta: int) -> None:
         """Busy CPU while the lander books or holds the lease (§4.1)."""
         self._nworking += delta
-        cfg = self.config
         self.ctx.cpu.server_busy_fraction = (
-            cfg.busy_fraction_writing if self._nworking else cfg.busy_fraction_idle
+            BUSY_FRACTION_WRITING if self._nworking else BUSY_FRACTION_IDLE
         )
 
     def _stage_queue(self):

@@ -52,6 +52,9 @@ def test_sweep_fills_named_columns_per_point_and_restarts_on_the_disk():
     assert list(grid.column("restart")) == [2]
     assert grid.value("restart", 2) > 0
     assert grid.rows()[4] == {"io": grid.value("io", 4)}
+    # What each point's jobs cost the host sits beside the cells.
+    assert set(grid.host) == {2, 4}
+    assert all(v > 0 for host in grid.host.values() for v in host.values())
     # Runs are seeded seed, seed + 1, ...; the restart job sees its own.
     assert seen == [7, 8, 7, 8]
     # Best of N: the kept value is one of the runs' own.

@@ -1,7 +1,7 @@
 """Unit tests for the DES core's two queues and its scaling diagnostics.
 
 Covers the zero-delay "now ladder" beside the heap and the diagnostics
-(``events_processed`` / ``max_queue_depth``) the scalebench reads.
+(``events_processed`` / ``max_queue_depth``) the scaling curves read.
 """
 
 from repro.des import Environment, URGENT

@@ -65,13 +65,13 @@ def test_version_string():
 
 
 def test_bench_has_no_host_micro_suite():
-    """Host time is measured end to end (benchmarks/e2e) and across rank
-    counts (scalebench); repro.bench holds no synthetic micro suite, and
-    the paper's artefacts have one registry (sweep) beside the micro
-    experiments it runs (micro)."""
+    """Host time is measured end to end (benchmarks/e2e) and per sweep
+    point (the scaling curves among them); repro.bench holds no
+    synthetic micro suite, and the paper's artefacts have one registry
+    (sweep) beside the micro experiments it runs (micro)."""
     bench = importlib.import_module("repro.bench")
     assert {m.name for m in pkgutil.iter_modules(bench.__path__)} == {
-        "faults", "micro", "report", "scale", "sweep",
+        "faults", "micro", "report", "sweep",
     }
 
 
@@ -119,22 +119,24 @@ def test_merging_shares_adds_no_option():
     """Which Rocpanda shares ride another server's file follows from the
     filesystem's write latency and the network, and a writer's wait for
     its peers' word and the lander's staging follow from what the server
-    observes: no config field, no argument selects any of them."""
+    observes: no config field, no argument selects any of them.  What
+    Rocpanda's marshalling and ingest cost is the machine's."""
     import dataclasses
 
     from repro.genx import GENxConfig
-    from repro.io import PandaServer, ServerConfig
+    from repro.io import PandaServer, RocpandaModule, ServerConfig
 
     assert {f.name for f in dataclasses.fields(GENxConfig)} == {
-        "adapt_interval", "adapt_mesh", "client_buffering", "client_pack",
+        "adapt_interval", "adapt_mesh", "client_buffering",
         "driver_factory", "initial_snapshot", "io_mode", "lb_interval",
         "lb_threshold", "load_balance", "nservers", "prefix", "restart_prefix",
         "restart_step", "server_config", "steps", "storage_tier", "tier_config",
         "workload",
     }
     assert {f.name for f in dataclasses.fields(ServerConfig)} == {
-        "active_buffering", "buffer_bytes", "busy_fraction_idle",
-        "busy_fraction_writing", "driver", "ingest_bw", "ingest_overhead",
-        "restart_region_bytes", "restart_sieve_gap", "retry",
+        "active_buffering", "buffer_bytes", "driver", "retry",
     }
     assert set(inspect.signature(PandaServer).parameters) == {"ctx", "topo", "config"}
+    assert set(inspect.signature(RocpandaModule).parameters) == {
+        "ctx", "topo", "client_buffering", "retry",
+    }

@@ -50,21 +50,23 @@ class TestParser:
             build_parser().parse_args(["paper", "fig99"])
 
     def test_commands_and_faultbench_flags_are_exactly_these(self):
-        """Host time is measured by benchmarks/e2e and scalebench only:
-        no micro-benchmark command, and faultbench times nothing.  One
-        command runs the paper's artefacts, by their registry names."""
+        """Host time is measured by benchmarks/e2e and the paper sweeps
+        only: no micro-benchmark command, and faultbench times nothing.
+        One command runs the paper's artefacts, the scaling curves among
+        them, by their registry names."""
         parser = build_parser()
         (sub,) = [
             a for a in parser._actions
             if isinstance(a, argparse._SubParsersAction)
         ]
-        assert set(sub.choices) == {
-            "paper", "demo", "trace", "scalebench", "faultbench",
-        }
+        assert set(sub.choices) == {"paper", "demo", "trace", "faultbench"}
         (names,) = [
             a for a in sub.choices["paper"]._actions if a.dest == "names"
         ]
         assert list(names.choices) == list(ARTEFACTS)
+        paper = sub.choices["paper"]
+        flags = {o for a in paper._actions for o in a.option_strings}
+        assert flags == {"-h", "--help", "--baseline", "--max-regression"}
         faultbench = sub.choices["faultbench"]
         flags = {o for a in faultbench._actions for o in a.option_strings}
         assert flags == {"-h", "--help", "--only"}
@@ -97,6 +99,30 @@ class TestPaperCommand:
         committed = os.path.join(os.path.dirname(__file__), "..", "..", "bench_results", name)
         with open(tmp_path / name) as new, open(committed) as old:
             assert new.read() == old.read()
+
+
+    def test_baseline_gate_holds_cells_exact(self, tmp_path, capsys):
+        """``--baseline`` compares each sweep with a committed grid: host
+        columns against the floor, every cell exactly, old -> new."""
+        argv = ["--quick", "--out", str(tmp_path), "paper", "ablation_a1_active_buffering"]
+        assert main(argv) == 0
+        with open(tmp_path / "BENCH_paper.json") as fh:
+            grids = json.load(fh)
+        for point in grids["ablation_a1_active_buffering"]["points"]:
+            # A far slower baseline: every host ratio clears the floor.
+            point["host"] = {"host_wall_s": 1e6, "events_per_sec": 1e-6, "host_mb_per_s": 1e-6}
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(grids))
+        assert main([*argv, "--baseline", str(baseline)]) == 0
+        assert "buffered host_wall_s" in capsys.readouterr().out
+        point = grids["ablation_a1_active_buffering"]["points"][0]
+        old = point["cells"]["visible_io"]
+        point["cells"]["visible_io"] = 2 * old
+        baseline.write_text(json.dumps(grids))
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--baseline", str(baseline)])
+        assert exit_.value.code == 1
+        assert f"buffered visible_io: {2 * old} -> {old}" in capsys.readouterr().err
 
 
 class TestTraceCommand:
