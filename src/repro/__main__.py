@@ -3,13 +3,13 @@
 Runs the paper's experiments and demos without going through pytest:
 
 * ``paper [NAME ...]`` — the paper's artefacts (Table 1, Fig 3(a),
-  Fig 3(b), ablations A1–A6) and the simulator's strong and weak
-  scaling curves, each from its one definition in
-  :data:`repro.bench.ARTEFACTS` (default: all of them); ``--baseline``
-  compares each sweep with a committed run of it (:func:`repro.bench.compare`)
+  Fig 3(b), ablations A1–A6), the simulator's strong and weak scaling
+  curves and the fault-injection chaos matrix, each from its one
+  definition in :data:`repro.bench.ARTEFACTS` (default: all of them);
+  ``--baseline`` compares each sweep with a committed run of it
+  (:func:`repro.bench.compare`)
 * ``demo``    — a quick GENx run with a timing breakdown
 * ``trace``   — per-rank I/O timeline + overlap ratios (repro.obs)
-* ``faultbench`` — fault-injection chaos matrix + recovery rates
 
 ``--quick`` shrinks everything for a fast smoke pass (``paper``: a
 quarter of each workload, one run; a scaling curve's 128-client point
@@ -111,13 +111,6 @@ def cmd_demo(args) -> None:
         rows,
         title="GENx demo: 16 compute processors on simulated Turing",
     ), payload={"modes": instrumentation})
-
-
-def cmd_faultbench(args) -> None:
-    from .bench.faults import render_faults, run_faultbench
-
-    payload = run_faultbench(seed=args.seed, only=args.only or None)
-    _emit(args, "faults.txt", render_faults(payload), payload=payload)
 
 
 def cmd_trace(args) -> None:
@@ -225,15 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     paper.set_defaults(func=cmd_paper)
     sub.add_parser("demo", help="quick three-service comparison run").set_defaults(
         func=cmd_demo)
-    faults = sub.add_parser(
-        "faultbench", help="chaos matrix: fault injection x I/O module recovery rates"
-    )
-    faults.add_argument(
-        "--only", action="append", metavar="SCENARIO/MODULE",
-        help="run only this chaos-matrix row (repeatable); "
-             "see repro.bench.scenario_names()",
-    )
-    faults.set_defaults(func=cmd_faultbench)
     trace = sub.add_parser("trace", help="per-rank I/O timeline and overlap ratios")
     trace.add_argument(
         "scenario", nargs="?", default="all",

@@ -1,13 +1,13 @@
 """One registry of the paper's artefacts: Table 1, Fig 3(a)/(b), A1-A6,
-and the simulator's strong and weak scaling curves.
+the simulator's strong and weak scaling curves, and the chaos matrix.
 
 Each :class:`Artefact` is a name (its ``bench_results/<name>.txt``), a
 title, a renderer and a run: a :class:`Sweep` of GENx jobs, collapsed
 by the paper's §7 policies (best of N on Turing, mean with a 95% CI on
 Frost), or a plain callable for the micro experiments of
-:mod:`repro.bench.micro`.  ``python -m repro paper`` and
-``benchmarks/test_*.py`` both run :data:`ARTEFACTS`: one definition per
-file.
+:mod:`repro.bench.micro` and the chaos matrix of :mod:`repro.bench.faults`.
+``python -m repro paper`` and ``benchmarks/test_*.py`` both run
+:data:`ARTEFACTS`: one definition per file.
 
 A sweep also times each job on the host.  Those columns are kept apart
 from the (virtual, exact per seed) cells, in :attr:`Grid.host`: the
@@ -33,6 +33,7 @@ from ..util.stats import Summary, best_of, mean_ci
 from ..util.units import MB
 from ..vmpi import placement as placements
 from . import micro
+from .faults import render_faults, run_faultbench
 from .report import render_series, render_table
 
 __all__ = [
@@ -572,6 +573,19 @@ def _scaling_table(grid: Grid, title: str) -> str:
     )
 
 
+def _chaos_matrix() -> Dict[str, Any]:
+    """The chaos matrix, checked: it raises naming every row that did not
+    recover or did not replay identically, so no ``NO`` row is printed."""
+    payload = run_faultbench()
+    failed = [
+        f"{r['scenario']}/{r['module']}" for r in payload["matrix"]
+        if not (r["recovered"] and r["runs_identical"])
+    ]
+    if failed:
+        raise AssertionError(f"chaos matrix rows not recovered or not replayed: {failed}")
+    return payload
+
+
 _VISIBLE_IO = {"visible_io": "visible I/O (s)"}
 
 ARTEFACTS: Dict[str, Artefact] = {a.name: a for a in (
@@ -611,4 +625,5 @@ ARTEFACTS: Dict[str, Artefact] = {a.name: a for a in (
     Artefact("scaling_weak", "Weak scaling — 0.25 MB per client under Rocpanda "
              "at 8:1, 64 -> 1024 clients (Turing, seed 100)", _scaling_table,
              SCALING_WEAK),
+    Artefact("faults", "Faultbench chaos matrix", render_faults, _chaos_matrix),
 )}

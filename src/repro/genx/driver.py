@@ -271,8 +271,9 @@ def run_genx(
 ) -> GENxRunResult:
     """Launch a full GENx job and aggregate the results."""
     if config.io_mode == "rocpanda" and nprocs - config.nservers < config.nservers:
-        # Fail at setup instead of deadlocking mid-run: the topology
-        # contract (PR 6) requires at least as many clients as servers.
+        # Fail at setup instead of deadlocking mid-run: Rocpanda's
+        # topology contract (enforced by ``rocpanda_init``) requires at
+        # least as many clients as servers.
         raise ValueError(
             f"Rocpanda needs nclients >= nservers: {nprocs} ranks with "
             f"{config.nservers} servers leaves only "

@@ -203,11 +203,12 @@ class RochdfModule(ServiceModule):
             if attr_names is not None:
                 # Partial attribute read: sieve only the requested
                 # records instead of reading every dataset of the block
-                # and discarding the rest after decode (the PR 6
-                # follow-on).  Blocks none of whose records match keep
-                # one record so their geometry still restores (the
-                # post-decode filter below strips its array, matching
-                # the old full-read semantics exactly).
+                # and discarding the rest after decode (a follow-on to
+                # the restart reads' data sieving).  Blocks none of
+                # whose records match keep one record so their geometry
+                # still restores (the post-decode filter below strips
+                # its array, matching the old full-read semantics
+                # exactly).
                 want_attrs = set(attr_names)
                 matched = []
                 matched_blocks = set()

@@ -12,36 +12,24 @@ deterministically under the same seed; exhausted retries must raise.
 import pytest
 
 from repro.bench import faults as faults_bench
-from repro.bench.faults import (
-    _HDF_NBLOCKS,
-    _HDF_NPROCS,
-    _PATIENT_RETRY,
-    _counters,
-    _digest_blocks,
-    _hdf_write_main,
-    _run_rocpanda_restart_fault_scenario,
-)
-from repro.cluster import Machine
-from repro.cluster import testbox as make_testbox
+from repro.bench.faults import PATIENT_RETRY, checkpoint_restart
 from repro.faults import FaultPlan, RetryPolicy, ServerCrash, TransientEIO
 from repro.fs.vfs import TransientIOError
-from repro.io import RochdfModule, TRochdfModule
-from repro.roccom import Roccom
 from repro.vmpi import run_spmd
 
 
+def _panda_restart(plan):
+    return checkpoint_restart("rocpanda", plan, phase="restart", retry=PATIENT_RETRY)
+
+
 def _run_twice(plan):
-    first = _run_rocpanda_restart_fault_scenario(plan, 0, _PATIENT_RETRY)
-    second = _run_rocpanda_restart_fault_scenario(plan, 0, _PATIENT_RETRY)
-    return first, second
+    return _panda_restart(plan), _panda_restart(plan)
 
 
 @pytest.fixture(scope="module")
 def reference_digest():
     """Digest of the restore with no faults installed at all."""
-    digest, info = _run_rocpanda_restart_fault_scenario(
-        FaultPlan(()), 0, _PATIENT_RETRY
-    )
+    digest, info = _panda_restart(FaultPlan(()))
     assert "missing_blocks" not in info
     return digest
 
@@ -72,7 +60,7 @@ class TestServerCrashMidRestart:
 
         monkeypatch.setattr(faults_bench, "run_spmd", spmd)
         crash = ServerCrash(rank=2, at_time=0.004)
-        _run_rocpanda_restart_fault_scenario(FaultPlan((crash,)), 0, _PATIENT_RETRY)
+        _panda_restart(FaultPlan((crash,)))
         records = jobs[-1].recorder.io_records
         scans = [r for r in records if r.op == "open_scan" and r.rank == crash.rank]
         assert scans and all(r.t_end < crash.at_time for r in scans)
@@ -103,72 +91,30 @@ class TestTransientReadEIOMidRestart:
             (TransientEIO(op="read", path_prefix="ck", count=500),)
         )
         with pytest.raises(TransientIOError):
-            _run_rocpanda_restart_fault_scenario(plan, 0, _PATIENT_RETRY)
+            _panda_restart(plan)
 
 
-_HDF_MODULES = {"rochdf": RochdfModule, "trochdf": TRochdfModule}
-
-
-def _hdf_restart(module_name, plan, retry=None):
-    """Write 4 rochdf files fault-free, restore them under ``plan``.
-
-    Returns ``(digest, retries, counters)`` of the restart job.
-    """
-    machine = Machine(make_testbox(nnodes=4, cpus_per_node=4), seed=0)
-    run_spmd(machine, _HDF_NPROCS, _hdf_write_main("rochdf", RetryPolicy()))
-
-    def main(ctx):
-        com = Roccom(ctx)
-        mod = com.load_module(_HDF_MODULES[module_name](ctx, retry=retry))
-        w = com.new_window("Fluid")
-        for i in range(_HDF_NBLOCKS):
-            w.register_pane(ctx.rank * _HDF_NBLOCKS + i, 0, 0)
-        ids = yield from com.call_function("OUT.read_attribute", "Fluid", None, "ck")
-        restored = {
-            pid: {
-                "coords": w.get_array("coords", pid).copy(),
-                "pressure": w.get_array("pressure", pid).copy(),
-            }
-            for pid in ids
-        }
-        if module_name == "trochdf":
-            yield from com.unload_module(module_name)
-        return restored, mod.stats.retries
-
-    restart_machine = Machine(
-        make_testbox(nnodes=4, cpus_per_node=4), seed=1, disk=machine.disk
-    )
-    if plan is not None:
-        restart_machine.install_faults(plan)
-    job = run_spmd(restart_machine, _HDF_NPROCS, main)
-    blockmap = {}
-    for restored, _retries in job.returns:
-        blockmap.update(restored)
-    assert len(blockmap) == _HDF_NPROCS * _HDF_NBLOCKS
-    return (
-        _digest_blocks(blockmap),
-        sum(retries for _restored, retries in job.returns),
-        _counters(job.recorder),
-    )
-
-
-@pytest.mark.parametrize("module_name", sorted(_HDF_MODULES))
+@pytest.mark.parametrize("module_name", ["rochdf", "trochdf"])
 class TestIndividualRestartReadEIO:
     """Rochdf / T-Rochdf restart reads go through the checked, retried path."""
 
     def test_read_retry_restores_bit_identical_arrays(self, module_name):
-        reference, _, _ = _hdf_restart(module_name, None)
+        reference, info = checkpoint_restart(module_name, phase="restart")
+        assert "missing_blocks" not in info, info
         plan = FaultPlan((TransientEIO(op="read", path_prefix="ck", count=2),))
-        first = _hdf_restart(module_name, plan)
-        digest, retries, counters = first
+        first = checkpoint_restart(module_name, plan, phase="restart")
+        digest, info = first
+        assert "missing_blocks" not in info, info
         assert digest == reference
         # Both injected EIOs were hit and retried, not silently skipped.
-        assert retries == 2
-        assert counters[module_name]["read_retries"] == 2
-        assert counters["faults"]["eio_injected"] == 2
-        assert first == _hdf_restart(module_name, plan)
+        assert info["client_retries"] == 2
+        assert info["counters"][module_name]["read_retries"] == 2
+        assert info["counters"]["faults"]["eio_injected"] == 2
+        assert first == checkpoint_restart(module_name, plan, phase="restart")
 
     def test_exhausted_read_retries_raise(self, module_name):
         plan = FaultPlan((TransientEIO(op="read", path_prefix="ck", count=50),))
         with pytest.raises(TransientIOError):
-            _hdf_restart(module_name, plan, retry=RetryPolicy(max_attempts=3))
+            checkpoint_restart(
+                module_name, plan, phase="restart", retry=RetryPolicy(max_attempts=3)
+            )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bench import render_faults, run_faultbench, scenario_names
-from repro.bench.faults import _digest_blocks
+from repro.bench.faults import digest_blocks
 
 
 class TestScenarioCatalog:
@@ -46,12 +46,12 @@ class TestDigest:
         b = np.ones((2, 3))
         m1 = {1: {"x": a, "y": b}, 2: {"x": b}}
         m2 = {2: {"x": b.copy()}, 1: {"y": b.copy(), "x": a.copy()}}
-        assert _digest_blocks(m1) == _digest_blocks(m2)
+        assert digest_blocks(m1) == digest_blocks(m2)
 
     def test_digest_sensitive_to_data(self):
         a = np.arange(6, dtype=np.float64)
-        assert _digest_blocks({1: {"x": a}}) != _digest_blocks({1: {"x": a + 1}})
-        assert _digest_blocks({1: {"x": a}}) != _digest_blocks({2: {"x": a}})
+        assert digest_blocks({1: {"x": a}}) != digest_blocks({1: {"x": a + 1}})
+        assert digest_blocks({1: {"x": a}}) != digest_blocks({2: {"x": a}})
 
 
 class TestSingleScenario:

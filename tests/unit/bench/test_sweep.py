@@ -3,21 +3,21 @@
 import os
 from collections import Counter
 
-from repro.bench import ARTEFACTS, Grid, Row, Sweep
+import pytest
+
+from repro.bench import ARTEFACTS, Grid, Row, Sweep, run_faultbench
+from repro.bench import sweep as registry
 from repro.cluster import testbox as make_testbox
 from repro.genx import lab_scale_motor
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "..", "..", "bench_results")
-
-#: Written by faultbench, which keeps its own runner.
-NOT_IN_REGISTRY = {"faults.txt"}
 
 
 def test_every_committed_table_has_exactly_one_definition():
     committed = {n for n in os.listdir(RESULTS) if n.endswith(".txt")}
     producers = Counter(a.filename for a in ARTEFACTS.values())
     assert all(count == 1 for count in producers.values()), producers
-    assert set(producers) == committed - NOT_IN_REGISTRY
+    assert set(producers) == committed
     assert all(name == a.name for name, a in ARTEFACTS.items())
 
 
@@ -68,3 +68,15 @@ def test_runs_and_scale_override_the_definition():
     grid = sweep(scale=2.0, runs=3)
     assert grid.cells["bytes"]["only"].n == 3
     assert grid.value("bytes", "only") > sweep().value("bytes", "only")
+
+
+def test_the_chaos_matrix_artefact_fails_naming_the_rows_that_did(monkeypatch):
+    """``paper faults`` never prints a row that did not recover or
+    replay: it raises, and the message names that row alone."""
+    payload = run_faultbench(only=["transient_eio/rochdf", "transient_eio/trochdf"])
+    assert "NO" not in ARTEFACTS["faults"].text(payload)
+    payload["matrix"][1]["runs_identical"] = False
+    monkeypatch.setattr(registry, "run_faultbench", lambda: payload)
+    with pytest.raises(AssertionError, match="transient_eio/trochdf") as failed:
+        ARTEFACTS["faults"].result()
+    assert "transient_eio/rochdf" not in str(failed.value)

@@ -68,11 +68,29 @@ def test_bench_has_no_host_micro_suite():
     """Host time is measured end to end (benchmarks/e2e) and per sweep
     point (the scaling curves among them); repro.bench holds no
     synthetic micro suite, and the paper's artefacts have one registry
-    (sweep) beside the micro experiments it runs (micro)."""
+    (sweep) beside the micro experiments (micro) and the chaos matrix
+    (faults) it runs."""
     bench = importlib.import_module("repro.bench")
     assert {m.name for m in pkgutil.iter_modules(bench.__path__)} == {
         "faults", "micro", "report", "sweep",
     }
+
+
+def test_bench_exports_one_fault_harness():
+    """Every chaos-matrix row is one checkpoint -> restart call: no
+    runner per service or per faulted phase beside it."""
+    bench = importlib.import_module("repro.bench")
+    assert set(bench.__all__) == {
+        "ARTEFACTS", "Artefact", "Grid", "Row", "Sweep", "compare", "sizing", "summarize",
+        "run_fig3a_partial_read", "run_hdf_driver_scaling",
+        "run_driver_tier_matrix", "run_load_balancing_ablation",
+        "render_table", "render_series", "write_bench_json",
+        "checkpoint_restart", "run_faultbench", "render_faults", "scenario_names",
+    }
+    faults = importlib.import_module("repro.bench.faults")
+    runners = {"_run_rocpanda_scenario", "_run_rocpanda_restart_fault_scenario",
+               "_run_hdf_scenario"}
+    assert not runners & set(vars(faults))
 
 
 def test_no_argument_selects_a_second_path():
