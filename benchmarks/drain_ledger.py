@@ -1,22 +1,29 @@
-"""DESIGN §8's table: where the four Rocpanda workloads' virtual wall goes.
+"""DESIGN §8's table: where the leased workloads' virtual wall goes.
 
     python3 benchmarks/drain_ledger.py [--seed 100] [--limit BYTES] [--driver hdf4|hdf5]
 
-One in-process job sequence per ``benchmarks/e2e`` Rocpanda workload at
-bench size (about a minute), printed as the markdown table DESIGN.md
-carries: virtual wall, the drain the run failed to hide, filesystem
-transfers, the files, the latency-bound shares merged into another
-server's file and the Joins refused (their writer had retired the
-path), the records (datasets) the files hold — what the format's
-directory bookkeeping grows with — the five ``ServerStats`` drain terms
-in server-seconds summed over the servers, ``forward``: the
+One in-process job sequence per ``benchmarks/e2e`` workload that takes
+the write-slot lease — the four Rocpanda ones and ``trochdf_faults_64``,
+its transient-EIO plan installed — at bench size (about a minute),
+printed as the markdown table DESIGN.md carries: virtual wall, the
+drain the run failed to hide, filesystem transfers, the most writes the
+filesystem ever saw at once (``FSMetrics.peak_write_demand``, the
+highest of the sequence's jobs), the files, the latency-bound shares
+merged into another server's file and the Joins refused (their writer
+had retired the path), the records (datasets) the files hold — what the
+format's directory bookkeeping grows with — the five ``ServerStats``
+drain terms in server-seconds summed over the servers, ``forward``: the
 server-seconds merged shares spent on the wire to their writers (their
 ``forward`` records), and the first-landing lag: per snapshot, its
 first ``land`` record's start minus its first ``ingest``'s, summed over
-the snapshots.  Everything in it is exact for a seed.  ``--limit`` patches ``server.WRITE_BEHIND_BYTES``
-(a module constant, not an option) the way the tests do, for the "why
-256 KiB" rows; ``--driver`` is the servers' format driver.  Every run
-asserts one filesystem write per hold of the write slot.
+the snapshots.  T-Rochdf has no servers: its drain terms, shares and
+lag read 0.  Everything in it is exact for a seed.  ``--limit`` patches
+``server.WRITE_BEHIND_BYTES`` (a module constant, not an option) the
+way the tests do, for the "why 256 KiB" rows; ``--driver`` is the
+servers' format driver.  Every run asserts one filesystem write per
+hold of the write slot: a server's landings, or the I/O threads' — a
+``shdf`` ``flush`` record per landed file and a retry per faulted
+landing (it wrote, then the retry asked for the lease again).
 """
 
 import argparse
@@ -39,6 +46,7 @@ from workloads import build  # noqa: E402
 
 WORKLOADS = (
     "rocpanda_weak_128", "rocpanda_strong_256", "rocpanda_write_64", "rocpanda_restart_64",
+    "trochdf_faults_64",
 )
 
 
@@ -57,17 +65,28 @@ def first_landing_lag(records) -> float:
     )
 
 
+def holds(result) -> int:
+    """Holds of the write slot in one job: the servers' landings, or the
+    T-Rochdf I/O threads' — one ``flush`` record per landed file, one
+    retry per faulted landing."""
+    if result.servers:
+        return sum(s.stats.write_flushes for s in result.servers)
+    flushes = sum((r.module, r.op) == ("shdf", "flush") for r in result.recorder.io_records)
+    return flushes + sum(c.io_stats.retries for c in result.clients)
+
+
 def ledger(name: str, seed: int, driver: str) -> list:
     workload = build(name)
     servers = ServerConfig(driver=DRIVERS[driver]())
 
     def run(machine, job):
         config = dataclasses.replace(job.config, server_config=servers)
+        if job.faults is not None:
+            machine.install_faults(job.faults)
         result = run_genx(machine, job.nranks, config)
         # One filesystem write per hold of the write slot, no hold without one.
-        writes = machine.fs.metrics.write_ops
-        holds = sum(s.stats.write_flushes for s in result.servers)
-        assert writes == holds, f"{name}: {writes} writes in {holds} holds"
+        writes, held = machine.fs.metrics.write_ops, holds(result)
+        assert writes == held, f"{name}: {writes} writes in {held} holds"
         return result
 
     disk = None
@@ -75,7 +94,7 @@ def ledger(name: str, seed: int, driver: str) -> list:
         machine = Machine(turing(), seed=seed)
         run(machine, workload.checkpoint)
         disk = machine.disk
-    wall = sync = ops = files = merged = refused = records = forward = lag = 0
+    wall = sync = ops = peak = files = merged = refused = records = forward = lag = 0
     terms = dict.fromkeys(DRAIN_TERMS, 0.0)
     for job in workload.jobs:
         machine = Machine(turing(), seed=seed, disk=copy_disk(disk))
@@ -83,6 +102,7 @@ def ledger(name: str, seed: int, driver: str) -> list:
         wall += result.wall_time
         sync += max(c.final_sync_time for c in result.clients)
         ops += machine.fs.metrics.write_ops
+        peak = max(peak, machine.fs.metrics.peak_write_demand)
         files += result.files_created
         merged += sum(s.stats.merged_shares for s in result.servers)
         refused += sum(s.stats.refused_joins for s in result.servers)
@@ -98,7 +118,7 @@ def ledger(name: str, seed: int, driver: str) -> list:
             terms[term] += sum(getattr(s.stats, f"{term}_time") for s in result.servers)
     drain = (f"{terms[term]:.2f}" for term in DRAIN_TERMS)
     return [
-        f"`{name}`", f"{wall:.3f}", f"{sync:.3f}", ops, files, merged, refused, records,
+        f"`{name}`", f"{wall:.3f}", f"{sync:.3f}", ops, peak, files, merged, refused, records,
         *drain, f"{forward:.2f}", f"{lag:.3f}",
     ]
 
@@ -110,7 +130,8 @@ def main() -> None:
     parser.add_argument("--driver", choices=sorted(DRIVERS), default="hdf4")
     args = parser.parse_args()
     seed, server.WRITE_BEHIND_BYTES = args.seed, args.limit
-    head = ["workload", "`virt_wall_s`", "`virt_final_sync_s`", "`fs.write_ops`", "files",
+    head = ["workload", "`virt_wall_s`", "`virt_final_sync_s`", "`fs.write_ops`",
+            "peak writers", "files",
             "merged shares", "refused joins", "records",
             *(term.replace("_", " ") for term in DRAIN_TERMS), "forward", "first-landing lag"]
     print("| " + " | ".join(head) + " |")

@@ -69,7 +69,8 @@ class FileSystemModel:
     :class:`~repro.des.Resource` with one slot per independent write
     server.  Writers that take it around :meth:`write` never queue (or
     contend) inside the model; they queue outside, where they can do
-    other work meanwhile.  Taking it is voluntary.
+    other work meanwhile.  Taking it is voluntary; :meth:`leased` is
+    how a writer takes it.
     """
 
     def __init__(
@@ -84,6 +85,36 @@ class FileSystemModel:
 
     def write_lease(self, node=None) -> Resource:
         return self._lease
+
+    def leased(self, node, land, asked=None):
+        """Generator: run ``land(t_asked)`` in one hold of ``write_lease(node)``.
+
+        The rule every leased writer follows: asking costs one lock RPC
+        (:meth:`meta_op`), after which the request joins the lease's FIFO
+        queue — ``asked(t_rpc)``, if given, runs at that instant, with
+        the instant the RPC began — and ``land``, a generator function,
+        runs at the grant, given the instant the request was made.  The
+        caller pays its create and metadata round trips before and its
+        close round trip after.  ``finally`` gives the lease back (or
+        withdraws the request) on a fault and on a crash, so a writer
+        retrying a fault waits out its back-off without the lease.
+        """
+        env = self.env
+        t_rpc = env.now
+        yield from self.meta_op(node)
+        if asked is not None:
+            asked(t_rpc)
+        lease = self.write_lease(node)
+        req = lease.request()
+        t_asked = env.now
+        try:
+            yield req
+            return (yield from land(t_asked))
+        finally:
+            if req.triggered:
+                lease.release(req)
+            else:
+                req.cancel()
 
     @property
     def write_latency(self) -> float:

@@ -118,13 +118,13 @@ class RochdfModule(ServiceModule):
         through one merged filesystem transfer (the same write-coalescing
         scheduler the Rocpanda servers use), so a file costs one
         ``fs.write``: ``open`` is the create round trip, ``write_records``
-        only stages, and ``close`` lands.  T-Rochdf inherits this via its
-        I/O thread.  Only that landing can fault, and the VFS raises
-        *before* mutating anything: a faulted ``close`` leaves the file
-        empty and everything staged, so the retry is ``close`` again (a
-        committed writer stages no second footer).  Returns the payload
-        bytes written (stats are bumped once, after the file is
-        committed).
+        only stages, and ``close`` lands (:meth:`_close`, the step
+        T-Rochdf's I/O thread overrides).  Only that landing can fault,
+        and the VFS raises *before* mutating anything: a faulted
+        ``close`` leaves the file empty and everything staged, so the
+        retry is ``close`` again (a committed writer stages no second
+        footer).  Returns the payload bytes written (stats are bumped
+        once, after the file is committed).
         """
         yield from writer.open(file_attrs=file_attrs)
         records = encode_records(
@@ -132,12 +132,21 @@ class RochdfModule(ServiceModule):
         )
         yield from writer.write_records(records)
         yield from retrying(
-            self.ctx.env, self.retry, writer.close, on_retry=self._note_retry
+            self.ctx.env, self.retry, lambda: self._close(writer),
+            on_retry=self._note_retry,
         )
         nbytes = sum(r[2] for r in records)
         self.stats.blocks_written += len(blocks)
         self.stats.bytes_written += nbytes
         return nbytes
+
+    def _close(self, writer: SHDFWriter):
+        """Generator: commit, land and release ``writer``'s file — the
+        one step of :meth:`_write_file` the two modules do differently.
+        Rochdf lands straight through ``fs.write``, taking no turn at
+        the write slot: it is the paper's uncoordinated baseline, every
+        process writing at once (Table 1's Rochdf column)."""
+        return writer.close()
 
     def read_attribute(
         self,

@@ -567,25 +567,20 @@ class PandaServer:
 
     def _leased(self, writer: SHDFWriter, blocks: List):
         """Generator: one lander entry's landing — one write, whatever of
-        header, records and footer — in one hold of the write-slot lease.
-
-        Asking costs one lock RPC (``fs.meta_op``), paid before the
-        request joins the lease's FIFO queue, where it keeps its place
-        while the main loop queues blocks.  ``finally`` gives the lease
-        back (or withdraws the request) on a fault and on a crash; a
-        faulted landing appended nothing, so the retry lands the stage.
+        header, records and footer — in one hold of the write-slot lease
+        (:meth:`~repro.fs.models.FileSystemModel.leased`: one lock RPC,
+        then the FIFO queue, where the request keeps its place while the
+        main loop queues blocks).  A faulted landing appended nothing, so
+        the retry lands the stage.
         """
         ctx, stats = self.ctx, self.stats
         shown = dict(path=writer.path, visible=not self.config.active_buffering)
-        t_rpc = ctx.now
-        yield from ctx.fs.meta_op(ctx.node)
-        t_asked = ctx.now
-        stats.lock_rpc_time += t_asked - t_rpc
-        ctx.io_record("rocpanda", "settle", t_start=t_rpc, **shown)
-        lease = ctx.fs.write_lease(ctx.node)
-        req = lease.request()
-        try:
-            yield req
+
+        def asked(t_rpc):
+            stats.lock_rpc_time += ctx.now - t_rpc
+            ctx.io_record("rocpanda", "settle", t_start=t_rpc, **shown)
+
+        def land(t_asked):
             t_granted = ctx.now
             if t_granted > t_asked:
                 stats.slot_wait_time += t_granted - t_asked
@@ -606,11 +601,8 @@ class PandaServer:
                 self._working(-1)
                 stats.transfer_time += ctx.now - t_granted
             ctx.io_record("rocpanda", "land", nbytes=nbytes, t_start=t_granted, **shown)
-        finally:
-            if req.triggered:
-                lease.release(req)
-            else:
-                req.cancel()
+
+        yield from ctx.fs.leased(ctx.node, land, asked)
 
     def _settle(self, writer: SHDFWriter, round_trips):
         """Generator: a writer's metadata round trips; they need no turn

@@ -7,6 +7,10 @@ data while the main thread computes.  The main thread buffers all write
 requests of the same snapshot, but blocks until the I/O thread has
 drained the *previous* snapshot before buffering a new one — exactly
 the paper's policy, which bounds buffer memory to one snapshot's worth.
+The threads of all processes take turns at the filesystem: each lands a
+file in one hold of the write-slot lease (``fs.leased``), as the
+Rocpanda servers do, since a shared NFS server tolerates concurrent
+writes far worse than concurrent reads (§7.1).
 
 The overlap is transparent: callers keep the simple blocking interface
 and may reuse their arrays immediately after the call returns (we
@@ -182,6 +186,22 @@ class TRochdfModule(RochdfModule):
             "background I/O thread hit unrecoverable write faults: "
             + "; ".join(f"{path}: {exc}" for path, exc in errors)
         )
+
+    def _close(self, writer: SHDFWriter):
+        """Generator: land the file under the write-slot lease, by the
+        Rocpanda lander's rule — the per-dataset round trips first (the
+        create round trip came before them), then the lease for one
+        ``fs.write``, and the close round trip once it is given back.
+        :meth:`_write_file` retries this step, so a faulted landing
+        waits out its back-off without the lease."""
+        ctx = self.ctx
+
+        def landing():
+            if writer.owed_meta:
+                yield from writer.settle_meta()
+            yield from ctx.fs.leased(ctx.node, lambda _asked: writer.land())
+
+        return writer.close(landing)
 
     def _next_write(self):
         return self._write_file_behind(*self._jobs.popleft()) if self._jobs else None

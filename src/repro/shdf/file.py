@@ -291,15 +291,19 @@ class SHDFWriter:
         self._open = False
         self._stages.clear()
 
-    def close(self):
+    def close(self, landing=None):
         """Generator: :meth:`commit`, land everything staged, then
-        :meth:`release` the file."""
+        :meth:`release` the file.  ``landing``, a generator function,
+        lands the oldest stage the caller's way (T-Rochdf's I/O thread
+        takes the write-slot lease around :meth:`land`); by default the
+        stage lands straight through ``fs.write``."""
         if not self._open:
             raise RuntimeError(f"{self.path}: not open")
         t0 = self.env.now
         self.commit()
+        land = landing if landing is not None else self._land_next
         while self.owes_landing:
-            yield from self._land_next()
+            yield from land()
         yield from self.release()
         self.busy_time += self.env.now - t0
         self._record("close", 0, t0)

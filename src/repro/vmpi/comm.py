@@ -44,6 +44,7 @@ from .datatypes import (
     make_envelope,
     payload_nbytes,
     release_envelope,
+    shared_payload_nbytes,
 )
 
 __all__ = ["Comm", "Request"]
@@ -567,6 +568,11 @@ class Comm:
             parent = (vrank - span + root) % size
             held, _ = yield from self._recv(source=parent, tag=tag)
         half = span >> 1
+        if half:
+            # Each item sized once per call, and a tuple the items share
+            # (a split's group) once for all of them, before any send.
+            memo: dict = {}
+            sizes = {item[0]: shared_payload_nbytes(item, memo) for item in held}
         while half:
             child_v = vrank + half
             if child_v < size:
@@ -575,7 +581,9 @@ class Comm:
                 for v, o in held:
                     (theirs if v >= child_v else mine).append((v, o))
                 child = (child_v + root) % size
-                yield from self._send(theirs, dest=child, tag=tag)
+                # payload_nbytes(theirs): a list's 48 bytes plus its items'.
+                nbytes = 48 + sum(sizes[v] for v, _o in theirs)
+                yield from self._send(theirs, dest=child, tag=tag, nbytes=nbytes)
                 held = mine
             half >>= 1
         return held[0][1]

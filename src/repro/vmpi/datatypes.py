@@ -14,6 +14,7 @@ __all__ = [
     "Envelope",
     "MPIError",
     "payload_nbytes",
+    "shared_payload_nbytes",
     "make_envelope",
     "release_envelope",
 ]
@@ -152,3 +153,16 @@ def payload_nbytes(obj: Any) -> int:
     if isinstance(obj, dict):
         return 64 + sum(payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items())
     return 64
+
+
+def shared_payload_nbytes(obj: Any, memo: dict) -> int:
+    """:func:`payload_nbytes` of ``obj``, sizing each plain tuple inside
+    it once per ``memo`` (keyed by ``id``, so the tuples must outlive
+    it): many payloads that share one tuple — a split's members all
+    carry their new group — pay for it once."""
+    if type(obj) is tuple:
+        nbytes = memo.get(id(obj))
+        if nbytes is None:
+            nbytes = memo[id(obj)] = 48 + sum(shared_payload_nbytes(x, memo) for x in obj)
+        return nbytes
+    return payload_nbytes(obj)

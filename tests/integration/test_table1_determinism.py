@@ -24,6 +24,10 @@ have a file to read (the price DESIGN §8 states).  ``restart_rocpanda``
 lander began staging their queues itself, sealing a merged file's stages
 by the same rule as any other's: the checkpoint's stages, and so its
 records and the restart's reads, fall where the lander caught up.
+``trochdf`` (2.8461 -> 1.3513) moved when T-Rochdf's I/O threads began
+landing under the write-slot lease: one writer at the NFS server at a
+time, so no transfer runs at the contention cap, and a snapshot's
+drain, which the next snapshot's buffering waits for, ends sooner.
 """
 
 from dataclasses import replace
@@ -35,7 +39,7 @@ from repro.genx import lab_scale_motor
 REFERENCE_64P = {
     "computation": 1.3957797280234925,
     "rochdf": 4.306616666617703,
-    "trochdf": 2.8461074627772107,
+    "trochdf": 1.3513299997312143,
     "rocpanda": 0.01210131640625011,
     "restart_rochdf": 0.2345703968658447,
     "restart_rocpanda": 0.1421380695459129,

@@ -2,13 +2,15 @@
 
 One FIFO resource per model with as many slots as the model has
 independent write servers; writers that take it around ``fs.write``
-queue outside the model instead of contending inside it.
+queue outside the model instead of contending inside it, through
+``fs.leased``: one lock RPC, the FIFO queue, one hold, given back
+whatever happens in it.
 """
 
 import pytest
 
 from repro.des import Environment, Interrupt
-from repro.fs import GPFSModel, LocalFSModel, NFSModel
+from repro.fs import GPFSModel, LocalFSModel, NFSModel, WriteFaultError
 from repro.fs.tiers import BurstBufferTier
 from repro.util import MB
 
@@ -99,22 +101,11 @@ class TestQueueing:
         fs = NFSModel(env, write_bw=1 * MB)
         lease = fs.write_lease()
 
-        def holder():
-            req = lease.request()
-            try:
-                yield req
-                yield from fs.write(100 * MB)
-            finally:
-                if req.triggered:
-                    lease.release(req)
-                else:
-                    req.cancel()
-
         def crasher(victim):
             yield env.timeout(1.0)
             victim.interrupt("crash")
 
-        victim = env.process(holder())
+        victim = env.process(fs.leased(None, lambda _asked: fs.write(100 * MB)))
         env.process(crasher(victim))
         with pytest.raises(Interrupt):
             env.run(until=victim)
@@ -128,15 +119,12 @@ class TestPeakWriteDemand:
     def _run(self, leased):
         env = Environment()
         fs = NFSModel(env, write_bw=10 * MB, meta_latency=0.0)
-        lease = fs.write_lease()
 
         def writer():
-            req = lease.request() if leased else None
             if leased:
-                yield req
-            yield from fs.write(10 * MB)
-            if leased:
-                lease.release(req)
+                yield from fs.leased(None, lambda _asked: fs.write(10 * MB))
+            else:
+                yield from fs.write(10 * MB)
 
         procs = [env.process(writer()) for _ in range(4)]
         env.run(until=env.all_of(procs))
@@ -152,3 +140,54 @@ class TestPeakWriteDemand:
         assert metrics.peak_write_demand == 1
         assert now == pytest.approx(4.0)
         assert metrics.write_ops == 4 and metrics.bytes_written == 40 * MB
+
+
+class TestLeased:
+    """``fs.leased``: the one way a writer takes the lease."""
+
+    def test_asking_costs_one_lock_rpc_then_the_fifo_queue(self):
+        env = Environment()
+        fs = NFSModel(env, write_bw=10 * MB, meta_latency=1e-3)
+        events = []
+
+        def writer(i):
+            def land(t_asked):
+                events.append(("granted", i, t_asked, env.now))
+                yield from fs.write(10 * MB)
+
+            yield from fs.leased(
+                None, land, asked=lambda t_rpc: events.append(("asked", i, t_rpc, env.now))
+            )
+
+        env.run(until=env.all_of([env.process(writer(i)) for i in range(2)]))
+        assert events[:2] == [("asked", 0, 0.0, 1e-3), ("asked", 1, 0.0, 1e-3)]
+        (_, first, asked0, at0), (_, second, asked1, at1) = events[2:]
+        assert (first, second) == (0, 1) and asked0 == asked1 == 1e-3
+        # The second grant waits for the first write: its latency and 1 s of bytes.
+        assert at0 == 1e-3 and at1 == pytest.approx(1e-3 + 1e-3 + 1.0)
+        # One lock RPC each; the writes took turns.
+        assert fs.metrics.meta_ops == 2 and fs.metrics.peak_write_demand == 1
+
+    def test_a_fault_in_the_hold_gives_the_lease_back(self):
+        env = Environment()
+        fs = NFSModel(env, meta_latency=0.0)
+        granted = []
+
+        def faulty(_asked):
+            yield env.timeout(0.5)
+            raise WriteFaultError("EIO")
+
+        def second(_asked):
+            granted.append(env.now)
+            yield env.timeout(0.0)
+
+        def first():
+            with pytest.raises(WriteFaultError):
+                yield from fs.leased(None, faulty)
+
+        env.run(until=env.all_of([
+            env.process(first()), env.process(fs.leased(None, second)),
+        ]))
+        assert granted == [0.5]
+        lease = fs.write_lease()
+        assert lease.count == 0 and not lease.queue

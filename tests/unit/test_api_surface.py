@@ -158,3 +158,15 @@ def test_merging_shares_adds_no_option():
     assert set(inspect.signature(RocpandaModule).parameters) == {
         "ctx", "topo", "client_buffering", "retry",
     }
+
+
+def test_taking_the_write_slot_lease_adds_no_argument():
+    """Who takes turns at the write slot follows from the service:
+    T-Rochdf's I/O thread and the Rocpanda lander do, blocking Rochdf
+    does not.  No constructor takes an argument that selects it."""
+    from repro.io import PandaServer, RochdfModule, RocpandaModule, TRochdfModule
+    from repro.shdf import SHDFWriter
+
+    for cls in (RochdfModule, TRochdfModule, PandaServer, RocpandaModule, SHDFWriter):
+        assert not [p for p in inspect.signature(cls).parameters if "lease" in p], cls
+    assert set(inspect.signature(TRochdfModule).parameters) == {"ctx", "driver", "retry"}

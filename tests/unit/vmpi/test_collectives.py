@@ -252,6 +252,50 @@ class TestSplit:
         assert out[0][1] == 2  # server comm size
         assert out[1][1] == 6  # client comm size
 
+    @pytest.mark.parametrize("size", [5, 13, 24])
+    def test_scatter_passes_each_bundle_its_payload_size(self, size, monkeypatch):
+        """Split's scatter sizes every item once and hands ``_send`` the
+        bundle's size: it must be what payload_nbytes makes of the
+        bundle, or virtual time would move."""
+        from repro.vmpi import Comm
+        from repro.vmpi.datatypes import payload_nbytes
+
+        sent = []
+        send = Comm._send
+
+        def spy(self, obj, dest, tag=0, nbytes=None, **kw):
+            if nbytes is not None:
+                sent.append((nbytes, payload_nbytes(obj)))
+            return send(self, obj, dest, tag, nbytes, **kw)
+
+        monkeypatch.setattr(Comm, "_send", spy)
+
+        def main(ctx):
+            color = None if ctx.rank % 7 == 6 else ctx.rank % 3
+            sub = yield from ctx.world.split(color, key=-ctx.rank)
+            yield from ctx.world.scatter(
+                [(r, [r] * r, np.zeros(r)) for r in range(size)] if ctx.rank == 0 else None
+            )
+            return None if sub is None else sub.size
+
+        launch(size, main)
+        assert sent and all(passed == sized for passed, sized in sent)
+
+    def test_shared_sizing_equals_payload_nbytes(self):
+        from collections import namedtuple
+
+        from repro.vmpi.datatypes import payload_nbytes, shared_payload_nbytes
+
+        group = tuple(range(40))
+        Plan = namedtuple("Plan", "comm nbytes")
+        payloads = [
+            (3, group, 1), [(0, (7, group, 0)), (1, None)], Plan(1, 99),
+            ("abc", {"k": group}, np.zeros(3), b"xy"), (), group,
+        ]
+        memo = {}
+        for obj in payloads * 2:
+            assert shared_payload_nbytes(obj, memo) == payload_nbytes(obj)
+
     def test_dup_gives_independent_message_space(self):
         out = {}
 
