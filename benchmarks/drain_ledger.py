@@ -21,9 +21,10 @@ lag read 0.  Everything in it is exact for a seed.  ``--limit`` patches
 ``server.WRITE_BEHIND_BYTES`` (a module constant, not an option) the
 way the tests do, for the "why 256 KiB" rows; ``--driver`` is the
 servers' format driver.  Every run asserts one filesystem write per
-hold of the write slot: a server's landings, or the I/O threads' — a
-``shdf`` ``flush`` record per landed file and a retry per faulted
-landing (it wrote, then the retry asked for the lease again).
+hold of the write slot that landed its bytes: a server's landings, or
+the I/O threads' — a ``shdf`` ``flush`` record per landed file (a
+faulted landing is not counted as a write; its retry asks for the
+lease again).
 """
 
 import argparse
@@ -66,13 +67,12 @@ def first_landing_lag(records) -> float:
 
 
 def holds(result) -> int:
-    """Holds of the write slot in one job: the servers' landings, or the
-    T-Rochdf I/O threads' — one ``flush`` record per landed file, one
-    retry per faulted landing."""
+    """Holds of the write slot in one job that landed their bytes: the
+    servers' landings, or the T-Rochdf I/O threads' — one ``flush``
+    record per landed file (a faulted landing writes nothing)."""
     if result.servers:
         return sum(s.stats.write_flushes for s in result.servers)
-    flushes = sum((r.module, r.op) == ("shdf", "flush") for r in result.recorder.io_records)
-    return flushes + sum(c.io_stats.retries for c in result.clients)
+    return sum((r.module, r.op) == ("shdf", "flush") for r in result.recorder.io_records)
 
 
 def ledger(name: str, seed: int, driver: str) -> list:

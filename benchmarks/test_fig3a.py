@@ -7,6 +7,10 @@ servers, reaching ~875 MB/s with 512 total processors — more than five
 times the parallel-HDF5 (FLASH benchmark) throughput measured on the
 same machine; Rochdf stays pinned near the shared filesystem's
 capability.
+
+The simulator does not meet this shape yet, so these are plain tests
+(``PYTHONPATH=src pytest benchmarks/test_fig3a.py``) rather than the artefact's
+check in :mod:`repro.bench.sweep`, which ``python -m repro paper`` runs.
 """
 
 import pytest
@@ -20,10 +24,7 @@ def fig3a_result():
     return ARTEFACTS["fig3a"].result(*sizing())
 
 
-def test_fig3a(benchmark, fig3a_result, save_artefact):
-    benchmark.pedantic(lambda: fig3a_result, rounds=1, iterations=1)
-    save_artefact("fig3a", fig3a_result)
-
+def test_fig3a(fig3a_result):
     res = fig3a_result
     panda = res.column("rocpanda")
     rochdf = res.column("rochdf")

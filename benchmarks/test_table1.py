@@ -15,6 +15,10 @@ visible I/O does not; T-Rochdf nearly eliminates visible I/O; Rocpanda
 cuts it by >= an order of magnitude and also cuts the file count 8x;
 Rocpanda restart costs far more than Rochdf restart, and both shrink
 as processors are added.
+
+The simulator does not meet this shape yet, so these are plain tests
+(``PYTHONPATH=src pytest benchmarks/test_table1.py``) rather than the artefact's
+check in :mod:`repro.bench.sweep`, which ``python -m repro paper`` runs.
 """
 
 import pytest
@@ -30,10 +34,7 @@ def table1_result():
     return ARTEFACTS["table1"].result(*sizing())
 
 
-def test_table1(benchmark, table1_result, save_artefact):
-    benchmark.pedantic(lambda: table1_result, rounds=1, iterations=1)
-    save_artefact("table1", table1_result)
-
+def test_table1(table1_result):
     res = table1_result
     comp = [res.value("computation", n) for n in PROC_COUNTS]
     rochdf = [res.value("rochdf", n) for n in PROC_COUNTS]

@@ -5,9 +5,11 @@ Runs the paper's experiments and demos without going through pytest:
 * ``paper [NAME ...]`` — the paper's artefacts (Table 1, Fig 3(a),
   Fig 3(b), ablations A1–A6), the simulator's strong and weak scaling
   curves and the fault-injection chaos matrix, each from its one
-  definition in :data:`repro.bench.ARTEFACTS` (default: all of them);
+  definition in :data:`repro.bench.ARTEFACTS` (default: all of them),
+  each checked for its shape (:meth:`repro.bench.Artefact.check`);
   ``--baseline`` compares each sweep with a committed run of it
-  (:func:`repro.bench.compare`)
+  (:func:`repro.bench.compare`).  A broken shape or a moved cell exits 1
+  once every artefact has run
 * ``demo``    — a quick GENx run with a timing breakdown
 * ``trace``   — per-rank I/O timeline + overlap ratios (repro.obs)
 
@@ -62,6 +64,10 @@ def cmd_paper(args) -> None:
     for artefact in (ARTEFACTS[name] for name in args.names or ARTEFACTS):
         result = artefact.result(scale, runs)
         _emit(args, artefact.filename, artefact.text(result))
+        try:
+            artefact.check(result)
+        except AssertionError as broken:
+            failures.append(f"SHAPE FAILED: {broken}")
         if not isinstance(result, Grid):
             continue
         grids[artefact.name] = result.payload()
@@ -70,11 +76,11 @@ def cmd_paper(args) -> None:
             print(f"[{artefact.name} vs baseline: " + (", ".join(
                 f"{name} {ratio}x" for name, ratio in ratios.items()
             ) or "no size-matched baseline, not compared") + "]")
-            failures += [f"{artefact.name} {failure}" for failure in found]
+            failures += [f"BASELINE MISMATCH: {artefact.name} {failure}" for failure in found]
     if args.out and grids:
         print(f"[saved to {write_bench_json(args.out, 'paper', grids)}]")
     for failure in failures:
-        print(f"BASELINE MISMATCH: {failure}", file=sys.stderr)
+        print(failure, file=sys.stderr)
     if failures:
         sys.exit(1)
 

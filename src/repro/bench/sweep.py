@@ -2,12 +2,13 @@
 the simulator's strong and weak scaling curves, and the chaos matrix.
 
 Each :class:`Artefact` is a name (its ``bench_results/<name>.txt``), a
-title, a renderer and a run: a :class:`Sweep` of GENx jobs, collapsed
+title, a renderer, a run — a :class:`Sweep` of GENx jobs, collapsed
 by the paper's §7 policies (best of N on Turing, mean with a 95% CI on
 Frost), or a plain callable for the micro experiments of
-:mod:`repro.bench.micro` and the chaos matrix of :mod:`repro.bench.faults`.
-``python -m repro paper`` and ``benchmarks/test_*.py`` both run
-:data:`ARTEFACTS`: one definition per file.
+:mod:`repro.bench.micro` and the chaos matrix of :mod:`repro.bench.faults`
+— and the shape its result must have (who wins, by roughly how much).
+``python -m repro paper`` runs :data:`ARTEFACTS` and checks each shape:
+one definition and one check per file.
 
 A sweep also times each job on the host.  Those columns are kept apart
 from the (virtual, exact per seed) cells, in :attr:`Grid.host`: the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import os
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -53,8 +55,10 @@ def sizing(quick: bool = False) -> Tuple[float, Optional[int]]:
     """``(scale, runs)``: a factor on each definition's workload size (a
     scaling curve keeps its size, and below 1 runs one point) and a run
     count replacing its own (None keeps it).  ``quick`` is ``(0.25, 1)``;
-    otherwise ``REPRO_BENCH_SCALE`` (default 1.0, the paper-faithful
-    sizes) and ``REPRO_BENCH_RUNS`` decide."""
+    otherwise the environment decides: ``REPRO_BENCH_SCALE`` is the
+    workload scale factor (default 1.0, the paper-faithful sizes) and
+    ``REPRO_BENCH_RUNS`` the repetitions per configuration (default:
+    each artefact's own)."""
     if quick:
         return 0.25, 1
     runs = os.environ.get("REPRO_BENCH_RUNS")
@@ -237,7 +241,7 @@ class Sweep:
 
 @dataclass(frozen=True)
 class Artefact:
-    """One ``bench_results/`` file: its title, renderer and run."""
+    """One ``bench_results/`` file: its title, renderer, run and shape."""
 
     name: str
     title: str
@@ -245,6 +249,9 @@ class Artefact:
     render: Callable[[Any, str], str]
     #: A :class:`Sweep`, or a callable taking no arguments.
     run: Callable[..., Any]
+    #: Asserts the result's shape (who wins, by roughly how much) with
+    #: ``assert`` statements, so not under ``python -O``; None checks nothing.
+    shape: Optional[Callable[[Any], None]] = None
 
     @property
     def filename(self) -> str:
@@ -256,6 +263,18 @@ class Artefact:
 
     def text(self, result: Any) -> str:
         return self.render(result, self.title)
+
+    def check(self, result: Any) -> None:
+        """Assert the shape of ``result``: an ``AssertionError`` names the
+        artefact and the failed assertion."""
+        if self.shape is None:
+            return
+        try:
+            self.shape(result)
+        except AssertionError as failed:
+            line = traceback.extract_tb(failed.__traceback__)[-1].line
+            detail = f" ({failed})" if str(failed) else ""
+            raise AssertionError(f"{self.name}: {line}{detail}") from None
 
 
 # ---- metrics ----------------------------------------------------------
@@ -422,6 +441,22 @@ FIG3B = Sweep(
     runs=3, seed=500, policy="mean_ci", prefix="f3b",
 )
 
+
+def _fig3b_shape(grid: Grid) -> None:
+    """As the job grows, 16 compute ranks per node fall visibly behind
+    15 (AIX background work preempts compute, and per-step sync
+    amplifies the slowest rank); 15S costs slightly more than an idle
+    16th CPU and stays below 16NS — the server CPU pays for itself."""
+    v16, v15, v15s = grid.column("16NS"), grid.column("15NS"), grid.column("15S")
+    smallest, largest = grid.xs[0], grid.xs[-1]
+    assert v16[largest] > 1.02 * v15[largest]
+    assert v16[largest] - v15[largest] > v16[smallest] - v15[smallest]
+    assert v15s[largest] >= 0.995 * v15[largest]
+    assert v15s[largest] < v16[largest]
+    for n in grid.xs:
+        assert v15s[n] < 1.05 * v16[n]
+
+
 # ---- A1, A3-A5: the Rocpanda design choices on a small motor ----------
 
 
@@ -443,6 +478,13 @@ A1 = _ablation(900, [
     for label, on in (("buffered", True), ("write_through", False))
 ])
 
+
+def _a1_shape(grid: Grid) -> None:
+    """Buffering at the servers hides the write cost (§6.1)."""
+    result = grid.column("visible_io")
+    assert result["buffered"] < result["write_through"] / 2
+
+
 A3 = _ablation(920, [
     Row(ratio, "rocpanda", 32, {
         "visible_io": visible,
@@ -451,6 +493,15 @@ A3 = _ablation(920, [
     }, servers=max(1, 32 // ratio), config={"prefix": f"a3_{ratio}"})
     for ratio in (4, 8, 16, 32)
 ])
+
+
+def _a3_shape(grid: Grid) -> None:
+    """Fewer servers: fewer files but more visible I/O, both monotone."""
+    result = grid.rows()
+    ratios = sorted(result)
+    files = [result[r]["files"] for r in ratios]
+    assert all(b <= a for a, b in zip(files, files[1:]))
+    assert result[ratios[-1]]["visible_io"] > result[ratios[0]]["visible_io"]
 
 
 def _a4_rows(sweep: Sweep, scale: float) -> List[Row]:
@@ -473,6 +524,16 @@ def _a4_rows(sweep: Sweep, scale: float) -> List[Row]:
 
 A4 = _ablation(940, _a4_rows)
 
+
+def _a4_shape(grid: Grid) -> None:
+    """Undersized buffers degrade gracefully: they overflow and cost
+    more visible time; amply sized ones never overflow."""
+    result = grid.rows()
+    tiny, huge = min(result), max(result)
+    assert result[tiny]["overflow_flushes"] > 0
+    assert result[huge]["overflow_flushes"] == 0
+    assert result[tiny]["visible_io"] > result[huge]["visible_io"]
+
 # The full active-buffering hierarchy of [13]: a client-side buffer
 # level on top of GENx's production server-side buffering.
 A5 = _ablation(960, [
@@ -480,6 +541,13 @@ A5 = _ablation(960, [
         config={"prefix": f"a5_{on}", "client_buffering": on})
     for label, on in (("server_only", False), ("client+server", True))
 ])
+
+
+def _a5_shape(grid: Grid) -> None:
+    """The full buffer hierarchy shrinks visible I/O further."""
+    result = grid.column("visible_io")
+    assert result["client+server"] < result["server_only"] / 3
+
 
 # ---- the simulator's scaling curves ------------------------------------
 # Past the paper's 480 processors: Rocpanda at 8:1 on Turing, 64 -> 1024
@@ -529,6 +597,7 @@ SCALING_COLUMNS: Dict[str, Tuple[str, Metric]] = {
     "peak_write_demand": ("peak writers", lambda r: r.machine.fs.metrics.peak_write_demand),
     "refused_joins": ("refused joins", lambda r: sum(s.stats.refused_joins for s in r.servers)),
     "payload_bytes": ("payload (B)", _payload),
+    "landed_bytes": ("landed (B)", lambda r: sum(s.stats.bytes_written for s in r.servers)),
     "events": ("events", lambda r: r.machine.env.events_processed),
     "max_queue_depth": ("max queue", lambda r: r.machine.env.max_queue_depth),
 }
@@ -558,6 +627,15 @@ SCALING_WEAK = _scaling(lambda: scalability_cylinder(
 ), "sweak")
 
 
+def _scaling_shape(grid: Grid) -> None:
+    """At every point the servers landed the bytes the clients shipped,
+    and the wall holds the compute and the visible I/O."""
+    for n, cells in grid.rows().items():
+        busy = cells["computation_s"] + cells["visible_io_s"]
+        assert cells["landed_bytes"] == cells["payload_bytes"], f"{n} clients"
+        assert cells["virtual_wall_s"] >= busy, f"{n} clients"
+
+
 def _scaling_table(grid: Grid, title: str) -> str:
     """One row per client count; seconds to the microsecond."""
     return render_table(
@@ -573,17 +651,35 @@ def _scaling_table(grid: Grid, title: str) -> str:
     )
 
 
-def _chaos_matrix() -> Dict[str, Any]:
-    """The chaos matrix, checked: it raises naming every row that did not
-    recover or did not replay identically, so no ``NO`` row is printed."""
-    payload = run_faultbench()
+def _faults_shape(payload: Dict[str, Any]) -> None:
+    """Every row of the chaos matrix recovered and replayed identically."""
     failed = [
         f"{r['scenario']}/{r['module']}" for r in payload["matrix"]
         if not (r["recovered"] and r["runs_identical"])
     ]
-    if failed:
-        raise AssertionError(f"chaos matrix rows not recovered or not replayed: {failed}")
-    return payload
+    assert not failed, f"rows not recovered or not replayed: {failed}"
+
+
+# ---- the micro experiments' shapes -------------------------------------
+
+
+def _a2_shape(result) -> None:
+    """HDF4 wins small files (cheap constants) and loses big ones, its
+    per-dataset cost growing with the file (linear directory scan);
+    HDF5's stays nearly flat — the [13] observation."""
+    counts = sorted(next(iter(result.values())).keys())
+    h4, h5 = result["hdf4"], result["hdf5"]
+    small, big = counts[0], counts[-1]
+    assert h4[small][0] < h5[small][0]
+    assert h4[big][0] > h5[big][0]
+    assert h4[big][1] > h5[big][1]
+    assert h4[big][0] / big > 1.5 * (h4[small][0] / small)
+    assert h5[big][0] / big < 1.5 * (h5[small][0] / small)
+
+
+def _a6_shape(result) -> None:
+    """Runtime block migration flattens an imbalanced partition (§4.1)."""
+    assert result["balanced"] < result["static"]
 
 
 _VISIBLE_IO = {"visible_io": "visible I/O (s)"}
@@ -598,32 +694,35 @@ ARTEFACTS: Dict[str, Artefact] = {a.name: a for a in (
              lambda: {m: micro.run_fig3a_partial_read(module=m)
                       for m in ("rochdf", "trochdf")}),
     Artefact("fig3b", "Fig 3(b) — computation time vs per-node layout on "
-             "Frost (mean of N runs, 95% CI)", _figure("s"), FIG3B),
+             "Frost (mean of N runs, 95% CI)", _figure("s"), FIG3B, _fig3b_shape),
     Artefact("ablation_a1_active_buffering", "A1 — active buffering on/off "
-             "(32 clients + 4 servers, Turing)", _table("mode", _VISIBLE_IO), A1),
+             "(32 clients + 4 servers, Turing)", _table("mode", _VISIBLE_IO), A1,
+             _a1_shape),
     Artefact("ablation_a2_hdf_drivers", "A2 — HDF4 vs HDF5 driver scaling "
-             "with dataset count", _a2, micro.run_hdf_driver_scaling),
+             "with dataset count", _a2, micro.run_hdf_driver_scaling, _a2_shape),
     Artefact("a2_tiers", "A2b — driver x storage tier", _a2_tiers,
              micro.run_driver_tier_matrix),
     Artefact("ablation_a3_ratio", "A3 — client:server ratio sweep "
              "(32 clients, Turing)", _table("client:server", {
                  **_VISIBLE_IO, "files": "files/snapshot-window",
-                 "total_procs": "total procs"}, lambda r: f"{r}:1"), A3),
+                 "total_procs": "total procs"}, lambda r: f"{r}:1"), A3, _a3_shape),
     Artefact("ablation_a4_buffer", "A4 — server buffer capacity sweep "
              "(16 clients + 2 servers)", _table("buffer (x snapshot share)", {
-                 **_VISIBLE_IO, "overflow_flushes": "overflow flushes"}), A4),
+                 **_VISIBLE_IO, "overflow_flushes": "overflow flushes"}), A4, _a4_shape),
     Artefact("ablation_a5_client_buffering", "A5 — client-side buffer level "
-             "([13]) on top of server buffering", _table("buffering", _VISIBLE_IO), A5),
+             "([13]) on top of server buffering", _table("buffering", _VISIBLE_IO), A5,
+             _a5_shape),
     Artefact("ablation_a6_load_balancing", "A6 — dynamic load balancing on "
              "an irregular block set", lambda result, title: render_table(
                  ["partition", "computation time (s)"],
                  [[k, v] for k, v in result.items()], title=title,
-             ), micro.run_load_balancing_ablation),
+             ), micro.run_load_balancing_ablation, _a6_shape),
     Artefact("scaling_strong", "Strong scaling — the Table 1 motor under Rocpanda "
              "at 8:1, 64 -> 1024 clients (Turing, seed 100)", _scaling_table,
-             SCALING_STRONG),
+             SCALING_STRONG, _scaling_shape),
     Artefact("scaling_weak", "Weak scaling — 0.25 MB per client under Rocpanda "
              "at 8:1, 64 -> 1024 clients (Turing, seed 100)", _scaling_table,
-             SCALING_WEAK),
-    Artefact("faults", "Faultbench chaos matrix", render_faults, _chaos_matrix),
+             SCALING_WEAK, _scaling_shape),
+    Artefact("faults", "Faultbench chaos matrix", render_faults, run_faultbench,
+             _faults_shape),
 )}

@@ -84,10 +84,8 @@ class Machine:
         #: Armed fault injector (:meth:`install_faults`), or ``None``.
         self.faults = None
         #: The liveness oracle of the recovery protocols: the ranks the
-        #: injector has crashed so far (nothing else can kill one), and
-        #: whether the installed plan can crash a rank at all.
+        #: injector has crashed so far (nothing else can kill one).
         self._dead: Set[int] = set()
-        self.ranks_can_die = False
 
     def install_faults(self, plan):
         """Arm a :class:`repro.faults.FaultPlan` on this run.

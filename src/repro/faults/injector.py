@@ -78,7 +78,6 @@ class FaultInjector:
         if self._installed:
             raise RuntimeError("fault injector already installed")
         self._installed = True
-        self.machine.ranks_can_die = bool(self.plan.of_type(ServerCrash))
         env = self.machine.env
         if self._eio_budgets:
             self.machine.disk.fault_hook = self._disk_hook

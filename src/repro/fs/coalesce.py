@@ -123,8 +123,9 @@ class WriteCoalescer:
         if not self._chunks:
             return []
         chunks = self._chunks
-        yield from self.fs.write(self._charged, self.node)
-        offset = self.vfile.append_many(chunks)
+        offset = yield from self.fs.write(
+            self._charged, self.node, land=lambda: self.vfile.append_many(chunks)
+        )
         offsets = []
         for chunk in chunks:
             offsets.append(offset)

@@ -143,13 +143,15 @@ class FileSystemModel:
         self.metrics.meta_ops += count
         yield from self._service_meta_bulk(count, node)
 
-    def write(self, nbytes: int, node=None):
-        """Charge the time for writing ``nbytes`` through this filesystem."""
+    def write(self, nbytes: int, node=None, land=None):
+        """Charge the time for writing ``nbytes`` through this filesystem,
+        then call ``land()`` — what puts the bytes on the disk, which may
+        fault — and return its result.  The seconds count in
+        ``write_busy_time`` either way; ``write_ops`` and ``bytes_written``
+        count the write only once ``land`` has returned."""
         if nbytes < 0:
             raise ValueError("negative write size")
         metrics = self.metrics
-        metrics.write_ops += 1
-        metrics.bytes_written += nbytes
         self._write_demand += 1
         if self._write_demand > metrics.peak_write_demand:
             metrics.peak_write_demand = self._write_demand
@@ -159,6 +161,10 @@ class FileSystemModel:
         finally:
             self._write_demand -= 1
         metrics.write_busy_time += self.env.now - t0
+        landed = land() if land is not None else None
+        metrics.write_ops += 1
+        metrics.bytes_written += nbytes
+        return landed
 
     def read(self, nbytes: int, node=None):
         """Charge the time for reading ``nbytes`` through this filesystem."""

@@ -65,9 +65,8 @@ class RochdfModule(ServiceModule):
     ) -> None:
         self.stats.retries += 1
         ctx = self.ctx
-        if ctx.recorder is not None:
-            ctx.recorder.record_counter(self.name, f"{op}_retries")
-            ctx.log_fault(f"{self.name} {op} fault ({exc}); retry {attempt + 1}")
+        ctx.recorder.record_counter(self.name, f"{op}_retries")
+        ctx.log_fault(f"{self.name} {op} fault ({exc}); retry {attempt + 1}")
 
     def _note_read_retry(self, attempt: int, exc: BaseException) -> None:
         self._note_retry(attempt, exc, op="read")
@@ -198,11 +197,8 @@ class RochdfModule(ServiceModule):
                 # scanning.  If the wanted blocks exist nowhere else the
                 # KeyError below tells the caller to fall back to the
                 # previous good snapshot.
-                if ctx.recorder is not None:
-                    ctx.recorder.record_counter(self.name, "torn_files_skipped")
-                    ctx.log_fault(
-                        f"{self.name} skipping torn snapshot file {file_path}"
-                    )
+                ctx.recorder.record_counter(self.name, "torn_files_skipped")
+                ctx.log_fault(f"{self.name} skipping torn snapshot file {file_path}")
                 continue
             names = [
                 n

@@ -11,9 +11,8 @@ There is one client protocol, whether or not a fault plan is installed:
 a snapshot is one ``WriteBegin`` and a per-block stream of guarded
 sends, ``sync`` and restart wait with timed receives.  What is sent, and
 when, never depends on the plan; a live server is waited for, a dead one
-(``machine.is_dead``) failed over, a lost announcement resent.  The plan
-decides one thing only: output is retained for a re-ship until the next
-``sync`` in runs where a rank can die (``machine.ranks_can_die``).
+(``machine.is_dead``) failed over, a lost announcement resent.  Output
+is retained for a re-ship until the next ``sync``.
 """
 
 from __future__ import annotations
@@ -113,8 +112,7 @@ class RocpandaModule(ServiceModule):
         self._server = topo.my_server
         self._dead = ctx.machine.dead_ranks()
         #: Output a failover would re-ship: everything since the last
-        #: acknowledged sync where a rank can die, else only what is
-        #: being shipped right now.
+        #: acknowledged sync.
         self._unsynced: List[_PendingOutput] = []
         self._sync_seq = 0
 
@@ -178,10 +176,6 @@ class RocpandaModule(ServiceModule):
         """Generator: ship one snapshot (from the caller or the sender)."""
         self._unsynced.append(_PendingOutput(window_name, batch, file_attrs))
         yield from self._deliver_pending()
-        if not self.ctx.machine.ranks_can_die:
-            # No failover can ask for it again: holding every snapshot
-            # until the next sync would only pin its memory.
-            self._unsynced.clear()
 
     # -- resilience layer ----------------------------------------------------
     def _server_alive(self) -> bool:

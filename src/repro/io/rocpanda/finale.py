@@ -1,9 +1,8 @@
-"""The Rocpanda servers' finalize, where ranks can die.
+"""The Rocpanda servers' finalize.
 
 A server is *done* once every client it expects has shut down and all it
-took is on disk.  Where no rank can die it then returns.  Where one can,
-a server that returned may still be needed: a peer dying later hands its
-clients to the next live server in the ring
+took is on disk.  A server that returned then may still be needed: a
+peer dying later hands its clients to the next live server in the ring
 (:func:`~.topology.failover_server`), and a server that has gone answers
 none of their re-asks.  So a done server **lingers**, still serving,
 until every other server is done, gone or dead.  The last to be done
@@ -53,8 +52,6 @@ class Finale:
         when a message (handled here) or a wake sends it back to look
         again — a death may have handed it clients."""
         ctx = server.ctx
-        if not ctx.machine.ranks_can_die:
-            return True
         me, is_dead = ctx.rank, ctx.machine.is_dead
         self.done.add(me)
         if all(s in self.done or s in self.gone or is_dead(s) for s in server.topo.servers):

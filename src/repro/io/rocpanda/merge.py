@@ -54,9 +54,8 @@ partial, is local at once.  The protocol:
 
 Crash semantics — a block is never in two committed files:
 
-* the writer dies: each joiner, which polls for it in runs where a rank
-  can die, takes its share back (a torn file is skipped by every
-  reader);
+* the writer dies: each joiner, which polls for it, takes its share
+  back (a torn file is skipped by every reader);
 * a joiner dies: the writer stops counting its clients unless their
   share arrived, and their re-ships go to the joiner's heir.  A heir
   lands no adopted client's blocks of a path another server writes
@@ -155,9 +154,9 @@ class MergeService:
         self._polled: Dict[str, int] = {}
         #: Joined path states whose writer has not reported them landed.
         self._out: Dict[object, _Share] = {}
-        #: Writer side, per path that takes shares until its commit; and,
-        #: where a rank can die, the block counts of every committed
-        #: merged file, for a heir asking about blocks it already holds.
+        #: Writer side, per path that takes shares until its commit; and
+        #: the block counts of every committed merged file, for a heir
+        #: asking about blocks it already holds.
         self.joins: Dict[str, _Joins] = {}
         self._done: Dict[str, Dict[int, int]] = {}
         #: (path, adopted client) -> [the writer asked, when; None once it
@@ -533,15 +532,10 @@ class MergeService:
         yield from self.poll()
 
     def watching(self) -> bool:
-        """True while an answer may never come: a share unanswered, an
-        ask, or any merge where ranks can die."""
-        return bool(self._asks) or any(
-            share.verdict is None for share in self._out.values()
-        ) or (
-            self.ctx.machine.ranks_can_die and bool(
-                self._out or any(self._unheard.values())
-                or any(j.pending for j in self.joins.values())
-            )
+        """True while an answer may never come: an ask, or any merge."""
+        return bool(
+            self._asks or self._out or any(self._unheard.values())
+            or any(j.pending for j in self.joins.values())
         )
 
     def on_message(self, source: int, msg):
@@ -620,9 +614,7 @@ class MergeService:
         for path, joins in list(self.joins.items()):
             if joins.state is state:
                 del self.joins[path]
-                done = dict(state.expected)
-                if self.ctx.machine.ranks_can_die:
-                    self._done[path] = done
+                done = self._done[path] = dict(state.expected)
                 for joiner, clients in joins.merged.items():
                     self._reply(joiner, path, clients, "landed")
                 for joiner, nblocks in joins.waiting:
@@ -727,11 +719,9 @@ class MergeService:
         all.  It joins the path's current state — a new one if none is
         open — and that state's own join, if it has one, or lands here,
         but for the blocks a committed file holds (scanned now: the
-        writer may have committed since).  Where no rank can die, no
-        file holds a refused or unanswered share: nothing is scanned."""
+        writer may have committed since)."""
         server, me = self.server, self.ctx.rank
-        if self.ctx.machine.ranks_can_die:
-            yield from self._scan_durable(path)
+        yield from self._scan_durable(path)
         held, state.held = state.held, []
         state.booked -= len(held)
         current = server._paths.get(path) or server._open_path(path, state.writer_attrs)

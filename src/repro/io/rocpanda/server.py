@@ -24,8 +24,8 @@ A dedicated server rank runs :meth:`PandaServer.run` for the whole job:
 * with nothing to take it **blocks in probe**, its CPU idle for the
   operating system — the SMP side-benefit of §4.1 (the noise model
   reads ``cpu.server_busy_fraction``: busy while the lander works);
-* where ranks can die, a server whose clients are done **lingers**
-  until every other server is done or dead (:mod:`.finale`);
+* a server whose clients are done **lingers** until every other
+  server is done or dead (:mod:`.finale`);
 * a **latency-bound share** — its clients' blocks of a path, fewer
   bytes than the network moves in one write's latency — rides the
   path's writer, a server on the same write slot, which lands it in its
@@ -254,8 +254,8 @@ class PandaServer:
 
     # -- main loop -------------------------------------------------------
     def run(self):
-        """Generator: serve until every client has sent Shutdown — and,
-        where ranks can die, every other server is done or dead.
+        """Generator: serve until every client has sent Shutdown and
+        every other server is done or dead.
 
         An injected crash (:class:`~repro.des.Interrupt`) stops the
         lander, the forwarder and the restart reads at once, leaving open

@@ -222,11 +222,8 @@ class TRochdfModule(RochdfModule):
         except WriteFaultError as exc:
             # Report to the main thread at its next sync; don't die.
             self._io_errors.append((file_path, exc))
-            if ctx.recorder is not None:
-                ctx.recorder.record_counter(self.name, "background_write_failures")
-                ctx.log_fault(
-                    f"trochdf background write of {file_path} FAILED: {exc}"
-                )
+            ctx.recorder.record_counter(self.name, "background_write_failures")
+            ctx.log_fault(f"trochdf background write of {file_path} FAILED: {exc}")
             return
         self.stats.files_created += 1
         ctx.io_record(

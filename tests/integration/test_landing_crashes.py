@@ -35,10 +35,11 @@ def _log_fs(fs, spans):
     for name in ("meta_op", "meta_ops_bulk", "write"):
         op = getattr(fs, name)
 
-        def logged(*args, _op=op):
+        def logged(*args, _op=op, **kwargs):
             t0 = fs.env.now
-            yield from _op(*args)
+            result = yield from _op(*args, **kwargs)
             spans.append((t0, fs.env.now))
+            return result
 
         setattr(fs, name, logged)
 

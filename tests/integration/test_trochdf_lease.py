@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster import Machine, turing
 from repro.des import Interrupt
-from repro.faults import DiskFull, FaultPlan, RetryPolicy, ServerCrash
+from repro.faults import DiskFull, FaultPlan, RetryPolicy, ServerCrash, TransientEIO
 from repro.genx import GENxConfig, lab_scale_motor, run_genx
 from repro.io import BackgroundWriteError, TRochdfModule
 from repro.roccom import Roccom
@@ -61,6 +61,25 @@ def test_the_holds_are_the_filesystems_write_busy_time():
     held = sum(r.t_end - r.t_start for r in holds)
     assert held == pytest.approx(metrics.write_busy_time, abs=1e-9)
     assert metrics.peak_write_demand == 1
+
+
+def test_a_faulted_landing_is_not_counted_as_a_write():
+    """Transient EIOs whose retries all succeed: the filesystem counts
+    the writes and bytes that reached the disk — the clean job's — and
+    keeps the faulted holds' seconds in its write-busy time."""
+    clean, _ = _motor_job("trochdf", nclients=16)
+    machine = Machine(turing(), seed=100)
+    machine.install_faults(FaultPlan((TransientEIO(count=4),)))
+    config = GENxConfig(
+        workload=lab_scale_motor(scale=0.02, steps=4, snapshot_interval=2),
+        io_mode="trochdf", prefix="trochdf",
+    )
+    result = run_genx(machine, 16, config)
+    assert sum(c.io_stats.retries for c in result.clients) == 4
+    metrics, ref = machine.fs.metrics, clean.fs.metrics
+    assert (metrics.write_ops, metrics.bytes_written) == (ref.write_ops, ref.bytes_written)
+    assert metrics.write_ops == len(_holds(result))
+    assert metrics.write_busy_time > ref.write_busy_time
 
 
 def _arrays(rank):

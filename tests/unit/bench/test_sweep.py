@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from repro.bench import ARTEFACTS, Grid, Row, Sweep, run_faultbench
-from repro.bench import sweep as registry
 from repro.cluster import testbox as make_testbox
 from repro.genx import lab_scale_motor
 
@@ -19,6 +18,13 @@ def test_every_committed_table_has_exactly_one_definition():
     assert all(count == 1 for count in producers.values()), producers
     assert set(producers) == committed
     assert all(name == a.name for name, a in ARTEFACTS.items())
+
+
+def test_every_artefact_but_the_unmet_and_the_unclaimed_checks_its_shape():
+    """Table 1 and Fig 3(a) do not meet the paper's shape yet; the partial
+    read and A2b report, they claim no shape."""
+    unchecked = {name for name, a in ARTEFACTS.items() if a.shape is None}
+    assert unchecked == {"table1", "fig3a", "fig3a_partial_read", "a2_tiers"}
 
 
 def _tiny(rows, runs=2, policy="best"):
@@ -70,13 +76,14 @@ def test_runs_and_scale_override_the_definition():
     assert grid.value("bytes", "only") > sweep().value("bytes", "only")
 
 
-def test_the_chaos_matrix_artefact_fails_naming_the_rows_that_did(monkeypatch):
-    """``paper faults`` never prints a row that did not recover or
-    replay: it raises, and the message names that row alone."""
+def test_the_chaos_matrix_artefact_fails_naming_the_rows_that_did():
+    """A chaos matrix with a row that did not recover or replay fails its
+    check, and the message names the artefact and that row alone."""
     payload = run_faultbench(only=["transient_eio/rochdf", "transient_eio/trochdf"])
     assert "NO" not in ARTEFACTS["faults"].text(payload)
+    ARTEFACTS["faults"].check(payload)
     payload["matrix"][1]["runs_identical"] = False
-    monkeypatch.setattr(registry, "run_faultbench", lambda: payload)
     with pytest.raises(AssertionError, match="transient_eio/trochdf") as failed:
-        ARTEFACTS["faults"].result()
+        ARTEFACTS["faults"].check(payload)
+    assert str(failed.value).startswith("faults: ")
     assert "transient_eio/rochdf" not in str(failed.value)

@@ -1,6 +1,7 @@
 """Unit tests for the ``python -m repro`` command-line interface."""
 
 import argparse
+import dataclasses
 import json
 import os
 
@@ -98,6 +99,21 @@ class TestPaperCommand:
         with open(tmp_path / name) as new, open(committed) as old:
             assert new.read() == old.read()
 
+
+    def test_a_broken_shape_fails_naming_the_artefact_and_the_assertion(
+        self, monkeypatch, capsys
+    ):
+        """A6 with the balanced partition slower than the static one: the
+        table is still printed, and ``paper`` exits 1 naming A6's check."""
+        name = "ablation_a6_load_balancing"
+        broken = dataclasses.replace(ARTEFACTS[name], run=lambda: {"static": 1.0, "balanced": 2.0})
+        monkeypatch.setitem(ARTEFACTS, name, broken)
+        with pytest.raises(SystemExit) as exit_:
+            main(["paper", name])
+        assert exit_.value.code == 1
+        out, err = capsys.readouterr()
+        assert "A6 — dynamic load balancing" in out
+        assert f'SHAPE FAILED: {name}: assert result["balanced"] < result["static"]' in err
 
     def test_baseline_gate_holds_cells_exact(self, tmp_path, capsys):
         """``--baseline`` compares each sweep with a committed grid: host
