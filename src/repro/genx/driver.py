@@ -250,6 +250,10 @@ def genx_main(config: GENxConfig):
 
         if config.io_mode == "rocpanda":
             yield from io_module.finalize()
+        # The paper's unload_module: the module leaves the registry and
+        # drops its window, so the job's heap is freed by reference
+        # counting, without waiting for a cyclic collection.
+        yield from com.unload_module(io_module.name)
 
         return ClientReport(
             rank=ctx.rank,

@@ -101,14 +101,21 @@ class Rocman:
         self.report.output_wall_time += self.ctx.now - t0
 
     def restore(self, step: int, run_prefix: Optional[str] = None):
-        """Generator: collective restart of all physics windows."""
+        """Generator: collective restart of all physics windows.
+
+        One ``read_attribute`` call names every physics window and its
+        snapshot prefix, so a collective service (Rocpanda) restores the
+        whole snapshot in one collective; returns its duration.
+        """
         prefix = run_prefix if run_prefix is not None else self.config.prefix
         t0 = self.ctx.now
-        for module in self.physics:
-            path = snapshot_prefix(prefix, step, module.window_name)
-            yield from self.com.call_function(
-                f"{IO_WINDOW}.read_attribute", module.window_name, None, path
-            )
+        windows = tuple(module.window_name for module in self.physics)
+        yield from self.com.call_function(
+            f"{IO_WINDOW}.read_attribute",
+            windows,
+            None,
+            tuple(snapshot_prefix(prefix, step, window) for window in windows),
+        )
         return self.ctx.now - t0
 
     # -- main loop -------------------------------------------------------------

@@ -36,6 +36,8 @@ __all__ = [
     "datasets_to_blocks",
     "dataset_name",
     "parse_dataset_name",
+    "window_prefixes",
+    "per_window",
 ]
 
 _NAME_RE = re.compile(r"^(?P<window>[^/]+)/b(?P<block>\d+)/(?P<attr>[^/]+)$")
@@ -154,6 +156,26 @@ def collect_blocks(
             )
         )
     return blocks
+
+
+def window_prefixes(window_name, path) -> List[Tuple[str, str]]:
+    """``read_attribute``'s windows and snapshot prefixes as ``(window,
+    prefix)`` pairs: one name and one prefix, or equal-length tuples of
+    them (a whole snapshot restored in one collective call)."""
+    if isinstance(window_name, str):
+        return [(window_name, path)]
+    if isinstance(path, str) or len(path) != len(window_name):
+        raise ValueError(
+            f"read_attribute needs one prefix per window: {window_name!r} "
+            f"against {path!r}"
+        )
+    return list(zip(window_name, path))
+
+
+def per_window(window_name, values: list):
+    """``read_attribute``'s result for ``window_name``: the one window's
+    value, or a tuple of the windows' values in call order."""
+    return values[0] if isinstance(window_name, str) else tuple(values)
 
 
 def apply_block(com: Roccom, block: DataBlock) -> None:

@@ -27,6 +27,8 @@ from .base import (
     block_to_datasets,
     collect_blocks,
     datasets_to_blocks,
+    per_window,
+    window_prefixes,
 )
 
 __all__ = ["RochdfModule", "snapshot_file_path", "list_snapshot_files"]
@@ -149,15 +151,28 @@ class RochdfModule(ServiceModule):
 
     def read_attribute(
         self,
-        window_name: str,
+        window_name,
         attr_names: Optional[List[str]] = None,
-        path: str = "snapshot",
+        path="snapshot",
     ):
         """Generator: restore this process's panes from snapshot files.
 
+        ``window_name`` and ``path`` are one window and its snapshot
+        prefix, or equal-length tuples of them; the windows are restored
+        one after another.  Returns the restored block IDs: a sorted
+        list, or a tuple of them, one per window.
+        """
+        restored = []
+        for window, prefix in window_prefixes(window_name, path):
+            restored.append((yield from self._read_window(window, attr_names, prefix)))
+        return per_window(window_name, restored)
+
+    def _read_window(self, window_name: str, attr_names, path: str):
+        """Generator: restore one window's panes from its snapshot files.
+
         Scans the snapshot's files starting at this rank's own index and
         wrapping around, stopping as soon as every wanted block is
-        found.  Returns the list of restored block IDs.
+        found.  Returns the sorted restored block IDs.
 
         Each file is opened by structural scan and its wanted records
         are pulled through the

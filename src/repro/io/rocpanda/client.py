@@ -24,7 +24,7 @@ from ...faults.retry import RetryPolicy
 from ...roccom.module import ServiceModule
 from ...vmpi.datatypes import ANY_SOURCE
 from ...vthread import BackgroundWorker
-from ..base import IOStats, apply_block, collect_blocks
+from ..base import IOStats, apply_block, collect_blocks, per_window, window_prefixes
 from .protocol import (
     TAG_BLOCK,
     TAG_CTRL,
@@ -40,6 +40,7 @@ from .protocol import (
     SyncRequest,
     WriteBegin,
     encode_block_batch,
+    restart_parts,
 )
 from .topology import Topology, failover_server
 
@@ -301,35 +302,44 @@ class RocpandaModule(ServiceModule):
 
     def read_attribute(
         self,
-        window_name: str,
+        window_name,
         attr_names: Optional[List[str]] = None,
-        path: str = "snapshot",
+        path="snapshot",
     ):
         """Generator: collective restart from server-written files.
 
         All clients must call this collectively: every client
         announces its wanted block IDs to every alive server; servers
         bulk-read their file shares and scatter aggregated batches
-        back.  Returns the restored block IDs.
+        back.  ``window_name`` and ``path`` are one window and its
+        snapshot prefix, or equal-length tuples of them: every window
+        is then restored by the same one collective.  Returns the
+        restored block IDs: a sorted list, or a tuple of them, one per
+        window.
         """
         ctx = self.ctx
         t0 = ctx.now
         yield from self._sender.wait()
         if not self._server_alive():
             self._failover()
-        window = self.com.window(window_name)
-        wanted = set(window.pane_ids())
+        pairs = window_prefixes(window_name, path)
+        windows = tuple(window for window, _prefix in pairs)
+        prefixes = tuple(prefix for _window, prefix in pairs)
+        wanted = tuple(set(self.com.window(window).pane_ids()) for window in windows)
         restored, nbytes = yield from self._read_batched(
-            window_name, wanted, attr_names, path
+            windows, wanted, attr_names, prefixes
         )
         self.stats.visible_read_time += ctx.now - t0
         ctx.io_record(
-            self.name, "read_attribute", path=path, nbytes=nbytes, t_start=t0
+            self.name, "read_attribute", path=",".join(prefixes), nbytes=nbytes,
+            t_start=t0,
         )
-        return sorted(restored)
+        return per_window(window_name, restored)
 
     def _apply_batch(self, msg: RestartBatch, source: int, wanted, restored):
-        """Apply one scatter batch; returns the payload bytes applied."""
+        """Apply one scatter batch; returns the payload bytes applied.
+        ``wanted`` holds the (window, block ID) keys still missing,
+        ``restored`` the restored block IDs per window."""
         if len(msg.blocks) != msg.nblocks:
             raise ProtocolError(
                 f"rank {self.ctx.rank}: RestartBatch from rank {source} "
@@ -337,13 +347,14 @@ class RocpandaModule(ServiceModule):
             )
         nbytes = 0
         for block in msg.blocks:
-            if block.block_id not in wanted:
+            key = (block.window, block.block_id)
+            if key not in wanted:
                 # Duplicate (another file generation, or a resume that
                 # re-read blocks already applied); first copy wins.
                 continue
             apply_block(self.com, block)
-            restored.append(block.block_id)
-            wanted.discard(block.block_id)
+            restored[block.window].append(block.block_id)
+            wanted.discard(key)
             self.stats.blocks_read += 1
             self.stats.bytes_read += block.data_nbytes
             nbytes += block.nbytes
@@ -352,38 +363,50 @@ class RocpandaModule(ServiceModule):
     def _read_batched(self, window_name, wanted, attr_names, path):
         """Generator: the two-phase collective restart (client side).
 
-        Sends this rank's wanted set to **every alive server** (each
-        server derives the complete block->owner map from its own
-        request bucket), then drains aggregated :class:`RestartBatch`
-        replies until one :class:`RestartDone` per outstanding *file
-        share* has arrived.  ``awaiting`` maps each share (keyed by the
-        server rank that owns it in the round-robin file assignment) to
-        the rank currently serving it; when a serving rank dies, the
-        share is re-requested from its deterministic heir with the
-        still-missing block IDs (``resume_of``) and the heir replies to
-        this client alone.
+        ``window_name``, ``wanted`` (block IDs) and ``path`` are one
+        window's, or equal-length tuples of them.  Sends this rank's
+        wanted sets to **every alive server**, one
+        :class:`RestartRequest` each (each server derives the complete
+        (window, block)->owner map from its own request bucket), then
+        drains aggregated :class:`RestartBatch` replies until one
+        :class:`RestartDone` per outstanding *file share* has arrived.
+        ``awaiting`` maps each share (keyed by the server rank that owns
+        it in the round-robin file assignment) to the rank currently
+        serving it; when a serving rank dies, the share is re-requested
+        from its deterministic heir with each window's still-missing
+        block IDs (``resume_of``) and the heir replies to this client
+        alone.  Returns the sorted restored block IDs per window and the
+        payload bytes.
         """
         ctx = self.ctx
         world = self.topo.world
         is_dead = ctx.machine.is_dead
         servers = self.topo.servers
         attrs = tuple(attr_names) if attr_names is not None else None
+        parts = restart_parts(window_name, path, wanted)
+        windows = tuple(window for window, _prefix, _ids in parts)
+        prefixes = tuple(prefix for _window, prefix, _ids in parts)
+        #: (window, block ID) keys not restored yet.
+        missing = {(window, bid) for window, _prefix, ids in parts for bid in ids}
         #: share rank -> rank currently expected to serve that share.
         awaiting: Dict[int, int] = {}
 
         def request(share, serving):
             """Generator: ask for ``share`` from ``serving`` — or, when
             that rank is dead, from its heir, as a resume carrying the
-            block IDs this rank is still missing."""
+            block IDs of each window this rank is still missing."""
             if is_dead(serving):
                 serving = failover_server(serving, servers, is_dead)
                 self.stats.failovers += 1
                 ctx.recorder.record_counter(self.name, "failovers")
             yield from world.send(
                 RestartRequest(
-                    prefix=path,
-                    window=window_name,
-                    block_ids=tuple(sorted(wanted)),
+                    prefix=prefixes,
+                    window=windows,
+                    block_ids=tuple(
+                        tuple(sorted(bid for w, bid in missing if w == window))
+                        for window in windows
+                    ),
                     attr_names=attrs,
                     resume_of=None if serving == share else share,
                 ),
@@ -396,7 +419,7 @@ class RocpandaModule(ServiceModule):
         # claimed from their heirs straight away.
         for server in servers:
             yield from request(server, server)
-        restored: List[int] = []
+        restored: Dict[str, List[int]] = {window: [] for window in windows}
         nbytes = 0
         misses = 0
         while awaiting:
@@ -420,7 +443,7 @@ class RocpandaModule(ServiceModule):
                 continue
             msg, status = reply
             if isinstance(msg, RestartBatch):
-                nbytes += self._apply_batch(msg, status.source, wanted, restored)
+                nbytes += self._apply_batch(msg, status.source, missing, restored)
             elif isinstance(msg, RestartDone):
                 share = (
                     msg.resume_of if msg.resume_of is not None else status.source
@@ -434,12 +457,12 @@ class RocpandaModule(ServiceModule):
                     f"rank {self.ctx.rank}: unexpected restart reply "
                     f"{type(msg).__name__} from rank {status.source}"
                 )
-        if wanted:
+        if missing:
             raise KeyError(
-                f"restart of {window_name!r} from {path!r} is missing blocks "
-                f"{sorted(wanted)}"
+                f"restart of {windows} from {prefixes} is missing blocks "
+                f"{sorted(missing)}"
             )
-        return restored, nbytes
+        return [sorted(restored[window]) for window in windows], nbytes
 
     def sync(self):
         """Generator: wait until everything this rank sent is on disk.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ...shdf.codec import encode_batch
-from ..base import DataBlock, block_to_datasets, record_groups
+from ..base import DataBlock, block_to_datasets, record_groups, window_prefixes
 
 __all__ = [
     "ProtocolError",
@@ -29,6 +29,7 @@ __all__ = [
     "SyncRequest",
     "SyncReply",
     "RestartRequest",
+    "restart_parts",
     "RestartBatch",
     "RestartDone",
     "Shutdown",
@@ -165,26 +166,55 @@ class SyncReply:
     seq: int = 0
 
 
+def restart_parts(window, prefix, block_ids) -> List[Tuple[str, str, Any]]:
+    """One restart's ``(window, prefix, block IDs)`` triples: one
+    window's, or equal-length tuples of them (``read_attribute``'s
+    convention, :func:`~repro.io.base.window_prefixes`)."""
+    if isinstance(window, str):
+        return [(window, prefix, block_ids)]
+    pairs = window_prefixes(window, prefix)
+    if len(block_ids) != len(pairs):
+        raise ValueError(f"restart of {window!r} needs one block-ID set per window")
+    return [(w, p, ids) for (w, p), ids in zip(pairs, block_ids)]
+
+
 @dataclass(frozen=True)
 class RestartRequest:
     """A client's restart demand: which blocks it wants from a snapshot.
 
+    ``window``, ``prefix`` and ``block_ids`` are one window, its
+    snapshot prefix and the wanted block IDs, or equal-length tuples of
+    them — every window of a snapshot in one request, which the servers
+    serve as one collective.  They are stored as tuples; :attr:`parts`
+    pairs them up.
+
     The client sends its request to *every* alive server (so each
-    server builds the full block->owner map from its own bucket,
-    without a server collective), and replies arrive as
+    server builds the full (window, block)->owner map from its own
+    bucket, without a server collective), and replies arrive as
     :class:`RestartBatch` scatter messages.
 
     ``resume_of`` marks a failover resume: "server ``resume_of`` died
     owing me its share of the restart files — you are its heir, rescan
-    that share for the ``block_ids`` I am still missing."  Resume
-    requests are served immediately (no bucketing).
+    that share for the ``block_ids`` I am still missing" (per window).
+    Resume requests are served immediately (no bucketing).
     """
 
-    prefix: str
-    window: str
-    block_ids: Tuple[int, ...]
+    prefix: Any
+    window: Any
+    block_ids: Tuple
     attr_names: Optional[Tuple[str, ...]] = None
     resume_of: Optional[int] = None
+
+    def __post_init__(self):
+        parts = restart_parts(self.window, self.prefix, self.block_ids)
+        object.__setattr__(self, "window", tuple(w for w, _p, _ids in parts))
+        object.__setattr__(self, "prefix", tuple(p for _w, p, _ids in parts))
+        object.__setattr__(self, "block_ids", tuple(tuple(ids) for _w, _p, ids in parts))
+
+    @property
+    def parts(self) -> List[Tuple[str, str, Tuple[int, ...]]]:
+        """``(window, prefix, block IDs)`` per window, in request order."""
+        return list(zip(self.window, self.prefix, self.block_ids))
 
 
 @dataclass
@@ -198,6 +228,8 @@ class RestartBatch:
     block-count consistency per reply batch (a torn or mis-sliced
     batch fails loudly as a :class:`ProtocolError`).  Wire size is a
     64-byte envelope per block on top of the block payloads.
+    ``prefix`` is the region's snapshot prefix; each block names its
+    window.
     """
 
     prefix: str
@@ -211,14 +243,15 @@ class RestartBatch:
 
 @dataclass(frozen=True)
 class RestartDone:
-    """Server signal: the collective restart for ``prefix`` is complete.
+    """Server signal: the collective restart for ``prefix`` (a
+    :class:`RestartRequest`'s prefixes) is complete.
 
     ``resume_of`` echoes the :class:`RestartRequest` field so a client
     waiting on several outstanding shares (its normal per-server Dones
     plus failover resumes) can retire exactly the one that finished.
     """
 
-    prefix: str
+    prefix: Any
     blocks_sent: int
     resume_of: Optional[int] = None
 

@@ -1,19 +1,21 @@
 """The Rocpanda server's restart service: a two-phase collective read (§6.1).
 
-Every client requests its wanted block IDs from every alive server, so
-each server derives the full block->owner map from its own request
+Every client requests its wanted block IDs of every window of the
+snapshot from every alive server, in one request, so each server
+derives the full (window, block)->owner map from its own request
 bucket — no server collective.  The server then reads its round-robin
-share of the restart files at the filesystem's read width: it scans
-every file of the share at once, cuts each into sieved regions and
-starts every region's read at once — each a
+share of every window's restart files at the filesystem's read width:
+it scans every file of the share at once, cuts each into sieved regions
+and starts every region's read at once — each a
 :class:`~repro.fs.coalesce.ReadCoalescer` schedule of a few large
 ``fs.read`` calls, queued by the filesystem's own read slots — then
-decodes and scatters the regions in file order as they land, one
-aggregated :class:`RestartBatch` per (region, owner) to whichever client
-wants the blocks — which is why a run may restart with a different
-number of servers than wrote the files.  A client whose server dies
-mid-read sends a ``resume_of`` request to the dead server's heir, which
-reads that share the same way and replies to the requester alone.
+decodes and scatters the regions in the order they land (file order
+among those already landed), one aggregated :class:`RestartBatch` per
+(region, owner) to whichever client wants the blocks — which is why a
+run may restart with a different number of servers than wrote the
+files.  A client whose server dies mid-read sends a ``resume_of``
+request to the dead server's heir, which reads that share the same way
+and replies to the requester alone.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class RestartService:
         self.server_index = server.server_index
         #: The machine's live set of crashed ranks.
         self._dead = server.ctx.machine.dead_ranks()
-        self._requests: Dict[str, Dict[int, RestartRequest]] = {}
+        #: A snapshot's prefixes -> each client's request for it.
+        self._requests: Dict[Tuple[str, ...], Dict[int, RestartRequest]] = {}
         #: (prefix, share rank) -> decoded datasets of that dead
         #: server's file share; fills on the first failover resume so
         #: later resumes for the same share skip the rescan.
@@ -145,30 +148,49 @@ class RestartService:
         except (WriteFaultError, Interrupt) as exc:
             return exc
 
-    def _read_share(self, prefix: str, share_index: int):
-        """Generator: scan one server share of the restart files, every
-        file at once, then start every region's read.
+    def _read_share(self, prefixes, share_index: int):
+        """Generator: scan one server share of the restart files of every
+        prefix, every file at once, then start every region's read.
 
-        Returns ``(readers, regions)``: the open readers, and one DES
-        process per bulk-read region, in file order, whose value is the
-        region's datasets (:meth:`_landed` waits for one).  The
-        filesystem's read slots queue the reads; nothing here bounds
-        them.
+        Returns ``(readers, regions)``: the open readers, and one
+        ``(prefix, process)`` per bulk-read region, in file order, whose
+        process's value is the region's datasets (:meth:`_landed` waits
+        for one).  The filesystem's read slots queue the reads; nothing
+        here bounds them.
         """
-        files = self._restart_files(prefix)[share_index :: self.topo.nservers]
+        nservers = self.topo.nservers
+        files = [
+            (prefix, path)
+            for prefix in prefixes
+            for path in self._restart_files(prefix)[share_index::nservers]
+        ]
         self._inflight = []
-        scans = [self._start(self._scan(path), "panda-restart-scan") for path in files]
+        scans = [
+            (prefix, self._start(self._scan(path), "panda-restart-scan"))
+            for prefix, path in files
+        ]
         readers = []
-        for scan in scans:
+        for prefix, scan in scans:
             reader = yield scan
             if reader is not None:
-                readers.append(reader)
+                readers.append((prefix, reader))
         regions = []
-        for reader in readers:
+        for prefix, reader in readers:
             for region in _restart_regions(reader.entries(), RESTART_REGION_BYTES):
                 self.stats.restart_sieve_waste_bytes += _sieve_waste(region, RESTART_SIEVE_GAP)
-                regions.append(self._start(self._read(reader, region), "panda-restart-read"))
-        return readers, regions
+                regions.append(
+                    (prefix, self._start(self._read(reader, region), "panda-restart-read"))
+                )
+        return [reader for _prefix, reader in readers], regions
+
+    def _next_landed(self, regions):
+        """Generator: take the next region to scatter off ``regions`` —
+        the first in file order of those whose read has landed, waiting
+        for one to land if none has."""
+        if not any(proc.processed for _prefix, proc in regions):
+            yield self.ctx.env.any_of([proc for _prefix, proc in regions])
+        i = next(i for i, (_prefix, proc) in enumerate(regions) if proc.processed)
+        return regions.pop(i)
 
     def _landed(self, region):
         """Generator: wait for one region's read; its datasets."""
@@ -194,17 +216,19 @@ class RestartService:
         return blocks
 
     # -- the collective restart and the failover resume -----------------------
-    def _do_restart_batched(self, prefix: str):
+    def _do_restart_batched(self, prefixes):
         """Generator: the two-phase collective restart for one snapshot.
 
-        Phase one gathered every live client's wanted block IDs into
-        ``self._requests[prefix]`` (each client requests from *every*
-        alive server, so the bucket is the complete owner map — no
-        allgather, no barrier: per-channel FIFO ordering guarantees each
-        client's RestartDone arrives after its last batch).  Phase two
-        reads this server's file share, every region in flight at once,
-        and as each lands, in file order, batch-decodes it and scatters
-        one :class:`RestartBatch` per (region, owner).  The time splits
+        Phase one gathered every live client's wanted block IDs of every
+        window into ``self._requests[prefixes]`` (each client requests
+        from *every* alive server, so the bucket is the complete
+        (window, block)->owner map — no allgather, no barrier:
+        per-channel FIFO ordering guarantees each client's RestartDone
+        arrives after its last batch).  Phase two reads this server's
+        file share of every window, every region in flight at once, and
+        scatters the regions in the order they land — file order among
+        those already landed — batch-decoding each and sending one
+        :class:`RestartBatch` per (region, owner).  The time splits
         into ``restart_scan_time`` (open and close round trips),
         ``restart_read_wait_time`` (waiting for a region to land) and
         ``restart_scatter_time`` (the sends), which sum to the
@@ -212,28 +236,31 @@ class RestartService:
         """
         ctx, stats = self.ctx, self.stats
         world = self.topo.world
-        requests = self._requests[prefix]
-        owner_of: Dict[int, int] = {
-            bid: client
+        requests = self._requests[prefixes]
+        owner_of: Dict[Tuple[str, int], int] = {
+            (window, bid): client
             for client, req in requests.items()
-            for bid in req.block_ids
+            for window, _prefix, block_ids in req.parts
+            for bid in block_ids
         }
         first = next(iter(requests.values()))
-        window = first.window
+        window_of = dict(zip(first.prefix, first.window))
         attr_filter = first.attr_names
         sent = 0
         t0 = ctx.now
         scanned_bytes = 0
-        readers, regions = yield from self._read_share(prefix, self.server_index)
+        readers, regions = yield from self._read_share(prefixes, self.server_index)
         stats.restart_scan_time += ctx.now - t0
-        for region in regions:
+        while regions:
             t = ctx.now
+            prefix, region = yield from self._next_landed(regions)
             datasets = yield from self._landed(region)
             stats.restart_read_wait_time += ctx.now - t
             scanned_bytes += sum(d.nbytes for d in datasets)
+            window = window_of[prefix]
             per_owner: Dict[int, List[DataBlock]] = {}
             for block in self._region_blocks(datasets, window, attr_filter):
-                owner = owner_of.get(block.block_id)
+                owner = owner_of.get((window, block.block_id))
                 if owner is None:
                     continue
                 per_owner.setdefault(owner, []).append(block)
@@ -252,20 +279,22 @@ class RestartService:
         stats.restart_scan_time += ctx.now - t
         stats.restart_blocks_sent += sent
         ctx.io_record(
-            "rocpanda", "restart_scan", path=prefix, nbytes=scanned_bytes,
-            t_start=t0,
+            "rocpanda", "restart_scan", path=",".join(prefixes),
+            nbytes=scanned_bytes, t_start=t0,
         )
         for client in sorted(self._expected_clients()):
             yield from world.send(
-                RestartDone(prefix, sent), dest=client, tag=TAG_REPLY
+                RestartDone(prefixes, sent), dest=client, tag=TAG_REPLY
             )
 
     def _serve_resume(self, client: int, msg: RestartRequest):
         """Generator: serve a failover resume for a dead server's share.
 
-        Replies go to the requesting client **only** — a multicast to
-        all owners could rendezvous-block forever against clients that
-        already completed their restart and left the reply loop.
+        One :class:`RestartBatch` per window that still misses blocks,
+        then the Done.  Replies go to the requesting client **only** — a
+        multicast to all owners could rendezvous-block forever against
+        clients that already completed their restart and left the reply
+        loop.
         """
         ctx = self.ctx
         share = msg.resume_of
@@ -274,36 +303,39 @@ class RestartService:
         ctx.recorder.record_counter("rocpanda", "restart_resumes_served")
         ctx.log_fault(f"resuming share of dead server {share} for client {client}")
         sent = 0
-        if msg.block_ids:
-            datasets = yield from self._share_datasets(msg.prefix, share)
-            wanted = set(msg.block_ids)
+        for window, prefix, block_ids in msg.parts:
+            if not block_ids:
+                continue
+            datasets = yield from self._share_datasets(prefix, share)
+            wanted = set(block_ids)
             blocks = [
                 b
-                for b in self._region_blocks(datasets, msg.window, msg.attr_names)
+                for b in self._region_blocks(datasets, window, msg.attr_names)
                 if b.block_id in wanted
             ]
             if blocks:
                 yield from world.send(
-                    RestartBatch(msg.prefix, blocks, len(blocks)),
+                    RestartBatch(prefix, blocks, len(blocks)),
                     dest=client, tag=TAG_REPLY,
                 )
-                sent = len(blocks)
-                self.stats.restart_blocks_sent += sent
+                sent += len(blocks)
+        self.stats.restart_blocks_sent += sent
         yield from world.send(
             RestartDone(msg.prefix, sent, resume_of=share),
             dest=client, tag=TAG_REPLY,
         )
 
     def _share_datasets(self, prefix: str, share_rank: int):
-        """Generator: decode (and cache) a dead server's restart share."""
+        """Generator: decode (and cache) a dead server's restart share
+        of one prefix."""
         key = (prefix, share_rank)
         cached = self._resume_cache.get(key)
         if cached is not None:
             return cached
         share_index = self.topo.servers.index(share_rank)
-        readers, regions = yield from self._read_share(prefix, share_index)
+        readers, regions = yield from self._read_share((prefix,), share_index)
         datasets: List = []
-        for region in regions:
+        for _prefix, region in regions:
             datasets.extend((yield from self._landed(region)))
         for reader in readers:
             yield from reader.close()

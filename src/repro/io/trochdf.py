@@ -156,16 +156,17 @@ class TRochdfModule(RochdfModule):
 
     def read_attribute(
         self,
-        window_name: str,
+        window_name,
         attr_names: Optional[List[str]] = None,
-        path: str = "snapshot",
+        path="snapshot",
     ):
         """Generator: restore panes, attr-sieved exactly like Rochdf.
 
         T-Rochdf performs restart the same way Rochdf does (§7.1) —
-        including the ``attr_names`` partial-read sieve — but must first
-        wait out its own buffered snapshots so a read-after-write of the
-        same prefix never observes a half-written file.
+        including the ``attr_names`` partial-read sieve and one window
+        after another when given several — but must first wait out its
+        own buffered snapshots so a read-after-write of the same prefix
+        never observes a half-written file.
         """
         yield from self._drain()
         result = yield from super().read_attribute(window_name, attr_names, path)

@@ -6,7 +6,9 @@ named by ``window_name`` (default ``"OUT"``) exposing the three
 file-format-independent collective operations of §5:
 
 * ``write_attribute(window_name, attr_names, path, file_attrs=None)``
-* ``read_attribute(window_name, attr_names, path_or_prefix)``
+* ``read_attribute(window_name, attr_names, path_or_prefix)`` — one
+  window and its prefix, or equal-length tuples of them: a whole
+  snapshot restored by one collective call
 * ``sync()`` — wait for previously issued (overlapped) output
 
 Because every module registers the same function names under the same

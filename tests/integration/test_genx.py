@@ -1,5 +1,8 @@
 """Integration tests: full GENx runs under all three I/O services."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.cluster import testbox as make_testbox
 from repro.cluster.presets import turing
 from repro.genx import GENxConfig, lab_scale_motor, run_genx, scalability_cylinder
 from repro.io import datasets_to_blocks
+from repro.roccom import Roccom
 from repro.shdf import decode_file
 
 
@@ -107,6 +111,39 @@ class TestRunGENx:
         r2 = run_genx(make_machine(seed=9), 2, config)
         assert r1.computation_time == r2.computation_time
         assert r1.visible_io_time == r2.visible_io_time
+
+
+@pytest.mark.parametrize("io_mode,nprocs,nservers", [
+    ("rochdf", 4, 0),
+    ("trochdf", 4, 0),
+    ("rocpanda", 5, 1),
+])
+def test_a_finished_job_frees_its_windows_without_the_cycle_collector(
+    monkeypatch, io_mode, nprocs, nservers
+):
+    """The GENx main unloads its I/O module once the job is done, so no
+    Roccom <-> module cycle keeps a client's windows (and the arrays a
+    restart restored into them) alive until a cyclic collection."""
+    windows = []
+    new_window = Roccom.new_window
+
+    def keep_a_weakref(self, name):
+        window = new_window(self, name)
+        windows.append(weakref.ref(window))
+        return window
+
+    monkeypatch.setattr(Roccom, "new_window", keep_a_weakref)
+    config = GENxConfig(
+        workload=tiny_workload(steps=4), io_mode=io_mode, nservers=nservers,
+        prefix=f"gc_{io_mode}",
+    )
+    gc.disable()
+    try:
+        result = run_genx(make_machine(), nprocs, config)
+        assert result.clients and windows
+        assert [ref for ref in windows if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 class TestRestartIntegration:
