@@ -185,7 +185,7 @@ class ReadCoalescer:
         """The merged ``(start, length)`` runs the next :meth:`run` will issue."""
         return merge_extents(self._extents, self.gap)
 
-    def run(self):
+    def run(self, charge=None):
         """Generator: service all pending extents through merged reads.
 
         Returns one read-only :class:`memoryview` per extent, in
@@ -195,16 +195,24 @@ class ReadCoalescer:
         raised mid-schedule leaves the coalescer intact for a retry
         (which replays and re-charges the whole schedule).  A no-op
         (empty list) when nothing is pending.
+
+        Each run is one ``fs.read``, in turn.  A caller that charges the
+        reads itself passes ``charge``: a generator function given every
+        run's charged bytes at once, in plan order, which returns once
+        they are all read.
         """
         if not self._extents:
             return []
         runs = self.plan()
+        charges = [length for _start, length in runs]
         # Metadata charge rides on the first (largest-savings) run.
-        meta = self._meta
+        charges[0] += self._meta
+        if charge is not None:
+            yield from charge(charges)
         buffers: List[Tuple[int, memoryview]] = []
-        for start, length in runs:
-            yield from self.fs.read(length + meta, self.node)
-            meta = 0
+        for (start, length), nbytes in zip(runs, charges):
+            if charge is None:
+                yield from self.fs.read(nbytes, self.node)
             buffers.append((start, memoryview(self.vfile.read_checked(start, length))))
         chunks = []
         for offset, nbytes in self._extents:

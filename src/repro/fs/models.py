@@ -244,6 +244,7 @@ class NFSModel(FileSystemModel):
         self.meta_latency = meta_latency
         self.write_penalty = write_penalty
         self.max_penalty_factor = max_penalty_factor
+        self.read_slots = read_slots
         self._write_server = Resource(env, capacity=1)
         self._read_server = Resource(env, capacity=read_slots)
 

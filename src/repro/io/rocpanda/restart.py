@@ -6,16 +6,20 @@ derives the full (window, block)->owner map from its own request
 bucket — no server collective.  The server then reads its round-robin
 share of every window's restart files at the filesystem's read width:
 it scans every file of the share at once, cuts each into sieved regions
-and starts every region's read at once — each a
-:class:`~repro.fs.coalesce.ReadCoalescer` schedule of a few large
-``fs.read`` calls, queued by the filesystem's own read slots — then
-decodes and scatters the regions in the order they land (file order
-among those already landed), one aggregated :class:`RestartBatch` per
-(region, owner) to whichever client wants the blocks — which is why a
-run may restart with a different number of servers than wrote the
-files.  A client whose server dies mid-read sends a ``resume_of``
-request to the dead server's heir, which reads that share the same way
-and replies to the requester alone.
+and starts every region's read at once.  A region pays its records'
+metadata round trips once, then its
+:class:`~repro.fs.coalesce.ReadCoalescer` runs are read as stripes of
+at most :data:`RESTART_STRIPE_BYTES`, all queued at the filesystem's
+read slots at one instant, so a region lands in about one stripe's
+time and the regions land one after another instead of together.  The
+server decodes and scatters the regions in the order they land (file
+order among those already landed) while later ones are still read, one
+aggregated :class:`RestartBatch` per (region, owner) to whichever client
+wants the blocks — which is why a run may restart with a different
+number of servers than wrote the files.  The sends go one at a time: a
+server's link carries one batch at once.  A client whose server dies
+mid-read sends a ``resume_of`` request to the dead server's heir, which
+reads that share the same way and replies to the requester alone.
 """
 
 from __future__ import annotations
@@ -38,8 +42,14 @@ __all__ = ["RestartService"]
 #: blocks are scattered while later regions' reads are still landing.
 RESTART_REGION_BYTES = 4 * 1024 * 1024
 #: Largest hole (bytes) a region's read sieves through when merging
-#: record extents into one contiguous ``fs.read``.
+#: record extents into one contiguous run.
 RESTART_SIEVE_GAP = 65536
+#: Largest ``fs.read`` (bytes) of a region: its merged runs are cut into
+#: stripes no bigger, all queued at the filesystem's read slots at one
+#: instant, so a region lands in about one stripe's time.
+RESTART_STRIPE_BYTES = 512 * 1024
+#: Process names: a file's scan, and a region's read and its stripes.
+SCAN, READ = "panda-restart-scan", "panda-restart-read"
 
 
 class RestartService:
@@ -61,13 +71,13 @@ class RestartService:
         #: server's file share; fills on the first failover resume so
         #: later resumes for the same share skip the rescan.
         self._resume_cache: Dict[Tuple[str, int], List] = {}
-        #: The scans and region reads of the share being read.
+        #: The scans, region reads and stripes of the share being read.
         self._inflight: List = []
 
     def interrupt(self, cause) -> None:
-        """A crash: the share's scans and region reads still in flight
-        stop at this instant and give up the read slots they hold or
-        wait for."""
+        """A crash: the share's scans, region reads and stripes still in
+        flight stop at this instant and give up the read slots they hold
+        or wait for."""
         for proc in self._inflight:
             if proc.is_alive:
                 proc.interrupt(cause)
@@ -142,11 +152,32 @@ class RestartService:
         try:
             return (yield from retrying(
                 self.ctx.env, self.config.retry,
-                lambda: reader.read_extents(region, sieve_gap=RESTART_SIEVE_GAP),
+                lambda: reader.read_extents(
+                    region, sieve_gap=RESTART_SIEVE_GAP, charge=self._striped
+                ),
                 on_retry=self._note_read_retry,
             ))
         except (WriteFaultError, Interrupt) as exc:
             return exc
+
+    def _striped(self, charges):
+        """Generator: charge a region's merged runs, ``charges`` bytes
+        each, as stripes of at most :data:`RESTART_STRIPE_BYTES`, all
+        queued at this instant; returns once every stripe is read."""
+        stripes = [
+            self._start(self._stripe(nbytes), READ)
+            for run in charges
+            for nbytes in _stripes(run, RESTART_STRIPE_BYTES)
+        ]
+        yield self.ctx.env.all_of(stripes)
+
+    def _stripe(self, nbytes: int):
+        """One stripe's read.  A crash ends it quietly: the slot is given
+        back, and the region's read, interrupted too, returns the crash."""
+        try:
+            yield from self.ctx.fs.read(nbytes, self.ctx.node)
+        except Interrupt:
+            pass
 
     def _read_share(self, prefixes, share_index: int):
         """Generator: scan one server share of the restart files of every
@@ -166,7 +197,7 @@ class RestartService:
         ]
         self._inflight = []
         scans = [
-            (prefix, self._start(self._scan(path), "panda-restart-scan"))
+            (prefix, self._start(self._scan(path), SCAN))
             for prefix, path in files
         ]
         readers = []
@@ -178,9 +209,7 @@ class RestartService:
         for prefix, reader in readers:
             for region in _restart_regions(reader.entries(), RESTART_REGION_BYTES):
                 self.stats.restart_sieve_waste_bytes += _sieve_waste(region, RESTART_SIEVE_GAP)
-                regions.append(
-                    (prefix, self._start(self._read(reader, region), "panda-restart-read"))
-                )
+                regions.append((prefix, self._start(self._read(reader, region), READ)))
         return [reader for _prefix, reader in readers], regions
 
     def _next_landed(self, regions):
@@ -267,11 +296,11 @@ class RestartService:
             t = ctx.now
             for owner in sorted(per_owner):
                 blocks = per_owner[owner]
-                yield from world.send(
-                    RestartBatch(prefix, blocks, len(blocks)),
-                    dest=owner, tag=TAG_REPLY,
-                )
+                batch = RestartBatch(prefix, blocks, len(blocks))
+                nbytes = batch.nbytes
+                yield from world.send(batch, dest=owner, tag=TAG_REPLY, nbytes=nbytes)
                 sent += len(blocks)
+                stats.restart_scatter_bytes += nbytes
             stats.restart_scatter_time += ctx.now - t
         t = ctx.now
         for reader in readers:
@@ -369,6 +398,14 @@ def _restart_regions(entries, region_bytes: float):
     if current:
         regions.append(current)
     return regions
+
+
+def _stripes(nbytes: int, stripe: int) -> List[int]:
+    """Cut ``nbytes`` into the fewest near-equal reads of at most
+    ``stripe`` bytes (one read of an empty run)."""
+    count = max(1, -(-nbytes // stripe))
+    size, extra = divmod(nbytes, count)
+    return [size + 1] * extra + [size] * (count - extra)
 
 
 def _sieve_waste(region, gap: int) -> int:

@@ -153,6 +153,8 @@ class ServerStats:
     restart_scan_time: float = 0.0
     restart_read_wait_time: float = 0.0
     restart_scatter_time: float = 0.0
+    #: Wire bytes of those sends.
+    restart_scatter_bytes: int = 0
 
     @property
     def background_write_time(self) -> float:

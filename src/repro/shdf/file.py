@@ -409,13 +409,15 @@ class SHDFReader:
         self._require_open()
         return self._attrs
 
-    def read_extents(self, entries, sieve_gap: int = 65536):
+    def read_extents(self, entries, sieve_gap: int = 65536, charge=None):
         """Generator: read ``(name, offset, length)`` record extents merged.
 
         The two-phase read's data movement: per-record filesystem meta
         ops are charged as one bulk event, the extents are merged by a
         :class:`~repro.fs.coalesce.ReadCoalescer` (sieving through holes
-        up to ``sieve_gap`` bytes) into a few large ``fs.read`` calls,
+        up to ``sieve_gap`` bytes) into a few large runs, each one
+        ``fs.read`` unless ``charge`` charges them (see
+        :meth:`ReadCoalescer.run <repro.fs.coalesce.ReadCoalescer.run>`),
         and each record's dataset is built from the header
         :meth:`open_scan` parsed plus its payload slice.  Returns the
         :class:`Dataset` list in ``entries`` order, with private
@@ -435,7 +437,7 @@ class SHDFReader:
         coalescer = ReadCoalescer(self.fs, self._vfile, node=self.node, gap=sieve_gap)
         for _name, offset, length in entries:
             coalescer.add(offset, length, meta_bytes=self.driver.meta_bytes_per_dataset)
-        records = yield from coalescer.run()
+        records = yield from coalescer.run(charge)
         datasets = [
             self._entries[extent].dataset(record, copy=True)
             for extent, record in zip(entries, records)
