@@ -18,6 +18,7 @@ for :func:`compare` against a committed baseline.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 import traceback
@@ -199,7 +200,9 @@ class Sweep:
         """Run a row once on a fresh machine (and its restart on that disk),
         reduced to its metrics and what the write job cost the host:
         ``(seconds, DES events, payload bytes)``.  The jobs are freed
-        before the next starts."""
+        before the next starts: a run holds the cycle collector, so what
+        earlier samples left is collected here, untimed."""
+        gc.collect()
         kw = {"prefix": self.prefix, **row.config}
         if row.server:
             kw["server_config"] = ServerConfig(**row.server)

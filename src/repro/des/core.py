@@ -31,6 +31,7 @@ pooled auto-free timeouts (:meth:`Environment.sleep`) and an
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from heapq import heappop, heappush
 from itertools import count
@@ -494,6 +495,9 @@ class Environment:
         * ``until is None`` — run until no events remain.
         * number — run until simulated time reaches it.
         * :class:`Event` — run until the event fires; returns its value.
+
+        Automatic garbage collection is off while it runs, and back on
+        at every exit if the caller had it on.
         """
         if until is not None:
             if isinstance(until, Event):
@@ -518,6 +522,12 @@ class Environment:
         sample_mask = self._DEPTH_SAMPLE_MASK
         nevents = 0
         max_depth = self.max_queue_depth
+        # The run holds the cycle collector: the simulator frees its
+        # objects by reference count, and a job's cyclic garbage is a
+        # fixed skeleton whatever its length, so a pass during the run
+        # finds nothing but costs a walk of every live object.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while True:
                 if nowq:
@@ -562,6 +572,8 @@ class Environment:
         finally:
             self.events_processed += nevents
             self.max_queue_depth = max_depth
+            if collecting:
+                gc.enable()
         if isinstance(until, Event) and not until.triggered:
             raise SimulationError("ran out of events before the awaited event fired")
         return None

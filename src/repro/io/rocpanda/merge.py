@@ -421,7 +421,8 @@ class MergeService:
         return taken is not None and (client, block_id) in taken[0]
 
     def synced(self, clients) -> None:
-        """``clients``' syncs were answered: forget what they waited on."""
+        """``clients``' syncs were answered: forget what they waited on,
+        and the scan of a path no state of this server has open."""
         if not clients:
             return
         expected = self.server._expected_clients()
@@ -431,6 +432,8 @@ class MergeService:
             waiting.intersection_update(expected)
             if not waiting:
                 del self._taken[path]
+                if path not in self.server._paths:
+                    self._durable.pop(path, None)
 
     # -- the joiner's blocks ----------------------------------------------
     def enqueue(self, state, entries) -> None:
@@ -758,6 +761,7 @@ class MergeService:
         ):
             return False
         state.expected[client] = state.expected.get(client, 1) - 1
+        state.dropped[client] += 1
         return True
 
     def _scan_durable(self, path: str):

@@ -181,7 +181,7 @@ class _PathState:
 
     __slots__ = (
         "writer", "writer_attrs", "begun", "expected", "booked", "staged",
-        "groups", "staged_bytes", "seen", "owner", "held",
+        "groups", "staged_bytes", "seen", "dropped", "owner", "held",
     )
 
     def __init__(self):
@@ -199,6 +199,9 @@ class _PathState:
         #: (client, block_id) pairs already ingested — duplicate
         #: suppression for retried sends and duplicated messages.
         self.seen: set = set()
+        #: client -> its blocks dropped as held elsewhere (:meth:`MergeService.durable`),
+        #: which its WriteBegin, if still to come, does not count.
+        self.dropped: Counter = Counter()
         #: Who lands the blocks (this server, the writer it joined, or
         #: ``None``: undecided, :mod:`.merge`); ``(client, block)`` held.
         self.owner: Optional[int] = None
@@ -376,7 +379,7 @@ class PandaServer:
     def _on_write_begin(self, client: int, msg: WriteBegin):
         state = self._paths.get(msg.path) or self._open_path(msg.path, msg.file_attrs)
         state.begun.add(client)
-        state.expected[client] = msg.nblocks
+        state.expected[client] = msg.nblocks - state.dropped[client]
         yield from self._merge.on_announce(msg.path, state, client, msg.total_bytes)
         orphans = self._orphans.pop(msg.path, None)
         if orphans:
