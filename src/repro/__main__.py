@@ -4,9 +4,10 @@ Runs the paper's experiments and demos without going through pytest:
 
 * ``paper [NAME ...]`` — the paper's artefacts (Table 1, Fig 3(a),
   Fig 3(b), ablations A1–A6), the simulator's strong and weak scaling
-  curves and the fault-injection chaos matrix, each from its one
-  definition in :data:`repro.bench.ARTEFACTS` (default: all of them),
-  each checked for its shape (:meth:`repro.bench.Artefact.check`);
+  curves, the restart ledger and the fault-injection chaos matrix, each
+  from its one definition in :data:`repro.bench.ARTEFACTS` (default:
+  all of them), each checked for its shape
+  (:meth:`repro.bench.Artefact.check`);
   ``--baseline`` compares each sweep with a committed run of it
   (:func:`repro.bench.compare`).  A broken shape or a moved cell exits 1
   once every artefact has run

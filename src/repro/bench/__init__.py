@@ -1,6 +1,7 @@
 """Benchmark harness: the paper registry (Table 1, Fig 3(a), Fig 3(b),
-ablations A1-A6, the simulator's strong and weak scaling curves, and
-faultbench's chaos matrix, each row one :func:`checkpoint_restart`).
+ablations A1-A6, the simulator's strong and weak scaling curves, the
+restart ledger, and faultbench's chaos matrix, each row one
+:func:`checkpoint_restart`).
 
 What the artefacts report is *virtual* time; beside it each sweep
 times its jobs on the host (:attr:`Grid.host`, gated by

@@ -1,5 +1,6 @@
 """One registry of the paper's artefacts: Table 1, Fig 3(a)/(b), A1-A6,
-the simulator's strong and weak scaling curves, and the chaos matrix.
+the simulator's strong and weak scaling curves, the restart ledger and
+the chaos matrix.
 
 Each :class:`Artefact` is a name (its ``bench_results/<name>.txt``), a
 title, a renderer, a run — a :class:`Sweep` of GENx jobs, collapsed
@@ -20,8 +21,10 @@ from __future__ import annotations
 
 import gc
 import os
+import re
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -32,6 +35,7 @@ from ..genx.driver import GENxConfig, GENxRunResult, run_genx
 from ..genx.workloads import WorkloadSpec, lab_scale_motor, scalability_cylinder
 from ..io.rocpanda import ServerConfig
 from ..io.rocpanda.server import DRAIN_TERMS, server_drain
+from ..shdf import scan_file
 from ..util.stats import Summary, best_of, mean_ci
 from ..util.units import MB
 from ..vmpi import placement as placements
@@ -84,7 +88,8 @@ class Row:
 
     ``config`` overrides :class:`GENxConfig` fields, ``server`` builds its
     :class:`ServerConfig`; ``restart`` metrics come from a job restarting
-    from this one's last snapshot on its disk, seeded ``seed + restart_seed``.
+    from this one's last snapshot on its disk, seeded ``seed + restart_seed``,
+    on ``restart_servers`` servers (None keeps this job's count).
     """
 
     x: Any
@@ -97,6 +102,7 @@ class Row:
     server: Mapping[str, Any] = field(default_factory=dict)
     restart: Mapping[str, Metric] = field(default_factory=dict)
     restart_seed: int = 0
+    restart_servers: Optional[int] = None
 
 
 #: A point's host columns, and whether bigger is faster.
@@ -216,10 +222,11 @@ class Sweep:
         cost = (time.perf_counter() - t0, machine.env.events_processed, _payload(result))
         sample = {k: metric(result) for k, metric in row.metrics.items()}
         if row.restart:
+            servers = row.servers if row.restart_servers is None else row.restart_servers
             again = Machine(self.preset(), seed=seed + row.restart_seed, disk=machine.disk)
-            restarted = run_genx(again, nprocs, replace(
+            restarted = run_genx(again, row.clients + servers, replace(
                 config, prefix=config.prefix + "r", steps=0, initial_snapshot=False,
-                restart_step=workload.steps, restart_prefix=config.prefix,
+                restart_step=workload.steps, restart_prefix=config.prefix, nservers=servers,
             ), placement=row.placement)
             sample.update({k: metric(restarted) for k, metric in row.restart.items()})
         return sample, cost
@@ -589,6 +596,25 @@ def _drain(term: str) -> Metric:
     return lambda r: server_drain(s.stats for s in r.servers)[f"{term}_s"]
 
 
+def _records(result: GENxRunResult) -> int:
+    """Records (datasets) the job's files hold: what the format's
+    directory bookkeeping grows with."""
+    disk = result.machine.disk
+    return sum(len(scan_file(disk.open(path).read())[1]) for path in disk.listdir())
+
+
+def _first_landing_lag(result: GENxRunResult) -> float:
+    """Per snapshot, its first ``land`` record's start minus its first
+    ``ingest``'s, summed over the snapshots."""
+    first: Dict[Tuple[str, str], float] = {}
+    for r in result.recorder.io_records:
+        if r.op in ("ingest", "land") and r.path:
+            key = (re.search(r"_(\d{6})_", r.path).group(1), r.op)
+            first[key] = min(first.get(key, r.t_start), r.t_start)
+    lags = (t - first[(step, "ingest")] for (step, op), t in first.items() if op == "land")
+    return sum(lags, 0.0)
+
+
 #: metric -> (header, metric); every column exact for a seed.
 SCALING_COLUMNS: Dict[str, Tuple[str, Metric]] = {
     "virtual_wall_s": ("virt wall (s)", attrgetter("wall_time")),
@@ -596,9 +622,16 @@ SCALING_COLUMNS: Dict[str, Tuple[str, Metric]] = {
     "visible_io_s": ("visible I/O (s)", visible),
     "final_sync_s": ("final sync (s)", lambda r: max(c.final_sync_time for c in r.clients)),
     **{f"{term}_s": (f"{term.replace('_', ' ')} (s)", _drain(term)) for term in DRAIN_TERMS},
+    # Server-seconds merged shares spent on the wire to their writers.
+    "forward_s": ("forward (s)", lambda r: sum(
+        (rec.duration for rec in r.recorder.io_records if rec.op == "forward"), 0.0)),
+    "first_landing_lag_s": ("first-landing lag (s)", _first_landing_lag),
     "fs_write_ops": ("fs writes", _leased_writes),
     "peak_write_demand": ("peak writers", lambda r: r.machine.fs.metrics.peak_write_demand),
+    "files": ("files", attrgetter("files_created")),
+    "merged_shares": ("merged shares", lambda r: sum(s.stats.merged_shares for s in r.servers)),
     "refused_joins": ("refused joins", lambda r: sum(s.stats.refused_joins for s in r.servers)),
+    "records": ("records", _records),
     "payload_bytes": ("payload (B)", _payload),
     "landed_bytes": ("landed (B)", lambda r: sum(s.stats.bytes_written for s in r.servers)),
     "events": ("events", lambda r: r.machine.env.events_processed),
@@ -639,19 +672,81 @@ def _scaling_shape(grid: Grid) -> None:
         assert cells["virtual_wall_s"] >= busy, f"{n} clients"
 
 
-def _scaling_table(grid: Grid, title: str) -> str:
-    """One row per client count; seconds to the microsecond."""
-    return render_table(
-        ["clients", "ranks", *(header for header, _metric in SCALING_COLUMNS.values())],
-        [
-            [n, n + n // 8, *(
-                f"{v:.6f}" if isinstance(v, float) else v
-                for v in (grid.value(m, n) for m in SCALING_COLUMNS)
-            )]
-            for n in grid.xs
-        ],
-        title=title,
-    )
+def _exact_table(columns: Mapping[str, Tuple[str, Metric]], *x_headers: str,
+                 x_cells: Callable[[Any], Sequence] = lambda x: (x,)):
+    """One row per sweep point — ``x_cells(x)`` under ``x_headers``, then
+    ``columns`` — with seconds to the microsecond."""
+    def render(grid: Grid, title: str) -> str:
+        return render_table([*x_headers, *(header for header, _metric in columns.values())], [
+            [*x_cells(x), *(f"{v:.6f}" if isinstance(v, float) else v
+                            for v in (grid.value(m, x) for m in columns))]
+            for x in grid.xs
+        ], title=title)
+    return render
+
+
+# ---- the restart ledger (§6.1) -----------------------------------------
+# ``rocpanda_restart_64``'s checkpoint (the Table 1 motor at half its
+# bytes, 64 clients + 8 servers) restarted at 8, 4 and 2 servers; the
+# servers' restart terms in server-seconds summed over the servers.
+
+#: ``ServerStats`` restart term -> header.
+RESTART_TERMS = {"restart_scan": "scan", "restart_read_wait": "read wait",
+                 "restart_scatter": "scatter"}
+
+
+def _restart_terms(result: GENxRunResult) -> Dict[str, float]:
+    """The servers' restart terms, summed, once each server's sum to its
+    ``restart_scan`` records and its scatter is no faster than its sent
+    bytes at ``intra_bw`` (faster would be a flaw in the network model)."""
+    recorded: Counter = Counter()
+    for r in result.recorder.io_records:
+        if r.op == "restart_scan":
+            recorded[r.rank] += r.duration
+    for server in result.servers:
+        stats = server.stats
+        spent = sum(getattr(stats, f"{term}_time") for term in RESTART_TERMS)
+        link = stats.restart_scatter_bytes / result.machine.spec.network.intra_bw
+        if abs(spent - recorded[server.rank]) > 1e-9 or stats.restart_scatter_time < link:
+            raise AssertionError(
+                f"server {server.rank}: terms {spent} s for {recorded[server.rank]} s of "
+                f"records, scatter {stats.restart_scatter_time} s for {link} s at its link")
+    return {t: sum(getattr(s.stats, f"{t}_time") for s in result.servers) for t in RESTART_TERMS}
+
+
+def _read_floor(result: GENxRunResult) -> float:
+    """The bytes read over all the filesystem's read slots at full bandwidth."""
+    fs = result.machine.fs
+    return fs.metrics.bytes_read / (fs.read_slots * fs.read_bw)
+
+
+RESTART_COLUMNS: Dict[str, Tuple[str, Metric]] = {
+    "restart_s": ("restart (s)", restart),
+    "read_floor_s": ("read floor (s)", _read_floor),
+    "regions": ("regions", lambda r: sum(s.stats.restart_regions_read for s in r.servers)),
+    "sieve_waste_bytes": ("sieve waste (B)",
+                          lambda r: sum(s.stats.restart_sieve_waste_bytes for s in r.servers)),
+    **{f"{term}_s": (f"{header} (s)", lambda r, term=term: _restart_terms(r)[term])
+       for term, header in RESTART_TERMS.items()},
+}
+
+RESTART_LEDGER = Sweep(
+    preset=turing,
+    workload=lambda scale: lab_scale_motor(scale=0.5 * scale, steps=2, snapshot_interval=2),
+    rows=[
+        Row(n, "rocpanda", 64, {}, servers=8, config={"initial_snapshot": False},
+            restart={name: metric for name, (_header, metric) in RESTART_COLUMNS.items()},
+            restart_servers=n)
+        for n in (8, 4, 2)
+    ],
+    runs=1, seed=100, policy="best", prefix="ckpt",
+)
+
+
+def _restart_shape(grid: Grid) -> None:
+    """No restart beats its read floor."""
+    for n, cells in grid.rows().items():
+        assert cells["restart_s"] >= cells["read_floor_s"], f"{n} servers"
 
 
 def _faults_shape(payload: Dict[str, Any]) -> None:
@@ -686,6 +781,8 @@ def _a6_shape(result) -> None:
 
 
 _VISIBLE_IO = {"visible_io": "visible I/O (s)"}
+_SCALING_TABLE = _exact_table(SCALING_COLUMNS, "clients", "ranks",
+                              x_cells=lambda n: (n, n + n // 8))
 
 ARTEFACTS: Dict[str, Artefact] = {a.name: a for a in (
     Artefact("table1", "Table 1 — computation and I/O times on Turing "
@@ -721,11 +818,15 @@ ARTEFACTS: Dict[str, Artefact] = {a.name: a for a in (
                  [[k, v] for k, v in result.items()], title=title,
              ), micro.run_load_balancing_ablation, _a6_shape),
     Artefact("scaling_strong", "Strong scaling — the Table 1 motor under Rocpanda "
-             "at 8:1, 64 -> 1024 clients (Turing, seed 100)", _scaling_table,
+             "at 8:1, 64 -> 1024 clients (Turing, seed 100)", _SCALING_TABLE,
              SCALING_STRONG, _scaling_shape),
     Artefact("scaling_weak", "Weak scaling — 0.25 MB per client under Rocpanda "
-             "at 8:1, 64 -> 1024 clients (Turing, seed 100)", _scaling_table,
+             "at 8:1, 64 -> 1024 clients (Turing, seed 100)", _SCALING_TABLE,
              SCALING_WEAK, _scaling_shape),
+    Artefact("restart_ledger", "Restart ledger — rocpanda_restart_64's checkpoint "
+             "(64 clients + 8 servers) restarted at 8, 4 and 2 servers (Turing, seed "
+             "100; terms in server-seconds)", _exact_table(RESTART_COLUMNS, "servers"),
+             RESTART_LEDGER, _restart_shape),
     Artefact("faults", "Faultbench chaos matrix", render_faults, run_faultbench,
              _faults_shape),
 )}

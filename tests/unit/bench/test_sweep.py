@@ -8,6 +8,7 @@ import pytest
 from repro.bench import ARTEFACTS, Grid, Row, Sweep, run_faultbench
 from repro.cluster import testbox as make_testbox
 from repro.genx import lab_scale_motor
+from repro.util.stats import Summary
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "..", "..", "bench_results")
 
@@ -68,6 +69,22 @@ def test_sweep_fills_named_columns_per_point_and_restarts_on_the_disk():
     assert grid.value("io", 2) <= once.value("io", 2)
 
 
+def test_a_restart_row_restarts_on_its_own_server_count():
+    """Written at 2 servers, restarted at 1: the restart job runs one."""
+    servers = []
+
+    def restarted(result):
+        servers.append(len(result.servers))
+        return result.restart_time
+
+    grid = _tiny([
+        Row(2, "rocpanda", 4, {"io": lambda r: r.visible_io_time}, servers=2,
+            restart={"restart": restarted}, restart_servers=1),
+    ], runs=1)()
+    assert grid.value("restart", 2) > 0
+    assert servers == [1]
+
+
 def test_runs_and_scale_override_the_definition():
     row = Row("only", "rochdf", 2, {"bytes": lambda r: r.bytes_written_per_snapshot})
     sweep = _tiny([row], policy="mean_ci")
@@ -87,3 +104,21 @@ def test_the_chaos_matrix_artefact_fails_naming_the_rows_that_did():
         ARTEFACTS["faults"].check(payload)
     assert str(failed.value).startswith("faults: ")
     assert "transient_eio/rochdf" not in str(failed.value)
+
+
+def test_the_restart_ledger_fails_on_a_restart_below_its_read_floor():
+    """A restart faster than the filesystem can serve its bytes fails the
+    check, and the message names the artefact and that row."""
+    cells = {
+        8: {"restart_s": 0.32, "read_floor_s": 0.23},
+        4: {"restart_s": 0.33, "read_floor_s": 0.23},
+    }
+    grid = Grid(list(cells), {
+        metric: {n: Summary(row[metric], 0.0, 1) for n, row in cells.items()}
+        for metric in ("restart_s", "read_floor_s")
+    })
+    ARTEFACTS["restart_ledger"].check(grid)
+    grid.cells["restart_s"][4] = Summary(0.2, 0.0, 1)
+    with pytest.raises(AssertionError, match="4 servers") as failed:
+        ARTEFACTS["restart_ledger"].check(grid)
+    assert str(failed.value).startswith("restart_ledger: ")
