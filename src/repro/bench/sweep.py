@@ -200,14 +200,11 @@ class Sweep:
     policy: str
     prefix: str
 
-    def sample(
-        self, workload: WorkloadSpec, row: Row, seed: int
-    ) -> Tuple[Dict[str, float], Tuple[float, int, int]]:
-        """Run a row once on a fresh machine (and its restart on that disk),
-        reduced to its metrics and what the write job cost the host:
-        ``(seconds, DES events, payload bytes)``.  The jobs are freed
-        before the next starts: a run holds the cycle collector, so what
-        earlier samples left is collected here, untimed."""
+    def write(self, workload: WorkloadSpec, row: Row, seed: int):
+        """Run a row's job on a fresh machine: ``(config, result, cost)``,
+        ``cost`` what the job cost the host, ``(seconds, DES events,
+        payload bytes)``.  A run holds the cycle collector, so what
+        earlier jobs left is collected first, untimed."""
         gc.collect()
         kw = {"prefix": self.prefix, **row.config}
         if row.server:
@@ -216,14 +213,26 @@ class Sweep:
             workload=workload, io_mode=row.io_mode, nservers=row.servers, **kw
         )
         machine = Machine(self.preset(), seed=seed)
-        nprocs = row.clients + row.servers
         t0 = time.perf_counter()
-        result = run_genx(machine, nprocs, config, placement=row.placement)
+        result = run_genx(machine, row.clients + row.servers, config, placement=row.placement)
         cost = (time.perf_counter() - t0, machine.env.events_processed, _payload(result))
+        return config, result, cost
+
+    def sample(
+        self, workload: WorkloadSpec, row: Row, seed: int, write=None
+    ) -> Tuple[Dict[str, float], Tuple[float, int, int]]:
+        """Run a row once on a fresh machine (and its restart on that disk),
+        reduced to its metrics and what the write job cost the host.
+        ``write`` is a :meth:`write` of a row that differs from this one
+        only in its restart, reused instead of run again."""
+        config, result, cost = write or self.write(workload, row, seed)
         sample = {k: metric(result) for k, metric in row.metrics.items()}
         if row.restart:
+            gc.collect()
             servers = row.servers if row.restart_servers is None else row.restart_servers
-            again = Machine(self.preset(), seed=seed + row.restart_seed, disk=machine.disk)
+            again = Machine(
+                self.preset(), seed=seed + row.restart_seed, disk=result.machine.disk
+            )
             restarted = run_genx(again, row.clients + servers, replace(
                 config, prefix=config.prefix + "r", steps=0, initial_snapshot=False,
                 restart_step=workload.steps, restart_prefix=config.prefix, nservers=servers,
@@ -234,12 +243,23 @@ class Sweep:
     def __call__(self, scale: float = 1.0, runs: Optional[int] = None) -> Grid:
         workload = self.workload(scale)
         rows = self.rows(self, scale) if callable(self.rows) else self.rows
+        seeds = range(self.seed, self.seed + (runs or self.runs))
+        # Rows that differ only in their restart share one write per
+        # seed, kept until the last of them has restarted from it.
+        writes = [replace(row, x=None, restart={}, restart_seed=0, restart_servers=None)
+                  for row in rows]
+        kept: Dict[Tuple[int, int], Any] = {}
         cells: Dict[str, Dict[Any, Summary]] = {}
         costs: Dict[Any, List] = {}
-        for row in rows:
+        for i, row in enumerate(rows):
+            first = writes.index(writes[i])
+            later = writes[i] in writes[i + 1:]
             samples = []
-            for seed in range(self.seed, self.seed + (runs or self.runs)):
-                sample, cost = self.sample(workload, row, seed)
+            for seed in seeds:
+                write = kept.pop((first, seed), None)
+                if later:
+                    write = kept[first, seed] = write or self.write(workload, row, seed)
+                sample, cost = self.sample(workload, row, seed, write)
                 samples.append(sample)
                 costs.setdefault(row.x, []).append(cost)
             for key, summary in summarize(samples, self.policy).items():

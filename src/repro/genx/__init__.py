@@ -20,7 +20,7 @@ from .driver import (
 from .meshblock import BlockSpec, MeshBlock, build_block, cylinder_blocks
 from .partition import assignment_stats, migrate, partition_blocks
 from .rocface import Rocface
-from .rocman import Rocman, RocmanConfig, snapshot_prefix
+from .rocman import IncompleteRestoreError, Rocman, RocmanConfig, snapshot_prefix
 from .workloads import WorkloadSpec, lab_scale_motor, scalability_cylinder
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "Rocface",
     "Rocman",
     "RocmanConfig",
+    "IncompleteRestoreError",
     "snapshot_prefix",
     "WorkloadSpec",
     "lab_scale_motor",

@@ -139,6 +139,11 @@ class GENxRunResult:
 
 
 def _build_physics(config: GENxConfig, com, assignment, crank: int, rng):
+    """The physics modules with their windows declared, and their Rocface.
+
+    A fresh start builds each module's initial condition from ``rng``;
+    a restart builds nothing, since ``Rocman.restore`` reads it all.
+    """
     workload = config.workload
     fluid = _FLUID[workload.fluid_kind]()
     solid = _SOLID[workload.solid_kind]()
@@ -147,7 +152,9 @@ def _build_physics(config: GENxConfig, com, assignment, crank: int, rng):
         module.cost_per_cell *= workload.compute_scale
 
     for module, key in ((fluid, "fluid"), (solid, "solid"), (burn, "burn")):
-        module.setup(com, assignment[key][crank], rng)
+        module.declare(com, assignment[key][crank])
+        if config.restart_step is None:
+            module.initialize(rng)
     rocface = Rocface(fluid, solid, burn)
     return [fluid, solid, burn], rocface
 
@@ -157,7 +164,7 @@ def genx_main(config: GENxConfig):
     #: nclients -> {kind: [bucket per client rank]}, built by the first
     #: client rank to need it and shared by the rest (GENx partitions
     #: once per job, not once per rank).  Read-only after that:
-    #: ``BlockSpec`` is frozen, ``PhysicsModule.setup`` only iterates.
+    #: ``BlockSpec`` is frozen, ``PhysicsModule.declare`` only iterates.
     assignments: Dict[int, Dict[str, list]] = {}
 
     def main(ctx):

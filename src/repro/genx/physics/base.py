@@ -10,7 +10,8 @@ directly (§5).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -93,6 +94,8 @@ class PhysicsModule:
         self.blocks: List[MeshBlock] = []
         self.com: Optional[Roccom] = None
         self._total_cells = 0
+        #: The block specs :meth:`declare` registered, in order.
+        self._specs: List[BlockSpec] = []
 
     # -- interface for subclasses -----------------------------------------
     def attribute_specs(self) -> List[AttributeSpec]:
@@ -109,28 +112,63 @@ class PhysicsModule:
 
     # -- common machinery ------------------------------------------------------
     def setup(self, com: Roccom, specs: Sequence[BlockSpec], rng: np.random.Generator):
-        """Create the window, realize blocks, register panes + arrays."""
+        """A fresh start: :meth:`declare` the window, then :meth:`initialize` it."""
+        window = self.declare(com, specs)
+        self.initialize(rng)
+        return window
+
+    def declare(self, com: Roccom, specs: Sequence[BlockSpec]):
+        """Create the window, declare its attributes and register one pane
+        per block spec, sized from the spec and holding no array yet: a
+        restart's ``read_attribute`` fills them, :meth:`initialize` on a
+        fresh start."""
         self.com = com
         window = com.new_window(self.window_name)
         window.declare_attribute(AttributeSpec("coords", "node", ncomp=3))
-        nodes_per_elem = self.nodes_per_elem()
         window.declare_attribute(
-            AttributeSpec("conn", "element", ncomp=nodes_per_elem, dtype="i8")
+            AttributeSpec("conn", "element", ncomp=self.nodes_per_elem(), dtype="i8")
         )
         for spec in self.attribute_specs():
             window.declare_attribute(spec)
         for bspec in specs:
-            block = build_block(bspec, rng)
-            self.blocks.append(block)
-            window.register_pane(bspec.block_id, block.nnodes, block.nelems)
-            window.set_array("coords", bspec.block_id, block.coords)
-            conn = block.conn
-            if conn.shape[1] != nodes_per_elem:
-                conn = np.resize(conn, (block.nelems, nodes_per_elem))
-            window.set_array("conn", bspec.block_id, conn % block.nnodes)
-            self.init_fields(window, block, rng)
-            self._total_cells += block.nelems
+            window.register_pane(bspec.block_id, bspec.nnodes, bspec.nelems)
+        self._specs = list(specs)
         return window
+
+    def initialize(self, rng: np.random.Generator) -> None:
+        """Build each declared block's geometry and initial fields from
+        ``rng``, block by block in declaration order."""
+        window = self.com.window(self.window_name)
+        nodes_per_elem = self.nodes_per_elem()
+        for bspec in self._specs:
+            built = build_block(bspec, rng)
+            window.set_array("coords", bspec.block_id, built.coords)
+            conn = built.conn
+            if conn.shape[1] != nodes_per_elem:
+                conn = np.resize(conn, (built.nelems, nodes_per_elem))
+            window.set_array("conn", bspec.block_id, conn % built.nnodes)
+            self.init_fields(window, self._bind(window, bspec), rng)
+
+    def bind_panes(self) -> None:
+        """Rebuild the blocks over the window's panes, as a restart left
+        them: each block's ``coords`` / ``conn`` are its pane's arrays
+        and the cell count is the panes' ``nelems``."""
+        window = self.com.window(self.window_name)
+        self.blocks, self._total_cells = [], 0
+        for bspec in self._specs:
+            pane = window.pane(bspec.block_id)
+            self._bind(window, replace(bspec, nnodes=pane.nnodes, nelems=pane.nelems))
+
+    def _bind(self, window, spec: BlockSpec) -> MeshBlock:
+        """A block over its pane's ``coords`` and ``conn``, appended."""
+        block = MeshBlock(
+            spec,
+            window.get_array("coords", spec.block_id),
+            window.get_array("conn", spec.block_id),
+        )
+        self.blocks.append(block)
+        self._total_cells += block.nelems
+        return block
 
     def nodes_per_elem(self) -> int:
         return 8

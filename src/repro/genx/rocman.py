@@ -12,16 +12,42 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..roccom.attribute import LOC_WINDOW
 from ..roccom.module import IO_WINDOW
 from ..roccom.registry import Roccom
 from .rocface import Rocface
 
-__all__ = ["RocmanConfig", "Rocman", "snapshot_prefix"]
+__all__ = ["RocmanConfig", "Rocman", "IncompleteRestoreError", "snapshot_prefix"]
 
 
 def snapshot_prefix(run_prefix: str, step: int, window: str) -> str:
     """Output path prefix for one window's part of one snapshot."""
     return f"{run_prefix}_{step:06d}_{window.lower()}"
+
+
+class IncompleteRestoreError(RuntimeError):
+    """A restart left a declared attribute of a local pane without data."""
+
+    def __init__(self, window: str, pane: int, attribute: str, snapshot: str):
+        super().__init__(
+            f"restart from {snapshot} left attribute {attribute!r} of pane "
+            f"{pane} of window {window!r} unset"
+        )
+        self.window = window
+        self.pane = pane
+        self.attribute = attribute
+
+
+def _check_restored(window, prefix: str, step: int) -> None:
+    """Raise :class:`IncompleteRestoreError` on the first declared array
+    attribute of a local pane that the restart did not set."""
+    names = [
+        n for n in window.attribute_names() if window.attribute(n).location != LOC_WINDOW
+    ]
+    for pane in window.panes():
+        for name in names:
+            if not window.has_array(name, pane.id):
+                raise IncompleteRestoreError(window.name, pane.id, name, f"{prefix}@{step}")
 
 
 @dataclass
@@ -105,7 +131,11 @@ class Rocman:
 
         One ``read_attribute`` call names every physics window and its
         snapshot prefix, so a collective service (Rocpanda) restores the
-        whole snapshot in one collective; returns its duration.
+        whole snapshot in one collective.  The windows were declared,
+        not initialized: each must come back whole
+        (:class:`IncompleteRestoreError` otherwise), and its module's
+        blocks are then rebound to the restored panes.  Returns the
+        read's duration.
         """
         prefix = run_prefix if run_prefix is not None else self.config.prefix
         t0 = self.ctx.now
@@ -116,7 +146,11 @@ class Rocman:
             None,
             tuple(snapshot_prefix(prefix, step, window) for window in windows),
         )
-        return self.ctx.now - t0
+        elapsed = self.ctx.now - t0
+        for module in self.physics:
+            _check_restored(self.com.window(module.window_name), prefix, step)
+            module.bind_panes()
+        return elapsed
 
     # -- main loop -------------------------------------------------------------
     def run(self):

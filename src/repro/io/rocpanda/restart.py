@@ -77,8 +77,10 @@ class RestartService:
     def interrupt(self, cause) -> None:
         """A crash: the share's scans, region reads and stripes still in
         flight stop at this instant and give up the read slots they hold
-        or wait for."""
-        for proc in self._inflight:
+        or wait for.  Newest first: the stripes still queued leave the
+        queue before the older ones holding a slot give theirs back, so
+        no freed slot passes through a stripe of this dying server."""
+        for proc in reversed(self._inflight):
             if proc.is_alive:
                 proc.interrupt(cause)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..fs.vfs import VirtualDisk
 from ..io.base import DataBlock, datasets_to_blocks
-from ..shdf.codec import decode_file
+from ..shdf.codec import TornFileError, decode_file
 
 __all__ = ["Snapshot", "SnapshotSeries", "load_snapshot", "discover_snapshots"]
 
@@ -42,6 +42,9 @@ class Snapshot:
     #: File-level attributes seen (e.g. time_step), merged.
     attrs: Dict[str, object] = field(default_factory=dict)
     nfiles: int = 0
+    #: Files skipped as torn (no commit footer: their writer crashed
+    #: mid-snapshot); a failover generation holds their blocks.
+    torn: List[str] = field(default_factory=list)
 
     def window(self, label: str) -> Dict[int, DataBlock]:
         try:
@@ -94,14 +97,22 @@ def discover_snapshots(disk: VirtualDisk, run: str) -> List[int]:
 
 
 def load_snapshot(disk: VirtualDisk, run: str, step: int) -> Snapshot:
-    """Reassemble one snapshot from whatever files exist for it."""
+    """Reassemble one snapshot from whatever files exist for it.
+
+    A torn file is skipped and listed in :attr:`Snapshot.torn`, as a
+    restart skips it.
+    """
     snapshot = Snapshot(run=run, step=step)
     prefix = f"{run}_{step:06d}_"
     for path in disk.listdir(prefix):
         m = _SNAPSHOT_RE.match(path)
         if not m or int(m.group("step")) != step:
             continue
-        image = decode_file(disk.open(path).read())
+        try:
+            image = decode_file(disk.open(path).read())
+        except TornFileError:
+            snapshot.torn.append(path)
+            continue
         snapshot.attrs.update(image.attrs)
         snapshot.nfiles += 1
         window_label = m.group("window")

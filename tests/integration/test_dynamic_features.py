@@ -15,6 +15,7 @@ import pytest
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
 from repro.genx import GENxConfig, lab_scale_motor, run_genx
+from repro.genx.rocman import Rocman
 from repro.rocketeer import SnapshotSeries, load_snapshot
 
 
@@ -77,6 +78,47 @@ class TestAdaptationWithIO:
             np.testing.assert_array_equal(
                 block.arrays["stress"], other.arrays["stress"]
             )
+
+    def test_a_restarted_adapted_mesh_is_charged_its_restored_size(self, monkeypatch):
+        """Restarted from an adapted checkpoint, each module counts the
+        cells it restored, not the ones its block specs were generated
+        with: its blocks are the restored panes' arrays, and the compute
+        it charges per step follows."""
+        first = run_genx(make_machine(seed=1), 4, GENxConfig(
+            workload=workload(), io_mode="rochdf", prefix="am2",
+            adapt_mesh=True, adapt_interval=4,
+        ))
+        seen = {}
+        restore = Rocman.restore
+
+        def restore_and_look(self, step, run_prefix=None):
+            elapsed = yield from restore(self, step, run_prefix)
+            for module in self.physics:
+                window = self.com.window(module.window_name)
+                cells = sum(pane.nelems for pane in window.panes())
+                assert module.total_cells == cells, module
+                assert module.nominal_step_cost() == module.cost_per_cell * cells
+                assert [b.block_id for b in module.blocks] == window.pane_ids()
+                for block in module.blocks:
+                    assert block.coords is window.get_array("coords", block.block_id)
+                    assert block.conn is window.get_array("conn", block.block_id)
+                seen[self.ctx.rank, module.window_name] = (
+                    cells, sum(s.nelems for s in module._specs)
+                )
+            return elapsed
+
+        monkeypatch.setattr(Rocman, "restore", restore_and_look)
+        run_genx(make_machine(seed=2, disk=first.machine.disk), 4, GENxConfig(
+            workload=workload(), io_mode="rochdf", prefix="am3",
+            restart_step=16, restart_prefix="am2", steps=2,
+        ))
+        assert len(seen) == 4 * 3
+        # The adaptation grew the fluid and shrank the solid since the
+        # specs were generated.
+        assert all(cells > generated for (_, w), (cells, generated) in seen.items()
+                   if w == "Rocflo")
+        assert all(cells < generated for (_, w), (cells, generated) in seen.items()
+                   if w == "Rocfrac")
 
 
 class TestLoadBalancingWithIO:

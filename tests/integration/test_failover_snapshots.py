@@ -7,8 +7,8 @@ every snapshot since their last sync.  The heir drops the re-shipped
 blocks a committed file already holds — some of them overtake their
 client's re-announcement, which must not count them again — so the
 run completes, no block is in two committed files, and every window of
-the last snapshot restores through Rocketeer bit for bit as in the
-fault-free run.
+every snapshot restores through Rocketeer bit for bit as in the
+fault-free run, the dead server's torn files skipped.
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.rocketeer import load_snapshot
 from tests.integration.test_merge_crashes import _committed_blocks
 
 NRANKS, NSERVERS, LAST = 18, 2, 4
+STEPS = (0, 2, LAST)
 
 
 def _run(plan=None):
@@ -47,17 +48,27 @@ def _restored(disk, step):
 
 @pytest.fixture(scope="module")
 def clean():
-    return _restored(_run().machine.disk, LAST)
+    disk = _run().machine.disk
+    return {step: _restored(disk, step) for step in STEPS}
 
 
-@pytest.mark.parametrize("rank,at_time", [(9, 0.5), (0, 0.5), (9, 1.7), (0, 2.3)])
+#: Crashes that leave the dead server's file of a snapshot torn: the
+#: steps whose snapshot holds one (a failover generation holds its blocks).
+TORN = {(9, 1.4): {2}, (0, 0.05): {0}}
+
+
+@pytest.mark.parametrize(
+    "rank,at_time", [(9, 0.5), (0, 0.5), (9, 1.7), (0, 2.3), *TORN]
+)
 def test_the_run_completes_and_the_last_snapshot_restores(clean, rank, at_time):
     result = _run(FaultPlan((ServerCrash(rank=rank, at_time=at_time),)))
     disk = result.machine.disk
+    torn = {step for step in STEPS if load_snapshot(disk, "m", step).torn}
+    assert torn == TORN.get((rank, at_time), set())
     assert [s.stats.crashed for s in result.servers] == [s.rank == rank for s in result.servers]
     seen = set()
     for path, ids in _committed_blocks(disk).items():
         held = {(path.rsplit("_s", 1)[0], block_id) for block_id in ids}
         assert not held & seen, path
         seen |= held
-    assert _restored(disk, LAST) == clean
+    assert {step: _restored(disk, step) for step in STEPS} == clean

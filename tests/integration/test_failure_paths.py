@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
+from repro.genx import GENxConfig, IncompleteRestoreError, lab_scale_motor, run_genx
 from repro.io import PandaServer, RocpandaModule, rocpanda_init
 from repro.io.rocpanda.protocol import TAG_CTRL
 from repro.roccom import AttributeSpec, Roccom
@@ -173,3 +174,42 @@ class TestJobTimeout:
         job = Job(machine, 1)
         with pytest.raises(RuntimeError, match="did not finish"):
             job.run(main, until=5.0)
+
+
+class TestIncompleteRestore:
+    """A restart builds no initial condition, so nothing hides an array
+    the snapshot lacks: the restore names what it left unset."""
+
+    @pytest.mark.parametrize("io_mode,nservers", [("rochdf", 0), ("rocpanda", 1)])
+    def test_a_snapshot_missing_an_attribute_fails_the_restore(
+        self, monkeypatch, io_mode, nservers
+    ):
+        motor = lab_scale_motor(
+            scale=0.005, nblocks_fluid=4, nblocks_solid=2, steps=1, snapshot_interval=1
+        )
+        config = dict(workload=motor, io_mode=io_mode, nservers=nservers)
+        call = Roccom.call_function
+
+        def without_temperature(self, qualified, *args, **kwargs):
+            if qualified.endswith(".write_attribute") and args[0] == "Rocflo":
+                names = self.window("Rocflo").attribute_names()
+                args = ("Rocflo", [a for a in names if a != "temperature"], *args[2:])
+            return call(self, qualified, *args, **kwargs)
+
+        monkeypatch.setattr(Roccom, "call_function", without_temperature)
+        written = run_genx(
+            Machine(make_testbox(nnodes=4, cpus_per_node=4), seed=0),
+            2 + nservers, GENxConfig(prefix="sub", **config),
+        )
+        monkeypatch.undo()
+        with pytest.raises(IncompleteRestoreError, match="'temperature'") as failed:
+            run_genx(
+                Machine(make_testbox(nnodes=4, cpus_per_node=4), seed=0,
+                        disk=written.machine.disk),
+                2 + nservers,
+                GENxConfig(prefix="re", steps=0, restart_step=1,
+                           restart_prefix="sub", **config),
+            )
+        assert failed.value.window == "Rocflo"
+        assert failed.value.attribute == "temperature"
+        assert "pane" in str(failed.value) and "'Rocflo'" in str(failed.value)

@@ -2,10 +2,13 @@
 
 import os
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+import repro.bench.sweep as sweep_module
 from repro.bench import ARTEFACTS, Grid, Row, Sweep, run_faultbench
+from repro.bench.sweep import RESTART_LEDGER
 from repro.cluster import testbox as make_testbox
 from repro.genx import lab_scale_motor
 from repro.util.stats import Summary
@@ -122,3 +125,22 @@ def test_the_restart_ledger_fails_on_a_restart_below_its_read_floor():
     with pytest.raises(AssertionError, match="4 servers") as failed:
         ARTEFACTS["restart_ledger"].check(grid)
     assert str(failed.value).startswith("restart_ledger: ")
+
+
+def test_restart_rows_share_their_write(monkeypatch):
+    """The restart ledger's three rows differ only in their restart, so
+    one write per seed serves all three: four jobs, not six, and each
+    row's cells are those it reads alone."""
+    jobs = []
+    real = sweep_module.run_genx
+
+    def counted(machine, nprocs, config, placement=None):
+        jobs.append((nprocs, config.restart_step))
+        return real(machine, nprocs, config, placement)
+
+    monkeypatch.setattr(sweep_module, "run_genx", counted)
+    grid = RESTART_LEDGER(scale=0.02)
+    assert jobs == [(72, None), (72, 2), (68, 2), (66, 2)]
+    alone = replace(RESTART_LEDGER, rows=RESTART_LEDGER.rows[-1:])(scale=0.02)
+    assert alone.rows()[2] == grid.rows()[2]
+    assert len(jobs) == 6

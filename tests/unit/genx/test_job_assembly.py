@@ -1,13 +1,17 @@
-"""Job assembly costs O(1) spec/partition passes per job, not per rank.
+"""Job assembly costs O(1) spec/partition passes per job, not per rank,
+and a restart builds no initial condition.
 
 Deterministic call counts, no timing: before the assignment became
 job-scoped every client rank rebuilt the whole job's block specs and
 its LPT partition, so these counts grew with the client count.
 """
 
+from collections import Counter
+
 import pytest
 
 import repro.genx.driver as driver
+import repro.genx.physics.base as physics_base
 import repro.genx.workloads as workloads
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
@@ -18,6 +22,7 @@ from repro.genx import (
     run_genx,
     scalability_cylinder,
 )
+from repro.genx.physics import Rocburn, Rocflo, Rocfrac
 from repro.genx.physics.base import PhysicsModule
 
 KINDS = ("fluid", "solid", "burn")
@@ -40,13 +45,14 @@ def _motor():
     )
 
 
-def _run(workload, nclients, nservers):
+def _run(workload, nclients, nservers, disk=None, **config):
     io_mode = "rocpanda" if nservers else "rochdf"
     return run_genx(
-        Machine(make_testbox(nnodes=8), seed=1),
+        Machine(make_testbox(nnodes=8), seed=1, disk=disk),
         nclients + nservers,
         GENxConfig(
-            workload=workload, io_mode=io_mode, nservers=nservers, prefix="asm"
+            workload=workload, io_mode=io_mode, nservers=nservers, prefix="asm",
+            **config,
         ),
     )
 
@@ -84,13 +90,13 @@ def test_each_rank_gets_its_reference_bucket(
     """Sharing one assignment hands rank r exactly what it used to compute:
     ``partition_blocks(specs, P)[r]``, per window."""
     handed = {}  # (world rank, window) -> block ids
-    real_setup = PhysicsModule.setup
+    real_declare = PhysicsModule.declare
 
-    def spy(self, com, specs, rng):
+    def spy(self, com, specs):
         handed[com.ctx.rank, self.window_name] = [s.block_id for s in specs]
-        return real_setup(self, com, specs, rng)
+        return real_declare(self, com, specs)
 
-    monkeypatch.setattr(PhysicsModule, "setup", spy)
+    monkeypatch.setattr(PhysicsModule, "declare", spy)
     workload = make_workload()
     _run(workload, nclients, nservers)
 
@@ -105,3 +111,29 @@ def test_each_rank_gets_its_reference_bucket(
             assert handed[rank, window] == [
                 s.block_id for s in reference[crank]
             ], (kind, crank)
+
+
+@pytest.mark.parametrize("nclients,nservers", [(6, 0), (8, 2)])
+def test_a_restart_builds_no_initial_condition(monkeypatch, nclients, nservers):
+    """A fresh job builds each block's geometry and fields once; a restart
+    job builds none, since the restore reads all of them."""
+    built = _counting(monkeypatch, physics_base, "build_block")
+    filled = Counter()
+    for module in (Rocflo, Rocfrac, Rocburn):
+        real = module.init_fields
+
+        def counted(self, window, block, rng, real=real):
+            filled[block.block_id, self.window_name] += 1
+            return real(self, window, block, rng)
+
+        monkeypatch.setattr(module, "init_fields", counted)
+    workload = _motor()
+    blocks = sum(len(specs) for specs in workload.blocks_for(nclients).values())
+    written = _run(workload, nclients, nservers)
+    assert len(built) == sum(filled.values()) == blocks
+    assert set(filled.values()) == {1}
+    del built[:]
+    filled.clear()
+    _run(workload, nclients, nservers, disk=written.machine.disk,
+         steps=0, restart_step=1, restart_prefix="asm")
+    assert built == [] and not filled
