@@ -107,7 +107,7 @@ def cmd_demo(args) -> None:
             GENxConfig(workload=workload, io_mode=mode, nservers=nservers,
                        prefix=f"demo_{mode}"),
         )
-        instrumentation[mode] = summary_payload(result.recorder)
+        instrumentation[mode] = summary_payload(result.recorder, result.stats())
         rows.append([
             mode, result.computation_time, result.visible_io_time,
             overlap_ratio(result.recorder.io_records, module=mode),
@@ -155,7 +155,7 @@ def cmd_trace(args) -> None:
         sections.append(
             render_timeline(module_records, limit_per_rank=args.limit)
         )
-        payload = summary_payload(recorder)
+        payload = summary_payload(recorder, result.stats())
         payloads[mode] = payload
         mod = payload["modules"].get(mode, {})
         counters = payload["counters"].get(mode, {})
@@ -178,8 +178,8 @@ def cmd_trace(args) -> None:
             int(counters.get("failovers", 0)),
             int(counters.get("write_flushes", 0)),
             *server_drain(s.stats for s in result.servers).values(),
-            int(tier_counters.get("drain_backlog_bytes", 0)),
-            int(tier_counters.get("tier_evictions", 0)),
+            int(tier_counters.get("backlog_peak_bytes", 0)),
+            int(tier_counters.get("evictions", 0)),
             int(tier_counters.get("drain_flushes", 0)),
         ])
     sections.append(render_table(

@@ -43,9 +43,11 @@ from ..faults import (
 )
 from ..fs.tiers import TierConfig
 from ..io import (
-    PandaServer, RochdfModule, RocpandaModule, ServerConfig, TRochdfModule, rocpanda_init,
+    IOStats, PandaServer, RochdfModule, RocpandaModule, ServerConfig, ServerStats,
+    TRochdfModule, rocpanda_init,
 )
 from ..io.rocpanda.protocol import TAG_BLOCK, TAG_CTRL
+from ..obs import stat_counts
 from ..roccom import AttributeSpec, LOC_ELEMENT, LOC_NODE, Roccom
 from ..shdf.drivers import apply_storage_tier
 from ..vmpi import run_spmd
@@ -117,14 +119,13 @@ def digest_blocks(blockmap: Dict[int, Dict[str, np.ndarray]]) -> str:
 
 def _attach(ctx, service, nservers, retry, server_config):
     """Generator: ``(com, client rank, module)`` on a client rank; on a
-    Rocpanda server rank it serves the job and returns ``None``."""
+    Rocpanda server rank it serves the job and returns its ``ServerStats``."""
     if service != "rocpanda":
         com = Roccom(ctx)
         return com, ctx.rank, com.load_module(_HDF_MODULES[service](ctx, retry=retry))
     topo = yield from rocpanda_init(ctx, nservers)
     if topo.is_server:
-        yield from PandaServer(ctx, topo, server_config).run()
-        return None
+        return (yield from PandaServer(ctx, topo, server_config).run())
     com = Roccom(ctx)
     return com, topo.comm.rank, com.load_module(RocpandaModule(ctx, topo, retry=retry))
 
@@ -142,8 +143,8 @@ def _write_main(service, retry, server_config):
 
     def main(ctx):
         client = yield from _attach(ctx, service, g.servers, retry, server_config)
-        if client is None:
-            return None
+        if isinstance(client, ServerStats):
+            return client, {}
         com, rank, module = client
         w = com.new_window("Fluid")
         w.declare_attribute(AttributeSpec("coords", LOC_NODE, ncomp=3))
@@ -173,8 +174,8 @@ def _restart_main(service, retry, server_config):
 
     def main(ctx):
         client = yield from _attach(ctx, service, g.restart_servers, retry, server_config)
-        if client is None:
-            return None
+        if isinstance(client, ServerStats):
+            return client, {}
         com, rank, module = client
         w = com.new_window("Fluid")
         for pane_id in range(rank * per_client, (rank + 1) * per_client):
@@ -209,8 +210,9 @@ def checkpoint_restart(
     backing disk directly, Rocpanda's on a different server count.
 
     Returns ``(digest, info)``: ``info`` holds the faulted job's client
-    retries and failovers, its counters, and ``missing_blocks`` when the
-    restart restored fewer blocks than were written.
+    retries and failovers, its counts (:func:`repro.obs.stat_counts` of
+    its clients', servers' and machine's stats), and ``missing_blocks``
+    when the restart restored fewer blocks than were written.
     """
     if phase not in ("write", "restart"):
         raise ValueError(f"unknown phase {phase!r}; expected 'write' or 'restart'")
@@ -230,21 +232,21 @@ def checkpoint_restart(
         jobs[name] = run_spmd(machine, nprocs, main(service, *settings))
         disk = machine.disk
 
-    stats = [r[0] for r in jobs[phase].returns if r is not None]
+    # Servers exist only under Rocpanda, so every holder is ``service``'s.
+    held = [r[0] for r in jobs[phase].returns]
+    clients = [s for s in held if isinstance(s, IOStats)]
     restored: Dict[int, Dict[str, np.ndarray]] = {}
     for r in jobs["restart"].returns:
-        if r is not None:
-            restored.update(r[1])
+        restored.update(r[1])
     info: Dict[str, Any] = {
-        "client_retries": sum(s.retries for s in stats),
-        "client_failovers": sum(s.failovers for s in stats),
+        "client_retries": sum(s.retries for s in clients),
+        "client_failovers": sum(s.failovers for s in clients),
     }
     if len(restored) != g.total:
         info["missing_blocks"] = g.total - len(restored)
-    info["counters"] = {
-        module: dict(sorted(bucket.items()))
-        for module, bucket in sorted(jobs[phase].recorder.counters.items())
-    }
+    info["counters"] = stat_counts(
+        [(service, s) for s in held] + jobs[phase].machine.stats()
+    )
     return digest_blocks(restored), info
 
 

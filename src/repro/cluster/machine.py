@@ -10,7 +10,7 @@ files written by a previous run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set
+from typing import Any, Callable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -100,6 +100,19 @@ class Machine:
         self.faults = FaultInjector(self, plan)
         self.faults.install()
         return self.faults
+
+    def stats(self) -> List[Tuple[str, Any]]:
+        """``(module, holder)`` of the counts the machine keeps beside its
+        jobs' (:func:`repro.obs.stat_counts`): its storage tier's
+        ``TierStats`` and its fault injector's ``fired``."""
+        from ..fs.tiers import BurstBufferTier
+
+        held: List[Tuple[str, Any]] = []
+        if isinstance(self.fs, BurstBufferTier):
+            held.append(("tier", self.fs.stats))
+        if self.faults is not None:
+            held.append(("faults", self.faults.fired))
+        return held
 
     def is_dead(self, rank: int) -> bool:
         """True once ``rank`` has been crashed."""

@@ -15,12 +15,13 @@ Everything is deterministic: fault times and budgets come straight from
 the plan, and the injector's private RNG stream is derived from the
 machine seed, so two runs with identical (spec, seed, plan) inject
 identical faults.  Every injected fault is recorded as an obs trace
-event and a ``"faults"`` counter so post-run rollups show what was
-done to the run.
+event and counted in :attr:`FaultInjector.fired`, so post-run rollups
+show what was done to the run.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -48,6 +49,8 @@ class FaultInjector:
         #: machine's own noise/load sampling.
         self.rng = np.random.default_rng((machine.seed << 8) ^ 0xFA)
         self._recorder = None
+        #: Fault name -> times it fired (``"server_crash"``, ``"msg_drop"``, ...).
+        self.fired: Counter = Counter()
         #: Remaining-failure budgets, one mutable cell per plan spec,
         #: split by direction (write vs read hooks).
         self._eio_budgets: List[Tuple[TransientEIO, List[int]]] = [
@@ -67,10 +70,9 @@ class FaultInjector:
 
     # -- observability ---------------------------------------------------
     def _record(self, name: str, rank: int, message: str) -> None:
-        rec = self._recorder
-        if rec is not None:
-            rec.record_counter("faults", name)
-            rec.log_event(self.machine.env.now, "fault", rank, message)
+        self.fired[name] += 1
+        if self._recorder is not None:
+            self._recorder.log_event(self.machine.env.now, "fault", rank, message)
 
     # -- machine-level hooks (disk, stragglers) --------------------------
     def install(self) -> None:

@@ -118,6 +118,9 @@ class TierStats:
     drain_failures: int = 0
     backlog_peak_bytes: int = 0
 
+    #: The fields :func:`repro.obs.stat_counts` exports as counts.
+    COUNTS = ("backlog_peak_bytes", "evictions", "drain_retries", "drain_flushes")
+
 
 class DrainJournal:
     """Crash-consistent record of drain progress, per path.
@@ -321,7 +324,6 @@ class BurstBufferTier(FileSystemModel):
         self._drain = BackgroundWorker(env, self._next_flush, "tier-drain")
         self._failure: Optional[BaseException] = None
         self._recorder = None
-        self._reported_backlog_peak = 0
         #: Monotonic LRU clock (not env.now: ties must break by order).
         self._touch_clock = 0
 
@@ -473,14 +475,6 @@ class BurstBufferTier(FileSystemModel):
     def _note_backlog_peak(self) -> None:
         if self._backlog > self.stats.backlog_peak_bytes:
             self.stats.backlog_peak_bytes = self._backlog
-        if self._recorder is not None and self._backlog > self._reported_backlog_peak:
-            # Counters are additive; reporting the delta keeps the
-            # rolled-up value equal to the peak backlog.
-            self._recorder.record_counter(
-                "tier", "drain_backlog_bytes",
-                self._backlog - self._reported_backlog_peak,
-            )
-            self._reported_backlog_peak = self._backlog
 
     # -- eviction and spill ----------------------------------------------
     def _evict_clean(self, target: int) -> None:
@@ -510,8 +504,6 @@ class BurstBufferTier(FileSystemModel):
         self.stats.evicted_bytes += state.resident_bytes
         state.resident = False
         state.resident_bytes = 0
-        if self._recorder is not None:
-            self._recorder.record_counter("tier", "tier_evictions")
 
     def _spill(self, incoming: int, node):
         """Generator: the tier is full of dirty data — drain synchronously
@@ -563,8 +555,6 @@ class BurstBufferTier(FileSystemModel):
 
     def _note_drain_retry(self, attempt: int, exc: BaseException) -> None:
         self.stats.drain_retries += 1
-        if self._recorder is not None:
-            self._recorder.record_counter("tier", "drain_retries")
 
     def _flush_chunk(self, state: _PathState, node):
         """Generator: move one drain chunk of ``state`` to the backing
@@ -600,7 +590,6 @@ class BurstBufferTier(FileSystemModel):
                     self.stats.drain_flushes += 1
                     self.stats.drained_bytes += end - start
                     if self._recorder is not None:
-                        self._recorder.record_counter("tier", "drain_flushes")
                         self._recorder.record_io(
                             "tier", "drain_flush", -1, path=state.path,
                             nbytes=end - start, t_start=t0, t_end=self.env.now,

@@ -9,7 +9,7 @@ the paper's headline metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -110,6 +110,19 @@ class GENxRunResult:
     machine: Machine
     #: The job's instrumentation stream (see :mod:`repro.obs`).
     recorder: Any = None
+    #: The clients' I/O module (``GENxConfig.io_mode``).
+    io_mode: str = ""
+
+    def stats(self) -> List[Tuple[str, Any]]:
+        """``(module, holder)`` of every count the job kept
+        (:func:`repro.obs.stat_counts`): the clients' ``IOStats``, the
+        Rocpanda servers' ``ServerStats``, the machine's tier and fault
+        injector."""
+        return (
+            [(self.io_mode, c.io_stats) for c in self.clients]
+            + [("rocpanda", s.stats) for s in self.servers]
+            + self.machine.stats()
+        )
 
     @property
     def computation_time(self) -> float:
@@ -302,4 +315,5 @@ def run_genx(
         wall_time=job.wall_time,
         machine=machine,
         recorder=job.recorder,
+        io_mode=config.io_mode,
     )

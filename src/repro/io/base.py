@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -100,21 +100,23 @@ class IOStats:
     #: timed-out sends) and dead-server failovers performed.
     retries: int = 0
     failovers: int = 0
+    #: Rocpanda syncs that re-asked their server after a silent second.
+    sync_reasks: int = 0
+    #: Rochdf restart files without a commit footer, skipped.
+    torn_files_skipped: int = 0
+    #: T-Rochdf background writes that failed for good.
+    background_write_failures: int = 0
+
+    #: The fields :func:`repro.obs.stat_counts` exports as counts.
+    COUNTS = (
+        "retries", "failovers", "sync_reasks", "torn_files_skipped",
+        "background_write_failures",
+    )
 
     def merge(self, other: "IOStats") -> "IOStats":
-        return IOStats(
-            visible_write_time=self.visible_write_time + other.visible_write_time,
-            visible_read_time=self.visible_read_time + other.visible_read_time,
-            sync_time=self.sync_time + other.sync_time,
-            bytes_written=self.bytes_written + other.bytes_written,
-            bytes_read=self.bytes_read + other.bytes_read,
-            blocks_written=self.blocks_written + other.blocks_written,
-            blocks_read=self.blocks_read + other.blocks_read,
-            files_created=self.files_created + other.files_created,
-            snapshots=self.snapshots + other.snapshots,
-            retries=self.retries + other.retries,
-            failovers=self.failovers + other.failovers,
-        )
+        return IOStats(**{
+            f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)
+        })
 
 
 def collect_blocks(
@@ -281,16 +283,21 @@ def record_block_ids(attrs: Dict[str, Any]) -> List[int]:
     return [attrs["block_id"]] if index is None else index[:, 0].tolist()
 
 
-def datasets_to_blocks(datasets: List[Dataset]) -> List[DataBlock]:
+def datasets_to_blocks(
+    datasets: List[Dataset], attr_names: Optional[Iterable[str]] = None
+) -> List[DataBlock]:
     """Group decoded SHDF datasets back into :class:`DataBlock` s.
 
     A :func:`block_record` is split along axis 0, each block's rows a
     view of its exact dtype and shape — private and writable iff the
     dataset was decoded as a copy (restart), as a lone block's array is.
+    With ``attr_names`` only those arrays are kept; a block none of
+    whose datasets is among them still comes back, with its geometry.
     """
     by_block: Dict[Tuple[str, int], DataBlock] = {}
     for ds in datasets:
         window, block_id, attr = parse_dataset_name(ds.name)
+        keep = attr_names is None or attr in attr_names
         index = ds.attrs.get(BLOCK_INDEX)
         if index is None:
             parts = [(block_id, ds.attrs["nnodes"], ds.attrs["nelems"], ds.data)]
@@ -313,6 +320,7 @@ def datasets_to_blocks(datasets: List[Dataset]) -> List[DataBlock]:
                 block = by_block[(window, bid)] = DataBlock(
                     window, bid, int(nnodes), int(nelems), arrays={}, specs={}
                 )
-            block.arrays[attr] = data
-            block.specs[attr] = spec
+            if keep:
+                block.arrays[attr] = data
+                block.specs[attr] = spec
     return [by_block[k] for k in sorted(by_block)]

@@ -27,6 +27,7 @@ from .base import (
     block_to_datasets,
     collect_blocks,
     datasets_to_blocks,
+    parse_dataset_name,
     per_window,
     window_prefixes,
 )
@@ -66,9 +67,7 @@ class RochdfModule(ServiceModule):
         self, attempt: int, exc: BaseException, op: str = "write"
     ) -> None:
         self.stats.retries += 1
-        ctx = self.ctx
-        ctx.recorder.record_counter(self.name, f"{op}_retries")
-        ctx.log_fault(f"{self.name} {op} fault ({exc}); retry {attempt + 1}")
+        self.ctx.log_fault(f"{self.name} {op} fault ({exc}); retry {attempt + 1}")
 
     def _note_read_retry(self, attempt: int, exc: BaseException) -> None:
         self._note_retry(attempt, exc, op="read")
@@ -212,13 +211,13 @@ class RochdfModule(ServiceModule):
                 # scanning.  If the wanted blocks exist nowhere else the
                 # KeyError below tells the caller to fall back to the
                 # previous good snapshot.
-                ctx.recorder.record_counter(self.name, "torn_files_skipped")
+                self.stats.torn_files_skipped += 1
                 ctx.log_fault(f"{self.name} skipping torn snapshot file {file_path}")
                 continue
             names = [
                 n
                 for n in reader.names()
-                if _block_of(n) in wanted and n.startswith(window_name + "/")
+                if n.startswith(window_name + "/") and parse_dataset_name(n)[1] in wanted
             ]
             if attr_names is not None:
                 # Partial attribute read: sieve only the requested
@@ -234,8 +233,8 @@ class RochdfModule(ServiceModule):
                 matched_blocks = set()
                 fallback: Dict[int, str] = {}
                 for n in names:
-                    b = _block_of(n)
-                    if n.rsplit("/", 1)[1] in want_attrs:
+                    _window, b, attr = parse_dataset_name(n)
+                    if attr in want_attrs:
                         matched.append(n)
                         matched_blocks.add(b)
                     elif b not in fallback:
@@ -255,14 +254,7 @@ class RochdfModule(ServiceModule):
             self.stats.bytes_read += file_nbytes
             nbytes += file_nbytes
             yield from reader.close()
-            for block in datasets_to_blocks(datasets):
-                if attr_names is not None:
-                    block.arrays = {
-                        k: v for k, v in block.arrays.items() if k in attr_names
-                    }
-                    block.specs = {
-                        k: v for k, v in block.specs.items() if k in attr_names
-                    }
+            for block in datasets_to_blocks(datasets, attr_names):
                 apply_block(self.com, block)
                 wanted.discard(block.block_id)
                 restored.append(block.block_id)
@@ -289,10 +281,3 @@ class RochdfModule(ServiceModule):
         yield self.ctx.env.sleep(0)
         yield from self.ctx.fs.drain_barrier()
         self.ctx.io_record(self.name, "sync", t_start=t0)
-
-
-def _block_of(dataset_name: str) -> int:
-    try:
-        return int(dataset_name.split("/")[1][1:])
-    except (IndexError, ValueError):
-        return -1

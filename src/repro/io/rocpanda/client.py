@@ -187,7 +187,6 @@ class RocpandaModule(ServiceModule):
         dead = self._server
         self._server = failover_server(dead, self.topo.servers, self.ctx.machine.is_dead)
         self.stats.failovers += 1
-        self.ctx.recorder.record_counter(self.name, "failovers")
         self.ctx.log_fault(f"server {dead} dead; failing over to {self._server}")
 
     def _send_guarded(self, msg, tag, nbytes=None):
@@ -215,7 +214,6 @@ class RocpandaModule(ServiceModule):
             if not self._server_alive():
                 return "dead"
             self.stats.retries += 1
-            ctx.recorder.record_counter(self.name, "retries")
             yield ctx.env.sleep(policy.delay(attempt))
         raise RuntimeError(
             f"rank {ctx.rank}: announcements to Rocpanda server "
@@ -398,7 +396,6 @@ class RocpandaModule(ServiceModule):
             if is_dead(serving):
                 serving = failover_server(serving, servers, is_dead)
                 self.stats.failovers += 1
-                ctx.recorder.record_counter(self.name, "failovers")
             yield from world.send(
                 RestartRequest(
                     prefix=prefixes,
@@ -499,7 +496,7 @@ class RocpandaModule(ServiceModule):
                             f"rank {self.ctx.rank}: Rocpanda sync stalled"
                         )
                     patience *= policy.factor
-                    self.ctx.recorder.record_counter(self.name, "sync_reasks")
+                    self.stats.sync_reasks += 1
                     yield from world.send(request, dest=self._server, tag=TAG_CTRL)
                 elif isinstance(reply[0], SyncReply) and reply[0].seq == request.seq:
                     self._unsynced.clear()

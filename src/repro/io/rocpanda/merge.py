@@ -498,8 +498,8 @@ class MergeService:
                 batch, writer, TAG_BLOCK, policy.op_timeout, batch.nbytes, alive
             )
             if verdict == "ok":
+                server.stats.forwarded_shares += 1
                 server.stats.forwarded_bytes += batch.nbytes
-                ctx.recorder.record_counter("rocpanda", "forwarded_shares")
                 ctx.io_record(
                     "rocpanda", "forward", path=share.path, nbytes=batch.nbytes,
                     t_start=t0, visible=False,
@@ -600,7 +600,6 @@ class MergeService:
         verdict = _verdict(self._done.get(path, {}), msg.nblocks)
         if kind == "join" and verdict == "refused":
             server.stats.refused_joins += 1
-            self.ctx.recorder.record_counter("rocpanda", "refused_joins")
         self._reply(joiner, path, msg.nblocks, verdict)
 
     def _on_share(self, joiner: int, msg: ShareBatch):

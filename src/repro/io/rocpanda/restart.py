@@ -107,7 +107,6 @@ class RestartService:
     # -- a share's reads: every scan, then every region, in flight at once ----
     def _note_read_retry(self, attempt: int, exc: BaseException) -> None:
         self.stats.read_retries += 1
-        self.ctx.recorder.record_counter("rocpanda", "read_retries")
         self.ctx.log_fault(f"server read fault ({exc}); retry {attempt + 1}")
 
     def _restart_files(self, prefix: str) -> List[str]:
@@ -139,7 +138,6 @@ class RestartService:
             yield from reader.open_scan()
         except TornFileError as exc:
             self.stats.torn_files_skipped += 1
-            ctx.recorder.record_counter("rocpanda", "torn_files_skipped")
             ctx.log_fault(f"skipping torn restart file {file_path}: {exc}")
             return None
         except Interrupt:
@@ -233,18 +231,9 @@ class RestartService:
 
     def _region_blocks(self, datasets, window: str, attr_filter):
         """Group one region's datasets into per-block payloads."""
-        blocks = datasets_to_blocks(
-            [d for d in datasets if d.name.startswith(window + "/")]
+        return datasets_to_blocks(
+            [d for d in datasets if d.name.startswith(window + "/")], attr_filter
         )
-        if attr_filter is not None:
-            for block in blocks:
-                block.arrays = {
-                    k: v for k, v in block.arrays.items() if k in attr_filter
-                }
-                block.specs = {
-                    k: v for k, v in block.specs.items() if k in attr_filter
-                }
-        return blocks
 
     # -- the collective restart and the failover resume -----------------------
     def _do_restart_batched(self, prefixes):
@@ -331,7 +320,6 @@ class RestartService:
         share = msg.resume_of
         world = self.topo.world
         self.stats.restart_resumes_served += 1
-        ctx.recorder.record_counter("rocpanda", "restart_resumes_served")
         ctx.log_fault(f"resuming share of dead server {share} for client {client}")
         sent = 0
         for window, prefix, block_ids in msg.parts:

@@ -132,6 +132,7 @@ class ServerStats:
     #: Joins this server refused, its file for the path already retired.
     joined_shares: int = 0
     merged_shares: int = 0
+    forwarded_shares: int = 0
     forwarded_bytes: int = 0
     refused_joins: int = 0
     #: Blocks that overtook their path's WriteBegin (rendezvous data
@@ -155,6 +156,13 @@ class ServerStats:
     restart_scatter_time: float = 0.0
     #: Wire bytes of those sends.
     restart_scatter_bytes: int = 0
+
+    #: The fields :func:`repro.obs.stat_counts` exports as counts.
+    COUNTS = (
+        "write_flushes", "write_retries", "overflow_flushes", "orphan_blocks_stashed",
+        "duplicate_blocks_dropped", "crashed", "forwarded_shares", "refused_joins",
+        "read_retries", "torn_files_skipped", "restart_resumes_served",
+    )
 
     @property
     def background_write_time(self) -> float:
@@ -282,7 +290,6 @@ class PandaServer:
             self._lander.interrupt(exc.cause)
             self._restart.interrupt(exc.cause)
             self._merge.interrupt(exc.cause)
-            self.ctx.recorder.record_counter("rocpanda", "server_crashes")
             self.ctx.log_fault(f"server rank {self.ctx.rank} crashed: {exc.cause}")
             return self.stats
 
@@ -398,7 +405,6 @@ class PandaServer:
             # stash it until the announcement lands.
             self._orphans.setdefault(msg.path, []).append((client, msg))
             self.stats.orphan_blocks_stashed += 1
-            self.ctx.recorder.record_counter("rocpanda", "orphan_blocks_stashed")
             return
         self.stats.blocks_received += 1
         self.stats.bytes_received += msg.block.nbytes
@@ -425,7 +431,6 @@ class PandaServer:
             key = (client, eb.block_id)
             if key in state.seen or self._merge.durable(path, state, client, eb):
                 self.stats.duplicate_blocks_dropped += 1
-                self.ctx.recorder.record_counter("rocpanda", "duplicate_blocks_dropped")
                 continue
             state.seen.add(key)
             fresh.append((path, client, eb))
@@ -457,7 +462,6 @@ class PandaServer:
         if self._buffered_bytes + nbytes <= limit:
             return
         self.stats.overflow_flushes += 1
-        self.ctx.recorder.record_counter("rocpanda", "overflow_flushes")
         self._merge.decide_all()
         yield from self._await_lander(
             lambda: self._buffered_bytes + nbytes <= limit or not self._lander.busy
@@ -567,7 +571,6 @@ class PandaServer:
 
     def _note_write_retry(self, attempt: int, exc: BaseException) -> None:
         self.stats.write_retries += 1
-        self.ctx.recorder.record_counter("rocpanda", "write_retries")
         self.ctx.log_fault(f"server write fault ({exc}); retry {attempt + 1}")
 
     def _leased(self, writer: SHDFWriter, blocks: List):
@@ -600,7 +603,6 @@ class PandaServer:
                 stats.bytes_written += sum(block.data_nbytes for block in blocks)
                 stats.blocks_written += len(blocks)
                 stats.write_flushes += 1
-                ctx.recorder.record_counter("rocpanda", "write_flushes")
                 blocks.clear()
             finally:
                 self._working(-1)

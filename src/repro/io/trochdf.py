@@ -223,7 +223,7 @@ class TRochdfModule(RochdfModule):
         except WriteFaultError as exc:
             # Report to the main thread at its next sync; don't die.
             self._io_errors.append((file_path, exc))
-            ctx.recorder.record_counter(self.name, "background_write_failures")
+            self.stats.background_write_failures += 1
             ctx.log_fault(f"trochdf background write of {file_path} FAILED: {exc}")
             return
         self.stats.files_created += 1

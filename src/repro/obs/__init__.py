@@ -1,9 +1,15 @@
 """Structured I/O instrumentation (Darshan-style observability).
 
 Per-rank, per-operation I/O records emitted by the I/O service modules
-and the SHDF file layer; message counters from the virtual MPI; span
-timers on the DES clock; aggregation into per-module/per-phase rollups
-with the overlap ratio; JSON/CSV exporters and timeline rendering.
+and the SHDF file layer; message counters from the virtual MPI;
+aggregation into per-module/per-phase rollups with the overlap ratio;
+JSON/CSV exporters and timeline rendering.
+
+Records hold time, stats hold counts: a count (a write flush, a retry,
+a failover) lives in one field of the stats that own it
+(``ServerStats.write_flushes``, ``IOStats.retries``, ``TierStats``, the
+fault injector's ``fired``), and :func:`summary_payload` derives its
+``counters`` from those stats (:func:`stat_counts`).
 """
 
 from .aggregate import (
@@ -19,18 +25,16 @@ from .export import (
     records_to_csv,
     records_to_dicts,
     render_timeline,
+    stat_counts,
     summary_payload,
-    to_json,
-    write_json,
 )
-from .records import CommCounters, IORecord, IOSpan, Recorder, TraceRecord
+from .records import CommCounters, IORecord, Recorder, TraceRecord
 
 __all__ = [
     "IORecord",
     "TraceRecord",
     "CommCounters",
     "Recorder",
-    "IOSpan",
     "OpRollup",
     "ModuleRollup",
     "aggregate",
@@ -40,8 +44,7 @@ __all__ = [
     "records_by_rank",
     "records_to_dicts",
     "records_to_csv",
+    "stat_counts",
     "summary_payload",
-    "to_json",
-    "write_json",
     "render_timeline",
 ]

@@ -8,18 +8,17 @@ plotting; the timeline renderer backs ``python -m repro trace``.
 from __future__ import annotations
 
 import io
-import json
-from typing import Dict, Iterable, List, Optional, Sequence
+from collections import Counter
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .aggregate import aggregate, overlap_ratio, phase_rollup, records_by_rank
+from .aggregate import aggregate, phase_rollup, records_by_rank
 from .records import IORecord, Recorder
 
 __all__ = [
     "records_to_dicts",
     "records_to_csv",
+    "stat_counts",
     "summary_payload",
-    "to_json",
-    "write_json",
     "render_timeline",
 ]
 
@@ -55,12 +54,35 @@ def records_to_csv(records: Iterable[IORecord]) -> str:
     return buf.getvalue()
 
 
-def summary_payload(recorder: Recorder, include_records: bool = False) -> Dict:
+def stat_counts(stats: Iterable[Tuple[str, Any]]) -> Dict[str, Dict[str, int]]:
+    """Per module, each count summed over the objects that hold it.
+
+    ``stats`` are ``(module, holder)`` pairs: a stats dataclass, whose
+    ``COUNTS`` name the fields that are counts, or a mapping of counts
+    (the fault injector's).  Zero counts, and modules with none, are
+    left out.
+    """
+    buckets: Dict[str, Counter] = {}
+    for module, holder in stats:
+        if not isinstance(holder, Mapping):
+            holder = {name: int(getattr(holder, name)) for name in holder.COUNTS}
+        buckets.setdefault(module, Counter()).update(holder)
+    return {
+        module: dict(sorted((+bucket).items()))
+        for module, bucket in sorted(buckets.items()) if +bucket
+    }
+
+
+def summary_payload(
+    recorder: Recorder, stats: Iterable[Tuple[str, Any]], include_records: bool = False
+) -> Dict:
     """Aggregated JSON-ready payload of one job's instrumentation.
 
-    Per-module rollups (visible/background split, per-op totals, the
-    overlap ratio), per-phase times, and the comm counters.  With
-    ``include_records`` the raw per-operation records ride along too.
+    Per-module rollups of the records (visible/background split, per-op
+    totals, the overlap ratio), per-phase times, the comm counters, and
+    the job's counts from the stats that hold them
+    (:func:`stat_counts`).  With ``include_records`` the raw
+    per-operation records ride along too.
     """
     modules = {}
     for name, rollup in sorted(aggregate(recorder.io_records).items()):
@@ -86,27 +108,11 @@ def summary_payload(recorder: Recorder, include_records: bool = False) -> Dict:
         "modules": modules,
         "phases": phase_rollup(recorder.io_records),
         "comm": recorder.comm.as_dict(),
-        "counters": {
-            module: dict(sorted(bucket.items()))
-            for module, bucket in sorted(recorder.counters.items())
-        },
+        "counters": stat_counts(stats),
     }
     if include_records:
         payload["records"] = records_to_dicts(recorder.io_records)
     return payload
-
-
-def to_json(recorder: Recorder, include_records: bool = False, indent: int = 2) -> str:
-    """Serialized :func:`summary_payload`."""
-    return json.dumps(
-        summary_payload(recorder, include_records=include_records), indent=indent
-    )
-
-
-def write_json(recorder: Recorder, path: str, include_records: bool = False) -> None:
-    """Write :func:`to_json` output to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(to_json(recorder, include_records=include_records) + "\n")
 
 
 def render_timeline(

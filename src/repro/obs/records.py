@@ -12,9 +12,8 @@ per-operation record layer that makes those claims inspectable:
   which file was torn), where a timed record cannot say it;
 * :class:`CommCounters` — message counters and bytes-on-wire totals fed
   by the :class:`repro.vmpi.comm.Comm` hooks;
-* :class:`Recorder` — the per-job sink all of the above land in;
-* :class:`IOSpan` — a span-style timer driven off the DES clock (never
-  wall-clock), usable as a context manager inside DES generators.
+* :class:`Recorder` — the per-job sink all of the above land in (it
+  keeps no counts: those live in the owners' stats, see :mod:`repro.obs`).
 
 A record is *visible* when its duration was spent inside a blocking
 interface call on the caller's critical path (``write_attribute``,
@@ -27,14 +26,13 @@ the overlap metric computed in :mod:`repro.obs.aggregate`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = [
     "IORecord",
     "TraceRecord",
     "CommCounters",
     "Recorder",
-    "IOSpan",
 ]
 
 
@@ -130,68 +128,18 @@ class CommCounters:
         }
 
 
-class IOSpan:
-    """Span-style timer on the DES clock.
-
-    Usable as a context manager *inside* a DES generator — the clock
-    advances while the generator is suspended, so enter/exit timestamps
-    bracket the operation's virtual duration::
-
-        with ctx.io_span("rochdf", "write_attribute", path=p) as span:
-            ...  # yields happen here
-            span.nbytes = total
-    """
-
-    __slots__ = ("recorder", "env", "module", "op", "rank", "path", "nbytes", "visible", "t_start")
-
-    def __init__(self, recorder, env, module, op, rank, path="", nbytes=0, visible=True):
-        self.recorder = recorder
-        self.env = env
-        self.module = module
-        self.op = op
-        self.rank = rank
-        self.path = path
-        self.nbytes = nbytes
-        self.visible = visible
-        self.t_start = None
-
-    def __enter__(self) -> "IOSpan":
-        self.t_start = self.env.now
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self.recorder.record_io(
-                self.module,
-                self.op,
-                self.rank,
-                path=self.path,
-                nbytes=self.nbytes,
-                t_start=self.t_start,
-                t_end=self.env.now,
-                visible=self.visible,
-            )
-        return False
-
-
 class Recorder:
     """Per-job sink for I/O records, fault events, and comm counters.
 
-    Cheap when disabled; when enabled (the default) every record is a
-    small frozen dataclass appended to a list, so jobs can always be
-    inspected after the fact.
+    Every record is a small frozen dataclass appended to a list, so a
+    job can always be inspected after the fact.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.io_records: List[IORecord] = []
         #: Free-form fault and recovery events, in emission order.
         self.events: List[TraceRecord] = []
         self.comm = CommCounters()
-        #: Named counters per module: ``{"rocpanda": {"retries": 3}}``.
-        #: Fed by resilience code (retry/failover/overflow) and the
-        #: fault injector; rolled up by :func:`summary_payload`.
-        self.counters: Dict[str, Dict[str, float]] = {}
 
     # -- I/O records ----------------------------------------------------
     def record_io(
@@ -206,9 +154,7 @@ class Recorder:
         t_end: float = 0.0,
         visible: bool = True,
     ) -> None:
-        """Append one :class:`IORecord` (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Append one :class:`IORecord`."""
         self.io_records.append(
             IORecord(
                 module=module,
@@ -222,45 +168,19 @@ class Recorder:
             )
         )
 
-    def span(
-        self,
-        env,
-        module: str,
-        op: str,
-        rank: int,
-        *,
-        path: str = "",
-        nbytes: int = 0,
-        visible: bool = True,
-    ) -> IOSpan:
-        """A DES-clock :class:`IOSpan` that records itself on exit."""
-        return IOSpan(self, env, module, op, rank, path=path, nbytes=nbytes, visible=visible)
-
     # -- fault / recovery events -------------------------------------------
     def log_event(self, time: float, category: str, rank: int, message: str) -> None:
-        """Append one :class:`TraceRecord` (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Append one :class:`TraceRecord`."""
         self.events.append(TraceRecord(time, category, rank, message))
-
-    # -- counters --------------------------------------------------------
-    def record_counter(self, module: str, name: str, value: float = 1) -> None:
-        """Bump the named counter for ``module`` (no-op when disabled)."""
-        if not self.enabled:
-            return
-        bucket = self.counters.setdefault(module, {})
-        bucket[name] = bucket.get(name, 0) + value
 
     # -- comm hooks ------------------------------------------------------
     def count_send(self, src: int, dst: int, nbytes: int, eager: bool) -> None:
         """Count one message leaving ``src`` (called by ``Comm.send``)."""
-        if self.enabled:
-            self.comm.count_send(src, dst, nbytes, eager)
+        self.comm.count_send(src, dst, nbytes, eager)
 
     def count_recv(self, dst: int, nbytes: int) -> None:
         """Count one message consumed at ``dst`` (called by ``Comm.recv``)."""
-        if self.enabled:
-            self.comm.count_recv(dst, nbytes)
+        self.comm.count_recv(dst, nbytes)
 
     # -- views -----------------------------------------------------------
     def by_rank(self, rank: int) -> List[IORecord]:

@@ -17,7 +17,7 @@ import numpy as np
 from ..cluster.machine import Machine
 from ..cluster.node import ROLE_COMPUTE, ROLE_SERVER
 from ..des import Environment, SimulationError
-from ..obs.records import IOSpan, Recorder
+from ..obs.records import Recorder
 from .comm import Comm
 from .mailbox import Mailbox
 from . import placement as placement_policies
@@ -122,20 +122,6 @@ class RankContext:
             t_start=t_start,
             t_end=self.env.now,
             visible=visible,
-        )
-
-    def io_span(
-        self,
-        module: str,
-        op: str,
-        *,
-        path: str = "",
-        nbytes: int = 0,
-        visible: bool = True,
-    ) -> IOSpan:
-        """A DES-clock span timer that records itself on exit."""
-        return self.job.recorder.span(
-            self.env, module, op, self.rank, path=path, nbytes=nbytes, visible=visible
         )
 
     def __repr__(self) -> str:

@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+import repro
 import repro.io
 from repro.bench import run_faultbench
 from repro.cluster import Machine
@@ -148,6 +149,13 @@ def _launch(nprocs, main, plan=None, seed=0, disk=None, spec=None):
     return run_spmd(machine, nprocs, main), machine
 
 
+def _counters(result, machine):
+    """The ``counters`` of a :func:`_write_main` job's payload: from its
+    clients' and servers' stats and its machine's."""
+    held = [("rocpanda", stats) for _kind, stats in result.returns]
+    return summary_payload(result.recorder, held + machine.stats())["counters"]
+
+
 def _disk_image(machine):
     return {path: machine.disk.open(path).read() for path in machine.disk.listdir("")}
 
@@ -197,10 +205,10 @@ class TestServerCrashFailover:
 
     def test_crash_recorded_in_obs_counters(self):
         plan = FaultPlan((ServerCrash(rank=4, at_time=0.055),))
-        result, _ = _launch(8, _write_main(2), plan=plan)
-        counters = summary_payload(result.recorder)["counters"]
+        result, machine = _launch(8, _write_main(2), plan=plan)
+        counters = _counters(result, machine)
         assert counters["faults"]["server_crash"] == 1
-        assert counters["rocpanda"]["server_crashes"] == 1
+        assert counters["rocpanda"]["crashed"] == 1
         assert counters["rocpanda"]["failovers"] >= 1
 
     def test_fault_events_name_the_dead_server_and_the_heir(self):
@@ -830,12 +838,10 @@ class TestSyncSurvivesLostMessages:
         # sync is its SyncRequest; the first reply it is sent, the ack.
         plan = FaultPlan((MessageFault("drop", start=asked.t_start, **lost),))
         result, machine = _launch(8, _write_main(2), plan=plan)
-        counters = summary_payload(result.recorder)["counters"]
+        counters = _counters(result, machine)
         assert counters["faults"] == {"msg_drop": 1}
         assert counters["rocpanda"]["sync_reasks"] == 1
-        assert "sync_reasks" not in summary_payload(clean.recorder)["counters"].get(
-            "rocpanda", {}
-        )
+        assert "sync_reasks" not in _counters(clean, clean_machine).get("rocpanda", {})
         # A re-ask is not a retry: no faulted operation was redone.
         client_stats = [s for kind, s in result.returns if kind == "client"]
         assert sum(s.retries + s.failovers for s in client_stats) == 0
@@ -852,19 +858,15 @@ class TestOverflowCounterExport:
 
     def test_forced_overflow_shows_in_summary_payload(self):
         config = ServerConfig(buffer_bytes=2048)  # << one 34 KB block
-        result, _ = _launch(5, _write_main(1, server_config=config))
+        result, machine = _launch(5, _write_main(1, server_config=config))
         stats = next(s for kind, s in result.returns if kind == "server")
         assert stats.overflow_flushes >= 1
-        payload = summary_payload(result.recorder)
-        assert (
-            payload["counters"]["rocpanda"]["overflow_flushes"]
-            == stats.overflow_flushes
-        )
+        counters = _counters(result, machine)
+        assert counters["rocpanda"]["overflow_flushes"] == stats.overflow_flushes
 
     def test_no_overflow_no_counter(self):
-        result, _ = _launch(5, _write_main(1))
-        counters = summary_payload(result.recorder)["counters"]
-        assert "overflow_flushes" not in counters.get("rocpanda", {})
+        result, machine = _launch(5, _write_main(1))
+        assert "overflow_flushes" not in _counters(result, machine).get("rocpanda", {})
 
 
 class TestBackgroundWriteFaultReporting:
@@ -875,7 +877,7 @@ class TestBackgroundWriteFaultReporting:
 
         def main(ctx):
             com = Roccom(ctx)
-            com.load_module(
+            trochdf = com.load_module(
                 TRochdfModule(
                     ctx, retry=RetryPolicy(max_attempts=2, base_delay=1e-4)
                 )
@@ -889,14 +891,13 @@ class TestBackgroundWriteFaultReporting:
             try:
                 yield from com.call_function("OUT.sync")
             except BackgroundWriteError as exc:
-                return ("failed", str(exc))
-            return ("ok", None)
+                return ("failed", str(exc), trochdf.stats)
+            return ("ok", None, trochdf.stats)
 
         result, _ = _launch(2, main, plan=plan)
-        assert all(kind == "failed" for kind, _ in result.returns)
-        assert all("bad" in message for _, message in result.returns)
-        counters = summary_payload(result.recorder)["counters"]
-        assert counters["trochdf"]["background_write_failures"] >= 2
+        assert all(kind == "failed" for kind, _, _ in result.returns)
+        assert all("bad" in message for _, message, _ in result.returns)
+        assert sum(s.background_write_failures for _, _, s in result.returns) >= 2
 
 
 class TestCoalescedWriteResumesAtFaultedStage:
@@ -1003,6 +1004,22 @@ class TestIdleInjectorIsTransparent:
             for path in sources
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if fork.search(line)
+        ]
+        assert not hits, hits
+
+    def test_no_count_is_kept_beside_its_stats(self):
+        """A count lives in one field of the stats that own it
+        (``IOStats``, ``ServerStats``, ``TierStats``, the injector's
+        ``fired``): nothing under ``repro`` keeps a second tally on the
+        recorder for the payload to read."""
+        second = re.compile(r"record_counter|\.counters\b")
+        sources = sorted(pathlib.Path(repro.__file__).parent.rglob("*.py"))
+        assert len(sources) > 50
+        hits = [
+            f"{path.relative_to(pathlib.Path(repro.__file__).parent)}:{n}: {line.strip()}"
+            for path in sources
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if second.search(line)
         ]
         assert not hits, hits
 

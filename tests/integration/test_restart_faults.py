@@ -45,7 +45,7 @@ class TestServerCrashMidRestart:
         rocpanda = info1["counters"]["rocpanda"]
         assert rocpanda.get("restart_resumes_served", 0) > 0
         assert info1["client_failovers"] > 0
-        assert rocpanda.get("server_crashes") == 1
+        assert rocpanda.get("crashed") == 1
         # Determinism: same seed, same digest, same counters.
         assert (digest1, info1) == (digest2, info2)
 
@@ -108,7 +108,7 @@ class TestIndividualRestartReadEIO:
         assert digest == reference
         # Both injected EIOs were hit and retried, not silently skipped.
         assert info["client_retries"] == 2
-        assert info["counters"][module_name]["read_retries"] == 2
+        assert info["counters"][module_name]["retries"] == 2
         assert info["counters"]["faults"]["eio_injected"] == 2
         assert first == checkpoint_restart(module_name, plan, phase="restart")
 

@@ -125,8 +125,8 @@ class TestInjectorCrashes:
                 pass
             return ctx.rank
 
-        result = run_spmd(machine, 2, main)
-        assert result.recorder.counters["faults"]["server_crash"] >= 1
+        run_spmd(machine, 2, main)
+        assert machine.faults.fired["server_crash"] >= 1
 
     def test_dead_oracle_set_before_interrupt_delivery(self):
         """The victim itself observes is_dead(me) inside its handler."""

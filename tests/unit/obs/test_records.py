@@ -7,8 +7,7 @@ import pytest
 
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
-from repro.des import Environment
-from repro.io import RochdfModule
+from repro.io import IOStats, RochdfModule, ServerStats
 from repro.obs import (
     IORecord,
     Recorder,
@@ -19,8 +18,8 @@ from repro.obs import (
     records_by_rank,
     records_to_csv,
     render_timeline,
+    stat_counts,
     summary_payload,
-    to_json,
 )
 from repro.roccom import AttributeSpec, LOC_ELEMENT, Roccom
 from repro.vmpi import run_spmd
@@ -41,49 +40,12 @@ class TestRecorder:
         assert record.rank == 3
         assert record.duration == pytest.approx(1.5)
 
-    def test_disabled_recorder_is_inert(self):
-        r = Recorder(enabled=False)
-        r.record_io("m", "op", 0, t_start=0.0, t_end=1.0)
-        r.log_event(0.0, "c", 0, "msg")
-        r.count_send(0, 1, 100, eager=True)
-        r.count_recv(1, 100)
-        assert len(r) == 0
-        assert not r.events
-        assert r.comm.messages_sent == 0
-
     def test_views(self):
         r = Recorder()
         r.record_io("a", "op", 0, t_start=0, t_end=1)
         r.record_io("b", "op", 1, t_start=0, t_end=1)
         assert len(r.by_rank(0)) == 1
         assert len(r.by_module("b")) == 1
-
-
-class TestIOSpan:
-    def test_span_brackets_virtual_time(self):
-        env = Environment()
-        r = Recorder()
-
-        def proc():
-            with r.span(env, "m", "op", 0, path="p") as span:
-                yield env.timeout(2.0)
-                span.nbytes = 42
-
-        env.process(proc())
-        env.run()
-        assert len(r) == 1
-        record = r.io_records[0]
-        assert record.t_start == pytest.approx(0.0)
-        assert record.t_end == pytest.approx(2.0)
-        assert record.nbytes == 42
-
-    def test_span_skips_record_on_exception(self):
-        env = Environment()
-        r = Recorder()
-        with pytest.raises(ValueError):
-            with r.span(env, "m", "op", 0):
-                raise ValueError("boom")
-        assert len(r) == 0
 
 
 class TestAggregate:
@@ -147,22 +109,39 @@ class TestExport:
         r.record_io("m", "bg_write", 0, nbytes=10, t_start=1, t_end=2,
                     visible=False)
         r.count_send(0, 1, 64, eager=True)
-        payload = summary_payload(r)
+        payload = summary_payload(r, [("m", IOStats(retries=2))])
         assert payload["nrecords"] == 2
         assert payload["modules"]["m"]["overlap_ratio"] == pytest.approx(0.5)
         assert payload["comm"]["messages_sent"] == 1
+        assert payload["counters"] == {"m": {"retries": 2}}
         assert "records" not in payload
-        parsed = json.loads(to_json(r, include_records=True))
+        parsed = json.loads(json.dumps(summary_payload(r, [], include_records=True)))
         assert len(parsed["records"]) == 2
+        assert parsed["counters"] == {}
 
-    def test_log_event_appends_unless_disabled(self):
+    def test_stat_counts_sum_each_count_over_its_holders(self):
+        """A module's count is the sum of the field over every holder;
+        zeros, and modules with no count, are left out; a mapping
+        (the fault injector's) counts as it stands."""
+        counts = stat_counts([
+            ("rocpanda", IOStats(failovers=1, bytes_written=99)),
+            ("rocpanda", IOStats(failovers=2, sync_reasks=1)),
+            ("rocpanda", ServerStats(write_flushes=4, crashed=True)),
+            ("rocpanda", ServerStats(write_flushes=3)),
+            ("rochdf", IOStats()),
+            ("faults", {"server_crash": 1}),
+        ])
+        assert counts == {
+            "faults": {"server_crash": 1},
+            "rocpanda": {"crashed": 1, "failovers": 3, "sync_reasks": 1, "write_flushes": 7},
+        }
+        assert type(counts["rocpanda"]["crashed"]) is int
+
+    def test_log_event_appends(self):
         r = Recorder()
         r.log_event(0.25, "fault", 7, "server 3 dead")
         assert [(e.time, e.category, e.rank) for e in r.events] == [(0.25, "fault", 7)]
         assert "r7" in str(r.events[0]) and "server 3 dead" in str(r.events[0])
-        off = Recorder(enabled=False)
-        off.log_event(1.0, "fault", 0, "dropped")
-        assert off.events == []
 
     def test_render_timeline(self):
         records = [rec(rank=0, path="a"), rec(rank=2, path="b"),

@@ -131,6 +131,15 @@ def test_no_argument_selects_a_second_path():
     from repro.cluster.network import Network
 
     assert not hasattr(Network, "schedule_transfer")
+    # One way to record an operation: io_record, no span timer beside it,
+    # and no switch that turns the recorder off.
+    import repro.obs
+    from repro.obs import Recorder
+    from repro.vmpi import RankContext
+
+    assert not inspect.signature(Recorder).parameters
+    assert not hasattr(Recorder, "span") and not hasattr(RankContext, "io_span")
+    assert not {"IOSpan", "write_json", "to_json"} & set(repro.obs.__all__)
 
 
 def test_merging_shares_adds_no_option():
