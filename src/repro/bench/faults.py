@@ -41,7 +41,7 @@ from ..cluster import testbox as make_testbox
 from ..faults import (
     DiskFull, FaultPlan, MessageFault, RetryPolicy, ServerCrash, Straggler, TransientEIO,
 )
-from ..fs.tiers import TierConfig
+from ..fs.tiers import TierConfig, apply_storage_tier
 from ..io import (
     IOStats, PandaServer, RochdfModule, RocpandaModule, ServerConfig, ServerStats,
     TRochdfModule, rocpanda_init,
@@ -49,7 +49,6 @@ from ..io import (
 from ..io.rocpanda.protocol import TAG_BLOCK, TAG_CTRL
 from ..obs import stat_counts
 from ..roccom import AttributeSpec, LOC_ELEMENT, LOC_NODE, Roccom
-from ..shdf.drivers import apply_storage_tier
 from ..vmpi import run_spmd
 from .report import render_table
 

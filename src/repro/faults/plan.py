@@ -43,7 +43,7 @@ class TransientEIO:
 
     ``op`` selects which direction faults: ``"write"`` (the default,
     hooked before any byte lands) or ``"read"`` (hooked in the checked
-    read entry point the coalesced restart path uses).  Failures begin
+    read entry point the sieved restart path uses).  Failures begin
     at virtual time ``start``; each raises
     :class:`repro.fs.vfs.TransientIOError`.  A retry after the budget is
     exhausted succeeds — the canonical transient-EIO shape.

@@ -1,6 +1,12 @@
-"""Filesystem substrate: real-byte virtual disk + timing models."""
+"""Filesystem substrate: real-byte virtual disk + timing models.
 
-from .coalesce import ReadCoalescer, WriteCoalescer, merge_extents
+:mod:`.vfs` holds the bytes, :mod:`.models` charges the time of each
+``write`` / ``read`` / metadata round trip, and :mod:`.tiers` is the
+burst-buffer storage tier that may front a model.  What one transfer
+carries — a writer's gathered stage, a reader's sieved run — is the
+SHDF layer's decision (:mod:`repro.shdf.file`).
+"""
+
 from .models import (
     FileSystemModel,
     FSMetrics,
@@ -39,9 +45,6 @@ __all__ = [
     "NFSModel",
     "GPFSModel",
     "LocalFSModel",
-    "WriteCoalescer",
-    "ReadCoalescer",
-    "merge_extents",
     "TierConfig",
     "TierStats",
     "DrainJournal",

@@ -5,8 +5,8 @@ processes absorb snapshot data over the network and write behind the
 computation.  A burst buffer pushes the same idea one level *down* the
 storage stack: writes land in a bounded memory tier at memory-bandwidth
 cost and are *visible-complete* immediately, while a background drain
-flushes dirty extents to the backing disk through the same
-:class:`~repro.fs.coalesce.WriteCoalescer` the servers use.  The drain
+flushes dirty extents to the backing disk, each drain chunk one
+``fs.write`` like an SHDF writer's landing.  The drain
 is a :class:`~repro.vthread.BackgroundWorker`, like the servers' lander
 and T-Rochdf's I/O thread; the tier's own is the policy below: what is
 flushed when, spill instead of blocking, a failed drain fails barriers.
@@ -60,7 +60,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 from ..des import Environment
 from ..faults.retry import RetryPolicy, retrying
 from ..vthread import BackgroundWorker
-from .coalesce import WriteCoalescer
 from .models import FileSystemModel
 from .vfs import FileExists, VirtualDisk, VirtualFile, WriteFaultError
 
@@ -71,6 +70,8 @@ __all__ = [
     "DrainFailedError",
     "TierDisk",
     "BurstBufferTier",
+    "STORAGE_TIERS",
+    "apply_storage_tier",
 ]
 
 
@@ -290,7 +291,7 @@ class BurstBufferTier(FileSystemModel):
     Fronts ``backing`` (any :class:`FileSystemModel`): writes are
     charged at memory bandwidth and become visible-complete
     immediately; the background drain moves dirty extents to the
-    backing filesystem through a :class:`WriteCoalescer`, retrying
+    backing filesystem one ``fs.write`` per drain chunk, retrying
     transient faults with :attr:`TierConfig.retry`.  Reads delegate to
     the backing model's timing (conservative: a resident read would be
     faster, but restart dominates on cold data).
@@ -575,13 +576,15 @@ class BurstBufferTier(FileSystemModel):
             end = min(state.vfile.size, start + self.config.drain_chunk_bytes)
             if end > start:
                 t0 = self.env.now
-                coalescer = WriteCoalescer(self.backing, state.backing_vfile, node=node)
                 # The front's chunks themselves: the backing file shares them.
-                for view in state.vfile.views(start, end - start):
-                    coalescer.add(view)
+                views = state.vfile.views(start, end - start)
+                backing_file = state.backing_vfile
                 yield from retrying(
                     self.env, self.config.retry,
-                    coalescer.flush, on_retry=self._note_drain_retry,
+                    lambda: self.backing.write(
+                        end - start, node, land=lambda: backing_file.append_many(views)
+                    ),
+                    on_retry=self._note_drain_retry,
                 )
                 if state.epoch == epoch0:
                     state.drained = end
@@ -626,3 +629,24 @@ class BurstBufferTier(FileSystemModel):
             raise DrainFailedError(
                 f"write-behind drain failed: {self._failure}"
             ) from self._failure
+
+
+#: Where writes land: straight through the machine's filesystem model,
+#: or absorbed by a :class:`BurstBufferTier` in front of it.
+STORAGE_TIERS = ("direct", "burst")
+
+
+def apply_storage_tier(machine, tier: str, config=None):
+    """Route ``machine.fs`` through the requested storage tier.
+
+    ``"direct"`` is the identity (the executable spec keeps its exact
+    timing); ``"burst"`` wraps the machine's filesystem model in a
+    :class:`BurstBufferTier` fronting the same durable ``machine.disk``.
+    Idempotent: re-applying ``"burst"`` to an already-tiered machine is
+    a no-op.  Returns ``machine.fs``.
+    """
+    if tier not in STORAGE_TIERS:
+        raise ValueError(f"unknown storage tier {tier!r}; expected {STORAGE_TIERS}")
+    if tier == "burst" and not isinstance(machine.fs, BurstBufferTier):
+        machine.fs = BurstBufferTier(machine.env, machine.fs, config)
+    return machine.fs

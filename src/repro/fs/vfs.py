@@ -37,8 +37,8 @@ consults the disk's ``read_fault_hook`` before returning any byte.  The
 plain :meth:`VirtualFile.read` and :meth:`VirtualFile.views` stay
 unchecked on purpose: structural parses (``SHDFReader.open``, torn-file
 detection) must observe the disk as-is, and capacity never constrains
-reads.  Fault-injected read paths (the
-:class:`~repro.fs.coalesce.ReadCoalescer`) go through the checked entry
+reads.  Fault-injected read paths (SHDF's sieved reads,
+:func:`repro.shdf.file.read_sieved`) go through the checked entry
 point so a transient read EIO can be retried.
 """
 
@@ -115,7 +115,7 @@ class VirtualFile:
         """Append several chunks as one transfer; returns the first offset.
 
         The fault/capacity check covers the *combined* size and runs
-        before any chunk lands, so a coalesced write preserves the
+        before any chunk lands, so a gathered write preserves the
         raise-before-mutate guarantee at batch granularity: either every
         chunk is appended or the file is untouched.
         """

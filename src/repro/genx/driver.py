@@ -14,12 +14,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..cluster.machine import Machine
+from ..fs.tiers import STORAGE_TIERS, apply_storage_tier
 from ..io.rochdf import RochdfModule
 from ..io.rocpanda import PandaServer, RocpandaModule, ServerConfig, rocpanda_init
 from ..io.trochdf import TRochdfModule
 from ..roccom.module import IO_WINDOW
 from ..roccom.registry import Roccom
-from ..shdf.drivers import STORAGE_TIERS, HDFDriver, apply_storage_tier, hdf4_driver
+from ..shdf.drivers import HDFDriver, hdf4_driver
 from ..vmpi.launcher import run_spmd
 from . import physics as phys
 from .partition import partition_blocks

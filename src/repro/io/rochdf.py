@@ -115,8 +115,8 @@ class RochdfModule(ServiceModule):
         """Generator: open/write/close one snapshot file, retrying faults.
 
         The whole file — header, every dataset, commit footer — lands
-        through one merged filesystem transfer (the same write-coalescing
-        scheduler the Rocpanda servers use), so a file costs one
+        through one merged filesystem transfer (the same SHDF stage the
+        Rocpanda servers land), so a file costs one
         ``fs.write``: ``open`` is the create round trip, ``write_records``
         only stages, and ``close`` lands (:meth:`_close`, the step
         T-Rochdf's I/O thread overrides).  Only that landing can fault,
@@ -174,11 +174,11 @@ class RochdfModule(ServiceModule):
         found.  Returns the sorted restored block IDs.
 
         Each file is opened by structural scan and its wanted records
-        are pulled through the
-        :class:`~repro.fs.coalesce.ReadCoalescer` — one directory pass
-        plus a few large sieved reads instead of a per-dataset
+        are pulled through one sieved read
+        (:func:`~repro.shdf.file.read_sieved`) — one directory pass
+        plus a few large merged reads instead of a per-dataset
         lookup/read loop.  A transient read fault replays that file's
-        sieved read (the coalescer stays re-runnable); once retries are
+        sieved read (a faulted one hands out nothing); once retries are
         exhausted the fault propagates to the caller.
         """
         ctx = self.ctx

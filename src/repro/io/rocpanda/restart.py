@@ -7,8 +7,8 @@ bucket — no server collective.  The server then reads its round-robin
 share of every window's restart files at the filesystem's read width:
 it scans every file of the share at once, cuts each into sieved regions
 and starts every region's read at once.  A region pays its records'
-metadata round trips once, then its
-:class:`~repro.fs.coalesce.ReadCoalescer` runs are read as stripes of
+metadata round trips once, then its merged runs
+(:func:`~repro.shdf.file.read_sieved`) are read as stripes of
 at most :data:`RESTART_STRIPE_BYTES`, all queued at the filesystem's
 read slots at one instant, so a region lands in about one stripe's
 time and the regions land one after another instead of together.  The
@@ -28,10 +28,9 @@ from typing import Dict, List, Tuple
 
 from ...des import Interrupt
 from ...faults.retry import retrying
-from ...fs.coalesce import merge_extents
 from ...fs.vfs import WriteFaultError
 from ...shdf.codec import TornFileError
-from ...shdf.file import SHDFReader
+from ...shdf.file import SHDFReader, merge_extents
 from ..base import DataBlock, datasets_to_blocks, record_block_ids
 from .protocol import TAG_REPLY, RestartBatch, RestartDone, RestartRequest
 

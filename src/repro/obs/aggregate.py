@@ -32,8 +32,13 @@ __all__ = [
     "records_by_rank",
 ]
 
-#: Visible operations that belong to the restart (read) phase.
-_READ_OPS = frozenset({"read_attribute", "read_dataset", "restart_scan"})
+#: Visible operations that belong to the restart (read) phase: the I/O
+#: modules' restore calls and the Rocpanda servers' scans, and every
+#: record :class:`~repro.shdf.file.SHDFReader` emits.
+_READ_OPS = frozenset({
+    "read_attribute", "restart_scan",
+    "open_scan", "read_extents", "read_batch", "close_scan",
+})
 
 
 @dataclass
@@ -76,7 +81,7 @@ class ModuleRollup:
         self.bytes_total += record.nbytes
         if record.visible:
             self.visible_time += record.duration
-            if record.op not in _READ_OPS and record.op != "sync":
+            if phase_of(record) == "output":
                 self.visible_write_time += record.duration
         else:
             self.background_time += record.duration
@@ -101,18 +106,11 @@ def aggregate(records: Iterable[IORecord]) -> Dict[str, ModuleRollup]:
 
 def overlap_ratio(records: Iterable[IORecord], module: Optional[str] = None) -> float:
     """Overlap ratio over ``records``, optionally for one module only."""
-    background = 0.0
-    visible_write = 0.0
+    rollup = ModuleRollup(module=module or "")
     for record in records:
-        if module is not None and record.module != module:
-            continue
-        if record.visible:
-            if record.op not in _READ_OPS and record.op != "sync":
-                visible_write += record.duration
-        else:
-            background += record.duration
-    denom = background + visible_write
-    return background / denom if denom > 0 else 0.0
+        if module is None or record.module == module:
+            rollup.add(record)
+    return rollup.overlap_ratio
 
 
 def phase_of(record: IORecord) -> str:

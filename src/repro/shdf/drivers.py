@@ -15,20 +15,6 @@ this file cost, beyond moving the bytes?"  The costs are split into a
 CPU part (charged as plain time at the caller) and a number of extra
 filesystem metadata operations (charged through the fs model, so NFS's
 high metadata latency hurts exactly like it did in production).
-
-Storage tiers
--------------
-The second axis of the seam is *where* writes land:
-
-* ``tier="direct"`` — the executable spec: writes go straight through
-  the machine's filesystem model (bit-identical in virtual time to the
-  pre-tier code paths);
-* ``tier="burst"`` — :func:`apply_storage_tier` interposes a
-  :class:`~repro.fs.tiers.BurstBufferTier` in front of ``machine.fs``,
-  so writes absorb at memory speed and drain in the background.
-
-Both axes compose: any driver can run over either tier, which is the
-driver×tier ablation matrix in :mod:`repro.bench.micro`.
 """
 
 from __future__ import annotations
@@ -41,33 +27,7 @@ __all__ = [
     "hdf4_driver",
     "hdf5_driver",
     "raw_driver",
-    "STORAGE_TIERS",
-    "apply_storage_tier",
 ]
-
-#: The storage-tier axis of the driver seam.
-STORAGE_TIERS = ("direct", "burst")
-
-
-def apply_storage_tier(machine, tier: str, config=None):
-    """Route ``machine.fs`` through the requested storage tier.
-
-    ``"direct"`` is the identity (the executable spec keeps its exact
-    timing); ``"burst"`` wraps the machine's filesystem model in a
-    :class:`~repro.fs.tiers.BurstBufferTier` fronting the same durable
-    ``machine.disk``.  Idempotent: re-applying ``"burst"`` to an
-    already-tiered machine is a no-op.  Returns ``machine.fs``.
-    """
-    if tier not in STORAGE_TIERS:
-        raise ValueError(f"unknown storage tier {tier!r}; expected {STORAGE_TIERS}")
-    if tier == "direct":
-        return machine.fs
-    from ..fs.tiers import BurstBufferTier
-
-    if isinstance(machine.fs, BurstBufferTier):
-        return machine.fs
-    machine.fs = BurstBufferTier(machine.env, machine.fs, config)
-    return machine.fs
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,33 @@ libraries (Rochdf, Rocpanda servers) use.  Every operation is a
 generator charging virtual time through the filesystem model and the
 format driver, while the actual bytes land on / come from the virtual
 disk — so restart files decode to exactly what was written.
+
+This layer owns the data sieving of two-phase I/O (Thakur et al.,
+PAPERS.md) in both directions, down to the filesystem transfers:
+
+* a writer gathers many small records into a *stage* and lands it as
+  **one** ``fs.write`` of the combined payload + metadata bytes and one
+  :meth:`~repro.fs.vfs.VirtualFile.append_many` — one fixed write
+  latency and one turn at the write slot instead of one per record;
+* a reader merges the extents it wants (:func:`merge_extents`) into a
+  few contiguous runs, sieving through holes up to a gap, and reads
+  each run as one ``fs.read`` (:func:`read_sieved`).
+
+Faults raise before anything is mutated or handed out: ``append_many``
+checks the disk's fault hooks against the combined size before it
+appends anything, so a faulted landing leaves its stage intact and the
+retry lands it; :meth:`~repro.fs.vfs.VirtualFile.read_checked` raises
+before it returns a byte, so a faulted sieved read hands out nothing
+and its retry replays — and re-charges — every run.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..des import Environment
-from ..fs.coalesce import ReadCoalescer, WriteCoalescer
 from ..fs.models import FileSystemModel
 from .codec import (
     JOURNAL_ATTR,
@@ -23,17 +41,95 @@ from .codec import (
 )
 from .drivers import HDFDriver, hdf4_driver
 
-__all__ = ["SHDFWriter", "SHDFReader"]
+__all__ = ["SHDFWriter", "SHDFReader", "merge_extents", "read_sieved"]
+
+
+def merge_extents(
+    extents: Sequence[Tuple[int, int]], gap: int = 0
+) -> List[Tuple[int, int]]:
+    """Merge ``(offset, nbytes)`` extents into contiguous ``(start, length)`` runs.
+
+    Extents may arrive unsorted, overlapping, or duplicated; the result
+    is sorted, disjoint, and covers every input byte exactly once.  Two
+    extents whose hole is at most ``gap`` bytes are sieved into one run
+    (the hole's bytes are part of the run and will be read/charged — the
+    data-sieving trade).  ``gap=0`` still merges touching/overlapping
+    extents.
+    """
+    if gap < 0:
+        raise ValueError("negative sieve gap")
+    runs: List[List[int]] = []
+    for offset, nbytes in sorted(extents):
+        if offset < 0 or nbytes < 0:
+            raise ValueError(f"bad extent ({offset}, {nbytes})")
+        end = offset + nbytes
+        if runs and offset <= runs[-1][1] + gap:
+            if end > runs[-1][1]:
+                runs[-1][1] = end
+        else:
+            runs.append([offset, end])
+    return [(start, end - start) for start, end in runs]
+
+
+def read_sieved(
+    fs: FileSystemModel,
+    vfile,
+    extents: Sequence[Tuple[int, int]],
+    gap: int = 0,
+    meta_bytes: int = 0,
+    node=None,
+    charge=None,
+):
+    """Generator: read ``(offset, nbytes)`` extents of ``vfile`` through
+    merged runs (:func:`merge_extents` with ``gap``).
+
+    Returns one read-only :class:`memoryview` per extent, in ``extents``
+    order: a slice of its run's buffer, which each run copies out of the
+    file once, so overlapping extents are read once.  Each run is one
+    ``fs.read`` of its span — sieved holes included — and the first
+    also carries ``meta_bytes`` (format metadata, charged once); then
+    its checked read.  A caller that charges the reads itself passes
+    ``charge``: a generator function given every run's charged bytes at
+    once, in run order, which returns once they are all read.  A read
+    fault in a run raises before any byte is handed out, after the runs
+    before it were charged; the retry is another call.
+    """
+    runs = merge_extents(extents, gap)
+    if not runs:
+        return []
+    charges = [length for _start, length in runs]
+    charges[0] += meta_bytes
+    if charge is not None:
+        yield from charge(charges)
+    buffers = []
+    for (start, length), nbytes in zip(runs, charges):
+        if charge is None:
+            yield from fs.read(nbytes, node)
+        buffers.append(memoryview(vfile.read_checked(start, length)))
+    starts = [start for start, _length in runs]
+    chunks = []
+    for offset, nbytes in extents:
+        i = bisect_right(starts, offset) - 1
+        skip = offset - starts[i]
+        chunks.append(buffers[i][skip : skip + nbytes])
+    return chunks
 
 
 class _Stage:
-    """Records bound for one transfer, and the round trips they owe."""
+    """Records bound for one transfer, the bytes it charges the
+    filesystem (payload + per-record format metadata) and the round
+    trips they owe."""
 
-    __slots__ = ("chunks", "meta_ops")
+    __slots__ = ("chunks", "charged", "meta_ops")
 
-    def __init__(self, fs, vfile, node):
-        self.chunks = WriteCoalescer(fs, vfile, node=node)
+    def __init__(self):
+        self.chunks: List = []
+        self.charged = 0
         self.meta_ops = 0
+
+    def add(self, chunk, meta_bytes: int = 0) -> None:
+        self.chunks.append(chunk)
+        self.charged += len(chunk) + meta_bytes
 
 
 class SHDFWriter:
@@ -58,11 +154,11 @@ class SHDFWriter:
     *stages* records (:meth:`stage`) and pays the format's per-dataset
     directory bookkeeping (:meth:`book`, CPU); the stage owes their
     round trips.  A stage lands as one filesystem transfer — what it
-    owes first, paid once, then a single write through its
-    :class:`~repro.fs.coalesce.WriteCoalescer` — and a landing is
-    exactly one ``fs.write``: the header is the first chunk of the
-    file's first stage, and the commit footer, staged by :meth:`commit`,
-    the last chunk of whichever stage lands last.  :meth:`open` is the
+    owes first, paid once, then a single ``fs.write`` of its chunks,
+    whose ``land`` is one ``append_many`` — so a landing is exactly one
+    ``fs.write``: the header is the first chunk of the file's first
+    stage, and the commit footer, staged by :meth:`commit`, the last
+    chunk of whichever stage lands last.  :meth:`open` is the
     create round trip alone; :meth:`close` commits, lands everything
     staged and pays the close round trip (:meth:`release`), so a
     sequential caller sees metadata, CPU, metadata, transfer, metadata.
@@ -126,7 +222,7 @@ class SHDFWriter:
     @property
     def staged_bytes(self) -> int:
         """Bytes the open stage's transfer will charge the filesystem for."""
-        return self._stages[-1].chunks.pending_bytes if self._stages else 0
+        return self._stages[-1].charged if self._stages else 0
 
     @property
     def owed_meta(self) -> int:
@@ -137,7 +233,7 @@ class SHDFWriter:
     def owes_landing(self) -> bool:
         """True while staged bytes — header, records, footer — are unlanded."""
         stages = self._stages
-        return bool(stages and (len(stages) > 1 or stages[0].chunks.pending or self._footer))
+        return bool(stages and (len(stages) > 1 or stages[0].chunks or self._footer))
 
     @property
     def is_open(self) -> bool:
@@ -164,10 +260,8 @@ class SHDFWriter:
         self._vfile.truncate()
         self._ndatasets = 0
         self._footer = None
-        self._stages = deque([_Stage(self.fs, self._vfile, self.node)])
-        self._stages[0].chunks.add(
-            encode_header({**(file_attrs or {}), JOURNAL_ATTR: True})
-        )
+        self._stages = deque([_Stage()])
+        self._stages[0].add(encode_header({**(file_attrs or {}), JOURNAL_ATTR: True}))
 
     def open(self, file_attrs: Optional[Dict[str, Any]] = None):
         """Generator: the create round trip (:meth:`begin` first, unless
@@ -183,7 +277,7 @@ class SHDFWriter:
         self._record("open", 0, t0)
 
     def write_records(self, records):
-        """Generator: stage many records for one coalesced transfer.
+        """Generator: stage many records for one gathered transfer.
 
         ``records`` is a sequence of ``(name, record_bytes, data_nbytes)``
         tuples, each its own dataset: :meth:`stage` then :meth:`book`.
@@ -208,12 +302,12 @@ class SHDFWriter:
 
     def stage(self, records) -> None:
         """Add records, each a sequence of chunks, to the open stage."""
-        chunks = self._stages[-1].chunks
+        stage = self._stages[-1]
         meta_bytes = self.driver.meta_bytes_per_dataset
         for record in records:
-            chunks.add(record[0], meta_bytes=meta_bytes)
+            stage.add(record[0], meta_bytes)
             for chunk in record[1:]:
-                chunks.add(chunk)
+                stage.add(chunk)
 
     def book(self, ndatasets: int, data_nbytes: int):
         """Generator: ``create_cost`` (CPU) for ``ndatasets`` new datasets
@@ -235,8 +329,8 @@ class SHDFWriter:
     def seal(self) -> None:
         """Close the open stage: it lands as one transfer, after the
         stages sealed before it; later records join a new stage."""
-        if self._stages[-1].chunks.pending:
-            self._stages.append(_Stage(self.fs, self._vfile, self.node))
+        if self._stages[-1].chunks:
+            self._stages.append(_Stage())
 
     def commit(self) -> None:
         """No more records: the commit footer becomes the last chunk of
@@ -253,13 +347,21 @@ class SHDFWriter:
         """Generator: the oldest stage — the metadata round trips it
         still owes, then one filesystem transfer (with the footer, if
         the file is committed and no later stage holds a chunk: only the
-        newest stage is ever empty)."""
+        newest stage is ever empty; an empty one writes nothing).  A
+        faulted write leaves the stage as it was."""
         yield from self._settle_meta()
         stages = self._stages
-        if self._footer and (len(stages) == 1 or not stages[1].chunks.pending):
-            stages[0].chunks.add(self._footer)
+        stage = stages[0]
+        if self._footer and (len(stages) == 1 or not stages[1].chunks):
+            stage.add(self._footer)
             self._footer = b""
-        yield from stages[0].chunks.flush()
+        if stage.chunks:
+            vfile = self._vfile
+            yield from self.fs.write(
+                stage.charged, self.node, land=lambda: vfile.append_many(stage.chunks)
+            )
+            stage.chunks = []
+            stage.charged = 0
         if len(self._stages) > 1:
             self._stages.popleft()
 
@@ -315,8 +417,8 @@ class SHDFReader:
     :meth:`open_scan` scans the file's record directory into extents —
     names, offsets, lengths — parsing every record header once and
     materializing no array; dataset data is decoded only when
-    :meth:`read_extents` / :meth:`read_batch` pulls it through the
-    :class:`~repro.fs.coalesce.ReadCoalescer`, from those headers.
+    :meth:`read_extents` / :meth:`read_batch` pulls it through
+    :func:`read_sieved`, from those headers.
     """
 
     def __init__(
@@ -413,13 +515,11 @@ class SHDFReader:
         """Generator: read ``(name, offset, length)`` record extents merged.
 
         The two-phase read's data movement: per-record filesystem meta
-        ops are charged as one bulk event, the extents are merged by a
-        :class:`~repro.fs.coalesce.ReadCoalescer` (sieving through holes
-        up to ``sieve_gap`` bytes) into a few large runs, each one
-        ``fs.read`` unless ``charge`` charges them (see
-        :meth:`ReadCoalescer.run <repro.fs.coalesce.ReadCoalescer.run>`),
-        and each record's dataset is built from the header
-        :meth:`open_scan` parsed plus its payload slice.  Returns the
+        ops are charged as one bulk event, the extents are merged by
+        :func:`read_sieved` (sieving through holes up to ``sieve_gap``
+        bytes) into a few large runs, each one ``fs.read`` unless
+        ``charge`` charges them, and each record's dataset is built from
+        the header :meth:`open_scan` parsed plus its payload slice.  Returns the
         :class:`Dataset` list in ``entries`` order, with private
         writable arrays (restart consumers mutate them in place).
 
@@ -434,10 +534,13 @@ class SHDFReader:
         yield from self.fs.meta_ops_bulk(
             self.driver.fs_meta_ops_per_dataset * len(entries), self.node
         )
-        coalescer = ReadCoalescer(self.fs, self._vfile, node=self.node, gap=sieve_gap)
-        for _name, offset, length in entries:
-            coalescer.add(offset, length, meta_bytes=self.driver.meta_bytes_per_dataset)
-        records = yield from coalescer.run(charge)
+        records = yield from read_sieved(
+            self.fs, self._vfile,
+            [(offset, length) for _name, offset, length in entries],
+            gap=sieve_gap,
+            meta_bytes=self.driver.meta_bytes_per_dataset * len(entries),
+            node=self.node, charge=charge,
+        )
         datasets = [
             self._entries[extent].dataset(record, copy=True)
             for extent, record in zip(entries, records)
@@ -470,14 +573,15 @@ class SHDFReader:
         return datasets
 
     def close(self):
-        """Generator: close the file."""
+        """Generator: close the file (recorded as ``close_scan``: a
+        reader's close is part of a restart, a writer's of its output)."""
         self._require_open()
         t0 = self.env.now
         yield from self.fs.meta_op(self.node)
         self._entries = None
         self._attrs = None
         self._vfile = None
-        self._record("close", 0, t0)
+        self._record("close_scan", 0, t0)
 
     def _require_open(self):
         if not self.is_open:

@@ -17,8 +17,8 @@ from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
 from repro.des import Process
 from repro.fs import TierConfig
+from repro.fs.tiers import apply_storage_tier
 from repro.genx import GENxConfig, lab_scale_motor, run_genx
-from repro.shdf.drivers import apply_storage_tier
 from repro.vthread import BackgroundWorker
 from tests.restored import restored
 

@@ -3,11 +3,12 @@
 Two layers of the two-phase restart path are checked across random
 inputs:
 
-* :class:`repro.fs.ReadCoalescer` — merged-read schedules return
+* :func:`repro.shdf.file.read_sieved` — merged reads return
   byte-identical data to issuing every ranged read individually, for
   arbitrary overlapping / adjacent / gapped extent layouts and sieve
-  thresholds, and a schedule interrupted by an injected read fault
-  raises before handing out any byte (and replays cleanly).
+  thresholds, and a read interrupted by an injected read fault raises
+  before handing out any byte, after charging exactly the runs it
+  reached (and replays cleanly).
 * The Rocpanda restart — two-phase collective reads, every region of
   a server's share in flight at once, restore, bit for bit, the arrays
   the writing job registered, across random write-at-N / restart-at-M
@@ -23,9 +24,10 @@ from hypothesis import strategies as st
 from repro.cluster import Machine
 from repro.cluster import testbox as make_testbox
 from repro.des import Environment
-from repro.fs import NFSModel, ReadCoalescer, TransientIOError
+from repro.fs import NFSModel, TransientIOError
 from repro.io import PandaServer, RocpandaModule, rocpanda_init
 from repro.roccom import AttributeSpec, Roccom
+from repro.shdf.file import merge_extents, read_sieved
 from repro.vmpi import run_spmd
 
 RESTART_EXAMPLES = max(10, settings.default.max_examples // 10)
@@ -65,14 +67,12 @@ def test_read_coalescer_is_byte_identical(layout):
     f.append(bytes(i % 251 for i in range(size)))
     data = f.read()
 
-    co = ReadCoalescer(fs, f, gap=gap)
-    for offset, nbytes in extents:
-        co.add(offset, nbytes)
-    chunks = drive(env, co.run())
+    chunks = drive(env, read_sieved(fs, f, extents, gap=gap))
 
     assert chunks == [data[o : o + n] for o, n in extents]
     # One fs.read per merged run, covering at least the wanted bytes.
     runs = fs.metrics.read_ops
+    assert runs == len(merge_extents(extents, gap))
     assert runs <= len(extents) or not any(n for _o, n in extents)
 
 
@@ -86,21 +86,20 @@ def test_read_coalescer_fault_raises_before_handing_out_bytes(layout, nfail):
     f.append(bytes(i % 251 for i in range(size)))
     data = f.read()
     budget = [nfail]
+    checked = [0]
 
     def hook(path, nbytes):
+        checked[0] += 1
         if budget[0] > 0:
             budget[0] -= 1
             raise TransientIOError(f"injected ({path})")
 
     fs.disk.read_fault_hook = hook
-    co = ReadCoalescer(fs, f, gap=gap)
-    for offset, nbytes in extents:
-        co.add(offset, nbytes)
-    nruns = len(co.plan())
+    nruns = len(merge_extents(extents, gap))
 
     def attempt():
         try:
-            return (yield from co.run())
+            return (yield from read_sieved(fs, f, extents, gap=gap))
         except TransientIOError:
             return None
 
@@ -111,13 +110,17 @@ def test_read_coalescer_fault_raises_before_handing_out_bytes(layout, nfail):
         assert nfail >= nruns or budget[0] == 0 or nruns == 0
         assert result == [data[o : o + n] for o, n in extents]
         return
-    # Faulted: nothing was handed out, the schedule is fully pending.
-    assert co.pending == len(extents)
+    # Faulted: nothing was handed out, and the fault in run k came
+    # after exactly k charged reads (its own included).
+    assert 1 <= fs.metrics.read_ops == checked[0] <= nruns
+    failed = checked[0]
     retry = drive(env, attempt())
     while retry is None:
         retry = drive(env, attempt())
     assert retry == [data[o : o + n] for o, n in extents]
-    assert co.pending == 0
+    # Every attempt charged each run it reached: the successful replay
+    # re-charged every run.
+    assert fs.metrics.read_ops == checked[0] >= failed + nruns
 
 
 def _write_checkpoint(nservers, nclients, layout, seed):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import Environment
-from repro.fs import BurstBufferTier, NFSModel, TierConfig, WriteCoalescer
+from repro.fs import BurstBufferTier, NFSModel, TierConfig
 
 
 @st.composite
@@ -58,9 +58,8 @@ def _run_schedule(schedule, tier_capacity=None):
             if op == "truncate":
                 files[path].truncate()
                 continue
-            c = WriteCoalescer(fs, files[path], node=None)
-            c.add(payload)
-            yield from c.flush()
+            f = files[path]
+            yield from fs.write(len(payload), None, land=lambda: f.append_many([payload]))
         barrier = getattr(fs, "drain_barrier", None)
         if barrier is not None:
             yield from barrier()

@@ -1,17 +1,22 @@
-"""Unit tests for the write-coalescing scheduler (repro.fs.coalesce)."""
+"""Unit tests for coalesced writes: one filesystem transfer per stage.
+
+The virtual disk's batched append (``VirtualFile.append_many``) and the
+SHDF writer's stage, which gathers many records and lands them as one
+``fs.write`` (repro.shdf.file).
+"""
 
 import numpy as np
 import pytest
 
 from repro.des import Environment
-from repro.fs import DiskFullError, NFSModel, VirtualDisk, WriteCoalescer
+from repro.fs import DiskFullError, NFSModel, TransientIOError, VirtualDisk
 from repro.shdf.codec import (
     JOURNAL_ATTR,
     encode_commit_footer,
     encode_dataset,
     encode_header,
 )
-from repro.shdf.drivers import hdf4_driver
+from repro.shdf.drivers import HDFDriver, hdf4_driver
 from repro.shdf.file import SHDFReader, SHDFWriter
 from repro.shdf.model import Dataset
 
@@ -52,17 +57,37 @@ class TestAppendMany:
         assert disk._used == 5
 
 
+#: Charges 3 metadata bytes per record and nothing else, so a stage's
+#: transfer is the only cost a landing pays.
+META3 = HDFDriver(
+    name="meta3", create_base=0.0, lookup_base=0.0, dir_coeff=0.0,
+    growth="linear", meta_bytes_per_dataset=3, fs_meta_ops_per_dataset=0,
+)
+
+
+def staged_writer(env, fs, chunks):
+    """A writer whose open stage holds the header and ``chunks``, each
+    its own record."""
+    writer = SHDFWriter(env, fs, "f", META3)
+    writer.begin()
+    writer.stage((chunk,) for chunk in chunks)
+    return writer
+
+
 class TestWriteCoalescer:
     def test_one_transfer_same_bytes_and_time(self):
-        """N adds flush as one fs.write whose virtual time equals the
-        charged total, with per-chunk offsets as if appended singly."""
+        """A stage of N records lands as one fs.write whose virtual time
+        equals the charged total, with the bytes of appending singly."""
         chunks = [b"a" * 100, b"b" * 50, b"c" * 7]
+        header = encode_header({JOURNAL_ATTR: True})
 
         env1 = Environment()
         fs1 = NFSModel(env1)
         plain = fs1.disk.create("f")
 
         def per_call():
+            yield from fs1.write(len(header))
+            plain.append(header)
             for chunk in chunks:
                 yield from fs1.write(len(chunk) + 3)
                 plain.append(chunk)
@@ -71,23 +96,50 @@ class TestWriteCoalescer:
 
         env2 = Environment()
         fs2 = NFSModel(env2)
-        co = WriteCoalescer(fs2, fs2.disk.create("f"))
-        for chunk in chunks:
-            co.add(chunk, meta_bytes=3)
-        assert co.pending == len(chunks)
-        offsets = drive(env2, co.flush())
+        writer = staged_writer(env2, fs2, chunks)
+        assert writer.staged_bytes == len(header) + sum(len(c) + 3 for c in chunks)
+        drive(env2, writer.land())
 
         assert fs2.disk.open("f").read() == fs1.disk.open("f").read()
-        assert offsets == [0, 100, 150]
         assert fs2.metrics.write_ops == 1
         assert fs2.metrics.bytes_written == fs1.metrics.bytes_written
         # NFS charges a fixed latency plus a linear byte cost per write
         # op, so merging N ops saves exactly (N-1) fixed latencies — the
         # modeled data-sieving win; the byte charge is identical.
-        assert env1.now - env2.now == pytest.approx(2 * fs1.meta_latency)
-        # Flushed state resets for reuse.
-        assert co.pending == 0 and co.pending_bytes == 0
-        assert drive(Environment(), co.flush()) == []
+        assert env1.now - env2.now == pytest.approx(3 * fs1.meta_latency)
+        # The landed stage is empty again, and landing it is a no-op.
+        assert writer.staged_bytes == 0 and not writer.owes_landing
+        t_landed = env2.now
+        drive(env2, writer.land())
+        assert env2.now == t_landed and fs2.metrics.write_ops == 1
+
+    def test_faulted_landing_mutates_nothing_and_retry_lands(self):
+        """A fault in the landing's write raises before the file or the
+        stage changes; landing again writes the whole stage."""
+        chunks = [b"x" * 40, b"y" * 9]
+        env = Environment()
+        fs = NFSModel(env)
+        writer = staged_writer(env, fs, chunks)
+        staged = writer.staged_bytes
+        fails = [1]
+
+        def hook(path, nbytes):
+            if fails[0] > 0:
+                fails[0] -= 1
+                raise TransientIOError(f"injected ({path})")
+
+        fs.disk.fault_hook = hook
+        with pytest.raises(TransientIOError):
+            drive(env, writer.land())
+        assert fs.disk.open("f").size == 0
+        assert writer.staged_bytes == staged and writer.owes_landing
+        assert fs.metrics.write_ops == 0
+        drive(env, writer.land())
+        header = encode_header({JOURNAL_ATTR: True})
+        assert fs.disk.open("f").read() == header + b"".join(chunks)
+        assert fs.metrics.write_ops == 1
+        assert fs.metrics.bytes_written == staged
+        assert not writer.owes_landing
 
     def test_meta_ops_bulk_matches_loop(self):
         env1 = Environment()

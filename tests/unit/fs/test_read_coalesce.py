@@ -1,6 +1,6 @@
-"""Unit tests for the read-coalescing scheduler (repro.fs.coalesce).
+"""Unit tests for coalesced reads: SHDF's sieved read (repro.shdf.file).
 
-The restart mirror image of the write coalescer: merged extents must
+The restart mirror image of the write stage: merged extents must
 return exactly the bytes a per-call read loop would, while charging one
 ``fs.read`` per contiguous run — the modeled data-sieving win.
 """
@@ -8,7 +8,8 @@ return exactly the bytes a per-call read loop would, while charging one
 import pytest
 
 from repro.des import Environment
-from repro.fs import NFSModel, ReadCoalescer, merge_extents
+from repro.fs import NFSModel
+from repro.shdf.file import merge_extents, read_sieved
 
 
 def drive(env, gen):
@@ -58,7 +59,7 @@ class TestReadCoalescer:
     def test_one_transfer_same_bytes_and_time(self):
         """Adjacent extents collapse into one fs.read whose virtual time
         saves exactly (N-1) fixed latencies vs the per-call loop, and
-        the returned chunks are byte-identical, in add order."""
+        the returned chunks are byte-identical, in extent order."""
         extents = [(0, 100), (100, 50), (150, 7)]
 
         env1 = Environment()
@@ -76,20 +77,18 @@ class TestReadCoalescer:
 
         env2 = Environment()
         fs2 = NFSModel(env2)
-        co = ReadCoalescer(fs2, self._file(fs2.disk))
-        for offset, nbytes in extents:
-            co.add(offset, nbytes)
-        assert co.pending == len(extents)
-        assert co.plan() == [(0, 157)]
-        chunks2 = drive(env2, co.run())
+        assert merge_extents(extents) == [(0, 157)]
+        chunks2 = drive(env2, read_sieved(fs2, self._file(fs2.disk), extents))
 
         assert chunks2 == chunks1
         assert fs2.metrics.read_ops == 1
         assert fs2.metrics.bytes_read == fs1.metrics.bytes_read
         assert env1.now - env2.now == pytest.approx(2 * fs1.meta_latency)
-        # Served state resets for reuse.
-        assert co.pending == 0 and co.pending_bytes == 0
-        assert drive(Environment(), co.run()) == []
+        # Nothing to read: no fs.read, no virtual time.
+        env3 = Environment()
+        fs3 = NFSModel(env3)
+        assert drive(env3, read_sieved(fs3, None, [])) == []
+        assert fs3.metrics.read_ops == 0 and env3.now == 0
 
     def test_meta_bytes_charged_once(self):
         env1 = Environment()
@@ -105,13 +104,10 @@ class TestReadCoalescer:
 
         env2 = Environment()
         fs2 = NFSModel(env2)
-        co = ReadCoalescer(fs2, self._file(fs2.disk))
-        co.add(0, 20, meta_bytes=3)
-        co.add(20, 20, meta_bytes=3)
-        assert co.pending_bytes == 46
-        drive(env2, co.run())
+        drive(env2, read_sieved(fs2, self._file(fs2.disk), [(0, 20), (20, 20)], meta_bytes=6))
         # Payload + per-record metadata bytes match the loop exactly.
         assert fs2.metrics.bytes_read == fs1.metrics.bytes_read == 46
+        assert fs2.metrics.read_ops == 1
 
     def test_sieve_gap_reads_hole_bytes(self):
         """A sieved hole is read and charged — the data-sieving trade —
@@ -120,11 +116,9 @@ class TestReadCoalescer:
         fs = NFSModel(env)
         f = self._file(fs.disk)
         data = f.read()
-        co = ReadCoalescer(fs, f, gap=16)
-        co.add(0, 10)
-        co.add(26, 10)
-        assert co.plan() == [(0, 36)]
-        chunks = drive(env, co.run())
+        extents = [(0, 10), (26, 10)]
+        assert merge_extents(extents, gap=16) == [(0, 36)]
+        chunks = drive(env, read_sieved(fs, f, extents, gap=16))
         assert chunks == [data[0:10], data[26:36]]
         assert fs.metrics.read_ops == 1
         assert fs.metrics.bytes_read == 36
@@ -134,18 +128,35 @@ class TestReadCoalescer:
         fs = NFSModel(env)
         f = self._file(fs.disk)
         data = f.read()
-        co = ReadCoalescer(fs, f)
-        co.add(40, 20)
-        co.add(50, 20)
-        co.add(45, 5)
-        chunks = drive(env, co.run())
+        chunks = drive(env, read_sieved(fs, f, [(40, 20), (50, 20), (45, 5)]))
         assert chunks == [data[40:60], data[50:70], data[45:50]]
         assert fs.metrics.read_ops == 1
         assert fs.metrics.bytes_read == 30  # merged span, not the sum
 
+    def test_charge_takes_every_run_at_once(self):
+        """A caller's ``charge`` gets every run's bytes, metadata on the
+        first, in run order, and no fs.read is charged beside it."""
+        env = Environment()
+        fs = NFSModel(env)
+        f = self._file(fs.disk)
+        data = f.read()
+        seen = []
+
+        def charge(charges):
+            seen.append(list(charges))
+            yield env.sleep(1.0)
+
+        chunks = drive(env, read_sieved(
+            fs, f, [(100, 10), (0, 10)], meta_bytes=5, charge=charge
+        ))
+        assert seen == [[15, 10]]
+        assert chunks == [data[100:110], data[0:10]]
+        assert fs.metrics.read_ops == 0 and env.now == 1.0
+
     def test_rejects_bad_extent(self):
-        co = ReadCoalescer(NFSModel(Environment()), None)
+        fs = NFSModel(Environment())
         with pytest.raises(ValueError):
-            co.add(-1, 4)
+            drive(Environment(), read_sieved(fs, None, [(-1, 4)]))
         with pytest.raises(ValueError):
-            co.add(0, -4)
+            drive(Environment(), read_sieved(fs, None, [(0, -4)]))
+        assert fs.metrics.read_ops == 0

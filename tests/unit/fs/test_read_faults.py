@@ -1,9 +1,10 @@
-"""Read-fault semantics of the virtual filesystem and read coalescer.
+"""Read-fault semantics of the virtual filesystem and SHDF's sieved read.
 
 The read mirror of the write-fault contract: a checked read consults
 the disk's ``read_fault_hook`` *before* returning any byte, structural
-(unchecked) reads never fault, and a faulted merged-read schedule stays
-pending so a retry replays — and re-charges — the whole thing.
+(unchecked) reads never fault, and a faulted merged read
+(:func:`repro.shdf.file.read_sieved`) hands out nothing, so a retry
+replays — and re-charges — the whole thing.
 """
 
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from repro.cluster import Machine, testbox as make_testbox
 from repro.des import Environment
 from repro.faults import FaultPlan, TransientEIO
-from repro.fs import NFSModel, ReadCoalescer, TransientIOError, VirtualDisk
+from repro.fs import NFSModel, TransientIOError, VirtualDisk
+from repro.shdf.file import merge_extents, read_sieved
 
 
 def drive(env, gen):
@@ -73,8 +75,8 @@ class TestReadFaultHook:
 
 class TestReadCoalescerUnderFaults:
     def test_raise_before_mutate_and_replay_recharges(self):
-        """A fault mid-schedule leaves the coalescer pending; the retry
-        replays every merged run and re-charges full virtual time."""
+        """A fault mid-schedule hands out no byte; the retry replays
+        every merged run and re-charges full virtual time."""
         env = Environment()
         fs = NFSModel(env)
         f = fs.disk.create("f")
@@ -87,24 +89,19 @@ class TestReadCoalescerUnderFaults:
                 raise TransientIOError(f"injected ({path})")
 
         fs.disk.read_fault_hook = hook
-        co = ReadCoalescer(fs, f)
-        co.add(0, 10)
-        co.add(100, 10)  # two disjoint runs
-        assert co.plan() == [(0, 10), (100, 10)]
+        extents = [(0, 10), (100, 10)]  # two disjoint runs
+        assert merge_extents(extents) == [(0, 10), (100, 10)]
 
         def attempt():
             try:
-                yield from co.run()
+                return (yield from read_sieved(fs, f, extents))
             except TransientIOError:
                 return None
 
         assert drive(env, attempt()) is None
         first_charge = env.now
-        # Still pending: nothing was consumed by the failed schedule.
-        assert co.pending == 2
-        chunks = drive(env, co.run())
+        chunks = drive(env, attempt())
         assert chunks == [bytes(range(10)), bytes(range(100, 110))]
-        assert co.pending == 0
         # The replay re-charged at least the faulted run's time again.
         assert env.now > first_charge
         # 1 op charged before the first run's checked read faulted + 2

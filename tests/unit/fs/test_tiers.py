@@ -10,10 +10,9 @@ from repro.fs import (
     NFSModel,
     TierConfig,
     VirtualDisk,
-    WriteCoalescer,
 )
+from repro.fs.tiers import apply_storage_tier
 from repro.fs.vfs import FileExists, FileNotFound, TransientIOError
-from repro.shdf.drivers import apply_storage_tier
 
 
 def drive(env, gen):
@@ -35,11 +34,9 @@ def make_tier(env=None, **cfg):
 
 
 def tier_write(tier, path, data, create=True):
-    """Generator: one coalesced write of ``data`` into ``path``."""
+    """Generator: one write of ``data`` into ``path``."""
     f = tier.disk.create(path, exist_ok=True) if create else tier.disk.open(path)
-    c = WriteCoalescer(tier, f, node=None)
-    c.add(data)
-    yield from c.flush()
+    yield from tier.write(len(data), None, land=lambda: f.append_many([data]))
 
 
 class TestAbsorbAndDrain:
@@ -159,9 +156,7 @@ class TestNamespace:
             yield from tier.drain_barrier()
             f = tier.disk.open("a")
             f.truncate()
-            c = WriteCoalescer(tier, f, node=None)
-            c.add(b"second")
-            yield from c.flush()
+            yield from tier.write(6, None, land=lambda: f.append_many([b"second"]))
             yield from tier.drain_barrier()
 
         drive(env, writer())
@@ -233,16 +228,13 @@ class TestEvictionAndSpill:
 
         def writer():
             f = tier.disk.create("a")
-            c = WriteCoalescer(tier, f, node=None)
-            c.add(b"a" * 4000)
-            yield from c.flush()
+            yield from tier.write(4000, None, land=lambda: f.append_many([b"a" * 4000]))
             yield from tier.drain_barrier()
             yield from tier_write(tier, "b", b"b" * 4000)  # evicts "a"
             yield from tier.drain_barrier()
             # The writer still holds the evicted object; appending
             # through it must re-register it and stay consistent.
-            c.add(b"z" * 100)
-            yield from c.flush()
+            yield from tier.write(100, None, land=lambda: f.append_many([b"z" * 100]))
             yield from tier.drain_barrier()
 
         drive(env, writer())

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.cluster import Machine
+from repro.cluster import Machine, turing
 from repro.cluster import testbox as make_testbox
+from repro.genx import GENxConfig, lab_scale_motor, run_genx
 from repro.io import IOStats, RochdfModule, ServerStats
 from repro.obs import (
     IORecord,
@@ -84,6 +85,19 @@ class TestAggregate:
         assert phase_of(rec(op="write_attribute")) == "output"
         phases = phase_rollup([rec(op="sync", t_end=0.5)])
         assert phases["m"]["sync"] == pytest.approx(0.5)
+
+    def test_every_reader_op_is_restart(self):
+        """What SHDFReader records is restart time; a writer's close is
+        output, and the reader's close has its own name."""
+        for op in ("open_scan", "read_extents", "read_batch", "close_scan"):
+            assert phase_of(rec(module="shdf", op=op)) == "restart", op
+        assert phase_of(rec(module="shdf", op="close")) == "output"
+        records = [
+            rec(module="shdf", op="read_extents", t_end=2.0),
+            rec(module="shdf", op="bg_write", t_end=1.0, visible=False),
+        ]
+        assert aggregate(records)["shdf"].visible_write_time == 0.0
+        assert overlap_ratio(records) == 1.0
 
     def test_records_by_rank_sorted(self):
         records = [
@@ -190,6 +204,26 @@ class TestEndToEndRecordStream:
         assert top.t_end >= records[-2].t_end
         # Plain Rochdf hides nothing.
         assert overlap_ratio(records, module="rochdf") == 0.0
+
+    def test_a_restart_job_records_no_output_time(self):
+        """A Rocpanda job that only restarts a checkpoint writes nothing:
+        every visible record of it is restart or sync time."""
+        motor = lab_scale_motor(
+            scale=0.02, nblocks_fluid=16, nblocks_solid=16, steps=2, snapshot_interval=2
+        )
+        panda = dict(workload=motor, io_mode="rocpanda", nservers=2)
+        machine = Machine(turing(), seed=100)
+        run_genx(machine, 18, GENxConfig(prefix="w", **panda))
+        restart = Machine(turing(), seed=100, disk=machine.disk)
+        result = run_genx(restart, 18, GENxConfig(
+            prefix="r", steps=0, initial_snapshot=False,
+            restart_step=2, restart_prefix="w", **panda,
+        ))
+        records = result.recorder.io_records
+        phases = phase_rollup(records)
+        assert phases["shdf"]["restart"] > 0
+        assert not [m for m, p in phases.items() if "output" in p]
+        assert all(r.visible_write_time == 0.0 for r in aggregate(records).values())
 
     def test_comm_counters_from_job(self):
         def main(ctx):

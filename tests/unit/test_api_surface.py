@@ -179,3 +179,19 @@ def test_taking_the_write_slot_lease_adds_no_argument():
     for cls in (RochdfModule, TRochdfModule, PandaServer, RocpandaModule, SHDFWriter):
         assert not [p for p in inspect.signature(cls).parameters if "lease" in p], cls
     assert set(inspect.signature(TRochdfModule).parameters) == {"ctx", "driver", "retry"}
+
+
+def test_fs_models_the_filesystem_and_shdf_gathers_the_file():
+    """``repro.fs`` holds the timing models, the virtual disk and the
+    storage tier; what one transfer carries — a writer's gathered stage,
+    a reader's sieved runs — is SHDF's (``repro.shdf.file``), and the
+    tier switch sits beside the tier, not among the format drivers."""
+    import repro.fs
+    import repro.shdf.drivers
+
+    assert {m.name for m in pkgutil.iter_modules(repro.fs.__path__)} == {
+        "models", "tiers", "vfs",
+    }
+    assert not {"WriteCoalescer", "ReadCoalescer", "merge_extents"} & set(repro.fs.__all__)
+    for name in ("STORAGE_TIERS", "apply_storage_tier"):
+        assert not hasattr(repro.shdf.drivers, name), name
