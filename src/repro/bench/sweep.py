@@ -24,7 +24,6 @@ import os
 import re
 import time
 import traceback
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -600,7 +599,7 @@ def _leased_writes(result: GENxRunResult) -> int:
     under it only bytes move — one write per hold, the holds summing to
     the write-busy time, one writer at a time."""
     metrics = result.machine.fs.metrics
-    held = sum(s.stats.transfer_time for s in result.servers)
+    held = sum(s.stats.seconds.get("land", 0.0) for s in result.servers)
     holds = sum(s.stats.write_flushes for s in result.servers)
     if (abs(held - metrics.write_busy_time) > 1e-9 or metrics.peak_write_demand != 1
             or metrics.write_ops != holds):
@@ -710,28 +709,23 @@ def _exact_table(columns: Mapping[str, Tuple[str, Metric]], *x_headers: str,
 # bytes, 64 clients + 8 servers) restarted at 8, 4 and 2 servers; the
 # servers' restart terms in server-seconds summed over the servers.
 
-#: ``ServerStats`` restart term -> header.
+#: Op of a server's restart records -> header.
 RESTART_TERMS = {"restart_scan": "scan", "restart_read_wait": "read wait",
                  "restart_scatter": "scatter"}
 
 
 def _restart_terms(result: GENxRunResult) -> Dict[str, float]:
-    """The servers' restart terms, summed, once each server's sum to its
-    ``restart_scan`` records and its scatter is no faster than its sent
-    bytes at ``intra_bw`` (faster would be a flaw in the network model)."""
-    recorded: Counter = Counter()
-    for r in result.recorder.io_records:
-        if r.op == "restart_scan":
-            recorded[r.rank] += r.duration
+    """The servers' restart terms, summed, once each server's scatter is
+    no faster than its sent bytes at ``intra_bw`` (faster would be a
+    flaw in the network model)."""
     for server in result.servers:
         stats = server.stats
-        spent = sum(getattr(stats, f"{term}_time") for term in RESTART_TERMS)
+        scatter = stats.seconds.get("restart_scatter", 0.0)
         link = stats.restart_scatter_bytes / result.machine.spec.network.intra_bw
-        if abs(spent - recorded[server.rank]) > 1e-9 or stats.restart_scatter_time < link:
+        if scatter < link:
             raise AssertionError(
-                f"server {server.rank}: terms {spent} s for {recorded[server.rank]} s of "
-                f"records, scatter {stats.restart_scatter_time} s for {link} s at its link")
-    return {t: sum(getattr(s.stats, f"{t}_time") for s in result.servers) for t in RESTART_TERMS}
+                f"server {server.rank}: scatter {scatter} s for {link} s at its link")
+    return {t: sum(s.stats.seconds.get(t, 0.0) for s in result.servers) for t in RESTART_TERMS}
 
 
 def _read_floor(result: GENxRunResult) -> float:

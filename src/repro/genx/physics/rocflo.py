@@ -77,8 +77,3 @@ class Rocflo(PhysicsModule):
     def local_dt_limit(self) -> float:
         # Acoustic CFL stand-in: smaller blocks -> tighter limit.
         return 1e-6 * (1.0 + 0.1 * (self._total_cells % 7))
-
-    def interface_pressure(self, block_id: int) -> float:
-        """Mean boundary pressure of a block (used by Rocface)."""
-        p = self.com.window(self.window_name).get_array("pressure", block_id)
-        return float(fastmean(p))

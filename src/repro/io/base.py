@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..obs.records import OpSeconds
 from ..roccom.attribute import LOC_WINDOW, AttributeSpec
 from ..roccom.registry import Roccom
 from ..shdf.codec import encode_record_prefix
@@ -81,15 +82,10 @@ class DataBlock:
 
 
 @dataclass
-class IOStats:
-    """Per-rank I/O accounting (aggregated by the bench harness)."""
+class IOStats(OpSeconds):
+    """Per-rank I/O accounting (aggregated by the bench harness): counts,
+    and the seconds of the module's own records per op."""
 
-    #: Time visible to the caller inside write_attribute calls.
-    visible_write_time: float = 0.0
-    #: Time visible to the caller inside read_attribute calls.
-    visible_read_time: float = 0.0
-    #: Time spent waiting in sync().
-    sync_time: float = 0.0
     bytes_written: int = 0
     bytes_read: int = 0
     blocks_written: int = 0
@@ -113,10 +109,20 @@ class IOStats:
         "background_write_failures",
     )
 
-    def merge(self, other: "IOStats") -> "IOStats":
-        return IOStats(**{
-            f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)
-        })
+    @property
+    def visible_write_time(self) -> float:
+        """Time visible to the caller inside write_attribute calls."""
+        return self.seconds.get("write_attribute", 0.0)
+
+    @property
+    def visible_read_time(self) -> float:
+        """Time visible to the caller inside read_attribute calls."""
+        return self.seconds.get("read_attribute", 0.0)
+
+    @property
+    def sync_time(self) -> float:
+        """Time spent waiting in sync()."""
+        return self.seconds.get("sync", 0.0)
 
 
 def collect_blocks(

@@ -106,10 +106,9 @@ class RochdfModule(ServiceModule):
         )
         self.stats.files_created += 1
         self.stats.snapshots += 1
-        self.stats.visible_write_time += ctx.now - t0
-        ctx.io_record(
+        self.stats.fold(ctx.io_record(
             self.name, "write_attribute", path=file_path, nbytes=nbytes, t_start=t0
-        )
+        ))
 
     def _write_file(self, writer: SHDFWriter, blocks, file_attrs) -> int:
         """Generator: open/write/close one snapshot file, retrying faults.
@@ -264,10 +263,9 @@ class RochdfModule(ServiceModule):
                 f"blocks {sorted(wanted)} of window {window_name!r} not found "
                 f"in snapshot {path!r}"
             )
-        self.stats.visible_read_time += ctx.now - t0
-        ctx.io_record(
+        self.stats.fold(ctx.io_record(
             self.name, "read_attribute", path=path, nbytes=nbytes, t_start=t0
-        )
+        ))
         return sorted(restored)
 
     def sync(self):
@@ -280,4 +278,4 @@ class RochdfModule(ServiceModule):
         t0 = self.ctx.now
         yield self.ctx.env.sleep(0)
         yield from self.ctx.fs.drain_barrier()
-        self.ctx.io_record(self.name, "sync", t_start=t0)
+        self.stats.fold(self.ctx.io_record(self.name, "sync", t_start=t0))

@@ -168,10 +168,9 @@ class RocpandaModule(ServiceModule):
         else:
             yield from self._deliver(window_name, batch, attrs)
         self.stats.snapshots += 1
-        self.stats.visible_write_time += ctx.now - t0
-        ctx.io_record(
+        self.stats.fold(ctx.io_record(
             self.name, "write_attribute", path=path, nbytes=total, t_start=t0
-        )
+        ))
 
     def _deliver(self, window_name, batch, file_attrs):
         """Generator: ship one snapshot (from the caller or the sender)."""
@@ -292,11 +291,11 @@ class RocpandaModule(ServiceModule):
         """Generator, one job of the background sender: one buffered call."""
         t0 = self.ctx.now
         yield from self._deliver(window_name, batch, file_attrs)
-        self.ctx.io_record(
+        self.stats.fold(self.ctx.io_record(
             self.name, "bg_ship", path=batch.path,
             nbytes=sum(b.nbytes for b in batch.blocks), t_start=t0,
             visible=False,
-        )
+        ))
 
     def read_attribute(
         self,
@@ -327,11 +326,10 @@ class RocpandaModule(ServiceModule):
         restored, nbytes = yield from self._read_batched(
             windows, wanted, attr_names, prefixes
         )
-        self.stats.visible_read_time += ctx.now - t0
-        ctx.io_record(
+        self.stats.fold(ctx.io_record(
             self.name, "read_attribute", path=",".join(prefixes), nbytes=nbytes,
             t_start=t0,
-        )
+        ))
         return per_window(window_name, restored)
 
     def _apply_batch(self, msg: RestartBatch, source: int, wanted, restored):
@@ -500,8 +498,7 @@ class RocpandaModule(ServiceModule):
                     yield from world.send(request, dest=self._server, tag=TAG_CTRL)
                 elif isinstance(reply[0], SyncReply) and reply[0].seq == request.seq:
                     self._unsynced.clear()
-                    self.stats.sync_time += self.ctx.now - t0
-                    self.ctx.io_record(self.name, "sync", t_start=t0)
+                    self.stats.fold(self.ctx.io_record(self.name, "sync", t_start=t0))
                     return
                 # else: stale reply from an earlier request; drop it.
             self._failover()

@@ -369,7 +369,9 @@ class MergeService:
         self._asks[(path, client)] = [writer, self.ctx.now]
         ask = Join(path, {client: state.expected[client]}, state.writer_attrs, "ask")
         self.server._reply(ask, writer, TAG_CTRL)
-        self.ctx.io_record("rocpanda", "ask", path=path, t_start=self.ctx.now, visible=False)
+        self.server.stats.fold(self.ctx.io_record(
+            "rocpanda", "ask", path=path, t_start=self.ctx.now, visible=False
+        ))
 
     def _join(self, path: str, state, writer: int):
         state.owner = writer
@@ -385,7 +387,9 @@ class MergeService:
         yield from self.server.topo.world.send(
             Join(path, nblocks, state.writer_attrs, kind), dest=state.owner, tag=TAG_CTRL
         )
-        self.ctx.io_record("rocpanda", "join", path=path, t_start=t0, visible=False)
+        self.server.stats.fold(self.ctx.io_record(
+            "rocpanda", "join", path=path, t_start=t0, visible=False
+        ))
 
     def decide_all(self) -> bool:
         """Every undecided path is landed here; True if blocks were queued."""
@@ -500,10 +504,10 @@ class MergeService:
             if verdict == "ok":
                 server.stats.forwarded_shares += 1
                 server.stats.forwarded_bytes += batch.nbytes
-                ctx.io_record(
+                server.stats.fold(ctx.io_record(
                     "rocpanda", "forward", path=share.path, nbytes=batch.nbytes,
                     t_start=t0, visible=False,
-                )
+                ))
                 return
             if not alive():
                 return

@@ -247,11 +247,10 @@ class RestartService:
         file share of every window, every region in flight at once, and
         scatters the regions in the order they land — file order among
         those already landed — batch-decoding each and sending one
-        :class:`RestartBatch` per (region, owner).  The time splits
-        into ``restart_scan_time`` (open and close round trips),
-        ``restart_read_wait_time`` (waiting for a region to land) and
-        ``restart_scatter_time`` (the sends), which sum to the
-        ``restart_scan`` record.
+        :class:`RestartBatch` per (region, owner).  Its records split
+        the time: ``restart_scan`` for the open and for the close round
+        trips, and per region ``restart_read_wait`` (waiting for it to
+        land, with its bytes) and ``restart_scatter`` (its sends).
         """
         ctx, stats = self.ctx, self.stats
         world = self.topo.world
@@ -265,17 +264,20 @@ class RestartService:
         first = next(iter(requests.values()))
         window_of = dict(zip(first.prefix, first.window))
         attr_filter = first.attr_names
+        path = ",".join(prefixes)
+
+        def record(op, t_start, nbytes=0):
+            stats.fold(ctx.io_record("rocpanda", op, path=path, nbytes=nbytes, t_start=t_start))
+
         sent = 0
-        t0 = ctx.now
-        scanned_bytes = 0
+        t = ctx.now
         readers, regions = yield from self._read_share(prefixes, self.server_index)
-        stats.restart_scan_time += ctx.now - t0
+        record("restart_scan", t)
         while regions:
             t = ctx.now
             prefix, region = yield from self._next_landed(regions)
             datasets = yield from self._landed(region)
-            stats.restart_read_wait_time += ctx.now - t
-            scanned_bytes += sum(d.nbytes for d in datasets)
+            record("restart_read_wait", t, sum(d.nbytes for d in datasets))
             window = window_of[prefix]
             per_owner: Dict[int, List[DataBlock]] = {}
             for block in self._region_blocks(datasets, window, attr_filter):
@@ -291,16 +293,12 @@ class RestartService:
                 yield from world.send(batch, dest=owner, tag=TAG_REPLY, nbytes=nbytes)
                 sent += len(blocks)
                 stats.restart_scatter_bytes += nbytes
-            stats.restart_scatter_time += ctx.now - t
+            record("restart_scatter", t)
         t = ctx.now
         for reader in readers:
             yield from reader.close()
-        stats.restart_scan_time += ctx.now - t
+        record("restart_scan", t)
         stats.restart_blocks_sent += sent
-        ctx.io_record(
-            "rocpanda", "restart_scan", path=",".join(prefixes),
-            nbytes=scanned_bytes, t_start=t0,
-        )
         for client in sorted(self._expected_clients()):
             yield from world.send(
                 RestartDone(prefixes, sent), dest=client, tag=TAG_REPLY

@@ -47,6 +47,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from ...des import Interrupt
 from ...faults.retry import RetryPolicy, retrying
 from ...fs.vfs import WriteFaultError
+from ...obs.records import OpSeconds
 from ...shdf.drivers import HDFDriver, hdf4_driver
 from ...shdf.file import SHDFWriter
 from ...vmpi.datatypes import ANY_SOURCE, ANY_TAG
@@ -103,8 +104,10 @@ class ServerConfig:
 
 
 @dataclass
-class ServerStats:
-    """Accounting maintained by one server."""
+class ServerStats(OpSeconds):
+    """Accounting maintained by one server: counts, and the seconds of
+    its own records per op (:data:`DRAIN_TERMS`, the restart's
+    ``restart_scan`` / ``restart_read_wait`` / ``restart_scatter``)."""
 
     blocks_received: int = 0
     bytes_received: int = 0
@@ -117,14 +120,6 @@ class ServerStats:
     #: Landings: holds of the write slot, one filesystem write each;
     #: ``blocks_written / write_flushes`` is the blocks per transfer.
     write_flushes: int = 0
-    #: Where the drain went, all of it on the lander: directory
-    #: bookkeeping; create, dataset and close round trips; a lock RPC per
-    #: lease request; the waits queued for the lease; the time holding it.
-    bookkeeping_time: float = 0.0
-    meta_time: float = 0.0
-    lock_rpc_time: float = 0.0
-    slot_wait_time: float = 0.0
-    transfer_time: float = 0.0
     restart_blocks_sent: int = 0
     peak_buffered_bytes: int = 0
     #: Latency-bound shares: joined to another server's file (shipped as
@@ -148,13 +143,7 @@ class ServerStats:
     restart_resumes_served: int = 0
     #: Hole bytes the sieved restart reads charged beside the records.
     restart_sieve_waste_bytes: int = 0
-    #: Where a collective restart went, summing to its ``restart_scan``
-    #: record: the open and close round trips, the main loop waiting for
-    #: a region's read to land, the ``RestartBatch`` sends.
-    restart_scan_time: float = 0.0
-    restart_read_wait_time: float = 0.0
-    restart_scatter_time: float = 0.0
-    #: Wire bytes of those sends.
+    #: Wire bytes of the collective restart's ``RestartBatch`` sends.
     restart_scatter_bytes: int = 0
 
     #: The fields :func:`repro.obs.stat_counts` exports as counts.
@@ -164,22 +153,31 @@ class ServerStats:
         "read_retries", "torn_files_skipped", "restart_resumes_served",
     )
 
+    def drain(self) -> List[float]:
+        """Seconds per :data:`DRAIN_TERMS` term, in its order."""
+        return [self.seconds.get(op, 0.0) for op in DRAIN_TERMS.values()]
+
     @property
     def background_write_time(self) -> float:
         """Write-behind work; queueing for the write slot is not in it."""
-        return self.bookkeeping_time + self.meta_time + self.lock_rpc_time + self.transfer_time
+        bookkeeping, meta, lock_rpc, _slot_wait, transfer = self.drain()
+        return bookkeeping + meta + lock_rpc + transfer
 
 
-#: The terms of a server's drain, as :class:`ServerStats` names them
-#: (``<term>_time``), all on its lander.
-DRAIN_TERMS = ("bookkeeping", "meta", "lock_rpc", "slot_wait", "transfer")
+#: Where a server's drain went, all of it on its lander: term -> the op
+#: of the records that time it.  Directory bookkeeping (CPU); create,
+#: dataset and close round trips; a lock RPC per lease request; the
+#: waits queued for the lease; the time holding it, failed attempts too.
+DRAIN_TERMS = {
+    "bookkeeping": "bg_write", "meta": "settle", "lock_rpc": "lock_rpc",
+    "slot_wait": "slot_wait", "transfer": "land",
+}
 
 
 def server_drain(stats: Iterable[ServerStats]) -> Dict[str, float]:
     """``{term}_s`` per :data:`DRAIN_TERMS` for the server whose drain
-    (their sum: its ``bg_write``, ``settle``, ``land`` and ``slot_wait``
-    records) was the longest; zeros without servers."""
-    drains = [[getattr(st, f"{term}_time") for term in DRAIN_TERMS] for st in stats]
+    (their sum) was the longest; zeros without servers."""
+    drains = [st.drain() for st in stats]
     slowest = max(drains, key=sum, default=[0.0] * len(DRAIN_TERMS))
     return {f"{term}_s": value for term, value in zip(DRAIN_TERMS, slowest)}
 
@@ -440,7 +438,9 @@ class PandaServer:
         if cfg.active_buffering:
             # One streaming copy into the server's buffer hierarchy.
             yield self.ctx.env.sleep(nbytes / self._ingest_bw)
-        self.ctx.io_record("rocpanda", op, path=path, nbytes=nbytes, t_start=t0, visible=False)
+        self.stats.fold(self.ctx.io_record(
+            "rocpanda", op, path=path, nbytes=nbytes, t_start=t0, visible=False
+        ))
         if cfg.active_buffering:
             yield from self._make_room(nbytes)
             self.stats.peak_buffered_bytes = max(
@@ -520,11 +520,10 @@ class PandaServer:
         state.staged_bytes += block.nbytes
         yield from state.writer.book(opened, block.data_nbytes)
         state.booked += 1
-        self.stats.bookkeeping_time += self.ctx.now - t0
-        self.ctx.io_record(
+        self.stats.fold(self.ctx.io_record(
             "rocpanda", "bg_write", path=path, nbytes=block.nbytes,
             t_start=t0, visible=not self.config.active_buffering,
-        )
+        ))
         self._working(-1)
 
     def _seal(self, state: _PathState, close: bool = False) -> None:
@@ -579,21 +578,21 @@ class PandaServer:
         (:meth:`~repro.fs.models.FileSystemModel.leased`: one lock RPC,
         then the FIFO queue, where the request keeps its place while the
         main loop queues blocks).  A faulted landing appended nothing, so
-        the retry lands the stage.
+        the retry lands the stage; its ``land`` record, of no bytes, still
+        holds the time the failed attempt held the lease.
         """
         ctx, stats = self.ctx, self.stats
         shown = dict(path=writer.path, visible=not self.config.active_buffering)
 
         def asked(t_rpc):
-            stats.lock_rpc_time += ctx.now - t_rpc
-            ctx.io_record("rocpanda", "settle", t_start=t_rpc, **shown)
+            stats.fold(ctx.io_record("rocpanda", "lock_rpc", t_start=t_rpc, **shown))
 
         def land(t_asked):
             t_granted = ctx.now
             if t_granted > t_asked:
-                stats.slot_wait_time += t_granted - t_asked
-                ctx.io_record("rocpanda", "slot_wait", t_start=t_asked, visible=False)
+                stats.fold(ctx.io_record("rocpanda", "slot_wait", t_start=t_asked, visible=False))
             nbytes = sum(block.nbytes for block in blocks)
+            landed = 0
             self._working(+1)
             try:
                 yield from writer.land()
@@ -604,10 +603,12 @@ class PandaServer:
                 stats.blocks_written += len(blocks)
                 stats.write_flushes += 1
                 blocks.clear()
+                landed = nbytes
             finally:
                 self._working(-1)
-                stats.transfer_time += ctx.now - t_granted
-            ctx.io_record("rocpanda", "land", nbytes=nbytes, t_start=t_granted, **shown)
+                stats.fold(ctx.io_record(
+                    "rocpanda", "land", nbytes=landed, t_start=t_granted, **shown
+                ))
 
         yield from ctx.fs.leased(ctx.node, land, asked)
 
@@ -616,11 +617,10 @@ class PandaServer:
         at the slot, so the lander pays them before or after a hold."""
         t0 = self.ctx.now
         yield from round_trips
-        self.stats.meta_time += self.ctx.now - t0
-        self.ctx.io_record(
+        self.stats.fold(self.ctx.io_record(
             "rocpanda", "settle", path=writer.path, t_start=t0,
             visible=not self.config.active_buffering,
-        )
+        ))
 
     def _next_landing(self):
         """The lander's next job, in queue order: a sealed stage to land,

@@ -141,18 +141,16 @@ class TRochdfModule(RochdfModule):
         self._jobs.append((path, buffered, dict(file_attrs or {})))
         self._io.kick()
         self.stats.snapshots += 1
-        self.stats.visible_write_time += ctx.now - t0
-        ctx.io_record(
+        self.stats.fold(ctx.io_record(
             self.name, "write_attribute", path=path, nbytes=total, t_start=t0
-        )
+        ))
 
     def sync(self):
         """Generator: wait until all buffered snapshots are on disk (§5)."""
         t0 = self.ctx.now
         yield from self._drain()
         yield from self.ctx.fs.drain_barrier()
-        self.stats.sync_time += self.ctx.now - t0
-        self.ctx.io_record(self.name, "sync", t_start=t0)
+        self.stats.fold(self.ctx.io_record(self.name, "sync", t_start=t0))
 
     def read_attribute(
         self,
@@ -227,7 +225,7 @@ class TRochdfModule(RochdfModule):
             ctx.log_fault(f"trochdf background write of {file_path} FAILED: {exc}")
             return
         self.stats.files_created += 1
-        ctx.io_record(
+        self.stats.fold(ctx.io_record(
             self.name, "bg_write", path=file_path, nbytes=nbytes,
             t_start=t0, visible=False,
-        )
+        ))

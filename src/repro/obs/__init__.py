@@ -5,11 +5,15 @@ and the SHDF file layer; message counters from the virtual MPI;
 aggregation into per-module/per-phase rollups with the overlap ratio;
 JSON/CSV exporters and timeline rendering.
 
-Records hold time, stats hold counts: a count (a write flush, a retry,
-a failover) lives in one field of the stats that own it
-(``ServerStats.write_flushes``, ``IOStats.retries``, ``TierStats``, the
-fault injector's ``fired``), and :func:`summary_payload` derives its
-``counters`` from those stats (:func:`stat_counts`).
+A record is the only clock; stats hold counts plus a per-op fold of
+their own records.  A count (a write flush, a retry, a failover) lives
+in one field of the stats that own it (``ServerStats.write_flushes``,
+``IOStats.retries``, ``TierStats``, the fault injector's ``fired``),
+and :func:`summary_payload` derives its ``counters`` from those stats
+(:func:`stat_counts`).  A duration lives only in the
+:class:`IORecord` that times it: its holder folds it into its
+:class:`OpSeconds` where the record is made, and every time field is a
+read of that fold.
 """
 
 from .aggregate import (
@@ -28,12 +32,13 @@ from .export import (
     stat_counts,
     summary_payload,
 )
-from .records import CommCounters, IORecord, Recorder, TraceRecord
+from .records import CommCounters, IORecord, OpSeconds, Recorder, TraceRecord
 
 __all__ = [
     "IORecord",
     "TraceRecord",
     "CommCounters",
+    "OpSeconds",
     "Recorder",
     "OpRollup",
     "ModuleRollup",

@@ -33,10 +33,11 @@ __all__ = [
 ]
 
 #: Visible operations that belong to the restart (read) phase: the I/O
-#: modules' restore calls and the Rocpanda servers' scans, and every
-#: record :class:`~repro.shdf.file.SHDFReader` emits.
+#: modules' restore calls, the Rocpanda servers' collective restart
+#: (scans, waits for a region, scatters), and every record
+#: :class:`~repro.shdf.file.SHDFReader` emits.
 _READ_OPS = frozenset({
-    "read_attribute", "restart_scan",
+    "read_attribute", "restart_scan", "restart_read_wait", "restart_scatter",
     "open_scan", "read_extents", "read_batch", "close_scan",
 })
 

@@ -13,7 +13,9 @@ per-operation record layer that makes those claims inspectable:
 * :class:`CommCounters` — message counters and bytes-on-wire totals fed
   by the :class:`repro.vmpi.comm.Comm` hooks;
 * :class:`Recorder` — the per-job sink all of the above land in (it
-  keeps no counts: those live in the owners' stats, see :mod:`repro.obs`).
+  keeps no counts: those live in the owners' stats, see :mod:`repro.obs`);
+* :class:`OpSeconds` — the per-op fold of a stats holder's own records:
+  a record is the only clock, so a holder's seconds are its records'.
 
 A record is *visible* when its duration was spent inside a blocking
 interface call on the caller's critical path (``write_attribute``,
@@ -32,6 +34,7 @@ __all__ = [
     "IORecord",
     "TraceRecord",
     "CommCounters",
+    "OpSeconds",
     "Recorder",
 ]
 
@@ -84,6 +87,19 @@ class IORecord:
             f"{self.module:<10s} {self.op:<16s} {self.nbytes:>12d} B "
             f"({kind}){where}"
         )
+
+
+@dataclass
+class OpSeconds:
+    """Virtual seconds per op of a holder's own records, summed in
+    record order: the base of ``IOStats`` and ``ServerStats``, which
+    fold each record where it is made, ``stats.fold(ctx.io_record(...))``."""
+
+    seconds: Dict[str, float] = field(default_factory=dict)
+
+    def fold(self, record: IORecord) -> None:
+        """Add ``record``'s duration to its op's seconds."""
+        self.seconds[record.op] = self.seconds.get(record.op, 0.0) + record.duration
 
 
 @dataclass
@@ -153,20 +169,11 @@ class Recorder:
         t_start: float = 0.0,
         t_end: float = 0.0,
         visible: bool = True,
-    ) -> None:
-        """Append one :class:`IORecord`."""
-        self.io_records.append(
-            IORecord(
-                module=module,
-                op=op,
-                rank=rank,
-                path=path,
-                nbytes=int(nbytes),
-                t_start=t_start,
-                t_end=t_end,
-                visible=visible,
-            )
-        )
+    ) -> IORecord:
+        """Append one :class:`IORecord`; return it."""
+        record = IORecord(module, op, rank, path, int(nbytes), t_start, t_end, visible)
+        self.io_records.append(record)
+        return record
 
     # -- fault / recovery events -------------------------------------------
     def log_event(self, time: float, category: str, rank: int, message: str) -> None:
@@ -181,13 +188,6 @@ class Recorder:
     def count_recv(self, dst: int, nbytes: int) -> None:
         """Count one message consumed at ``dst`` (called by ``Comm.recv``)."""
         self.comm.count_recv(dst, nbytes)
-
-    # -- views -----------------------------------------------------------
-    def by_rank(self, rank: int) -> List[IORecord]:
-        return [r for r in self.io_records if r.rank == rank]
-
-    def by_module(self, module: str) -> List[IORecord]:
-        return [r for r in self.io_records if r.module == module]
 
     def __len__(self) -> int:
         return len(self.io_records)

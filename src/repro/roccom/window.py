@@ -80,9 +80,6 @@ class Pane:
                 continue
             del self._arrays[name]
 
-    def array_names(self) -> List[str]:
-        return sorted(self._arrays)
-
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self._arrays.values())

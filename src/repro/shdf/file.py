@@ -211,8 +211,6 @@ class SHDFWriter:
         #: carries it, and ``b""`` once one does.
         self._footer: Optional[bytes] = None
         self._open = False
-        #: Total virtual seconds spent in this writer (diagnostics).
-        self.busy_time = 0.0
 
     @property
     def ndatasets(self) -> int:
@@ -273,7 +271,6 @@ class SHDFWriter:
             self.begin(file_attrs)
         yield from self.fs.meta_op(self.node)
         self._open = True
-        self.busy_time += self.env.now - t0
         self._record("open", 0, t0)
 
     def write_records(self, records):
@@ -323,7 +320,6 @@ class SHDFWriter:
         yield self.env.sleep(
             sum(self.driver.create_cost(n0 + k) for k in range(ndatasets))
         )
-        self.busy_time += self.env.now - t0
         self._record("write_records", data_nbytes, t0)
 
     def seal(self) -> None:
@@ -370,14 +366,12 @@ class SHDFWriter:
         of its :meth:`land`: they need no turn at the filesystem."""
         t0 = self.env.now
         yield from self._settle_meta()
-        self.busy_time += self.env.now - t0
         self._record("settle_meta", 0, t0)
 
     def land(self):
         """Generator: land the oldest stage as one transfer."""
         t0 = self.env.now
         yield from self._land_next()
-        self.busy_time += self.env.now - t0
         self._record("flush", 0, t0)
 
     def flush(self):
@@ -407,7 +401,6 @@ class SHDFWriter:
         while self.owes_landing:
             yield from land()
         yield from self.release()
-        self.busy_time += self.env.now - t0
         self._record("close", 0, t0)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from ..cluster.machine import Machine
 from ..cluster.node import ROLE_COMPUTE, ROLE_SERVER
 from ..des import Environment, SimulationError
-from ..obs.records import Recorder
+from ..obs.records import IORecord, Recorder
 from .comm import Comm
 from .mailbox import Mailbox
 from . import placement as placement_policies
@@ -111,17 +111,12 @@ class RankContext:
         nbytes: int = 0,
         t_start: float,
         visible: bool = True,
-    ) -> None:
-        """Emit one instrumentation record ending now (see :mod:`repro.obs`)."""
-        self.job.recorder.record_io(
-            module,
-            op,
-            self.rank,
-            path=path,
-            nbytes=nbytes,
-            t_start=t_start,
-            t_end=self.env.now,
-            visible=visible,
+    ) -> IORecord:
+        """Emit one instrumentation record ending now (see :mod:`repro.obs`)
+        and return it, for its holder's :meth:`~repro.obs.OpSeconds.fold`."""
+        return self.job.recorder.record_io(
+            module, op, self.rank, path=path, nbytes=nbytes, t_start=t_start,
+            t_end=self.env.now, visible=visible,
         )
 
     def __repr__(self) -> str:

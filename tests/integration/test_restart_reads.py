@@ -4,9 +4,9 @@ A server scans every file of its share at once and starts every
 region's sieved read at once, each region's merged runs cut into
 stripes of at most ``RESTART_STRIPE_BYTES`` queued at one instant; the
 filesystem's read slots queue them (eight on Turing's NFS).  The main
-loop takes the regions in file order as they land, and its time splits
-into three ``ServerStats`` terms that sum to each restart's
-``restart_scan`` record.
+loop takes the regions in file order as they land, and its records
+split its time into three terms (scan, read wait, scatter) that tile
+each restart and fold into its ``ServerStats``.
 """
 
 import pytest
@@ -76,27 +76,32 @@ def _box():
 
 @pytest.mark.parametrize("write_servers, restart_servers", [(2, 1), (3, 2)])
 def test_the_restart_ledger_sums_to_each_restart(write_servers, restart_servers):
-    """Open and close round trips + waiting for regions + batch sends =
-    the ``restart_scan`` records of the server, to float rounding."""
+    """Open and close round trips + waiting for regions + batch sends
+    tile the server's collective restart: its records follow each other
+    without a gap from the open's start to the close's end, and its
+    stats' terms are those records folded."""
     result = _restart(_box, write_servers, restart_servers)
+    ops = ("restart_scan", "restart_read_wait", "restart_scatter")
     for server in result.servers:
         stats = server.stats
-        terms = (
-            stats.restart_scan_time,
-            stats.restart_read_wait_time,
-            stats.restart_scatter_time,
-        )
+        terms = [stats.seconds.get(op, 0.0) for op in ops]
         records = [
             r for r in result.recorder.io_records
-            if r.op == "restart_scan" and r.rank == server.rank
+            if r.op in ops and r.rank == server.rank
         ]
-        assert records and all(term > 0 for term in terms), terms
-        assert sum(terms) == pytest.approx(sum(r.duration for r in records), rel=0, abs=1e-12)
+        assert all(term > 0 for term in terms), terms
+        assert [r.op for r in records[:: len(records) - 1]] == ["restart_scan"] * 2
+        assert all(a.t_end == b.t_start for a, b in zip(records, records[1:]))
+        for op, term in zip(ops, terms):
+            assert term == sum(r.duration for r in records if r.op == op)
+        assert sum(terms) == pytest.approx(
+            records[-1].t_end - records[0].t_start, rel=0, abs=1e-12
+        )
         # No scatter beats its own link: the sends take at least their
         # bytes at the fastest one.
         intra_bw = result.machine.spec.network.intra_bw
         assert stats.restart_scatter_bytes > 0
-        assert stats.restart_scatter_time >= stats.restart_scatter_bytes / intra_bw
+        assert stats.seconds["restart_scatter"] >= stats.restart_scatter_bytes / intra_bw
 
 
 def test_every_restart_read_charges_at_most_one_stripe(monkeypatch):

@@ -38,7 +38,7 @@ def _weak(spec, nclients, nservers, server_config=None, per_client=PER_CLIENT, p
 
 
 def _holds(result):
-    return sum(s.stats.transfer_time for s in result.servers)
+    return sum(s.stats.seconds.get("land", 0.0) for s in result.servers)
 
 
 def test_gpfs_grants_two_slots_and_writes_what_turing_writes():
@@ -50,13 +50,16 @@ def test_gpfs_grants_two_slots_and_writes_what_turing_writes():
     assert (gpfs_lease.capacity, gpfs.peak_write_demand) == (2, 2)
     assert _holds(on_frost) == pytest.approx(gpfs.write_busy_time, abs=1e-9)
     assert _holds(on_turing) == pytest.approx(nfs.write_busy_time, abs=1e-9)
-    waits = [sum(s.stats.slot_wait_time for s in r.servers) for r in (on_frost, on_turing)]
+    waits = [
+        sum(s.stats.seconds.get("slot_wait", 0.0) for s in r.servers)
+        for r in (on_frost, on_turing)
+    ]
     assert 0 < waits[0] < waits[1]
     assert by_path(frost_files) == by_path(turing_files)
     # A slot per Rocpanda server: nobody queues.
     two_servers, gpfs, gpfs_lease, _files = _weak(frost(), 32, 2)
     assert gpfs.peak_write_demand == gpfs_lease.capacity == 2
-    assert [s.stats.slot_wait_time for s in two_servers.servers] == [0.0, 0.0]
+    assert [s.stats.seconds.get("slot_wait", 0.0) for s in two_servers.servers] == [0.0, 0.0]
 
 
 def test_a_buffer_below_one_snapshot_share_bounds_the_stage():

@@ -116,7 +116,7 @@ def _run_all(spec=turing):
             (result.wall_time, result.visible_io_time, metrics.write_ops),
             image,
             (
-                sum(s.stats.transfer_time for s in result.servers),
+                sum(s.stats.seconds.get("land", 0.0) for s in result.servers),
                 metrics.write_busy_time,
                 metrics.peak_write_demand,
             ),

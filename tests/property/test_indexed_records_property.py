@@ -232,7 +232,8 @@ def test_a_sealed_stage_lost_in_a_crash_is_torn_and_duplicates_land_once(shape, 
     _machine, clean = _write(n, nclients, layout, seed, turing, plan=FaultPlan((duplicate,)))
     lander = [
         r for r in clean.recorder.io_records
-        if r.rank == victim and r.module == "rocpanda" and r.op in ("settle", "slot_wait", "land")
+        if r.rank == victim and r.module == "rocpanda"
+        and r.op in ("settle", "lock_rpc", "slot_wait", "land")
     ]
     i = next(i for i, r in enumerate(lander) if r.op == "land" and r.nbytes)
     crash_at = (lander[i - 1].t_start + lander[i - 1].t_end) / 2

@@ -99,7 +99,9 @@ class TestBenchScalePoint:
         # The slowest server never queues for the slot here; the other does.
         assert drain["slot_wait_s"] == 0.0
         assert all(value > 0 for term, value in drain.items() if term != "slot_wait_s")
-        assert [s.stats.slot_wait_time > 0 for s in result.servers] == [True, False]
+        assert [s.stats.seconds.get("slot_wait", 0.0) > 0 for s in result.servers] == [
+            True, False
+        ]
         # Every second of a server's drain is in exactly one hidden
         # record of its lander.
         drains = [
@@ -107,7 +109,7 @@ class TestBenchScalePoint:
                 r.duration
                 for r in result.recorder.io_records
                 if r.rank == s.rank and r.module == "rocpanda"
-                and r.op in ("bg_write", "land", "settle", "slot_wait")
+                and r.op in DRAIN_TERMS.values()
             )
             for s in result.servers
         ]

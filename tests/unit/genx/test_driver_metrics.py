@@ -113,7 +113,7 @@ class TestDriverFactory:
             ),
         )
         (server,) = result.servers
-        booked = server.stats.bookkeeping_time
+        booked = server.stats.seconds["bg_write"]
         assert booked == pytest.approx(self._booked(machine, charged()), rel=1e-12)
         other = hdf4_driver if charged is hdf5_driver else hdf5_driver
         assert booked != pytest.approx(self._booked(machine, other()), rel=1e-3)

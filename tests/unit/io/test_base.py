@@ -13,6 +13,7 @@ from repro.io import (
     datasets_to_blocks,
     parse_dataset_name,
 )
+from repro.obs import IORecord
 from repro.roccom import AttributeSpec, LOC_ELEMENT, LOC_NODE, LOC_WINDOW, Roccom
 
 
@@ -139,11 +140,14 @@ class TestApplyBlock:
 
 
 class TestIOStats:
-    def test_merge(self):
-        a = IOStats(visible_write_time=1.0, bytes_written=10, files_created=1)
-        b = IOStats(visible_write_time=2.0, bytes_written=30, blocks_read=4)
-        c = a.merge(b)
-        assert c.visible_write_time == 3.0
-        assert c.bytes_written == 40
-        assert c.files_created == 1
-        assert c.blocks_read == 4
+    def test_times_are_the_folded_records(self):
+        stats = IOStats()
+        for op, t_start, t_end in [
+            ("write_attribute", 0.0, 1.0), ("sync", 1.0, 1.5),
+            ("write_attribute", 2.0, 4.0), ("bg_write", 0.0, 9.0),
+        ]:
+            stats.fold(IORecord("rochdf", op, 0, t_start=t_start, t_end=t_end))
+        assert stats.seconds == {"write_attribute": 3.0, "sync": 0.5, "bg_write": 9.0}
+        assert (stats.visible_write_time, stats.visible_read_time, stats.sync_time) == (
+            3.0, 0.0, 0.5
+        )

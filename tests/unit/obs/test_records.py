@@ -35,18 +35,10 @@ def rec(module="m", op="write_attribute", rank=0, nbytes=10,
 class TestRecorder:
     def test_record_io_appends(self):
         r = Recorder()
-        r.record_io("m", "op", 3, nbytes=7, t_start=1.0, t_end=2.5)
-        assert len(r) == 1
-        record = r.io_records[0]
+        record = r.record_io("m", "op", 3, nbytes=7, t_start=1.0, t_end=2.5)
+        assert r.io_records == [record]
         assert record.rank == 3
         assert record.duration == pytest.approx(1.5)
-
-    def test_views(self):
-        r = Recorder()
-        r.record_io("a", "op", 0, t_start=0, t_end=1)
-        r.record_io("b", "op", 1, t_start=0, t_end=1)
-        assert len(r.by_rank(0)) == 1
-        assert len(r.by_module("b")) == 1
 
 
 class TestAggregate:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.des import Environment
 from repro.fs import LocalFSModel
+from repro.obs import Recorder
 from repro.shdf import (
     Dataset,
     SHDFReader,
@@ -231,14 +232,17 @@ class TestTimedFileAPI:
             reader.names()
 
     def test_busy_time_tracked(self):
+        """The writer's records time all of its life, one after another."""
         env, fs, driver = self.make()
+        recorder = Recorder()
 
         def program():
-            writer = SHDFWriter(env, fs, "f.hdf", driver)
+            writer = SHDFWriter(env, fs, "f.hdf", driver, recorder=recorder)
             yield from writer.open()
             yield from write_one(writer, Dataset("d", np.zeros(10000)))
             yield from writer.close()
-            return writer.busy_time
 
-        busy = run(env, program())
-        assert busy == pytest.approx(env.now)
+        run(env, program())
+        records = recorder.io_records
+        assert [r.op for r in records] == ["open", "write_records", "flush", "close"]
+        assert sum(r.duration for r in records) == pytest.approx(env.now)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.des import Environment
 from repro.fs import NFSModel, TransientIOError
+from repro.obs import Recorder
 from repro.shdf import (
     Dataset,
     SHDFWriter,
@@ -383,7 +384,8 @@ class TestSealThenLand:
         the bytes are the same."""
         env = Environment()
         fs = NFSModel(env)
-        writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver())
+        recorder = Recorder()
+        writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver(), recorder=recorder)
         rng = np.random.default_rng(11)
         records = encode_records(
             Dataset(f"W/b0/f{k}", rng.random(30 + k), {"ncomp": 1}) for k in range(3)
@@ -400,7 +402,8 @@ class TestSealThenLand:
 
         drive(env, program())
         assert marks[0] == fs.meta_latency
-        assert marks[2] == writer.busy_time == closed_at
+        busy = sum(r.duration for r in recorder.io_records)
+        assert marks[2] == busy == closed_at
         assert closed_at == pytest.approx(0.015249830078125 - 2 * fs.meta_latency)
         assert marks[1] == pytest.approx(0.004524)
         assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (5, 1)

@@ -195,3 +195,38 @@ def test_fs_models_the_filesystem_and_shdf_gathers_the_file():
     assert not {"WriteCoalescer", "ReadCoalescer", "merge_extents"} & set(repro.fs.__all__)
     for name in ("STORAGE_TIERS", "apply_storage_tier"):
         assert not hasattr(repro.shdf.drivers, name), name
+
+
+def test_a_record_is_the_only_clock():
+    """Each I/O duration is measured once, as the ``IORecord`` that times
+    it: nothing under ``repro.io`` or ``repro.shdf`` adds to a time
+    field, ``IOStats`` and ``ServerStats`` have no time field, the names
+    the benchmark reads are properties over the per-op fold, and every
+    record an I/O module or server makes is folded where it is made."""
+    import dataclasses
+    import pathlib
+    import re
+
+    import repro
+    from repro.io import IOStats, ServerStats
+
+    src = pathlib.Path(repro.__file__).parent
+    lines = [
+        (f"{path.relative_to(src)}:{n}", line)
+        for sub in ("io", "shdf")
+        for path in sorted((src / sub).rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+    ]
+    assert not [where for where, line in lines if re.search(r"_time \+=", line)]
+    for cls in (IOStats, ServerStats):
+        assert not [f.name for f in dataclasses.fields(cls) if f.name.endswith("_time")], cls
+    for cls, name in [
+        (IOStats, "visible_write_time"), (IOStats, "visible_read_time"),
+        (IOStats, "sync_time"), (ServerStats, "background_write_time"),
+    ]:
+        assert isinstance(inspect.getattr_static(cls, name), property), name
+    unfolded = [
+        where for where, line in lines
+        if "io_record(" in line and ".fold(" not in line and "def io_record" not in line
+    ]
+    assert not unfolded, unfolded
