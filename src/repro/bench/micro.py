@@ -22,7 +22,7 @@ from ..cluster.presets import frost, testbox
 from ..des import Environment
 from ..fs.models import NFSModel
 from ..roccom import AttributeSpec, LOC_ELEMENT, LOC_NODE, Roccom
-from ..shdf.codec import encode_records
+from ..shdf.codec import encode_batch
 from ..shdf.drivers import hdf4_driver, hdf5_driver
 from ..shdf.file import SHDFReader, SHDFWriter
 from ..shdf.model import Dataset
@@ -40,7 +40,7 @@ def _write_per_dataset(writer: SHDFWriter, count: int, data: np.ndarray):
     per-dataset create cost, round trip and transfer, as A2 measures."""
     yield from writer.open()
     for i in range(count):
-        yield from writer.write_records(encode_records([Dataset(f"d{i}", data)]))
+        yield from writer.write_records(encode_batch([Dataset(f"d{i}", data)]))
         yield from writer.flush()
     yield from writer.close()
 

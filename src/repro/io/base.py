@@ -25,7 +25,12 @@ import numpy as np
 from ..obs.records import OpSeconds
 from ..roccom.attribute import LOC_WINDOW, AttributeSpec
 from ..roccom.registry import Roccom
-from ..shdf.codec import encode_record_prefix
+from ..shdf.codec import (
+    array_payload,
+    encode_attr_items,
+    encode_record_prefix,
+    pack_record_prefix,
+)
 from ..shdf.model import Dataset
 
 __all__ = [
@@ -34,6 +39,7 @@ __all__ = [
     "collect_blocks",
     "apply_block",
     "block_to_datasets",
+    "encode_blocks",
     "datasets_to_blocks",
     "dataset_name",
     "parse_dataset_name",
@@ -242,6 +248,47 @@ def block_to_datasets(block: DataBlock) -> List[Dataset]:
             )
         )
     return out
+
+
+#: A block record's ``attr`` / ``location`` / ``ncomp`` / ``unit`` items,
+#: encoded, per attribute spec (and the types of ncomp and unit: their
+#: hash-equal values of another type encode differently).  Bounded by
+#: the distinct specs; no block data.
+_SPEC_ITEMS: Dict[tuple, bytes] = {}
+
+
+def encode_blocks(blocks) -> Tuple[memoryview, list]:
+    """``blocks``' records, :func:`block_to_datasets` order, in one
+    read-only buffer: ``encode_batch`` of those datasets, byte for byte
+    and entry for entry, with no dataset built.  A record's attributes
+    are packed from pieces: its block's window and id, its spec's items
+    and its block's counts."""
+    parts = []
+    entries = []
+    offset = 0
+    for block in blocks:
+        window, block_id = block.window, block.block_id
+        ids = encode_attr_items({"window": window, "block_id": block_id})
+        counts = encode_attr_items({"nnodes": block.nnodes, "nelems": block.nelems})
+        for attr, array in block.arrays.items():
+            spec = block.specs[attr]
+            key = (attr, spec.location, spec.ncomp, type(spec.ncomp), spec.unit, type(spec.unit))
+            items = _SPEC_ITEMS.get(key)
+            if items is None:
+                items = _SPEC_ITEMS[key] = encode_attr_items({
+                    "attr": attr, "location": spec.location,
+                    "ncomp": spec.ncomp, "unit": spec.unit,
+                })
+            name = dataset_name(window, block_id, attr)
+            prefix = pack_record_prefix(
+                name, 8, (ids, items, counts), array.dtype, array.shape
+            )
+            payload = array_payload(array)
+            length = len(prefix) + len(payload)
+            parts += (prefix, payload)
+            entries.append((name, offset, length, array.nbytes))
+            offset += length
+    return memoryview(b"".join(parts)), entries
 
 
 def record_groups(block: DataBlock) -> list:

@@ -18,15 +18,15 @@ from typing import Any, Dict, List, Optional
 
 from ..faults.retry import RetryPolicy, retrying
 from ..roccom.module import ServiceModule
-from ..shdf.codec import TornFileError, encode_records
+from ..shdf.codec import TornFileError
 from ..shdf.drivers import HDFDriver, hdf4_driver
 from ..shdf.file import SHDFReader, SHDFWriter
 from .base import (
     IOStats,
     apply_block,
-    block_to_datasets,
     collect_blocks,
     datasets_to_blocks,
+    encode_blocks,
     parse_dataset_name,
     per_window,
     window_prefixes,
@@ -126,15 +126,13 @@ class RochdfModule(ServiceModule):
         once, after the file is committed).
         """
         yield from writer.open(file_attrs=file_attrs)
-        records = encode_records(
-            dataset for block in blocks for dataset in block_to_datasets(block)
-        )
-        yield from writer.write_records(records)
+        batch = encode_blocks(blocks)
+        yield from writer.write_records(batch)
         yield from retrying(
             self.ctx.env, self.retry, lambda: self._close(writer),
             on_retry=self._note_retry,
         )
-        nbytes = sum(r[2] for r in records)
+        nbytes = sum(entry[3] for entry in batch[1])
         self.stats.blocks_written += len(blocks)
         self.stats.bytes_written += nbytes
         return nbytes

@@ -725,9 +725,11 @@ class MergeService:
         all.  It joins the path's current state — a new one if none is
         open — and that state's own join, if it has one, or lands here,
         but for the blocks a committed file holds (scanned now: the
-        writer may have committed since)."""
+        writer may have committed since).  While no rank has died the
+        share was never shipped, so no committed file holds it: no scan."""
         server, me = self.server, self.ctx.rank
-        yield from self._scan_durable(path)
+        if self.ctx.machine.dead_ranks():
+            yield from self._scan_durable(path)
         held, state.held = state.held, []
         state.booked -= len(held)
         current = server._paths.get(path) or server._open_path(path, state.writer_attrs)

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ...shdf.codec import encode_batch
-from ..base import DataBlock, block_to_datasets, record_groups, window_prefixes
+from ..base import DataBlock, encode_blocks, record_groups, window_prefixes
 
 __all__ = [
     "ProtocolError",
@@ -86,7 +85,7 @@ class EncodedBlock:
     The *client* encodes (one pass over the whole snapshot into a
     shared buffer) and ships the record bytes, which the server lands
     (:func:`~repro.io.base.block_record`).  ``entries`` are this block's
-    :func:`~repro.shdf.codec.encode_batch` entries in the batch's
+    :func:`~repro.io.base.encode_blocks` entries in the batch's
     read-only ``buf``, ``groups`` their
     :func:`~repro.io.base.record_groups`.  ``nbytes`` is pinned to the source
     :class:`DataBlock`'s accounting size (arrays plus a per-array wire
@@ -131,20 +130,20 @@ class BlockBatch:
 def encode_block_batch(path: str, blocks) -> BlockBatch:
     """Serialise ``blocks`` into one :class:`BlockBatch`.
 
-    All datasets of all blocks are encoded into **one** shared,
-    read-only buffer (:func:`repro.shdf.codec.encode_batch`), which is
+    All records of all blocks are encoded into **one** shared,
+    read-only buffer (:func:`repro.io.base.encode_blocks`), which is
     what lets the same bytes sit in the client's re-ship buffer while a
     server writes them.
     """
-    datasets = [block_to_datasets(block) for block in blocks]
-    buf, entries = encode_batch(d for ds in datasets for d in ds)
+    buf, entries = encode_blocks(blocks)
     shared: dict = {}  # one object per group: the server's lookups match by identity
     encoded = []
     i = 0
-    for block, ds in zip(blocks, datasets):
+    for block in blocks:
         groups = [shared.setdefault(g, g) for g in record_groups(block)]
-        encoded.append(EncodedBlock(block, buf, entries[i : i + len(ds)], groups))
-        i += len(ds)
+        n = len(block.arrays)
+        encoded.append(EncodedBlock(block, buf, entries[i : i + n], groups))
+        i += n
     return BlockBatch(path, encoded)
 
 

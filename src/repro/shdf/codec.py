@@ -18,9 +18,9 @@ which is what the HDF4 timing driver charges for).
 Hot-path notes: the codec sits on the simulator's wall-clock critical
 path (every snapshot of every rank round-trips through it), so
 
-* encoding gathers each record as ``(memoised prefix, view of the
-  array's own buffer)`` and lands a record, a batch or a whole file
-  with one ``bytes.join`` — sized exactly, every payload byte copied
+* encoding gathers each record as ``(prefix, view of the array's own
+  buffer)`` and lands a record, a batch or a whole file with one
+  ``bytes.join`` — sized exactly, every payload byte copied
   once (no ``tobytes``, no growing buffer, no trailing ``bytes()``).
   The virtual disk keeps that buffer by reference, so array → disk is
   that one copy;
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import OrderedDict
 from typing import Any, Dict, NamedTuple, Tuple
 
 import numpy as np
@@ -55,13 +54,15 @@ __all__ = [
     "encode_header",
     "encode_dataset",
     "encode_batch",
-    "encode_records",
     "encode_file",
     "encode_commit_footer",
     "decode_file",
     "decode_batch",
     "decode_header",
     "encode_record_prefix",
+    "encode_attr_items",
+    "pack_record_prefix",
+    "array_payload",
     "scan_file",
     "RecordHeader",
 ]
@@ -106,6 +107,8 @@ _TAG_FLOAT_S = struct.Struct("<Bd")
 _TAG_STR_S = struct.Struct("<BI")
 #: Shape packers for the common ranks; higher ranks fall back to pack().
 _DIMS = {n: struct.Struct(f"<{n}Q") for n in range(1, 9)}
+#: A record's ``u8 ndim | u64*ndim dims | u64 nbytes``, likewise.
+_SHAPES = {n: struct.Struct(f"<B{n}QQ") for n in range(9)}
 
 
 class CodecError(ValueError):
@@ -137,7 +140,7 @@ def _dims(shape: tuple) -> bytes:
     return _U8.pack(ndim) + packed
 
 
-def _array_payload(arr: np.ndarray):
+def array_payload(arr: np.ndarray):
     """An array's raw bytes as a flat buffer, zero-copy when C-contiguous."""
     if not arr.flags.c_contiguous:
         arr = np.ascontiguousarray(arr)
@@ -246,7 +249,7 @@ def _encode_value(value: Any, out: list) -> None:
         arr = np.asarray(value, order="C")  # keeps 0-d shape intact
         out += (
             _U8.pack(_TAG_NDARRAY), _str16(arr.dtype.str), _dims(arr.shape),
-            _array_payload(arr),
+            array_payload(arr),
         )
     elif isinstance(value, (list, tuple)):
         out.append(_TAG_STR_S.pack(_TAG_LIST, len(value)))
@@ -285,13 +288,6 @@ def _decode_value(reader: _Reader, copy: bool = True) -> Any:
     raise CodecError(f"unknown attribute tag {tag}")
 
 
-def _encode_attrs_into(out: list, attrs: dict) -> None:
-    out.append(_U32.pack(len(attrs)))
-    for name, value in attrs.items():
-        out.append(_str16(name))
-        _encode_value(value, out)
-
-
 def _decode_attrs(reader: _Reader, copy: bool = True) -> dict:
     count = reader.u32()
     attrs = {}
@@ -305,57 +301,49 @@ def _decode_attrs(reader: _Reader, copy: bool = True) -> dict:
 
 def encode_header(attrs: dict) -> bytes:
     """File header bytes: magic, version, file attributes."""
-    out = [FILE_MAGIC, _U16.pack(VERSION)]
-    _encode_attrs_into(out, attrs)
+    return b"".join(
+        (FILE_MAGIC, _U16.pack(VERSION), _U32.pack(len(attrs)), encode_attr_items(attrs))
+    )
+
+
+def encode_attr_items(attrs: dict) -> bytes:
+    """``(str16 name | value)*`` of ``attrs``: an attrs block without its
+    count, so a record's attrs may be packed from several pieces."""
+    out = []
+    for name, value in attrs.items():
+        out.append(_str16(name))
+        _encode_value(value, out)
     return b"".join(out)
 
 
-#: Memo of encoded record *prefixes* (magic, name, attrs, dtype, shape,
-#: payload length) keyed by everything the prefix depends on.  Snapshot
-#: writes re-encode the same datasets every interval with only the
-#: array bytes changed, so the per-attribute encoding work — the bulk
-#: of small-record encode time — is paid once per dataset identity.
-#: Keys carry each attr value's *type* because hash-equal values of
-#: different types (True vs 1, 1 vs 1.0) encode differently.
-_PREFIX_MEMO_CAP = 65536
-_prefix_memo: "OrderedDict[tuple, bytes]" = OrderedDict()
+def pack_record_prefix(name: str, nattrs: int, items, dtype: np.dtype, shape: tuple) -> bytes:
+    """A record's bytes up to its payload from its attributes already
+    encoded: ``items``, ``nattrs`` attributes' :func:`encode_attr_items`
+    bytes as one or several pieces, in order."""
+    raw = name.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise CodecError(f"string too long ({len(raw)} bytes)")
+    kind = dtype.str.encode("utf-8")
+    ndim = len(shape)
+    dims = _SHAPES.get(ndim) or struct.Struct(f"<B{ndim}QQ")
+    return b"".join((
+        RECORD_MAGIC, _U16.pack(len(raw)), raw, _U32.pack(nattrs), *items,
+        _U16.pack(len(kind)), kind,
+        dims.pack(ndim, *shape, math.prod(shape) * dtype.itemsize),
+    ))
 
 
 def encode_record_prefix(name: str, attrs: dict, dtype: np.dtype, shape: tuple) -> bytes:
     """A record's bytes up to its payload, which must follow: the
     ``prod(shape)`` items of ``dtype``, raw, as one or many chunks."""
-    out = [RECORD_MAGIC, _str16(name)]
-    _encode_attrs_into(out, attrs)
-    nbytes = math.prod(shape) * dtype.itemsize
-    out += (_str16(dtype.str), _dims(shape), _U64.pack(nbytes))
-    return b"".join(out)
+    return pack_record_prefix(name, len(attrs), (encode_attr_items(attrs),), dtype, shape)
 
 
 def _record_parts(dataset: Dataset) -> tuple:
     """One record as ``(prefix bytes, payload buffer)``, nothing copied yet."""
     arr = dataset.data
-    try:
-        # Flat interleaved (name, type, value, ...) tuple: same
-        # discriminating power as a tuple of triples (fixed stride,
-        # element-wise equality) without a generator resume plus a
-        # tuple allocation per attribute on this per-record path.
-        ak = []
-        push = ak.append
-        for k, v in dataset.attrs.items():
-            push(k)
-            push(type(v))
-            push(v)
-        key = (dataset.name, arr.dtype.str, arr.shape, tuple(ak))
-        prefix = _prefix_memo.get(key)
-    except TypeError:  # unhashable attr value (ndarray/list attrs)
-        prefix = encode_record_prefix(dataset.name, dataset.attrs, arr.dtype, arr.shape)
-        return prefix, _array_payload(arr)
-    if prefix is None:
-        prefix = encode_record_prefix(dataset.name, dataset.attrs, arr.dtype, arr.shape)
-        _prefix_memo[key] = prefix
-        if len(_prefix_memo) > _PREFIX_MEMO_CAP:
-            _prefix_memo.popitem(last=False)
-    return prefix, _array_payload(arr)
+    prefix = encode_record_prefix(dataset.name, dataset.attrs, arr.dtype, arr.shape)
+    return prefix, array_payload(arr)
 
 
 def encode_dataset(dataset: Dataset) -> bytes:
@@ -385,18 +373,6 @@ def encode_batch(datasets) -> Tuple[memoryview, list]:
         entries.append((dataset.name, offset, length, dataset.nbytes))
         offset += length
     return memoryview(b"".join(parts)), entries
-
-
-def encode_records(datasets) -> list:
-    """:func:`encode_batch` as ``SHDFWriter.write_records`` consumes it.
-
-    ``(name, record view, data_nbytes)`` triples over one shared buffer.
-    """
-    buf, entries = encode_batch(datasets)
-    return [
-        (name, buf[offset : offset + length], data_nbytes)
-        for name, offset, length, data_nbytes in entries
-    ]
 
 
 def encode_file(image: FileImage) -> bytes:

@@ -140,7 +140,7 @@ class SHDFWriter:
         writer = SHDFWriter(env, fs, "snap_0001.hdf", driver, node=node)
         yield from writer.open(file_attrs={"time_step": 50})
         yield from writer.write_records(
-            encode_records([Dataset("b1/pressure", arr, {...})])
+            encode_batch([Dataset("b1/pressure", arr, {...})])
         )
         yield from writer.close()
 
@@ -273,29 +273,30 @@ class SHDFWriter:
         self._open = True
         self._record("open", 0, t0)
 
-    def write_records(self, records):
+    def write_records(self, batch):
         """Generator: stage many records for one gathered transfer.
 
-        ``records`` is a sequence of ``(name, record_bytes, data_nbytes)``
-        tuples, each its own dataset: :meth:`stage` then :meth:`book`.
-        Nothing reaches the filesystem yet: the records join the open
-        stage and land — together with whatever else it holds — through
-        a **single** filesystem write when it lands, the data-sieving
-        merge that makes gathered server-side writes large and
-        sequential.  The disk mutation happens through
-        :meth:`~repro.fs.vfs.VirtualFile.append_many`, which checks
-        fault hooks *before* appending anything, so the
+        ``batch`` is ``(buf, entries)`` as :func:`~.codec.encode_batch`
+        returns it, each entry its own dataset: the buffer joins the
+        open stage as one chunk, charged the driver's per-dataset
+        metadata bytes for every entry, then :meth:`book`.  Nothing
+        reaches the filesystem yet: the records land — together with
+        whatever else the stage holds — through a **single** filesystem
+        write when it lands, the data-sieving merge that makes gathered
+        server-side writes large and sequential.  The disk mutation
+        happens through :meth:`~repro.fs.vfs.VirtualFile.append_many`,
+        which checks fault hooks *before* appending anything, so the
         raise-before-mutate guarantee holds at stage granularity: a
         faulted landing leaves the records staged, and the retry is
         :meth:`flush` or :meth:`close`, not this call again.
         """
         if not self._stages:
             raise RuntimeError(f"{self.path}: not open")
-        records = list(records)
-        if not records:
+        buf, entries = batch
+        if not entries:
             return
-        self.stage((record,) for _name, record, _n in records)
-        yield from self.book(len(records), sum(r[2] for r in records))
+        self._stages[-1].add(buf, self.driver.meta_bytes_per_dataset * len(entries))
+        yield from self.book(len(entries), sum(entry[3] for entry in entries))
 
     def stage(self, records) -> None:
         """Add records, each a sequence of chunks, to the open stage."""

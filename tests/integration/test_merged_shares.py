@@ -19,6 +19,7 @@ from repro.io import PandaServer, RocpandaModule, rocpanda_init
 from repro.io.base import _BLOCK_WIRE_OVERHEAD
 from repro.roccom import Roccom
 from repro.rocketeer import load_snapshot
+from repro.shdf import hdf4_driver, scan_file
 from tests.integration.test_faults import (
     EAGER_NODES, NBLOCKS, _declare, _launch, _registered, _restart_main, _write_main,
 )
@@ -209,6 +210,58 @@ def test_merged_records_and_counters_say_where_the_shares_went():
     assert join.t_end <= forward.t_start < forward.t_end <= merge.t_start
     assert forward.nbytes == servers[0].forwarded_bytes
     assert sum(s.forwarded_shares for s in servers) == 1
+
+
+def _late_joiner_main(ctx):
+    """:func:`_write_main`'s checkpoint at 2 servers: server 4's clients
+    announce a byte-bound share, server 0's a latency-bound one, whose
+    first client writes 0.2 s after the others."""
+    topo = yield from rocpanda_init(ctx, 2)
+    if topo.is_server:
+        stats = yield from PandaServer(ctx, topo).run()
+        return ("server", stats)
+    com = Roccom(ctx)
+    panda = com.load_module(RocpandaModule(ctx, topo))
+    w = _declare(com)
+    rank = topo.comm.rank
+    for pid, (coords, pressure) in _registered(rank, _late_joiner_nodes(rank)).items():
+        w.register_pane(pid, len(coords), len(pressure))
+        w.set_array("coords", pid, coords)
+        w.set_array("pressure", pid, pressure)
+    yield from ctx.sleep(0.25 if rank == 0 else 0.05)
+    yield from com.call_function("OUT.write_attribute", "Fluid", None, "ck")
+    yield from com.call_function("OUT.sync")
+    yield from panda.finalize()
+    return ("client", panda.stats)
+
+
+def _late_joiner_nodes(comm_rank):
+    return 1200 if comm_rank >= 3 else EAGER_NODES
+
+
+def test_a_fault_free_take_back_scans_no_file():
+    """Server 4, the path's writer, lands its own byte-bound share and
+    waits for no one: it has committed when server 0's Join arrives, and
+    refuses it, so 0 takes its share back and lands it.  No rank died, so
+    that share was never shipped and no committed file can hold a block
+    of it: the take-back scans nothing — no ``open_scan`` / ``close_scan``
+    record, and the filesystem's metadata round trips are only the two
+    files' creates, per-dataset round trips and closes, and the lease's
+    lock RPCs."""
+    result, machine = _launch(8, _late_joiner_main, spec=turing())
+    servers = _stats(result, "server")
+    assert [(s.joined_shares, s.merged_shares, s.refused_joins) for s in servers] == [
+        (1, 0, 0), (0, 0, 1),
+    ]
+    files = machine.disk.listdir("")
+    assert files == ["ck_s0000.shdf", "ck_s0001.shdf"]
+    records = result.recorder.io_records
+    assert not [r for r in records if r.op in ("open_scan", "close_scan")]
+    per_dataset = hdf4_driver().fs_meta_ops_per_dataset
+    datasets = sum(len(scan_file(machine.disk.open(f).read())[1]) for f in files)
+    lock_rpcs = sum(r.op == "lock_rpc" for r in records)
+    assert machine.fs.metrics.meta_ops == 2 * len(files) + per_dataset * datasets + lock_rpcs
+    _restores_what_was_registered(machine, "ck", range(6), _late_joiner_nodes)
 
 
 @pytest.fixture(scope="module")

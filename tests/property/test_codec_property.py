@@ -224,3 +224,173 @@ def test_damaged_journaled_files_raise_the_documented_errors(image, data):
             assert type(exc) is expected, (damage, exc)
         else:
             raise AssertionError(f"{damage}: decoded a damaged file")
+
+
+# -- a snapshot's block records: the template encoder against the reference --
+
+_label = st.text(
+    alphabet=st.characters(blacklist_characters="/.", blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=8,
+)
+_units = st.one_of(
+    st.none(),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
+    st.text(alphabet=st.characters(min_codepoint=128, max_codepoint=0x2FFF,
+                                   blacklist_categories=("Cs",)), min_size=1, max_size=4),
+)
+_counts = st.integers(0, 10**6).flatmap(
+    lambda n: st.sampled_from([n, np.int64(n)])
+)
+
+
+@st.composite
+def _specs(draw, attr):
+    from repro.roccom import AttributeSpec
+
+    return AttributeSpec(
+        attr,
+        draw(st.sampled_from(["node", "element", "pane"])),
+        ncomp=draw(st.integers(1, 6)),
+        dtype=draw(st.sampled_from(["f8", "f4", "i8"])),
+        unit=draw(_units),
+    )
+
+
+@st.composite
+def _array(draw, spec):
+    """An array of ``spec``'s dtype, 1-D or 2-D, maybe empty, laid out
+    C-contiguous, in Fortran order or as a strided view."""
+    rows = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from([(rows,), (rows, spec.ncomp)]))
+    dtype = np.dtype(spec.dtype)
+    data = draw(hnp.arrays(dtype, shape, elements=hnp.from_dtype(
+        dtype, allow_nan=False, allow_infinity=False)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(data)
+    if layout == "strided":
+        return np.repeat(data, 2, axis=0)[::2]
+    return data
+
+
+@st.composite
+def _blocks(draw):
+    """Blocks of one window, as ``collect_blocks`` hands them over: the
+    same spec objects on every block, or equal copies, or (drawn per
+    block) another spec for the same attribute."""
+    from dataclasses import replace
+
+    from repro.io.base import DataBlock
+
+    window = draw(_label)
+    attrs = draw(st.lists(_label, min_size=1, max_size=4, unique=True))
+    shared = {attr: draw(_specs(attr)) for attr in attrs}
+    ids = draw(st.lists(st.integers(0, 999_999), max_size=5, unique=True))
+    blocks = []
+    for block_id in ids:
+        specs = {}
+        for attr in draw(st.permutations(attrs)):
+            choice = draw(st.sampled_from(["shared", "copy", "other"]))
+            if choice == "shared":
+                specs[attr] = shared[attr]
+            elif choice == "copy":
+                specs[attr] = replace(shared[attr])
+            else:
+                specs[attr] = draw(_specs(attr))
+        arrays = {attr: draw(_array(spec)) for attr, spec in specs.items()}
+        blocks.append(DataBlock(
+            window, block_id, draw(_counts), draw(_counts), arrays, specs
+        ))
+    return blocks
+
+
+@given(_blocks())
+@settings(deadline=None)
+def test_block_records_equal_the_generic_encode(blocks):
+    """``encode_blocks`` packs each record's prefix from pieces; its
+    buffer and entries are, byte for byte, the generic encode of the
+    same blocks' datasets."""
+    from repro.io.base import block_to_datasets, encode_blocks
+    from repro.shdf.codec import encode_batch
+
+    buf, entries = encode_blocks(blocks)
+    ref_buf, ref_entries = encode_batch(
+        d for b in blocks for d in block_to_datasets(b)
+    )
+    assert buf.readonly
+    assert bytes(buf) == bytes(ref_buf)
+    assert entries == ref_entries
+
+
+def _drive(env, gen):
+    env.process(gen)
+    env.run()
+
+
+@given(_blocks(), st.booleans())
+@settings(deadline=None)
+def test_one_chunk_batch_lands_the_records_written_one_by_one(blocks, fault):
+    """A file whose batch stages as one chunk scans to the records and
+    bytes of one whose records are staged one by one, charged the same
+    bytes and round trips; a faulted landing leaves the stage as it
+    was, and the retried ``close`` lands it."""
+    from repro.des import Environment
+    from repro.fs import NFSModel, TransientIOError
+    from repro.io.base import encode_blocks
+    from repro.shdf import scan_file
+    from repro.shdf.codec import COMMIT_SIZE
+    from repro.shdf.drivers import hdf4_driver
+    from repro.shdf.file import SHDFWriter
+
+    buf, entries = encode_blocks(blocks)
+
+    def write(one_chunk):
+        env = Environment()
+        fs = NFSModel(env)
+        writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver())
+        armed = {"n": 0}
+
+        def hook(path, nbytes):
+            if armed["n"]:
+                armed["n"] -= 1
+                raise TransientIOError(path)
+
+        fs.disk.fault_hook = hook
+
+        def program():
+            yield from writer.open(file_attrs={"step": 3})
+            if one_chunk:
+                yield from writer.write_records((buf, entries))
+            else:
+                for name, offset, length, nbytes in entries:
+                    record = buf[offset : offset + length]
+                    yield from writer.write_records((record, [(name, 0, length, nbytes)]))
+            if fault and one_chunk:
+                staged = writer.staged_bytes
+                armed["n"] = 1
+                try:
+                    yield from writer.close()
+                except TransientIOError:
+                    pass
+                else:
+                    raise AssertionError("the armed landing did not fault")
+                # Nothing landed; the stage holds what it held, and the
+                # commit footer the faulted landing took on.
+                assert writer._vfile.size == 0
+                assert writer.staged_bytes == staged + COMMIT_SIZE
+                assert writer.owes_landing
+                assert writer.ndatasets == len(entries)
+            yield from writer.close()
+
+        _drive(env, program())
+        return bytes(fs.disk.open("f.shdf").read()), fs.metrics
+
+    gathered, metrics = write(True)
+    one_by_one, ref_metrics = write(False)
+    assert gathered == one_by_one
+    assert scan_file(gathered) == scan_file(one_by_one)
+    assert [name for name, _o, _n in scan_file(gathered)[1]] == [e[0] for e in entries]
+    assert metrics.bytes_written == ref_metrics.bytes_written
+    assert metrics.meta_ops == ref_metrics.meta_ops
+    assert metrics.write_ops == ref_metrics.write_ops == 1

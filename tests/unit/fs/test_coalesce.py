@@ -12,6 +12,7 @@ from repro.des import Environment
 from repro.fs import DiskFullError, NFSModel, TransientIOError, VirtualDisk
 from repro.shdf.codec import (
     JOURNAL_ATTR,
+    encode_batch,
     encode_commit_footer,
     encode_dataset,
     encode_header,
@@ -175,16 +176,15 @@ class TestWriteRecords:
         first) and the footer one more: N fewer fixed per-write
         latencies of virtual time."""
         datasets = self._datasets()
-        records = [(d.name, encode_dataset(d), d.nbytes) for d in datasets]
 
         def write(env, fs, coalesced):
             writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver())
             yield from writer.open(file_attrs={"k": 1})
             if coalesced:
-                yield from writer.write_records(records)
+                yield from writer.write_records(encode_batch(datasets))
             else:
-                for record in records:
-                    yield from writer.write_records([record])
+                for dataset in datasets:
+                    yield from writer.write_records(encode_batch([dataset]))
                     yield from writer.flush()
             yield from writer.close()
 
@@ -194,8 +194,8 @@ class TestWriteRecords:
         drive(env2, write(env2, fs2, True))
         expected = (
             encode_header({"k": 1, JOURNAL_ATTR: True})
-            + b"".join(record for _name, record, _n in records)
-            + encode_commit_footer(len(records))
+            + b"".join(encode_dataset(d) for d in datasets)
+            + encode_commit_footer(len(datasets))
         )
         assert fs2.disk.open("f.shdf").read() == expected
         assert fs1.disk.open("f.shdf").read() == expected
@@ -225,7 +225,7 @@ class TestWriteRecords:
 
         def open_write_nothing():
             yield from writer.open()
-            yield from writer.write_records([])
+            yield from writer.write_records(encode_batch([]))
             yield from writer.close()
 
         drive(env, open_write_nothing())

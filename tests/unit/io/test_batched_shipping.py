@@ -21,7 +21,6 @@ from repro.shdf.codec import (
     decode_batch,
     encode_batch,
     encode_dataset,
-    encode_records,
 )
 from repro.shdf.model import Dataset
 from repro.vmpi import run_spmd
@@ -84,7 +83,7 @@ class TestEncodeBatch:
         }
         attr_sets = [
             {"ncomp": 3, "unit": "m"},
-            # Unhashable values: the prefix memo's fallback branch.
+            # Unhashable values: array and list attributes.
             {"origin": np.arange(3.0), "tags": ["a", 1]},
         ]
         for name, arr in arrays.items():
@@ -119,8 +118,8 @@ class TestEncodeBatch:
                 view = eb.buf[offset : offset + length]
                 with pytest.raises(TypeError):
                     view[0] = 0
-        records = encode_records(block_to_datasets(_blocks(n=1)[0]))
-        assert all(view.readonly for _name, view, _nbytes in records)
+        buf, _entries = encode_batch(block_to_datasets(_blocks(n=1)[0]))
+        assert buf.readonly
 
 
 class TestEncodeBlockBatch:

@@ -14,7 +14,7 @@ from repro.shdf import (
     hdf5_driver,
     raw_driver,
 )
-from repro.shdf.codec import encode_records
+from repro.shdf.codec import encode_batch
 
 
 class TestDrivers:
@@ -64,7 +64,7 @@ def run(env, gen):
 
 def write_one(writer, dataset):
     """Generator: stage one dataset and land it on its own."""
-    yield from writer.write_records(encode_records([dataset]))
+    yield from writer.write_records(encode_batch([dataset]))
     yield from writer.flush()
 
 
@@ -113,8 +113,8 @@ class TestTimedFileAPI:
             def program():
                 writer = SHDFWriter(env, fs, "snap.hdf", driver)
                 yield from writer.open(file_attrs={"step": 7})
-                yield from writer.write_records(encode_records(blocks[:2]))
-                yield from writer.write_records(encode_records(blocks[2:]))
+                yield from writer.write_records(encode_batch(blocks[:2]))
+                yield from writer.write_records(encode_batch(blocks[2:]))
                 yield from writer.close()
                 reader = SHDFReader(env, fs, "snap.hdf", driver)
                 attrs = yield from reader.open_scan()

@@ -12,7 +12,7 @@ import pytest
 from repro.des import Environment
 from repro.fs import NFSModel
 from repro.shdf import decode_batch, decode_file, scan_file
-from repro.shdf.codec import encode_dataset
+from repro.shdf.codec import encode_batch
 from repro.shdf.drivers import hdf4_driver
 from repro.shdf.file import SHDFReader, SHDFWriter
 from repro.shdf.model import Dataset
@@ -42,9 +42,7 @@ def _write(env, fs, datasets, path="f.shdf"):
 
     def go():
         yield from writer.open(file_attrs={"step": 42})
-        yield from writer.write_records(
-            [(d.name, encode_dataset(d), d.nbytes) for d in datasets]
-        )
+        yield from writer.write_records(encode_batch(datasets))
         yield from writer.close()
 
     drive(env, go())

@@ -12,7 +12,7 @@ from repro.shdf import (
     decode_file,
     hdf4_driver,
 )
-from repro.shdf.codec import encode_records
+from repro.shdf.codec import encode_batch
 
 
 def drive(env, gen):
@@ -29,7 +29,7 @@ def drive(env, gen):
 def batches(nbatches=4, per_batch=3):
     rng = np.random.default_rng(11)
     return [
-        encode_records(
+        encode_batch(
             Dataset(f"W/b{b}/f{k}", rng.random(30 + 7 * b + k), {"ncomp": 1})
             for k in range(per_batch)
         )
@@ -95,20 +95,18 @@ class TestStagedWriteRecords:
             assert fs.metrics.write_ops == ops
             # ndatasets counts staged records: the next batch's
             # create_cost is charged at the true directory size.
-            assert writer.ndatasets == len(first)
+            assert writer.ndatasets == len(first[1])
             meta = hdf4_driver().meta_bytes_per_dataset
-            assert writer.staged_bytes == header + sum(len(r[1]) + meta for r in first)
+            assert writer.staged_bytes == header + len(first[0]) + meta * len(first[1])
             # One flush lands everything staged, in order.
             yield from writer.write_records(second)
             assert writer.staged_bytes == header + sum(
-                len(r[1]) + meta for r in first + second
+                len(buf) + meta * len(entries) for buf, entries in (first, second)
             )
             yield from writer.flush()
             assert writer.staged_bytes == 0
             assert fs.metrics.write_ops == ops + 1
-            assert writer._vfile.size == size + header + sum(
-                len(r[1]) for r in first + second
-            )
+            assert writer._vfile.size == size + header + len(first[0]) + len(second[0])
             yield from writer.close()
 
         drive(env, program())
@@ -124,7 +122,7 @@ class TestStagedWriteRecords:
             assert fs.metrics.write_ops == 1 and writer._vfile.size > 0
             t0, ops = env.now, fs.metrics.write_ops
             yield from writer.flush()
-            yield from writer.write_records([])
+            yield from writer.write_records(encode_batch([]))
             assert (env.now, fs.metrics.write_ops) == (t0, ops)
             yield from writer.close()
 
@@ -181,7 +179,7 @@ class TestFaultedFlush:
             # and counted — a retry must not stage the records again.
             assert writer._vfile.size == size
             assert writer.staged_bytes > 0
-            assert writer.ndatasets == len(records)
+            assert writer.ndatasets == len(records[1])
             assert writer.is_open
             if fault_in == "flush":
                 yield from writer.flush()
@@ -235,7 +233,7 @@ class TestSealThenLand:
             assert writer.staged_bytes == 0
             # Bookkeeping was CPU only: the filesystem saw nothing yet.
             assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (0, 0)
-            assert writer.ndatasets == sum(map(len, batches()))
+            assert writer.ndatasets == sum(len(entries) for _buf, entries in batches())
 
         drive(env, stage())
         return env, fs, writer
@@ -261,11 +259,9 @@ class TestSealThenLand:
             assert fs.metrics.write_ops == ops + 1
 
         drive(env, land())
-        header = len(bytes(fs.disk.open("f.shdf").read())) - 12 - sum(
-            len(r[1]) for b in batches() for r in b
-        )
-        b0, b1, b2, b3 = ([len(r[1]) for r in b] for b in batches())
-        assert sizes == [header + sum(b0), sum(b1) + sum(b2), sum(b3)]
+        b0, b1, b2, b3 = (len(buf) for buf, _entries in batches())
+        header = len(bytes(fs.disk.open("f.shdf").read())) - 12 - (b0 + b1 + b2 + b3)
+        assert sizes == [header + b0, b1 + b2, b3]
         eager, fs_eager, _ = write_file(True)
         assert bytes(fs.disk.open("f.shdf").read()) == eager
         assert fs.metrics.meta_ops == fs_eager.metrics.meta_ops
@@ -273,7 +269,7 @@ class TestSealThenLand:
 
     def test_close_lands_what_is_sealed_and_what_is_open(self):
         env, fs, writer = self._sealed_writer()
-        extra = encode_records([Dataset("W/tail", np.arange(5.0), {"ncomp": 1})])
+        extra = encode_batch([Dataset("W/tail", np.arange(5.0), {"ncomp": 1})])
 
         def finish():
             yield from writer.open()
@@ -285,7 +281,7 @@ class TestSealThenLand:
 
         drive(env, finish())
         names = decode_file(fs.disk.open("f.shdf").read()).names()
-        assert names == [n for b in batches() for n, _r, _n in b] + ["W/tail"]
+        assert names == [e[0] for _buf, entries in batches() for e in entries] + ["W/tail"]
 
     def test_meta_round_trips_are_paid_once_across_a_faulted_landing(self):
         env, fs, writer = self._sealed_writer()
@@ -303,7 +299,7 @@ class TestSealThenLand:
             meta = fs.metrics.meta_ops
             yield from writer.settle_meta()
             owed = fs.metrics.meta_ops - meta
-            assert owed == len(batches()[0]) * hdf4_driver().fs_meta_ops_per_dataset
+            assert owed == len(batches()[0][1]) * hdf4_driver().fs_meta_ops_per_dataset
             armed["n"] = 1
             size = writer._vfile.size
             with pytest.raises(TransientIOError):
@@ -361,7 +357,7 @@ class TestSealThenLand:
             # committed, not yet closed.
             assert (fs.metrics.meta_ops, fs.metrics.write_ops) == (meta, ops + 1)
             assert not writer.owes_landing and writer.is_open
-            b3 = sum(len(r[1]) for r in batches()[3])
+            b3 = len(batches()[3][0])
             assert writer._vfile.size == size + b3 + 12
             decode_file(fs.disk.open("f.shdf").read())
             yield from writer.release()
@@ -387,7 +383,7 @@ class TestSealThenLand:
         recorder = Recorder()
         writer = SHDFWriter(env, fs, "f.shdf", hdf4_driver(), recorder=recorder)
         rng = np.random.default_rng(11)
-        records = encode_records(
+        records = encode_batch(
             Dataset(f"W/b0/f{k}", rng.random(30 + k), {"ncomp": 1}) for k in range(3)
         )
         marks = []

@@ -230,3 +230,38 @@ def test_a_record_is_the_only_clock():
         if "io_record(" in line and ".fold(" not in line and "def io_record" not in line
     ]
     assert not unfolded, unfolded
+
+
+def test_block_records_are_packed_with_no_cross_job_cache():
+    """A snapshot's block records are packed from per-attribute pieces
+    (``repro.io.base.encode_blocks``): ``repro.shdf.codec`` keeps no
+    module-level cache of encoded headers — its module dicts are fixed
+    packer tables that encoding does not grow — ``encode_records`` is
+    gone, and the Rochdf and Rocpanda write paths build no dataset per
+    array."""
+    import pathlib
+    from collections import OrderedDict
+
+    import numpy as np
+
+    import repro
+    import repro.shdf.codec as codec
+    from repro.io.base import DataBlock, block_to_datasets, encode_blocks
+    from repro.roccom import AttributeSpec
+
+    for name in ("_prefix_memo", "_PREFIX_MEMO_CAP", "encode_records"):
+        assert not hasattr(codec, name), name
+    tables = {name: value for name, value in vars(codec).items() if isinstance(value, dict)}
+    assert not [name for name, value in tables.items() if isinstance(value, OrderedDict)]
+    sizes = {name: len(value) for name, value in tables.items()}
+    spec = AttributeSpec("p", "element")
+    blocks = [
+        DataBlock("W", i, 0, 4 + i, {"p": np.arange(4.0 + i)}, {"p": spec})
+        for i in range(50)
+    ]
+    codec.encode_batch(d for b in blocks for d in block_to_datasets(b))
+    encode_blocks(blocks)
+    assert {name: len(value) for name, value in tables.items()} == sizes
+    src = pathlib.Path(repro.__file__).parent / "io"
+    for path in ("rochdf.py", "rocpanda/protocol.py"):
+        assert "block_to_datasets" not in (src / path).read_text(), path
